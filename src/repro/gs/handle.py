@@ -16,12 +16,20 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..mpi.communicator import Comm
-from ..mpi.datatypes import MAX, ReduceOp
+from ..mpi.datatypes import MAX, SUM, ReduceOp
+
+
+def _fold(fn: np.ufunc, into: np.ndarray, slots, vals: np.ndarray) -> None:
+    """``into[slots] = fn(into[slots], vals)``; ``None`` is every slot."""
+    if slots is None:
+        fn(into, vals, out=into)
+    else:
+        into[slots] = fn(into[slots], vals)
 
 
 @dataclass
@@ -36,12 +44,15 @@ class GSHandle:
         Shape of the data arrays ``gs_op`` will accept.
     uids:
         Sorted unique global ids present on this rank.
-    local_order / segment_starts:
-        Permutation and segment boundaries so that
-        ``x.ravel()[local_order]`` groups equal-gid entries contiguously
-        (the *local condense* plan).
+    rep / dup_index / rounds:
+        The compiled *local condense* plan: flat index of every uid's
+        first copy; uid-indices of the ids with a second copy (``None``:
+        all of them); and per k-th extra copy ``(slots, flat indices)``,
+        ``slots`` indexing ``dup_index`` (``None``: all of it).  Copies
+        of an id are numbered in flat-index order.
     inverse:
-        Flat-index -> uid-index map (the *scatter back* plan).
+        uid-index of every data entry, shaped like the data (the
+        *scatter back* plan).
     shared_index:
         uid-indices of ids shared with at least one other rank.
     neighbor_send_index:
@@ -57,8 +68,9 @@ class GSHandle:
     comm: Comm
     shape: tuple
     uids: np.ndarray
-    local_order: np.ndarray
-    segment_starts: np.ndarray
+    rep: np.ndarray
+    dup_index: Optional[np.ndarray]
+    rounds: List[Tuple[Optional[np.ndarray], np.ndarray]]
     inverse: np.ndarray
     shared_index: np.ndarray
     neighbor_send_index: Dict[int, np.ndarray]
@@ -82,19 +94,61 @@ class GSHandle:
         return sorted(self.neighbor_send_index)
 
     def condense(self, x: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Combine local duplicates: data array -> per-uid values."""
+        """Combine local duplicates: data array -> per-uid values.
+
+        One gather of the first copies plus one gather-and-fold per
+        duplicate round, in the order ``ufunc.reduceat`` folds id-sorted
+        copies: left to right, except that numpy adds a float segment as
+        ``x0 + (x1 + x2 + ...)`` — and pairwise from nine copies on,
+        which this does not follow (a hex-mesh id has at most eight).
+        """
         if x.shape != self.shape:
             raise ValueError(
                 f"gs data shape {x.shape} != handle shape {self.shape}"
             )
-        if op.ufunc is None:
+        fn = op.ufunc
+        if fn is None:
             raise ValueError(f"{op.name} has no ufunc; cannot gs over it")
-        flat = x.reshape(-1)[self.local_order]
-        return op.ufunc.reduceat(flat, self.segment_starts)
+        flat = x.reshape(-1)
+        acc = flat.take(self.rep)
+        if not self.rounds:
+            return acc
+        dup = self.dup_index
+        if fn is np.add and acc.dtype.kind in "fc":
+            (_, first), *rest = self.rounds
+            tail = flat.take(first)
+            for slots, idx in rest:
+                _fold(fn, tail, slots, flat.take(idx))
+            _fold(fn, acc, dup, tail)
+        else:
+            head = acc if dup is None else acc[dup]
+            for slots, idx in self.rounds:
+                _fold(fn, head, slots, flat.take(idx))
+            if dup is not None:
+                acc[dup] = head
+        return acc
 
-    def scatter(self, condensed: np.ndarray) -> np.ndarray:
-        """Per-uid values -> data array (duplicates replicated)."""
-        return condensed[self.inverse].reshape(self.shape)
+    def scatter(
+        self, condensed: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Per-uid values -> data array (duplicates replicated), written
+        into ``out`` when given (which may be what was condensed)."""
+        if condensed.shape != (self.n_unique,):
+            raise ValueError(
+                f"condensed shape {condensed.shape} != ({self.n_unique},)"
+            )
+        if out is not None and (
+            out.shape != self.shape
+            or out.dtype != condensed.dtype
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"gs out must be C-contiguous {self.shape} "
+                f"{condensed.dtype}, got {out.shape} {out.dtype}"
+            )
+        # Indices are in range by construction; "clip" spares take the
+        # bounce buffer that "raise" needs with out=.
+        return condensed.take(self.inverse, out=out, mode="clip")
 
     def shared_gids_with(self, q: int) -> np.ndarray:
         """Global ids shared with neighbour ``q`` (sorted)."""
@@ -121,15 +175,33 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
         raise ValueError("global ids must be non-negative")
     flat = gids.reshape(-1).astype(np.int64)
 
-    # Local condense plan.
-    uids, inverse = np.unique(flat, return_inverse=True)
-    local_order = np.argsort(flat, kind="stable")
-    sorted_vals = flat[local_order]
-    is_start = np.empty(len(sorted_vals), dtype=bool)
-    if len(sorted_vals):
-        is_start[0] = True
-        is_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    segment_starts = np.nonzero(is_start)[0]
+    # Local condense/scatter plan, all from one stable argsort.
+    order = np.argsort(flat, kind="stable")
+    sorted_vals = flat[order]
+    is_start = np.ones(len(flat), dtype=bool)
+    is_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.nonzero(is_start)[0]
+    uids, rep = sorted_vals[starts], order[starts]
+    seg = np.cumsum(is_start) - 1  # uid-index of each sorted entry
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = seg
+    # Duplicate rounds: the k-th extra copy of every id that has one.
+    extra = np.nonzero(~is_start)[0]
+    dup, rounds = None, []
+    if len(extra):
+        seg_x = seg[extra]
+        copy_no = extra - starts[seg_x]  # >= 1; copies in flat order
+        dup = seg_x[copy_no == 1]
+        slot_of = np.empty(len(uids), dtype=np.intp)
+        slot_of[dup] = np.arange(len(dup))
+        by_round = np.argsort(copy_no, kind="stable")
+        cuts = np.cumsum(np.bincount(copy_no)[1:-1])
+        for members in np.split(by_round, cuts):
+            everyone = len(members) == len(dup)
+            slots = None if everyone else slot_of[seg_x[members]]
+            rounds.append((slots, order[extra[members]]))
+        if len(dup) == len(uids):
+            dup = None
 
     # --- discovery phase (all-to-all), as in the paper -----------------
     size = comm.size
@@ -243,19 +315,16 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
 
     local_max = int(uids[-1]) if len(uids) else -1
     max_gid = int(comm.allreduce(local_max, op=MAX, site=site))
-    from ..mpi.datatypes import SUM as _SUM
-
-    global_shared = int(
-        comm.allreduce(len(shared_sorted), op=_SUM, site=site)
-    )
+    global_shared = int(comm.allreduce(len(shared_sorted), op=SUM, site=site))
 
     handle = GSHandle(
         comm=comm,
         shape=gids.shape,
         uids=uids,
-        local_order=local_order,
-        segment_starts=segment_starts,
-        inverse=inverse,
+        rep=rep,
+        dup_index=dup,
+        rounds=rounds,
+        inverse=inverse.reshape(gids.shape),
         shared_index=shared_index,
         neighbor_send_index=neighbor_send_index,
         owners=owners,

@@ -27,28 +27,20 @@ from .pairwise import TAG_PAIRWISE
 SITE_MANY = "gs_op_many"
 
 
-def _stack_fields(handle: GSHandle, fields: Sequence[np.ndarray]
-                  ) -> np.ndarray:
-    for f in fields:
-        if f.shape != handle.shape:
-            raise ValueError(
-                f"field shape {f.shape} != handle shape {handle.shape}"
-            )
-    return np.stack([np.asarray(f) for f in fields], axis=0)
-
-
 def gs_op_many(
     handle: GSHandle,
     fields: Sequence[np.ndarray],
     op: ReduceOp = SUM,
     method: Optional[str] = None,
     site: str = SITE_MANY,
+    out: Optional[Sequence[np.ndarray]] = None,
 ) -> List[np.ndarray]:
     """Gather-scatter several same-shaped fields in one packed exchange.
 
     Semantically identical to ``[gs_op(h, f) for f in fields]`` but
     each neighbour receives a single message carrying all fields'
-    shared values.  Collective.
+    shared values.  ``out``, one array per field as in :func:`gs_op`
+    (``out=fields`` works in place), receives the results.  Collective.
     """
     if not fields:
         return []
@@ -57,11 +49,11 @@ def gs_op_many(
         raise ValueError(
             f"unknown gs method {method!r}; choose from {sorted(METHODS)}"
         )
-    stacked = _stack_fields(handle, fields)
-    nf = stacked.shape[0]
+    nf = len(fields)
+    dtype = np.result_type(*fields)
     # Condense every field against the shared local plan.
     cond = np.stack(
-        [handle.condense(stacked[i], op) for i in range(nf)], axis=0
+        [handle.condense(np.asarray(f, dtype=dtype), op) for f in fields]
     )  # (nf, n_unique)
 
     comm = handle.comm
@@ -73,12 +65,13 @@ def gs_op_many(
         else:
             for i in range(nf):
                 cond[i] = exchange_allreduce(handle, cond[i], op, site=site)
-    out = [handle.scatter(cond[i]) for i in range(nf)]
+    outs = [None] * nf if out is None else out
+    out = [handle.scatter(c, out=o) for c, o in zip(cond, outs, strict=True)]
     # One memory-bound local pass over all fields (see gs_op).
-    itemsize = stacked.dtype.itemsize
+    size = nf * handle.inverse.size
     comm.compute(
-        flops=float(stacked.size),
-        mem_bytes=2.0 * itemsize * (stacked.size + nf * handle.n_unique),
+        flops=float(size),
+        mem_bytes=2.0 * cond.dtype.itemsize * (size + cond.size),
     )
     return out
 

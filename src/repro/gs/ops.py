@@ -66,13 +66,16 @@ def gs_op(
     op: ReduceOp = SUM,
     method: Optional[str] = None,
     site: Optional[str] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gather-scatter ``u`` in place of gslib's ``gs_op_``.
 
-    Returns a new array of the same shape where every set of entries
-    sharing a global id holds their ``op``-combination.  Collective:
-    every rank in the handle's communicator must call with the same
-    ``op`` and ``method``.
+    Returns an array of the same shape where every set of entries
+    sharing a global id holds their ``op``-combination: a new array, or
+    ``out`` when given (C-contiguous, ``u``'s shape and dtype; ``u``
+    itself is allowed — gslib's in-place form).  Collective: every rank
+    in the handle's communicator must call with the same ``op`` and
+    ``method``.
     """
     method = method or handle.method or "pairwise"
     try:
@@ -88,7 +91,7 @@ def gs_op(
             condensed = exchange(handle, condensed, op)
         else:
             condensed = exchange(handle, condensed, op, site=site)
-    out = handle.scatter(condensed)
+    out = handle.scatter(condensed, out=out)
     # Local gather/scatter is a memory-bound indirected pass over the
     # data (read u + write condensed, read condensed + write out).
     # gslib pays it on every gs_op, and the paper's Fig. 7 timings
@@ -179,9 +182,12 @@ def gs_op_begin(
 
 
 def gs_op_finish(
-    exchange: GSExchange, u: Optional[np.ndarray] = None
+    exchange: GSExchange,
+    u: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Complete a split-phase gather-scatter; return the scattered result.
+    """Complete a split-phase gather-scatter; return the scattered result
+    (written into ``out`` when given, as in :func:`gs_op`).
 
     ``u`` — when given — is the *fully populated* local array (same
     shape as at begin); it is re-condensed here, which is what makes the
@@ -216,7 +222,7 @@ def gs_op_finish(
         condensed = METHODS[exchange.method](
             handle, condensed, op, site=f"{exchange.site}:finish"
         )
-    out = handle.scatter(condensed)
+    out = handle.scatter(condensed, out=out)
     # Same local gather/scatter charge as the blocking gs_op (the
     # deferred re-condense replaces, not adds to, the one at begin).
     itemsize = condensed.dtype.itemsize

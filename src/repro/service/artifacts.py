@@ -67,8 +67,11 @@ try:  # advisory file locking (POSIX); degrade gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
-#: Schema version of the on-disk index.
-DISK_VERSION = 1
+#: Schema version of the on-disk index *and* of what the blobs pickle:
+#: bump it whenever a pickled class (``GSHandle``, ``SetupArtifact``)
+#: changes layout, so older spills read as cold instead of unpickling
+#: into objects that lack the new attributes.  2: compiled gs plan.
+DISK_VERSION = 2
 INDEX_FILENAME = "index.json"
 
 
@@ -222,7 +225,7 @@ class DiskArtifactStore:
     Layout under ``root`` (one subdirectory per host fingerprint, so a
     shared filesystem never mixes machines)::
 
-        <root>/<host>/index.json        {"version": 1, "entries":
+        <root>/<host>/index.json        {"version": DISK_VERSION, "entries":
                                          {key: {"nranks", "method", "blob"}}}
         <root>/<host>/<key>-r<N>.pkl    pickled CacheEntry
 

@@ -564,8 +564,8 @@ class CMTSolver:
         h = self.face_handle
         usum, fsum = self._trace_buffers(uf)
         for c in range(NEQ):
-            usum[c] = gs_op(h, uf[c], op=SUM, site=SITE_FACE_EXCHANGE)
-            fsum[c] = gs_op(h, ff[c], op=SUM, site=SITE_FACE_EXCHANGE)
+            gs_op(h, uf[c], op=SUM, site=SITE_FACE_EXCHANGE, out=usum[c])
+            gs_op(h, ff[c], op=SUM, site=SITE_FACE_EXCHANGE, out=fsum[c])
         lam_max = gs_op(h, lam, op=MAX, site=SITE_FACE_EXCHANGE)
         return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
 
@@ -599,8 +599,8 @@ class CMTSolver:
         usum, fsum = self._trace_buffers(uf)
         it = iter(exchanges)
         for c in range(NEQ):
-            usum[c] = gs_op_finish(next(it), uf[c])
-            fsum[c] = gs_op_finish(next(it), ff[c])
+            gs_op_finish(next(it), uf[c], out=usum[c])
+            gs_op_finish(next(it), ff[c], out=fsum[c])
         lam_max = gs_op_finish(next(it), lam)
         return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
 

@@ -158,3 +158,53 @@ class TestReports:
         text = cmtbone_profile_report(res)
         assert "ax_" in text
         assert "% time" in text
+
+
+class TestInPlacePhases:
+    """The memory-bound phases against their allocating reference forms."""
+
+    CFG = CMTBoneConfig(n=5, local_shape=(2, 2, 2), nsteps=1,
+                        work_mode="real", gs_method="pairwise")
+
+    def on_one_rank(self, fn):
+        from repro.core.cmtbone import CMTBone
+
+        main = lambda comm: fn(CMTBone(comm, self.CFG))  # noqa: E731
+        return Runtime(nranks=1).run(main)[0]
+
+    @pytest.mark.parametrize("block", [768, 4999, 5000, 32768])
+    def test_blocked_update_equals_three_pass(self, block, monkeypatch):
+        from repro.core import cmtbone
+
+        monkeypatch.setattr(cmtbone, "UPDATE_BLOCK", block)
+
+        def main(app):
+            assert app.u.size == 5000  # 768 and 4999 leave a partial block
+            want = app.u.copy()
+            want *= 0.75
+            t = np.multiply(want, 0.25)
+            want += t
+            app._update_phase()
+            return app.u.tobytes() == want.tobytes()
+
+        assert self.on_one_rank(main)
+
+    @pytest.mark.parametrize("fill", [
+        lambda f: f.fill(0.0),
+        lambda f: f.fill(-0.0),
+        lambda f: f.__setitem__(..., np.random.default_rng(3)
+                                .standard_normal(f.shape)),
+        lambda f: f.__setitem__((0, 0, 0, 0, 0), -7.5),
+        lambda f: f.__setitem__((1, 2, 3, 1, 1), np.nan),
+    ])
+    def test_monitor_equals_max_abs(self, fill):
+        import struct
+
+        def main(app):
+            fill(app._faces)
+            want = float(np.max(np.abs(app._faces)))
+            app._monitor_phase()
+            return app.monitor_values[-1], want
+
+        got, want = self.on_one_rank(main)
+        assert struct.pack("d", got) == struct.pack("d", want)

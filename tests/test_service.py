@@ -345,6 +345,38 @@ class TestDiskArtifactCache:
             cache2.store("k2", 0, art, nranks=1)
         assert "k2" in DiskArtifactStore(d).keys()
 
+    def test_parent_layout_spill_is_a_cold_miss(self, tmp_path):
+        """A spill whose blobs pickle the pre-plan ``GSHandle`` (index
+        version 1) must read as cold, not fail inside ``apply``."""
+        import json
+        import pathlib
+        import pickle
+
+        d = str(tmp_path / "spill")
+        cold = run_job(small_spec(0), ArtifactCache(disk=d))
+        store = DiskArtifactStore(d)
+        key = spec_artifact_key(small_spec(0))
+        entry = store.fetch(key, 2)
+        for art in entry.ranks.values():  # rewrite as the old layout
+            for name in ("rep", "dup_index", "rounds"):
+                delattr(art.handle, name)
+            art.handle.local_order = art.handle.segment_starts = None
+        host = pathlib.Path(store.host_dir)
+        (host / f"{key}-r2.pkl").write_bytes(pickle.dumps(entry))
+        index = json.loads((host / "index.json").read_text())
+        index["version"] = 1
+        (host / "index.json").write_text(json.dumps(index))
+
+        with pytest.warns(RuntimeWarning, match="unsupported layout"):
+            again = run_job(small_spec(1), ArtifactCache(disk=d))
+        assert again.ok, again.error
+        assert (again.cache_misses, again.cache_disk_hits) == (1, 0)
+        assert again.digest == cold.digest
+        # The cold run republished in the current layout.
+        warm = run_job(small_spec(2), ArtifactCache(disk=d))
+        assert (warm.cache_hits, warm.cache_disk_hits) == (1, 1)
+        assert warm.digest == cold.digest
+
     def test_apply_refuses_advanced_clock_after_round_trip(self, tmp_path):
         d = str(tmp_path / "spill")
         assert run_job(small_spec(0), ArtifactCache(disk=d)).ok
