@@ -10,9 +10,10 @@ model is deterministic by construction, and the runner enforces it.
 The registry covers the paper's measurement axes:
 
 * ``kernels`` — derivative-kernel wall-clock across the N = 5..25
-  sweep (Fig. 5's x-axis), the basic/fused/einsum variant comparison
-  (Section V), and the workspace-reuse optimization (alloc vs ``out=``
-  paths, which must stay bitwise identical *and* faster).
+  sweep (Fig. 5's x-axis), the head-to-head sweep of every kernel-IR
+  schedule (Section V's loop forms), and the workspace-reuse
+  optimization (alloc vs ``out=`` paths, which must stay bitwise
+  identical *and* faster).
 * ``comms`` — the three-way gather-scatter method auto-tune (Fig. 7)
   and the split-phase overlap schedule's hidden-communication account.
 * backend scenarios (``kernels/backend_deriv4``, ``comms/backend_gs``)
@@ -188,29 +189,6 @@ def _register_deriv_sweep() -> None:
 _register_deriv_sweep()
 
 
-def _register_variants() -> None:
-    # basic is a per-plane python loop — keep its batch small.
-    for variant, nel, iters in (
-        ("basic", 8, 2), ("fused", 64, 5), ("einsum", 64, 5)
-    ):
-        def fn(
-            variant: str = variant, nel: int = nel, iters: int = iters
-        ) -> List[Metric]:
-            return _deriv_scenario(10, nel, variant, iters=iters)
-
-        register(
-            f"kernels/variant_{variant}",
-            "kernels",
-            repeats=3,
-            n=10,
-            nel=nel,
-            variant=variant,
-        )(fn)
-
-
-_register_variants()
-
-
 @register("kernels/workspace", "kernels", repeats=3, n=12, nel=48)
 def _kernels_workspace() -> List[Metric]:
     """Allocating vs workspace-reuse gradient: speedup and bitwise parity.
@@ -257,54 +235,53 @@ def _kernels_workspace() -> List[Metric]:
     ]
 
 
-@register("kernels/kir_deriv_sweep", "kernels", repeats=2, variant="auto")
-def _kernels_kir_sweep() -> List[Metric]:
-    """Autotuned generated kernels vs the hand-written fused GEMMs.
+@register("kernels/schedule_sweep", "kernels", repeats=1)
+def _kernels_schedule_sweep() -> List[Metric]:
+    """Every surviving schedule of every program, timed head to head.
 
-    Sweeps the paper's N = 5..25 operating points and times the full
-    gradient under the ``fused`` reference and the ``auto`` variant
-    (contraction-IR codegen + per-host autotuned schedule, see
-    docs/kernel-ir.md).  The per-N speedup ratios are the gate: the
-    tuned generated kernel must stay at least as fast as ``fused``
-    (its candidate set *contains* the fused algorithm, so losing means
-    the tuner picked a stale or wrong schedule).  Numerical agreement
-    is checked normwise at 1e-10 and gated exactly as a count metric.
+    This is the table a schedule has to earn its place in (ROADMAP
+    item 2; see docs/kernel-ir.md): per program and N, the best-of-6
+    wall time of each applicable schedule, plus per program how many
+    of the four N each schedule wins.  A schedule that wins no cell
+    and has no other reason to stay is a deletion candidate;
+    ``gemm_rev`` stays because it wins ``interp_fine``.  The winner
+    counts are measurements (kind ``wall``, informational tolerance),
+    not model outputs.
     """
-    from ..kernels import derivative_matrix
-    from ..kernels import derivatives as dk
+    from ..kir import applicable_schedules, build_program, lower, schedule
+    from ..kir.autotune import synth_inputs
 
     metrics: List[Metric] = []
-    match = True
-    for n in (5, 10, 15, 20, 25):
-        nel = max(1, 24576 // n**3)
-        rng = np.random.default_rng(1000 + n)
-        u = rng.standard_normal((nel, n, n, n))
-        dmat = derivative_matrix(n)
-        out = (np.empty_like(u), np.empty_like(u), np.empty_like(u))
-        fused_w = _wall(
-            lambda: dk.grad(u, dmat, variant="fused", out=out), 3
+    for program in ("grad", "interp_fine", "interp_coarse"):
+        wins: Dict[str, int] = {}
+        for n in (5, 10, 16, 25):
+            nel = max(1, 24576 // n**3)
+            prog = build_program(program, n)
+            inputs = synth_inputs(prog, nel, seed=n)
+            fns = {
+                sched: lower(schedule(prog, sched)).fn
+                for sched in applicable_schedules(prog)
+            }
+            # Rounds interleave the schedules so a slow phase of the
+            # host lands on all of them, not on one.
+            walls = {sched: float("inf") for sched in fns}
+            for _ in range(6):
+                for sched, fn in fns.items():
+                    walls[sched] = min(
+                        walls[sched], _wall(lambda: fn(*inputs), 1, 0)
+                    )
+            for sched, wall in walls.items():
+                wins.setdefault(sched, 0)
+                metrics.append(
+                    Metric(f"{program}_n{n:02d}_{sched}_wall_s", wall,
+                           kind="wall", unit="s")
+                )
+            wins[min(walls, key=walls.__getitem__)] += 1
+        metrics.extend(
+            Metric(f"{program}_winner_is_{sched}", float(count),
+                   kind="wall", unit="cells", better="higher")
+            for sched, count in wins.items()
         )
-        gen_w = _wall(
-            lambda: dk.grad(u, dmat, variant="auto", out=out), 3
-        )
-        for a, b in zip(
-            dk.grad(u, dmat, variant="fused"),
-            dk.grad(u, dmat, variant="auto"),
-        ):
-            if np.abs(b - a).max() > 1e-10 * np.abs(a).max():
-                match = False
-        metrics.extend([
-            Metric(f"fused_wall_s_n{n:02d}", fused_w, kind="wall",
-                   unit="s"),
-            Metric(f"generated_wall_s_n{n:02d}", gen_w, kind="wall",
-                   unit="s"),
-            Metric(f"gen_vs_fused_x_n{n:02d}", fused_w / gen_w,
-                   kind="wall", unit="x", better="higher", rel_tol=1.0),
-        ])
-    metrics.append(
-        Metric("numerics_match", float(match), kind="count",
-               unit="bool", better="higher")
-    )
     return metrics
 
 

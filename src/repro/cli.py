@@ -52,6 +52,7 @@ from .core import (
     run_nekbone,
 )
 from .gs import timing_table
+from .kir.library import CLI_VARIANTS
 from .mpi import Runtime
 from .perfmodel import MachineModel
 
@@ -143,13 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split-phase schedule: overlap the gs "
                             "exchange with the update compute")
     p_cmt.add_argument("--kernel-variant", "--variant", dest="variant",
-                       default="fused",
-                       choices=["auto", "basic", "fused", "einsum",
-                                "generated"],
-                       help="derivative-kernel variant (default fused); "
-                            "'generated' compiles from the contraction "
-                            "IR, 'auto' additionally autotunes the "
-                            "schedule per host (see docs/kernel-ir.md)")
+                       default="fused", choices=CLI_VARIANTS,
+                       help="derivative-kernel loop form (default "
+                            "fused = batched GEMM; basic = per-plane "
+                            "loops; einsum = cross-check; auto = the "
+                            "schedule autotuned per host, see "
+                            "docs/kernel-ir.md)")
     p_cmt.add_argument("--gantt", action="store_true",
                        help="render a per-rank execution timeline")
     _add_lb_flags(p_cmt)
@@ -281,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sod.add_argument("--imbalance", type=float, default=0.0,
                        help="compute-load jitter fraction (default 0)")
     p_sod.add_argument("--kernel-variant", dest="kernel_variant",
-                       default="fused",
-                       choices=["auto", "basic", "fused", "einsum",
-                                "generated"],
+                       default="fused", choices=CLI_VARIANTS,
                        help="derivative-kernel variant (default fused)")
     _add_backend(p_sod)
     _add_lb_flags(p_sod)

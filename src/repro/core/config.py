@@ -50,7 +50,7 @@ class CMTBoneConfig:
     #: RK stages per step (CMT-nek: 3-stage SSP).
     rk_stages: int = 3
     #: Derivative-kernel variant ("fused" is what CMT-bone inherits;
-    #: "generated"/"auto" route through the repro.kir generated tier).
+    #: see repro.kir.library.VARIANT_SCHEDULE for the other names).
     kernel_variant: str = "fused"
     #: gs exchange method; None runs the setup-time auto-tuner.
     gs_method: Optional[str] = None

@@ -2,15 +2,14 @@
 
 The computational heart of CMT-bone: GLL quadrature machinery, the
 reference-element derivative/interpolation operators, the ``O(N^4)``
-derivative kernel in its ``basic``/``fused``/``einsum`` variants plus
-the IR-generated ``generated``/``auto`` tier (:mod:`repro.kir`), the
-dealiasing transfer pair, and the PAPI-style analytic cost counters
-behind the Figs. 5-6 reproduction.
+derivative kernel and the dealiasing transfer pair (argument checking
+here, the contractions themselves compiled by :mod:`repro.kir` per
+``fused``/``basic``/``einsum``/``auto`` variant), and the PAPI-style
+analytic cost counters behind the Figs. 5-6 reproduction.
 """
 
 from .counters import (
     CYCLES_PER_INST,
-    GENERATED_VARIANT_CLASS,
     INST_PER_FLOP,
     KernelCost,
     ir_counts,
@@ -20,17 +19,13 @@ from .counters import (
     working_set_bytes,
 )
 from .dealias import (
-    DEALIAS_VARIANTS,
     dealias_flops,
     roundtrip,
     to_coarse,
     to_fine,
 )
 from .derivatives import (
-    ALL_VARIANTS,
     DIRECTIONS,
-    GENERATED_VARIANTS,
-    VARIANTS,
     derivative,
     dudr,
     duds,
@@ -57,15 +52,10 @@ from .operators import (
 from .workspace import Workspace
 
 __all__ = [
-    "ALL_VARIANTS",
     "CYCLES_PER_INST",
-    "DEALIAS_VARIANTS",
     "DIRECTIONS",
-    "GENERATED_VARIANTS",
-    "GENERATED_VARIANT_CLASS",
     "INST_PER_FLOP",
     "KernelCost",
-    "VARIANTS",
     "Workspace",
     "barycentric_weights",
     "dealias_flops",

@@ -13,16 +13,17 @@ AMD Opteron 6378 (Figs. 5 and 6) and draws three conclusions:
 Hardware counters are not available here, so this module provides an
 analytic replacement with two ingredients:
 
-* a *structural* flop/byte count (``2 N^4 nel`` flops per direction),
-  and
-* per ``(direction, variant)`` microarchitectural coefficients —
-  instructions-per-flop (how well the variant vectorizes) and
+* a *structural* flop/byte count walked off the contraction IR
+  (:func:`ir_counts`; ``2 N^4 nel`` flops per direction), and
+* per ``(direction, schedule)`` microarchitectural coefficients —
+  instructions-per-flop (how well the loop form vectorizes) and
   cycles-per-instruction (stalls from the access pattern) — calibrated
   once against the paper's published PAPI numbers at their operating
   point (N=5, Nel=1563, 1000 steps; see table below) and then *reused
   unchanged* across every N, Nel in our sweeps.
 
-Calibration table (derived from Figs. 5/6; F = 2 N^4 Nel steps flops):
+Calibration table (derived from Figs. 5/6; F = 2 N^4 Nel steps flops;
+the paper's "fused" is the ``gemm`` schedule, its "basic" is ``plane``):
 
     kernel        paper inst    inst/flop   paper cycles   CPI
     dudt fused    1.159e9       0.593       0.762e9        0.658
@@ -41,53 +42,43 @@ consistent with its own cycle counts at 2.4 GHz, see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Tuple
 
+from ..kir.ir import (
+    build_program,
+    direction_program,
+    program_flops,
+    program_mem_bytes,
+)
+from ..kir.library import static_schedule
 from ..perfmodel.machine import MachineModel
-from . import derivatives
+from .derivatives import DIRECTIONS
 
-#: Instructions per flop, calibrated per (direction, variant).
+#: Instructions per flop, calibrated per (direction, schedule).
 INST_PER_FLOP: Dict[Tuple[str, str], float] = {
-    ("t", "fused"): 0.593,
-    ("r", "fused"): 1.229,
-    ("s", "fused"): 1.328,
-    ("t", "basic"): 1.648,
-    ("r", "basic"): 1.243,
-    ("s", "basic"): 1.328,
+    ("t", "gemm"): 0.593,
+    ("r", "gemm"): 1.229,
+    ("s", "gemm"): 1.328,
+    ("t", "plane"): 1.648,
+    ("r", "plane"): 1.243,
+    ("s", "plane"): 1.328,
 }
 
-#: Cycles per instruction, calibrated per (direction, variant).
+#: Cycles per instruction, calibrated per (direction, schedule).
 CYCLES_PER_INST: Dict[Tuple[str, str], float] = {
-    ("t", "fused"): 0.658,
-    ("r", "fused"): 0.564,
-    ("s", "fused"): 0.566,
-    ("t", "basic"): 0.527,
-    ("r", "basic"): 0.574,
-    ("s", "basic"): 0.566,
+    ("t", "gemm"): 0.658,
+    ("r", "gemm"): 0.564,
+    ("s", "gemm"): 0.566,
+    ("t", "plane"): 0.527,
+    ("r", "plane"): 0.574,
+    ("s", "plane"): 0.566,
 }
 
-#: Fallback coefficients for variants without calibration data
-#: (e.g. "einsum"): treat as fused-quality code.
+#: Fallback coefficients for schedules without calibration data
+#: (``einsum``): treat as fused-quality code.
 _FALLBACK_IPF = 1.0
 _FALLBACK_CPI = 0.6
-
-#: Microarchitectural class of each generated-kernel variant/schedule:
-#: the IR schedule determines the loop structure, which is what the
-#: calibrated coefficients describe.  ``gemm`` (and the reassociated /
-#: transpose-batched forms, which are also single batched GEMMs per
-#: contraction) prices as ``fused``; ``plane`` is the unfused triple
-#: loop, i.e. ``basic``.  ``auto`` deliberately prices as the *default*
-#: schedule rather than the host-tuned winner so modelled (virtual)
-#: metrics stay host-independent and bench comparisons deterministic.
-GENERATED_VARIANT_CLASS: Dict[str, str] = {
-    "generated": "fused",
-    "auto": "fused",
-    "gemm": "fused",
-    "plane": "basic",
-    "einsum": "einsum",
-    "tbatch": "fused",
-    "gemm_rev": "fused",
-}
 
 #: L1-resident working set gives full-speed CPI; larger working sets
 #: pay this multiplicative stall penalty on strided directions.
@@ -115,8 +106,8 @@ class KernelCost:
                 self.cycles)
 
 
-def _coeffs(direction: str, variant: str) -> Tuple[float, float]:
-    key = (direction, variant)
+def _coeffs(direction: str, sched: str) -> Tuple[float, float]:
+    key = (direction, sched)
     return (
         INST_PER_FLOP.get(key, _FALLBACK_IPF),
         CYCLES_PER_INST.get(key, _FALLBACK_CPI),
@@ -128,6 +119,7 @@ def working_set_bytes(n: int) -> int:
     return 8 * (2 * n**3 + n**2)
 
 
+@lru_cache(maxsize=None)  # the mini-app prices every step
 def ir_counts(direction: str, n: int, nel: int) -> Tuple[float, float]:
     """(flops, mem_bytes) derived from the contraction IR.
 
@@ -139,13 +131,6 @@ def ir_counts(direction: str, n: int, nel: int) -> Tuple[float, float]:
     but unlike the hand formulas they stay correct automatically for
     any new program added to the registry.
     """
-    from ..kir import (
-        build_program,
-        direction_program,
-        program_flops,
-        program_mem_bytes,
-    )
-
     prog = build_program(direction_program(direction), n)
     return program_flops(prog, nel), program_mem_bytes(prog, nel)
 
@@ -160,30 +145,21 @@ def kernel_cost(
 ) -> KernelCost:
     """Model instructions, cycles, and runtime for a derivative kernel.
 
-    ``steps`` multiplies everything (the paper runs 1000 time steps).
-    The CPI picks up a stall penalty on the strided directions (s, r)
-    when the per-element working set exceeds the machine's L1 — the
-    "large number of cache misses due to poor data locality" the paper
-    blames for duds.
+    ``variant`` is any name the kernel library resolves; structural
+    counts come from the IR and the coefficients from the schedule the
+    name statically means — ``auto`` prices as the *default* schedule,
+    not the host-tuned winner, so modelled (virtual) time stays
+    host-independent.  ``steps`` multiplies everything (the paper runs
+    1000 time steps).  The CPI picks up a stall penalty on the strided
+    directions (s, r) when the per-element working set exceeds the
+    machine's L1 — the "large number of cache misses due to poor data
+    locality" the paper blames for duds.
     """
-    if direction not in derivatives.DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    if variant in derivatives.VARIANTS:
-        coeff_variant = variant
-        fl = derivatives.flops(n, nel) * steps
-        mb = derivatives.mem_bytes(n, nel) * steps
-    elif variant in GENERATED_VARIANT_CLASS:
-        # Generated kernels are priced from their IR: structural
-        # flop/byte counts come from the contraction list itself, the
-        # microarchitectural coefficients from the schedule's class.
-        coeff_variant = GENERATED_VARIANT_CLASS[variant]
-        fl, mb = ir_counts(direction, n, nel)
-        fl *= steps
-        mb *= steps
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    ipf, cpi = _coeffs(direction, static_schedule(variant))
+    fl, mb = ir_counts(direction, n, nel)
+    fl *= steps
+    mb *= steps
     machine = machine or MachineModel.preset("opteron6378")
-    ipf, cpi = _coeffs(direction, coeff_variant)
     if direction in ("s", "r") and working_set_bytes(n) > machine.cpu.l1_dcache:
         cpi *= _L1_MISS_CPI_PENALTY
     instructions = fl * ipf
@@ -233,7 +209,6 @@ def roofline_seconds(
     right-hand-side evaluation under ``TimePolicy.MODELED``.
     """
     total = 0.0
-    dirs = derivatives.DIRECTIONS[:ndirections]
-    for d in dirs:
+    for d in DIRECTIONS[:ndirections]:
         total += kernel_cost(d, variant, n, nel, machine=machine).seconds
     return total

@@ -7,18 +7,16 @@ finer mesh and later mapped back to the regular mesh".  This module
 implements that map/map-back pair as tensor-product applications of the
 1-D interpolation matrix.
 
-Like the derivative kernels, every entry point accepts ``out=`` (a
-preallocated C-contiguous result that must not alias the input — same
-alias-guard contract as :func:`repro.kernels.derivatives._check_out`)
-and ``work=`` (a :class:`~repro.kernels.workspace.Workspace` the two
-intermediate tensors are drawn from), so the solver's RK loop runs the
-dealias pair allocation-free.  The in-place path performs the same
-three GEMMs, so results are bitwise identical to the allocating call.
-
-``variant="generated"``/``"auto"`` route through the contraction-IR
-library (:mod:`repro.kir`, programs ``interp_fine``/``interp_coarse``)
-instead of the hand-written GEMM chain below; the generated GEMM
-schedule is bitwise identical to it.
+Like the derivative kernels, the pair holds no contraction of its own:
+:func:`to_fine`/:func:`to_coarse` validate their arguments and run the
+``interp_fine``/``interp_coarse`` programs of :mod:`repro.kir` — three
+batched GEMMs, one per axis.  Every entry point accepts ``out=`` (a
+preallocated C-contiguous result that must not alias the input, the
+same contract as the derivative kernels) and ``work=`` (a
+:class:`~repro.kernels.workspace.Workspace` the two intermediate
+tensors are drawn from), so the solver's RK loop runs the dealias pair
+allocation-free; the in-place path runs the same kernel, so results
+are bitwise identical to the allocating call.
 """
 
 from __future__ import annotations
@@ -27,91 +25,36 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..kir.library import VARIANT_SCHEDULE, default_library
+from .derivatives import _check_out
 from .operators import dealias_order, interpolation_matrix
 from .workspace import Workspace
 
-#: Variants accepted by the transfer entry points.
-DEALIAS_VARIANTS = ("fused", "generated", "auto")
 
-
-def _check_out(
-    u: np.ndarray, out: Optional[np.ndarray], shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Validate (or allocate) the result array; alias-guarded."""
-    if out is None:
-        return np.empty(shape, dtype=u.dtype)
-    if out.shape != shape or out.dtype != u.dtype:
-        raise ValueError(
-            f"out has shape {out.shape}/{out.dtype}, needs "
-            f"{shape}/{u.dtype}"
-        )
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    # Bounds test first: the exact overlap solve only runs when it can hit.
-    if np.may_share_memory(u, out) and np.shares_memory(u, out):
-        raise ValueError("out must not alias the input field")
-    return out
-
-
-def _apply_tensor(
-    op: np.ndarray,
-    u: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    work: Optional[Workspace] = None,
-) -> np.ndarray:
-    """Apply a 1-D operator along all three axes of (nel, N, N, N) data.
-
-    ``op`` has shape ``(M, N)``; the result has shape ``(nel, M, M, M)``.
-    Implemented as three batched GEMMs (the same fused structure as the
-    derivative kernel), writing into ``out`` and drawing the two
-    intermediates from ``work`` when given.
-    """
-    nel = u.shape[0]
-    n = u.shape[1]
-    m = op.shape[0]
-    if op.shape[1] != n or u.shape[1:] != (n, n, n):
-        raise ValueError(
-            f"operator {op.shape} incompatible with field {u.shape}"
-        )
-    out = _check_out(u, out, (nel, m, m, m))
-    if work is None:
-        t1 = np.empty((nel, m, n, n), dtype=u.dtype)
-        t2 = np.empty((nel, m, m, n), dtype=u.dtype)
-    else:
-        t1 = work.buffer((nel, m, n, n), u.dtype, key="dealias:t1")
-        t2 = work.buffer((nel, m, m, n), u.dtype, key="dealias:t2")
-    # axis 1 (r): (M,N) @ (nel, N, N*N)
-    np.matmul(
-        op, u.reshape(nel, n, n * n), out=t1.reshape(nel, m, n * n)
-    )
-    # axis 2 (s): batch over (nel, M)
-    np.matmul(
-        op, t1.reshape(nel * m, n, n), out=t2.reshape(nel * m, m, n)
-    )
-    # axis 3 (t): (..., N) @ (N, M)
-    np.matmul(
-        t2.reshape(nel, m * m, n), op.T, out=out.reshape(nel, m * m, m)
-    )
-    return out
-
-
-def _generated_transfer(
+def _transfer(
     program: str,
+    op: np.ndarray,
     u: np.ndarray,
     n: int,
     m: int,
-    variant: str,
     out: Optional[np.ndarray],
     work: Optional[Workspace],
-    op: np.ndarray,
-    out_shape: Tuple[int, ...],
+    variant: str,
 ) -> np.ndarray:
-    from ..kir import default_library
-
-    out = _check_out(u, out, out_shape)
-    kernel = default_library().resolve(
-        program, n, u.shape[0], variant=variant, m=m
-    )
+    """Apply the ``(P, Q)`` operator ``op`` along all three axes of
+    ``(nel, Q, Q, Q)`` data through the library's ``program`` kernel."""
+    p, q = op.shape
+    if u.ndim != 4 or u.shape[1:] != (q, q, q):
+        raise ValueError(
+            f"operator {op.shape} incompatible with field {u.shape}"
+        )
+    out = _check_out(u, out, (u.shape[0], p, p, p))
+    # The derivative variants name loop forms of the *derivative*
+    # kernel (Figs. 5-6); the transfer has one static form, the GEMM
+    # chain, so every variant name but ``auto`` runs ``gemm`` here.
+    if variant in VARIANT_SCHEDULE and variant != "auto":
+        variant = "gemm"
+    kernel = default_library().resolve(program, n, u.shape[0], variant, m=m)
     return kernel.fn(u, op, out=out, work=work)
 
 
@@ -130,17 +73,7 @@ def to_fine(
     """
     m = dealias_order(n) if m is None else m
     op = np.asarray(interpolation_matrix(n, m))
-    if variant in ("generated", "auto"):
-        return _generated_transfer(
-            "interp_fine", u, n, m, variant, out, work, op,
-            (u.shape[0], m, m, m),
-        )
-    if variant != "fused":
-        raise ValueError(
-            f"unknown dealias variant {variant!r}; "
-            f"variants: {DEALIAS_VARIANTS}"
-        )
-    return _apply_tensor(op, u, out=out, work=work)
+    return _transfer("interp_fine", op, u, n, m, out, work, variant)
 
 
 def to_coarse(
@@ -159,17 +92,7 @@ def to_coarse(
     """
     m = dealias_order(n) if m is None else m
     op = np.asarray(interpolation_matrix(m, n))
-    if variant in ("generated", "auto"):
-        return _generated_transfer(
-            "interp_coarse", v, n, m, variant, out, work, op,
-            (v.shape[0], n, n, n),
-        )
-    if variant != "fused":
-        raise ValueError(
-            f"unknown dealias variant {variant!r}; "
-            f"variants: {DEALIAS_VARIANTS}"
-        )
-    return _apply_tensor(op, v, out=out, work=work)
+    return _transfer("interp_coarse", op, v, n, m, out, work, variant)
 
 
 def roundtrip(

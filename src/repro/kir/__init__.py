@@ -1,46 +1,37 @@
 """Kernel IR: contraction programs, rewrite passes, numpy codegen.
 
 The tensor-product kernels of CMT-bone (derivative evaluation, the
-spectral interpolation pair behind over-integration dealiasing) are
-all instances of one pattern: a small stationary operator matrix
-contracted along one axis of a streamed ``(nel, N, N, N)`` tensor.
-This package represents that pattern explicitly —
+spectral interpolation pair behind over-integration dealiasing, the
+shock filter's modal transform) are all instances of one pattern: a
+small stationary operator matrix contracted along one axis of a
+streamed ``(nel, N, N, N)`` tensor.  This package is the *only*
+implementation of that pattern —
 
-* :mod:`repro.kir.ir` — the contraction IR (tensors, ``Contract`` /
-  ``Add`` / ``Scale`` / ``Permute`` ops, validated ``Program``s) plus
-  the program builders for ``dudr``/``duds``/``dudt``, ``grad`` and
-  the dealias interpolations, and IR-derived flop/byte counts;
+* :mod:`repro.kir.ir` — the contraction IR (tensors, ``Contract``
+  ops, validated ``Program``s) plus the program builders for
+  ``dudr``/``duds``/``dudt``, ``grad`` and the dealias
+  interpolations, and IR-derived flop/byte counts;
 * :mod:`repro.kir.passes` — rewrite passes (GEMM batching, unroll by
-  plane, middle-axis transposition, contraction-chain reassociation)
-  composed into named schedules;
+  plane, contraction-chain reassociation) composed into the four
+  named schedules;
 * :mod:`repro.kir.lower` — lowering of scheduled programs to
-  executable numpy source (``compile``/``exec``, cached) with a
-  documented seam for future cffi/numba backends;
+  executable numpy source (``compile``/``exec``) with a documented
+  seam for future cffi/numba backends;
+* :mod:`repro.kir.library` — the variant table and the
+  ``(program, N, Nel, variant)`` -> callable dispatch tier used by
+  :mod:`repro.kernels`;
 * :mod:`repro.kir.autotune` — per-host persistent schedule selection;
-* :mod:`repro.kir.library` — the ``(program, N, Nel, variant)`` ->
-  callable dispatch tier used by :mod:`repro.kernels`.
+  imported only when ``variant="auto"`` is first resolved, so it is
+  not re-exported here.
 
 See ``docs/kernel-ir.md`` for the grammar and the pass pipeline.
 """
 
-from .autotune import (
-    CACHE_STATS,
-    TuneResult,
-    cache_key,
-    default_cache_path,
-    load_cache,
-    merge_entry,
-    save_cache,
-    tune_program,
-)
 from .ir import (
     BATCH_AXIS,
-    Add,
     Contract,
-    Permute,
     Program,
     PROGRAMS,
-    Scale,
     Tensor,
     build_program,
     direction_program,
@@ -49,20 +40,20 @@ from .ir import (
     tensor,
 )
 from .library import (
+    CLI_VARIANTS,
     DEFAULT_SCHEDULE,
     KernelLibrary,
-    LIBRARY_VARIANTS,
+    VARIANT_SCHEDULE,
     default_library,
     reset_default_library,
+    static_schedule,
 )
 from .lower import (
     DEFAULT_LOWERING,
     LOWERINGS,
     LoweredKernel,
     NumpyLowering,
-    compiled_kernel_count,
     lower,
-    lowered_kernel,
 )
 from .passes import (
     ORDER_PRESERVING,
@@ -74,41 +65,30 @@ from .passes import (
 
 __all__ = [
     "BATCH_AXIS",
-    "Add",
-    "CACHE_STATS",
+    "CLI_VARIANTS",
     "Contract",
     "DEFAULT_LOWERING",
     "DEFAULT_SCHEDULE",
     "KernelLibrary",
-    "LIBRARY_VARIANTS",
     "LOWERINGS",
     "LoweredKernel",
     "NumpyLowering",
     "ORDER_PRESERVING",
     "PROGRAMS",
-    "Permute",
     "Program",
     "SCHEDULES",
-    "Scale",
     "Scheduled",
     "Tensor",
-    "TuneResult",
+    "VARIANT_SCHEDULE",
     "applicable_schedules",
     "build_program",
-    "cache_key",
-    "compiled_kernel_count",
-    "default_cache_path",
     "default_library",
     "direction_program",
-    "load_cache",
     "lower",
-    "merge_entry",
-    "lowered_kernel",
     "program_flops",
     "program_mem_bytes",
     "reset_default_library",
-    "save_cache",
     "schedule",
+    "static_schedule",
     "tensor",
-    "tune_program",
 ]

@@ -41,8 +41,8 @@ Candidates are screened for correctness before they are timed: each
 schedule's output must match the reference schedule to ``allclose``
 with ``rtol=1e-10`` (schedules in
 :data:`repro.kir.passes.ORDER_PRESERVING` are additionally
-bitwise-identical to their hand-written counterparts by construction,
-which the test suite asserts).
+bitwise-identical to the reference loops in
+``tests/kernel_oracles.py``, which the test suite asserts).
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ except ImportError:  # pragma: no cover - non-POSIX
 import numpy as np
 
 from ..autotune import best_time, host_fingerprint
-from .ir import BATCH_AXIS, Program
-from .lower import DEFAULT_LOWERING, LoweredKernel, lowered_kernel
-from .passes import ORDER_PRESERVING, applicable_schedules
+from .ir import Program
+from .lower import DEFAULT_LOWERING, LoweredKernel, lower
+from .passes import ORDER_PRESERVING, applicable_schedules, schedule
 
 CACHE_VERSION = 1
 CACHE_FILENAME = "kernel-autotune.json"
@@ -242,7 +242,7 @@ class TuneResult:
     from_cache: bool = False
 
 
-def _synth_inputs(prog: Program, nel: int, seed: int) -> List[np.ndarray]:
+def synth_inputs(prog: Program, nel: int, seed: int) -> List[np.ndarray]:
     """Random float64 inputs matching the program's declared shapes."""
     rng = np.random.default_rng(seed)
     arrays: List[np.ndarray] = []
@@ -271,9 +271,11 @@ def tune_program(
 
     With ``use_cache`` (the default), a valid persisted entry for this
     host and problem short-circuits the measurement entirely and bumps
-    ``CACHE_STATS.hits``; otherwise the candidates are screened, timed
-    with :func:`repro.autotune.best_time`, and the winner is written
-    back to the cache file.
+    ``CACHE_STATS.hits``; otherwise — including when the entry names a
+    schedule that is not a candidate any more (one since removed from
+    :data:`~repro.kir.passes.SCHEDULES`) — the candidates are screened,
+    timed with :func:`repro.autotune.best_time`, and the winner is
+    written back over the entry.
     """
     n = prog.params.get("n", 0)
     path = cache_path if cache_path is not None else default_cache_path()
@@ -305,9 +307,9 @@ def tune_program(
             )
     CACHE_STATS.misses += 1
 
-    inputs = _synth_inputs(prog, nel, seed)
+    inputs = synth_inputs(prog, nel, seed)
     kernels: Dict[str, LoweredKernel] = {
-        name: lowered_kernel(prog, name, lowering) for name in names
+        name: lower(schedule(prog, name), lowering) for name in names
     }
     # Correctness screen against the first order-preserving candidate
     # (falls back to the first candidate overall).
@@ -372,11 +374,3 @@ def tune_program(
                 stacklevel=2,
             )
     return result
-
-
-def batch_axis_extent(prog: Program, arrays: Sequence[np.ndarray]) -> int:
-    """Element count of the streamed operand (for cache keys)."""
-    for t, a in zip(prog.inputs, arrays):
-        if BATCH_AXIS in t.axes:
-            return int(a.shape[0])
-    raise ValueError(f"{prog.name}: no streamed input")

@@ -5,13 +5,9 @@ small stationary operator matrix contracted against one axis of a big
 ``(nel, N, N, N)`` element batch (the paper's "derivative matrix of
 size (N, N) operates over a 3D data (N, N, N, Nel)").  Instead of
 hand-maintaining one numpy routine per (kernel, loop-schedule) pair,
-this package describes each kernel *once* as a tiny program over four
-ops and derives the executable variants:
-
-* :class:`Contract` — ``out = sum over sum_axes of a * b`` (einsum
-  semantics over named axes; the workhorse),
-* :class:`Add` / :class:`Scale` — elementwise combination,
-* :class:`Permute` — axis transposition (data movement only).
+this package describes each kernel *once* as a tiny program over one
+op — :class:`Contract`, ``out = sum over sum_axes of a * b`` (einsum
+semantics over named axes) — and derives the executable variants.
 
 A :class:`Program` is a straight-line sequence of ops in SSA-ish form:
 every op writes a tensor name exactly once, inputs are never written.
@@ -27,16 +23,15 @@ Section-V dealiasing transfer pair).
 
 Cost is a *property of the IR*, not of any particular lowering:
 :func:`program_flops` / :func:`program_mem_bytes` walk the contraction
-list, so every generated variant is priced automatically (see
-:mod:`repro.kernels.counters`, which now cross-checks its closed-form
-formulas against these).
+list, so every schedule is priced automatically (see
+:mod:`repro.kernels.counters`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 #: The dynamic (element-batch) axis name; its extent is resolved at
 #: call time from the input array, never baked into generated source.
@@ -169,79 +164,6 @@ class Contract:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class Add:
-    """``out = a + b`` elementwise (identical axes)."""
-
-    out: Tensor
-    a: Tensor
-    b: Tensor
-
-    def __post_init__(self) -> None:
-        if not (self.a.axes == self.b.axes == self.out.axes):
-            raise ValueError(
-                f"add -> {self.out.name}: axis mismatch "
-                f"{self.a.axes} + {self.b.axes} -> {self.out.axes}"
-            )
-
-    def flops(self, nel: int) -> float:
-        return float(self.out.size(nel))
-
-    def reads(self) -> Tuple[Tensor, ...]:
-        return (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class Scale:
-    """``out = alpha * a`` elementwise."""
-
-    out: Tensor
-    a: Tensor
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.a.axes != self.out.axes:
-            raise ValueError(
-                f"scale -> {self.out.name}: axis mismatch "
-                f"{self.a.axes} -> {self.out.axes}"
-            )
-
-    def flops(self, nel: int) -> float:
-        return float(self.out.size(nel))
-
-    def reads(self) -> Tuple[Tensor, ...]:
-        return (self.a,)
-
-
-@dataclass(frozen=True)
-class Permute:
-    """``out = a`` with axes reordered by name (pure data movement)."""
-
-    out: Tensor
-    a: Tensor
-
-    def __post_init__(self) -> None:
-        if sorted(self.a.axes) != sorted(self.out.axes):
-            raise ValueError(
-                f"permute -> {self.out.name}: {self.a.axes} is not a "
-                f"permutation of {self.out.axes}"
-            )
-
-    @property
-    def perm(self) -> Tuple[int, ...]:
-        """Positions into ``a.axes`` producing ``out.axes`` order."""
-        return tuple(self.a.axes.index(ax) for ax in self.out.axes)
-
-    def flops(self, nel: int) -> float:
-        return 0.0
-
-    def reads(self) -> Tuple[Tensor, ...]:
-        return (self.a,)
-
-
-Op = Union[Contract, Add, Scale, Permute]
-
-
 # ---------------------------------------------------------------------
 # programs
 # ---------------------------------------------------------------------
@@ -260,7 +182,7 @@ class Program:
     name: str
     inputs: Tuple[Tensor, ...]
     outputs: Tuple[Tensor, ...]
-    body: Tuple[Op, ...]
+    body: Tuple[Contract, ...]
     #: Parameters the program was specialized with (for cache keys and
     #: reports), e.g. ``{"n": 10}`` or ``{"n": 10, "m": 15}``.
     params: Dict[str, int] = field(default_factory=dict)
@@ -313,22 +235,10 @@ class Program:
                  f"({', '.join(t.describe() for t in self.inputs)})"
                  f" -> {', '.join(t.name for t in self.outputs)}:"]
         for op in self.body:
-            if isinstance(op, Contract):
-                lines.append(
-                    f"  {op.out.name} = contract[{op.spec}]"
-                    f"({op.a.name}, {op.b.name})"
-                )
-            elif isinstance(op, Add):
-                lines.append(f"  {op.out.name} = {op.a.name} + {op.b.name}")
-            elif isinstance(op, Scale):
-                lines.append(
-                    f"  {op.out.name} = {op.alpha!r} * {op.a.name}"
-                )
-            else:
-                lines.append(
-                    f"  {op.out.name} = permute({op.a.name}, "
-                    f"{op.perm})"
-                )
+            lines.append(
+                f"  {op.out.name} = contract[{op.spec}]"
+                f"({op.a.name}, {op.b.name})"
+            )
         return "\n".join(lines)
 
 
@@ -336,8 +246,7 @@ def program_flops(prog: Program, nel: int) -> float:
     """Floating-point operations of one program execution.
 
     Derived from the contraction list — ``2 * |out| * |contracted|``
-    per :class:`Contract`, ``|out|`` per :class:`Add`/:class:`Scale`,
-    zero for :class:`Permute` — so any program added to the registry is
+    per :class:`Contract` — so any program added to the registry is
     priced with no per-variant hand formula.
     """
     return sum(op.flops(nel) for op in prog.body)
@@ -410,7 +319,7 @@ def _grad_program(n: int) -> Program:
     """
     u = tensor("u", "eabc", a=n, b=n, c=n)
     dmat = tensor("D", "xa", x=n, a=n)
-    ops: List[Op] = []
+    ops: List[Contract] = []
     outs: List[Tensor] = []
     for slot, (row, col) in enumerate(
         (("x", "a"), ("y", "b"), ("z", "c")), start=1

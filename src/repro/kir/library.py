@@ -1,35 +1,67 @@
 """KernelLibrary: (program, N, Nel, variant) -> compiled callable.
 
-This is the dispatch tier that ``repro.kernels`` talks to.  The
-library owns variant resolution policy:
+This is the dispatch tier every tensor-product kernel in
+:mod:`repro.kernels` (and the shock filter's modal transform) runs
+through, and the one place a *variant name* is given a meaning
+(:data:`VARIANT_SCHEDULE`):
 
-* ``"generated"`` — the statically chosen default schedule
-  (:data:`DEFAULT_SCHEDULE`, the fully fused GEMM form — the same
-  algorithm as the hand-written ``fused`` variant);
+* ``"fused"`` (the default) — the fully fused GEMM schedule;
+* ``"basic"`` — the ``plane`` schedule, the paper's Fig. 6 "basic
+  implementation" (one small 2-D product per pencil plane);
+* ``"einsum"`` — numpy's contraction engine, the independent
+  cross-check;
 * ``"auto"`` — per-host autotuned: the first request for a given
   ``(program, n, nel)`` runs :func:`repro.kir.autotune.tune_program`
   (served from the persistent cache when warm) and pins the winner;
-* a schedule name (``gemm``, ``plane``, ``einsum``, ``tbatch``,
-  ``gemm_rev``) — that exact schedule, mostly for tests and benches.
+* ``"generated"`` — a Python-level spelling of ``"fused"`` kept for
+  callers that predate the single path (``benchmarks/e2e``); the CLI
+  does not offer it;
+* a schedule name (``gemm``, ``plane``, ``einsum``, ``gemm_rev``) —
+  that exact schedule, mostly for tests and benches.
 
-Resolved callables are memoized, so steady-state dispatch is one dict
-lookup per call.
+Compiled callables are memoized, so steady-state dispatch is two dict
+lookups per call.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional, Tuple
 
-from .autotune import tune_program
 from .ir import build_program
-from .lower import DEFAULT_LOWERING, LoweredKernel, lowered_kernel
-from .passes import SCHEDULES, applicable_schedules
+from .lower import DEFAULT_LOWERING, LoweredKernel, lower
+from .passes import SCHEDULES, applicable_schedules, schedule
 
-#: Schedule used by the non-tuned ``generated`` variant.
+#: Schedule behind the default variant, and what ``auto`` is *priced*
+#: as by the cost model (virtual time must not depend on the host).
 DEFAULT_SCHEDULE = "gemm"
 
-#: Variants the library accepts (beyond literal schedule names).
-LIBRARY_VARIANTS = ("generated", "auto")
+#: Variant name -> schedule; ``None`` = the per-host tuned winner.
+VARIANT_SCHEDULE: Dict[str, Optional[str]] = {
+    "fused": DEFAULT_SCHEDULE,
+    "basic": "plane",
+    "einsum": "einsum",
+    "auto": None,
+    "generated": DEFAULT_SCHEDULE,
+}
+
+#: The ``--kernel-variant`` choices: every variant but the alias.
+CLI_VARIANTS = tuple(v for v in VARIANT_SCHEDULE if v != "generated")
+
+
+def static_schedule(variant: str) -> str:
+    """The schedule a variant (or schedule) name means without tuning.
+
+    ``auto`` answers :data:`DEFAULT_SCHEDULE`; an unknown name raises
+    the one ``ValueError`` every kernel entry point reports.
+    """
+    sched = VARIANT_SCHEDULE.get(variant, variant) or DEFAULT_SCHEDULE
+    if sched not in SCHEDULES:
+        raise ValueError(
+            f"unknown kernel variant {variant!r}; variants: "
+            f"{tuple(VARIANT_SCHEDULE)}, schedules: {tuple(SCHEDULES)}"
+        )
+    return sched
 
 
 class KernelLibrary:
@@ -44,74 +76,69 @@ class KernelLibrary:
         self.lowering = lowering
         self.cache_path = cache_path
         self.use_cache = use_cache
-        self._resolved: Dict[
-            Tuple[str, int, Optional[int], int, str], LoweredKernel
+        self._kernels: Dict[
+            Tuple[str, int, Optional[int], str], LoweredKernel
         ] = {}
         self._tuned: Dict[Tuple[str, int, Optional[int], int], str] = {}
+        # Serialises tuning and compilation: rank threads ask for the
+        # same kernel at once, and concurrent tuners would time each
+        # other's contention and write the cache twice.
+        self._lock = threading.Lock()
 
     def resolve(
         self,
         program: str,
         n: int,
         nel: int,
-        variant: str = "generated",
+        variant: str = "fused",
         m: Optional[int] = None,
     ) -> LoweredKernel:
         """Return the compiled kernel for one concrete problem.
 
-        ``variant`` is ``"generated"``, ``"auto"``, or a schedule
+        ``variant`` is a :data:`VARIANT_SCHEDULE` name or a schedule
         name.  ``nel`` only influences ``"auto"`` (the tuning key);
-        the other variants compile one kernel per ``(program, n)``.
+        the other variants compile one kernel per ``(program, n, m)``.
         """
-        sched = self._schedule_for(program, n, nel, variant, m)
-        key = (program, n, m, 0 if variant != "auto" else nel, sched)
-        hit = self._resolved.get(key)
+        if variant == "auto":
+            sched = self._tuned_schedule(program, n, nel, m)
+        else:
+            sched = static_schedule(variant)
+        key = (program, n, m, sched)
+        hit = self._kernels.get(key)
         if hit is None:
-            prog = build_program(program, n, m=m)
-            hit = lowered_kernel(prog, sched, self.lowering)
-            self._resolved[key] = hit
+            with self._lock:
+                hit = self._kernels.get(key)
+                if hit is None:
+                    prog = build_program(program, n, m=m)
+                    hit = lower(schedule(prog, sched), self.lowering)
+                    self._kernels[key] = hit
         return hit
 
-    def _schedule_for(
-        self,
-        program: str,
-        n: int,
-        nel: int,
-        variant: str,
-        m: Optional[int],
+    def _tuned_schedule(
+        self, program: str, n: int, nel: int, m: Optional[int]
     ) -> str:
-        if variant == "generated":
-            return DEFAULT_SCHEDULE
-        if variant in SCHEDULES:
-            return variant
-        if variant != "auto":
-            raise ValueError(
-                f"unknown kernel variant {variant!r}; expected "
-                f"{LIBRARY_VARIANTS + tuple(SCHEDULES)}"
-            )
         tkey = (program, n, m, nel)
         sched = self._tuned.get(tkey)
         if sched is None:
-            prog = build_program(program, n, m=m)
-            result = tune_program(
-                prog,
-                nel,
-                lowering=self.lowering,
-                cache_path=self.cache_path,
-                use_cache=self.use_cache,
-            )
-            sched = result.schedule
-            self._tuned[tkey] = sched
+            # Only this branch needs the tuner's json/tempfile/fcntl.
+            from .autotune import tune_program
+
+            with self._lock:
+                sched = self._tuned.get(tkey)
+                if sched is None:
+                    sched = tune_program(
+                        build_program(program, n, m=m),
+                        nel,
+                        lowering=self.lowering,
+                        cache_path=self.cache_path,
+                        use_cache=self.use_cache,
+                    ).schedule
+                    self._tuned[tkey] = sched
         return sched
 
     def schedules(self, program: str, n: int, m: Optional[int] = None):
         """Applicable schedule names for a program (introspection)."""
         return applicable_schedules(build_program(program, n, m=m))
-
-    def clear(self) -> None:
-        """Drop memoized resolutions (tests)."""
-        self._resolved.clear()
-        self._tuned.clear()
 
 
 _DEFAULT: Optional[KernelLibrary] = None

@@ -4,7 +4,7 @@ A :class:`~repro.kir.ir.Program` says *what* to compute; a schedule
 says *how*.  Passes are pure functions ``Scheduled -> Scheduled`` (or
 ``Program -> Program`` for algebraic rewrites) composed into named
 pipelines — the same dialect-and-rewrite structure xdsl uses for its
-stencil lowering, shrunk to the four ops this mini-app needs.
+stencil lowering, shrunk to the one op this mini-app needs.
 
 The passes
 ----------
@@ -22,14 +22,8 @@ The passes
     The inverse knob: peel batched axes back into explicit Python
     loops until each op is a single small 2-D product per plane — the
     paper's "basic implementation".  Lowering this schedule reproduces
-    the hand-written ``basic`` variants statement for statement (and
-    bitwise).
-
-``transpose_middle``
-    Rewrite a middle-axis contraction (the ``duds`` obstruction) into
-    permute -> last-axis GEMM -> permute, trading two data movements
-    for a fully fused product — the alternative the Nekbone-on-GPU
-    literature tunes over.
+    the reference ``basic`` loops (``tests/kernel_oracles.py``)
+    statement for statement (and bitwise).
 
 ``reassociate``
     Reorder an independent chain of axis applications (the dealias
@@ -38,9 +32,9 @@ The passes
     so reassociated candidates are screened numerically, not bitwise.
 
 Pipelines are registered in :data:`SCHEDULES`; a schedule that does
-not apply to a program (e.g. ``tbatch`` on ``dudt``, which has no
-middle-axis contraction) raises :class:`NotApplicable` and the tuner
-skips it.
+not apply to a program (e.g. ``gemm_rev`` on ``dudr``, which is a
+single contraction, not a chain) raises :class:`NotApplicable` and the
+tuner skips it.
 """
 
 from __future__ import annotations
@@ -48,16 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .ir import (
-    BATCH_AXIS,
-    Add,
-    Contract,
-    Op,
-    Permute,
-    Program,
-    Scale,
-    Tensor,
-)
+from .ir import BATCH_AXIS, Contract, Program, Tensor
 
 
 class NotApplicable(ValueError):
@@ -98,7 +83,7 @@ class AxisApply:
         return (self.t, self.w)
 
 
-SchedOp = Union[AxisApply, Permute, Add, Scale, Contract]
+SchedOp = Union[AxisApply, Contract]
 
 
 @dataclass(frozen=True)
@@ -119,20 +104,10 @@ class Scheduled:
                     f"loops={op.lead_loops}+{op.trail_loops}]"
                     f"({op.w.name}, {op.t.name})"
                 )
-            elif isinstance(op, Contract):
+            else:
                 lines.append(
                     f"  {op.out.name} = einsum[{op.spec}]"
                     f"({op.a.name}, {op.b.name})"
-                )
-            elif isinstance(op, Permute):
-                lines.append(
-                    f"  {op.out.name} = permute({op.a.name}, {op.perm})"
-                )
-            elif isinstance(op, Add):
-                lines.append(f"  {op.out.name} = {op.a.name} + {op.b.name}")
-            else:
-                lines.append(
-                    f"  {op.out.name} = {op.alpha!r} * {op.a.name}"
                 )
         return "\n".join(lines)
 
@@ -196,8 +171,8 @@ def unroll_by_plane(s: Scheduled) -> Scheduled:
     Left applications keep the ``(contracted, next)`` plane and loop
     everything else — leading axes before the contracted slot, then
     trailing axes beyond the plane (``dudr`` loops ``e`` and ``k``,
-    operating on the (r, s) plane, exactly like the hand-written
-    basic variant).  Right applications loop leading axes until the
+    operating on the (r, s) plane, exactly like the reference
+    basic loops).  Right applications loop leading axes until the
     trailing ``(row, contracted)`` plane remains.
     """
     ops: List[SchedOp] = []
@@ -211,53 +186,6 @@ def unroll_by_plane(s: Scheduled) -> Scheduled:
             lead = op.axis
             trail = op.t.ndim - op.axis - 2
         ops.append(replace(op, lead_loops=lead, trail_loops=trail))
-    return replace(s, ops=tuple(ops))
-
-
-def transpose_middle(s: Scheduled) -> Scheduled:
-    """Middle-axis contraction -> permute, last-axis GEMM, permute.
-
-    Raises :class:`NotApplicable` when no op has a middle-axis
-    contraction to rewrite (the pass would be the identity, which a
-    tuner candidate must not silently be).
-    """
-    ops: List[SchedOp] = []
-    rewrote = False
-    for op in s.ops:
-        if not isinstance(op, AxisApply) or op.right_apply:
-            ops.append(op)
-            continue
-        if op.axis == op.t.ndim - 1 or op.t.ndim < 3:
-            ops.append(op)
-            continue
-        rewrote = True
-        # t with the contracted axis rotated to the end.
-        perm_axes = (
-            op.t.axes[:op.axis] + op.t.axes[op.axis + 1:]
-            + (op.t.axes[op.axis],)
-        )
-        perm_dims = tuple(
-            op.t.dims[op.t.axes.index(ax)] for ax in perm_axes
-        )
-        tp = Tensor(f"{op.out.name}__tp", perm_axes, perm_dims)
-        ops.append(Permute(out=tp, a=op.t))
-        row_ax = op.w.axes[1 - op.w_sum_pos]
-        res_axes = perm_axes[:-1] + (row_ax,)
-        res_dims = perm_dims[:-1] + (
-            op.w.dims[1 - op.w_sum_pos],
-        )
-        res = Tensor(f"{op.out.name}__tr", res_axes, res_dims)
-        ops.append(
-            AxisApply(
-                out=res, t=tp, w=op.w, axis=tp.ndim - 1,
-                w_sum_pos=op.w_sum_pos,
-            )
-        )
-        ops.append(Permute(out=op.out, a=res))
-    if not rewrote:
-        raise NotApplicable(
-            f"{s.program.name}: no middle-axis contraction to transpose"
-        )
     return replace(s, ops=tuple(ops))
 
 
@@ -276,13 +204,12 @@ def reassociate(prog: Program, order: Sequence[int]) -> Program:
         raise ValueError(f"order {order!r} is not a permutation")
     if list(order) == list(range(len(body))):
         raise NotApplicable(f"{prog.name}: identity reassociation")
-    if len(body) < 2 or not all(isinstance(o, Contract) for o in body):
+    if len(body) < 2:
         raise NotApplicable(
             f"{prog.name}: body is not a contraction chain"
         )
-    chain: List[AxisApply] = [_classify(o) for o in body]  # type: ignore[arg-type]
+    chain: List[AxisApply] = [_classify(o) for o in body]
     for prev, nxt in zip(body[:-1], body[1:]):
-        assert isinstance(nxt, Contract)
         if nxt.b.name != prev.out.name and nxt.a.name != prev.out.name:
             raise NotApplicable(
                 f"{prog.name}: op {nxt.out.name} does not consume the "
@@ -294,7 +221,7 @@ def reassociate(prog: Program, order: Sequence[int]) -> Program:
             f"{prog.name}: chain applies to a repeated axis slot"
         )
     running = chain[0].t
-    new_body: List[Op] = []
+    new_body: List[Contract] = []
     for step, idx in enumerate(order):
         a = chain[idx]
         row_ax = a.w.axes[1 - a.w_sum_pos]
@@ -359,13 +286,6 @@ def _pipe_einsum(prog: Program) -> Scheduled:
     return Scheduled(program=prog, schedule="einsum", ops=prog.body)
 
 
-def _pipe_tbatch(prog: Program) -> Scheduled:
-    s = to_gemm_form(
-        Scheduled(program=prog, schedule="tbatch", ops=prog.body)
-    )
-    return transpose_middle(s)
-
-
 def _pipe_gemm_rev(prog: Program) -> Scheduled:
     rev = reassociate(prog, list(range(len(prog.body)))[::-1])
     return to_gemm_form(
@@ -374,20 +294,20 @@ def _pipe_gemm_rev(prog: Program) -> Scheduled:
 
 
 #: Named schedule pipelines, in default candidate order.  ``gemm``
-#: first: it is the reference-quality fully-fused lowering and the
-#: static default for ``variant="generated"``.
+#: first: it is the reference-quality fully-fused lowering and what
+#: the default ``fused`` variant runs.
 SCHEDULES: Dict[str, Callable[[Program], Scheduled]] = {
     "gemm": _pipe_gemm,
     "plane": _pipe_plane,
     "einsum": _pipe_einsum,
-    "tbatch": _pipe_tbatch,
     "gemm_rev": _pipe_gemm_rev,
 }
 
 #: Schedules whose lowering preserves the exact contraction order and
 #: association of the reference implementation (bitwise-reproducible
-#: against the hand-written variants); the rest are only guaranteed
-#: to roundoff and are numerically screened by the autotuner.
+#: against the oracles in ``tests/kernel_oracles.py``); the rest are
+#: only guaranteed to roundoff and are numerically screened by the
+#: autotuner.
 ORDER_PRESERVING = ("gemm", "plane", "einsum")
 
 

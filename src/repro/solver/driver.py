@@ -76,8 +76,8 @@ class SolverConfig:
 
     flux_scheme: str = "lax_friedrichs"
     time_stepper: str = "ssprk3"
-    #: "basic"/"fused"/"einsum" (hand-written) or "generated"/"auto"
-    #: (compiled from the contraction IR; "auto" autotunes per host).
+    #: "fused"/"basic"/"einsum"/"auto" — see
+    #: :data:`repro.kir.library.VARIANT_SCHEDULE`.
     kernel_variant: str = "fused"
     gs_method: Optional[str] = None     # None -> autotune at setup
     autotune_trials: int = 2
@@ -401,8 +401,7 @@ class CMTSolver:
                 to_fine,
             )
 
-            variant = self.config.kernel_variant
-            dvariant = variant if variant in ("generated", "auto") else "fused"
+            dvariant = self.config.kernel_variant
             m = dealias_order(n)
             work = self._work
             if work is not None:

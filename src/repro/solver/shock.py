@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..kernels.gll import gll_points, gll_weights, legendre_and_derivative
+from ..kir.library import default_library
 
 __all__ = [
     "ShockFilter",
@@ -65,12 +66,15 @@ def inverse_vandermonde(n: int) -> np.ndarray:
 
 
 def _apply_tensor3(op: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a square 1-D operator along all three axes of (nel,N,N,N)."""
+    """Apply a square 1-D operator along all three axes of (nel,N,N,N).
+
+    The dealias transfer with ``M == N``: the library's ``interp_fine``
+    kernel, given the Vandermonde operator instead of an interpolation.
+    """
     nel, n = u.shape[0], u.shape[1]
-    v = np.matmul(op, u.reshape(nel, n, n * n)).reshape(u.shape)
-    v = np.matmul(op, v.reshape(nel * n, n, n)).reshape(u.shape)
-    v = np.matmul(v.reshape(nel, n * n, n), op.T).reshape(u.shape)
-    return v
+    if u.shape[1:] != (n, n, n):
+        raise ValueError(f"expected (nel, N, N, N), got {u.shape}")
+    return default_library().resolve("interp_fine", n, nel, m=n).fn(u, op)
 
 
 def nodal_to_modal(u: np.ndarray) -> np.ndarray:

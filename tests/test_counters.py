@@ -4,13 +4,13 @@ import pytest
 
 from repro.kernels import derivatives
 from repro.kernels.counters import (
-    GENERATED_VARIANT_CLASS,
     ir_counts,
     kernel_cost,
     roofline_seconds,
     speedup,
     working_set_bytes,
 )
+from repro.kir import SCHEDULES, VARIANT_SCHEDULE
 from repro.perfmodel import MachineModel
 
 #: The paper's operating point for Figs. 5/6.
@@ -124,7 +124,7 @@ class TestInterface:
 
 
 class TestIRPricing:
-    """Generated variants are priced from the contraction IR itself."""
+    """Every variant is priced from the contraction IR itself."""
 
     @pytest.mark.parametrize("direction", ["r", "s", "t"])
     @pytest.mark.parametrize("n", range(5, 26))
@@ -140,16 +140,17 @@ class TestIRPricing:
     @pytest.mark.parametrize(
         "variant", ["basic", "fused", "einsum"]
     )
-    def test_hand_variant_counts_equal_ir(self, direction, n, variant):
-        """The hand variants and IR pricing agree on the structural
-        counts (the microarchitectural coefficients differ by class)."""
-        hand = kernel_cost(direction, variant, n, 9)
-        fl, mb = ir_counts(direction, n, 9)
-        assert hand.flops == fl
-        assert hand.mem_bytes == mb
+    def test_variant_counts_equal_hand_formulas(self, direction, n, variant):
+        """Structural counts are the closed forms for every variant
+        (the microarchitectural coefficients differ by schedule)."""
+        cost = kernel_cost(direction, variant, n, 9)
+        assert cost.flops == derivatives.flops(n, 9)
+        assert cost.mem_bytes == derivatives.mem_bytes(n, 9)
 
-    @pytest.mark.parametrize("variant", sorted(GENERATED_VARIANT_CLASS))
-    def test_every_generated_variant_priced(self, variant):
+    @pytest.mark.parametrize(
+        "variant", sorted({*VARIANT_SCHEDULE, *SCHEDULES})
+    )
+    def test_every_resolvable_name_priced(self, variant):
         c = kernel_cost("s", variant, 10, 12)
         assert c.flops == derivatives.flops(10, 12)
         assert c.instructions > 0 and c.cycles > 0 and c.seconds > 0
@@ -169,7 +170,8 @@ class TestIRPricing:
         plane = kernel_cost("t", "plane", 8, 20)
         assert plane.seconds == basic.seconds
 
-    def test_generated_variants_listed_in_kernels_namespace(self):
-        assert set(derivatives.GENERATED_VARIANTS) <= set(
-            GENERATED_VARIANT_CLASS
-        )
+    def test_unknown_variant_and_direction_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel variant"):
+            kernel_cost("s", "tbatch", 8, 20)
+        with pytest.raises(ValueError, match="unknown direction"):
+            kernel_cost("x", "fused", 8, 20)

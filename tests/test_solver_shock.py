@@ -11,12 +11,15 @@ from repro.solver.shock import (
     ShockFilter,
     element_integrals,
     exponential_sigma,
+    inverse_vandermonde,
     modal_energy_fraction,
     modal_to_nodal,
     nodal_to_modal,
     smoothness_sensor,
     vandermonde,
 )
+
+from . import kernel_oracles as oracle
 
 
 def poly_field(n, nel=2, degree=2):
@@ -37,6 +40,20 @@ class TestModalTransforms:
         u = rough_field(n)
         np.testing.assert_allclose(
             modal_to_nodal(nodal_to_modal(u)), u, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_transforms_bitwise_equal_three_gemm_oracle(self, n):
+        """The library's ``interp_fine`` at ``m = n`` is the local
+        three-GEMM chain this module used to carry."""
+        u = rough_field(n, nel=3, seed=n)
+        c = nodal_to_modal(u)
+        assert np.array_equal(
+            c, oracle.apply_tensor(np.asarray(inverse_vandermonde(n)), u)
+        )
+        assert np.array_equal(
+            modal_to_nodal(c),
+            oracle.apply_tensor(np.asarray(vandermonde(n)), c),
         )
 
     def test_constant_is_mode_zero(self):
