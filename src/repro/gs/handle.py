@@ -16,7 +16,7 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +81,15 @@ class GSHandle:
     global_shared: int = 0
     method: Optional[str] = None
     setup_stats: dict = field(default_factory=dict)
+    #: The compiled pairwise exchange (``repro.gs.pairwise.plan_for``).
+    #: It holds mailboxes and is bound to ``comm``, so it never travels:
+    #: copies and pickles of the handle start without one.
+    _plan: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
 
     # -- local plans -------------------------------------------------------
 

@@ -16,12 +16,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..mpi.datatypes import ReduceOp, SUM
-from ..mpi.request import waitall
 from .allreduce_method import exchange_allreduce
 from .crystal import route
 from .handle import GSHandle
 from .ops import METHODS
-from .pairwise import TAG_PAIRWISE
+from .pairwise import TAG_PAIRWISE, exchange_in_place
 
 #: Call-site label for packed exchanges.
 SITE_MANY = "gs_op_many"
@@ -59,7 +58,7 @@ def gs_op_many(
     comm = handle.comm
     if comm.size > 1:
         if method == "pairwise":
-            cond = _packed_pairwise(handle, cond, op, site)
+            exchange_in_place(handle, cond, op, site, TAG_PAIRWISE + 1)
         elif method == "crystal":
             cond = _packed_crystal(handle, cond, op, site)
         else:
@@ -73,33 +72,6 @@ def gs_op_many(
         flops=float(size),
         mem_bytes=2.0 * cond.dtype.itemsize * (size + cond.size),
     )
-    return out
-
-
-def _packed_pairwise(
-    handle: GSHandle, cond: np.ndarray, op: ReduceOp, site: str
-) -> np.ndarray:
-    """Pairwise exchange with all fields packed per neighbour."""
-    comm = handle.comm
-    neighbors = handle.neighbors
-    if not neighbors:
-        return cond
-    recv_reqs = [
-        comm.irecv(source=q, tag=TAG_PAIRWISE + 1, site=site)
-        for q in neighbors
-    ]
-    for q in neighbors:
-        comm.isend(
-            np.ascontiguousarray(cond[:, handle.neighbor_send_index[q]]),
-            dest=q,
-            tag=TAG_PAIRWISE + 1,
-            site=site,
-        )
-    payloads = waitall(recv_reqs, site=site)
-    out = cond.copy()
-    for q, vals in zip(neighbors, payloads):
-        ix = handle.neighbor_send_index[q]
-        out[:, ix] = op.ufunc(out[:, ix], np.asarray(vals))
     return out
 
 

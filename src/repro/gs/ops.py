@@ -40,6 +40,7 @@ from .handle import GSHandle
 from .pairwise import (
     TAG_PAIRWISE,
     PairwiseFlight,
+    exchange_in_place,
     exchange_pairwise,
     exchange_pairwise_begin,
     exchange_pairwise_finish,
@@ -51,6 +52,10 @@ METHODS: Dict[str, Callable] = {
     "crystal": exchange_crystal,
     "allreduce": exchange_allreduce,
 }
+
+#: What ``gs_op`` itself calls: it owns the array it just condensed, so
+#: the pairwise exchange folds in place (the public form copies first).
+_ON_OWNED = {**METHODS, "pairwise": exchange_in_place}
 
 #: Paper-style display names (Fig. 7 rows).
 METHOD_LABELS = {
@@ -79,7 +84,7 @@ def gs_op(
     """
     method = method or handle.method or "pairwise"
     try:
-        exchange = METHODS[method]
+        exchange = _ON_OWNED[method]
     except KeyError:
         raise ValueError(
             f"unknown gs method {method!r}; choose from {sorted(METHODS)}"
@@ -219,7 +224,7 @@ def gs_op_finish(
     elif handle.comm.size > 1:
         # Synchronous fallback for methods without a nonblocking form:
         # the whole blocking exchange runs now, at finish time.
-        condensed = METHODS[exchange.method](
+        condensed = _ON_OWNED[exchange.method](
             handle, condensed, op, site=f"{exchange.site}:finish"
         )
     out = handle.scatter(condensed, out=out)

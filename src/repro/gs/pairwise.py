@@ -8,7 +8,9 @@ equals the number of sharing neighbours (6 face neighbours for the DG
 numbering; up to 26 for the C0 numbering, many of them tiny edge and
 corner messages).
 
-Two interfaces are provided:
+As in gslib the per-neighbour schedule is compiled once, into a
+:class:`PairwisePlan`; every exchange is its two verbs, ``post`` and
+``complete``.  Two interfaces are provided on top of it:
 
 * :func:`exchange_pairwise` — the classic blocking form used by
   ``gs_op``;
@@ -18,18 +20,22 @@ Two interfaces are provided:
   interior compute can proceed while messages are in flight; ``finish``
   waits, folds, and credits hidden-vs-exposed communication time to
   the rank's :class:`~repro.mpi.clock.VirtualClock`.
+
+Both leave their input alone; ``gs_op`` and ``gs_op_many`` own the array
+they just condensed and fold into it (:func:`exchange_in_place`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from ..mpi.clock import OverlapInterval
 from ..mpi.datatypes import ReduceOp
-from ..mpi.request import RecvRequest, Request
+from ..mpi.errors import AbortError
+from ..mpi.transport import PendingRecv
 from .handle import GSHandle
 
 #: Tag used by pairwise exchanges (user tag space).
@@ -39,35 +45,121 @@ TAG_PAIRWISE = 7001
 SITE = "gs_op:pairwise"
 
 
+class PairwisePlan:
+    """The pairwise exchange of one handle, compiled for its communicator.
+
+    Charges, profile rows, fault hooks and trace records are exactly
+    those of an ``irecv`` and an ``isend`` per neighbour and a
+    ``waitall`` (``Comm._inject``/``_arrive`` do the charging); the plan
+    saves what those calls re-derive per message.
+    """
+
+    def __init__(self, handle: GSHandle):
+        comm = handle.comm
+        runtime = comm._runtime
+        self.comm = comm
+        neighbors = handle.neighbors
+        self.index = [handle.neighbor_send_index[q] for q in neighbors]
+        self._world = [comm.group[q] for q in neighbors]
+        self._boxes = [runtime.mailbox(w) for w in self._world]
+        self._box = runtime.mailbox(comm.world_rank)
+        self._costs: dict = {}
+
+    def _cost(self, nbytes: int) -> tuple:
+        """``(send_overhead, transit per neighbour, recv_overhead)`` of an
+        ``nbytes`` message: pure functions of the machine model."""
+        cost = self._costs.get(nbytes)
+        if cost is None:
+            net, me = self.comm.machine.network, self.comm.world_rank
+            cost = self._costs[nbytes] = (
+                net.send_overhead(nbytes),
+                [net.transit(w, me, nbytes) for w in self._world],
+                net.recv_overhead(nbytes),
+            )
+        return cost
+
+    def post(self, values: np.ndarray, tag: int, site: str) -> List[PendingRecv]:
+        """Post a receive from, then send ``values.take(index)`` to, every
+        neighbour; return the posted receives.
+
+        ``values`` is ``(..., n_unique)``.  Each neighbour gets this
+        rank's *original* values, so ids shared by more than two ranks
+        (edges/corners in the continuous numbering) still fold every
+        contribution exactly once.
+        """
+        comm = self.comm
+        clock, record, cid = comm.clock, comm._prof.record, comm.cid
+        pendings = []
+        for w in self._world:
+            pendings.append(self._box.post_recv(cid, w, tag))
+            record("MPI_Irecv", site, 0.0, 0)
+        for ix, w, box in zip(self.index, self._world, self._boxes):
+            payload = values.take(ix, axis=-1)
+            nbytes = payload.nbytes
+            t0 = clock.now
+            comm._inject(
+                payload, nbytes, self._cost(nbytes)[0], w, box, cid, tag
+            )
+            record("MPI_Isend", site, clock.now - t0, nbytes)
+        return pendings
+
+    def complete(
+        self, pendings: List[PendingRecv], into: np.ndarray, op: ReduceOp,
+        site: str,
+    ) -> float:
+        """Per neighbour, in order: charge the arrival and fold the
+        payload into ``into`` in place; return the latest virtual
+        arrival time.  Blocks at most once, at the first envelope still
+        missing, until every later one has landed too."""
+        comm = self.comm
+        clock, record, fn = comm.clock, comm._prof.record, op.ufunc
+        lead = () if into.ndim == 1 else (Ellipsis,)
+        latest = 0.0
+        for i, (pending, ix) in enumerate(zip(pendings, self.index)):
+            if pending.envelope is None:
+                try:
+                    comm._wait_for(pendings[i:], "MPI_Waitall")
+                except AbortError:
+                    # Waiting request by request would have consumed
+                    # this one if it is here, and raised at the first
+                    # that is not — where the next pass lands again.
+                    if pending.envelope is None:
+                        raise
+            env = pending.envelope
+            t0 = clock.now
+            _, transit, o_recv = self._cost(env.nbytes)
+            latest = max(latest, comm._arrive(env, t0, transit[i], o_recv))
+            record("MPI_Wait", site, clock.now - t0, env.nbytes)
+            key = (*lead, ix)
+            into[key] = fn(into[key], env.payload)
+        return latest
+
+
+def plan_for(handle: GSHandle) -> PairwisePlan:
+    """The handle's plan, compiled on first use for its current comm."""
+    plan = handle._plan
+    if plan is None or plan.comm is not handle.comm:
+        plan = handle._plan = PairwisePlan(handle)
+    return plan
+
+
+def exchange_in_place(
+    handle: GSHandle, values: np.ndarray, op: ReduceOp, site: str = SITE,
+    tag: int = TAG_PAIRWISE,
+) -> np.ndarray:
+    """Blocking exchange folding into ``values`` — ``(n_unique,)`` or
+    fields-first ``(nf, n_unique)`` — which the caller must own."""
+    plan = plan_for(handle)
+    plan.complete(plan.post(values, tag, site), values, op, site)
+    return values
+
+
 def exchange_pairwise(
     handle: GSHandle, condensed: np.ndarray, op: ReduceOp, site: str = SITE
 ) -> np.ndarray:
-    """Combine shared entries of ``condensed`` across sharing ranks.
-
-    Each neighbour receives this rank's *original* condensed values, so
-    ids shared by more than two ranks (edges/corners in the continuous
-    numbering) still fold every contribution exactly once.
-    """
-    comm = handle.comm
-    neighbors = handle.neighbors
-    if not neighbors:
-        return condensed
-    recv_reqs = [
-        comm.irecv(source=q, tag=TAG_PAIRWISE, site=site) for q in neighbors
-    ]
-    for q in neighbors:
-        comm.isend(
-            condensed[handle.neighbor_send_index[q]],
-            dest=q,
-            tag=TAG_PAIRWISE,
-            site=site,
-        )
-    payloads = Request.waitall(recv_reqs, site=site)
-    out = condensed.copy()
-    for q, vals in zip(neighbors, payloads):
-        ix = handle.neighbor_send_index[q]
-        out[ix] = op.ufunc(out[ix], np.asarray(vals))
-    return out
+    """Combine shared entries of ``condensed`` across sharing ranks;
+    returns a new array."""
+    return exchange_in_place(handle, condensed.copy(), op, site)
 
 
 @dataclass
@@ -77,10 +169,10 @@ class PairwiseFlight:
     handle: GSHandle
     op: ReduceOp
     site: str
-    recv_reqs: List[RecvRequest]
+    pendings: List[PendingRecv]
     #: Overlap window opened on the rank's clock when the messages were
     #: posted; closed at finish to account hidden communication time.
-    window: OverlapInterval = field(default=None)  # type: ignore[assignment]
+    window: OverlapInterval
 
 
 def exchange_pairwise_begin(
@@ -98,31 +190,17 @@ def exchange_pairwise_begin(
     pass a partially populated condense (the overlapped solver posts
     boundary-element traces before interior ones even exist).
     """
-    comm = handle.comm
-    neighbors = handle.neighbors
-    recv_reqs = [
-        comm.irecv(source=q, tag=tag, site=site) for q in neighbors
-    ]
-    for q in neighbors:
-        comm.isend(
-            send_values[handle.neighbor_send_index[q]],
-            dest=q,
-            tag=tag,
-            site=site,
-        )
+    pendings = plan_for(handle).post(send_values, tag, site)
     return PairwiseFlight(
-        handle=handle,
-        op=op,
-        site=site,
-        recv_reqs=recv_reqs,
-        window=comm.clock.overlap_interval(),
+        handle, op, site, pendings, handle.comm.clock.overlap_interval()
     )
 
 
 def exchange_pairwise_finish(
     flight: PairwiseFlight, condensed: np.ndarray, site: str = None
 ) -> np.ndarray:
-    """Wait for an in-flight exchange, fold the payloads, return the sum.
+    """Wait for an in-flight exchange, fold the payloads, return the sum
+    (a new array).
 
     ``condensed`` is the fully populated local condense (it may have
     been completed *after* ``begin`` posted the boundary values).  The
@@ -131,21 +209,15 @@ def exchange_pairwise_finish(
     the clock's ``hidden_comm_time``.
     """
     handle = flight.handle
-    site = site or flight.site
-    wait_start = handle.comm.clock.now
-    payloads = Request.waitall(flight.recv_reqs, site=site)
+    clock = handle.comm.clock
+    wait_start = clock.now
+    out = condensed.copy()
+    completion = plan_for(handle).complete(
+        flight.pendings, out, flight.op, site or flight.site
+    )
     # Overlap accounting: the blocking-equivalent wait is measured from
     # the posting time, the exposed wait from the finish time; their
     # difference was hidden under the intervening compute.
-    if flight.recv_reqs:
-        completion = max(
-            req.status.arrival_vtime for req in flight.recv_reqs
-        )
-        handle.comm.clock.close_overlap(
-            flight.window, completion, wait_start=wait_start
-        )
-    out = condensed.copy()
-    for q, vals in zip(handle.neighbors, payloads):
-        ix = handle.neighbor_send_index[q]
-        out[ix] = flight.op.ufunc(out[ix], np.asarray(vals))
+    if flight.pendings:
+        clock.close_overlap(flight.window, completion, wait_start=wait_start)
     return out

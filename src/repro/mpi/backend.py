@@ -49,9 +49,9 @@ _WATCHDOG_STRIKES = 3
 #: Delivery-thread poll period while its ring is empty (wall seconds).
 _DELIVERY_POLL = 0.05
 
-#: Leading byte of a flush-marker ring record.  Envelope records are
-#: ``pickle.dumps`` output, which always starts with ``b"\x80"`` (the
-#: PROTO opcode), so a marker can never be mistaken for an envelope.
+#: Leading byte of a flush-marker ring record.  Envelope records start
+#: with one of ``dump_envelope``'s payload-kind letters, so a marker
+#: can never be mistaken for an envelope.
 _FLUSH_MARK = b"!"
 #: Upper bound on the abort determinism fence (wall seconds): how long
 #: an aborting rank waits for peers to acknowledge its flush markers.
@@ -297,7 +297,7 @@ class _FencedAbort:
     background thread: without a fence, a survivor blocked in a wait
     races the crashed rank's final envelopes against the abort flag,
     and the "completion wins" contract (see
-    :func:`repro.mpi.transport.Mailbox.wait_event`) degenerates into a
+    :meth:`repro.mpi.transport.Mailbox.wait_for`) degenerates into a
     scheduling accident — recovery reports diverge from the threads
     backend run to run.
 
@@ -443,7 +443,7 @@ def _rank_process(
 
     try:
         runtime.abort_event = abort
-        runtime.tracker = tracker
+        runtime.tracker = tracker.writer(rank)
         runtime.seq = ChannelSeq()
         runtime._mailboxes = [
             local_box
@@ -453,7 +453,8 @@ def _rank_process(
         ]
         deliverer = threading.Thread(
             target=_delivery_loop,
-            args=(rings[rank], local_box, tracker, stop, _ack_flush),
+            args=(rings[rank], local_box, tracker.writer(rank, delivery=True),
+                  stop, _ack_flush),
             name=f"deliver-{rank}",
             daemon=True,
         )
@@ -516,7 +517,7 @@ def _pool_rank_loop(
             runtime.machine = machine
             runtime.time_policy = time_policy
             runtime.abort_event = abort
-            runtime.tracker = tracker
+            runtime.tracker = tracker.writer(rank)
             runtime.seq = ChannelSeq()
             runtime._clocks[rank] = VirtualClock()
             runtime._profiles[rank] = RankProfile(rank)
@@ -528,7 +529,8 @@ def _pool_rank_loop(
             ]
             deliverer = threading.Thread(
                 target=_delivery_loop,
-                args=(rings[rank], local_box, tracker, stop, _ack_flush),
+                args=(rings[rank], local_box,
+                      tracker.writer(rank, delivery=True), stop, _ack_flush),
                 name=f"deliver-{rank}",
                 daemon=True,
             )
@@ -615,7 +617,7 @@ class ProcsBackend(Backend):
         ctx = self._context()
         n = runtime.nranks
         abort = ctx.Event()
-        tracker = SharedBlockTracker(ctx.Value("q", 0), ctx.Value("q", 0))
+        tracker = SharedBlockTracker(ctx, n)
         finished = ctx.Array("b", n, lock=False)
         # (src, dst) flush-marker ack counters for the abort fence.
         flush_acks = ctx.Array("q", n * n)
@@ -756,7 +758,7 @@ class ProcsBackend(Backend):
         ctx = self._context()
         n = runtime.nranks
         abort = ctx.Event()
-        tracker = SharedBlockTracker(ctx.Value("q", 0), ctx.Value("q", 0))
+        tracker = SharedBlockTracker(ctx, n)
         finished = ctx.Array("b", n, lock=False)
         # (src, dst) flush-marker ack counters for the abort fence;
         # monotone across pooled jobs (the fence compares baselines).

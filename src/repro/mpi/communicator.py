@@ -32,7 +32,7 @@ from .errors import CommunicatorError, RankError
 from .profiler import RankProfile
 from .request import RecvRequest, Request, SendRequest
 from .status import Status
-from .transport import Envelope, PendingRecv, wait_event
+from .transport import Envelope, PendingRecv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -176,17 +176,37 @@ class Comm:
         (real MPI keeps a separate context for collectives too).
         """
         self._check_rank(dest, "dest")
-        faults = self._runtime.faults
+        nbytes = payload_nbytes(payload)
+        dst_world = self.group[dest]
+        self._inject(
+            copy_payload(payload),
+            nbytes,
+            self.machine.network.send_overhead(nbytes),
+            dst_world,
+            self._runtime.mailbox(dst_world),
+            self.cid + (_INTERNAL_CID if internal else 0),
+            tag,
+        )
+        return nbytes
+
+    def _inject(
+        self, payload: Any, nbytes: int, ovh: float, dst_world: int,
+        box: Any, cid: int, tag: int,
+    ) -> None:
+        """Charge one send and hand its envelope to ``box``: the one
+        place a message is charged, faulted, sequenced and traced, for
+        :meth:`_send_raw` and the gather-scatter ``PairwisePlan`` alike.
+        ``payload`` must be a snapshot the sender will not touch again."""
+        runtime = self._runtime
+        faults = runtime.faults
         if faults is not None:
             faults.check_time_crash(self)
-        nbytes = payload_nbytes(payload)
-        net = self.machine.network
-        ovh = net.send_overhead(nbytes)
-        self.clock.advance(ovh, kind="comm")
-        dst_world = self.group[dest]
-        seq = self._runtime.seq.next(self.world_rank, dst_world)
+        clock = self.clock
+        clock.advance(ovh, kind="comm")
+        me = self.world_rank
+        seq = runtime.seq.next(me, dst_world)
         if faults is not None:
-            drops = faults.drop_count(self.world_rank, dst_world, seq)
+            drops = faults.drop_count(me, dst_world, seq)
             if drops:
                 # The reliable layer under the transport: each lost
                 # attempt costs its backoff timeout plus a fresh
@@ -194,35 +214,24 @@ class Comm:
                 # the surviving copy hits the wire later and every
                 # downstream arrival shifts deterministically.
                 penalty = drops * ovh + faults.plan.retry.backoff_seconds(drops)
-                self.clock.charge_retry(penalty)
-                faults.log_drop(self.world_rank, dst_world, seq, drops, penalty)
+                clock.charge_retry(penalty)
+                faults.log_drop(me, dst_world, seq, drops, penalty)
                 self._prof.record(
                     "FAULT_Retry",
-                    f"fault:drop[{self.world_rank}->{dst_world}]",
+                    f"fault:drop[{me}->{dst_world}]",
                     penalty,
                     nbytes * drops,
                     informational=True,
                 )
-        env = Envelope(
-            src=self.world_rank,
-            dst=dst_world,
-            cid=self.cid + (_INTERNAL_CID if internal else 0),
-            tag=tag,
-            payload=copy_payload(payload),
-            nbytes=nbytes,
-            wire_vtime=self.clock.now,
-            seq=seq,
-        )
-        trace = self._runtime.trace
+        env = Envelope(me, dst_world, cid, tag, payload, nbytes, clock.now, seq)
+        trace = runtime.trace
         if trace is not None:
             trace.record(
-                src=self.world_rank, dst=dst_world, cid=env.cid,
-                tag=tag, nbytes=nbytes, wire_vtime=env.wire_vtime,
-                seq=env.seq,
+                src=me, dst=dst_world, cid=cid, tag=tag, nbytes=nbytes,
+                wire_vtime=env.wire_vtime, seq=seq,
             )
-        self._runtime.mailbox(dst_world).deliver(env)
-        self._runtime.tracker.bump()
-        return nbytes
+        box.deliver(env)
+        runtime.tracker.bump()
 
     def _post_recv_raw(
         self, source: int, tag: int, internal: bool = False
@@ -236,23 +245,41 @@ class Comm:
             self.cid + (_INTERNAL_CID if internal else 0), src_world, tag
         )
 
-    def _complete_recv(self, env: Envelope, t0: float) -> Tuple[Any, Status]:
-        """Charge virtual arrival/wait time for a matched envelope."""
-        net = self.machine.network
-        transit = net.transit(env.src, self.world_rank, env.nbytes)
+    def _wait_for(
+        self, pendings: Sequence[PendingRecv], what: str, first: bool = False
+    ) -> None:
+        """Block (at most once) until ``pendings`` have their envelopes."""
+        runtime = self._runtime
+        runtime.mailbox(self.world_rank).wait_for(
+            pendings, runtime.tracker, runtime.abort_event, what, first
+        )
+
+    def _arrive(
+        self, env: Envelope, t0: float, transit: float, o_recv: float
+    ) -> float:
+        """Charge a matched envelope's arrival/wait to the clock, given
+        its fault-free network costs; return its virtual arrival time."""
         faults = self._runtime.faults
         if faults is not None:
             transit *= faults.delay_factor(env.src, self.world_rank)
         arrival = env.wire_vtime + transit
-        wait_dt = max(0.0, arrival - t0)
-        end = max(t0, arrival) + net.recv_overhead(env.nbytes)
-        self.clock.synchronize(end, kind="comm")
+        self.clock.synchronize(max(t0, arrival) + o_recv, kind="comm")
+        return arrival
+
+    def _complete_recv(self, env: Envelope, t0: float) -> Tuple[Any, Status]:
+        """Charge virtual arrival/wait time for a matched envelope."""
+        net = self.machine.network
+        arrival = self._arrive(
+            env, t0,
+            net.transit(env.src, self.world_rank, env.nbytes),
+            net.recv_overhead(env.nbytes),
+        )
         status = Status(
             source=self._world_to_local.get(env.src, env.src),
             tag=env.tag,
             nbytes=env.nbytes,
             arrival_vtime=arrival,
-            wait_vtime=wait_dt,
+            wait_vtime=max(0.0, arrival - t0),
         )
         return env.payload, status
 
@@ -264,15 +291,9 @@ class Comm:
             faults.check_time_crash(self)
         pending = self._post_recv_raw(source, tag, internal=internal)
         t0 = self.clock.now
-        wait_event(
-            pending.event,
-            self._runtime.tracker,
-            self._runtime.abort_event,
-            what=f"recv(src={source}, tag={tag})",
-        )
-        env = pending.envelope
-        assert env is not None
-        return self._complete_recv(env, t0)
+        if pending.envelope is None:
+            self._wait_for((pending,), f"recv(src={source}, tag={tag})")
+        return self._complete_recv(pending.envelope, t0)
 
     # ------------------------------------------------------------------
     # point-to-point: public, profiled layer

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, TYPE_CHECKING
 
+from .errors import AbortError
 from .status import Status
-from .transport import PendingRecv, wait_event
+from .transport import PendingRecv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .communicator import Comm
@@ -33,23 +34,6 @@ class Request:
     @property
     def completed(self) -> bool:
         raise NotImplementedError
-
-    @staticmethod
-    def waitall(
-        requests: Sequence["Request"], site: Optional[str] = None
-    ) -> list:
-        """``MPI_Waitall``: wait on every request, payloads in order.
-
-        Class-level convenience over the module-scope :func:`waitall`
-        so call sites holding a list of mixed requests need no extra
-        import (``Request.waitall(reqs)``).
-        """
-        return waitall(requests, site=site)
-
-    @staticmethod
-    def testall(requests: Sequence["Request"]) -> bool:
-        """``MPI_Testall``: True iff every request could complete now."""
-        return testall(requests)
 
 
 class SendRequest(Request):
@@ -84,7 +68,7 @@ class RecvRequest(Request):
         self._done = False
 
     def test(self) -> bool:
-        return self._done or self._pending.event.is_set()
+        return self._done or self._pending.envelope is not None
 
     @property
     def completed(self) -> bool:
@@ -106,13 +90,11 @@ class RecvRequest(Request):
         if self._done:
             return self._payload
         comm = self._comm
-        rt = comm._runtime
         t0 = comm.clock.now
-        wait_event(
-            self._pending.event, rt.tracker, rt.abort_event, what="MPI_Wait"
-        )
         env = self._pending.envelope
-        assert env is not None
+        if env is None:
+            comm._wait_for((self._pending,), "MPI_Wait")
+            env = self._pending.envelope
         payload, status = comm._complete_recv(env, t0)
         self._payload = payload
         self._status = status
@@ -126,14 +108,33 @@ class RecvRequest(Request):
         return payload
 
 
+def _unmatched(requests: Sequence[Request]) -> tuple:
+    """``(comm, pendings)`` of the receives not yet completable."""
+    recvs = [
+        r for r in requests if isinstance(r, RecvRequest) and not r.test()
+    ]
+    return (recvs[0]._comm if recvs else None), [r._pending for r in recvs]
+
+
 def waitall(requests: Sequence[Request], site: Optional[str] = None) -> list:
     """Wait for every request; return payloads in request order.
 
     Like ``MPI_Waitall``, completion order does not matter: each wait
     advances the rank's virtual clock only as far as the latest arrival,
     so the total charged time equals the makespan of the arrivals, not
-    their sum.
+    their sum.  The calling thread blocks at most once — the sender of
+    the last missing envelope wakes it — and the per-request waits then
+    charge the clock in request order without blocking.
     """
+    comm, pendings = _unmatched(requests)
+    if len(pendings) > 1:
+        try:
+            comm._wait_for(pendings, "MPI_Waitall")
+        except AbortError:
+            # The waits below charge the completed prefix, as waiting
+            # request by request would have, and raise at the first
+            # receive that is still missing.
+            pass
     return [req.wait(site=site) for req in requests]
 
 
@@ -154,41 +155,22 @@ def waitany(
 
     Like ``MPI_Waitany``: already-completable requests are preferred
     (checked with :meth:`Request.test` in order); otherwise the call
-    blocks on the first request and lets the runtime's event wake-ups
-    drive progress — with deterministic virtual time, the *returned*
-    completion is the one observable earliest in program order among
-    the testable set, which is what the mini-app codes rely on.
+    blocks until the first of the receives is matched — with
+    deterministic virtual time, the *returned* completion is the one
+    observable earliest in program order among the testable set, which
+    is what the mini-app codes rely on.
+
+    Completion wins over abort, as in
+    :meth:`~repro.mpi.transport.Mailbox.wait_for`: a request that
+    already tests complete is a committed local fact, so it is reported;
+    only a call that finds nothing completable observes the job abort.
+    This keeps post-crash progress (and hence crashed-attempt virtual
+    makespans) a function of what peers actually sent.
     """
     if not requests:
         raise ValueError("waitany requires at least one request")
-    import time as _time
-
-    from .errors import AbortError
-
-    runtime = next(
-        (r._comm._runtime for r in requests if isinstance(r, RecvRequest)),
-        None,
-    )
-    tracked = False
-    try:
-        while True:
-            # Completion wins over abort, matching wait_event: a
-            # request that already tests complete is a committed local
-            # fact, so report it; only a sweep that finds nothing
-            # completable observes the job abort.  This keeps
-            # post-crash progress (and hence crashed-attempt virtual
-            # makespans) a function of what peers actually sent.
-            for i, req in enumerate(requests):
-                if req.test():
-                    return i, req.wait(site=site)
-            if runtime is None:  # pragma: no cover - all-send defensive
-                continue
-            if runtime.abort_event.is_set():
-                raise AbortError("job aborted while blocked in waitany")
-            if not tracked:
-                runtime.tracker.enter_blocked()
-                tracked = True
-            _time.sleep(0.0005)
-    finally:
-        if tracked:
-            runtime.tracker.exit_blocked()
+    comm, pendings = _unmatched(requests)
+    if len(pendings) == len(requests):
+        comm._wait_for(pendings, "waitany", first=True)
+    i = next(i for i, req in enumerate(requests) if req.test())
+    return i, requests[i].wait(site=site)

@@ -7,13 +7,15 @@ This module provides the two pieces of cross-process state it needs:
 
 * :class:`ShmRing` — a multi-producer single-consumer ring buffer in a
   :class:`multiprocessing.shared_memory.SharedMemory` segment.  Each
-  rank owns one ring; every peer pickles envelopes into it and the
+  rank owns one ring; every peer encodes envelopes
+  (:func:`dump_envelope`) into it and the
   owner's delivery thread drains it into the ordinary in-process
   mailbox, so the matching semantics (posted/unexpected queues,
   non-overtaking per channel) are byte-for-byte the thread backend's.
 * :class:`SharedBlockTracker` — the
-  :class:`~repro.mpi.transport.BlockTracker` API over process-shared
-  counters, so the parent's deadlock watchdog can observe every rank.
+  :class:`~repro.mpi.transport.BlockTracker` API over lock-free
+  per-rank slots in shared memory, so the parent's deadlock watchdog
+  can observe every rank.
 
 Memory-ordering note: the ring's ``head``/``tail`` are aligned 64-bit
 counters.  The reader never consumes a record before the writer's
@@ -26,6 +28,7 @@ every platform CPython's ``mmap`` targets.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import pickle
@@ -35,7 +38,10 @@ import time
 from multiprocessing import shared_memory
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from .errors import AbortError
+from .transport import Envelope
 
 #: Default per-rank ring capacity (bytes of pickled envelope payload).
 DEFAULT_RING_CAPACITY = 1 << 20
@@ -296,51 +302,114 @@ class ShmRing:
             pass
 
 
+#: Wire header after the kind byte: src, dst, cid, tag, nbytes,
+#: wire_vtime, seq.
+_ENV = struct.Struct("<iiQqqdq")
+#: Payload kinds — the first byte of an encoded envelope, none of them
+#: the procs backend's flush marker: ``None``; a numeric array, numpy
+#: scalar or Python scalar as dtype + shape + raw bytes; else a pickle.
+_NONE, _ARRAY, _NPSCALAR, _PYSCALAR, _PICKLE = b"N", b"A", b"G", b"S", b"P"
+
+
 def dump_envelope(env) -> bytes:
-    """Pickle one :class:`~repro.mpi.transport.Envelope` for the wire."""
-    return pickle.dumps(env, protocol=pickle.HIGHEST_PROTOCOL)
+    """Encode one :class:`~repro.mpi.transport.Envelope` for the wire.
+
+    The single codec of the shm ring and the socket ``ENVELOPE`` frame:
+    kind byte, fixed header, payload.  What a running exchange sends —
+    C-contiguous numeric arrays, scalars, ``None`` — is never pickled.
+    """
+    head = _ENV.pack(
+        env.src, env.dst, env.cid, env.tag, env.nbytes, env.wire_vtime,
+        env.seq,
+    )
+    p = env.payload
+    if p is None:
+        return _NONE + head
+    kind = None
+    if isinstance(p, np.ndarray):
+        kind = _ARRAY
+    elif isinstance(p, np.generic):
+        kind = _NPSCALAR
+    elif type(p) in (float, int, bool, complex):
+        kind, p = _PYSCALAR, np.asarray(p)  # an int beyond 64 bits: object
+    if kind and p.dtype.kind in "biufc" and p.flags.c_contiguous:
+        dtype = p.dtype.str.encode("ascii")
+        return b"".join((
+            kind, head, bytes((len(dtype), p.ndim)), dtype,
+            struct.pack(f"<{p.ndim}q", *p.shape), p.data,
+        ))
+    return _PICKLE + head + pickle.dumps(
+        env.payload, protocol=pickle.HIGHEST_PROTOCOL
+    )
 
 
-def load_envelope(data: bytes):
-    return pickle.loads(data)
+def load_envelope(data: bytes) -> Envelope:
+    """Decode :func:`dump_envelope` bytes.  A decoded array is writable
+    and owns its memory — never a view of ``data``."""
+    kind = data[:1]
+    fields = _ENV.unpack_from(data, 1)
+    off = 1 + _ENV.size
+    if kind == _NONE:
+        payload = None
+    elif kind == _PICKLE:
+        payload = pickle.loads(memoryview(data)[off:])
+    else:
+        dlen, ndim = data[off], data[off + 1]
+        off += 2
+        dtype = np.dtype(bytes(data[off:off + dlen]).decode("ascii"))
+        off += dlen
+        shape = struct.unpack_from(f"<{ndim}q", data, off)
+        payload = np.frombuffer(data, dtype, offset=off + 8 * ndim)
+        payload = payload.reshape(shape).copy()
+        if kind == _NPSCALAR:
+            payload = payload[()]
+        elif kind == _PYSCALAR:
+            payload = payload.item()
+    return Envelope(*fields[:4], payload, *fields[4:])
 
 
 class SharedBlockTracker:
-    """:class:`~repro.mpi.transport.BlockTracker` API over shared counters.
+    """:class:`~repro.mpi.transport.BlockTracker` API over shared slots.
 
-    ``blocked`` and ``progress`` are ``multiprocessing.Value`` objects
-    created by the parent; every rank process and the parent watchdog
-    observe the same counts, which is what makes deadlock detection
-    work across address spaces.
+    Three int64 slots per rank in one lock-free ``RawArray`` created by
+    the parent: progress made on the rank's own thread, progress made
+    on its delivery thread, and a blocked flag.  Every slot has exactly
+    one writer (an aligned 8-byte store), so there is no lock for a
+    killed process or a daemon thread frozen at exit to leave held; the
+    parent watchdog sums the slots.  :meth:`writer` binds a view to the
+    slots one thread may write.
     """
 
-    def __init__(self, blocked, progress):
-        self._blocked = blocked
-        self._progress = progress
+    def __init__(self, ctx, nranks: int):
+        self._slots = ctx.RawArray("q", 3 * nranks)
+        self._progress = 0
+        self._flag = 2
+
+    def writer(self, rank: int, delivery: bool = False) -> "SharedBlockTracker":
+        """This tracker as written by ``rank``'s rank (or delivery) thread."""
+        view = copy.copy(self)
+        view._progress = 3 * rank + delivery
+        view._flag = 3 * rank + 2
+        return view
 
     def reset(self) -> None:
-        """Zero both counters (between jobs of a persistent worker pool)."""
-        with self._blocked.get_lock():
-            self._blocked.value = 0
-        with self._progress.get_lock():
-            self._progress.value = 0
+        """Zero every slot (between jobs of a persistent worker pool)."""
+        self._slots[:] = [0] * len(self._slots)
 
     def bump(self) -> None:
-        with self._progress.get_lock():
-            self._progress.value += 1
+        self._slots[self._progress] += 1
 
     @property
     def progress_value(self) -> int:
-        return self._progress.value
+        slots = self._slots[:]
+        return sum(slots) - sum(slots[2::3])
 
     def enter_blocked(self) -> None:
-        with self._blocked.get_lock():
-            self._blocked.value += 1
+        self._slots[self._flag] = 1
 
     def exit_blocked(self) -> None:
-        with self._blocked.get_lock():
-            self._blocked.value -= 1
+        self._slots[self._flag] = 0
 
     @property
     def blocked(self) -> int:
-        return self._blocked.value
+        return sum(self._slots[2::3])

@@ -23,15 +23,15 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import AbortError
 
 #: Polling granularity (wall seconds) for blocked waits.  Blocked
 #: threads wake at this cadence only to check for job abort; normal
-#: completion signals the event directly.
+#: completion wakes the waiter directly.
 _WAIT_POLL = 0.1
 
 
@@ -71,7 +71,7 @@ class RetryPolicy:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message in flight.
 
@@ -89,41 +89,21 @@ class Envelope:
     seq: int
 
 
-def envelope_matches(
-    cid: int, source: int, tag: int, env: Envelope
-) -> bool:
-    """Does ``env`` satisfy a receive posted as ``(cid, source, tag)``?
-
-    The single matching rule shared by :class:`PendingRecv` and
-    :meth:`Mailbox.probe`, so a probe can never disagree with the
-    receive it predicts (and never has to allocate a throwaway
-    ``PendingRecv`` — with a kernel-side ``threading.Event`` — just to
-    ask the question).
-    """
-    if env.cid != cid:
-        return False
-    if source != ANY_SOURCE and env.src != source:
-        return False
-    if tag != ANY_TAG and env.tag != tag:
-        return False
-    return True
-
-
 class PendingRecv:
-    """A posted receive waiting for a matching envelope."""
+    """A posted receive waiting for a matching envelope.
 
-    __slots__ = ("cid", "source", "tag", "event", "envelope")
+    ``wanted`` marks a receive its owner is currently blocked on in
+    :meth:`Mailbox.wait_for`; completion is ``envelope is not None``.
+    """
+
+    __slots__ = ("cid", "source", "tag", "envelope", "wanted")
 
     def __init__(self, cid: int, source: int, tag: int):
         self.cid = cid
         self.source = source
         self.tag = tag
-        self.event = threading.Event()
         self.envelope: Optional[Envelope] = None
-
-    def matches(self, env: Envelope) -> bool:
-        """Does ``env`` satisfy this posted receive?"""
-        return envelope_matches(self.cid, self.source, self.tag, env)
+        self.wanted = False
 
 
 class Mailbox:
@@ -139,9 +119,9 @@ class Mailbox:
       only fills receives still in ``posted`` with ``envelope is
       None``, and removes them from the queue in the same critical
       section;
-    * ``pr.event.set()`` is called only after ``pr.envelope`` is
-      assigned, inside the lock, so a waiter woken by the event always
-      observes the payload (no lost wakeup);
+    * the owner is woken only after ``pr.envelope`` is assigned, inside
+      the lock, so a woken waiter always observes the payload (no lost
+      wakeup);
     * an envelope is either handed to a posted receive or appended to
       ``unexpected`` — never both, never neither — so no message is
       dropped or duplicated by a probe/post_recv/deliver interleaving;
@@ -153,6 +133,13 @@ class Mailbox:
       nothing, so a concurrent ``deliver`` can at worst make it answer
       "no message" for an envelope that arrives a moment later —
       exactly ``MPI_Iprobe`` semantics.
+
+    Blocking: only the owning rank's thread ever waits on a mailbox, and
+    on one set of receives at a time, so one reusable wake primitive
+    serves every wait.  ``_wake`` is a lock used as a binary semaphore:
+    held whenever nobody is being woken, released by ``deliver`` exactly
+    once per :meth:`wait_for` — when the countdown of still-missing
+    ``wanted`` receives reaches zero — and re-taken by the woken owner.
     """
 
     def __init__(self, rank: int):
@@ -160,38 +147,116 @@ class Mailbox:
         self.lock = threading.Lock()
         self.unexpected: deque[Envelope] = deque()
         self.posted: deque[PendingRecv] = deque()
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        self._countdown = 0
 
     def deliver(self, env: Envelope) -> None:
         """Called on the *sender's* thread to deposit ``env`` here."""
+        cid, src, tag = env.cid, env.src, env.tag
         with self.lock:
             for pr in self.posted:
-                if pr.envelope is None and pr.matches(env):
+                if (
+                    pr.cid == cid
+                    and (pr.source == src or pr.source == ANY_SOURCE)
+                    and (pr.tag == tag or pr.tag == ANY_TAG)
+                ):
                     pr.envelope = env
                     self.posted.remove(pr)
-                    pr.event.set()
+                    if pr.wanted:
+                        self._countdown -= 1
+                        if self._countdown == 0:
+                            self._wake.release()
                     return
             self.unexpected.append(env)
+
+    def _unexpected_match(
+        self, cid: int, source: int, tag: int
+    ) -> Optional[Envelope]:
+        """First unexpected envelope a ``(cid, source, tag)`` receive
+        takes (caller holds ``lock``) — shared by ``post_recv`` and
+        ``probe``, so a probe never disagrees with the receive it
+        predicts."""
+        for env in self.unexpected:
+            if (
+                env.cid == cid
+                and (source == ANY_SOURCE or env.src == source)
+                and (tag == ANY_TAG or env.tag == tag)
+            ):
+                return env
+        return None
 
     def post_recv(self, cid: int, source: int, tag: int) -> PendingRecv:
         """Post a receive; match immediately if a message is waiting."""
         pr = PendingRecv(cid, source, tag)
         with self.lock:
-            for env in self.unexpected:
-                if pr.matches(env):
-                    self.unexpected.remove(env)
-                    pr.envelope = env
-                    pr.event.set()
-                    return pr
-            self.posted.append(pr)
+            pr.envelope = self._unexpected_match(cid, source, tag)
+            if pr.envelope is None:
+                self.posted.append(pr)
+            else:
+                self.unexpected.remove(pr.envelope)
         return pr
 
     def probe(self, cid: int, source: int, tag: int) -> Optional[Envelope]:
         """Non-destructively look for a matching unexpected message."""
         with self.lock:
-            for env in self.unexpected:
-                if envelope_matches(cid, source, tag, env):
-                    return env
-        return None
+            return self._unexpected_match(cid, source, tag)
+
+    def wait_for(
+        self,
+        pendings: Sequence[PendingRecv],
+        tracker: "BlockTracker",
+        abort_event: threading.Event,
+        what: str = "recv",
+        first: bool = False,
+    ) -> None:
+        """Block the owner until every receive in ``pendings`` has its
+        envelope — or, with ``first``, until any one of them has.
+
+        Blocks at most once: the sender that lands the *last* wanted
+        envelope (the first, with ``first``) wakes the owner.  Raises
+        :class:`AbortError` if the runtime aborts while we wait: the
+        abort event is checked once *before* blocking and then every
+        :data:`_WAIT_POLL` wall seconds, so a wait posted after the job
+        aborted raises immediately and a wait in progress observes a
+        peer's death within one poll tick (``tests/test_faults.py``).
+
+        Abort-vs-completion ordering: **completion wins**, before
+        blocking and while polling alike.  A matched envelope is a
+        committed local fact, so reporting success cannot be wrong, and
+        only waits that are genuinely still blocked observe the abort.
+        That keeps post-crash virtual clocks deterministic — a survivor
+        consumes exactly what its dead peer managed to send, a function
+        of the fault plan and never of which thread sampled the abort
+        flag first — which the recovery loop's crashed-attempt makespans
+        (and the ``solver/fault_campaign`` bench gate) depend on.
+        """
+        with self.lock:
+            missing = [pr for pr in pendings if pr.envelope is None]
+            if len(missing) < (len(pendings) if first else 1):
+                return
+            if abort_event.is_set():
+                raise AbortError(f"job aborted while blocked in {what}")
+            for pr in missing:
+                pr.wanted = True
+            self._countdown = 1 if first else len(missing)
+        tracker.enter_blocked()
+        try:
+            while not self._wake.acquire(timeout=_WAIT_POLL):
+                if abort_event.is_set():
+                    with self.lock:
+                        if self._countdown > 0:
+                            self._countdown = 0
+                            raise AbortError(
+                                f"job aborted while blocked in {what}"
+                            )
+                    self._wake.acquire()  # completed meanwhile: it wins
+                    return
+        finally:
+            tracker.exit_blocked()
+            with self.lock:
+                for pr in missing:
+                    pr.wanted = False
 
     def snapshot(self) -> dict:
         """Debug snapshot used in deadlock reports."""
@@ -213,88 +278,44 @@ class BlockTracker:
 
     The runtime watchdog declares deadlock when every live rank is
     blocked and the progress counter has not moved between two checks.
+    Lock-free: a thread only ever writes its own blocked flag, and a
+    progress tick is one ``next`` on a shared counter (atomic under the
+    GIL) whose value is then published — out-of-order publishes can
+    only make the watchdog see *more* movement, never less.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.blocked = 0
-        self.progress = itertools.count()
-        self._progress_value = 0
+        self._blocked: dict = {}
+        self._ticks = itertools.count(1)
+        self.progress_value = 0
 
     def bump(self) -> None:
         """Record that a match or delivery happened."""
-        with self._lock:
-            self._progress_value = next(self.progress)
+        self.progress_value = next(self._ticks)
 
     @property
-    def progress_value(self) -> int:
-        return self._progress_value
+    def blocked(self) -> int:
+        return sum(list(self._blocked.values()))
 
     def enter_blocked(self) -> None:
-        with self._lock:
-            self.blocked += 1
+        self._blocked[threading.get_ident()] = 1
 
     def exit_blocked(self) -> None:
-        with self._lock:
-            self.blocked -= 1
+        self._blocked[threading.get_ident()] = 0
 
 
-def wait_event(
-    event: threading.Event,
-    tracker: BlockTracker,
-    abort_event: threading.Event,
-    what: str = "recv",
-) -> None:
-    """Block on ``event``, remaining responsive to job abort.
-
-    Raises :class:`AbortError` if the runtime aborts while we wait.
-    The abort event is polled every :data:`_WAIT_POLL` wall seconds and
-    checked once *before* blocking, so a wait posted after the job
-    already aborted raises immediately and a wait in progress observes
-    a peer's death within one poll tick — the bound the fault-injection
-    tests assert (an injected crash mid-exchange must never hang the
-    surviving ranks; see ``tests/test_faults.py``).
-
-    Abort-vs-completion ordering: **completion wins**.  If the
-    completion event is set when this call samples the outcome, it
-    returns success even when the job abort is also already set — on
-    the fast path (event set before we block) and the slow path (event
-    set while we poll) alike.  A completed operation is a committed
-    local fact: the envelope was matched and delivered under the
-    mailbox lock, so reporting success cannot be wrong, and only waits
-    that are genuinely still blocked observe the abort.  The consistent
-    rule is also what keeps post-crash virtual clocks deterministic: a
-    surviving rank consumes exactly the messages its dead peer managed
-    to send — a function of the fault plan, never of which thread
-    sampled the abort flag first.  The crashed-attempt makespans the
-    recovery loop charges (and the ``solver/fault_campaign`` bench
-    scenario gates as a deterministic virtual metric) depend on this.
-    """
-    if event.is_set():
-        return
-    if abort_event.is_set():
-        raise AbortError(f"job aborted while blocked in {what}")
-    tracker.enter_blocked()
-    try:
-        while True:
-            if event.wait(_WAIT_POLL):
-                return
-            if abort_event.is_set():
-                raise AbortError(f"job aborted while blocked in {what}")
-    finally:
-        tracker.exit_blocked()
-
-
-@dataclass
 class ChannelSeq:
-    """Monotone per-(src, dst) sequence numbers for debugging/tracing."""
+    """Monotone per-(src, dst) sequence numbers for debugging/tracing.
 
-    _counters: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    Lock-free: channel ``(src, dst)`` is only ever advanced by rank
+    ``src``'s own thread.
+    """
+
+    def __init__(self) -> None:
+        self._counters: dict = {}
 
     def next(self, src: int, dst: int) -> int:
         key = (src, dst)
-        with self._lock:
-            n = self._counters.get(key, 0)
-            self._counters[key] = n + 1
-            return n
+        n = self._counters.get(key, 0)
+        self._counters[key] = n + 1
+        return n

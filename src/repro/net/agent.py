@@ -25,7 +25,7 @@ on another machine over ssh:
    semantics a finished rank has under the threads backend.
 
 Virtual-time parity with threads/procs holds by construction: the
-envelope (with its ``wire_vtime`` and ``seq``) is pickled whole, the
+envelope (with its ``wire_vtime`` and ``seq``) is encoded whole, the
 destination's real :class:`~repro.mpi.transport.Mailbox` does the
 matching, and ``ChannelSeq`` stays process-local (each ``(src, dst)``
 counter is only ever advanced by ``src``, so local counters reproduce
@@ -89,7 +89,7 @@ _FLUSH_TIMEOUT = 5.0
 class _RemoteAbort:
     """The job abort event, distributed.
 
-    Looks like a :class:`threading.Event` to ``wait_event`` and
+    Looks like a :class:`threading.Event` to ``Mailbox.wait_for`` and
     ``run_rank``; additionally, the first local ``set()`` notifies the
     driver with an ``ABORT`` frame so every other agent learns of the
     failure within one control round-trip.  ``set_local()`` is the
@@ -119,7 +119,7 @@ class _RemoteAbort:
         # sent; otherwise a survivor could observe the abort before
         # consuming them, and its virtual clock at abort would depend
         # on thread scheduling instead of the fault plan (the
-        # completion-wins contract in ``wait_event``).
+        # completion-wins contract in ``Mailbox.wait_for``).
         if self.flush_peers is not None:
             try:
                 self.flush_peers()

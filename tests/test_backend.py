@@ -298,11 +298,12 @@ class TestProcsAbortFence:
         return rings, finished, acks, ctx.Event()
 
     def test_set_waits_until_sent_envelopes_are_delivered(self):
-        import pickle
         import threading
         import time
 
         from repro.mpi.backend import _FencedAbort, _delivery_loop
+        from repro.mpi.shm import dump_envelope
+        from repro.mpi.transport import Envelope
 
         rings, finished, acks, event = self._wiring()
         delivered = []
@@ -311,7 +312,7 @@ class TestProcsAbortFence:
             @staticmethod
             def deliver(env):
                 time.sleep(0.2)  # hold the race window wide open
-                delivered.append(env)
+                delivered.append(env.payload)
 
         class Tracker:
             @staticmethod
@@ -330,7 +331,9 @@ class TestProcsAbortFence:
         )
         drain.start()
         try:
-            rings[1].push(pickle.dumps("last words"))
+            rings[1].push(dump_envelope(
+                Envelope(0, 1, 1, 0, "last words", 10, 0.0, 0)
+            ))
             _FencedAbort(event, 0, rings, finished, acks).set()
             assert event.is_set()
             # set() returning means delivery already happened — no

@@ -375,48 +375,51 @@ class TestAbortPropagation:
         assert err.value.rank == 1 and err.value.step == 1
 
     def test_completion_wins_over_abort_consistently(self):
-        """``wait_event`` abort-vs-completion ordering: a completed
+        """``Mailbox.wait_for`` abort-vs-completion ordering: a completed
         operation reports success even when the job abort is also set,
-        identically on the fast path (event set before blocking) and
-        the slow path (event set while polling).  A completed op is a
+        identically on the fast path (matched before blocking) and
+        the slow path (matched while polling).  A completed op is a
         committed local fact; only genuinely-blocked waits raise — the
         rule that keeps post-crash virtual clocks (and the recovery
         loop's lost-work accounting) independent of thread scheduling."""
         import threading
 
         from repro.mpi.errors import AbortError
-        from repro.mpi.transport import BlockTracker, wait_event
+        from repro.mpi.transport import BlockTracker, Envelope, Mailbox
 
         tracker = BlockTracker()
+        box = Mailbox(0)
+        env = Envelope(1, 0, 1, 5, None, 0, 0.0, 0)
 
         # Fast path: both already set -> success, not AbortError.
-        event, abort = threading.Event(), threading.Event()
-        event.set()
+        abort = threading.Event()
+        box.deliver(env)
+        done = box.post_recv(1, 1, 5)
         abort.set()
-        wait_event(event, tracker, abort)  # must not raise
+        box.wait_for([done], tracker, abort)  # must not raise
+        assert tracker.blocked == 0
+
+        # The entry check must reject a wait that is not yet complete.
+        pending = box.post_recv(1, 1, 5)
+        with pytest.raises(AbortError):
+            box.wait_for([pending], tracker, abort)
         assert tracker.blocked == 0
 
         # Slow path: completion lands while we poll, with the abort
         # flag already up -> still success, same rule as the fast path.
-        event2, abort2 = threading.Event(), threading.Event()
-        abort2.set()
-        # The entry check must reject a wait that is not yet complete.
-        with pytest.raises(AbortError):
-            wait_event(event2, tracker, abort2)
-        assert tracker.blocked == 0
-
-        event3, abort3 = threading.Event(), threading.Event()
+        abort3 = threading.Event()
 
         def fire():
             abort3.set()  # abort first ...
-            event3.set()  # ... completion after: completion still wins
+            box.deliver(env)  # ... completion after: completion still wins
 
         timer = threading.Timer(0.02, fire)
         timer.start()
         try:
-            wait_event(event3, tracker, abort3)  # must not raise
+            box.wait_for([pending], tracker, abort3)  # must not raise
         finally:
             timer.cancel()
+        assert pending.envelope is env
         assert tracker.blocked == 0
 
 
