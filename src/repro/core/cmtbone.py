@@ -40,14 +40,16 @@ from ..gs import (
     gs_op,
     gs_op_begin,
     gs_op_finish,
+    gs_op_many,
     gs_setup,
 )
 from ..gs.pairwise import TAG_PAIRWISE
 from ..kernels import Workspace, counters, derivative_matrix
 from ..kernels import derivatives as dkernels
+from ..kernels.workspace import as_elements, field_blocks
 from ..mesh import Partition, dg_face_numbering
 from ..mpi import MAX, SUM, Comm
-from ..solver.surface import full2face, full2face_flops
+from ..solver.surface import full2face_flops, full2face_multi
 from .config import CMTBoneConfig
 
 #: Region names mirror the Fortran routine names in Fig. 4.
@@ -161,6 +163,8 @@ class CMTBone:
         # to [0, 1) scales compute charges by 1 + imbalance * h(rank).
         h = (comm.rank * 2654435761) % (2**32) / 2**32
         self._load_factor = 1.0 + self.config.compute_imbalance * h
+        #: Charged seconds by phase, until a rebalance changes ``nel``.
+        self._prices: Dict[str, float] = {}
         #: Dynamic load balancer (None with ``lb_mode="off"``).
         self.lb = None
         policy = self.config.lb_policy()
@@ -175,28 +179,31 @@ class CMTBone:
 
     # -- phases -------------------------------------------------------------
 
-    def _charge(self, seconds: float) -> None:
-        self.comm.compute(seconds=seconds * self._load_factor)
+    def _charge(self, phase: str, price) -> None:
+        """Charge ``price()`` seconds of compute to ``phase``: a function
+        of (n, nel, neq) alone, so evaluated once per ``nel``."""
+        seconds = self._prices.get(phase)
+        if seconds is None:
+            seconds = self._prices[phase] = price() * self._load_factor
+        self.comm.compute(seconds=seconds)
 
     def _derivative_phase(self) -> None:
-        """The ``ax_`` hot spot: grad of every field via the kernel."""
+        """The ``ax_`` hot spot: one kernel ``grad`` per block of fields."""
         cfg = self.config
         with (
             self.timeline.region(R_AX),
             self.profiler.region(R_AX),
         ):
             if cfg.work_mode == "real":
-                for c in range(self.neq):
+                for b in field_blocks(self.u):
+                    block = as_elements(self.u[b])
                     dkernels.grad(
-                        self.u[c], self.dmat, variant=cfg.kernel_variant,
-                        out=dkernels.grad_workspace(self._work, self.u[c]),
+                        block, self.dmat, variant=cfg.kernel_variant,
+                        out=dkernels.grad_workspace(self._work, block),
                     )
-            self._charge(
-                self.neq
-                * counters.roofline_seconds(
-                    self.n, self.nel, self._machine, variant=cfg.kernel_variant
-                )
-            )
+            self._charge(R_AX, lambda: self.neq * counters.roofline_seconds(
+                self.n, self.nel, self._machine, variant=cfg.kernel_variant
+            ))
 
     def _surface_phase(self) -> None:
         """``full2face_cmt``: build the surface arrays."""
@@ -205,16 +212,13 @@ class CMTBone:
             self.profiler.region(R_FULL2FACE),
         ):
             if self.config.work_mode == "real":
-                for c in range(self.neq):
-                    full2face(self.u[c], out=self._faces[c])
+                full2face_multi(self.u, out=self._faces)
             # In proxy mode the face buffers keep their previous (live)
             # contents; the exchange still moves real arrays.
-            self._charge(
-                self._machine.compute_seconds(
-                    flops=full2face_flops(self.n, self.nel, self.neq),
-                    mem_bytes=16.0 * self.neq * self.nel * 6 * self.n**2,
-                )
-            )
+            self._charge(R_FULL2FACE, lambda: self._machine.compute_seconds(
+                flops=full2face_flops(self.n, self.nel, self.neq),
+                mem_bytes=16.0 * self.neq * self.nel * 6 * self.n**2,
+            ))
 
     def _exchange_phase(self) -> None:
         """``gs_op_``: nearest-neighbour exchange of the face traces."""
@@ -224,21 +228,21 @@ class CMTBone:
             self.profiler.region(R_GSOP),
         ):
             if self.config.pack_fields:
-                from ..gs import gs_op_many
-
                 fields = [
                     self._faces[c % self.neq] for c in range(nfields)
                 ]
                 gs_op_many(
                     self.handle, fields, op=SUM, site=R_GSOP, out=fields
                 )
-            else:
-                for c in range(nfields):
-                    face = self._faces[c % self.neq]
-                    # Exchanges beyond neq only add traffic: not kept.
+                return
+            # Field c is buffer c % neq: a pass over the buffers per neq
+            # fields.  Passes after the first only add traffic: not kept.
+            for first in range(0, nfields, self.neq):
+                faces = self._faces[:nfields - first]
+                for b in field_blocks(faces):
                     gs_op(
-                        self.handle, face, op=SUM, site=R_GSOP,
-                        out=face if c < self.neq else None,
+                        self.handle, faces[b], op=SUM, site=R_GSOP,
+                        out=None if first else faces[b],
                     )
 
     def _exchange_begin_phase(self) -> list:
@@ -294,11 +298,9 @@ class CMTBone:
                     np.multiply(b, 0.25, out=t)
                     b += t
             npts = self.neq * self.nel * self.n**3
-            self._charge(
-                self._machine.compute_seconds(
-                    flops=2.0 * npts, mem_bytes=24.0 * npts
-                )
-            )
+            self._charge(R_UPDATE, lambda: self._machine.compute_seconds(
+                flops=2.0 * npts, mem_bytes=24.0 * npts
+            ))
 
     def _monitor_phase(self) -> None:
         """Vector reduction: the residual/CFL allreduce."""
@@ -335,6 +337,7 @@ class CMTBone:
             self._faces = out["faces"]
             self.nel = new.nel_of(self.comm.rank)
             self._work.clear()  # local element count (and shapes) changed
+            self._prices.clear()
             method = self.handle.method
             gids = dg_face_numbering(new, self.comm.rank)
             self.handle = gs_setup(gids, self.comm, site=SITE_LB_REBUILD)

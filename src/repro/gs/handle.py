@@ -16,6 +16,7 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,7 +42,8 @@ class GSHandle:
     comm:
         The communicator the handle was set up on.
     shape:
-        Shape of the data arrays ``gs_op`` will accept.
+        Shape of one field of the data ``gs_op`` will accept; a stack
+        of fields carries it as its trailing axes.
     uids:
         Sorted unique global ids present on this rank.
     rep / dup_index / rounds:
@@ -85,10 +87,13 @@ class GSHandle:
     #: It holds mailboxes and is bound to ``comm``, so it never travels:
     #: copies and pickles of the handle start without one.
     _plan: Any = field(default=None, init=False, repr=False, compare=False)
+    #: Fold slots of field stacks (:meth:`_slots`): derived, so not kept.
+    _stacks: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_plan", None)
+        state.pop("_stacks", None)
         return state
 
     # -- local plans -------------------------------------------------------
@@ -102,8 +107,31 @@ class GSHandle:
         """Ranks this rank shares at least one id with (sorted)."""
         return sorted(self.neighbor_send_index)
 
+    def _slots(self, nf: int) -> tuple:
+        """``(dup_index, slots of every round)`` for ``nf`` stacked fields
+        laid end to end: the one-field slots repeated at per-field
+        offsets, so a stack is folded flat, exactly like one field."""
+        if nf == 1:
+            return self.dup_index, [s for s, _ in self.rounds]
+        stacks = self._stacks = self._stacks or {}
+        if nf not in stacks:
+            nu = self.n_unique
+            ndup = nu if self.dup_index is None else len(self.dup_index)
+
+            def tile(ix, stride):
+                if ix is None:  # "all of them" holds in every field
+                    return None
+                return np.add.outer(np.arange(nf) * stride, ix).reshape(-1)
+
+            stacks[nf] = (
+                tile(self.dup_index, nu),
+                [tile(s, ndup) for s, _ in self.rounds],
+            )
+        return stacks[nf]
+
     def condense(self, x: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Combine local duplicates: data array -> per-uid values.
+        """Combine local duplicates: data ``(..., *shape)`` -> per-uid
+        values ``(..., n_unique)``.
 
         One gather of the first copies plus one gather-and-fold per
         duplicate round, in the order ``ufunc.reduceat`` folds id-sorted
@@ -111,53 +139,64 @@ class GSHandle:
         ``x0 + (x1 + x2 + ...)`` — and pairwise from nine copies on,
         which this does not follow (a hex-mesh id has at most eight).
         """
-        if x.shape != self.shape:
+        lead = x.shape[:max(x.ndim - len(self.shape), 0)]
+        if x.shape[len(lead):] != self.shape:
             raise ValueError(
-                f"gs data shape {x.shape} != handle shape {self.shape}"
+                f"gs data shape {x.shape} lacks the handle shape {self.shape}"
             )
         fn = op.ufunc
         if fn is None:
             raise ValueError(f"{op.name} has no ufunc; cannot gs over it")
-        flat = x.reshape(-1)
-        acc = flat.take(self.rep)
-        if not self.rounds:
-            return acc
-        dup = self.dup_index
-        if fn is np.add and acc.dtype.kind in "fc":
-            (_, first), *rest = self.rounds
-            tail = flat.take(first)
-            for slots, idx in rest:
-                _fold(fn, tail, slots, flat.take(idx))
+        nf = prod(lead)
+        # One field gathers flat; a stack row-wise, then folds flat.
+        flat = x.reshape(-1) if nf == 1 else x.reshape(nf, -1)
+        acc = flat.take(self.rep, axis=-1).reshape(-1)
+        dup, slots = self._slots(nf)
+        gathers = [flat.take(ix, axis=-1).reshape(-1) for _, ix in self.rounds]
+        if gathers and fn is np.add and acc.dtype.kind in "fc":
+            tail = gathers[0]
+            for s, vals in zip(slots[1:], gathers[1:]):
+                _fold(fn, tail, s, vals)
             _fold(fn, acc, dup, tail)
-        else:
+        elif gathers:
             head = acc if dup is None else acc[dup]
-            for slots, idx in self.rounds:
-                _fold(fn, head, slots, flat.take(idx))
+            for s, vals in zip(slots, gathers):
+                _fold(fn, head, s, vals)
             if dup is not None:
                 acc[dup] = head
-        return acc
+        return acc.reshape(lead + (self.n_unique,)) if lead else acc
 
     def scatter(
         self, condensed: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Per-uid values -> data array (duplicates replicated), written
-        into ``out`` when given (which may be what was condensed)."""
-        if condensed.shape != (self.n_unique,):
+        """Per-uid values ``(..., n_unique)`` -> data ``(..., *shape)``
+        (duplicates replicated), written into ``out`` when given (which
+        may be what was condensed)."""
+        lead = condensed.shape[:-1]
+        if condensed.shape[-1:] != (self.n_unique,):
             raise ValueError(
-                f"condensed shape {condensed.shape} != ({self.n_unique},)"
+                f"condensed shape {condensed.shape} != (..., {self.n_unique})"
             )
+        shape = lead + self.shape
         if out is not None and (
-            out.shape != self.shape
+            out.shape != shape
             or out.dtype != condensed.dtype
             or not out.flags.c_contiguous
         ):
             raise ValueError(
-                f"gs out must be C-contiguous {self.shape} "
+                f"gs out must be C-contiguous {shape} "
                 f"{condensed.dtype}, got {out.shape} {out.dtype}"
             )
+        # One field scatters flat, a stack row-wise (as it gathers).
+        nf = prod(lead)
+        flat = (nf,) if nf > 1 else ()
         # Indices are in range by construction; "clip" spares take the
         # bounce buffer that "raise" needs with out=.
-        return condensed.take(self.inverse, out=out, mode="clip")
+        res = condensed.reshape(flat + (-1,)).take(
+            self.inverse, axis=-1, mode="clip",
+            out=None if out is None else out.reshape(flat + self.shape),
+        )
+        return res.reshape(shape) if out is None else out
 
     def shared_gids_with(self, q: int) -> np.ndarray:
         """Global ids shared with neighbour ``q`` (sorted)."""

@@ -29,6 +29,7 @@ grow).
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -65,6 +66,17 @@ METHOD_LABELS = {
 }
 
 
+def _local_pass(handle: GSHandle, itemsize: int) -> float:
+    """Virtual seconds of one field's local gather/scatter: a memory-bound
+    indirected pass over the data (read u + write condensed, read
+    condensed + write out).  gslib pays it on every gs_op, and the
+    paper's Fig. 7 timings include it, so the virtual clock must too."""
+    size = handle.inverse.size
+    return handle.comm.machine.compute_seconds(
+        flops=float(size), mem_bytes=2.0 * itemsize * (size + handle.n_unique)
+    )
+
+
 def gs_op(
     handle: GSHandle,
     u: np.ndarray,
@@ -81,6 +93,10 @@ def gs_op(
     itself is allowed — gslib's in-place form).  Collective: every rank
     in the handle's communicator must call with the same ``op`` and
     ``method``.
+
+    ``u`` may be a stack ``(..., *handle.shape)`` of fields: the local
+    passes then run once for the stack, while every field is exchanged,
+    charged, profiled and traced as by its own call, in stack order.
     """
     method = method or handle.method or "pairwise"
     try:
@@ -91,22 +107,17 @@ def gs_op(
         ) from None
     u = np.asarray(u)
     condensed = handle.condense(u, op)
-    if handle.comm.size > 1:
-        if site is None:
-            condensed = exchange(handle, condensed, op)
-        else:
-            condensed = exchange(handle, condensed, op, site=site)
-    out = handle.scatter(condensed, out=out)
-    # Local gather/scatter is a memory-bound indirected pass over the
-    # data (read u + write condensed, read condensed + write out).
-    # gslib pays it on every gs_op, and the paper's Fig. 7 timings
-    # include it, so the virtual clock must too.
-    itemsize = u.dtype.itemsize
-    handle.comm.compute(
-        flops=float(u.size),
-        mem_bytes=2.0 * itemsize * (u.size + handle.n_unique),
-    )
-    return out
+    comm = handle.comm
+    local_pass = _local_pass(handle, u.dtype.itemsize)
+    where = {} if site is None else {"site": site}
+    nfields = prod(u.shape[:u.ndim - len(handle.shape)])
+    for field in condensed.reshape(nfields, handle.n_unique):
+        if comm.size > 1:
+            got = exchange(handle, field, op, **where)
+            if got is not field:  # crystal and allreduce return anew
+                field[...] = got
+        comm.compute(seconds=local_pass)
+    return handle.scatter(condensed, out=out)
 
 
 class GSExchange:
@@ -211,12 +222,9 @@ def gs_op_finish(
     handle = exchange.handle
     op = exchange.op
     if u is not None:
-        u = np.asarray(u)
-        condensed = handle.condense(u, op)
-        size = u.size
+        condensed = handle.condense(np.asarray(u), op)
     else:
         condensed = exchange.condensed
-        size = int(np.prod(handle.shape))
     if exchange.flight is not None:
         condensed = exchange_pairwise_finish(
             exchange.flight, condensed, site=f"{exchange.site}:finish"
@@ -230,11 +238,7 @@ def gs_op_finish(
     out = handle.scatter(condensed, out=out)
     # Same local gather/scatter charge as the blocking gs_op (the
     # deferred re-condense replaces, not adds to, the one at begin).
-    itemsize = condensed.dtype.itemsize
-    handle.comm.compute(
-        flops=float(size),
-        mem_bytes=2.0 * itemsize * (size + handle.n_unique),
-    )
+    handle.comm.compute(seconds=_local_pass(handle, condensed.dtype.itemsize))
     return out
 
 

@@ -49,14 +49,16 @@ from .operators import (
     mass_matrix_diagonal,
     stiffness_1d,
 )
-from .workspace import Workspace
+from .workspace import BLOCK_BYTES, Workspace, as_elements, field_blocks
 
 __all__ = [
+    "BLOCK_BYTES",
     "CYCLES_PER_INST",
     "DIRECTIONS",
     "INST_PER_FLOP",
     "KernelCost",
     "Workspace",
+    "as_elements",
     "barycentric_weights",
     "dealias_flops",
     "dealias_order",
@@ -65,6 +67,7 @@ __all__ = [
     "dudr",
     "duds",
     "dudt",
+    "field_blocks",
     "flops",
     "gll_points",
     "gll_weights",

@@ -20,9 +20,32 @@ this.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
+
+#: Bytes of one dispatch over a ``(field, ...)`` stack.  Small fields
+#: batch (at N=5 with 8 elements every conserved variable goes through
+#: one call: what a call costs there is its dispatch, not its
+#: arithmetic); a field this large or larger is its own block, because
+#: a kernel's several passes over one field stay in cache and over a
+#: stack of them do not (measured at N=16, 64 elements: docs/kernel-ir.md).
+BLOCK_BYTES = 1 << 20
+
+
+def field_blocks(stack: np.ndarray) -> List[slice]:
+    """Slices of ``stack``'s leading (field) axis, each holding as many
+    whole fields as fit :data:`BLOCK_BYTES` and at least one."""
+    per_block = max(1, BLOCK_BYTES // max(1, stack[:1].nbytes))
+    return [
+        slice(i, i + per_block) for i in range(0, len(stack), per_block)
+    ]
+
+
+def as_elements(stack: np.ndarray) -> np.ndarray:
+    """``(k, nel, ...)`` -> ``(k * nel, ...)``: a view when ``stack`` is
+    C-contiguous, which callers that write through it must ensure."""
+    return stack.reshape((-1,) + stack.shape[2:])
 
 
 class Workspace:

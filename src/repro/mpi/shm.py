@@ -211,8 +211,13 @@ class ShmRing:
     # -- consumer side -------------------------------------------------
 
     def pop(self, timeout: float) -> Optional[bytes]:
-        """Take one record, or ``None`` if nothing arrives in time."""
-        if not self.data_sem.acquire(timeout=timeout):
+        """Take one record, or ``None`` if nothing arrives in time
+        (``timeout=0``: if none is there now)."""
+        # A zero timeout still goes through sem_timedwait with the GIL
+        # released (79-97 us a call here); the non-blocking form is 0.2 us.
+        sem = self.data_sem
+        got = sem.acquire(timeout=timeout) if timeout else sem.acquire(False)
+        if not got:
             return None
         head = self._head()
         (n,) = struct.unpack("<I", self._read(head, 4))
@@ -242,16 +247,12 @@ class ShmRing:
         leak shared-memory segments (the reader normally unlinks each
         spill as it consumes it).
         """
-        while self.data_sem.acquire(timeout=0):
-            head = self._head()
-            (n,) = struct.unpack("<I", self._read(head, 4))
-            rec = self._read(head + 4, n)
-            self._set_head(head + 4 + n)
-            if rec[:1] == _KIND_SPILL:
-                try:
-                    self._unspill(rec[1:])
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
+        while True:
+            try:
+                if self.pop(0) is None:
+                    return
+            except FileNotFoundError:  # pragma: no cover - defensive
+                pass
 
     def orphaned_spills(self) -> List[str]:
         """Names of this ring's spill segments still present on disk.
@@ -316,7 +317,7 @@ def dump_envelope(env) -> bytes:
 
     The single codec of the shm ring and the socket ``ENVELOPE`` frame:
     kind byte, fixed header, payload.  What a running exchange sends —
-    C-contiguous numeric arrays, scalars, ``None`` — is never pickled.
+    numeric arrays, scalars, ``None`` — is never pickled.
     """
     head = _ENV.pack(
         env.src, env.dst, env.cid, env.tag, env.nbytes, env.wire_vtime,
@@ -332,7 +333,11 @@ def dump_envelope(env) -> bytes:
         kind = _NPSCALAR
     elif type(p) in (float, int, bool, complex):
         kind, p = _PYSCALAR, np.asarray(p)  # an int beyond 64 bits: object
-    if kind and p.dtype.kind in "biufc" and p.flags.c_contiguous:
+    if kind and p.dtype.kind in "biufc":
+        if not p.flags.c_contiguous:
+            # Not to pickle: numpy pickles a strided array of foreign
+            # byte order as native, and the dtype must arrive as sent.
+            p = p.copy()
         dtype = p.dtype.str.encode("ascii")
         return b"".join((
             kind, head, bytes((len(dtype), p.ndim)), dtype,

@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..kernels import derivatives
+from ..kernels.workspace import as_elements, field_blocks
 
 
 def flux_divergence(
@@ -65,23 +66,30 @@ def flux_divergence_multi(
 ) -> np.ndarray:
     """Divergence for all ``NEQ`` components: inputs ``(5, nel, N, N, N)``.
 
-    ``out``, when given, is the ``(neq, nel, N, N, N)`` result buffer;
-    ``work`` a single ``(nel, N, N, N)`` scratch shared by every
-    component (each component's contraction completes before the next
-    begins, so one scratch suffices).
+    One :func:`flux_divergence` per block of components (element-local
+    kernels: :func:`~repro.kernels.workspace.field_blocks`).  ``out``,
+    when given, is the C-contiguous ``(neq, nel, N, N, N)`` result
+    buffer; ``work`` a scratch shaped like the first, largest, block,
+    ``fx[field_blocks(fx)[0]]`` (a block completes before the next).
     """
     if fx.ndim != 5:
         raise ValueError(f"expected (neq, nel, N, N, N), got {fx.shape}")
     if out is None:
-        out = np.empty_like(fx)
-    elif out.shape != fx.shape or out.dtype != fx.dtype:
+        out = np.empty(fx.shape, dtype=fx.dtype)
+    elif (out.shape != fx.shape or out.dtype != fx.dtype
+          or not out.flags.c_contiguous):
         raise ValueError(
-            f"out has shape {out.shape}, fluxes have {fx.shape}"
+            f"out must be C-contiguous {fx.shape}, got {out.shape}"
         )
-    for c in range(fx.shape[0]):
+    blocks = field_blocks(fx)
+    if work is not None and blocks and work.shape != fx[blocks[0]].shape:
+        raise ValueError(f"work {work.shape} is not one block of {fx.shape}")
+    for b in blocks:
+        bx = fx[b]
         flux_divergence(
-            fx[c], fy[c], fz[c], dmat, jac, variant=variant,
-            out=out[c], work=work,
+            as_elements(bx), as_elements(fy[b]), as_elements(fz[b]),
+            dmat, jac, variant=variant, out=as_elements(out[b]),
+            work=None if work is None else as_elements(work[:len(bx)]),
         )
     return out
 

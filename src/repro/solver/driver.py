@@ -40,6 +40,7 @@ platform rather than Python's own speed.
 from __future__ import annotations
 
 import secrets
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -49,13 +50,15 @@ from ..gs import choose_method, gs_op, gs_op_begin, gs_op_finish, gs_setup
 from ..gs.pairwise import TAG_PAIRWISE
 from ..kernels import Workspace, derivative_matrix, gll_weights
 from ..kernels import derivatives as dkernels
+from ..kernels.dealias import dealias_flops, dealias_order, to_coarse, to_fine
+from ..kernels.workspace import as_elements, field_blocks
 from ..mesh import Partition, dg_face_numbering
 from ..mpi import MAX, SUM, Comm
 from .divergence import divergence_flops, flux_divergence_multi
 from .eos import IdealGas
 from .flux import euler_fluxes, flux_flops
 from .numflux import get_scheme, numflux_flops
-from .rk import cfl_dt, get_stepper
+from .rk import STAGES, cfl_dt, get_stepper
 from .state import ENERGY, MX, NEQ, RHO, FlowState
 from .surface import (
     FACE_NORMAL_AXIS,
@@ -65,6 +68,7 @@ from .surface import (
     full2face_multi,
     full2face_flops,
 )
+from .viscous import viscous_flops, viscous_fluxes
 
 #: Profiler call-site label for the face exchange.
 SITE_FACE_EXCHANGE = "cmt:face_exchange"
@@ -251,8 +255,6 @@ class CMTSolver:
     def _region(self, name: str):
         """Phase bracket: profiler region when attached, else no-op."""
         if self.profiler is None:
-            from contextlib import nullcontext
-
             return nullcontext()
         return self.profiler.region(name)
 
@@ -394,13 +396,6 @@ class CMTSolver:
         nel_b = u.shape[1]
         eos = self.eos
         if self.config.dealias:
-            from ..kernels.dealias import (
-                dealias_flops,
-                dealias_order,
-                to_coarse,
-                to_fine,
-            )
-
             dvariant = self.config.kernel_variant
             m = dealias_order(n)
             work = self._work
@@ -419,24 +414,24 @@ class CMTSolver:
             else:
                 uf_fine = np.empty((NEQ, nel_b, m, m, m), dtype=u.dtype)
                 fout = None
-                fx = np.empty_like(u)
-                fy = np.empty_like(u)
-                fz = np.empty_like(u)
-            for c in range(NEQ):
+                # Not empty_like: a fancy-indexed subset ``u`` is not in
+                # C order, and the transfers write through flat views.
+                fx, fy, fz = (np.empty(u.shape, u.dtype) for _ in range(3))
+            # Blocks of components, sized by the (larger) fine grid.
+            blocks = field_blocks(uf_fine)
+            for b in blocks:
                 to_fine(
-                    u[c], n, m, out=uf_fine[c], work=work, variant=dvariant
+                    as_elements(u[b]), n, m, out=as_elements(uf_fine[b]),
+                    work=work, variant=dvariant,
                 )
             ffx, ffy, ffz = euler_fluxes(uf_fine, eos, out=fout)
-            for c in range(NEQ):
-                to_coarse(
-                    ffx[c], n, m, out=fx[c], work=work, variant=dvariant
-                )
-                to_coarse(
-                    ffy[c], n, m, out=fy[c], work=work, variant=dvariant
-                )
-                to_coarse(
-                    ffz[c], n, m, out=fz[c], work=work, variant=dvariant
-                )
+            for b in blocks:
+                for fine, coarse in ((ffx, fx), (ffy, fy), (ffz, fz)):
+                    to_coarse(
+                        as_elements(fine[b]), n, m,
+                        out=as_elements(coarse[b]), work=work,
+                        variant=dvariant,
+                    )
             # NEQ fields up + 3*NEQ flux components down = 2*NEQ
             # roundtrip-pair equivalents.
             self._charge(
@@ -453,8 +448,6 @@ class CMTSolver:
             fx, fy, fz = euler_fluxes(u, eos, out=fout)
             self._charge(flux_flops(n, nel_b))
         if self.config.viscosity is not None:
-            from .viscous import viscous_flops, viscous_fluxes
-
             fvx, fvy, fvz = viscous_fluxes(
                 u, eos, self.config.viscosity, self.dmat, self.jac,
                 variant=self.config.kernel_variant,
@@ -488,7 +481,7 @@ class CMTSolver:
         out = work = None
         if self._work is not None:
             out = self._work.like(fx, key="div:out")
-            work = self._work.buffer(fx.shape[1:], fx.dtype, key="div:tmp")
+            work = self._work.like(fx[field_blocks(fx)[0]], key="div:tmp")
         div = flux_divergence_multi(
             fx, fy, fz, self.dmat, self.jac,
             variant=self.config.kernel_variant, out=out, work=work,
@@ -512,27 +505,17 @@ class CMTSolver:
         """full2face_cmt: state, normal-flux, and wavespeed traces."""
         n, nel = self.n, self.nel
         ws = self._work
-        if ws is None:
-            uf = full2face_multi(u)
-            fxf = full2face_multi(fx)
-            fyf = full2face_multi(fy)
-            fzf = full2face_multi(fz)
-            ff = np.empty_like(uf)
-        else:
-            tshape = (NEQ, nel, 6, n, n)
-            uf = full2face_multi(
-                u, out=ws.buffer(tshape, u.dtype, key="tr:uf")
-            )
-            fxf = full2face_multi(
-                fx, out=ws.buffer(tshape, u.dtype, key="tr:fxf")
-            )
-            fyf = full2face_multi(
-                fy, out=ws.buffer(tshape, u.dtype, key="tr:fyf")
-            )
-            fzf = full2face_multi(
-                fz, out=ws.buffer(tshape, u.dtype, key="tr:fzf")
-            )
-            ff = ws.buffer(tshape, u.dtype, key="tr:ff")
+
+        def buffer(key):
+            if ws is None:
+                return None  # the extraction allocates it
+            return ws.buffer((NEQ, nel, 6, n, n), u.dtype, key=key)
+
+        uf = full2face_multi(u, out=buffer("tr:uf"))
+        fxf = full2face_multi(fx, out=buffer("tr:fxf"))
+        fyf = full2face_multi(fy, out=buffer("tr:fyf"))
+        fzf = full2face_multi(fz, out=buffer("tr:fzf"))
+        ff = np.empty_like(uf) if ws is None else buffer("tr:ff")
         ff[:, :, 0:2] = fxf[:, :, 0:2]
         ff[:, :, 2:4] = fyf[:, :, 2:4]
         ff[:, :, 4:6] = fzf[:, :, 4:6]
@@ -562,17 +545,17 @@ class CMTSolver:
         """Nearest-neighbour trace exchange via the gs library."""
         h = self.face_handle
         usum, fsum = self._trace_buffers(uf)
-        for c in range(NEQ):
-            gs_op(h, uf[c], op=SUM, site=SITE_FACE_EXCHANGE, out=usum[c])
-            gs_op(h, ff[c], op=SUM, site=SITE_FACE_EXCHANGE, out=fsum[c])
+        for b in field_blocks(uf):
+            gs_op(h, uf[b], op=SUM, site=SITE_FACE_EXCHANGE, out=usum[b])
+            gs_op(h, ff[b], op=SUM, site=SITE_FACE_EXCHANGE, out=fsum[b])
         lam_max = gs_op(h, lam, op=MAX, site=SITE_FACE_EXCHANGE)
         return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
 
     def _begin_exchanges(self, uf, ff, lam) -> list:
         """Post the 11 trace exchanges (5 state + 5 flux SUM, 1 MAX).
 
-        Posting order matches the blocking loop so per-neighbour fold
-        order — and hence floating point — is identical.  Each in-flight
+        Every trace folds its neighbours' payloads in the blocking
+        exchange's order, so floating point is identical.  Each in-flight
         exchange gets a distinct tag; the per-channel FIFO would keep
         same-tag messages ordered anyway, but distinct tags make the
         matching robust and the traces legible.
@@ -628,8 +611,8 @@ class CMTSolver:
         )
         sat_faces = self._sat_scale.reshape(1, 1, 6, 1, 1) * (fstar - ff)
         rhs = np.negative(div, out=out)
-        for c in range(NEQ):
-            face2full_add(rhs[c], sat_faces[c])
+        for b in field_blocks(rhs):
+            face2full_add(rhs[b], sat_faces[b])
         self._charge(numflux_flops(n, nel, ncomp=NEQ))
         return rhs
 
@@ -748,8 +731,6 @@ class CMTSolver:
                 unew = self._stepper(state.u, self.rhs, dt)
             # RK axpy arithmetic: ~2 flops and one read-modify-write
             # per point per stage.
-            from .rk import STAGES
-
             stages = STAGES.get(self.config.time_stepper, 3)
             self._charge(
                 2.0 * stages * float(unew.size),

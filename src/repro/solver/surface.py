@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.workspace import field_blocks
 from ..mesh.topology import FACE_AXIS_SIDE, NFACES
 
 #: For each face, the axis of its outward normal (0=x, 1=y, 2=z).
@@ -24,24 +25,23 @@ def full2face(u: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
 
     ``u`` is ``(nel, N, N, N)``; the result is ``(nel, 6, N, N)`` with
     the face-local coordinates of the topology table (so both elements
-    adjacent to a geometric face index its points identically).
-    ``out``, when given, receives the traces in place.
+    adjacent to a geometric face index its points identically), both
+    under any leading field axes.  ``out``, when given, receives the
+    traces in place.
     """
-    if u.ndim != 4:
+    if u.ndim < 4:
         raise ValueError(f"expected (nel, N, N, N), got {u.shape}")
-    nel, n = u.shape[0], u.shape[1]
+    shape = (*u.shape[:-3], NFACES, *u.shape[-2:])
     if out is None:
-        out = np.empty((nel, NFACES, n, n), dtype=u.dtype)
-    elif out.shape != (nel, NFACES, n, n):
-        raise ValueError(
-            f"out has shape {out.shape}, need {(nel, NFACES, n, n)}"
-        )
-    out[:, 0] = u[:, 0, :, :]
-    out[:, 1] = u[:, -1, :, :]
-    out[:, 2] = u[:, :, 0, :]
-    out[:, 3] = u[:, :, -1, :]
-    out[:, 4] = u[:, :, :, 0]
-    out[:, 5] = u[:, :, :, -1]
+        out = np.empty(shape, dtype=u.dtype)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, need {shape}")
+    out[..., 0, :, :] = u[..., 0, :, :]
+    out[..., 1, :, :] = u[..., -1, :, :]
+    out[..., 2, :, :] = u[..., :, 0, :]
+    out[..., 3, :, :] = u[..., :, -1, :]
+    out[..., 4, :, :] = u[..., :, :, 0]
+    out[..., 5, :, :] = u[..., :, :, -1]
     return out
 
 
@@ -49,22 +49,23 @@ def face2full_add(resid: np.ndarray, faces: np.ndarray) -> None:
     """Accumulate per-face values back onto the volume boundary nodes.
 
     In-place: ``resid`` is ``(nel, N, N, N)``, ``faces`` is
-    ``(nel, 6, N, N)``.  Edge/corner volume nodes belong to several
-    faces and receive every contribution (+=), which is exactly what
-    the tensor-product SAT correction requires.
+    ``(nel, 6, N, N)``, both under any (equal) leading field axes.
+    Edge/corner volume nodes belong to several faces and receive every
+    contribution (+=), which is exactly what the tensor-product SAT
+    correction requires.
     """
-    if resid.ndim != 4 or faces.shape != (
-        resid.shape[0], NFACES, resid.shape[1], resid.shape[1]
+    if resid.ndim < 4 or faces.shape != (
+        *resid.shape[:-3], NFACES, resid.shape[-1], resid.shape[-1]
     ):
         raise ValueError(
             f"shape mismatch: resid {resid.shape}, faces {faces.shape}"
         )
-    resid[:, 0, :, :] += faces[:, 0]
-    resid[:, -1, :, :] += faces[:, 1]
-    resid[:, :, 0, :] += faces[:, 2]
-    resid[:, :, -1, :] += faces[:, 3]
-    resid[:, :, :, 0] += faces[:, 4]
-    resid[:, :, :, -1] += faces[:, 5]
+    resid[..., 0, :, :] += faces[..., 0, :, :]
+    resid[..., -1, :, :] += faces[..., 1, :, :]
+    resid[..., :, 0, :] += faces[..., 2, :, :]
+    resid[..., :, -1, :] += faces[..., 3, :, :]
+    resid[..., :, :, 0] += faces[..., 4, :, :]
+    resid[..., :, :, -1] += faces[..., 5, :, :]
 
 
 def full2face_multi(
@@ -73,17 +74,16 @@ def full2face_multi(
     """Vectorized :func:`full2face` over a leading component axis.
 
     ``u`` is ``(ncomp, nel, N, N, N)`` -> ``(ncomp, nel, 6, N, N)``.
-    ``out``, when given, receives the traces in place (same stores per
-    component as the allocating call, so results are bitwise identical).
+    ``out``, when given, receives the traces in place (the same stores
+    as the allocating call, so results are bitwise identical).  One
+    :func:`full2face` per block of components (``field_blocks``).
     """
     if u.ndim != 5:
         raise ValueError(f"expected (ncomp, nel, N, N, N), got {u.shape}")
     if out is None:
-        return np.stack(
-            [full2face(u[c]) for c in range(u.shape[0])], axis=0
-        )
-    for c in range(u.shape[0]):
-        full2face(u[c], out=out[c])
+        out = np.empty((*u.shape[:2], NFACES, *u.shape[3:]), dtype=u.dtype)
+    for b in field_blocks(u):
+        full2face(u[b], out=out[b])
     return out
 
 

@@ -53,6 +53,18 @@ class TestSpillHygiene:
         assert ring.push(b"after")
         assert ring.pop(timeout=1.0) == b"after"
 
+    def test_nonblocking_pop_and_drain(self, ring):
+        assert ring.pop(0) is None and ring.pop(0.0) is None
+        assert ring.push(b"inline")
+        assert ring.push(big_record(ring))
+        assert len(ring.orphaned_spills()) == 1
+        ring.drain_spills()
+        assert ring.orphaned_spills() == []
+        # semaphore back at zero: nothing to take, now or non-blocking
+        assert not ring.data_sem.acquire(False)
+        assert ring.pop(0) is None
+        assert ring._head() == ring._tail()
+
     def test_dropped_record_unlinks_its_spill(self, ring):
         # Fill the ring to fewer free bytes than even a spill *record*
         # (which only carries the segment name) needs, then give up:
