@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,18 +83,19 @@ class GSHandle:
     global_shared: int = 0
     method: Optional[str] = None
     setup_stats: dict = field(default_factory=dict)
-    #: The compiled pairwise exchange (``repro.gs.pairwise.plan_for``).
-    #: It holds mailboxes and is bound to ``comm``, so it never travels:
-    #: copies and pickles of the handle start without one.
-    _plan: Any = field(default=None, init=False, repr=False, compare=False)
-    #: Fold slots of field stacks (:meth:`_slots`): derived, so not kept.
-    _stacks: Any = field(default=None, init=False, repr=False, compare=False)
+    #: Compiled from the above on first use: the exchange plans
+    #: (``pairwise.plan_for``, ``crystal.CrystalPlan``), bound to ``comm``
+    #: and its mailboxes, and the fold slots of field stacks (``_slots``).
+    #: It never travels: copies and pickles of the handle start without.
+    _derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_plan", None)
-        state.pop("_stacks", None)
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _derived={})
 
     # -- local plans -------------------------------------------------------
 
@@ -113,7 +114,7 @@ class GSHandle:
         offsets, so a stack is folded flat, exactly like one field."""
         if nf == 1:
             return self.dup_index, [s for s, _ in self.rounds]
-        stacks = self._stacks = self._stacks or {}
+        stacks = self._derived.setdefault("stacks", {})
         if nf not in stacks:
             nu = self.n_unique
             ndup = nu if self.dup_index is None else len(self.dup_index)

@@ -137,9 +137,9 @@ class PairwisePlan:
 
 def plan_for(handle: GSHandle) -> PairwisePlan:
     """The handle's plan, compiled on first use for its current comm."""
-    plan = handle._plan
+    plan = handle._derived.get("pairwise")
     if plan is None or plan.comm is not handle.comm:
-        plan = handle._plan = PairwisePlan(handle)
+        plan = handle._derived["pairwise"] = PairwisePlan(handle)
     return plan
 
 

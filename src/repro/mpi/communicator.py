@@ -27,6 +27,7 @@ from .datatypes import (
     SUM,
     copy_payload,
     payload_nbytes,
+    snapshot_payload,
 )
 from .errors import CommunicatorError, RankError
 from .profiler import RankProfile
@@ -176,10 +177,10 @@ class Comm:
         (real MPI keeps a separate context for collectives too).
         """
         self._check_rank(dest, "dest")
-        nbytes = payload_nbytes(payload)
+        snapshot, nbytes = snapshot_payload(payload)
         dst_world = self.group[dest]
         self._inject(
-            copy_payload(payload),
+            snapshot,
             nbytes,
             self.machine.network.send_overhead(nbytes),
             dst_world,

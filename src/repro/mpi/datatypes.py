@@ -10,7 +10,7 @@ arrays and on Python scalars.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -97,20 +97,12 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Wire size of a message payload in bytes.
-
-    Numpy arrays report their buffer size; scalars their itemsize;
-    anything else is costed as its pickle length (the runtime ships
-    Python objects by reference, but the *network model* must charge a
-    realistic byte count).
-    """
+def _sized(payload: Any) -> Optional[int]:
+    """Wire size of a payload that needs no serialising to price."""
     wire = getattr(payload, "__wire_nbytes__", None)
     if wire is not None:
         return int(wire)
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, (np.generic,)):
+    if isinstance(payload, (np.ndarray, np.generic)):
         return payload.nbytes
     if isinstance(payload, (int, float, complex, bool)):
         return 8
@@ -122,6 +114,41 @@ def payload_nbytes(payload: Any) -> int:
         isinstance(p, np.ndarray) for p in payload
     ):
         return sum(p.nbytes for p in payload)
+    return None
+
+
+def _immutable(payload: Any) -> bool:
+    """Nothing the sender could change after the send returns."""
+    scalars = (int, float, complex, bool, str, bytes)
+    return isinstance(payload, scalars + (np.generic, type(None))) or (
+        isinstance(payload, tuple)
+        and all(isinstance(p, scalars) for p in payload)
+    )
+
+
+def snapshot_payload(payload: Any) -> Tuple[Any, int]:
+    """``(copy_payload(payload), payload_nbytes(payload))`` at the price
+    of one: the pickle that snapshots a generic object also prices it."""
+    nbytes = _sized(payload)
+    if isinstance(payload, np.ndarray):
+        return payload.copy(), nbytes
+    if _immutable(payload):
+        return payload, payload_nbytes(payload) if nbytes is None else nbytes
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.loads(blob), len(blob) if nbytes is None else nbytes
+
+
+def payload_nbytes(payload: Any) -> int:
+    """Wire size of a message payload in bytes.
+
+    Numpy arrays report their buffer size; scalars their itemsize;
+    anything else is costed as its pickle length (the runtime ships
+    Python objects by reference, but the *network model* must charge a
+    realistic byte count).
+    """
+    nbytes = _sized(payload)
+    if nbytes is not None:
+        return nbytes
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # pragma: no cover - unpicklable exotic object
@@ -139,12 +166,6 @@ def copy_payload(payload: Any) -> Any:
     """
     if isinstance(payload, np.ndarray):
         return payload.copy()
-    if isinstance(payload, (int, float, complex, bool, str, bytes, np.generic)):
-        return payload
-    if payload is None:
-        return None
-    if isinstance(payload, tuple) and all(
-        isinstance(p, (int, float, complex, bool, str, bytes)) for p in payload
-    ):
+    if _immutable(payload):
         return payload
     return pickle.loads(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))

@@ -203,27 +203,39 @@ class TestPlanAgainstStraightLineReference:
         assert all(Runtime(nranks=4).run(main))
 
     def test_plan_is_per_handle_and_never_copied_or_pickled(self):
+        """Plans of all three methods and a five-field stack live in
+        ``_derived``, which neither ``copy`` nor ``pickle`` carries."""
         import copy
         import pickle
 
         from repro.gs.pairwise import plan_for
 
+        def blob(handle):
+            comm, handle.comm = handle.comm, None
+            try:
+                return pickle.dumps(handle)
+            finally:
+                handle.comm = comm
+
         def main(comm):
-            gids = dg_face_numbering(PART, comm.rank)
+            gids = continuous_numbering(PART, comm.rank)
             handle = gs_setup(gids, comm)
-            gs_op(handle, np.ones(gids.shape))
+            fresh = blob(handle)
+            for method in ("pairwise", "crystal", "allreduce"):
+                gs_op(handle, np.ones((5,) + gids.shape), method=method)
             plan = plan_for(handle)
             clone = copy.copy(handle)
             rebuilt = gs_setup(gids, comm)  # what a rebalance does
-            stored = copy.copy(handle)
-            stored.comm = None
-            blob = pickle.dumps(stored)
+            assert {"pairwise", "stacks", ("crystal", np.dtype(float))} <= set(
+                handle._derived
+            )
             return (
                 plan is plan_for(handle)
-                and clone._plan is None
+                and clone._derived == {}
                 and plan_for(rebuilt) is not plan
-                and b"_plan" not in blob
-                and pickle.loads(blob)._plan is None
+                and blob(handle) == fresh
+                and b"_derived" not in fresh
+                and pickle.loads(fresh)._derived == {}
             )
 
         assert all(Runtime(nranks=4).run(main))
