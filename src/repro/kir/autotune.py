@@ -24,14 +24,14 @@ fingerprint, so the measurement cost is paid once per host::
 
 The file location is ``$REPRO_CACHE_DIR/kernel-autotune.json`` when
 the environment variable is set (tests and CI point it at a temp
-directory), else ``~/.cache/repro/kernel-autotune.json``.  Writes are
-atomic (tmp file + ``os.replace``) and *merged*: the persist path
-re-reads the file under an advisory ``<cache>.lock`` file lock and
-folds the new entry into the current disk state
+directory), else ``~/.cache/repro/kernel-autotune.json``.  The file
+follows the :mod:`repro.store` protocol: writes are atomic and
+*merged* — the persist path re-reads the file under its advisory lock
+and folds the new entry into the current disk state
 (:func:`merge_entry`), so two processes tuning different programs
 concurrently cannot overwrite each other's entries (last-writer-wins
-lost updates).  A missing, corrupt, or wrong-version file degrades to
-an empty cache with a warning rather than an error.
+lost updates) — and a missing, corrupt, or wrong-version file degrades
+to an empty cache with a warning rather than an error.
 :data:`CACHE_STATS` counts hits, misses, and ``races_merged`` — the
 number of persist cycles that found (and kept) a concurrent writer's
 entries — so both a warm second run and a survived write race are
@@ -47,22 +47,15 @@ bitwise-identical to the reference loops in
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # advisory file locking (POSIX); degrade gracefully elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
 
 import numpy as np
 
 from ..autotune import best_time, host_fingerprint
+from ..store import file_lock, load_versioned, save_versioned
 from .ir import Program
 from .lower import DEFAULT_LOWERING, LoweredKernel, lower
 from .passes import ORDER_PRESERVING, applicable_schedules, schedule
@@ -122,75 +115,12 @@ def cache_key(
 
 def load_cache(path: str) -> Dict[str, Dict[str, dict]]:
     """Read the host table; tolerate missing/corrupt/stale files."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return {}
-    except (OSError, json.JSONDecodeError) as exc:
-        CACHE_STATS.load_errors += 1
-        warnings.warn(
-            f"kernel autotune cache {path!r} unreadable ({exc}); "
-            "retuning from scratch",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return {}
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        CACHE_STATS.load_errors += 1
-        warnings.warn(
-            f"kernel autotune cache {path!r} has unsupported layout; "
-            "retuning from scratch",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return {}
-    hosts = data.get("hosts")
-    return hosts if isinstance(hosts, dict) else {}
-
-
-def save_cache(path: str, hosts: Dict[str, Dict[str, dict]]) -> None:
-    """Atomically persist the host table (tmp + rename)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    payload = {"version": CACHE_VERSION, "hosts": hosts}
-    fd, tmp = tempfile.mkstemp(
-        prefix=CACHE_FILENAME + ".", dir=directory
+    hosts, bad = load_versioned(
+        path, CACHE_VERSION, "hosts", "kernel autotune cache",
+        "retuning from scratch",
     )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-@contextmanager
-def _cache_lock(path: str):
-    """Advisory exclusive lock serialising read-merge-write cycles.
-
-    The lock lives in a sibling ``<cache>.lock`` file so lockers never
-    contend with the atomic ``os.replace`` of the cache file itself.
-    On platforms without :mod:`fcntl` the lock degrades to a no-op and
-    only the merge-before-replace in :func:`merge_entry` protects
-    concurrent writers (best effort).
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        yield
-        return
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    with open(path + ".lock", "w") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
+    CACHE_STATS.load_errors += bad
+    return hosts
 
 
 def merge_entry(
@@ -202,18 +132,19 @@ def merge_entry(
 ) -> None:
     """Fold one tuned entry into the on-disk cache without losing races.
 
-    A bare load→modify→:func:`save_cache` between two processes tuning
-    *different* programs is a lost-update race: the last writer's
-    ``os.replace`` discards the other's entry.  This helper re-reads
-    the file under an advisory lock and merges into the *current* disk
-    state, so concurrent tuners interleave instead of clobbering.
+    A bare load→modify→save between two processes tuning *different*
+    programs is a lost-update race: the last writer's ``os.replace``
+    discards the other's entry.  This helper re-reads the file under
+    its advisory lock (:func:`repro.store.file_lock`) and merges into
+    the *current* disk state, so concurrent tuners interleave instead
+    of clobbering.
 
     ``known`` is the caller's earlier snapshot of the file (what it
     believed was on disk before measuring); any key present on disk now
     but absent from ``known`` was written concurrently, and detecting
     one bumps ``CACHE_STATS.races_merged``.
     """
-    with _cache_lock(path):
+    with file_lock(path):
         hosts = load_cache(path)
         if known is not None:
             for h, entries in hosts.items():
@@ -222,7 +153,7 @@ def merge_entry(
                     CACHE_STATS.races_merged += 1
                     break
         hosts.setdefault(host, {})[key] = entry
-        save_cache(path, hosts)
+        save_versioned(path, CACHE_VERSION, "hosts", hosts)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .backend import (
     ProcsBackend,
     ThreadsBackend,
     available_backends,
-    register_backend,
     resolve_backend,
 )
 from .clock import ClockStats, OverlapInterval, TimePolicy, VirtualClock
@@ -106,7 +105,6 @@ __all__ = [
     "TimePolicy",
     "VirtualClock",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "payload_nbytes",
     "spmd",

@@ -11,6 +11,15 @@ what carries each rank:
 * ``procs`` — one forked OS process per rank with envelope delivery
   over shared-memory rings (:mod:`repro.mpi.shm`).  Kernels run truly
   in parallel; payloads and per-rank results must be picklable.
+* ``sockets`` — one OS process per rank over a socket mesh
+  (:mod:`repro.net`), forked here or started on another machine.
+
+The two multi-process backends share everything that is not transport:
+the child runs :func:`serve_rank` over a *link* (:class:`ShmLink` here,
+``MeshLink`` in :mod:`repro.net.agent`), the abort event sits behind one
+:class:`FencedAbort`, and the parent applies one deadlock rule
+(:func:`strike_rule`) and folds the exit records with
+:func:`marshal_exit_records`.
 
 Virtual-time metrics are bitwise-identical across backends by
 construction: every clock charge is a pure function of the machine
@@ -20,7 +29,6 @@ scheduling.  Only wall-clock measurements differ.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 import time
@@ -28,9 +36,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .clock import VirtualClock
 from .errors import AbortError, MPIError, RankCrashError
-from .profiler import RankProfile
 from .shm import (
     DEFAULT_RING_CAPACITY,
     SharedBlockTracker,
@@ -38,7 +44,7 @@ from .shm import (
     dump_envelope,
     load_envelope,
 )
-from .transport import ChannelSeq, Mailbox
+from .transport import ChannelSeq
 
 #: Watchdog polling period (wall seconds).
 _WATCHDOG_PERIOD = 0.5
@@ -55,7 +61,13 @@ _DELIVERY_POLL = 0.05
 _FLUSH_MARK = b"!"
 #: Upper bound on the abort determinism fence (wall seconds): how long
 #: an aborting rank waits for peers to acknowledge its flush markers.
+#: Live peers answer at once; the bound only matters when a peer is
+#: itself dead or wedged.
 _FLUSH_TIMEOUT = 5.0
+
+#: How long the parent waits for a rank process that has reported (or
+#: been declared dead) to exit before terminating it (wall seconds).
+_JOIN_TIMEOUT = 30.0
 
 
 @dataclass
@@ -95,6 +107,28 @@ def run_rank(
         return None, exc, traceback.format_exc()
 
 
+def strike_rule() -> Callable[[int, int, int], bool]:
+    """The deadlock rule, one instance per job.
+
+    The returned ``look(live, blocked, progress)`` is true once every
+    live rank has been blocked with the matching-progress counter
+    unchanged for ``_WATCHDOG_STRIKES`` consecutive looks (several, to
+    guard against sampling races).  :func:`watch_loop` feeds it the
+    shared trackers, the sockets monitor the heartbeat sums.
+    """
+    strikes = 0
+    last_progress = -1
+
+    def look(live: int, blocked: int, progress: int) -> bool:
+        nonlocal strikes, last_progress
+        stuck = blocked >= live and progress == last_progress
+        strikes = strikes + 1 if stuck else 0
+        last_progress = progress
+        return strikes >= _WATCHDOG_STRIKES
+
+    return look
+
+
 def watch_loop(
     live_count: Callable[[], int],
     tracker,
@@ -107,20 +141,14 @@ def watch_loop(
     ``progress_value`` (in-process or shared counters) and
     ``abort_event`` any event with ``wait(timeout)``.
     """
-    strikes = 0
-    last_progress = -1
+    deadlocked = strike_rule()
     while not abort_event.wait(_WATCHDOG_PERIOD):
         live = live_count()
         if live == 0:
             return
-        if tracker.blocked >= live and tracker.progress_value == last_progress:
-            strikes += 1
-            if strikes >= _WATCHDOG_STRIKES:
-                fire()
-                return
-        else:
-            strikes = 0
-        last_progress = tracker.progress_value
+        if deadlocked(live, tracker.blocked, tracker.progress_value):
+            fire()
+            return
 
 
 def format_deadlock_report(snapshots: Dict[int, dict]) -> str:
@@ -136,6 +164,11 @@ def format_deadlock_report(snapshots: Dict[int, dict]) -> str:
     return "\n".join(lines)
 
 
+def hard_exit_record(rank: int, exitcode: Optional[int] = None) -> dict:
+    """The exit record of a rank that died without shipping one."""
+    return {"rank": rank, "hard_exit": True, "exitcode": exitcode}
+
+
 def marshal_exit_records(
     runtime,
     records: Dict[int, dict],
@@ -149,7 +182,7 @@ def marshal_exit_records(
     records carry each rank's result/error plus the state the parent
     must absorb for backend-transparent reporting — virtual clock,
     profile, mailbox snapshot, trace events, fault logs.  A rank with
-    no record (or one flagged ``hard_exit``) died without reporting;
+    no record (or a :func:`hard_exit_record`) died without reporting;
     ``hard_death(rank, exitcode)`` builds its error — an
     :class:`MPIError` for procs, a :class:`RankCrashError` for sockets
     (where a vanished remote process is a recoverable crash).  ``fired``
@@ -184,6 +217,30 @@ def marshal_exit_records(
     if fired:
         runtime._deadlock_report = format_deadlock_report(snapshots)
     return ExecutionOutcome(results, errors, tracebacks)
+
+
+def fork_context(backend: str):
+    """The ``fork`` multiprocessing context both process backends need."""
+    import multiprocessing as mp
+
+    if "fork" not in mp.get_all_start_methods():
+        raise MPIError(
+            f"the {backend} backend forks its local ranks and requires the "
+            "'fork' start method (POSIX only); use backend='threads' on "
+            "this platform"
+        )
+    return mp.get_context("fork")
+
+
+def reap(procs) -> None:
+    """Join resolved rank processes; terminate any that will not exit."""
+    for p in procs:
+        if p is None:
+            continue
+        p.join(timeout=_JOIN_TIMEOUT)
+        if p.is_alive():  # pragma: no cover - hard hang
+            p.terminate()
+            p.join(timeout=5.0)
 
 
 class Backend:
@@ -287,55 +344,40 @@ class _RingMailbox:
         )
 
 
-class _FencedAbort:
-    """Determinism fence around the shared abort event (procs backend).
+class FencedAbort:
+    """The job's abort event as one rank process sees it, behind the
+    determinism fence.
 
     In the threads backend every send lands in the destination mailbox
     before the sender's next statement runs, so by the time a crashing
     rank sets the abort event, everything it managed to send is already
-    delivered.  In the procs backend delivery rides the shm rings on a
-    background thread: without a fence, a survivor blocked in a wait
-    races the crashed rank's final envelopes against the abort flag,
-    and the "completion wins" contract (see
-    :meth:`repro.mpi.transport.Mailbox.wait_for`) degenerates into a
-    scheduling accident — recovery reports diverge from the threads
+    delivered.  Between processes delivery is asynchronous (a shm ring
+    drained by a background thread; a peer socket that is unordered
+    against the control connection the abort travels on): without a
+    fence, a survivor blocked in a wait races the crashed rank's final
+    envelopes against the abort flag, and the "completion wins" contract
+    (see :meth:`repro.mpi.transport.Mailbox.wait_for`) degenerates into
+    a scheduling accident — recovery reports diverge from the threads
     backend run to run.
 
-    ``set`` therefore first pushes a flush marker into every peer ring
-    and waits for each owning delivery thread to acknowledge it (via
-    the shared ``acks`` counter array).  Ring FIFO then guarantees every
-    envelope this rank pushed *before* the marker has been delivered,
-    so when the shared event finally becomes visible, the survivors'
-    mailboxes already hold exactly what the fault plan says they
-    should.  Mirrors the FLUSH/FLUSH_ACK fence of the sockets backend.
-
-    The wait is bounded (``_FLUSH_TIMEOUT``) and skips destinations
-    that already finished — a finished rank consumes nothing, and its
-    delivery thread may be gone.  Ack counters are compared against a
-    per-call baseline, never reset, so pooled workers can reuse one
-    shared array across jobs.
+    ``set`` therefore first runs the link's ``flush``: every peer
+    acknowledges a marker sent *behind* this rank's envelopes on the
+    same FIFO channel, so when the abort finally becomes visible
+    job-wide (``event.set()``: a shared event for procs, an ``ABORT``
+    frame to the driver for sockets), the survivors' mailboxes already
+    hold exactly what the fault plan says they should.  ``flush`` is
+    bounded by ``_FLUSH_TIMEOUT`` and is skipped when this process
+    already knows the job is aborted.
     """
 
-    __slots__ = ("_event", "_rank", "_rings", "_finished", "_acks", "_n")
+    __slots__ = ("_event", "_flush", "is_set", "wait")
 
-    def __init__(self, event, rank, rings, finished, acks):
+    def __init__(self, event, flush: Callable[[], None]):
         self._event = event
-        self._rank = rank
-        self._rings = rings
-        self._finished = finished
-        self._acks = acks
-        self._n = len(rings)
-
-    # Event API relied on by waits, ring pushes and the watchdog.
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout=None) -> bool:
-        return self._event.wait(timeout)
-
-    def clear(self) -> None:  # pragma: no cover - API symmetry
-        self._event.clear()
+        self._flush = flush
+        # Event API relied on by waits, ring pushes and the watchdog.
+        self.is_set = event.is_set
+        self.wait = event.wait
 
     def set(self) -> None:
         if not self._event.is_set():
@@ -345,58 +387,112 @@ class _FencedAbort:
                 pass
         self._event.set()
 
+
+class _ShmJob:
+    """The process-shared state of one procs job: created by the parent
+    before it forks, inherited by every rank."""
+
+    def __init__(self, ctx, nranks: int, ring_capacity: int):
+        self.abort = ctx.Event()
+        self.tracker = SharedBlockTracker(ctx, nranks)
+        self.finished = ctx.RawArray("b", nranks)
+        #: ``(src, dst)`` flush-marker ack counters for the abort fence.
+        #: Lock-free like the tracker: slot ``src * n + dst`` has one
+        #: writer (rank ``dst``'s delivery thread), so a rank killed
+        #: mid-ack leaves nothing held for a later ``abort.set()`` to
+        #: wait on.
+        self.flush_acks = ctx.RawArray("q", nranks * nranks)
+        self.rings = [ShmRing(ctx, ring_capacity) for _ in range(nranks)]
+
+
+class ShmLink:
+    """The shm-ring transport as one rank sees it (see :func:`serve_rank`)."""
+
+    backend = "procs"
+
+    def __init__(self, job: _ShmJob, rank: int, conn):
+        self._job = job
+        self._rank = rank
+        self._conn = conn
+        self._stop = threading.Event()
+        self.abort = FencedAbort(job.abort, self._flush)
+        self.tracker = job.tracker.writer(rank)
+
+    def peer(self, dst: int) -> _RingMailbox:
+        job = self._job
+        return _RingMailbox(job.rings[dst], self.abort, job.finished, dst)
+
+    def start(self, local_box) -> None:
+        threading.Thread(
+            target=self._drain, args=(local_box,),
+            name=f"deliver-{self._rank}", daemon=True,
+        ).start()
+
+    def _drain(self, mailbox) -> None:
+        """Drain this rank's ring into its in-process mailbox."""
+        ring = self._job.rings[self._rank]
+        tracker = self._job.tracker.writer(self._rank, delivery=True)
+        while True:
+            data = ring.pop(timeout=_DELIVERY_POLL)
+            if data is None:
+                if self._stop.is_set():
+                    return
+                continue
+            if data[:1] == _FLUSH_MARK:
+                self._ack_flush(*struct.unpack("<I", data[1:5]))
+                continue
+            mailbox.deliver(load_envelope(data))
+            tracker.bump()
+
+    def _ack_flush(self, src: int) -> None:
+        # Ring FIFO: everything ``src`` pushed before its marker has
+        # been delivered just above.
+        self._job.flush_acks[src * len(self._job.rings) + self._rank] += 1
+
     def _flush(self) -> None:
+        """Push a marker into every live peer's ring; wait for the acks.
+
+        Skips destinations that already finished — a finished rank
+        consumes nothing, and its delivery thread may be gone.
+        """
+        job, me = self._job, self._rank
+        n = len(job.rings)
         deadline = time.monotonic() + _FLUSH_TIMEOUT
-        me = self._rank
         mark = _FLUSH_MARK + struct.pack("<I", me)
         baselines: Dict[int, int] = {}
-        for dst in range(self._n):
+        for dst in range(n):
             if dst == me:
                 continue
-            with self._acks.get_lock():
-                base = self._acks[me * self._n + dst]
-            if self._rings[dst].push(
+            base = job.flush_acks[me * n + dst]
+            if job.rings[dst].push(
                 mark,
                 give_up=lambda d=dst: (
-                    self._finished[d] == 1 or time.monotonic() > deadline
+                    job.finished[d] == 1 or time.monotonic() > deadline
                 ),
                 what=f"flush to rank {dst}",
             ):
                 baselines[dst] = base
         for dst, base in baselines.items():
-            idx = me * self._n + dst
             while (time.monotonic() < deadline
-                   and self._finished[dst] != 1):
-                with self._acks.get_lock():
-                    if self._acks[idx] > base:
-                        break
+                   and job.finished[dst] != 1
+                   and job.flush_acks[me * n + dst] <= base):
                 time.sleep(0.001)
 
+    def retire(self) -> None:
+        self._job.finished[self._rank] = 1
+        self._stop.set()
 
-def _delivery_loop(
-    ring: ShmRing, mailbox: Mailbox, tracker, stop, on_flush=None
-) -> None:
-    """Drain the owning rank's ring into its in-process mailbox."""
-    while True:
-        data = ring.pop(timeout=_DELIVERY_POLL)
-        if data is None:
-            if stop.is_set():
-                return
-            continue
-        if data[:1] == _FLUSH_MARK:
-            if on_flush is not None:
-                (src,) = struct.unpack("<I", data[1:5])
-                on_flush(src)
-            continue
-        mailbox.deliver(load_envelope(data))
-        tracker.bump()
+    def ship(self, record: dict) -> None:
+        self._conn.send(record)
+
+    def close(self) -> None:
+        self._conn.close()
 
 
-def _send_record(conn, record: dict, rank: int, abort_event,
-                 backend: str = "procs") -> None:
+def _send_record(link, record: dict, rank: int) -> None:
     """Ship the exit record to the parent, degrading if unpicklable."""
     try:
-        conn.send(record)
+        link.ship(record)
         return
     except Exception:
         pass
@@ -405,60 +501,54 @@ def _send_record(conn, record: dict, rank: int, abort_event,
     record["result"] = None
     record["error"] = MPIError(
         f"rank {rank} produced an unpicklable result or error{detail}; "
-        f"the {backend} backend requires picklable per-rank values"
+        f"the {link.backend} backend requires picklable per-rank values"
     )
     record["trace"] = None
-    abort_event.set()
+    link.abort.set()
     try:
-        conn.send(record)
+        link.ship(record)
     except Exception:
         record["clock"] = None
         record["profile"] = None
-        conn.send(record)
+        link.ship(record)
 
 
-def _rank_process(
-    runtime, rank, main, args, kwargs, abort, tracker, finished, rings,
-    flush_acks, conn
-) -> None:
-    """Child-process body: patch the forked Runtime copy, run the rank.
+def serve_rank(runtime, rank: int, main, args, kwargs, link) -> None:
+    """The life of one rank in its own process, over any transport.
 
-    The fork gives this process a private copy of the whole Runtime;
-    only the pieces that must be *shared* are swapped for their
-    process-safe counterparts (abort event, block tracker, peer
-    mailboxes).  ``ChannelSeq`` is deliberately process-local: each
-    counter key ``(src, dst)`` is only ever incremented by the ``src``
-    rank, so local counters produce exactly the sequence numbers the
-    shared one would — which keeps fault-injection drop decisions
-    (keyed on seq) identical to the threads backend.
+    ``runtime`` is this process's private copy (a fork snapshot, or one
+    built from a ``JOB`` frame); only the pieces that must be *shared*
+    are swapped for what the ``link`` supplies:
+
+    ===================  ============================================
+    ``link.abort``       the job abort event (a :class:`FencedAbort`)
+    ``link.tracker``     blocked/progress counters the watchdog reads
+    ``link.peer(dst)``   ``deliver(env)`` towards a remote rank
+    ``link.start(box)``  begin draining inbound envelopes into ``box``
+    ``link.retire()``    this rank's ``main`` is over
+    ``link.ship(rec)``   send the exit record to the parent/driver
+    ``link.close()``     release the transport
+    ===================  ============================================
+
+    ``ChannelSeq`` is deliberately process-local: each counter key
+    ``(src, dst)`` is only ever incremented by the ``src`` rank, so
+    local counters produce exactly the sequence numbers the shared one
+    would — which keeps fault-injection drop decisions (keyed on seq)
+    identical to the threads backend.  An exit record always ships,
+    even when the link fails to start.
     """
     record: dict = {"rank": rank}
     local_box = runtime._mailboxes[rank]
-    stop = threading.Event()
-    abort = _FencedAbort(abort, rank, rings, finished, flush_acks)
-
-    def _ack_flush(src: int) -> None:
-        with flush_acks.get_lock():
-            flush_acks[src * runtime.nranks + rank] += 1
-
+    abort = link.abort
     try:
         runtime.abort_event = abort
-        runtime.tracker = tracker.writer(rank)
+        runtime.tracker = link.tracker
         runtime.seq = ChannelSeq()
+        link.start(local_box)
         runtime._mailboxes = [
-            local_box
-            if r == rank
-            else _RingMailbox(rings[r], abort, finished, r)
+            local_box if r == rank else link.peer(r)
             for r in range(runtime.nranks)
         ]
-        deliverer = threading.Thread(
-            target=_delivery_loop,
-            args=(rings[rank], local_box, tracker.writer(rank, delivery=True),
-                  stop, _ack_flush),
-            name=f"deliver-{rank}",
-            daemon=True,
-        )
-        deliverer.start()
         comm = runtime.world_comm(rank)
         result, error, tb = run_rank(main, comm, args, kwargs, abort)
         record.update(result=result, error=error, traceback=tb)
@@ -468,8 +558,7 @@ def _rank_process(
         )
         abort.set()
     finally:
-        finished[rank] = 1
-        stop.set()
+        link.retire()
         record["clock"] = runtime._clocks[rank]
         record["profile"] = runtime._profiles[rank]
         record["snapshot"] = local_box.snapshot()
@@ -478,84 +567,15 @@ def _rank_process(
         if runtime.faults is not None:
             record["crash_log"] = list(runtime.faults.crash_log)
             record["drop_log"] = list(runtime.faults.drop_log)
-        _send_record(conn, record, rank, abort)
-        conn.close()
-
-
-def _pool_rank_loop(
-    runtime, rank, abort, tracker, finished, rings, flush_acks, cmd, rec
-) -> None:
-    """Persistent-worker body: serve jobs until told to stop.
-
-    The fork happens once (at pool creation); each ``("job", ...)``
-    command re-arms this process's private Runtime copy — fresh
-    mailbox, clock, profile, and sequence counters, plus the machine
-    model and time policy shipped with the job — and runs the rank
-    exactly as the one-shot :func:`_rank_process` would.  Between jobs
-    the process blocks on the command pipe, so re-arming replaces a
-    fork + interpreter warm-up with one ``recv``.
-    """
-    abort = _FencedAbort(abort, rank, rings, finished, flush_acks)
-
-    def _ack_flush(src: int) -> None:
-        with flush_acks.get_lock():
-            flush_acks[src * runtime.nranks + rank] += 1
-
-    while True:
         try:
-            msg = cmd.recv()
-        except EOFError:  # parent vanished
-            return
-        if msg[0] == "stop":
-            return
-        _, main, args, kwargs, machine, time_policy = msg
-        record: dict = {"rank": rank}
-        local_box = Mailbox(rank)
-        stop = threading.Event()
-        deliverer = None
-        try:
-            runtime.machine = machine
-            runtime.time_policy = time_policy
-            runtime.abort_event = abort
-            runtime.tracker = tracker.writer(rank)
-            runtime.seq = ChannelSeq()
-            runtime._clocks[rank] = VirtualClock()
-            runtime._profiles[rank] = RankProfile(rank)
-            runtime._mailboxes = [
-                local_box
-                if r == rank
-                else _RingMailbox(rings[r], abort, finished, r)
-                for r in range(runtime.nranks)
-            ]
-            deliverer = threading.Thread(
-                target=_delivery_loop,
-                args=(rings[rank], local_box,
-                      tracker.writer(rank, delivery=True), stop, _ack_flush),
-                name=f"deliver-{rank}",
-                daemon=True,
-            )
-            deliverer.start()
-            comm = runtime.world_comm(rank)
-            result, error, tb = run_rank(main, comm, args, kwargs, abort)
-            record.update(result=result, error=error, traceback=tb)
-        except BaseException as exc:  # noqa: BLE001 - setup failure
-            record.update(
-                result=None, error=exc, traceback=traceback.format_exc()
-            )
-            abort.set()
+            _send_record(link, record, rank)
         finally:
-            finished[rank] = 1
-            stop.set()
-            if deliverer is not None:
-                # The ring must be quiescent before the next job resets
-                # it, so (unlike the one-shot path) the drain thread is
-                # joined before the record ships.
-                deliverer.join()
-            record["clock"] = runtime._clocks[rank]
-            record["profile"] = runtime._profiles[rank]
-            record["snapshot"] = local_box.snapshot()
-            record["pid"] = os.getpid()
-            _send_record(rec, record, rank, abort)
+            link.close()
+
+
+def _rank_process(runtime, rank, main, args, kwargs, job, conn) -> None:
+    """Child-process body of the procs backend."""
+    serve_rank(runtime, rank, main, args, kwargs, ShmLink(job, rank, conn))
 
 
 class ProcsBackend(Backend):
@@ -570,58 +590,18 @@ class ProcsBackend(Backend):
 
     Requirements: the ``fork`` start method (POSIX), and picklable
     message payloads, per-rank return values, and exceptions.
-
-    With ``reusable=True`` the backend keeps a persistent pool of rank
-    workers: the first :meth:`execute` forks them, and every later job
-    *re-arms* the same processes over a command pipe instead of
-    re-forking (amortising fork + import + allocator warm-up across a
-    job stream — the point of the service layer's worker pool).  The
-    same backend instance must then be passed to every Runtime
-    (``Runtime(backend=pool)``), all jobs must use the same ``nranks``,
-    ``main``/``args`` must be picklable, and fault injection / message
-    tracing are refused (those are one-shot-job features).  Call
-    :meth:`close` when done; a worker that dies hard poisons the pool
-    and the next execute raises.
     """
 
     name = "procs"
 
-    def __init__(
-        self,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        join_timeout: float = 30.0,
-        reusable: bool = False,
-    ):
+    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY):
         self.ring_capacity = ring_capacity
-        self.join_timeout = join_timeout
-        self.reusable = reusable
-        self._pool: Optional[dict] = None
-        self._broken = False
-        #: Jobs served by the current pool (diagnostics / tests).
-        self.jobs_served = 0
-
-    @staticmethod
-    def _context():
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise MPIError(
-                "the procs backend requires the 'fork' start method "
-                "(POSIX only); use backend='threads' on this platform"
-            )
-        return mp.get_context("fork")
 
     def execute(self, runtime, main, args, kwargs) -> ExecutionOutcome:
-        if self.reusable:
-            return self._execute_pooled(runtime, main, args, kwargs)
-        ctx = self._context()
+        ctx = fork_context(self.name)
         n = runtime.nranks
-        abort = ctx.Event()
-        tracker = SharedBlockTracker(ctx, n)
-        finished = ctx.Array("b", n, lock=False)
-        # (src, dst) flush-marker ack counters for the abort fence.
-        flush_acks = ctx.Array("q", n * n)
-        rings = [ShmRing(ctx, self.ring_capacity) for _ in range(n)]
+        job = _ShmJob(ctx, n, self.ring_capacity)
+        abort = job.abort
         pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
         procs = []
         fired = threading.Event()
@@ -629,10 +609,7 @@ class ProcsBackend(Backend):
             for r in range(n):
                 p = ctx.Process(
                     target=_rank_process,
-                    args=(
-                        runtime, r, main, args, kwargs, abort, tracker,
-                        finished, rings, flush_acks, pipes[r][1],
-                    ),
+                    args=(runtime, r, main, args, kwargs, job, pipes[r][1]),
                     name=f"rank-{r}",
                     daemon=True,
                 )
@@ -643,7 +620,7 @@ class ProcsBackend(Backend):
             if runtime.deadlock_detection:
 
                 def live() -> int:
-                    return n - sum(finished)
+                    return n - sum(job.finished)
 
                 def fire() -> None:
                     fired.set()
@@ -651,17 +628,13 @@ class ProcsBackend(Backend):
 
                 watchdog = threading.Thread(
                     target=watch_loop,
-                    args=(live, tracker, abort, fire),
+                    args=(live, job.tracker, abort, fire),
                     name="watchdog",
                     daemon=True,
                 )
                 watchdog.start()
             records = self._collect(procs, pipes, abort)
-            for p in procs:
-                p.join(timeout=self.join_timeout)
-                if p.is_alive():  # pragma: no cover - hard hang
-                    p.terminate()
-                    p.join(timeout=5.0)
+            reap(procs)
             abort.set()  # stop the watchdog
             if watchdog is not None:
                 watchdog.join()
@@ -672,14 +645,19 @@ class ProcsBackend(Backend):
                 if p.is_alive():  # pragma: no cover - defensive
                     p.terminate()
                     p.join(timeout=5.0)
-            for ring in rings:
+            for ring in job.rings:
                 ring.drain_spills()
                 # Fallback for hard worker death: unlink spill segments
                 # whose ring record never got published (or whose
                 # reader died before the unlink).
                 ring.sweep_spills()
                 ring.destroy()
-        return self._marshal(runtime, records, fired, n)
+        return marshal_exit_records(
+            runtime, records, fired.is_set(), n,
+            hard_death=lambda r, code: MPIError(
+                f"rank {r} terminated unexpectedly (exit code {code})"
+            ),
+        )
 
     @staticmethod
     def _collect(procs, pipes, abort) -> Dict[int, dict]:
@@ -699,12 +677,15 @@ class ProcsBackend(Backend):
         conns = {pipes[r][0]: r for r in range(len(procs))}
         records: Dict[int, dict] = {}
 
+        def died(rank) -> None:
+            abort.set()
+            records[rank] = hard_exit_record(rank)
+
         def take(conn, rank) -> None:
             try:
                 records[rank] = conn.recv()
             except EOFError:
-                abort.set()
-                records[rank] = {"rank": rank, "hard_exit": True}
+                died(rank)
 
         while conns:
             ready = connection.wait(list(conns), timeout=0.25)
@@ -721,190 +702,29 @@ class ProcsBackend(Backend):
                 if conn.poll(0):
                     take(conn, rank)
                 else:
-                    abort.set()
-                    records[rank] = {"rank": rank, "hard_exit": True}
+                    died(rank)
         for rank, rec in records.items():
             if rec.get("hard_exit"):
                 procs[rank].join(timeout=5.0)
                 rec["exitcode"] = procs[rank].exitcode
         return records
 
-    @staticmethod
-    def _marshal(runtime, records, fired, n) -> ExecutionOutcome:
-        """Fold the children's exit records back into the Runtime."""
-        return marshal_exit_records(
-            runtime, records, fired.is_set(), n,
-            hard_death=lambda r, code: MPIError(
-                f"rank {r} terminated unexpectedly (exit code {code})"
-            ),
-        )
-
-    # -- persistent worker pool (reusable=True) ------------------------
-
-    def _ensure_pool(self, runtime) -> dict:
-        if self._broken:
-            raise MPIError(
-                "this reusable procs pool is broken (a worker died "
-                "hard); create a fresh ProcsBackend"
-            )
-        if self._pool is not None:
-            if self._pool["nranks"] != runtime.nranks:
-                raise MPIError(
-                    f"reusable procs pool was forked for "
-                    f"{self._pool['nranks']} ranks; cannot run a "
-                    f"{runtime.nranks}-rank job on it"
-                )
-            return self._pool
-        ctx = self._context()
-        n = runtime.nranks
-        abort = ctx.Event()
-        tracker = SharedBlockTracker(ctx, n)
-        finished = ctx.Array("b", n, lock=False)
-        # (src, dst) flush-marker ack counters for the abort fence;
-        # monotone across pooled jobs (the fence compares baselines).
-        flush_acks = ctx.Array("q", n * n)
-        rings = [ShmRing(ctx, self.ring_capacity) for _ in range(n)]
-        cmd_pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
-        rec_pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
-        procs = []
-        for r in range(n):
-            p = ctx.Process(
-                target=_pool_rank_loop,
-                args=(
-                    runtime, r, abort, tracker, finished, rings,
-                    flush_acks, cmd_pipes[r][0], rec_pipes[r][1],
-                ),
-                name=f"pool-rank-{r}",
-                daemon=True,
-            )
-            p.start()
-            rec_pipes[r][1].close()  # child keeps the write end
-            procs.append(p)
-        self._pool = {
-            "nranks": n,
-            "abort": abort,
-            "tracker": tracker,
-            "finished": finished,
-            "rings": rings,
-            "cmd_pipes": cmd_pipes,
-            "rec_pipes": rec_pipes,
-            "procs": procs,
-        }
-        return self._pool
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live pool workers (empty before the first job)."""
-        if self._pool is None:
-            return []
-        return [p.pid for p in self._pool["procs"]]
-
-    def _execute_pooled(self, runtime, main, args, kwargs
-                        ) -> ExecutionOutcome:
-        if runtime.faults is not None or runtime.trace is not None:
-            raise MPIError(
-                "a reusable procs pool does not support fault injection "
-                "or message tracing; run those jobs on a fresh one-shot "
-                "backend"
-            )
-        pool = self._ensure_pool(runtime)
-        n = pool["nranks"]
-        # Re-arm shared state.  All workers are blocked on their command
-        # pipes here (the previous job's records were all collected), so
-        # nothing races these resets.
-        for ring in pool["rings"]:
-            ring.reset()
-        for r in range(n):
-            pool["finished"][r] = 0
-        pool["tracker"].reset()
-        pool["abort"].clear()
-        fired = threading.Event()
-        for r in range(n):
-            pool["cmd_pipes"][r][1].send(
-                ("job", main, args, kwargs,
-                 runtime.machine, runtime.time_policy)
-            )
-        watchdog = None
-        if runtime.deadlock_detection:
-
-            def live() -> int:
-                return n - sum(pool["finished"])
-
-            def fire() -> None:
-                fired.set()
-                pool["abort"].set()
-
-            watchdog = threading.Thread(
-                target=watch_loop,
-                args=(live, pool["tracker"], pool["abort"], fire),
-                name="watchdog",
-                daemon=True,
-            )
-            watchdog.start()
-        records = self._collect(
-            pool["procs"], pool["rec_pipes"], pool["abort"]
-        )
-        pool["abort"].set()  # stop the watchdog (cleared at next job)
-        if watchdog is not None:
-            watchdog.join()
-        self.jobs_served += 1
-        if any(rec.get("hard_exit") for rec in records.values()):
-            self._broken = True
-            self.close()
-        return self._marshal(runtime, records, fired, n)
-
-    def close(self) -> None:
-        """Shut the persistent pool down and release its resources."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        for r in range(pool["nranks"]):
-            try:
-                pool["cmd_pipes"][r][1].send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for p in pool["procs"]:
-            p.join(timeout=self.join_timeout)
-            if p.is_alive():  # pragma: no cover - hard hang
-                p.terminate()
-                p.join(timeout=5.0)
-        for r in range(pool["nranks"]):
-            for conn in (pool["cmd_pipes"][r] + pool["rec_pipes"][r]):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        for ring in pool["rings"]:
-            ring.drain_spills()
-            ring.sweep_spills()
-            ring.destroy()
-
 
 def _sockets_factory() -> Backend:
-    # Deferred import: repro.net imports this module, so the registry
+    # Deferred import: repro.net imports this module, so the table
     # entry must not import it back at module load.
     from ..net.backend import SocketBackend
 
     return SocketBackend()
 
 
-#: Registration table: name -> zero-argument factory.  Table-driven so
-#: new backends (and tests) slot in via :func:`register_backend`
-#: without touching resolution logic.
+#: Name -> zero-argument factory.  Anything else reaches a Runtime as a
+#: :class:`Backend` instance (``Runtime(backend=SocketBackend(...))``).
 _BACKENDS: Dict[str, Callable[[], Backend]] = {
     ThreadsBackend.name: ThreadsBackend,
     ProcsBackend.name: ProcsBackend,
     "sockets": _sockets_factory,
 }
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register (or replace) a backend under ``name``.
-
-    ``factory`` takes no arguments and returns a :class:`Backend`;
-    registration makes the name valid for ``Runtime(backend=...)`` and
-    every ``--backend`` CLI flag.
-    """
-    _BACKENDS[name] = factory
 
 
 def available_backends() -> List[str]:

@@ -8,8 +8,10 @@ profiles) and delegates *execution* to a selectable
 * ``procs`` — one forked OS process per rank with shared-memory
   envelope delivery; real kernel work escapes the GIL and runs truly
   in parallel (see :mod:`repro.mpi.backend`).
+* ``sockets`` — one OS process per rank over a socket mesh, on this
+  machine or several (see :mod:`repro.net`).
 
-Either way, a watchdog detects deadlock (every live rank blocked with
+In every case, a watchdog detects deadlock (every live rank blocked with
 no matching progress) and aborts the job with a diagnostic snapshot
 instead of hanging the test suite, and virtual-time metrics are
 identical across backends.
@@ -146,8 +148,7 @@ class Runtime:
         """
         if self._ran:
             raise MPIError(
-                "Runtime is single-shot; create a new instance "
-                "(or call reset() to re-arm this one)"
+                "Runtime is single-shot; create a new instance per job"
             )
         self._ran = True
         outcome = self.backend.execute(
@@ -165,34 +166,6 @@ class Runtime:
                 ) from primary
             raise primary
         return outcome.results
-
-    def reset(self) -> "Runtime":
-        """Re-arm this Runtime for another :meth:`run` call.
-
-        Replaces every piece of per-job state — mailboxes, clocks,
-        profiles, sequence counters, finished flags, the abort event —
-        with fresh instances, so a second job starts from exactly the
-        state a newly constructed Runtime would have.  Fault injectors
-        and message traces are job-scoped and are *not* reset; re-arm
-        is refused while they are attached (build a fresh Runtime for
-        those).  Returns ``self`` for chaining
-        (``rt.reset().run(main)``).
-        """
-        if self.faults is not None or self.trace is not None:
-            raise MPIError(
-                "reset() does not support fault injection or message "
-                "tracing; create a fresh Runtime for those jobs"
-            )
-        self.tracker = BlockTracker()
-        self.seq = ChannelSeq()
-        self.abort_event = threading.Event()
-        self._mailboxes = [Mailbox(r) for r in range(self.nranks)]
-        self._clocks = [VirtualClock() for _ in range(self.nranks)]
-        self._profiles = [RankProfile(r) for r in range(self.nranks)]
-        self._finished = [False] * self.nranks
-        self._deadlock_report = None
-        self._ran = False
-        return self
 
     def _select_error(
         self, errors: Sequence[Optional[BaseException]]

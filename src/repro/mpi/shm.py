@@ -282,17 +282,6 @@ class ShmRing:
         return sum(1 for name in self.orphaned_spills()
                    if _unlink_segment(name))
 
-    def reset(self) -> None:
-        """Re-arm the ring for the next job (persistent worker pools).
-
-        Drops any unread records (unlinking their spills), rewinds
-        ``head``/``tail``, and leaves the semaphore at zero.  Callers
-        must guarantee no writer is active.
-        """
-        self.drain_spills()
-        self.sweep_spills()
-        struct.pack_into("<QQ", self._buf, 0, 0, 0)
-
     def destroy(self) -> None:
         """Release the segment (parent side, after every child exited)."""
         self._buf = None
@@ -396,10 +385,6 @@ class SharedBlockTracker:
         view._progress = 3 * rank + delivery
         view._flag = 3 * rank + 2
         return view
-
-    def reset(self) -> None:
-        """Zero every slot (between jobs of a persistent worker pool)."""
-        self._slots[:] = [0] * len(self._slots)
 
     def bump(self) -> None:
         self._slots[self._progress] += 1

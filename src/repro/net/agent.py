@@ -3,34 +3,28 @@
 The agent's life cycle, whether it was forked by the driver or spawned
 on another machine over ssh:
 
-1. bind a *peer listener* (the socket other ranks will connect to);
-2. connect to the driver's rendezvous address, authenticate with a
-   raw-bytes ``AUTH`` frame (the job token), then send ``HELLO`` with
-   its rank and listen address;
-3. wait for ``WELCOME`` carrying the full peer address table (an
-   external agent also receives a ``JOB`` frame with the pickled work);
-4. build the peer mesh — connect to every lower rank, accept from
-   every higher rank (each connection opens with ``AUTH`` then
-   ``PEER_HELLO``; nothing is unpickled from a peer that has not
-   presented the token);
-5. patch its private :class:`~repro.mpi.runtime.Runtime` copy exactly
-   as the procs backend patches a forked child — remote mailboxes
-   become :class:`_PeerMailbox` stubs, the abort event becomes a
-   :class:`_RemoteAbort` that also notifies the driver — and run the
-   rank under :func:`repro.mpi.backend.run_rank`;
-6. ship the exit record (result, error, clock, profile, snapshot,
-   trace, fault logs) in an ``EXIT`` frame, then wait for ``SHUTDOWN``
-   before closing the mesh, so late sends from slower peers land in
-   the unmatched mailbox queue instead of a dead socket — the exact
-   semantics a finished rank has under the threads backend.
+1. :func:`join_job` — bind a *peer listener* (the socket other ranks
+   will connect to), dial the driver's rendezvous address, authenticate
+   with a raw-bytes ``AUTH`` frame (the job token), send ``HELLO`` with
+   its rank and listen address, and wait for ``WELCOME`` carrying the
+   full peer address table (an external agent also receives a ``JOB``
+   frame with the pickled work);
+2. run :func:`repro.mpi.backend.serve_rank` — the same rank body the
+   procs backend runs — over a :class:`MeshLink`, which builds the peer
+   mesh (connect to every lower rank, accept from every higher rank;
+   each connection opens with ``AUTH`` then ``PEER_HELLO``, and nothing
+   is unpickled from a peer that has not presented the token), carries
+   envelopes on it, heartbeats the tracker counters to the driver, and
+   ships the exit record in an ``EXIT`` frame;
+3. wait for ``SHUTDOWN`` before closing the mesh, so late sends from
+   slower peers land in the unmatched mailbox queue instead of a dead
+   socket — the exact semantics a finished rank has under the threads
+   backend.
 
 Virtual-time parity with threads/procs holds by construction: the
 envelope (with its ``wire_vtime`` and ``seq``) is encoded whole, the
 destination's real :class:`~repro.mpi.transport.Mailbox` does the
-matching, and ``ChannelSeq`` stays process-local (each ``(src, dst)``
-counter is only ever advanced by ``src``, so local counters reproduce
-the shared numbering — which keeps fault-injection drop decisions
-identical too).
+matching, and ``ChannelSeq`` stays process-local (see ``serve_rank``).
 """
 
 from __future__ import annotations
@@ -41,13 +35,12 @@ import pickle
 import socket
 import threading
 import time
-import traceback
 from typing import Dict, Optional
 
-from ..mpi.backend import run_rank
+from ..mpi.backend import _FLUSH_TIMEOUT, FencedAbort, serve_rank
 from ..mpi.errors import AbortError
 from ..mpi.shm import dump_envelope, load_envelope
-from ..mpi.transport import BlockTracker, ChannelSeq
+from ..mpi.transport import BlockTracker
 from .wire import (
     ABORT,
     AUTH,
@@ -79,65 +72,37 @@ _SHUTDOWN_WAIT = 60.0
 #: Peer-mesh accept/connect patience (wall seconds).
 _MESH_TIMEOUT = 30.0
 
-#: How long an aborting rank waits for every peer to acknowledge that
-#: its in-flight envelopes are delivered before the driver is told of
-#: the failure.  Live peers' rx threads answer immediately; the bound
-#: only matters when a peer is itself dead or wedged.
-_FLUSH_TIMEOUT = 5.0
+#: Rendezvous patience (wall seconds), one value for both ends: how long
+#: the driver waits for every agent to dial in, and how long an agent —
+#: forked or external — waits for ``WELCOME`` (and ``JOB``).  An agent
+#: that gave up sooner than the driver would abandon a launch the driver
+#: still considers live.
+RENDEZVOUS_TIMEOUT = 60.0
 
 
-class _RemoteAbort:
-    """The job abort event, distributed.
+class _DriverAbort:
+    """The agent-local abort event whose ``set`` also tells the driver.
 
-    Looks like a :class:`threading.Event` to ``Mailbox.wait_for`` and
-    ``run_rank``; additionally, the first local ``set()`` notifies the
-    driver with an ``ABORT`` frame so every other agent learns of the
-    failure within one control round-trip.  ``set_local()`` is the
-    no-notify variant used when the abort *came from* the driver.
+    The event a :class:`~repro.mpi.backend.FencedAbort` fences here: a
+    local ``set()`` becomes visible job-wide as an ``ABORT`` frame the
+    driver rebroadcasts, so every other agent learns of the failure
+    within one control round-trip.  ``set_local()`` is the no-notify
+    variant used when the abort *came from* the driver or a lost peer.
     """
 
     def __init__(self, ctrl: FrameSocket):
-        self._event = threading.Event()
         self._ctrl = ctrl
-        self._notify_lock = threading.Lock()
-        self._notified = False
-        #: Installed by :func:`run_agent` once the mesh is up; runs the
-        #: FLUSH/FLUSH_ACK fence against every peer.
-        self.flush_peers = None
+        event = threading.Event()
+        self.is_set = event.is_set
+        self.wait = event.wait
+        self.set_local = event.set
 
     def set(self) -> None:
-        self._event.set()
-        with self._notify_lock:
-            if self._notified:
-                return
-            self._notified = True
-        # Determinism fence: envelopes ride the direct peer
-        # connections while the abort rides the control connection —
-        # two unordered TCP streams.  Before the driver (and through
-        # it every peer) learns of this failure, make every peer
-        # acknowledge it has delivered the envelopes this rank already
-        # sent; otherwise a survivor could observe the abort before
-        # consuming them, and its virtual clock at abort would depend
-        # on thread scheduling instead of the fault plan (the
-        # completion-wins contract in ``Mailbox.wait_for``).
-        if self.flush_peers is not None:
-            try:
-                self.flush_peers()
-            except Exception:
-                pass  # best effort; the abort must still go out
+        self.set_local()
         try:
             self._ctrl.send_frame(ABORT, pickle.dumps({}))
         except TransportError:
             pass  # driver gone; local abort already set
-
-    def set_local(self) -> None:
-        self._event.set()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
 
 
 class _PeerMailbox:
@@ -152,7 +117,7 @@ class _PeerMailbox:
 
     __slots__ = ("_fs", "_abort", "_closing", "_dst")
 
-    def __init__(self, fs: FrameSocket, abort: _RemoteAbort,
+    def __init__(self, fs: FrameSocket, abort: FencedAbort,
                  closing: threading.Event, dst: int):
         self._fs = fs
         self._abort = abort
@@ -171,7 +136,7 @@ class _PeerMailbox:
             ) from None
 
 
-def _peer_rx(fs: FrameSocket, mailbox, tracker, abort: _RemoteAbort,
+def _peer_rx(fs: FrameSocket, mailbox, tracker, abort: _DriverAbort,
              closing: threading.Event, ack: threading.Event) -> None:
     """Drain one peer connection's envelopes into the local mailbox."""
     while True:
@@ -204,7 +169,7 @@ def _peer_rx(fs: FrameSocket, mailbox, tracker, abort: _RemoteAbort,
             ack.set()
 
 
-def _ctrl_rx(ctrl: FrameSocket, abort: _RemoteAbort,
+def _ctrl_rx(ctrl: FrameSocket, abort: _DriverAbort,
              shutdown: threading.Event) -> None:
     """Watch the control connection for ABORT/SHUTDOWN (or driver death)."""
     while True:
@@ -226,8 +191,8 @@ def _ctrl_rx(ctrl: FrameSocket, abort: _RemoteAbort,
 
 
 def _heartbeat_loop(ctrl: FrameSocket, tracker: BlockTracker,
-                    stop: threading.Event, interval: float) -> None:
-    while not stop.wait(interval):
+                    stop: threading.Event) -> None:
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
             ctrl.send_frame(HEARTBEAT, pickle.dumps({
                 "blocked": tracker.blocked,
@@ -319,183 +284,171 @@ def _build_mesh(rank: int, nranks: int, listener: socket.socket,
     return socks
 
 
-def _exit_conn(ctrl: FrameSocket):
-    """Adapt the control socket to the exit-record pipe interface."""
+class MeshLink:
+    """The socket mesh as one rank sees it (see ``serve_rank``)."""
 
-    class _Conn:
-        @staticmethod
-        def send(record: dict) -> None:
-            ctrl.send_frame(EXIT, pickle.dumps(record))
+    backend = "sockets"
 
-    return _Conn()
+    def __init__(self, rank: int, ctrl: FrameSocket,
+                 listener: socket.socket, welcome: dict, token: str):
+        self._rank = rank
+        self.nranks = int(welcome["nranks"])
+        self._ctrl = ctrl
+        self._listener = listener
+        self._peers = welcome["peers"]
+        self._token = token
+        self._socks: Dict[int, FrameSocket] = {}
+        self._acks: Dict[int, threading.Event] = {}
+        self._closing = threading.Event()
+        self._shutdown = threading.Event()
+        self._hb_stop = threading.Event()
+        self._local = _DriverAbort(ctrl)
+        self.abort = FencedAbort(self._local, self._flush)
+        self.tracker = BlockTracker()
 
+    def _spawn(self, name: str, target, *args) -> None:
+        threading.Thread(
+            target=target, args=args, name=f"{name}-{self._rank}",
+            daemon=True,
+        ).start()
 
-def run_agent(runtime, rank: int, main, args, kwargs,
-              ctrl: FrameSocket, listener: socket.socket,
-              peers: Dict[int, tuple], token: str,
-              hb_interval: float = HEARTBEAT_INTERVAL,
-              max_frame: int = 0) -> None:
-    """Body of one rank agent, from WELCOME to SHUTDOWN.
-
-    ``runtime`` is this process's private copy (fork snapshot or a
-    freshly built one for external agents); it is patched in place the
-    way :func:`repro.mpi.backend._rank_process` patches a forked
-    child.  Always ships an exit record — even on setup failure — and
-    always waits for the driver's SHUTDOWN before tearing the mesh
-    down.
-    """
-    from ..mpi.backend import _send_record
-
-    max_frame = max_frame or ctrl.max_frame
-    record: dict = {"rank": rank}
-    abort = _RemoteAbort(ctrl)
-    closing = threading.Event()
-    shutdown = threading.Event()
-    tracker = BlockTracker()
-    local_box = runtime._mailboxes[rank]
-    hb_stop = threading.Event()
-    peer_socks: Dict[int, FrameSocket] = {}
-
-    ctrl_thread = threading.Thread(
-        target=_ctrl_rx, args=(ctrl, abort, shutdown),
-        name=f"ctrl-{rank}", daemon=True,
-    )
-    ctrl_thread.start()
-    hb_thread = threading.Thread(
-        target=_heartbeat_loop, args=(ctrl, tracker, hb_stop, hb_interval),
-        name=f"hb-{rank}", daemon=True,
-    )
-    hb_thread.start()
-    try:
-        peer_socks = _build_mesh(
-            rank, runtime.nranks, listener, peers, token, max_frame
+    def start(self, local_box) -> None:
+        # Control and heartbeat first: a mesh that never completes must
+        # still see ABORT/SHUTDOWN, and the driver's heartbeat clock is
+        # already running.
+        self._spawn("ctrl", _ctrl_rx, self._ctrl, self._local,
+                    self._shutdown)
+        self._spawn("hb", _heartbeat_loop, self._ctrl, self.tracker,
+                    self._hb_stop)
+        self._socks = _build_mesh(
+            self._rank, self.nranks, self._listener, self._peers,
+            self._token, self._ctrl.max_frame,
         )
-        acks = {r: threading.Event() for r in peer_socks}
+        self._acks = {r: threading.Event() for r in self._socks}
+        for r, fs in self._socks.items():
+            self._spawn(f"rx-from-{r}", _peer_rx, fs, local_box,
+                        self.tracker, self._local, self._closing,
+                        self._acks[r])
 
-        def flush_peers() -> None:
-            for r, fs in peer_socks.items():
-                try:
-                    fs.send_frame(FLUSH, b"")
-                except TransportError:
-                    acks[r].set()  # connection gone: nothing in flight
-            deadline = time.monotonic() + _FLUSH_TIMEOUT
-            for r in peer_socks:
-                acks[r].wait(
-                    timeout=max(deadline - time.monotonic(), 0.0)
-                )
+    def peer(self, dst: int) -> _PeerMailbox:
+        return _PeerMailbox(self._socks[dst], self.abort, self._closing, dst)
 
-        abort.flush_peers = flush_peers
-        runtime.abort_event = abort
-        runtime.tracker = tracker
-        runtime.seq = ChannelSeq()
-        runtime._mailboxes = [
-            local_box
-            if r == rank
-            else _PeerMailbox(peer_socks[r], abort, closing, r)
-            for r in range(runtime.nranks)
-        ]
-        for r, fs in peer_socks.items():
-            threading.Thread(
-                target=_peer_rx,
-                args=(fs, local_box, tracker, abort, closing, acks[r]),
-                name=f"rx-{rank}-from-{r}", daemon=True,
-            ).start()
-        comm = runtime.world_comm(rank)
-        result, error, tb = run_rank(main, comm, args, kwargs, abort)
-        record.update(result=result, error=error, traceback=tb)
-    except BaseException as exc:  # noqa: BLE001 - setup failure
-        record.update(
-            result=None, error=exc, traceback=traceback.format_exc()
-        )
-        abort.set()
-    finally:
-        hb_stop.set()
-        record["clock"] = runtime._clocks[rank]
-        record["profile"] = runtime._profiles[rank]
-        record["snapshot"] = local_box.snapshot()
-        record["pid"] = os.getpid()
-        if runtime.trace is not None:
-            record["trace"] = list(runtime.trace._per_rank[rank])
-        if runtime.faults is not None:
-            record["crash_log"] = list(runtime.faults.crash_log)
-            record["drop_log"] = list(runtime.faults.drop_log)
-        try:
-            _send_record(_exit_conn(ctrl), record, rank, abort,
-                         backend="sockets")
-        except TransportError:
-            pass  # driver gone; nothing left to report to
+    def _flush(self) -> None:
+        """FLUSH every peer connection; wait for the FLUSH_ACKs."""
+        for r, fs in self._socks.items():
+            try:
+                fs.send_frame(FLUSH, b"")
+            except TransportError:
+                self._acks[r].set()  # connection gone: nothing in flight
+        deadline = time.monotonic() + _FLUSH_TIMEOUT
+        for ack in self._acks.values():
+            ack.wait(timeout=max(deadline - time.monotonic(), 0.0))
+
+    def retire(self) -> None:
+        self._hb_stop.set()
+
+    def ship(self, record: dict) -> None:
+        self._ctrl.send_frame(EXIT, pickle.dumps(record))
+
+    def close(self) -> None:
         # Keep the mesh open until every rank's record is in: a slower
         # peer may still be sending to this (finished) rank, and those
         # envelopes must land in the unmatched queue, not a RST.
-        shutdown.wait(timeout=_SHUTDOWN_WAIT)
-        closing.set()
-        for fs in peer_socks.values():
+        self._shutdown.wait(timeout=_SHUTDOWN_WAIT)
+        self._closing.set()
+        for fs in self._socks.values():
             fs.close()
         try:
-            listener.close()
+            self._listener.close()
         except OSError:
             pass
-        ctrl.close()
+        self._ctrl.close()
+
+
+def join_job(rendezvous: tuple, token: str, rank: int, host: str,
+             external: bool, bind_host: str,
+             advertise_host: Optional[str]):
+    """The agent handshake: AUTH → HELLO → WELCOME [→ JOB].
+
+    Binds this rank's peer listener (``bind_host``/``advertise_host``
+    shape the address published in ``HELLO`` — an agent other machines
+    must reach binds a real interface and advertises a routable name),
+    dials the driver and waits, with the driver's own patience, for the
+    peer table.  An ``external`` agent shares no memory with the driver,
+    so its work follows as a pickled ``JOB`` frame.  Returns ``(link,
+    job)`` — the :class:`MeshLink` this rank will run over — or ``None``
+    when the driver cancelled the launch during rendezvous.
+    """
+    family = rendezvous[0]
+    unix_dir = None
+    if family == "unix":
+        unix_dir = os.path.dirname(rendezvous[1]) or None
+    listener, listen_addr = make_listener(
+        family, unix_dir=unix_dir, name=f"peer{rank}",
+        bind_host=bind_host, advertise_host=advertise_host,
+    )
+    ctrl = connect(rendezvous)
+    ctrl.send_frame(AUTH, token.encode("ascii"))
+    ctrl.send_frame(HELLO, pickle.dumps({
+        "rank": rank,
+        "listen": listen_addr,
+        "host": host,
+        "pid": os.getpid(),
+        "external": external,
+    }))
+    frame = ctrl.recv_frame(timeout=RENDEZVOUS_TIMEOUT)
+    if frame is None or frame[0] == SHUTDOWN:
+        return None
+    if frame[0] != WELCOME:
+        raise TransportError(f"expected WELCOME, got {frame[0]!r}")
+    welcome = pickle.loads(frame[1])
+    job = None
+    if external:
+        frame = ctrl.recv_frame(timeout=RENDEZVOUS_TIMEOUT)
+        if frame is None or frame[0] != JOB:
+            raise TransportError("driver did not ship a JOB frame")
+        job = pickle.loads(frame[1])
+    return MeshLink(rank, ctrl, listener, welcome, token), job
+
+
+def run_agent(runtime, rank: int, main, args, kwargs,
+              link: MeshLink) -> None:
+    """Body of one rank agent, from WELCOME to SHUTDOWN."""
+    try:
+        serve_rank(runtime, rank, main, args, kwargs, link)
+    except TransportError:
+        pass  # driver gone; nothing left to report to
 
 
 # -- external (ssh / subprocess) agent entry ---------------------------
 
 
 def external_agent(connect_to: tuple, token: str, rank: int,
-                   family: str = "tcp",
                    bind_host: str = "127.0.0.1",
                    advertise_host: Optional[str] = None) -> int:
     """``python -m repro.net``: join a job from a fresh process.
 
-    Unlike a forked agent this process shares no memory with the
-    driver, so the work arrives as a ``JOB`` frame: a pickled bundle of
-    ``main``/``args``/``kwargs`` plus the Runtime construction
-    parameters (machine model, time policy, fault plan, trace flag).
-    The driver refuses unpicklable jobs up front with a clear error.
-    ``bind_host``/``advertise_host`` shape the peer listener address
-    published in ``HELLO`` — an agent on another machine must bind a
-    real interface and advertise a name its peers can route to.
+    The ``JOB`` frame is a pickled bundle of ``main``/``args``/
+    ``kwargs`` plus the Runtime construction parameters (machine model,
+    time policy, fault plan, trace flag).  The driver refuses
+    unpicklable jobs up front with a clear error.
     """
     from ..mpi.runtime import Runtime
 
-    unix_dir = None
-    if family == "unix":
-        unix_dir = os.path.dirname(connect_to[1]) or None
-    listener, listen_addr = make_listener(
-        family, unix_dir=unix_dir, name=f"peer{rank}",
-        bind_host=bind_host, advertise_host=advertise_host,
-    )
-    ctrl = connect(connect_to)
-    ctrl.send_frame(AUTH, token.encode("ascii"))
-    ctrl.send_frame(HELLO, pickle.dumps({
-        "rank": rank,
-        "listen": listen_addr,
-        "host": socket.gethostname(),
-        "pid": os.getpid(),
-        "external": True,
-    }))
-    frame = ctrl.recv_frame(timeout=_MESH_TIMEOUT)
-    if frame is None or frame[0] != WELCOME:
-        raise TransportError("rendezvous did not answer with WELCOME")
-    welcome = pickle.loads(frame[1])
-    frame = ctrl.recv_frame(timeout=_MESH_TIMEOUT)
-    if frame is None or frame[0] != JOB:
-        raise TransportError("driver did not ship a JOB frame")
-    job = pickle.loads(frame[1])
-
+    joined = join_job(connect_to, token, rank, socket.gethostname(),
+                      True, bind_host, advertise_host)
+    if joined is None:
+        return 0
+    link, job = joined
     runtime = Runtime(
-        nranks=int(welcome["nranks"]),
+        nranks=link.nranks,
         machine=job["machine"],
         time_policy=job["time_policy"],
         trace_messages=job["trace_messages"],
         fault_plan=job["fault_plan"],
         fault_base_step=job["fault_base_step"],
     )
-    run_agent(
-        runtime, rank, job["main"], job["args"], job["kwargs"],
-        ctrl, listener, welcome["peers"], token,
-        hb_interval=job.get("hb_interval", HEARTBEAT_INTERVAL),
-    )
+    run_agent(runtime, rank, job["main"], job["args"], job["kwargs"], link)
     return 0
 
 
@@ -519,10 +472,8 @@ def _cli(argv=None) -> int:
                         "bind host, or this machine's hostname when "
                         "binding a wildcard)")
     args = p.parse_args(argv)
-    address = parse_address(args.connect)
-    return external_agent(address, args.token, args.rank,
-                          family=address[0],
-                          bind_host=args.bind_host,
+    return external_agent(parse_address(args.connect), args.token,
+                          args.rank, bind_host=args.bind_host,
                           advertise_host=args.advertise_host)
 
 

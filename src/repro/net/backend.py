@@ -47,13 +47,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpi.backend import (
     _WATCHDOG_PERIOD,
-    _WATCHDOG_STRIKES,
     Backend,
     ExecutionOutcome,
+    fork_context,
+    hard_exit_record,
     marshal_exit_records,
+    reap,
+    strike_rule,
 )
 from ..mpi.errors import AbortError, MPIError, RankCrashError
-from .agent import HEARTBEAT_INTERVAL, run_agent
+from .agent import RENDEZVOUS_TIMEOUT, join_job, run_agent
 from .hostfile import agent_argv, is_local_host, ssh_command
 from .wire import (
     ABORT,
@@ -62,12 +65,10 @@ from .wire import (
     HEARTBEAT,
     HELLO,
     JOB,
-    MAX_FRAME_BYTES,
     SHUTDOWN,
     WELCOME,
     FrameSocket,
     TransportError,
-    connect,
     make_listener,
 )
 
@@ -76,8 +77,7 @@ _POLL = 0.1
 
 
 def _forked_agent(runtime, rank, main, args, kwargs, rendezvous, token,
-                  family, host_label, hb_interval, max_frame,
-                  bind_host, advertise_host) -> None:
+                  host_label, bind_host, advertise_host) -> None:
     """Child body for a locally forked rank agent.
 
     The fork snapshot carries the Runtime and the job closure, so —
@@ -90,33 +90,31 @@ def _forked_agent(runtime, rank, main, args, kwargs, rendezvous, token,
     """
     if host_label:
         os.environ["REPRO_HOST_ID"] = host_label
-    unix_dir = None
-    if family == "unix":
-        unix_dir = os.path.dirname(rendezvous[1]) or None
-    listener, listen_addr = make_listener(
-        family, unix_dir=unix_dir, name=f"peer{rank}",
-        bind_host=bind_host, advertise_host=advertise_host,
+    joined = join_job(
+        rendezvous, token, rank, host_label or _socket.gethostname(),
+        False, bind_host, advertise_host,
     )
-    ctrl = connect(rendezvous, max_frame=max_frame)
-    ctrl.send_frame(AUTH, token.encode("ascii"))
-    ctrl.send_frame(HELLO, pickle.dumps({
-        "rank": rank,
-        "listen": listen_addr,
-        "host": host_label or _socket.gethostname(),
-        "pid": os.getpid(),
-        "external": False,
-    }))
-    frame = ctrl.recv_frame(timeout=60.0)
-    if frame is None or frame[0] == SHUTDOWN:
-        return  # job cancelled during rendezvous
-    if frame[0] != WELCOME:
-        raise TransportError(f"expected WELCOME, got {frame[0]!r}")
-    welcome = pickle.loads(frame[1])
-    run_agent(
-        runtime, rank, main, args, kwargs, ctrl, listener,
-        welcome["peers"], token, hb_interval=hb_interval,
-        max_frame=max_frame,
-    )
+    if joined is not None:  # else: job cancelled during rendezvous
+        link, _job = joined
+        run_agent(runtime, rank, main, args, kwargs, link)
+
+
+class _AgentPopen(subprocess.Popen):
+    """A subprocess agent behind the ``multiprocessing.Process`` calls
+    the monitor and :func:`~repro.mpi.backend.reap` make."""
+
+    def is_alive(self) -> bool:
+        return self.poll() is None
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        try:
+            self.wait(timeout)
+        except subprocess.TimeoutExpired:
+            pass
+
+    @property
+    def exitcode(self) -> Optional[int]:
+        return self.poll()
 
 
 class SocketBackend(Backend):
@@ -139,10 +137,10 @@ class SocketBackend(Backend):
     then must be picklable; used to exercise the remote protocol
     without ssh.
 
-    Failure detection knobs: ``hb_interval`` is the agent heartbeat
-    cadence, ``hb_timeout`` the silence after which a rank is declared
-    dead (the backstop for remote agents; local processes are also
-    liveness-polled every monitor tick, which is much faster).
+    Failure detection: ``hb_timeout`` is the heartbeat silence after
+    which a rank is declared dead (the backstop for remote agents;
+    local processes are also liveness-polled every monitor tick, which
+    is much faster).
 
     Addressing: with only local ranks everything binds and advertises
     loopback.  The moment the layout contains a genuinely remote host,
@@ -161,13 +159,8 @@ class SocketBackend(Backend):
         hosts: Optional[Sequence[str]] = None,
         loopback: bool = False,
         external: bool = False,
-        hb_interval: float = HEARTBEAT_INTERVAL,
         hb_timeout: float = 10.0,
-        connect_timeout: float = 60.0,
-        join_timeout: float = 30.0,
-        max_frame: int = MAX_FRAME_BYTES,
         python: str = "python3",
-        ssh: Tuple[str, ...] = ("ssh", "-o", "BatchMode=yes"),
         bind_host: Optional[str] = None,
         advertise_host: Optional[str] = None,
     ):
@@ -180,28 +173,12 @@ class SocketBackend(Backend):
         self.hosts = list(hosts) if hosts is not None else None
         self.loopback = loopback
         self.external = external
-        self.hb_interval = hb_interval
         self.hb_timeout = hb_timeout
-        self.connect_timeout = connect_timeout
-        self.join_timeout = join_timeout
-        self.max_frame = max_frame
         self.python = python
-        self.ssh = tuple(ssh)
         self.bind_host = bind_host
         self.advertise_host = advertise_host
 
     # -- spawning ------------------------------------------------------
-
-    @staticmethod
-    def _context():
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise MPIError(
-                "the sockets backend requires the 'fork' start method "
-                "for local ranks (POSIX only)"
-            )
-        return mp.get_context("fork")
 
     def _listen_policy(
         self, modes: Sequence[Tuple[str, Optional[str]]]
@@ -252,7 +229,6 @@ class SocketBackend(Backend):
                 runtime.faults.base_step
                 if runtime.faults is not None else 0
             ),
-            "hb_interval": self.hb_interval,
         }
         try:
             return pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
@@ -298,45 +274,39 @@ class SocketBackend(Backend):
             for r, (mode, label) in enumerate(modes):
                 if mode == "fork":
                     if ctx is None:
-                        ctx = self._context()
-                    p = ctx.Process(
+                        ctx = fork_context(self.name)
+                    procs[r] = ctx.Process(
                         target=_forked_agent,
                         args=(runtime, r, main, args, kwargs, address,
-                              token, self.family, label,
-                              self.hb_interval, self.max_frame,
-                              bind_host, advertise_host),
+                              token, label, bind_host, advertise_host),
                         name=f"sock-rank-{r}",
                         daemon=True,
                     )
-                    p.start()
-                    procs[r] = p
+                    procs[r].start()
                 elif mode == "popen":
                     cmd = agent_argv(
                         address, token, r, python=sys.executable,
                         bind_host=bind_host,
                         advertise_host=advertise_host,
                     )
-                    procs[r] = subprocess.Popen(
+                    procs[r] = _AgentPopen(
                         cmd, env=self._popen_env(label),
                         stdin=subprocess.DEVNULL,
                     )
                 else:  # ssh
                     cmd = ssh_command(
-                        label, address, token, r,
-                        python=self.python, ssh=self.ssh,
+                        label, address, token, r, python=self.python
                     )
-                    procs[r] = subprocess.Popen(
-                        cmd, stdin=subprocess.DEVNULL
-                    )
+                    procs[r] = _AgentPopen(cmd, stdin=subprocess.DEVNULL)
             records, fired = self._monitor(
-                runtime, listener, token, procs, modes, job_bytes
+                runtime, listener, token, procs, job_bytes
             )
         finally:
             try:
                 listener.close()
             except OSError:
                 pass
-            self._reap(procs)
+            reap(procs)
             if unix_dir is not None:
                 shutil.rmtree(unix_dir, ignore_errors=True)
         return marshal_exit_records(
@@ -348,38 +318,10 @@ class SocketBackend(Backend):
             ),
         )
 
-    def _reap(self, procs) -> None:
-        for p in procs:
-            if p is None:
-                continue
-            if hasattr(p, "is_alive"):  # multiprocessing.Process
-                p.join(timeout=self.join_timeout)
-                if p.is_alive():  # pragma: no cover - hard hang
-                    p.terminate()
-                    p.join(timeout=5.0)
-            else:  # subprocess.Popen
-                try:
-                    p.wait(timeout=self.join_timeout)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    p.kill()
-                    p.wait(timeout=5.0)
-
     @staticmethod
     def _exitcode(proc) -> Optional[int]:
-        if proc is None:
-            return None
-        if hasattr(proc, "is_alive"):  # multiprocessing.Process
-            proc.join(timeout=5.0)  # reap so exitcode is populated
-            return proc.exitcode
-        return proc.poll()
-
-    @staticmethod
-    def _proc_dead(proc) -> bool:
-        if proc is None:
-            return True
-        if hasattr(proc, "is_alive"):
-            return not proc.is_alive()
-        return proc.poll() is not None
+        proc.join(timeout=5.0)  # reap so exitcode is populated
+        return proc.exitcode
 
     def _monitor(
         self,
@@ -387,7 +329,6 @@ class SocketBackend(Backend):
         listener,
         token: str,
         procs,
-        modes,
         job_bytes: Optional[bytes],
     ) -> Tuple[Dict[int, dict], bool]:
         """Rendezvous + run-phase control loop.
@@ -412,58 +353,47 @@ class SocketBackend(Backend):
         welcomed = False
         aborted = False
         fired = False
-        strikes = 0
-        last_progress = -1
+        deadlocked = strike_rule()
         next_watch = time.monotonic() + _WATCHDOG_PERIOD
-        deadline = time.monotonic() + self.connect_timeout
+        deadline = time.monotonic() + RENDEZVOUS_TIMEOUT
+
+        def tell_all(kind: bytes) -> None:
+            for fs in conns.values():
+                try:
+                    fs.send_frame(kind, pickle.dumps({}))
+                except TransportError:
+                    pass
 
         def broadcast_abort() -> None:
             nonlocal aborted
-            if aborted:
-                return
-            aborted = True
-            for fs in conns.values():
-                try:
-                    fs.send_frame(ABORT, pickle.dumps({}))
-                except TransportError:
-                    pass
+            if not aborted:
+                aborted = True
+                tell_all(ABORT)
 
-        def hard_death(rank: int) -> None:
+        def lost(rank: int, why: str) -> None:
+            """``rank`` is gone and left no exit record."""
             if rank in records:
                 return
-            records[rank] = {
-                "rank": rank,
-                "hard_exit": True,
-                "exitcode": self._exitcode(procs[rank]),
-            }
-            broadcast_abort()
-
-        def startup_failure(rank: int, why: str) -> None:
-            """A rank died before WELCOME: cancel the whole launch."""
-            records[rank] = {
-                "rank": rank,
-                "hard_exit": True,
-                "exitcode": self._exitcode(procs[rank]),
-            }
+            records[rank] = hard_exit_record(
+                rank, self._exitcode(procs[rank])
+            )
+            if welcomed:
+                broadcast_abort()
+                return
+            # Died before WELCOME: cancel the whole launch.
             for r in range(n):
-                if r not in records:
-                    records[r] = {
-                        "rank": r,
-                        "result": None,
-                        "error": AbortError(
-                            f"job aborted during startup: {why}"
-                        ),
-                        "traceback": "",
-                    }
-            for fs in conns.values():
-                try:
-                    fs.send_frame(SHUTDOWN, pickle.dumps({}))
-                except TransportError:
-                    pass
+                records.setdefault(r, {
+                    "rank": r,
+                    "result": None,
+                    "error": AbortError(
+                        f"job aborted during startup: {why}"
+                    ),
+                    "traceback": "",
+                })
+            tell_all(SHUTDOWN)
 
         def handle_frame(rank: Optional[int], fs: FrameSocket,
                          kind: bytes, body: bytes) -> Optional[int]:
-            nonlocal welcomed
             if rank is None and not pending.get(fs, False):
                 # Unauthenticated connection: the only acceptable frame
                 # is AUTH carrying the raw job token.  Nothing else —
@@ -509,7 +439,7 @@ class SocketBackend(Backend):
                             conn, _addr = listener.accept()
                         except (BlockingIOError, OSError):
                             break
-                        fs = FrameSocket(conn, max_frame=self.max_frame)
+                        fs = FrameSocket(conn)
                         pending[fs] = False
                         sel.register(
                             conn, selectors.EVENT_READ, ("pending", fs)
@@ -543,14 +473,9 @@ class SocketBackend(Backend):
                     except (KeyError, ValueError):
                         pass
                     fs.close()
-                    if rank is not None and rank not in records:
-                        if welcomed:
-                            hard_death(rank)
-                        else:
-                            startup_failure(
-                                rank, f"rank {rank} dropped its control "
-                                "connection before the job started"
-                            )
+                    if rank is not None:
+                        lost(rank, f"rank {rank} dropped its control "
+                             "connection before the job started")
 
             now = time.monotonic()
 
@@ -573,7 +498,7 @@ class SocketBackend(Backend):
             # socket may still look open through inherited fds or ssh
             # buffering) is a hard death.
             for r in range(n):
-                if r in records or not self._proc_dead(procs[r]):
+                if r in records or procs[r].is_alive():
                     continue
                 fs = conns.get(r)
                 if fs is not None:
@@ -585,14 +510,7 @@ class SocketBackend(Backend):
                             handle_frame(r, fs, kind, body)
                     except TransportError:
                         pass
-                if r in records:
-                    continue
-                if welcomed:
-                    hard_death(r)
-                else:
-                    startup_failure(
-                        r, f"rank {r} agent exited before the job started"
-                    )
+                lost(r, f"rank {r} agent exited before the job started")
 
             # Heartbeat timeout: the backstop for remote agents whose
             # process handle we cannot poll meaningfully (ssh).  Every
@@ -600,47 +518,35 @@ class SocketBackend(Backend):
             # heartbeats at all still times out.
             if welcomed:
                 for r in range(n):
-                    if r in records:
-                        continue
                     if now - last_hb.get(r, now) > self.hb_timeout:
-                        hard_death(r)
+                        lost(r, "")
 
             if not welcomed and now > deadline:
                 # Rendezvous never completed: every missing rank is a
                 # hard death; connected agents get SHUTDOWN below.
                 for r in range(n):
                     if r not in records:
-                        records[r] = {
-                            "rank": r,
-                            "hard_exit": True,
-                            "exitcode": self._exitcode(procs[r]),
-                        }
+                        records[r] = hard_exit_record(
+                            r, self._exitcode(procs[r])
+                        )
                 break
 
-            # Distributed deadlock watchdog: all live ranks blocked and
-            # no matching progress across several consecutive looks.
+            # Distributed deadlock watchdog: the shared strike rule over
+            # the heartbeat sums instead of a shared tracker.
             if (welcomed and runtime.deadlock_detection
                     and now >= next_watch):
                 next_watch = now + _WATCHDOG_PERIOD
                 live = [r for r in range(n) if r not in records]
-                if live:
-                    blocked = sum(hb.get(r, (0, 0))[0] for r in live)
-                    progress = sum(hb.get(r, (0, 0))[1] for r in range(n))
-                    if blocked >= len(live) and progress == last_progress:
-                        strikes += 1
-                        if strikes >= _WATCHDOG_STRIKES:
-                            fired = True
-                            broadcast_abort()
-                    else:
-                        strikes = 0
-                    last_progress = progress
+                if live and deadlocked(
+                    len(live),
+                    sum(hb.get(r, (0, 0))[0] for r in live),
+                    sum(hb.get(r, (0, 0))[1] for r in range(n)),
+                ):
+                    fired = True
+                    broadcast_abort()
 
         # All ranks resolved: release the mesh everywhere at once.
-        for fs in conns.values():
-            try:
-                fs.send_frame(SHUTDOWN, pickle.dumps({}))
-            except TransportError:
-                pass
+        tell_all(SHUTDOWN)
         sel.close()
         for fs in conns.values():
             fs.close()

@@ -34,10 +34,10 @@ Disk spill (:class:`DiskArtifactStore`): a cache constructed with a
 spill directory additionally *publishes* every complete entry to disk
 and *fetches* entries it does not hold in memory from disk, so warm
 setup artifacts survive a service restart and are shared across all
-pool workers of one host.  The on-disk protocol mirrors the kir
-autotune cache (``repro.kir.autotune``): payloads are pickled to
+pool workers of one host.  The on-disk protocol is the one the kir
+autotune cache uses (:mod:`repro.store`): payloads are pickled to
 per-entry blob files committed with tmp + ``os.replace``, and a small
-``index.json`` is maintained with an advisory ``fcntl`` lock around a
+``index.json`` is maintained with an advisory lock around a
 read-merge-write cycle, so concurrent workers publishing different
 keys interleave instead of clobbering each other (lost-update races
 are *merged* and counted).  Only complete ``nranks`` entries are ever
@@ -52,20 +52,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import os
 import pickle
-import tempfile
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-try:  # advisory file locking (POSIX); degrade gracefully elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
+from ..store import atomic_write, file_lock, load_versioned, save_versioned
 
 #: Schema version of the on-disk index *and* of what the blobs pickle:
 #: bump it whenever a pickled class (``GSHandle``, ``SetupArtifact``)
@@ -231,9 +225,9 @@ class DiskArtifactStore:
 
     Blobs are committed first (tmp + ``os.replace``), then the index is
     updated under an advisory ``<index>.lock`` with a read-merge-write
-    cycle — the same protocol as the kir autotune cache — so the index
-    never references a missing blob and concurrent publishers of
-    different keys never lose each other's entries.
+    cycle (:mod:`repro.store`), so the index never references a missing
+    blob and concurrent publishers of different keys never lose each
+    other's entries.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -245,65 +239,12 @@ class DiskArtifactStore:
         #: (``None`` until the first read — nothing to compare against).
         self._known: Optional[frozenset] = None
 
-    # -- index maintenance --------------------------------------------
-
-    @contextmanager
-    def _lock(self):
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            yield
-            return
-        os.makedirs(self.host_dir, exist_ok=True)
-        with open(self._index_path + ".lock", "w") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
-
     def _load_index(self) -> Dict[str, dict]:
         """Entry table; a missing/corrupt/stale index degrades to {}."""
-        try:
-            with open(self._index_path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            return {}
-        except (OSError, json.JSONDecodeError) as exc:
-            warnings.warn(
-                f"artifact index {self._index_path!r} unreadable "
-                f"({exc}); treating the disk cache as cold",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        if (not isinstance(data, dict)
-                or data.get("version") != DISK_VERSION):
-            warnings.warn(
-                f"artifact index {self._index_path!r} has unsupported "
-                "layout; treating the disk cache as cold",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        entries = data.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
-    def _save_index(self, entries: Dict[str, dict]) -> None:
-        os.makedirs(self.host_dir, exist_ok=True)
-        payload = {"version": DISK_VERSION, "entries": entries}
-        fd, tmp = tempfile.mkstemp(
-            prefix=INDEX_FILENAME + ".", dir=self.host_dir
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        return load_versioned(
+            self._index_path, DISK_VERSION, "entries", "artifact index",
+            "treating the disk cache as cold",
+        )[0]
 
     # -- publish / fetch ----------------------------------------------
 
@@ -318,20 +259,14 @@ class DiskArtifactStore:
                 f"refusing to publish a partial entry for {key!r}: "
                 f"{len(entry.ranks)}/{entry.nranks} ranks"
             )
-        os.makedirs(self.host_dir, exist_ok=True)
         blob = self._blob_name(key, entry.nranks)
-        fd, tmp = tempfile.mkstemp(prefix=blob + ".", dir=self.host_dir)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, os.path.join(self.host_dir, blob))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        with self._lock():
+        atomic_write(
+            os.path.join(self.host_dir, blob), "wb",
+            lambda fh: pickle.dump(
+                entry, fh, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+        )
+        with file_lock(self._index_path):
             entries = self._load_index()
             if (stats is not None and self._known is not None
                     and any(k != key and k not in self._known
@@ -342,7 +277,9 @@ class DiskArtifactStore:
                 "method": entry.method,
                 "blob": blob,
             }
-            self._save_index(entries)
+            save_versioned(
+                self._index_path, DISK_VERSION, "entries", entries
+            )
             self._known = frozenset(entries)
 
     def fetch(self, key: str, nranks: int) -> Optional["CacheEntry"]:

@@ -13,6 +13,7 @@ injected-crash recovery, checkpoint/restart, real rank kills).
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.mpi import (
     available_backends,
     spmd,
 )
-from repro.mpi.backend import register_backend, resolve_backend
+from repro.mpi.backend import resolve_backend
 from repro.net import SocketBackend
 
 BACKENDS = ("threads", "procs", "sockets")
@@ -45,19 +46,6 @@ class TestSelection:
         assert isinstance(resolve_backend("sockets"), SocketBackend)
         inst = ProcsBackend(ring_capacity=1 << 16)
         assert resolve_backend(inst) is inst
-
-    def test_register_backend(self):
-        class Custom(ThreadsBackend):
-            name = "custom-test"
-
-        register_backend("custom-test", Custom)
-        try:
-            assert "custom-test" in available_backends()
-            assert isinstance(resolve_backend("custom-test"), Custom)
-        finally:
-            from repro.mpi import backend as backend_mod
-
-            del backend_mod._BACKENDS["custom-test"]
 
     def test_unknown_backend_error_lists_available(self):
         with pytest.raises(MPIError, match="procs, sockets, threads"):
@@ -220,154 +208,88 @@ class TestParity:
             assert per_backend["threads"] == per_backend[backend]
 
 
-class TestProcsFailures:
-    def test_exception_reraised_with_rank(self):
+def _die(how):
+    if how == "exit":
+        os._exit(17)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestFailures:
+    """One failure contract, every backend that can meet it."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exception_reraised_with_rank(self, backend):
         def main(comm):
             if comm.rank == 2:
                 raise RuntimeError("boom on 2")
             comm.barrier()
 
-        with pytest.raises(MPIError, match="boom on 2"):
-            Runtime(nranks=4, backend="procs").run(main)
+        with pytest.raises(MPIError, match=r"rank 2 failed:(.|\n)*boom on 2"):
+            Runtime(nranks=4, backend=backend).run(main)
 
-    def test_blocked_peers_released_on_error(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_blocked_peers_released_on_error(self, backend):
         def main(comm):
             if comm.rank == 0:
-                raise ValueError("dead")
+                raise ValueError("dead on arrival")
             comm.recv(source=0)
 
-        with pytest.raises(MPIError):
-            Runtime(nranks=3, backend="procs").run(main)
+        with pytest.raises(MPIError, match="dead on arrival"):
+            Runtime(nranks=3, backend=backend).run(main)
 
-    def test_deadlock_detected(self):
+    # Deadlock on thread ranks: tests/test_mpi_runtime.py.
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_deadlock_detected(self, backend):
         def main(comm):
             comm.recv(source=(comm.rank + 1) % comm.size, tag=1)
 
-        rt = Runtime(nranks=2, backend="procs")
+        rt = Runtime(nranks=2, backend=backend)
         with pytest.raises(DeadlockError):
             rt.run(main)
         assert rt.deadlock_report is not None
         assert "rank" in rt.deadlock_report
 
-    def test_single_rank_deadlock_detected(self):
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_single_rank_deadlock_detected(self, backend):
         with pytest.raises(DeadlockError):
-            Runtime(nranks=1, backend="procs").run(
+            Runtime(nranks=1, backend=backend).run(
                 lambda comm: comm.recv(source=0)
             )
 
-    def test_hard_death_reported(self):
-        """A rank that dies without an exit record must not hang the job."""
-        import os
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    @pytest.mark.parametrize(
+        "backend, error",
+        [("procs", MPIError), ("sockets", RankCrashError)],
+    )
+    def test_hard_death_reported(self, backend, error, how):
+        """A rank that dies without an exit record must not hang the
+        job.  On procs that is fatal; over sockets a vanished remote
+        process is a crash the recovery loop can replay, so the dead
+        rank is identified."""
 
         def main(comm):
             if comm.rank == 1:
-                os._exit(17)
-            comm.barrier()
+                _die(how)
+            comm.recv(source=1 - comm.rank, tag=0)
 
-        with pytest.raises(MPIError, match="terminated unexpectedly"):
-            Runtime(nranks=2, backend="procs").run(main)
+        with pytest.raises(error, match="terminated unexpectedly") as exc:
+            Runtime(nranks=2, backend=backend).run(main)
+        assert type(exc.value) is error
+        if error is RankCrashError:
+            assert exc.value.rank == 1
 
-    def test_unpicklable_result_reported(self):
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_unpicklable_result_reported(self, backend):
         def main(comm):
             return lambda: None  # lambdas don't pickle
 
         with pytest.raises(MPIError, match="picklable"):
-            Runtime(nranks=2, backend="procs").run(main)
+            Runtime(nranks=2, backend=backend).run(main)
 
-
-class TestProcsAbortFence:
-    """White-box: the abort determinism fence (`_FencedAbort`).
-
-    A crashing rank's ``set()`` must not become visible to survivors
-    until every envelope the rank pushed has been drained into its
-    peers' mailboxes — otherwise "which of the dead rank's last
-    messages arrived" is a scheduling accident and recovery reports
-    diverge from the threads backend.
-    """
-
-    @staticmethod
-    def _wiring(n=2):
-        import multiprocessing as mp
-
-        from repro.mpi.shm import ShmRing
-
-        ctx = mp.get_context("fork")
-        rings = [ShmRing(ctx) for _ in range(n)]
-        finished = ctx.Array("b", n, lock=False)
-        acks = ctx.Array("q", n * n)
-        return rings, finished, acks, ctx.Event()
-
-    def test_set_waits_until_sent_envelopes_are_delivered(self):
-        import threading
-        import time
-
-        from repro.mpi.backend import _FencedAbort, _delivery_loop
-        from repro.mpi.shm import dump_envelope
-        from repro.mpi.transport import Envelope
-
-        rings, finished, acks, event = self._wiring()
-        delivered = []
-
-        class SlowBox:
-            @staticmethod
-            def deliver(env):
-                time.sleep(0.2)  # hold the race window wide open
-                delivered.append(env.payload)
-
-        class Tracker:
-            @staticmethod
-            def bump():
-                pass
-
-        def ack(src):
-            with acks.get_lock():
-                acks[src * 2 + 1] += 1
-
-        stop = threading.Event()
-        drain = threading.Thread(
-            target=_delivery_loop,
-            args=(rings[1], SlowBox(), Tracker(), stop, ack),
-            daemon=True,
-        )
-        drain.start()
-        try:
-            rings[1].push(dump_envelope(
-                Envelope(0, 1, 1, 0, "last words", 10, 0.0, 0)
-            ))
-            _FencedAbort(event, 0, rings, finished, acks).set()
-            assert event.is_set()
-            # set() returning means delivery already happened — no
-            # sleep/retry needed here, which is exactly the property.
-            assert delivered == ["last words"]
-        finally:
-            stop.set()
-            drain.join()
-            for ring in rings:
-                ring.destroy()
-
-    def test_finished_peer_does_not_stall_the_fence(self):
-        import time
-
-        from repro.mpi.backend import _FencedAbort
-
-        rings, finished, acks, event = self._wiring()
-        finished[1] = 1  # peer already done; its delivery thread is gone
-        try:
-            start = time.monotonic()
-            _FencedAbort(event, 0, rings, finished, acks).set()
-            assert event.is_set()
-            assert time.monotonic() - start < 2.0
-        finally:
-            for ring in rings:
-                ring.destroy()
-
-
-class TestProcsRecovery:
-    """Satellite: abort, crash recovery, checkpoint/restart on procs."""
-
-    def test_injected_crash_marshalled(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_injected_crash_marshalled(self, backend):
         plan = FaultPlan.parse("crash:rank=1,step=2")
-        rt = Runtime(nranks=3, backend="procs", fault_plan=plan)
+        rt = Runtime(nranks=3, backend=backend, fault_plan=plan)
 
         def main(comm):
             for step in range(5):
@@ -383,6 +305,106 @@ class TestProcsRecovery:
         # is what the recovery loop uses to disarm it on restart.
         assert [c.rank for c in rt.faults.fired_crashes] == [1]
         assert len(rt.faults.summary()["crashes"]) == 1
+
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_link_startup_failure_ships_a_record(self, backend, monkeypatch):
+        """A child that fails *before* ``run_rank`` — its transport does
+        not come up — still reports, and its peers are released within a
+        poll tick instead of waiting out a timeout."""
+        from repro.mpi.backend import ShmLink
+        from repro.net.agent import MeshLink
+
+        link = {"procs": ShmLink, "sockets": MeshLink}[backend]
+        real_start = link.start
+
+        def start(self, local_box):
+            real_start(self, local_box)
+            if self._rank == 1:
+                raise OSError("link start-up failed")
+
+        monkeypatch.setattr(link, "start", start)  # inherited by forks
+        t0 = time.monotonic()
+        with pytest.raises(
+            MPIError, match=r"rank 1 failed:(.|\n)*link start-up failed"
+        ):
+            Runtime(nranks=3, backend=backend).run(
+                lambda comm: comm.recv(source=1)
+            )
+        assert time.monotonic() - t0 < 10.0
+
+
+class TestProcsAbortFence:
+    """White-box: the abort determinism fence (`FencedAbort` over
+    `ShmLink`).
+
+    A crashing rank's ``set()`` must not become visible to survivors
+    until every envelope the rank pushed has been drained into its
+    peers' mailboxes — otherwise "which of the dead rank's last
+    messages arrived" is a scheduling accident and recovery reports
+    diverge from the threads backend.
+    """
+
+    @staticmethod
+    def _job(n=2):
+        import multiprocessing as mp
+
+        from repro.mpi.backend import _ShmJob
+
+        return _ShmJob(mp.get_context("fork"), n, 1 << 16)
+
+    def test_set_waits_until_sent_envelopes_are_delivered(self):
+        import threading
+
+        from repro.mpi.backend import ShmLink
+        from repro.mpi.shm import dump_envelope
+        from repro.mpi.transport import Envelope
+
+        job = self._job()
+        delivered = []
+
+        class SlowBox:
+            @staticmethod
+            def deliver(env):
+                time.sleep(0.2)  # hold the race window wide open
+                delivered.append(env.payload)
+
+        receiver = ShmLink(job, 1, None)
+        drain = threading.Thread(
+            target=receiver._drain, args=(SlowBox(),), daemon=True
+        )
+        drain.start()
+        try:
+            job.rings[1].push(dump_envelope(
+                Envelope(0, 1, 1, 0, "last words", 10, 0.0, 0)
+            ))
+            ShmLink(job, 0, None).abort.set()
+            assert job.abort.is_set()
+            # set() returning means delivery already happened — no
+            # sleep/retry needed here, which is exactly the property.
+            assert delivered == ["last words"]
+        finally:
+            receiver.retire()
+            drain.join()
+            for ring in job.rings:
+                ring.destroy()
+
+    def test_finished_peer_does_not_stall_the_fence(self):
+        from repro.mpi.backend import ShmLink
+
+        job = self._job()
+        job.finished[1] = 1  # peer already done; its delivery thread is gone
+        try:
+            start = time.monotonic()
+            ShmLink(job, 0, None).abort.set()
+            assert job.abort.is_set()
+            assert time.monotonic() - start < 2.0
+        finally:
+            for ring in job.rings:
+                ring.destroy()
+
+
+class TestProcsRecovery:
+    """Satellite: abort, crash recovery, checkpoint/restart on procs."""
 
     def test_clock_stats_available_after_crash(self):
         """The recovery loop charges lost work from post-crash clocks."""
@@ -507,7 +529,8 @@ class _AlwaysAliveProc:
 
 
 class TestSockets:
-    """Sockets-specific machinery: mesh, families, hosts, hard deaths."""
+    """Sockets-specific machinery: rendezvous, families, hosts, a real
+    rank kill (the shared failure contract is ``TestFailures``)."""
 
     def test_stray_connections_cannot_kill_job(self, monkeypatch):
         """Garbage thrown at the rendezvous port — a pickled payload
@@ -515,7 +538,6 @@ class TestSockets:
         never unpickled and the job completes normally."""
         import pickle
         import threading
-        import time
 
         import repro.net.backend as nb
         from repro.net.wire import AUTH, HELLO, TransportError
@@ -580,7 +602,6 @@ class TestSockets:
         liveness polling cannot see through an ssh client."""
         import pickle
         import threading
-        import time
 
         from repro.net.wire import AUTH, HELLO, make_listener
         from repro.net.wire import connect as wire_connect
@@ -606,8 +627,7 @@ class TestSockets:
         out = {}
         monitor = threading.Thread(
             target=lambda: out.setdefault("res", backend._monitor(
-                runtime, listener, token, [_AlwaysAliveProc()],
-                [("ssh", "ghost")], None,
+                runtime, listener, token, [_AlwaysAliveProc()], None,
             )),
             daemon=True,
         )
@@ -655,68 +675,6 @@ class TestSockets:
         )
         res = Runtime(nranks=3, backend=backend).run(main)
         assert res == ["nodeA", "nodeA", "nodeB"]
-
-    def test_exception_aborts_blocked_peers(self):
-        def main(comm):
-            if comm.rank == 0:
-                raise ValueError("dead on arrival")
-            comm.recv(source=0)
-
-        with pytest.raises(MPIError, match="dead on arrival"):
-            Runtime(nranks=3, backend="sockets").run(main)
-
-    def test_deadlock_detected(self):
-        def main(comm):
-            comm.recv(source=(comm.rank + 1) % comm.size, tag=1)
-
-        rt = Runtime(nranks=2, backend="sockets")
-        with pytest.raises(DeadlockError):
-            rt.run(main)
-        assert rt.deadlock_report is not None
-        assert "rank" in rt.deadlock_report
-
-    def test_single_rank_deadlock_detected(self):
-        with pytest.raises(DeadlockError):
-            Runtime(nranks=1, backend="sockets").run(
-                lambda comm: comm.recv(source=0)
-            )
-
-    def test_hard_kill_raises_rank_crash(self):
-        """A SIGKILLed remote rank surfaces as RankCrashError with the
-        dead rank identified — the recovery loop's contract."""
-
-        def main(comm):
-            if comm.rank == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            comm.recv(source=1 if comm.rank == 0 else 0, tag=0)
-
-        with pytest.raises(RankCrashError,
-                           match="terminated unexpectedly") as exc:
-            Runtime(nranks=2, backend="sockets").run(main)
-        assert exc.value.rank == 1
-
-    def test_unpicklable_result_reported(self):
-        def main(comm):
-            return lambda: None  # lambdas don't pickle
-
-        with pytest.raises(MPIError, match="picklable"):
-            Runtime(nranks=2, backend="sockets").run(main)
-
-    def test_injected_crash_marshalled(self):
-        plan = FaultPlan.parse("crash:rank=1,step=2")
-        rt = Runtime(nranks=3, backend="sockets", fault_plan=plan)
-
-        def main(comm):
-            for step in range(5):
-                comm.faults.check_step_crash(comm, step)
-                comm.barrier()
-            return "done"
-
-        with pytest.raises(RankCrashError) as exc:
-            rt.run(main)
-        assert exc.value.rank == 1
-        assert exc.value.step == 2
-        assert [c.rank for c in rt.faults.fired_crashes] == [1]
 
     def test_rank_kill_recovered_from_checkpoint(self, tmp_path):
         """A real mid-run SIGKILL of a remote rank: run_with_recovery

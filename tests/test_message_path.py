@@ -459,6 +459,11 @@ def _spin_bumping(tracker):
         tracker.bump()
 
 
+def _spin_acking(link):
+    while True:
+        link._ack_flush(0)
+
+
 class TestLockFreeTrackers:
     def test_killed_writer_cannot_wedge_the_shared_tracker(self):
         """ROADMAP item 1(a): a process SIGKILLed inside ``bump`` leaves
@@ -485,6 +490,35 @@ class TestLockFreeTrackers:
             assert tracker.progress_value > before
             assert time.monotonic() - t0 < 1.0
         assert tracker.blocked == 0
+
+    def test_killed_acker_cannot_wedge_the_abort_fence(self, monkeypatch):
+        """The same for the abort fence's ack counters: a rank SIGKILLed
+        inside ``_ack_flush`` holds nothing, so a survivor's fenced
+        ``set()`` still returns within its bound."""
+        monkeypatch.setattr(backend_mod, "_FLUSH_TIMEOUT", 0.02)
+        ctx = multiprocessing.get_context("fork")
+        job = backend_mod._ShmJob(ctx, 2, 1 << 16)
+        try:
+            for _ in range(50):
+                child = ctx.Process(
+                    target=_spin_acking,
+                    args=(backend_mod.ShmLink(job, 1, None),), daemon=True,
+                )
+                child.start()
+                before = job.flush_acks[1]  # slot (src 0, dst 1)
+                while job.flush_acks[1] == before:
+                    time.sleep(0.0005)  # it really is mid-loop
+                child.kill()
+                child.join(5.0)
+                assert not child.is_alive()
+                job.abort.clear()
+                t0 = time.monotonic()
+                backend_mod.ShmLink(job, 0, None).abort.set()
+                assert job.abort.is_set()
+                assert time.monotonic() - t0 < 1.0
+        finally:
+            for ring in job.rings:
+                ring.destroy()
 
     def test_thread_tracker_survives_contended_writers(self):
         import sys

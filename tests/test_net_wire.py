@@ -470,6 +470,73 @@ class TestExternalAgents:
         res = Runtime(nranks=3, backend=backend).run(_ext_ring, (100,))
         assert res == [102, 100, 101]
 
+    @pytest.mark.parametrize("external", [False, True])
+    def test_both_spawn_modes_wait_for_welcome_as_long_as_the_driver(
+        self, external, monkeypatch
+    ):
+        """One rendezvous: the entry point ``SocketBackend()`` forks and
+        the one ``SocketBackend(external=True)`` execs both join through
+        ``join_job``, whose patience is the driver's.  Here the driver
+        "answers" 31 s after HELLO — past the 30 s an external agent
+        used to allow — without a real sleep: every wait of 31 s or less
+        simply times out."""
+        import pickle
+
+        from repro.mpi import Runtime
+        from repro.net import agent, backend
+        from repro.net.wire import EXIT, HELLO, JOB, SHUTDOWN, WELCOME
+
+        real_recv = FrameSocket.recv_frame
+
+        def late(self, timeout=None):
+            if timeout is not None and 0 < timeout <= 31.0:
+                raise TimeoutError("nothing arrives within 31 s")
+            return real_recv(self, timeout)
+
+        monkeypatch.setattr(FrameSocket, "recv_frame", late)
+        assert backend.RENDEZVOUS_TIMEOUT is agent.RENDEZVOUS_TIMEOUT
+        listener, addr = make_listener("tcp")
+        seen = {}
+
+        def driver():
+            conn, _addr = listener.accept()
+            fs = FrameSocket(conn)
+            assert fs.recv_frame() == (AUTH, b"tok")
+            kind, body = fs.recv_frame()
+            assert kind == HELLO
+            hello = pickle.loads(body)
+            fs.send_frame(WELCOME, pickle.dumps(
+                {"nranks": 1, "peers": {0: hello["listen"]}}
+            ))
+            if hello["external"]:
+                rt = Runtime(nranks=1)
+                fs.send_frame(JOB, pickle.dumps({
+                    "main": _ext_ring, "args": (7,), "kwargs": {},
+                    "machine": rt.machine, "time_policy": rt.time_policy,
+                    "trace_messages": False, "fault_plan": None,
+                    "fault_base_step": 0,
+                }))
+            while kind != EXIT:
+                kind, body = fs.recv_frame()
+            seen.update(pickle.loads(body), external=hello["external"])
+            fs.send_frame(SHUTDOWN, pickle.dumps({}))
+            fs.close()
+
+        fake = threading.Thread(target=driver, daemon=True)
+        fake.start()
+        if external:
+            assert agent.external_agent(addr, "tok", 0) == 0
+        else:
+            backend._forked_agent(
+                Runtime(nranks=1), 0, _ext_ring, (7,), {}, addr, "tok",
+                None, "127.0.0.1", None,
+            )
+        fake.join(timeout=15.0)
+        listener.close()
+        assert not fake.is_alive()
+        assert (seen["result"], seen["error"]) == (7, None)
+        assert seen["external"] is external
+
     def test_unpicklable_job_refused_up_front(self):
         from repro.mpi import MPIError, Runtime
         from repro.net import SocketBackend

@@ -1,5 +1,4 @@
-"""Job-service tier: queue policy, worker pool, artifact cache, and the
-reusable procs-backend worker mode.
+"""Job-service tier: queue policy, worker pool and artifact cache.
 
 The load-bearing assertions are the bitwise ones: a job run through
 the service (artifact-cache hit or miss, fresh or reused worker) must
@@ -741,56 +740,3 @@ class TestTimeoutRetryService:
         assert not res.retryable
         assert res.retries == 0
         assert report.queue_stats["readmitted"] == 0
-
-
-# ---------------------------------------------------------------------
-# Reusable procs-backend worker mode
-# ---------------------------------------------------------------------
-
-
-class TestReusableProcsBackend:
-    def test_reset_allows_rerun(self):
-        from repro.mpi import Runtime
-
-        def main(comm):
-            comm.compute(seconds=1e-6)
-            return comm.allreduce(comm.rank, site="t")
-
-        rt = Runtime(nranks=2)
-        first = rt.run(main)
-        with pytest.raises(Exception, match="reset"):
-            rt.run(main)
-        second = rt.reset().run(main)
-        assert first == second
-        assert rt.clock_stats()[0].total == pytest.approx(
-            rt.clock_stats()[1].total
-        )
-
-    def test_pool_reuses_workers_bitwise(self):
-        from repro.mpi import Runtime
-        from repro.mpi.backend import ProcsBackend
-
-        backend = ProcsBackend(reusable=True)
-        rt = Runtime(nranks=2, backend=backend)
-        try:
-            vtimes = []
-            pid_sets = []
-            for _ in range(3):
-                rt.reset().run(_pool_main)
-                vtimes.append([s.total for s in rt.clock_stats()])
-                pid_sets.append(tuple(backend.worker_pids()))
-            assert backend.jobs_served == 3
-            assert len(set(pid_sets)) == 1, "workers must not re-fork"
-            assert all(v == vtimes[0] for v in vtimes[1:])
-        finally:
-            backend.close()
-
-        fresh = Runtime(nranks=2, backend="procs")
-        fresh.run(_pool_main)
-        assert [s.total for s in fresh.clock_stats()] == vtimes[0]
-
-
-def _pool_main(comm):
-    """Module-level SPMD main: a reusable pool requires picklability."""
-    comm.compute(seconds=2e-6 * (comm.rank + 1))
-    return comm.allreduce(1.0, site="pool_t")

@@ -43,10 +43,11 @@ class TestSpillHygiene:
         assert ring.pop(timeout=1.0) == data
         assert ring.orphaned_spills() == []
 
-    def test_reset_drops_unread_spills(self, ring):
+    def test_cleanup_drops_unread_spills(self, ring):
         assert ring.push(big_record(ring))
         assert ring.push(b"small")
-        ring.reset()
+        ring.drain_spills()
+        ring.sweep_spills()
         assert ring.orphaned_spills() == []
         assert ring.pop(timeout=0.0) is None
         # and the ring still works afterwards
