@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mpi.datatypes import ReduceOp
-from .handle import GSHandle
+from .handle import GSHandle, sorted_unique
 
 #: Call-site label recorded in the mpiP-style profile.
 SITE = "gs_op:allreduce"
@@ -63,7 +63,7 @@ class SparseGlobalVector:
         """
         if self.dense_len != other.dense_len:
             raise ValueError("mismatched dense lengths in gs allreduce")
-        gids = np.union1d(self.gids, other.gids)
+        gids = sorted_unique(np.concatenate((self.gids, other.gids)))
         vals = np.full(len(gids), op.identity(self.vals.dtype),
                        dtype=self.vals.dtype)
         ia = np.searchsorted(gids, self.gids)

@@ -32,6 +32,8 @@ import numpy as np
 #: stack of them do not (measured at N=16, 64 elements: docs/kernel-ir.md).
 BLOCK_BYTES = 1 << 20
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def field_blocks(stack: np.ndarray) -> List[slice]:
     """Slices of ``stack``'s leading (field) axis, each holding as many
@@ -63,21 +65,25 @@ class Workspace:
     def buffer(
         self,
         shape: Tuple[int, ...],
-        dtype=np.float64,
+        dtype=_FLOAT64,
         key: str = "",
     ) -> np.ndarray:
         """A C-contiguous scratch array of ``shape``; contents undefined."""
-        k = (key, tuple(int(s) for s in shape), np.dtype(dtype))
+        try:
+            # The hit path: callers pass an int tuple and a dtype
+            # instance, which hash like the normalised key below.
+            return self._buffers[key, shape, dtype]
+        except (KeyError, TypeError):  # a miss, or an unhashable shape
+            k = (key, tuple(int(s) for s in shape), np.dtype(dtype))
         buf = self._buffers.get(k)
         if buf is None:
-            buf = np.empty(k[1], dtype=k[2])
-            self._buffers[k] = buf
+            buf = self._buffers[k] = np.empty(k[1], dtype=k[2])
         return buf
 
     def zeros(
         self,
         shape: Tuple[int, ...],
-        dtype=np.float64,
+        dtype=_FLOAT64,
         key: str = "",
     ) -> np.ndarray:
         """Like :meth:`buffer` but zero-filled on every request."""

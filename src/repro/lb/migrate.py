@@ -30,6 +30,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..gs.crystal import route
+from ..gs.handle import sorted_unique
 from .assignment import ElementAssignment
 
 #: mpiP call-site label for migration traffic on the transport.
@@ -125,7 +126,7 @@ def migrate_elements(
     dest = new_assignment.owner[old_ids]
     records = {}
     bytes_sent = 0
-    for d in np.unique(dest):
+    for d in sorted_unique(dest):
         sel = dest == d
         records[int(d)] = (old_ids[sel], rows[sel])
         if d != rank:
@@ -190,7 +191,7 @@ def migrate_particles(
     pos = np.asarray(pos, dtype=np.float64).reshape(ids.size, -1)
     width = pos.shape[1] if pos.size else 3
     records = {}
-    for d in np.unique(dest_ranks):
+    for d in sorted_unique(dest_ranks):
         sel = dest_ranks == d
         records[int(d)] = (ids[sel], pos[sel])
     comm.compute(mem_bytes=2.0 * (ids.nbytes + pos.nbytes))

@@ -32,8 +32,8 @@ import numpy as np
 
 from ..mesh import Partition, RankTopology
 from ..mesh.topology import FACE_AXIS_SIDE, NFACES
-from .flux import euler_flux
-from .state import ENERGY, MX, NEQ, RHO
+from .flux import euler_flux, wavespeed
+from .state import MX, NEQ
 
 #: Supported boundary kinds.
 KINDS = ("wall", "outflow", "dirichlet")
@@ -94,61 +94,64 @@ class BoundaryHandler:
         self.mask = np.zeros((nel, NFACES), dtype=bool)
         for link in topo.boundary_links():
             self.mask[link.local_element, link.face] = True
+        #: ``(face, axis, spec, local elements on it)`` of every face
+        #: this rank has on the physical boundary.
+        self._faces = []
         for f in range(NFACES):
             axis, _side = FACE_AXIS_SIDE[f]
-            if np.any(self.mask[:, f]) and f not in self.table:
+            sel = np.flatnonzero(self.mask[:, f])
+            if len(sel) == 0:
+                continue
+            if f not in self.table:
                 raise ValueError(
                     f"mesh has physical boundaries on face {f} "
                     f"(axis {axis}) but no boundary condition was given"
                 )
+            self._faces.append((f, axis, self.table[f], sel))
         self.n = n
-        self.has_boundaries = bool(self.mask.any())
+        #: ``(face, trace shape) -> (ghost, flux, wavespeed)`` of the
+        #: Dirichlet faces: constants of the prescribed state, computed
+        #: once and dropped with the handler (a rebalance builds a new one).
+        self._dirichlet: Dict[tuple, tuple] = {}
 
-    def ghost_traces(
+    def add_ghost_traces(
         self,
         uf: np.ndarray,
-        ff: np.ndarray,
         lam: np.ndarray,
+        usum: np.ndarray,
+        fsum: np.ndarray,
+        lam_max: np.ndarray,
         eos,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exchanged-sum corrections for boundary faces.
+    ) -> None:
+        """Add the ghost contributions to the exchanged sums, in place.
 
-        Inputs are the local traces ``uf``/``ff`` (5, nel, 6, N, N) and
-        ``lam`` (nel, 6, N, N).  Returns (usum, fsum, lam_max)
-        *increments*: arrays shaped like the exchanged sums containing
-        the ghost contribution on boundary entries and zero elsewhere,
-        to be added to the gs results (which, for unshared boundary
-        ids, already equal the local trace).
+        ``uf`` (5, nel, 6, N, N) and ``lam`` (nel, 6, N, N) are the
+        local traces; ``usum``/``fsum``/``lam_max`` are the gs results,
+        which on the unshared boundary ids still equal the local trace.
+        Only boundary faces are read or written.
         """
-        du = np.zeros_like(uf)
-        df = np.zeros_like(ff)
-        dlam = np.zeros_like(lam)
-        if not self.has_boundaries:
-            return du, df, dlam
-        for f, spec in self.table.items():
-            sel = self.mask[:, f]
-            if not np.any(sel):
-                continue
-            axis, _side = FACE_AXIS_SIDE[f]
-            u_in = uf[:, sel, f]          # (5, nb, N, N)
-            if spec.kind == "outflow":
-                ghost = u_in
-            elif spec.kind == "wall":
-                ghost = u_in.copy()
-                ghost[MX + axis] = -ghost[MX + axis]
-            else:  # dirichlet
-                ghost = np.empty_like(u_in)
-                for c in range(NEQ):
-                    ghost[c] = spec.state[c]
-            gflux = euler_flux(ghost, eos, axis)
-            # Ghost wavespeed along the face's axis.
-            rho = ghost[RHO]
-            p = eos.pressure(rho, ghost[MX : MX + 3], ghost[ENERGY])
-            glam = np.abs(ghost[MX + axis] / rho) + eos.sound_speed(rho, p)
-            du[:, sel, f] = ghost
-            df[:, sel, f] = gflux
+        for f, axis, spec, sel in self._faces:
+            if spec.kind == "dirichlet":
+                key = (f, (NEQ, len(sel), *uf.shape[3:]))
+                if key not in self._dirichlet:
+                    ghost = np.empty(key[1], dtype=uf.dtype)
+                    for c in range(NEQ):
+                        ghost[c] = spec.state[c]
+                    self._dirichlet[key] = _ghost_traces(ghost, eos, axis)
+                ghost, gflux, glam = self._dirichlet[key]
+            else:
+                ghost = uf[:, sel, f]          # (5, nb, N, N), a copy
+                if spec.kind == "wall":
+                    ghost[MX + axis] = -ghost[MX + axis]
+                ghost, gflux, glam = _ghost_traces(ghost, eos, axis)
+            usum[:, sel, f] += ghost
+            fsum[:, sel, f] += gflux
             # lam exchange is MAX; emulate with an increment that lifts
             # the local value where the ghost is faster.
             local = lam[sel, f]
-            dlam[sel, f] = np.maximum(glam, local) - local
-        return du, df, dlam
+            lam_max[sel, f] += np.maximum(glam, local) - local
+
+
+def _ghost_traces(ghost: np.ndarray, eos, axis: int) -> tuple:
+    """A ghost state with its flux and wavespeed along the face's axis."""
+    return ghost, euler_flux(ghost, eos, axis), wavespeed(ghost, eos, axis)

@@ -64,9 +64,9 @@ from .surface import (
     FACE_NORMAL_AXIS,
     FACE_NORMAL_SIGN,
     face2full_add,
-    full2face_elements,
     full2face_multi,
     full2face_flops,
+    normal_flux_trace,
 )
 from .viscous import viscous_flops, viscous_fluxes
 
@@ -233,14 +233,17 @@ class CMTSolver:
             Workspace() if self.config.reuse_workspace else None
         )
 
-        # Constant per-face SAT scale: -sign * jac_axis / w_endpoint.
+        # Stage constants of the surface term, broadcast over traces:
+        # the outward-normal sign per face, and the SAT scale
+        # -sign * jac_axis / w_endpoint.
         w_end = float(self.weights[0])  # == weights[-1] by symmetry
+        self._face_sign = np.array(FACE_NORMAL_SIGN).reshape(1, 6, 1, 1)
         self._sat_scale = np.array(
             [
                 -FACE_NORMAL_SIGN[f] * self.jac[FACE_NORMAL_AXIS[f]] / w_end
                 for f in range(6)
             ]
-        )
+        ).reshape(1, 1, 6, 1, 1)
 
     # -- cost charging ---------------------------------------------------
 
@@ -257,6 +260,14 @@ class CMTSolver:
         if self.profiler is None:
             return nullcontext()
         return self.profiler.region(name)
+
+    def _scratch(self, key: str, shape, dtype, zero: bool = False):
+        """A stage buffer: pooled under ``key`` when the workspace is on,
+        a fresh array otherwise; contents undefined unless ``zero``."""
+        if self._work is None:
+            return (np.zeros if zero else np.empty)(shape, dtype)
+        pool = self._work.zeros if zero else self._work.buffer
+        return pool(shape, dtype, key=key)
 
     # -- spatial operator ---------------------------------------------------
 
@@ -333,27 +344,16 @@ class CMTSolver:
         # are, and those live on boundary faces filled right here).
         with self._region("derivative"):
             fshape = (NEQ,) + u.shape[1:]
-            if self._work is not None:
-                fx = self._work.zeros(fshape, dtype=u.dtype, key="ovl:fx")
-                fy = self._work.zeros(fshape, dtype=u.dtype, key="ovl:fy")
-                fz = self._work.zeros(fshape, dtype=u.dtype, key="ovl:fz")
-            else:
-                fx = np.zeros(fshape, dtype=u.dtype)
-                fy = np.zeros_like(fx)
-                fz = np.zeros_like(fx)
+            fx, fy, fz = (
+                self._scratch(k, fshape, u.dtype, zero=True)
+                for k in ("ovl:fx", "ovl:fy", "ovl:fz")
+            )
             self._pointwise_fluxes_into(u, bnd, fx, fy, fz)
         with self._region("surface"):
             tshape = (NEQ, nel, 6, n, n)
-            if self._work is not None:
-                uf = self._work.zeros(tshape, dtype=u.dtype, key="tr:uf")
-                ff = self._work.zeros(tshape, dtype=u.dtype, key="tr:ff")
-                lam = self._work.zeros(
-                    tshape[1:], dtype=u.dtype, key="tr:lam"
-                )
-            else:
-                uf = np.zeros(tshape, dtype=u.dtype)
-                ff = np.zeros_like(uf)
-                lam = np.zeros((nel, 6, n, n), dtype=u.dtype)
+            uf = self._scratch("tr:uf", tshape, u.dtype, zero=True)
+            ff = self._scratch("tr:ff", tshape, u.dtype, zero=True)
+            lam = self._scratch("tr:lam", tshape[1:], u.dtype, zero=True)
             self._surface_traces_into(u, fx, fy, fz, bnd, uf, ff, lam)
 
         # Phase 2: post the exchange (gs_op_begin; nothing waits yet).
@@ -492,34 +492,16 @@ class CMTSolver:
         )
         return div
 
-    def _trace_buffers(self, uf_template: np.ndarray):
-        """Reusable (usum, fsum) result pair for the trace exchange."""
-        if self._work is None:
-            return np.empty_like(uf_template), np.empty_like(uf_template)
-        return (
-            self._work.like(uf_template, key="tr:usum"),
-            self._work.like(uf_template, key="tr:fsum"),
-        )
-
     def _surface_traces(self, u, fx, fy, fz):
         """full2face_cmt: state, normal-flux, and wavespeed traces."""
         n, nel = self.n, self.nel
-        ws = self._work
-
-        def buffer(key):
-            if ws is None:
-                return None  # the extraction allocates it
-            return ws.buffer((NEQ, nel, 6, n, n), u.dtype, key=key)
-
-        uf = full2face_multi(u, out=buffer("tr:uf"))
-        fxf = full2face_multi(fx, out=buffer("tr:fxf"))
-        fyf = full2face_multi(fy, out=buffer("tr:fyf"))
-        fzf = full2face_multi(fz, out=buffer("tr:fzf"))
-        ff = np.empty_like(uf) if ws is None else buffer("tr:ff")
-        ff[:, :, 0:2] = fxf[:, :, 0:2]
-        ff[:, :, 2:4] = fyf[:, :, 2:4]
-        ff[:, :, 4:6] = fzf[:, :, 4:6]
-        lam = self._face_wavespeed(uf)
+        tshape = (NEQ, nel, 6, n, n)
+        uf = full2face_multi(u, out=self._scratch("tr:uf", tshape, u.dtype))
+        ff = self._scratch("tr:ff", tshape, u.dtype)
+        normal_flux_trace(fx, fy, fz, ff)
+        lam = self._face_wavespeed(
+            uf, out=self._scratch("tr:lam", tshape[1:], u.dtype)
+        )
         self._charge(full2face_flops(n, nel, ncomp=4 * NEQ + 1))
         return uf, ff, lam
 
@@ -528,28 +510,22 @@ class CMTSolver:
         k = len(elements)
         if k == 0:
             return
-        ufb = full2face_elements(u, elements)
-        fxf = full2face_elements(fx, elements)
-        fyf = full2face_elements(fy, elements)
-        fzf = full2face_elements(fz, elements)
-        ffb = np.empty_like(ufb)
-        ffb[:, :, 0:2] = fxf[:, :, 0:2]
-        ffb[:, :, 2:4] = fyf[:, :, 2:4]
-        ffb[:, :, 4:6] = fzf[:, :, 4:6]
+        ufb = full2face_multi(u[:, elements])
         uf[:, elements] = ufb
-        ff[:, elements] = ffb
+        normal_flux_trace(fx, fy, fz, ff, elements)
         lam[elements] = self._face_wavespeed(ufb)
         self._charge(full2face_flops(self.n, k, ncomp=4 * NEQ + 1))
 
     def _exchange_traces(self, uf, ff, lam):
         """Nearest-neighbour trace exchange via the gs library."""
         h = self.face_handle
-        usum, fsum = self._trace_buffers(uf)
+        usum = self._scratch("tr:usum", uf.shape, uf.dtype)
+        fsum = self._scratch("tr:fsum", uf.shape, uf.dtype)
         for b in field_blocks(uf):
             gs_op(h, uf[b], op=SUM, site=SITE_FACE_EXCHANGE, out=usum[b])
             gs_op(h, ff[b], op=SUM, site=SITE_FACE_EXCHANGE, out=fsum[b])
         lam_max = gs_op(h, lam, op=MAX, site=SITE_FACE_EXCHANGE)
-        return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
+        return self._fold_ghost_traces(uf, lam, usum, fsum, lam_max)
 
     def _begin_exchanges(self, uf, ff, lam) -> list:
         """Post the 11 trace exchanges (5 state + 5 flux SUM, 1 MAX).
@@ -578,55 +554,62 @@ class CMTSolver:
 
     def _finish_exchanges(self, exchanges, uf, ff, lam):
         """Finish the posted exchanges against the *completed* traces."""
-        usum, fsum = self._trace_buffers(uf)
+        usum = self._scratch("tr:usum", uf.shape, uf.dtype)
+        fsum = self._scratch("tr:fsum", uf.shape, uf.dtype)
         it = iter(exchanges)
         for c in range(NEQ):
             gs_op_finish(next(it), uf[c], out=usum[c])
             gs_op_finish(next(it), ff[c], out=fsum[c])
         lam_max = gs_op_finish(next(it), lam)
-        return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
+        return self._fold_ghost_traces(uf, lam, usum, fsum, lam_max)
 
-    def _fold_ghost_traces(self, uf, ff, lam, usum, fsum, lam_max):
-        """Add physical-boundary ghost contributions (if any)."""
-        if self.boundary is not None and self.boundary.has_boundaries:
-            du, df, dlam = self.boundary.ghost_traces(uf, ff, lam, self.eos)
-            usum = usum + du
-            fsum = fsum + df
-            lam_max = lam_max + dlam
+    def _fold_ghost_traces(self, uf, lam, usum, fsum, lam_max):
+        """Add physical-boundary ghost contributions (if any), in place."""
+        if self.boundary is not None:
+            self.boundary.add_ghost_traces(
+                uf, lam, usum, fsum, lam_max, self.eos
+            )
         return usum, fsum, lam_max
 
     def _surface_correction(
         self, div, uf, ff, usum, fsum, lam_max, out=None
     ):
         """Numerical flux + SAT correction.  Neighbour traces are
-        (sum - mine); the dissipation sign folds the face orientation."""
+        (sum - mine); the dissipation sign folds the face orientation.
+
+        ``usum``, ``fsum`` and ``lam_max`` belong to this stage and are
+        consumed: the neighbour traces, then f* and the SAT term, are
+        formed in their storage.
+        """
         n, nel = self.n, self.nel
-        sign = np.array(FACE_NORMAL_SIGN).reshape(1, 6, 1, 1)
-        fstar = self._numflux(
-            u_minus=uf,
-            u_plus=usum - uf,
-            f_minus=ff,
-            f_plus=fsum - ff,
-            lam=sign[None] * lam_max[None],
+        u_plus = np.subtract(usum, uf, out=usum)
+        f_plus = np.subtract(fsum, ff, out=fsum)
+        lam = np.multiply(self._face_sign, lam_max, out=lam_max)
+        sat_faces = self._numflux(
+            uf, u_plus, ff, f_plus, lam[None], out=f_plus, work=u_plus
         )
-        sat_faces = self._sat_scale.reshape(1, 1, 6, 1, 1) * (fstar - ff)
+        sat_faces -= ff
+        sat_faces *= self._sat_scale
         rhs = np.negative(div, out=out)
         for b in field_blocks(rhs):
             face2full_add(rhs[b], sat_faces[b])
         self._charge(numflux_flops(n, nel, ncomp=NEQ))
         return rhs
 
-    def _face_wavespeed(self, uf: np.ndarray) -> np.ndarray:
+    def _face_wavespeed(self, uf, out=None) -> np.ndarray:
         """Pointwise |v_n| + a on every face trace: (nel, 6, N, N)."""
         rho = uf[RHO]
         mom = uf[MX : MX + 3]
         p = self.eos.pressure(rho, mom, uf[ENERGY])
         a = self.eos.sound_speed(rho, p)
-        axis_pick = np.array(FACE_NORMAL_AXIS)
-        vn = np.take_along_axis(
-            mom, axis_pick.reshape(1, 1, 6, 1, 1), axis=0
-        )[0] / rho
-        return np.abs(vn) + a
+        lam = np.empty_like(rho) if out is None else out
+        for axis in range(3):
+            # Faces 2*axis and 2*axis + 1 are the pair normal to ``axis``.
+            pair = slice(2 * axis, 2 * axis + 2)
+            np.divide(mom[axis][:, pair], rho[:, pair], out=lam[:, pair])
+        np.abs(lam, out=lam)
+        lam += a
+        return lam
 
     # -- dynamic load balancing ----------------------------------------------
 

@@ -22,13 +22,17 @@ def central(
     f_minus: np.ndarray,
     f_plus: np.ndarray,
     lam: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Central (average) flux: f* = (f- + f+) / 2.
 
     Energy-neutral but dispersive; used in tests as the zero-dissipation
-    reference.
+    reference.  ``out``/``work`` as in :func:`lax_friedrichs`.
     """
-    return 0.5 * (f_minus + f_plus)
+    out = np.add(f_minus, f_plus, out=out)
+    out *= 0.5
+    return out
 
 
 def lax_friedrichs(
@@ -37,15 +41,25 @@ def lax_friedrichs(
     f_minus: np.ndarray,
     f_plus: np.ndarray,
     lam: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Local Lax-Friedrichs (Rusanov) flux.
 
     ``f* = (f- + f+)/2 - lam/2 * (u+ - u-)`` with ``lam`` the pointwise
     maximum signal speed of the two traces.  ``u±``/``f±`` are ordered
     along the *axis* direction (not outward normals), so both sides
-    compute identical values.
+    compute identical values.  ``out`` receives ``f*`` and ``work`` the
+    dissipation term; they may be ``f_plus`` and ``u_plus`` themselves
+    (the solver's stage buffers), each operand being read before its
+    storage is written.
     """
-    return 0.5 * (f_minus + f_plus) - 0.5 * lam * (u_plus - u_minus)
+    out = np.add(f_minus, f_plus, out=out)
+    out *= 0.5
+    work = np.subtract(u_plus, u_minus, out=work)
+    work *= 0.5 * lam
+    out -= work
+    return out
 
 
 def numflux_flops(n: int, nel: int, ncomp: int = 5) -> float:

@@ -197,6 +197,10 @@ class ShockFilter:
         theta = self.strength(sensor)
         if not np.any(theta > 0):
             return u
+        return self._damp(u, theta)
+
+    def _damp(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """One modal round trip of ``u`` at per-element strength ``theta``."""
         c = nodal_to_modal(u)
         t = theta[:, None, None, None]
         damped = c * (1.0 + t * (self._sigma3[None] - 1.0))
@@ -208,18 +212,25 @@ class ShockFilter:
         return out
 
     def apply_state(self, state_u: np.ndarray) -> np.ndarray:
-        """Filter all conserved components, sensing on density."""
+        """Filter all conserved components, sensing once on density.
+
+        The ``(neq, nel, N, N, N)`` state goes through one modal round
+        trip as ``neq * nel`` elements; the result is always a new array.
+        """
         if state_u.ndim != 5:
             raise ValueError(
                 f"expected (neq, nel, N, N, N), got {state_u.shape}"
             )
-        sensor_field = state_u[0]
-        return np.stack(
-            [
-                self.apply(state_u[c], sensor_field=sensor_field)
-                for c in range(state_u.shape[0])
-            ],
-            axis=0,
+        if state_u.shape[2] != self.n:
+            raise ValueError(
+                f"filter built for N={self.n}, got field N={state_u.shape[2]}"
+            )
+        theta = self.strength(smoothness_sensor(state_u[0]))
+        if not np.any(theta > 0):
+            return state_u.copy()
+        stack = state_u.reshape((-1,) + state_u.shape[2:])
+        return self._damp(stack, np.tile(theta, len(state_u))).reshape(
+            state_u.shape
         )
 
 

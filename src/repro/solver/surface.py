@@ -87,17 +87,22 @@ def full2face_multi(
     return out
 
 
-def full2face_elements(u: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """:func:`full2face_multi` restricted to an element subset.
+def normal_flux_trace(fx, fy, fz, out, elements=slice(None)) -> None:
+    """Write the normal-flux trace of ``elements`` into ``out``.
 
-    ``u`` is ``(ncomp, nel, N, N, N)`` and ``elements`` an index array
-    into the element axis; the result is ``(ncomp, k, 6, N, N)``.  Face
-    extraction is element-local pure data movement, so a subset trace
-    is bitwise identical to slicing the full-batch trace — which is
-    what lets the overlapped solver extract boundary-element traces
-    before the interior fluxes even exist.
+    ``fx``/``fy``/``fz`` are the directional fluxes ``(ncomp, nel, N, N,
+    N)``; the surface term reads each only on the face pair normal to
+    its direction, so exactly those six planes are moved into ``out``
+    ``(ncomp, nel, 6, N, N)`` — the entries ``full2face`` of ``fx`` has
+    on faces 0-1, of ``fy`` on 2-3, of ``fz`` on 4-5.
     """
-    return full2face_multi(u[:, elements])
+    planes = (
+        fx[:, :, 0], fx[:, :, -1],
+        fy[:, :, :, 0], fy[:, :, :, -1],
+        fz[..., 0], fz[..., -1],
+    )
+    for face, plane in enumerate(planes):
+        out[:, elements, face] = plane[:, elements]
 
 
 def face_bytes(nel: int, n: int, ncomp: int = 1, itemsize: int = 8) -> int:

@@ -4,6 +4,12 @@ as ``CMTBone`` and ``CMTSolver`` ran before their phases were batched
 over blocks of fields.  ``test_field_batching.py`` holds the batched
 pipelines to these bit for bit — arrays, clocks, profile rows, message
 trace; nothing in ``src/`` imports this module.
+
+Also the allocating forms of the solver's RK stage from before it became
+one pass (``test_stage_pipeline.py``): the shock filter sensing and
+transforming once per component, ghost states returned as full-size
+increments, ``full2face`` of every directional flux, the
+``take_along_axis`` wavespeed and the one-line numerical fluxes.
 """
 
 import numpy as np
@@ -26,12 +32,15 @@ from repro.kernels.dealias import (
     to_fine,
 )
 from repro.mpi import MAX, SUM
+from repro.mesh.topology import FACE_AXIS_SIDE
 from repro.solver.divergence import divergence_flops, flux_divergence
 from repro.solver.driver import SITE_FACE_EXCHANGE, CMTSolver
-from repro.solver.flux import euler_fluxes, flux_flops
+from repro.solver.flux import euler_flux, euler_fluxes, flux_flops
 from repro.solver.numflux import numflux_flops
-from repro.solver.state import NEQ
+from repro.solver.shock import ShockFilter
+from repro.solver.state import ENERGY, MX, NEQ, RHO
 from repro.solver.surface import (
+    FACE_NORMAL_AXIS,
     FACE_NORMAL_SIGN,
     face2full_add,
     full2face,
@@ -114,9 +123,86 @@ class PerFieldCMTBone(CMTBone):
             )
 
 
+class PerComponentShockFilter(ShockFilter):
+    """``ShockFilter`` sensing and transforming once per component."""
+
+    def apply_state(self, state_u):
+        if state_u.ndim != 5:
+            raise ValueError(
+                f"expected (neq, nel, N, N, N), got {state_u.shape}"
+            )
+        sensor_field = state_u[0]
+        return np.stack(
+            [
+                self.apply(state_u[c], sensor_field=sensor_field)
+                for c in range(state_u.shape[0])
+            ],
+            axis=0,
+        )
+
+
+def ghost_trace_increments(handler, uf, lam, eos):
+    """``BoundaryHandler.ghost_traces`` as it was: (usum, fsum, lam_max)
+    increments, full-size, zero off the boundary faces, every ghost
+    state, flux and wavespeed rebuilt on every call."""
+    du = np.zeros_like(uf)
+    df = np.zeros_like(uf)
+    dlam = np.zeros_like(lam)
+    for f, spec in handler.table.items():
+        sel = handler.mask[:, f]
+        if not np.any(sel):
+            continue
+        axis, _side = FACE_AXIS_SIDE[f]
+        u_in = uf[:, sel, f]
+        if spec.kind == "outflow":
+            ghost = u_in
+        elif spec.kind == "wall":
+            ghost = u_in.copy()
+            ghost[MX + axis] = -ghost[MX + axis]
+        else:  # dirichlet
+            ghost = np.empty_like(u_in)
+            for c in range(NEQ):
+                ghost[c] = spec.state[c]
+        gflux = euler_flux(ghost, eos, axis)
+        rho = ghost[RHO]
+        p = eos.pressure(rho, ghost[MX : MX + 3], ghost[ENERGY])
+        glam = np.abs(ghost[MX + axis] / rho) + eos.sound_speed(rho, p)
+        du[:, sel, f] = ghost
+        df[:, sel, f] = gflux
+        local = lam[sel, f]
+        dlam[sel, f] = np.maximum(glam, local) - local
+    return du, df, dlam
+
+
+def face_wavespeed(eos, uf):
+    """|v_n| + a on every face trace, the normal momentum picked with
+    ``take_along_axis``."""
+    rho = uf[RHO]
+    mom = uf[MX : MX + 3]
+    p = eos.pressure(rho, mom, uf[ENERGY])
+    a = eos.sound_speed(rho, p)
+    axis_pick = np.array(FACE_NORMAL_AXIS)
+    vn = np.take_along_axis(
+        mom, axis_pick.reshape(1, 1, 6, 1, 1), axis=0
+    )[0] / rho
+    return np.abs(vn) + a
+
+
+def central(u_minus, u_plus, f_minus, f_plus, lam=None):
+    return 0.5 * (f_minus + f_plus)
+
+
+def lax_friedrichs(u_minus, u_plus, f_minus, f_plus, lam):
+    return 0.5 * (f_minus + f_plus) - 0.5 * lam * (u_plus - u_minus)
+
+
+NUMFLUX = {"central": central, "lax_friedrichs": lax_friedrichs}
+
+
 class PerFieldCMTSolver(CMTSolver):
-    """``CMTSolver`` with one kernel call per component (allocating
-    arrays throughout)."""
+    """``CMTSolver`` with one kernel call per component and every stage
+    quantity allocated where it is computed (the filter, when there is
+    one, must be a :class:`PerComponentShockFilter` to match)."""
 
     def _pointwise_fluxes(self, u):
         n, nel_b, eos = self.n, u.shape[1], self.eos
@@ -172,7 +258,7 @@ class PerFieldCMTSolver(CMTSolver):
         ff[:, :, 0:2] = fxf[:, :, 0:2]
         ff[:, :, 2:4] = fyf[:, :, 2:4]
         ff[:, :, 4:6] = fzf[:, :, 4:6]
-        lam = self._face_wavespeed(uf)
+        lam = face_wavespeed(self.eos, uf)
         self._charge(full2face_flops(self.n, self.nel, ncomp=4 * NEQ + 1))
         return uf, ff, lam
 
@@ -187,7 +273,7 @@ class PerFieldCMTSolver(CMTSolver):
         ff[:, elements, 0:2] = fxf[:, :, 0:2]
         ff[:, elements, 2:4] = fyf[:, :, 2:4]
         ff[:, elements, 4:6] = fzf[:, :, 4:6]
-        lam[elements] = self._face_wavespeed(ufb)
+        lam[elements] = face_wavespeed(self.eos, ufb)
         self._charge(
             full2face_flops(self.n, len(elements), ncomp=4 * NEQ + 1)
         )
@@ -199,11 +285,21 @@ class PerFieldCMTSolver(CMTSolver):
             gs_op(h, uf[c], op=SUM, site=SITE_FACE_EXCHANGE, out=usum[c])
             gs_op(h, ff[c], op=SUM, site=SITE_FACE_EXCHANGE, out=fsum[c])
         lam_max = gs_op(h, lam, op=MAX, site=SITE_FACE_EXCHANGE)
-        return self._fold_ghost_traces(uf, ff, lam, usum, fsum, lam_max)
+        return self._fold_ghost_traces(uf, lam, usum, fsum, lam_max)
+
+    def _fold_ghost_traces(self, uf, lam, usum, fsum, lam_max):
+        if self.boundary is not None and self.boundary.mask.any():
+            du, df, dlam = ghost_trace_increments(
+                self.boundary, uf, lam, self.eos
+            )
+            usum = usum + du
+            fsum = fsum + df
+            lam_max = lam_max + dlam
+        return usum, fsum, lam_max
 
     def _surface_correction(self, div, uf, ff, usum, fsum, lam_max, out=None):
         sign = np.array(FACE_NORMAL_SIGN).reshape(1, 6, 1, 1)
-        fstar = self._numflux(
+        fstar = NUMFLUX[self.config.flux_scheme](
             u_minus=uf, u_plus=usum - uf, f_minus=ff, f_plus=fsum - ff,
             lam=sign[None] * lam_max[None],
         )

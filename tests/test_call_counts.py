@@ -1,0 +1,90 @@
+"""Count gates: what one step dispatches, and what a job imports.
+
+Wall-clock gates flake with the host (ROADMAP item 4); a count of
+profiled calls on one rank repeats exactly, so a per-call regression in
+a step pipeline fails here on every run or on none.  The ceilings are
+the measured counts plus ~10 % for interpreter and numpy versions.
+"""
+
+import cProfile
+import pstats
+import subprocess
+import sys
+
+from repro.cli import _sod_setup
+from repro.core import CMTBone, CMTBoneConfig
+from repro.mpi import Runtime
+
+#: One warm ``CMTSolver.step`` (ssprk3 + shock filter, Dirichlet ends),
+#: one rank, N=5, 8 elements.  2,183 before the stage became one pass
+#: (five sensors and fifteen modal transforms per step, 120 face planes,
+#: full-size ghost increments per stage); 1,121 measured now.
+SOLVER_STEP_CEILING = 1240
+#: One warm ``CMTBone.timestep`` (3 stages x 5 fields), one rank, N=5,
+#: 8 elements: 725 with the workspace rebuilding its key on every hit,
+#: 662 measured now.
+CMTBONE_STEP_CEILING = 730
+
+
+def profiled_calls(warm_up, step):
+    """Calls cProfile sees in ``step()`` on the one rank of a job."""
+
+    def main(comm):
+        run = step(comm)
+        for _ in range(warm_up):
+            run()
+        profile = cProfile.Profile()
+        profile.enable()
+        run()
+        profile.disable()
+        # (``disable`` itself is the one call that is not the step's.)
+        return pstats.Stats(profile).total_calls - 1
+
+    return Runtime(nranks=1).run(main)[0]
+
+
+def solver_step(comm):
+    solver, state = _sod_setup(1, n=5, nelx=8, gs_method="pairwise")(comm)
+    return lambda: solver.step(state, 2e-4)
+
+
+def cmtbone_step(comm):
+    return CMTBone(
+        comm, CMTBoneConfig(n=5, local_shape=(2, 2, 2), nsteps=1)
+    ).timestep
+
+
+def test_solver_step_stays_under_its_call_ceiling():
+    calls = profiled_calls(3, solver_step)
+    assert calls == profiled_calls(3, solver_step), "the count must repeat"
+    assert calls <= SOLVER_STEP_CEILING, calls
+
+
+def test_cmtbone_timestep_stays_under_its_call_ceiling():
+    calls = profiled_calls(3, cmtbone_step)
+    assert calls == profiled_calls(3, cmtbone_step), "the count must repeat"
+    assert calls <= CMTBONE_STEP_CEILING, calls
+
+
+def test_jobs_do_not_import_numpy_ma():
+    """``np.unique``/``np.union1d`` import ``numpy.ma`` on first use (~13 ms
+    in every CLI child and service worker); the job path must not."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['cmtbone', '--ranks', '8', '-N', '5', '--local',"
+        " '2,2,2', '--steps', '2']) == 0\n"
+        "    assert main(['cmtbone', '--ranks', '2', '-N', '5', '--local',"
+        " '2,2,2', '--steps', '2', '--gs-method', 'allreduce']) == 0\n"
+        "    assert main(['sod', '--ranks', '2', '--elements', '8',"
+        " '--steps', '6', '--imbalance', '0.4', '--lb', 'every',"
+        " '--lb-every', '2']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.mpi import SUM, MAX, Runtime
 from repro.gs import gs_setup
+from repro.gs.handle import sorted_unique
 
 
 def setup_on(nranks, gids_fn):
@@ -139,3 +140,23 @@ class TestLocalPlans:
             return h.shared_gids_with(1 - comm.rank).tolist()
 
         assert Runtime(nranks=2).run(main) == [[4, 9], [4, 9]]
+
+
+class TestSortedUnique:
+    """``np.unique`` without its first-call import of ``numpy.ma``."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_equals_np_unique(self, size, dtype):
+        a = np.random.default_rng(size).integers(-5, 40, size).astype(dtype)
+        got = sorted_unique(a)
+        want = np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(sorted_unique(a.reshape(-1, 1)), want)
+        assert np.array_equal(sorted_unique(a.tolist()), want)
+
+    def test_is_the_union_of_two_sorted_id_lists(self):
+        a, b = np.array([1, 4, 9]), np.array([0, 4, 9, 11])
+        assert np.array_equal(
+            sorted_unique(np.concatenate((a, b))), np.union1d(a, b)
+        )

@@ -63,6 +63,20 @@ class TestWorkspace:
         w.clear()
         assert len(w) == 0 and w.nbytes == 0
 
+    def test_a_hit_is_found_however_the_key_is_spelled(self):
+        """The raw (key, shape, dtype) is looked up first; a list shape, a
+        dtype class or numpy ints miss it, are normalised and land on the
+        same buffer: one entry, never an alias."""
+        w = Workspace()
+        a = w.buffer((4, 3), np.dtype(np.float64), key="a")
+        assert w.buffer((4, 3), key="a") is a
+        assert w.buffer([4, 3], np.float64, key="a") is a
+        assert w.buffer((np.int64(4), np.int32(3)), "f8", key="a") is a
+        assert w.like(a, key="a") is a and w.zeros([4, 3], key="a") is a
+        assert len(w) == 1 and w.nbytes == a.nbytes
+        assert w.buffer((4, 3), np.float32, key="a") is not a
+        assert len(w) == 2
+
     def test_like_matches_template(self):
         w = Workspace()
         t = np.empty((2, 3, 3, 3))
