@@ -13,12 +13,10 @@ Tolerance policy (per metric ``kind``, overridable per metric via
   baseline.
 * ``count`` — 0 (exact).  Restart counts, rebalance counts, and
   bitwise-parity flags may never drift silently.
-* ``wall`` — 1.0 relative (i.e. flag only a >2x slowdown).  Wall time
-  is host- and load-dependent; the gate exists to catch catastrophic
-  regressions (an accidentally quadratic loop), not 5% jitter.
-  Additionally, wall metrics only *gate* when the current host
-  fingerprint matches the baseline's — on foreign hosts they are
-  reported informationally.
+* ``wall`` — never gated.  Wall time is host- and load-dependent (the
+  same commit swings 2x between phases of one host), so a wall row is a
+  recorded measurement, always reported as ``informational``; what a
+  wall gate would guard is guarded by deterministic ``count`` rows.
 
 A change beyond tolerance in the *good* direction (``better``) is an
 improvement, reported but passing: refresh the baseline with
@@ -29,23 +27,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
-from .runner import BASELINE_FILENAMES, host_fingerprint, read_suites
+from .runner import BASELINE_FILENAMES, read_suites
 from .schema import GROUPS, Metric, SuiteResult
 
 #: Default relative tolerance per metric kind (see module docstring).
 DEFAULT_REL_TOL: Mapping[str, float] = {
     "virtual": 1e-6,
     "count": 0.0,
-    "wall": 1.0,
+    "wall": float("inf"),
 }
 
 #: Classification outcomes.
 OK = "ok"
 IMPROVED = "improved"
 REGRESSION = "regression"
-INFO = "informational"   # off-host wall metric, not gated
+INFO = "informational"   # wall metric: reported, not gated
 MISSING = "missing"      # baseline scenario/metric absent from current
 
 
@@ -88,8 +86,6 @@ class ComparisonReport:
     missing_scenarios: List[str] = field(default_factory=list)
     #: Scenario ids in the run with no committed baseline yet.
     new_scenarios: List[str] = field(default_factory=list)
-    #: Whether wall metrics were gated (host match or forced).
-    wall_gated: bool = True
     #: Baseline groups with no BENCH file in the baseline directory.
     missing_groups: List[str] = field(default_factory=list)
 
@@ -110,7 +106,6 @@ class ComparisonReport:
         self.missing_scenarios.extend(other.missing_scenarios)
         self.new_scenarios.extend(other.new_scenarios)
         self.missing_groups.extend(other.missing_groups)
-        self.wall_gated = self.wall_gated and other.wall_gated
 
     def render(self, verbose: bool = False) -> str:
         lines: List[str] = []
@@ -120,11 +115,6 @@ class ComparisonReport:
         ]
         for d in shown:
             lines.append(d.row())
-        if not self.wall_gated:
-            lines.append(
-                "  note: host fingerprint differs from baseline; wall "
-                "metrics reported informationally, not gated"
-            )
         for sid in self.missing_scenarios:
             lines.append(f" ? baseline scenario {sid} missing from run")
         for sid in self.new_scenarios:
@@ -154,10 +144,7 @@ def _tolerance(current: Metric, baseline: Metric) -> float:
 
 
 def compare_metric(
-    scenario_id: str,
-    current: Metric,
-    baseline: Metric,
-    gate_wall: bool,
+    scenario_id: str, current: Metric, baseline: Metric
 ) -> MetricDelta:
     """Classify one metric pair."""
     tol = _tolerance(current, baseline)
@@ -167,7 +154,7 @@ def compare_metric(
         rel_change = (current.value - baseline.value) / denom
     else:
         rel_change = (baseline.value - current.value) / denom
-    if baseline.kind == "wall" and not gate_wall:
+    if baseline.kind == "wall":
         status = INFO
     elif rel_change > tol:
         status = REGRESSION
@@ -188,24 +175,15 @@ def compare_metric(
 
 
 def compare_suites(
-    current: SuiteResult,
-    baseline: SuiteResult,
-    gate_wall: Optional[bool] = None,
+    current: SuiteResult, baseline: SuiteResult
 ) -> ComparisonReport:
-    """Compare one group's run against its baseline suite.
-
-    ``gate_wall=None`` (auto) gates wall metrics only when the current
-    host fingerprint equals the baseline's recorded fingerprint.
-    """
+    """Compare one group's run against its baseline suite."""
     if current.group != baseline.group:
         raise ValueError(
             f"group mismatch: run is {current.group!r}, "
             f"baseline is {baseline.group!r}"
         )
-    if gate_wall is None:
-        base_host = (baseline.meta.get("host") or {}).get("fingerprint")
-        gate_wall = base_host == host_fingerprint()
-    report = ComparisonReport(wall_gated=bool(gate_wall))
+    report = ComparisonReport()
     current_ids = set(current.scenario_ids())
     baseline_ids = set(baseline.scenario_ids())
     report.new_scenarios = sorted(current_ids - baseline_ids)
@@ -235,7 +213,6 @@ def compare_suites(
                     base_result.scenario,
                     cur_result.metric(base_metric.name),
                     base_metric,
-                    gate_wall=bool(gate_wall),
                 )
             )
     return report
@@ -245,7 +222,6 @@ def compare_dirs(
     current: Mapping[str, SuiteResult],
     baseline_dir: "str | Path",
     groups: Sequence[str] = GROUPS,
-    gate_wall: Optional[bool] = None,
 ) -> ComparisonReport:
     """Compare a run's suites against the files in ``baseline_dir``.
 
@@ -262,9 +238,5 @@ def compare_dirs(
         if group not in baselines:
             report.missing_groups.append(group)
             continue
-        report.merge(
-            compare_suites(
-                current[group], baselines[group], gate_wall=gate_wall
-            )
-        )
+        report.merge(compare_suites(current[group], baselines[group]))
     return report

@@ -317,9 +317,31 @@ def _cmtbone_run(
     return results
 
 
+def _crystal_op_main(comm, cfg) -> None:
+    """One crystal-router ``gs_op`` on the job's face numbering."""
+    from ..gs import gs_op, gs_setup
+    from ..mesh import dg_face_numbering
+
+    gids = dg_face_numbering(cfg.build_partition(comm.size), comm.rank)
+    handle = gs_setup(gids, comm)
+    gs_op(handle, np.zeros(handle.shape), method="crystal")
+
+
 @register("comms/gs_methods", "comms", repeats=2, nranks=8)
 def _comms_gs_methods() -> List[Metric]:
-    """Fig. 7's three-way auto-tune on a small job (virtual time)."""
+    """Fig. 7's three-way auto-tune on a small job (virtual time), and
+    what one crystal-router ``gs_op`` puts on the wire across that job:
+    messages and bytes from the trace, exact on every host because a
+    stage message's size is a closed form of its record counts."""
+    from ..core.config import CMTBoneConfig
+    from ..gs.crystal import TAG_CRYSTAL
+    from ..mpi import Runtime
+
+    rt = Runtime(nranks=8, machine=_machine(), trace_messages=True)
+    rt.run(_crystal_op_main,
+           args=(CMTBoneConfig(n=8, local_shape=(2, 2, 2)),))
+    stage = [e.nbytes for e in rt.trace.events()
+             if TAG_CRYSTAL <= e.tag <= TAG_CRYSTAL + 2]
     res = _cmtbone_run(8, gs_method=None, autotune_trials=2)[0]
     assert res.autotune is not None
     metrics = [
@@ -340,6 +362,10 @@ def _comms_gs_methods() -> List[Metric]:
             better="higher",
         )
     )
+    metrics.append(Metric("crystal_msgs_per_op", float(len(stage)),
+                          kind="count", unit="messages"))
+    metrics.append(Metric("crystal_bytes_per_op", float(sum(stage)),
+                          kind="count", unit="B"))
     return metrics
 
 

@@ -312,17 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--compare", metavar="BASELINE_DIR", default=None,
         help="diff the run against committed baselines; exit 1 on "
-             "any metric regression beyond tolerance",
+             "any virtual or count metric regression beyond tolerance "
+             "(wall metrics are reported, never gated)",
     )
     p_bench.add_argument(
         "--update-baselines", action="store_true",
         help="write this run's results into the baseline directory "
              "(--compare dir if given, else benchmarks/baselines)",
-    )
-    p_bench.add_argument(
-        "--gate-wall", choices=["auto", "on", "off"], default="auto",
-        help="gate wall-clock metrics: auto = only when the host "
-             "fingerprint matches the baseline (default)",
     )
     p_bench.add_argument(
         "--list", action="store_true",
@@ -914,10 +910,7 @@ def cmd_bench(args) -> int:
 
     status = 0
     if args.compare is not None:
-        gate_wall = {"auto": None, "on": True, "off": False}[args.gate_wall]
-        report = compare_dirs(
-            suites, args.compare, groups=groups, gate_wall=gate_wall
-        )
+        report = compare_dirs(suites, args.compare, groups=groups)
         print(report.render(verbose=args.verbose))
         if not report.ok:
             print("PERF GATE: FAIL")

@@ -2,11 +2,11 @@
 
 The crystal router (originally developed for all-to-all communication
 in hypercubes; gslib's ``crystal_router``) moves arbitrary
-(destination, payload) records through ``log2 P`` pairwise stages: at
-each stage every rank swaps, with its partner across one address bit,
-all records whose destination lies in the partner's half of the
-machine.  Message *count* per rank is logarithmic regardless of how
-many final destinations there are — the win over pairwise exchange
+(destination, id, payload row) records through ``log2 P`` pairwise
+stages: at each stage every rank swaps, with its partner across one
+address bit, all records whose destination lies in the partner's half
+of the machine.  Message *count* per rank is logarithmic regardless of
+how many final destinations there are — the win over pairwise exchange
 when neighbours are many and messages small.
 
 Non-power-of-two rank counts are handled by folding the top
@@ -14,19 +14,25 @@ Non-power-of-two rank counts are handled by folding the top
 afterwards (the same trick MPICH uses for allreduce), which preserves
 the "completes in ~log2 P stages" guarantee the paper quotes.
 
-:func:`route` ships ``{dest: (gids, values)}`` dicts for any sparse
-all-to-all.  A gather-scatter *handle* routes the same ids the same way
-every time: :func:`exchange_crystal` records that once per value dtype
-(:class:`CrystalPlan`) and replays it as flat arrays.
+This module owns the wire format.  A stage message is one contiguous
+byte array ``[groups | (dest, count) x groups | ids | rows]`` — int64
+header words and ids, then the rows in their own dtype — so it is
+charged its size, ``8*(1 + 2*groups) + n*(8 + row_bytes)``, on every
+backend and crosses the shm ring and the socket frame unpickled.
+:func:`route` is any sparse all-to-all; a gather-scatter *handle* routes
+the same ids the same way every time, so :func:`exchange_crystal` keeps
+the :class:`CrystalPlan` its first route worked out and later ships the
+rows alone, charged what the full message would be.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from math import prod
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..mpi.datatypes import ReduceOp, payload_nbytes
+from ..mpi.datatypes import ReduceOp
 from ..mpi.errors import CommunicatorError
 from .handle import GSHandle
 
@@ -36,232 +42,254 @@ TAG_CRYSTAL = 7101
 #: Call-site label recorded in the mpiP-style profile.
 SITE = "gs_op:crystal"
 
-#: A routing buffer: destination rank -> (gids, values) record arrays.
-Records = Dict[int, Tuple[np.ndarray, np.ndarray]]
-
-
-def _merge(into: Records, frm: Records) -> None:
-    """Concatenate record bundles per destination."""
-    for dest, (g, v) in frm.items():
-        if dest in into:
-            g0, v0 = into[dest]
-            into[dest] = (np.concatenate([g0, g]), np.concatenate([v0, v]))
-        else:
-            into[dest] = (np.asarray(g), np.asarray(v))
-
-
-def _records_nbytes(records: Records) -> float:
-    """Payload bytes in a routing buffer (gids + values)."""
-    return float(
-        sum(g.nbytes + v.nbytes for g, v in records.values())
-    )
-
-
-def route(records: Records, comm, site: str = SITE, recorder=None) -> Records:
-    """Deliver every record bundle to its destination rank.
-
-    Generic crystal-router transport: returns the records whose
-    destination is this rank (merged across all senders).  Used by the
-    gather-scatter exchange below and reusable for any sparse
-    all-to-all (e.g. transfer of particles between ranks).  A
-    ``recorder`` (:class:`CrystalPlan`) is told of every bundle sent and
-    received and of every stage charge, in program order.
-    """
-    size, rank = comm.size, comm.rank
-
-    def send(verb: str, bundle: Records, partner: int, tag: int) -> None:
-        post = comm.send if verb == "MPI_Send" else comm.isend
-        post(bundle, dest=partner, tag=tag, site=site)
-        if recorder is not None:
-            recorder.sent(verb, partner, tag, bundle)
-
-    def recv(partner: int, tag: int) -> Records:
-        bundle = comm.recv(source=partner, tag=tag, site=site)
-        if recorder is not None:
-            recorder.received(partner, tag, bundle)
-        return bundle
-
-    pof2 = 1
-    while pof2 * 2 <= size:
-        pof2 *= 2
-    rem = size - pof2
-
-    buf: Records = dict(records)
-    # Records addressed to ourselves never travel.
-    self_records: Records = {}
-    if rank in buf:
-        self_records[rank] = buf.pop(rank)
-
-    # Fold: high ranks park everything on their low image.
-    if rank >= pof2:
-        send("MPI_Send", buf, rank - pof2, TAG_CRYSTAL)
-        buf = {}
-    elif rank < rem:
-        _merge(buf, recv(rank + pof2, TAG_CRYSTAL))
-
-    # Hypercube stages among the low pof2 ranks; destinations >= pof2
-    # route via their folded image.
-    if rank < pof2:
-        bit = pof2 >> 1
-        while bit:
-            partner = rank ^ bit
-
-            def other_side(dest: int, _bit=bit, _rank=rank) -> bool:
-                eff = dest if dest < pof2 else dest - pof2
-                return (eff & _bit) != (_rank & _bit)
-
-            outgoing: Records = {}
-            keep: Records = {}
-            for dest, gv in buf.items():
-                (outgoing if other_side(dest) else keep)[dest] = gv
-            send("MPI_Isend", outgoing, partner, TAG_CRYSTAL + 1)
-            incoming = recv(partner, TAG_CRYSTAL + 1)
-            # Per-stage pack/unpack of the routed records is a real
-            # memory pass in gslib's crystal router; charge it.
-            moved = _records_nbytes(outgoing) + _records_nbytes(incoming)
-            seconds = comm.compute(mem_bytes=2.0 * moved)
-            if recorder is not None:
-                recorder.computed(seconds)
-            buf = keep
-            _merge(buf, incoming)
-            bit >>= 1
-
-    # Unfold: hand back records destined for the folded high ranks.
-    if rank < rem:
-        high = {d: gv for d, gv in buf.items() if d >= pof2}
-        for d in high:
-            del buf[d]
-        send("MPI_Send", high, rank + pof2, TAG_CRYSTAL + 2)
-    elif rank >= pof2:
-        buf = {}
-        _merge(buf, recv(rank - pof2, TAG_CRYSTAL + 2))
-
-    if any(d != rank for d in buf):
-        stray = sorted(d for d in buf if d != rank)
-        raise AssertionError(
-            f"crystal router left records for {stray} on rank {rank}"
-        )
-    _merge(buf, self_records)
-    return buf
-
-
 _NONE = np.empty(0, dtype=np.intp)
 
 
+def _steps(size: int, rank: int) -> Iterator[tuple]:
+    """One rank's program, a ``(verb, to, frm, tag, mask, take, groups,
+    lo, hi)`` per step: send ``to`` the held records whose destination
+    differs from this rank in a bit of ``mask``, then receive from
+    ``frm`` (either may be ``None``).  The rest is blank — what a
+    :class:`CrystalPlan` fills in."""
+    blank = (_NONE, 0, 0, 0)
+    pof2 = 1 << (size.bit_length() - 1)
+    rem = size - pof2
+    if rank >= pof2:
+        # Fold: a high rank parks everything on its low image, which
+        # hands back what is addressed to it after the last stage.
+        yield "MPI_Send", rank - pof2, None, TAG_CRYSTAL, -1, *blank
+        yield None, None, rank - pof2, TAG_CRYSTAL + 2, 0, *blank
+        return
+    if rank < rem:
+        yield None, None, rank + pof2, TAG_CRYSTAL, 0, *blank
+    # Hypercube stages among the low pof2 ranks; a destination >= pof2
+    # routes via its folded image (the same low bits).
+    bit = pof2 >> 1
+    while bit:
+        yield "MPI_Isend", rank ^ bit, rank ^ bit, TAG_CRYSTAL + 1, bit, *blank
+        bit >>= 1
+    if rank < rem:
+        # Unfold: what is left for the folded high rank.
+        yield "MPI_Send", rank + pof2, None, TAG_CRYSTAL + 2, pof2, *blank
+
+
+def _record_bytes(rows: np.ndarray) -> int:
+    """Wire bytes of one record: its id and its row."""
+    return 8 + rows.dtype.itemsize * prod(rows.shape[1:])
+
+
+def message_nbytes(groups, record_bytes):
+    """Size of a stage message whose records — ``record_bytes`` of ids
+    and rows in all — are for ``groups`` destinations: the count word
+    and one ``(dest, count)`` pair per group come on top.  Scalars, or
+    arrays for many messages at once (``repro.vscale``)."""
+    return 8 * (1 + 2 * groups) + record_bytes
+
+
+def _pack(dest: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> tuple:
+    """``(groups, message)`` for records sorted by ``dest``."""
+    counts = np.bincount(dest)
+    to = counts.nonzero()[0]
+    head = np.empty(1 + 2 * len(to), dtype=np.int64)
+    head[0] = len(to)
+    head[1::2] = to
+    head[2::2] = counts[to]
+    body = np.ascontiguousarray(rows).reshape(-1)
+    return len(to), np.concatenate(
+        [part.view(np.uint8) for part in (head, ids, body)]
+    )
+
+
+def _unpack(msg, like: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(dest, ids, rows)`` of a stage message whose rows have the shape
+    and dtype of ``like``'s."""
+    if getattr(msg, "dtype", None) == np.uint8 and msg.ndim == 1:
+        at = 8 + 16 * int(msg[:8].view(np.int64)[0])
+        groups = msg[8:at].view(np.int64).reshape(-1, 2)
+        n = int(groups[:, 1].sum())
+        if msg.size == at + n * _record_bytes(like):
+            return (
+                np.repeat(groups[:, 0], groups[:, 1]),
+                msg[at:at + 8 * n].view(np.int64),
+                msg[at + 8 * n:].view(like.dtype).reshape(n, *like.shape[1:]),
+            )
+    raise CommunicatorError(
+        f"crystal router: expected a stage message of {like.shape[1:]} "
+        f"{like.dtype} rows, got {getattr(msg, 'dtype', type(msg))} "
+        f"of shape {np.shape(msg)}"
+    )
+
+
 class CrystalPlan:
-    """One rank's crystal-router exchange of one handle and value dtype:
-    recorded from a generic :func:`route`, replayed as flat arrays.
+    """What one rank's route of one set of records came to: its
+    :func:`_steps` with the blanks filled in, as flat arrays over a
+    *store* — the rank's own records first, every arrival in the next
+    free range.  Per step, ``take`` is the store slots that leave,
+    ``groups`` how many destinations they are for, ``lo:hi`` the store
+    range the receive fills; ``final`` is the slots addressed to this
+    rank, in arrival order.  None of it depends on the rows, so the same
+    records route again (:func:`_run` without ``dest``) for any row
+    dtype and width.  A gather-scatter handle's plan also keeps
+    ``index``, the condensed entries its records carry, and the
+    ``rounds`` that fold ``final``."""
 
-    The record is a program over a flat value *store*: ``index`` picks
-    the entries of ``condensed`` that fill its head, an arrival lands in
-    the next free range, a departure is a ``take`` of store slots, and
-    ``rounds`` fold the slots addressed to this rank.  Route, lengths
-    and charged sizes depend on the handle and the dtype alone, so a
-    replay sends values only, and ``Comm._inject`` charges each message
-    what its routing dict was charged."""
-
-    def __init__(self, handle: GSHandle):
-        self.comm = handle.comm
-        send = handle.neighbor_send_index
-        self.index = np.concatenate([_NONE, *send.values()])
-        #: ``(verb, world rank, mailbox, tag, store slots, nbytes, send
-        #: overhead)``, ``("recv", partner, tag, lo, hi)``, ``("compute", s)``.
+    def __init__(self, comm, index: np.ndarray = _NONE):
+        self.comm, self.index = comm, index
         self.steps: list = []
-        #: While recording: destination -> store slots of the records
-        #: ``route`` holds for it right now; ``_n`` slots are taken.
-        self._held, self._n = {}, 0
-        self._land({q: len(ix) for q, ix in send.items()})
-
-    def _land(self, lengths: Dict[int, int]) -> None:
-        """Records arrive, ``lengths[dest]`` of them per destination."""
-        for dest, n in lengths.items():
-            held = self._held.get(dest, _NONE)
-            self._held[dest] = np.concatenate([held, self._n + np.arange(n)])
-            self._n += n
-
-    def sent(self, verb: str, partner: int, tag: int, bundle: Records) -> None:
-        comm = self.comm
-        slots = np.concatenate([_NONE, *(self._held.pop(d) for d in bundle)])
-        nbytes, world = payload_nbytes(bundle), comm.group[partner]
-        self.steps.append((
-            verb, world, comm._runtime.mailbox(world), tag, slots, nbytes,
-            comm.machine.network.send_overhead(nbytes),
-        ))
-
-    def received(self, partner: int, tag: int, bundle: Records) -> None:
-        lo = self._n
-        self._land({dest: len(gids) for dest, (gids, _) in bundle.items()})
-        self.steps.append(("recv", partner, tag, lo, self._n))
-
-    def computed(self, seconds: float) -> None:
-        self.steps.append(("compute", seconds))
+        self.prices: dict = {}  # record bytes -> what each step is charged
+        self.final, self.size = _NONE, 0
+        self.rounds: list = []
 
     def close(self, ix: np.ndarray) -> None:
-        """End the record.  ``ix``: the uid-indices that the records for
-        this rank fold into, in arrival order.  One with several remote
-        owners recurs, so the fold is split into rounds by occurrence
-        number (as ``GSHandle.rounds`` is): round after round of distinct
-        targets is the sequential ``ufunc.at``, bit for bit."""
-        slots = self._held.pop(self.comm.rank, _NONE)
+        """``ix``: the uid-indices that the ``final`` records fold into.
+        One with several remote owners recurs, so the fold is split into
+        rounds by occurrence number (as ``GSHandle.rounds`` is): round
+        after round of distinct targets is the sequential ``ufunc.at``,
+        bit for bit."""
         order = np.argsort(ix, kind="stable")
         target = ix[order]
         nth = np.arange(len(target)) - np.searchsorted(target, target)
         self.rounds = [
-            (target[nth == k], slots[order[nth == k]])
+            (target[nth == k], self.final[order[nth == k]])
             for k in range(int(nth.max(initial=-1)) + 1)
         ]
 
-    def replay(self, condensed: np.ndarray, op: ReduceOp, site: str):
-        comm = self.comm
-        clock, record, cid = comm.clock, comm._prof.record, comm.cid
-        store = np.empty(self._n, dtype=condensed.dtype)
-        store[:len(self.index)] = condensed.take(self.index)
-        for stage, step in enumerate(self.steps):
-            if step[0] == "recv":
-                _, partner, tag, lo, hi = step
-                got = comm.recv(source=partner, tag=tag, site=site)
-                if np.shape(got) != (hi - lo,):
-                    raise CommunicatorError(
-                        f"crystal replay on rank {comm.rank}, stage {stage}: "
-                        f"expected {hi - lo} values from rank {partner}, "
-                        f"got shape {np.shape(got)}"
-                    )
-                store[lo:hi] = got
-            elif step[0] == "compute":
-                comm.compute(seconds=step[1])
-            else:  # ``take`` is the send-time snapshot
-                verb, w, box, tag, slots, nbytes, ovh = step
-                t0 = clock.now
-                comm._inject(store.take(slots), nbytes, ovh, w, box, cid, tag)
-                record(verb, site, clock.now - t0, nbytes)
-        out = condensed.copy()
-        for ix, slots in self.rounds:
-            out[ix] = op.ufunc(out[ix], store.take(slots))
-        return out
+
+def _run(
+    plan: CrystalPlan, site: str, rows: np.ndarray,
+    dest: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Fold, hypercube stages and unfold of ``plan.comm``'s rank over its
+    records' ``rows``; return the ``(ids, rows)`` store.  With ``dest``
+    and ``ids`` the records are routed and ``plan`` filled in; without,
+    ``plan`` says which rows leave and land where, and ``ids`` is
+    ``None``.  Either way a message is charged the size of the full
+    stage message, and a stage the memory pass over the records it
+    moved (gslib's crystal router packs and unpacks per stage)."""
+    comm = plan.comm
+    rank, cid, machine, clock = comm.rank, comm.cid, comm.machine, comm.clock
+    record, mailbox = comm._prof.record, comm._runtime.mailbox
+    record_bytes, row_shape = _record_bytes(rows), rows.shape[1:]
+    recording = dest is not None
+    if recording:
+        dest = np.asarray(dest, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        held = (dest != rank).nonzero()[0]   # in transit, oldest first
+        mine = (dest == rank).nonzero()[0]   # never travels
+        steps = _steps(comm.size, rank)
+    else:
+        store = np.empty((plan.size, *row_shape), dtype=rows.dtype)
+        store[:len(rows)] = rows
+        rows, steps = store, plan.steps
+    # Per step ``(nbytes, send overhead, stage seconds)``: pure functions
+    # of the plan, the record size and the machine model, worked out the
+    # first time records of this size take the step.
+    prices = plan.prices.get(record_bytes)
+    if prices is None:
+        prices = plan.prices[record_bytes] = []
+    for stage, step in enumerate(steps):
+        verb, to, frm, tag, mask, take, groups, lo, hi = step
+        priced = stage < len(prices)
+        nbytes, overhead, seconds = prices[stage] if priced else (0, 0.0, 0.0)
+        if to is not None:
+            if recording:
+                out = (dest[held] ^ rank) & mask != 0
+                take, held = held[out], held[~out]
+                take = take[dest[take].argsort(kind="stable")]
+                groups, payload = _pack(
+                    dest[take], ids[take], rows.take(take, axis=0)
+                )
+            else:
+                payload = rows.take(take, axis=0)  # the send-time snapshot
+            if not priced:
+                nbytes = message_nbytes(groups, len(take) * record_bytes)
+                overhead = machine.network.send_overhead(nbytes)
+            world = comm.group[to]
+            t0 = clock.now
+            comm._inject(
+                payload, nbytes, overhead, world, mailbox(world), cid, tag
+            )
+            record(verb, site, clock.now - t0, nbytes)
+        if frm is not None:
+            got = comm.recv(source=frm, tag=tag, site=site)
+            if recording:
+                new = _unpack(got, rows)
+                lo, hi = len(dest), len(dest) + len(new[0])
+                held = np.concatenate([held, np.arange(lo, hi)])
+                dest, ids, rows = (
+                    np.concatenate(old_new)
+                    for old_new in zip((dest, ids, rows), new)
+                )
+            elif getattr(got, "shape", None) != (hi - lo, *row_shape):
+                raise CommunicatorError(
+                    f"crystal replay on rank {rank}, stage {stage}: "
+                    f"expected {hi - lo} rows from rank {frm}, "
+                    f"got shape {np.shape(got)}"
+                )
+            else:
+                rows[lo:hi] = got
+        if not priced:
+            if to is not None and frm is not None:
+                moved = (len(take) + hi - lo) * record_bytes
+                seconds = machine.compute_seconds(mem_bytes=2.0 * moved)
+            prices.append((nbytes, overhead, seconds))
+        if to is not None and frm is not None:
+            comm.compute(seconds=seconds)
+        if recording:
+            plan.steps.append((*step[:5], take, groups, lo, hi))
+    if recording:
+        if (dest[held] != rank).any():
+            raise AssertionError(
+                f"crystal router left records for "
+                f"{sorted(set(dest[held].tolist()) - {rank})} on rank {rank}"
+            )
+        plan.final, plan.size = np.concatenate([held, mine]), len(dest)
+    return ids, rows
+
+
+def route(
+    dest: np.ndarray, ids: np.ndarray, rows: np.ndarray, comm,
+    site: str = SITE,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Deliver every record to its destination rank.
+
+    Record ``i`` is ``ids[i]`` and ``rows[i]`` bound for rank ``dest[i]``;
+    ``rows`` is ``(n, width)`` — any ``(n, *row_shape)`` — with one row
+    shape and dtype on every rank.  Returns the ``(ids, rows)`` addressed
+    to this rank, in arrival order: per sender as sent, what a rank held
+    before what it received at every stage, its own records last.  The
+    transport of the gather-scatter exchange below and of any sparse
+    all-to-all (element and particle migration).  Collective.
+    """
+    plan = CrystalPlan(comm)
+    ids, rows = _run(plan, site, np.asarray(rows), dest, ids)
+    return ids[plan.final], rows.take(plan.final, axis=0)
 
 
 def exchange_crystal(
     handle: GSHandle, condensed: np.ndarray, op: ReduceOp, site: str = SITE
 ) -> np.ndarray:
-    """Combine shared entries of ``condensed`` via the crystal router: the
-    generic :func:`route`, recorded, on a handle's first exchange of each
-    value dtype; a replay of that record on every later one."""
-    key = ("crystal", condensed.dtype)
-    plan = handle._derived.get(key)
+    """Combine shared entries of ``condensed`` — ``(n_unique,)`` or
+    fields-first ``(nf, n_unique)``, one row of ``nf`` values per id —
+    via the crystal router; returns a new array.  The handle's first
+    exchange routes ``(neighbour, uid, values)`` records and keeps the
+    plan; every later one, of any dtype and ``nf``, replays it."""
+    out = condensed.T.copy()  # ids first, as records are
+    plan = handle._derived.get("crystal")
     if plan is not None and plan.comm is handle.comm:
-        return plan.replay(condensed, op, site)
-    plan = CrystalPlan(handle)
-    records: Records = {
-        q: (handle.uids[ix], condensed[ix])
-        for q, ix in handle.neighbor_send_index.items()
-    }
-    arrived = route(records, handle.comm, site=site, recorder=plan)
-    # What arrived is addressed to this rank: one bundle, or none.
-    gids, vals = arrived.get(handle.comm.rank, (_NONE, condensed[:0]))
-    out = condensed.copy()
-    ix = np.searchsorted(handle.uids, gids)
-    # ufunc.at, as several sources may contribute to the same id.
-    op.ufunc.at(out, ix, vals)
-    plan.close(ix)
-    handle._derived[key] = plan
-    return out
+        _, rows = _run(plan, site, out.take(plan.index, axis=0))
+    else:
+        send = handle.neighbor_send_index
+        index = np.concatenate([_NONE, *send.values()])
+        plan = CrystalPlan(handle.comm, index)
+        dest = np.repeat(
+            np.fromiter(send, np.int64), [len(ix) for ix in send.values()]
+        )
+        ids, rows = _run(
+            plan, site, out.take(index, axis=0), dest, handle.uids[index]
+        )
+        plan.close(np.searchsorted(handle.uids, ids[plan.final]))
+        handle._derived["crystal"] = plan
+    for ix, slots in plan.rounds:
+        out[ix] = op.ufunc(out[ix], rows.take(slots, axis=0))
+    return np.ascontiguousarray(out.T)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..mpi.datatypes import ReduceOp, SUM
 from .allreduce_method import exchange_allreduce
-from .crystal import route
+from .crystal import exchange_crystal
 from .handle import GSHandle
 from .ops import METHODS
 from .pairwise import TAG_PAIRWISE, exchange_in_place
@@ -60,7 +60,7 @@ def gs_op_many(
         if method == "pairwise":
             exchange_in_place(handle, cond, op, site, TAG_PAIRWISE + 1)
         elif method == "crystal":
-            cond = _packed_crystal(handle, cond, op, site)
+            cond = exchange_crystal(handle, cond, op, site)
         else:
             for i in range(nf):
                 cond[i] = exchange_allreduce(handle, cond[i], op, site=site)
@@ -74,27 +74,3 @@ def gs_op_many(
     )
     return out
 
-
-def _packed_crystal(
-    handle: GSHandle, cond: np.ndarray, op: ReduceOp, site: str
-) -> np.ndarray:
-    """Crystal-router exchange with fields packed into the records."""
-    comm = handle.comm
-    nf = cond.shape[0]
-    # Pack gid-major (one row of nf values per gid) so the router's
-    # per-destination record concatenation keeps rows intact.
-    records = {
-        q: (
-            handle.uids[ix],
-            np.ascontiguousarray(cond[:, ix].T).reshape(-1),
-        )
-        for q, ix in handle.neighbor_send_index.items()
-    }
-    arrived = route(records, comm, site=site)
-    out = cond.copy()
-    for _dest, (gids, flat) in sorted(arrived.items()):
-        vals = np.asarray(flat).reshape(-1, nf)
-        ix = np.searchsorted(handle.uids, gids)
-        for i in range(nf):
-            op.ufunc.at(out[i], ix, vals[:, i])
-    return out

@@ -158,20 +158,23 @@ class CostMonitor:
 def gather_costs(comm, monitor: CostMonitor) -> List[RankCost]:
     """Allgather every rank's window cost (collective; ``LB_monitor``).
 
-    The exchanged tuples are tiny, but the call is a real collective on
+    The exchanged rows are tiny, but the call is a real collective on
     the virtual network, so monitoring overhead shows up honestly in
-    the mpiP output under the ``LB_monitor`` call site.
+    the mpiP output under the ``LB_monitor`` call site.  A row is five
+    float64 (40 bytes whatever the counters have grown to; the integer
+    fields are exact below 2**53 and cast back on arrival).
     """
     mine = monitor.window_cost(comm.rank)
-    payload = (
+    row = np.array([
         mine.nel, mine.volume_seconds, mine.particle_seconds,
         mine.nparticles, mine.steps,
-    )
-    gathered = comm.allgather(payload, site=SITE_LB_MONITOR)
+    ], dtype=np.float64)
+    gathered = comm.allgather(row, site=SITE_LB_MONITOR)
     return [
         RankCost(
-            rank=r, nel=nel, volume_seconds=vol,
-            particle_seconds=part, nparticles=np_, steps=steps,
+            rank=r, nel=int(nel), volume_seconds=float(vol),
+            particle_seconds=float(part), nparticles=int(np_),
+            steps=int(steps),
         )
         for r, (nel, vol, part, np_, steps) in enumerate(gathered)
     ]

@@ -1,13 +1,12 @@
 """Live migration of element state (and particles) between RK steps.
 
 Migration is an ordinary sparse all-to-all, so it rides the existing
-crystal-router transport (:func:`repro.gs.crystal.route`): each rank
-packs, per destination, the global ids of its departing elements plus
-one flat float64 row per element holding *all* migrated field arrays
-concatenated — one envelope per destination regardless of how many
-arrays travel.  On arrival rows are split back into arrays and sorted
-into the canonical ascending-global-id local order of the new
-assignment.
+crystal-router transport (:func:`repro.gs.crystal.route`): a record is
+an element's new owner, its global id and one float64 row holding *all*
+migrated field arrays concatenated — one record per element regardless
+of how many arrays travel.  On arrival rows are split back into arrays
+and sorted into the canonical ascending-global-id local order of the
+new assignment.
 
 Everything is charged to virtual time: the route's sends/receives show
 up under the ``LB_migrate`` call site in the mpiP output, pack/unpack
@@ -30,7 +29,6 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..gs.crystal import route
-from ..gs.handle import sorted_unique
 from .assignment import ElementAssignment
 
 #: mpiP call-site label for migration traffic on the transport.
@@ -124,26 +122,13 @@ def migrate_elements(
     rows = _pack_rows(arrays, nel_old)
 
     dest = new_assignment.owner[old_ids]
-    records = {}
-    bytes_sent = 0
-    for d in sorted_unique(dest):
-        sel = dest == d
-        records[int(d)] = (old_ids[sel], rows[sel])
-        if d != rank:
-            bytes_sent += int(rows[sel].nbytes) + int(old_ids[sel].nbytes)
-    # Pack/unpack of the envelopes is a real memory pass on both ends.
+    # Pack/unpack of the rows is a real memory pass on both ends.
     comm.compute(mem_bytes=2.0 * rows.nbytes)
 
-    arrived = route(records, comm, site=SITE_LB_MIGRATE)
+    got_ids, got_rows = route(dest, old_ids, rows, comm, site=SITE_LB_MIGRATE)
 
     new_ids = new_assignment.element_ids_of(rank)
     nel_new = new_ids.size
-    if rank in arrived:
-        got_ids, got_rows = arrived[rank]
-        got_rows = got_rows.reshape(got_ids.size, -1)
-    else:
-        got_ids = np.empty(0, dtype=np.int64)
-        got_rows = np.empty((0, rows.shape[1]), dtype=np.float64)
     if got_ids.size != nel_new:
         raise AssertionError(
             f"rank {rank}: migration delivered {got_ids.size} elements, "
@@ -163,7 +148,8 @@ def migrate_elements(
         elements_sent=nel_old - kept,
         elements_received=nel_new - kept,
         elements_kept=kept,
-        bytes_sent=bytes_sent,
+        bytes_sent=(nel_old - kept)
+        * (old_ids.itemsize + rows.shape[1] * rows.itemsize),
         seconds=comm.clock.now - t0,
     )
     comm.profile.record(
@@ -188,19 +174,10 @@ def migrate_particles(
     determinism.  Collective.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    pos = np.asarray(pos, dtype=np.float64).reshape(ids.size, -1)
-    width = pos.shape[1] if pos.size else 3
-    records = {}
-    for d in sorted_unique(dest_ranks):
-        sel = dest_ranks == d
-        records[int(d)] = (ids[sel], pos[sel])
+    pos = np.asarray(pos, dtype=np.float64).reshape(
+        ids.size, -1 if ids.size else 3
+    )
     comm.compute(mem_bytes=2.0 * (ids.nbytes + pos.nbytes))
-    arrived = route(records, comm, site=site)
-    if comm.rank in arrived:
-        got_ids, got_pos = arrived[comm.rank]
-        got_pos = got_pos.reshape(got_ids.size, -1)
-    else:
-        got_ids = np.empty(0, dtype=np.int64)
-        got_pos = np.empty((0, width), dtype=np.float64)
+    got_ids, got_pos = route(dest_ranks, ids, pos, comm, site=site)
     order = np.argsort(got_ids, kind="stable")
     return got_ids[order], got_pos[order]

@@ -205,26 +205,14 @@ class TwoWayCoupling:
             owners = tracker.owner_ranks(ecoords)
         else:
             owners = np.empty(0, dtype=np.int64)
-        records = {}
-        for dest in np.unique(owners):
-            mask = owners == dest
-            payload = np.concatenate(
-                [cloud.pos[mask], cloud.vel[mask]], axis=1
-            ).reshape(-1)
-            records[int(dest)] = (cloud.ids[mask], payload)
-        arrived = route(records, comm, site="particles:migrate")
-        parts = []
-        for _d, (ids, flat) in arrived.items():
-            data = np.asarray(flat).reshape(-1, 6)
-            parts.append(
-                InertialCloud(ids=ids, pos=data[:, :3], vel=data[:, 3:])
-            )
-        if not parts:
-            return InertialCloud.empty()
+        ids, data = route(
+            owners, cloud.ids, np.concatenate([cloud.pos, cloud.vel], axis=1),
+            comm, site="particles:migrate",
+        )
         return InertialCloud(
-            ids=np.concatenate([p.ids for p in parts]),
-            pos=np.concatenate([p.pos for p in parts]),
-            vel=np.concatenate([p.vel for p in parts]),
+            ids=ids,
+            pos=np.ascontiguousarray(data[:, :3]),
+            vel=np.ascontiguousarray(data[:, 3:]),
         )
 
     # -- diagnostics -----------------------------------------------------

@@ -249,29 +249,16 @@ class ParticleTracker:
         else:
             owners = np.empty(0, dtype=np.int64)
         moved = int(np.count_nonzero(owners != comm.rank))
-        records = {}
-        sent_bytes = 0
-        for dest in np.unique(owners):
-            mask = owners == dest
-            sub = cloud.select(mask)
-            # The router carries (gids, values) pairs; pack positions
-            # as the "values" with ids as the record keys.
-            records[int(dest)] = (sub.ids, sub.pos.reshape(-1))
-            if dest != comm.rank:
-                sent_bytes += int(sub.ids.nbytes + sub.pos.nbytes)
-        arrived = route(records, comm, site=SITE_MIGRATE)
-        clouds = []
-        for _dest, (ids, flat) in arrived.items():
-            clouds.append(
-                ParticleCloud(ids=ids, pos=np.asarray(flat).reshape(-1, 3))
-            )
+        # One record per particle: its id, its position the row.
+        ids, pos = route(owners, cloud.ids, cloud.pos, comm, SITE_MIGRATE)
         self.migrated_total += moved
         self.migrate_calls += 1
         comm.profile.record(
-            "PART_Migrate", SITE_MIGRATE, comm.clock.now - t0, sent_bytes,
+            "PART_Migrate", SITE_MIGRATE, comm.clock.now - t0,
+            moved * (cloud.ids.itemsize + 3 * cloud.pos.itemsize),
             informational=True,
         )
-        return ParticleCloud.concatenate(clouds)
+        return ParticleCloud(ids=ids, pos=pos)
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -17,17 +17,16 @@ splitting the job in two:
 
 The model is written to mirror the executed runtime's virtual-clock
 arithmetic *operation by operation* (same IEEE adds in the same order),
-so for the pairwise and allreduce methods the modeled per-rank step
-time agrees with an executed run at the same rank count to within
-floating-point noise; the crystal router's pickled routing dicts leave
-a documented few-bytes-per-message envelope gap (see
-``docs/virtual-scale.md`` and :data:`DEFAULT_TOLERANCES`).
+and every message is priced from exact integer byte counts — the
+crystal router's from the closed form of its typed record wire
+(:mod:`repro.gs.crystal`) — so for all three methods the modeled
+per-rank step time agrees with an executed run at the same rank count
+to within floating-point noise (:data:`DEFAULT_TOLERANCES`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -36,6 +35,7 @@ import numpy as np
 
 from ..core.cmtbone import CMTBone
 from ..core.config import CMTBoneConfig
+from ..gs.crystal import message_nbytes
 from ..kernels import counters
 from ..perfmodel import MachineModel
 from ..solver.surface import full2face_flops
@@ -44,17 +44,11 @@ from .schedule import StepSchedule, build_schedule
 #: The three exchange strategies of the paper's Fig. 7 study.
 GS_METHODS = ("pairwise", "crystal", "allreduce")
 
-#: Per-method modeled-vs-executed agreement tolerances (relative error
-#: on per-rank step time).  Pairwise and allreduce schedules are priced
-#: from exact integer byte counts, so the model reproduces the executed
-#: clock arithmetic to float rounding; the crystal router ships pickled
-#: record dicts whose envelope bytes the model approximates affinely
-#: (int-key encoding widths jitter by a few bytes per message).
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "pairwise": 1e-9,
-    "allreduce": 1e-9,
-    "crystal": 2e-2,
-}
+#: Modeled-vs-executed agreement tolerance per method (relative error on
+#: per-rank step time): every schedule is priced from exact integer byte
+#: counts, so the model reproduces the executed clock arithmetic to
+#: float rounding.
+DEFAULT_TOLERANCES: Dict[str, float] = dict.fromkeys(GS_METHODS, 1e-9)
 
 
 class VscaleError(ValueError):
@@ -261,54 +255,6 @@ def _coalesce(
     return uniq // nranks, uniq % nranks, raw2
 
 
-class _DictWireModel:
-    """Affine model of ``pickle.dumps`` sizes for routing-record dicts.
-
-    The crystal router ships ``{dest: (gids, vals)}`` dicts whose wire
-    size is their pickle length.  That length decomposes into the empty
-    -dict envelope, a near-constant per-entry framing cost, and the raw
-    array payload (16 bytes per routed id).  The constants are measured
-    once at engine construction from freshly allocated arrays — pickle
-    memoizes repeated objects, so calibrating with aliased arrays would
-    undercount.  Integer-key encoding widths make real sizes jitter by
-    a few bytes per entry; that is the crystal method's agreement
-    tolerance (see :data:`DEFAULT_TOLERANCES`).
-    """
-
-    _CAL_LEN = 64
-
-    def __init__(self) -> None:
-        proto = pickle.HIGHEST_PROTOCOL
-
-        def fresh(keys: List[int]) -> bytes:
-            payload = {
-                k: (
-                    np.arange(self._CAL_LEN, dtype=np.int64),
-                    np.arange(self._CAL_LEN, dtype=np.float64),
-                )
-                for k in keys
-            }
-            return pickle.dumps(payload, protocol=proto)
-
-        raw = 16.0 * self._CAL_LEN
-        self.empty = float(len(pickle.dumps({}, protocol=proto)))
-        one = float(len(fresh([5])))
-        two = float(len(fresh([5, 6])))
-        self.first_entry = one - self.empty - raw
-        self.per_entry = two - one - raw
-
-    def nbytes(self, entries: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        """Modeled pickle bytes for dicts with the given entry counts."""
-        entries = np.asarray(entries, dtype=np.float64)
-        sized = (
-            self.empty
-            + self.first_entry
-            + np.maximum(entries - 1.0, 0.0) * self.per_entry
-            + raw
-        )
-        return np.where(entries > 0, sized, self.empty)
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -389,7 +335,6 @@ class VirtualScaleEngine:
         self.machine = machine or MachineModel.default()
         self.sample_nranks = min(int(sample), self.nranks)
         self.backend = backend
-        self._dict_model = _DictWireModel()
         self._schedules: Dict[int, StepSchedule] = {}
         self._models: Dict[tuple, ModeledTimeline] = {}
         self._samples: Dict[str, SampleExecution] = {}
@@ -658,8 +603,8 @@ class VirtualScaleEngine:
         """Static wave plan of one crystal-router exchange.
 
         Replays gslib's fold / hypercube-stage / unfold structure over
-        flat (holder, destination, bytes) record arrays; dict wire
-        sizes come from the affine pickle model.  The plan depends only
+        flat (holder, destination, bytes) record arrays; message sizes
+        are the record wire's own closed form.  The plan depends only
         on the schedule, so it is built once and replayed for every
         field of every stage.
         """
@@ -684,7 +629,7 @@ class VirtualScaleEngine:
             raw_out = np.bincount(
                 holder[high] - pof2, weights=raw[high], minlength=rem
             )
-            nbytes = self._dict_model.nbytes(entries, raw_out)
+            nbytes = message_nbytes(entries, raw_out)
             senders = np.arange(pof2, p, dtype=np.int64)
             receivers = np.arange(rem, dtype=np.int64)
             waves.append(
@@ -709,7 +654,7 @@ class VirtualScaleEngine:
             raw_out = np.bincount(
                 holder[mover], weights=raw[mover], minlength=pof2
             )
-            nbytes = self._dict_model.nbytes(entries, raw_out)
+            nbytes = message_nbytes(entries, raw_out)
             partner = idx ^ bit
             moved = raw_out + raw_out[partner]
             waves.append(
@@ -738,7 +683,7 @@ class VirtualScaleEngine:
             raw_out = np.bincount(
                 holder[high_dest], weights=raw[high_dest], minlength=rem
             )
-            nbytes = self._dict_model.nbytes(entries, raw_out)
+            nbytes = message_nbytes(entries, raw_out)
             senders = np.arange(rem, dtype=np.int64)
             receivers = np.arange(pof2, p, dtype=np.int64)
             waves.append(

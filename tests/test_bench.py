@@ -176,14 +176,14 @@ class TestComparator:
     def test_within_tolerance_passes(self):
         base = _suite([Metric("vtime_s", 1.0, kind="virtual")])
         cur = _suite([Metric("vtime_s", 1.0 + 1e-9, kind="virtual")])
-        report = compare_suites(cur, base, gate_wall=True)
+        report = compare_suites(cur, base)
         assert report.ok
         assert report.deltas[0].status == OK
 
     def test_injected_regression_flagged(self):
         base = _suite([Metric("vtime_s", 1.0, kind="virtual")])
         cur = _suite([Metric("vtime_s", 1.001, kind="virtual")])
-        report = compare_suites(cur, base, gate_wall=True)
+        report = compare_suites(cur, base)
         assert not report.ok
         assert report.deltas[0].status == REGRESSION
 
@@ -197,45 +197,39 @@ class TestComparator:
         better = _suite(
             [Metric("speedup_x", 2.5, kind="virtual", better="higher")]
         )
-        assert not compare_suites(worse, base, gate_wall=True).ok
-        rep = compare_suites(better, base, gate_wall=True)
+        assert not compare_suites(worse, base).ok
+        rep = compare_suites(better, base)
         assert rep.ok and rep.deltas[0].status == IMPROVED
 
     def test_count_metrics_gate_exactly(self):
         base = _suite([Metric("restarts", 1.0, kind="count")])
         cur = _suite([Metric("restarts", 2.0, kind="count")])
-        assert not compare_suites(cur, base, gate_wall=True).ok
-
-    def test_wall_tolerance_is_loose(self):
-        base = _suite([Metric("wall_s", 1.0, kind="wall")])
-        jitter = _suite([Metric("wall_s", 1.8, kind="wall")])
-        blowup = _suite([Metric("wall_s", 2.5, kind="wall")])
-        assert compare_suites(jitter, base, gate_wall=True).ok
-        assert not compare_suites(blowup, base, gate_wall=True).ok
-
-    def test_wall_not_gated_on_foreign_host(self):
-        base = _suite(
-            [Metric("wall_s", 1.0, kind="wall")],
-            meta={"host": {"fingerprint": "someone-elses-box"}},
-        )
-        cur = _suite([Metric("wall_s", 50.0, kind="wall")])
-        report = compare_suites(cur, base)  # gate_wall=None -> auto
-        assert report.ok
-        assert report.deltas[0].status == INFO
-        assert not report.wall_gated
-
-    def test_wall_gated_when_fingerprint_matches(self):
-        base = _suite(
-            [Metric("wall_s", 1.0, kind="wall")],
-            meta={"host": {"fingerprint": host_fingerprint()}},
-        )
-        cur = _suite([Metric("wall_s", 50.0, kind="wall")])
         assert not compare_suites(cur, base).ok
+
+    @pytest.mark.parametrize("current", [0.02, 1.8, 2.5, 50.0])
+    @pytest.mark.parametrize("host", ["someone-elses-box", None])
+    def test_wall_is_reported_never_a_regression(self, current, host):
+        """Faster or slower, by jitter or 50x, on the baseline's host
+        (``None``: this one) or a foreign one."""
+        base = _suite(
+            [Metric("wall_s", 1.0, kind="wall")],
+            meta={"host": {"fingerprint": host or host_fingerprint()}},
+        )
+        cur = _suite([Metric("wall_s", current, kind="wall")])
+        report = compare_suites(cur, base)
+        assert report.ok and not report.improvements
+        assert report.deltas[0].status == INFO
+        assert "wall_s" in report.render() and "informational" in report.render()
+
+    def test_a_wall_row_that_disappears_is_still_a_regression(self):
+        base = _suite([Metric("wall_s", 1.0, kind="wall")])
+        report = compare_suites(_suite([]), base)
+        assert [d.metric for d in report.regressions] == ["wall_s"]
 
     def test_per_metric_tolerance_override(self):
         base = _suite([Metric("vtime_s", 1.0, kind="virtual", rel_tol=0.5)])
         cur = _suite([Metric("vtime_s", 1.4, kind="virtual")])
-        assert compare_suites(cur, base, gate_wall=True).ok
+        assert compare_suites(cur, base).ok
 
     def test_missing_metric_is_regression(self):
         base = _suite(
@@ -245,7 +239,7 @@ class TestComparator:
             ]
         )
         cur = _suite([Metric("vtime_s", 1.0, kind="virtual")])
-        report = compare_suites(cur, base, gate_wall=True)
+        report = compare_suites(cur, base)
         assert not report.ok
         assert report.regressions[0].metric == "gone_s"
 
@@ -259,7 +253,7 @@ class TestComparator:
                 metrics=[Metric("x", 1.0)],
             )
         )
-        report = compare_suites(cur, base, gate_wall=True)
+        report = compare_suites(cur, base)
         assert report.ok
         assert report.new_scenarios == ["solver/brand_new"]
 
@@ -297,7 +291,7 @@ class TestEndToEnd:
         # Virtual metrics are deterministic, so a re-run compares clean
         # against the first run as baseline.
         rerun = run_suites(opts)
-        report = compare_dirs(rerun, tmp_path, gate_wall=False)
+        report = compare_dirs(rerun, tmp_path)
         assert report.ok, report.render(verbose=True)
         assert len(report.deltas) > 0
 

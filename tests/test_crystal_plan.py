@@ -1,8 +1,9 @@
-"""The compiled crystal-router exchange against the per-call one.
+"""The crystal-router exchange against the dict-shipping one it replaced.
 
-``exchange_crystal`` records a ``CrystalPlan`` on a handle's first
-exchange of each value dtype and replays it afterwards;
-``tests/crystal_oracle.py`` keeps the per-call exchange it replaced.
+``exchange_crystal`` routes typed records on a handle's first exchange,
+keeps the ``CrystalPlan`` that route worked out and replays it for
+every later exchange, whatever its dtype and field count;
+``tests/crystal_oracle.py`` keeps the per-call routing-dict exchange.
 Everything observable — values, virtual clocks, profile rows, the
 message trace with every charged size — must be equal, not close.
 """
@@ -12,7 +13,9 @@ import pytest
 
 from repro.core import CMTBone, CMTBoneConfig
 from repro.faults import FaultPlan
-from repro.gs import choose_method, gs_op, gs_op_begin, gs_op_finish, gs_setup
+from repro.gs import (
+    choose_method, gs_op, gs_op_begin, gs_op_finish, gs_op_many, gs_setup,
+)
 from repro.gs import crystal
 from repro.gs.crystal import exchange_crystal
 from repro.mesh import BoxMesh, Partition, continuous_numbering, dg_face_numbering
@@ -44,16 +47,18 @@ def partition(nranks):
 
 def run_exchanges(exchange, nranks, numbering, op, dtypes, fault=None,
                   after_setup=None):
-    """``ROUNDS`` exchanges of fresh random values per entry of ``dtypes``."""
+    """``ROUNDS`` exchanges of fresh random values per entry of ``dtypes``:
+    a dtype, or ``(dtype, nf)`` for a fields-first packed block."""
     part = partition(nranks)
 
     def main(comm):
         handle = gs_setup(NUMBERINGS[numbering](part, comm.rank), comm)
         outs, marks = [], [comm.clock.now]
         for i, dtype in enumerate(dtypes):
+            dtype, *nf = dtype if isinstance(dtype, tuple) else (dtype,)
             for r in range(ROUNDS):
                 cond = values_for(
-                    (handle.n_unique,), dtype, 100 * i + 10 * r + comm.rank
+                    (*nf, handle.n_unique), dtype, 100 * i + 10 * r + comm.rank
                 )
                 keep = cond.copy()
                 outs.append(exchange(handle, cond, op, SITE))
@@ -88,7 +93,7 @@ class TestReplayEqualsPerCallExchange:
         args = (nranks, numbering, OPS[op], [dtype])
         got = run_exchanges(exchange_crystal, *args)
         assert_same(got, run_exchanges(exchange_crystal_oracle, *args))
-        plans = [h._derived["crystal", np.dtype(dtype)] for _, _, h in got[0]]
+        plans = [h._derived["crystal"] for _, _, h in got[0]]
         if numbering == "c0" and min(GRIDS[nranks][:2]) > 1:  # shared edges
             assert any(len(p.rounds) > 1 for p in plans)  # repeated targets
 
@@ -126,33 +131,34 @@ class TestUnderFaults:
         assert errors[0] == errors[1] and errors[0][1] == 2
 
 
-# -- (c) one program per dtype ---------------------------------------------
+# -- (c) one plan per handle ---------------------------------------------------
 
 
-def test_a_dtype_change_records_once_per_dtype(monkeypatch):
-    routed = []
-    route = crystal.route
+def test_one_recording_serves_every_dtype_and_row_width(monkeypatch):
+    recorded = []
+    run = crystal._run
 
-    def counting_route(records, comm, **kw):
-        routed.append((comm.rank, next(iter(records.values()))[1].dtype))
-        return route(records, comm, **kw)
+    def counting_run(plan, site, rows, dest=None, ids=None):
+        if dest is not None:
+            recorded.append(plan.comm.rank)
+        return run(plan, site, rows, dest, ids)
 
-    monkeypatch.setattr(crystal, "route", counting_route)
-    dtypes = [np.float64, np.int64, np.float64]
-    got = run_exchanges(exchange_crystal, 4, "c0", SUM, dtypes)
-    assert sorted(routed) == sorted(
-        (rank, np.dtype(dt)) for rank in range(4) for dt in (np.float64, np.int64)
-    )
+    monkeypatch.setattr(crystal, "_run", counting_run)
+    kinds = [np.float64, np.int64, (np.float64, 5), np.float64]
+    got = run_exchanges(exchange_crystal, 6, "c0", SUM, kinds)
+    assert sorted(recorded) == list(range(6))
     for outs, _, handle in got[0]:
-        assert [o.dtype for o in outs[::ROUNDS]] == dtypes
-        assert {k[1] for k in handle._derived if isinstance(k, tuple)} == {
-            np.dtype(np.float64), np.dtype(np.int64)
-        }
-    routed.clear()
-    assert_same(got, run_exchanges(exchange_crystal_oracle, 4, "c0", SUM, dtypes))
+        assert [(o.dtype, o.shape[:-1]) for o in outs[::ROUNDS]] == [
+            (np.float64, ()), (np.int64, ()), (np.float64, (5,)),
+            (np.float64, ()),
+        ]
+        assert [k for k in handle._derived if "crystal" in str(k)] == ["crystal"]
+    recorded.clear()
+    assert_same(got, run_exchanges(exchange_crystal_oracle, 6, "c0", SUM, kinds))
+    assert recorded == []
 
 
-# -- (d) what a replay no longer calls ---------------------------------------
+# -- (d) what no exchange calls, the recording one included --------------------
 
 
 class _CountingUfunc:
@@ -169,7 +175,7 @@ class _CountingUfunc:
         np.add.at(*args)
 
 
-def test_no_pickle_and_no_ufunc_at_after_the_recording(monkeypatch):
+def test_no_pickle_and_no_ufunc_at(monkeypatch):
     dumps = []
     part = partition(8)
 
@@ -179,18 +185,16 @@ def test_no_pickle_and_no_ufunc_at_after_the_recording(monkeypatch):
         op = ReduceOp("MPI_SUM", SUM.fn, SUM._identity_for, ufunc)
         cond = values_for((handle.n_unique,), np.float64, comm.rank)
         want = exchange_crystal_oracle(handle, cond, SUM)
-        first = exchange_crystal(handle, cond, op)
         comm.barrier()
-        at_calls, ufunc.at_calls = ufunc.at_calls, 0
         if comm.rank == 0:
             monkeypatch.setattr(datatypes, "pickle", counting_pickle(dumps))
         comm.barrier()
-        later = [exchange_crystal(handle, cond, op) for _ in range(3)]
+        got = [exchange_crystal(handle, cond, op) for _ in range(4)]
         comm.barrier()
-        assert all(same_bits(got, want) for got in [first] + later)
-        return at_calls, ufunc.at_calls
+        assert all(same_bits(g, want) for g in got)
+        return ufunc.at_calls
 
-    assert Runtime(nranks=8).run(main) == [(1, 0)] * 8
+    assert Runtime(nranks=8).run(main) == [0] * 8
     assert dumps == []
 
 
@@ -200,14 +204,13 @@ def test_no_pickle_and_no_ufunc_at_after_the_recording(monkeypatch):
 def test_a_wrong_length_arrival_raises_instead_of_folding_garbage():
     def truncate(handle):
         if handle.comm.rank == 0:
-            plan = handle._derived["crystal", np.dtype(np.float64)]
-            at = next(i for i, s in enumerate(plan.steps)
-                      if s[0] == "MPI_Isend" and len(s[4]))
+            plan = handle._derived["crystal"]
+            at = next(i for i, s in enumerate(plan.steps) if len(s[5]))
             step = plan.steps[at]
-            plan.steps[at] = step[:4] + (step[4][:-1],) + step[5:]
+            plan.steps[at] = (*step[:5], step[5][:-1], *step[6:])
 
     with pytest.raises(MPIError, match=r"crystal replay on rank \d, stage \d+: "
-                                       r"expected (\d+) values from rank 0"):
+                                       r"expected (\d+) rows from rank 0"):
         run_exchanges(exchange_crystal, 4, "dg", SUM, [np.float64],
                       after_setup=truncate)
 
@@ -247,8 +250,26 @@ class TestEntryPoints:
         got, want = _under_both(main, 8)
         assert_same(got, want)
         for (_, _, mine), (_, _, theirs) in zip(got[0], want[0]):
-            assert ("crystal", np.dtype(np.float64)) in mine._derived
-            assert not any(isinstance(k, tuple) for k in theirs._derived)
+            assert "crystal" in mine._derived
+            assert "crystal" not in theirs._derived
+
+    @pytest.mark.parametrize("nranks", [3, 8])
+    def test_gs_op_many_packs_fields_into_the_rows(self, nranks):
+        part = partition(nranks)
+
+        def main(comm):
+            gids = continuous_numbering(part, comm.rank)
+            handle = gs_setup(gids, comm)
+            x = values_for((5,) + gids.shape, np.float64, comm.rank)
+            outs = [
+                np.stack(gs_op_many(handle, list(f), op=op, method="crystal",
+                                    site=SITE))
+                for f, op in ((x, SUM), (x[:2], MAX), (x.astype(np.int64), MIN))
+            ]
+            return outs, observables(comm), handle
+
+        got, want = _under_both(main, nranks)
+        assert_same(got, want)
 
     @pytest.mark.parametrize("fault", [None, "drop:p=0.1"])
     def test_a_rebalance_records_anew_on_the_new_handle(self, fault):
@@ -268,5 +289,4 @@ class TestEntryPoints:
 
         got, want = _under_both(main, 4, fault)
         assert_same(got, want)
-        assert all(("crystal", np.dtype(np.float64)) in h._derived
-                   for _, _, h in got[0])
+        assert all("crystal" in h._derived for _, _, h in got[0])

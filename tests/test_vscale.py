@@ -3,8 +3,8 @@
 The contract under test (docs/virtual-scale.md): the analytic
 schedule must agree with a real ``gs_setup``, the batched network
 costs must be bit-identical to their scalar twins, the modeled
-timelines must agree with executed sample runs within the documented
-per-method tolerances, and the sampled-rank physics must stay bitwise
+timelines must agree with executed sample runs within the one
+documented tolerance, and the sampled-rank physics must stay bitwise
 identical to a full execution.
 """
 
@@ -22,6 +22,7 @@ from repro.perfmodel.topology import (
     FlatTopology,
     TorusTopology,
 )
+from repro.vscale import engine as engine_module
 from repro.vscale import (
     DEFAULT_TOLERANCES,
     GS_METHODS,
@@ -38,6 +39,16 @@ def _cfg(**over):
     )
     base.update(over)
     return CMTBoneConfig(**base)
+
+
+@pytest.fixture
+def a_byte_too_many(monkeypatch):
+    """A model that prices every crystal stage message one byte over."""
+    exact = engine_module.message_nbytes
+    monkeypatch.setattr(
+        engine_module, "message_nbytes",
+        lambda groups, raw: exact(groups, raw) + 1.0,
+    )
 
 
 # -- analytic schedule vs real gs_setup ---------------------------------
@@ -142,6 +153,21 @@ class TestAgreement:
         a = engine.validate(method)
         assert a.ok, a.describe()
 
+    def test_one_tolerance_for_every_method(self):
+        assert DEFAULT_TOLERANCES == dict.fromkeys(GS_METHODS, 1e-9)
+
+    @pytest.mark.parametrize("nranks", [8, 12, 16, 24])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_crystal_is_priced_exactly(self, n, nranks):
+        """Stage messages are charged a closed form of their record
+        counts, so the model needs no slack: powers of two and the
+        fold/unfold of 12 and 24 ranks alike."""
+        cfg = _cfg(n=n, local_shape=(2, 2, 2))
+        engine = VirtualScaleEngine(cfg, nranks=nranks, sample=nranks)
+        a = engine.validate("crystal")
+        assert a.tolerance == 1e-9
+        assert a.ok and a.rel_err < 1e-13, a.describe()
+
     def test_overlap_hides_communication(self):
         engine = VirtualScaleEngine(
             _cfg(overlap=True), nranks=16, sample=16
@@ -160,13 +186,16 @@ class TestAgreement:
         # The jitter must actually spread the modeled ranks.
         assert a.modeled.max() > a.modeled.min()
 
-    def test_tolerance_override_can_fail(self):
+    def test_tolerance_override_can_fail(self, a_byte_too_many):
         engine = VirtualScaleEngine(_cfg(), nranks=8, sample=8)
-        a = engine.validate("crystal", tolerance=1e-18)
-        assert a.tolerance == 1e-18
-        assert not a.ok
-        assert DEFAULT_TOLERANCES["crystal"] > 1e-18
-        assert engine.validate("crystal").ok
+        off = engine.validate("crystal")
+        assert not off.ok and DEFAULT_TOLERANCES["crystal"] < off.rel_err < 1e-3
+        loose = engine.validate("crystal", tolerance=2 * off.rel_err)
+        assert loose.tolerance == 2 * off.rel_err and loose.ok
+        tight = engine.validate("crystal", tolerance=off.rel_err / 2)
+        assert tight.tolerance == off.rel_err / 2 and not tight.ok
+        # The other methods' models are untouched.
+        assert engine.validate("pairwise").ok
 
     def test_sampled_physics_bitwise_identical(self):
         # The sample run IS the physics: digests of the 4-rank sample
@@ -316,18 +345,18 @@ class TestCli:
         assert doc["fastest"] == "pairwise"
         assert doc["agreement"]["pairwise"]["ok"] is True
 
-    def test_vscale_agreement_failure_exits_nonzero(self, capsys):
+    def test_vscale_agreement_failure_exits_nonzero(
+        self, capsys, a_byte_too_many
+    ):
         from repro.cli import main
 
-        rc = main(
-            [
-                "vscale", "--ranks", "64", "--sample", "8",
-                "--proxy", "-N", "5", "--local", "2,2,1",
-                "--steps", "2", "--gs-method", "crystal",
-                "--tolerance", "1e-18",
-            ]
-        )
-        assert rc == 1
+        argv = [
+            "vscale", "--ranks", "64", "--sample", "8",
+            "--proxy", "-N", "5", "--local", "2,2,1",
+            "--steps", "2", "--gs-method", "crystal",
+        ]
+        assert main(argv) == 1
+        assert main(argv + ["--tolerance", "1e-3"]) == 0
 
     def test_vscale_rejects_unmodelable_config(self, capsys):
         from repro.cli import main
