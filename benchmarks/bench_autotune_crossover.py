@@ -48,8 +48,7 @@ def _tune(n, local):
     return runtime.run(main)[0]
 
 
-def test_autotune_crossover(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_autotune_crossover(report):
     rows = []
     winners = []
     for n, local in SWEEP:

@@ -134,9 +134,8 @@ def _sweep(cadences, tmp_path, report, title):
 
 
 @pytest.mark.slow
-def test_fault_ablation_sweep(benchmark, report, tmp_path):
+def test_fault_ablation_sweep(report, tmp_path):
     """Full cadence sweep: U-shape with the minimum near Young/Daly."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     totals, best, tau_steps = _sweep(
         (1, 2, 3, 4, 6, 9, 12, 18, 0), tmp_path, report,
         "Ablation — checkpoint cadence vs campaign virtual time",

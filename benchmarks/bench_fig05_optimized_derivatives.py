@@ -56,8 +56,7 @@ def test_fig05_fused_kernel_wall(benchmark, direction):
     benchmark(dk.derivative, u, dmat, direction, "fused")
 
 
-def test_fig05_modelled_counters(benchmark, report, modelled_rows):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig05_modelled_counters(report, modelled_rows):
     rows = []
     for d in ("t", "r", "s"):
         c = modelled_rows[d]

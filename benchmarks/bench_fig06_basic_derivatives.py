@@ -43,8 +43,7 @@ def test_fig06_basic_kernel_wall(benchmark, direction):
     benchmark(dk.derivative, u, dmat, direction, "basic")
 
 
-def test_fig06_modelled_counters_and_speedup(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig06_modelled_counters_and_speedup(report):
     machine = MachineModel.preset("opteron6378")
 
     rows = []
@@ -91,7 +90,7 @@ def test_fig06_modelled_counters_and_speedup(benchmark, report):
     assert speedup("s", PAPER_N, PAPER_NEL) == pytest.approx(1.00, abs=0.02)
 
 
-def test_fig06_wall_speedup_direction(benchmark, report):
+def test_fig06_wall_speedup_direction(report):
     """The real numpy kernels show the same *direction* of the effect.
 
     The mechanism differs (Python-loop overhead removal vs Fortran
@@ -118,7 +117,6 @@ def test_fig06_wall_speedup_direction(benchmark, report):
         tb = best_of(lambda d=d: dk.derivative(u, dmat, d, "basic"))
         tf = best_of(lambda d=d: dk.derivative(u, dmat, d, "fused"))
         walls[d] = (tb, tf, tb / tf)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     report(
         f"Measured numpy wall speedups (N={n}, Nel={nel}; mechanism "
         "differs from Fortran, see module docstring)\n"

@@ -62,8 +62,7 @@ def fig7_results():
     return runtime.run(main)[0]
 
 
-def test_fig07_gs_method_comparison(benchmark, report, fig7_results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig07_gs_method_comparison(report, fig7_results):
     r = fig7_results
     report("Fig. 7 setup\n" + r["setup"])
     report(
@@ -101,8 +100,7 @@ def test_fig07_gs_method_comparison(benchmark, report, fig7_results):
         assert p_avg / 10 < ours < p_avg * 10, (app, method, ours, p_avg)
 
 
-def test_fig07_statistics_consistent(benchmark, fig7_results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_fig07_statistics_consistent(fig7_results):
     for app in ("cmt", "nek"):
         for t in fig7_results[app].values():
             assert 0 < t.mn <= t.avg <= t.mx

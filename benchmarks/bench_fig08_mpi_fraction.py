@@ -15,9 +15,8 @@ minority share of time in MPI, and the spread across ranks is real
 from repro.analysis import mpi_fraction_report, summarize_fractions
 
 
-def test_fig08_mpi_fraction_per_rank(benchmark, report, mpip_run):
+def test_fig08_mpi_fraction_per_rank(report, mpip_run):
     runtime, results, config = mpip_run
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     profile = runtime.job_profile()
 
     report(

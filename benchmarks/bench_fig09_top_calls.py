@@ -15,9 +15,8 @@ the collectives.
 from repro.analysis import top_calls_report, wait_dominance
 
 
-def test_fig09_top_mpi_calls(benchmark, report, mpip_run):
+def test_fig09_top_mpi_calls(report, mpip_run):
     runtime, results, config = mpip_run
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     profile = runtime.job_profile()
 
     report(

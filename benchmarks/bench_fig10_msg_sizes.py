@@ -16,9 +16,8 @@ dwarfs the setup traffic.
 from repro.analysis import message_size_report
 
 
-def test_fig10_message_sizes(benchmark, report, mpip_run):
+def test_fig10_message_sizes(report, mpip_run):
     runtime, results, config = mpip_run
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     profile = runtime.job_profile()
 
     report(

@@ -53,8 +53,7 @@ def _run(p, numbering):
     return results[0], runtime
 
 
-def test_gs_scaling_with_ranks(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_gs_scaling_with_ranks(report):
     rows = []
     data = {}
     for p in PS:
@@ -89,9 +88,8 @@ def test_gs_scaling_with_ranks(benchmark, report):
         ) * 1.05
 
 
-def test_crystal_rounds_logarithmic(benchmark, report):
+def test_crystal_rounds_logarithmic(report):
     """Crystal stage count per gs_op grows like log2 P."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = []
     for p in (4, 8, 16):
         proc = factor3(p)

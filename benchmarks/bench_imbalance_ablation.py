@@ -32,8 +32,7 @@ def _run(imbalance):
     return runtime.job_profile()
 
 
-def test_imbalance_ablation(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_imbalance_ablation(report):
     rows = []
     wait_shares = []
     spreads = []

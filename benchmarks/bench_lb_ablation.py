@@ -135,9 +135,8 @@ def _solver_fields(lb_policy):
 
 
 @pytest.mark.slow
-def test_lb_ablation_sweep(benchmark, report):
+def test_lb_ablation_sweep(report):
     """Full imbalance sweep with LB off/on."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     metrics = _sweep(
         (0.0, 0.2, 0.4, 0.6), report,
         "Ablation — dynamic load balancing vs injected compute imbalance",

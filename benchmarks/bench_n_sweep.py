@@ -35,8 +35,7 @@ def test_n_sweep_fused_wall(benchmark, n):
     benchmark(dk.dudr, u, dmat)
 
 
-def test_n_sweep_model_table(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_n_sweep_model_table(report):
     machine = MachineModel.preset("opteron6378")
     rows = []
     for n in NS:
@@ -70,11 +69,10 @@ def test_n_sweep_model_table(benchmark, report):
     assert "no" in spills and "yes" in spills
 
 
-def test_n_sweep_wall_scaling(benchmark, report):
+def test_n_sweep_wall_scaling(report):
     """Measured flop rate is roughly N-independent for fused kernels."""
     import time
 
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rows = []
     for n in NS:
         nel = max(1, POINTS_BUDGET // n**3)

@@ -44,8 +44,7 @@ def _time_methods(machine):
     return runtime.run(main)[0]
 
 
-def test_network_ablation(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_network_ablation(report):
     base = MachineModel.preset("compton")
     nets = {
         "baseline (Compton)": base,

@@ -55,9 +55,8 @@ def _compare(machine, n, local, proc, nranks):
 
 
 @pytest.mark.slow
-def test_overlap_ablation_sweep(benchmark, report):
+def test_overlap_ablation_sweep(report):
     """Full (N, Nel, P) sweep of the modelled overlap win."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     machine = MachineModel.preset("compton")
     cases = [
         (n, local, proc)

@@ -33,8 +33,7 @@ def _step_time(pack, machine):
     return max(r.vtime_total for r in results) / config.nsteps
 
 
-def test_pack_ablation(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_pack_ablation(report):
     base = MachineModel.preset("compton")
     slow_msgs = base.with_network(
         replace(base.network,

@@ -53,8 +53,7 @@ def _trace_run(topology):
     return runtime.trace, step_time
 
 
-def test_topology_ablation(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_topology_ablation(report):
     aligned = TorusTopology(shape=PROC)
     shuffled = ShuffledTorus(shape=PROC, seed=11)
 

@@ -54,8 +54,7 @@ def _run(viscous):
     return max(r[0] for r in res), max(r[1] for r in res), res[0][2]
 
 
-def test_viscous_ablation(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_viscous_ablation(report):
     t_euler, drift_e, deriv_e = _run(False)
     t_ns, drift_ns, deriv_ns = _run(True)
     report(

@@ -3,7 +3,7 @@
 Every module regenerates one table or figure from the paper's
 evaluation.  Tables print through the ``report`` fixture (bypassing
 pytest capture so they land in ``bench_output.txt`` when the suite is
-run with ``pytest benchmarks/ --benchmark-only | tee ...``) and are
+run with ``pytest benchmarks/ --ignore=benchmarks/e2e | tee ...``) and are
 also written to ``benchmarks/results/<name>.txt`` for later diffing.
 """
 

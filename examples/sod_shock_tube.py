@@ -13,52 +13,24 @@ Run:  python examples/sod_shock_tube.py
 
 import numpy as np
 
-from repro.mesh import BoxMesh, Partition
 from repro.mpi import Runtime
-from repro.solver import (
-    CMTSolver,
-    RHO,
-    ShockFilter,
-    SolverConfig,
-    from_primitives,
-)
-from repro.solver.boundary import BoundarySpec
-from repro.solver.riemann import SOD_LEFT, SOD_RIGHT, exact_riemann
+from repro.solver import RHO, SOD_LEFT, SOD_RIGHT, exact_riemann, sod_problem
 
 N = 8
-MESH = BoxMesh(shape=(16, 1, 1), n=N, periodic=(False, True, True),
-               lengths=(1.0, 0.25, 0.25))
-PART = Partition(MESH, proc_shape=(2, 1, 1))
+NELX = 16
+NRANKS = 2
 T_END = 0.2
 X0 = 0.5
-
-
-def dirichlet(state):
-    e = state.p / 0.4 + 0.5 * state.rho * state.u**2
-    return BoundarySpec(
-        "dirichlet", state=(state.rho, state.rho * state.u, 0.0, 0.0, e)
-    )
+SETUP = sod_problem(NRANKS, n=N, nelx=NELX, gs_method="pairwise")
 
 
 def main(comm):
-    solver = CMTSolver(
-        comm, PART,
-        config=SolverConfig(
-            gs_method="pairwise",
-            cfl=0.3,
-            shock_filter=ShockFilter(n=N, threshold=-6.0, ramp=2.0),
-            boundaries={0: dirichlet(SOD_LEFT), 1: dirichlet(SOD_RIGHT)},
-        ),
-    )
-    coords = np.stack(
-        [MESH.element_nodes(ec) for ec in PART.local_elements(comm.rank)],
+    solver, state = SETUP(comm)
+    x = np.stack(
+        [solver.mesh.element_nodes(ec)
+         for ec in solver.partition.local_elements(comm.rank)],
         axis=1,
-    )
-    x = coords[0]
-    blend = 0.5 * (1.0 + np.tanh((x - X0) / 0.02))
-    rho = SOD_LEFT.rho + (SOD_RIGHT.rho - SOD_LEFT.rho) * blend
-    p = SOD_LEFT.p + (SOD_RIGHT.p - SOD_LEFT.p) * blend
-    state = from_primitives(rho, np.zeros((3,) + rho.shape), p)
+    )[0]
 
     t, steps = 0.0, 0
     while t < T_END:
@@ -96,7 +68,7 @@ def ascii_profile(xs, rhos, exact_rho, height=14):
 
 
 if __name__ == "__main__":
-    results = Runtime(nranks=PART.nranks).run(main)
+    results = Runtime(nranks=NRANKS).run(main)
     xs = np.concatenate([r[0] for r in results])
     rhos = np.concatenate([r[1] for r in results])
     order = np.argsort(xs)
@@ -106,8 +78,8 @@ if __name__ == "__main__":
     exact_rho, _u, _p = sol.profile(xs, t=T_END, x0=X0)
 
     print(f"Sod shock tube at t = {T_END} "
-          f"({MESH.nelgt} elements, N={N}, {results[0][2]} steps, "
-          f"{PART.nranks} ranks)\n")
+          f"({NELX} elements, N={N}, {results[0][2]} steps, "
+          f"{NRANKS} ranks)\n")
     print("density: '#' = DG + shock filter, '.' = exact Riemann\n")
     print(ascii_profile(xs, rhos, exact_rho))
     print(f"\nL1 density error: {np.mean(np.abs(rhos - exact_rho)):.4f}")

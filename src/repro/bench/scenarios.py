@@ -19,9 +19,8 @@ The registry covers the paper's measurement axes:
 * backend scenarios (``kernels/backend_deriv4``, ``comms/backend_gs``)
   — threads vs procs execution: wall speedup of the process backend on
   real kernels and exact virtual-time parity on the gs exchange.
-* ``solver`` — Sod shock-tube step throughput, the solver-side
-  workspace ablation, and the fault-recovery / load-balancing
-  virtual-time campaigns.
+* ``solver`` — Sod shock-tube step throughput and the fault-recovery
+  / load-balancing virtual-time campaigns.
 """
 
 from __future__ import annotations
@@ -562,22 +561,16 @@ def _comms_backend_sockets() -> List[Metric]:
 
 
 # ---------------------------------------------------------------------
-# solver — Sod throughput, workspace ablation, fault/LB campaigns
+# solver — Sod throughput, fault/LB campaigns
 # ---------------------------------------------------------------------
 
 
-def _sod_main(nranks: int, nsteps: int, reuse_workspace: bool = True):
+def _sod_main(nranks: int, nsteps: int):
     """Run the Sod campaign; returns (final u of rank 0, virtual time)."""
-    from ..cli import _sod_setup
     from ..mpi import Runtime
+    from ..solver import sod_problem
 
-    setup = _sod_setup(
-        nranks,
-        n=6,
-        nelx=16,
-        gs_method="pairwise",
-        reuse_workspace=reuse_workspace,
-    )
+    setup = sod_problem(nranks, n=6, nelx=16, gs_method="pairwise")
 
     def main(comm):
         solver, state = setup(comm)
@@ -619,48 +612,6 @@ def _solver_sod_throughput() -> List[Metric]:
 
 
 @register(
-    "solver/workspace", "solver", repeats=3, nranks=2, n=6, nelx=16, nsteps=6
-)
-
-
-def _solver_workspace() -> List[Metric]:
-    """RHS/RK workspace reuse on vs off: speedup and bitwise parity."""
-    nsteps = 6
-
-    t0 = time.perf_counter()
-    with_ws = _sod_main(2, nsteps, reuse_workspace=True)
-    reuse_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    without = _sod_main(2, nsteps, reuse_workspace=False)
-    alloc_wall = time.perf_counter() - t0
-
-    bitwise = all(
-        np.array_equal(a[0], b[0], equal_nan=True)
-        for a, b in zip(with_ws, without)
-    )
-    return [
-        Metric("alloc_wall_s", alloc_wall, kind="wall", unit="s"),
-        Metric("reuse_wall_s", reuse_wall, kind="wall", unit="s"),
-        Metric(
-            "reuse_speedup_x",
-            alloc_wall / reuse_wall,
-            kind="wall",
-            unit="x",
-            better="higher",
-            rel_tol=1.0,
-        ),
-        Metric(
-            "bitwise_identical",
-            float(bitwise),
-            kind="count",
-            unit="bool",
-            better="higher",
-        ),
-    ]
-
-
-@register(
     "solver/fault_campaign",
     "solver",
     repeats=2,
@@ -675,11 +626,10 @@ def _solver_fault_campaign() -> List[Metric]:
     """Crash-and-recover campaign: virtual-time cost decomposition."""
     import tempfile
 
-    from ..cli import _sod_setup
     from ..faults.plan import FaultPlan
-    from ..solver.driver import run_with_recovery
+    from ..solver import run_with_recovery, sod_problem
 
-    setup = _sod_setup(2, n=6, nelx=16, gs_method="pairwise")
+    setup = sod_problem(2, n=6, nelx=16, gs_method="pairwise")
     plan = FaultPlan.parse("crash:rank=1,step=5", seed=0)
     with tempfile.TemporaryDirectory() as ckpt:
         _, report = run_with_recovery(

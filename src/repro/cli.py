@@ -747,63 +747,6 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-def _sod_setup(nranks: int, n: int, nelx: int, gs_method: str,
-               imbalance: float = 0.0, lb_policy=None,
-               reuse_workspace: bool = True,
-               kernel_variant: str = "fused"):
-    """Build the ``setup(comm)`` factory for the Sod campaign."""
-    import numpy as np
-
-    from .mesh import BoxMesh, Partition
-    from .solver import (
-        CMTSolver,
-        ShockFilter,
-        SolverConfig,
-        from_primitives,
-    )
-    from .solver.boundary import BoundarySpec
-    from .solver.riemann import SOD_LEFT, SOD_RIGHT
-
-    mesh = BoxMesh(shape=(nelx, 1, 1), n=n, periodic=(False, True, True),
-                   lengths=(1.0, 0.25, 0.25))
-    part = Partition(mesh, proc_shape=(nranks, 1, 1))
-
-    def _dirichlet(s):
-        e = s.p / 0.4 + 0.5 * s.rho * s.u**2
-        return BoundarySpec(
-            "dirichlet", state=(s.rho, s.rho * s.u, 0.0, 0.0, e)
-        )
-
-    def setup(comm):
-        bc = {0: _dirichlet(SOD_LEFT), 1: _dirichlet(SOD_RIGHT)}
-        solver = CMTSolver(
-            comm, part,
-            config=SolverConfig(
-                gs_method=gs_method,
-                cfl=0.3,
-                shock_filter=ShockFilter(n=n, threshold=-6.0, ramp=2.0),
-                boundaries=bc,
-                compute_imbalance=imbalance,
-                lb=lb_policy,
-                reuse_workspace=reuse_workspace,
-                kernel_variant=kernel_variant,
-            ),
-        )
-        coords = np.stack(
-            [mesh.element_nodes(ec)
-             for ec in part.local_elements(comm.rank)],
-            axis=1,
-        )
-        x = coords[0]
-        blend = 0.5 * (1.0 + np.tanh((x - 0.5) / 0.02))
-        rho = SOD_LEFT.rho + (SOD_RIGHT.rho - SOD_LEFT.rho) * blend
-        p = SOD_LEFT.p + (SOD_RIGHT.p - SOD_LEFT.p) * blend
-        st = from_primitives(rho, np.zeros((3,) + rho.shape), p)
-        return solver, st
-
-    return setup
-
-
 def cmd_sod(args) -> int:
     import tempfile
 
@@ -811,7 +754,7 @@ def cmd_sod(args) -> int:
 
     from .analysis import fault_report, render_gantt
     from .faults import FaultPlan
-    from .solver import run_with_recovery
+    from .solver import run_with_recovery, sod_problem
 
     if args.elements % args.ranks:
         print(f"--elements {args.elements} must divide by "
@@ -830,10 +773,10 @@ def cmd_sod(args) -> int:
         ckpt_dir = tempfile.mkdtemp(prefix="repro-sod-ckpt-")
         print(f"checkpoint dir: {ckpt_dir}")
     machine = MachineModel.preset(args.machine)
-    setup = _sod_setup(args.ranks, args.points, args.elements,
-                       args.gs_method, imbalance=args.imbalance,
-                       lb_policy=_lb_policy(args),
-                       kernel_variant=args.kernel_variant)
+    setup = sod_problem(args.ranks, args.points, args.elements,
+                        args.gs_method, imbalance=args.imbalance,
+                        lb_policy=_lb_policy(args),
+                        kernel_variant=args.kernel_variant)
 
     results, report = run_with_recovery(
         setup,
@@ -943,11 +886,13 @@ def _spool_dirs(spool):
 
 def _write_json_atomic(path, doc) -> None:
     import json
-    import os
 
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    os.replace(tmp, path)
+    from .store import atomic_write
+
+    atomic_write(
+        str(path), "w",
+        lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True)),
+    )
 
 
 def cmd_serve(args) -> int:

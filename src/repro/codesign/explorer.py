@@ -123,7 +123,7 @@ class VscaleExplorer:
         engine = self._engine(candidate.machine)
         method, timeline = engine.best_method(self.methods)
         if self.validate:
-            sig = (candidate.machine.cpu, candidate.machine.wall_scale)
+            sig = candidate.machine.cpu
             if sig not in self._validated:
                 agreement = engine.validate(method)
                 self.executed_jobs += 1

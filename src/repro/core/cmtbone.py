@@ -416,7 +416,6 @@ def launch_cmtbone(
     nranks: int = 8,
     machine=None,
     backend="threads",
-    time_policy=None,
 ):
     """Build a Runtime on the chosen execution backend and run CMT-bone.
 
@@ -428,13 +427,8 @@ def launch_cmtbone(
     across cores; virtual-time results are identical either way (see
     ``docs/backends.md``).
     """
-    from ..mpi import Runtime, TimePolicy
+    from ..mpi import Runtime
 
     cfg = config if config is not None else CMTBoneConfig()
-    rt = Runtime(
-        nranks=nranks,
-        machine=machine,
-        time_policy=time_policy if time_policy is not None else TimePolicy.MODELED,
-        backend=backend,
-    )
+    rt = Runtime(nranks=nranks, machine=machine, backend=backend)
     return rt.run(run_cmtbone, args=(cfg,)), rt

@@ -28,8 +28,8 @@ def _as_coord(v, name: str) -> Coord:
 
 
 @dataclass(frozen=True)
-class CMTBoneConfig:
-    """Configuration of one CMT-bone run.
+class BrickConfig:
+    """The problem shape both mini-apps share: N, Nel and P.
 
     ``local_shape`` is the per-rank element brick (the paper's "Local
     Element Distribution"); the global mesh is ``proc_shape *
@@ -43,6 +43,48 @@ class CMTBoneConfig:
     local_shape: Coord = (5, 5, 4)
     #: Processor grid (or None to factor the communicator size).
     proc_shape: Optional[Coord] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "local_shape", _as_coord(self.local_shape, "local_shape")
+        )
+        if self.proc_shape is not None:
+            object.__setattr__(
+                self, "proc_shape", _as_coord(self.proc_shape, "proc_shape")
+            )
+
+    @property
+    def nel_local(self) -> int:
+        lx, ly, lz = self.local_shape
+        return lx * ly * lz
+
+    def resolve_proc_shape(self, nranks: int) -> Coord:
+        shape = self.proc_shape if self.proc_shape is not None else factor3(nranks)
+        px, py, pz = shape
+        if px * py * pz != nranks:
+            raise ValueError(
+                f"processor grid {shape} does not match {nranks} ranks"
+            )
+        return shape
+
+    def build_partition(self, nranks: int) -> Partition:
+        """Mesh + decomposition for ``nranks`` identically loaded ranks."""
+        proc = self.resolve_proc_shape(nranks)
+        global_shape = tuple(
+            p * l for p, l in zip(proc, self.local_shape)
+        )
+        mesh = BoxMesh(shape=global_shape, n=self.n)  # periodic box
+        return Partition(mesh=mesh, proc_shape=proc)
+
+    def with_(self, **kw):
+        """Functional update (frozen dataclass convenience)."""
+        return replace(self, **kw)
+
+
+@dataclass(frozen=True)
+class CMTBoneConfig(BrickConfig):
+    """Configuration of one CMT-bone run."""
+
     #: Conserved components carried through the pipeline (CMT: 5).
     neq: int = 5
     #: Timesteps for :meth:`repro.core.cmtbone.CMTBone.run`.
@@ -95,13 +137,7 @@ class CMTBoneConfig:
     lb_min_interval: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "local_shape", _as_coord(self.local_shape, "local_shape")
-        )
-        if self.proc_shape is not None:
-            object.__setattr__(
-                self, "proc_shape", _as_coord(self.proc_shape, "proc_shape")
-            )
+        super().__post_init__()
         if self.work_mode not in ("real", "proxy"):
             raise ValueError(f"work_mode must be real|proxy, got {self.work_mode}")
         if self.rk_stages < 1 or self.nsteps < 0 or self.neq < 1:
@@ -112,33 +148,6 @@ class CMTBoneConfig:
             )
         if self.lb_mode == "every" and self.lb_every < 1:
             raise ValueError("lb_mode='every' needs lb_every >= 1")
-
-    @property
-    def nel_local(self) -> int:
-        lx, ly, lz = self.local_shape
-        return lx * ly * lz
-
-    def resolve_proc_shape(self, nranks: int) -> Coord:
-        shape = self.proc_shape if self.proc_shape is not None else factor3(nranks)
-        px, py, pz = shape
-        if px * py * pz != nranks:
-            raise ValueError(
-                f"processor grid {shape} does not match {nranks} ranks"
-            )
-        return shape
-
-    def build_partition(self, nranks: int) -> Partition:
-        """Mesh + decomposition for ``nranks`` identically loaded ranks."""
-        proc = self.resolve_proc_shape(nranks)
-        global_shape = tuple(
-            p * l for p, l in zip(proc, self.local_shape)
-        )
-        mesh = BoxMesh(shape=global_shape, n=self.n)  # periodic box
-        return Partition(mesh=mesh, proc_shape=proc)
-
-    def with_(self, **kw) -> "CMTBoneConfig":
-        """Functional update (frozen dataclass convenience)."""
-        return replace(self, **kw)
 
     def lb_policy(self):
         """The :class:`repro.lb.RebalancePolicy` these knobs describe."""
@@ -181,7 +190,7 @@ class CMTBoneConfig:
 
 
 @dataclass(frozen=True)
-class NekboneConfig:
+class NekboneConfig(BrickConfig):
     """Configuration of the Nekbone comparator mini-app.
 
     Nekbone solves a Helmholtz-type SEM system with unpreconditioned
@@ -190,9 +199,6 @@ class NekboneConfig:
     communication structure than CMT-bone — the point of Fig. 7.
     """
 
-    n: int = 10
-    local_shape: Coord = (5, 5, 4)
-    proc_shape: Optional[Coord] = None
     #: CG iterations per solve (nekbone default region).
     cg_iterations: int = 100
     #: Helmholtz coefficients: h1 * stiffness + h2 * mass.
@@ -205,38 +211,9 @@ class NekboneConfig:
     seed: int = 1999
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "local_shape", _as_coord(self.local_shape, "local_shape")
-        )
-        if self.proc_shape is not None:
-            object.__setattr__(
-                self, "proc_shape", _as_coord(self.proc_shape, "proc_shape")
-            )
+        super().__post_init__()
         if self.work_mode not in ("real", "proxy"):
             raise ValueError(f"work_mode must be real|proxy, got {self.work_mode}")
-
-    @property
-    def nel_local(self) -> int:
-        lx, ly, lz = self.local_shape
-        return lx * ly * lz
-
-    def resolve_proc_shape(self, nranks: int) -> Coord:
-        shape = self.proc_shape if self.proc_shape is not None else factor3(nranks)
-        px, py, pz = shape
-        if px * py * pz != nranks:
-            raise ValueError(
-                f"processor grid {shape} does not match {nranks} ranks"
-            )
-        return shape
-
-    def build_partition(self, nranks: int) -> Partition:
-        proc = self.resolve_proc_shape(nranks)
-        global_shape = tuple(p * l for p, l in zip(proc, self.local_shape))
-        mesh = BoxMesh(shape=global_shape, n=self.n)
-        return Partition(mesh=mesh, proc_shape=proc)
-
-    def with_(self, **kw) -> "NekboneConfig":
-        return replace(self, **kw)
 
     @classmethod
     def fig7(cls, **overrides) -> "NekboneConfig":

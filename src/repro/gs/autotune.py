@@ -81,7 +81,6 @@ def choose_method(
     handle: GSHandle,
     methods: Optional[Sequence[str]] = None,
     trials: int = 3,
-    set_on_handle: bool = True,
 ) -> Dict[str, MethodTiming]:
     """Evaluate candidate methods and select the fastest (by avg).
 
@@ -95,12 +94,11 @@ def choose_method(
             raise ValueError(f"unknown gs method {m!r}")
         timings[m] = time_method(handle, m, trials=trials)
     winner = min(timings.values(), key=lambda t: t.avg).method
-    if set_on_handle:
-        handle.method = winner
-        handle.setup_stats["autotune"] = {
-            m: (t.avg, t.mn, t.mx) for m, t in timings.items()
-        }
-        handle.setup_stats["chosen_method"] = winner
+    handle.method = winner
+    handle.setup_stats["autotune"] = {
+        m: (t.avg, t.mn, t.mx) for m, t in timings.items()
+    }
+    handle.setup_stats["chosen_method"] = winner
     return timings
 
 

@@ -206,7 +206,7 @@ def roofline_seconds(
 
     Averages the per-direction calibrated efficiencies into one compute
     charge; this is what :class:`repro.core.cmtbone.CMTBone` bills per
-    right-hand-side evaluation under ``TimePolicy.MODELED``.
+    right-hand-side evaluation.
     """
     total = 0.0
     for d in DIRECTIONS[:ndirections]:

@@ -38,8 +38,6 @@ class RebalancePolicy:
     every: int = 0
     #: Minimum steps between rebalances (``auto`` hysteresis).
     min_interval: int = 4
-    #: Steps between imbalance checks (cost allgathers).
-    check_every: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -48,18 +46,17 @@ class RebalancePolicy:
             raise ValueError(f"threshold {self.threshold} must be >= 1.0")
         if self.mode == "every" and self.every < 1:
             raise ValueError("mode 'every' needs every >= 1")
-        if self.check_every < 1:
-            raise ValueError("check_every must be >= 1")
 
     @property
     def enabled(self) -> bool:
         return self.mode != "off"
 
     def wants_check(self, step: int) -> bool:
-        """Should costs be gathered after step ``step`` (0-based)?"""
-        if not self.enabled or self.mode == "manual":
-            return False
-        return (step + 1) % self.check_every == 0
+        """Should costs be gathered after step ``step`` (0-based)?
+
+        Every step, whenever the policy can fire on its own.
+        """
+        return self.enabled and self.mode != "manual"
 
     def due(self, step: int, last_rebalance: int, imbalance: float) -> bool:
         """Rebalance after step ``step`` given the measured imbalance?"""

@@ -15,7 +15,6 @@ Public surface:
 * :class:`Comm` — the per-rank communicator handle.
 * Reduction ops ``SUM``/``PROD``/``MIN``/``MAX``/... and the wildcards
   ``ANY_SOURCE``/``ANY_TAG``.
-* :class:`TimePolicy` — modelled vs. measured compute timing.
 * Profiling types: :class:`JobProfile`, :class:`SiteAggregate`.
 """
 
@@ -26,7 +25,7 @@ from .backend import (
     available_backends,
     resolve_backend,
 )
-from .clock import ClockStats, OverlapInterval, TimePolicy, VirtualClock
+from .clock import ClockStats, OverlapInterval, VirtualClock
 from .communicator import Comm
 from .datatypes import (
     ANY_SOURCE,
@@ -102,7 +101,6 @@ __all__ = [
     "Status",
     "ThreadsBackend",
     "TraceEvent",
-    "TimePolicy",
     "VirtualClock",
     "available_backends",
     "resolve_backend",

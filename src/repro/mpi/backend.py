@@ -232,15 +232,24 @@ def fork_context(backend: str):
     return mp.get_context("fork")
 
 
-def reap(procs) -> None:
-    """Join resolved rank processes; terminate any that will not exit."""
-    for p in procs:
-        if p is None:
-            continue
-        p.join(timeout=_JOIN_TIMEOUT)
-        if p.is_alive():  # pragma: no cover - hard hang
-            p.terminate()
+def stop_process(p, grace: float) -> None:
+    """Give ``p`` ``grace`` seconds to exit; terminate, then kill, one
+    that will not.  The one stop ladder of rank processes, subprocess
+    agents and service workers."""
+    p.join(timeout=grace)
+    if p.is_alive():
+        p.terminate()
+        p.join(timeout=5.0)
+        if p.is_alive():  # pragma: no cover - stuck in C code
+            p.kill()
             p.join(timeout=5.0)
+
+
+def reap(procs) -> None:
+    """Join resolved rank processes; stop any that will not exit."""
+    for p in procs:
+        if p is not None:
+            stop_process(p, _JOIN_TIMEOUT)
 
 
 class Backend:

@@ -8,33 +8,15 @@ a :class:`VirtualClock`: a deterministic, monotonically non-decreasing
 count of *modelled* seconds.
 
 Compute kernels advance the clock through the machine model (a roofline
-cost in flops/bytes) or, optionally, by scaled measured wall time.  The
-communication layer advances it with a LogGP-style latency/bandwidth
-model.  All figures in the paper's evaluation are regenerated in this
-virtual time base.
+cost in flops/bytes); the communication layer advances it with a
+LogGP-style latency/bandwidth model.  Every charge is a pure function of
+the machine model, never of the host's wall clock.  All figures in the
+paper's evaluation are regenerated in this virtual time base.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class TimePolicy(Enum):
-    """How compute regions convert work into virtual seconds.
-
-    MODELED
-        Use the analytic machine model (flops / memory roofline).  Fully
-        deterministic; the default for all benchmark harnesses.
-    MEASURED
-        Measure real wall time of the enclosed numpy work and scale it
-        by ``wall_scale``.  Useful for single-node kernel studies where
-        the actual numpy performance is the object of interest.
-    """
-
-    MODELED = "modeled"
-    MEASURED = "measured"
 
 
 @dataclass
@@ -159,28 +141,6 @@ class VirtualClock:
             raise ValueError(f"overlap window closed before it opened: {hidden}")
         self.hidden_comm_time += hidden
         return hidden
-
-
-class StopwatchRegion:
-    """Context manager measuring wall time and crediting a clock.
-
-    Only used under :data:`TimePolicy.MEASURED`; see
-    :meth:`repro.mpi.communicator.Comm.compute_region`.
-    """
-
-    def __init__(self, clock: VirtualClock, wall_scale: float = 1.0):
-        self._clock = clock
-        self._scale = wall_scale
-        self._t0 = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "StopwatchRegion":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._t0
-        self._clock.advance(self.elapsed * self._scale, kind="compute")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .clock import StopwatchRegion, TimePolicy, VirtualClock
+from .clock import VirtualClock
 from .datatypes import (
     ANY_SOURCE,
     ANY_TAG,
@@ -133,20 +133,6 @@ class Comm:
             )
         self.clock.advance(seconds, kind="compute")
         return seconds
-
-    def measured_region(self) -> StopwatchRegion:
-        """Wall-clock-measured compute region (``TimePolicy.MEASURED``).
-
-        Usage::
-
-            with comm.measured_region():
-                y = kernel(x)   # real numpy work; wall time is charged
-        """
-        return StopwatchRegion(self.clock, self.machine.wall_scale)
-
-    @property
-    def time_policy(self) -> TimePolicy:
-        return self._runtime.time_policy
 
     def shadow(self):
         """Uncharged, unprofiled communication (modelling primitive).

@@ -36,7 +36,7 @@ import hashlib
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from .clock import ClockStats, TimePolicy, VirtualClock
+from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import AbortError, DeadlockError, MPIError, RankCrashError
 from .profiler import JobProfile, RankProfile
@@ -52,7 +52,6 @@ class Runtime:
         self,
         nranks: int,
         machine: Optional[Any] = None,
-        time_policy: TimePolicy = TimePolicy.MODELED,
         deadlock_detection: bool = True,
         trace_messages: bool = False,
         fault_plan: Optional[Any] = None,
@@ -67,7 +66,6 @@ class Runtime:
 
         self.nranks = nranks
         self.machine = machine if machine is not None else MachineModel.default()
-        self.time_policy = time_policy
         self.deadlock_detection = deadlock_detection
         self.backend = resolve_backend(backend)
         #: Active fault injector, or ``None`` for a fault-free job.
@@ -231,15 +229,9 @@ def spmd(
     main: Callable[..., Any],
     *args: Any,
     machine: Optional[Any] = None,
-    time_policy: TimePolicy = TimePolicy.MODELED,
     backend: Union[str, Any] = "threads",
     **kwargs: Any,
 ) -> List[Any]:
     """One-line helper: run ``main`` over ``nranks`` and return results."""
-    rt = Runtime(
-        nranks=nranks,
-        machine=machine,
-        time_policy=time_policy,
-        backend=backend,
-    )
+    rt = Runtime(nranks=nranks, machine=machine, backend=backend)
     return rt.run(main, args=args, kwargs=kwargs)

@@ -430,8 +430,8 @@ def external_agent(connect_to: tuple, token: str, rank: int,
 
     The ``JOB`` frame is a pickled bundle of ``main``/``args``/
     ``kwargs`` plus the Runtime construction parameters (machine model,
-    time policy, fault plan, trace flag).  The driver refuses
-    unpicklable jobs up front with a clear error.
+    fault plan, trace flag).  The driver refuses unpicklable jobs up
+    front with a clear error.
     """
     from ..mpi.runtime import Runtime
 
@@ -443,7 +443,6 @@ def external_agent(connect_to: tuple, token: str, rank: int,
     runtime = Runtime(
         nranks=link.nranks,
         machine=job["machine"],
-        time_policy=job["time_policy"],
         trace_messages=job["trace_messages"],
         fault_plan=job["fault_plan"],
         fault_base_step=job["fault_base_step"],

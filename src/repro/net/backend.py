@@ -220,7 +220,6 @@ class SocketBackend(Backend):
             "args": args,
             "kwargs": kwargs,
             "machine": runtime.machine,
-            "time_policy": runtime.time_policy,
             "trace_messages": runtime.trace is not None,
             "fault_plan": (
                 runtime.faults.plan if runtime.faults is not None else None

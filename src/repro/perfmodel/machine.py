@@ -42,8 +42,6 @@ class CpuModel:
     mem_bandwidth: float = 8.0e9
     #: L1 data cache size in bytes (used by the cache-miss estimator).
     l1_dcache: int = 32 * 1024
-    #: Cache line size in bytes.
-    cache_line: int = 64
 
     def __post_init__(self) -> None:
         if self.ghz <= 0 or self.flops_per_cycle <= 0:
@@ -59,17 +57,11 @@ class CpuModel:
 
 @dataclass(frozen=True)
 class MachineModel:
-    """A named machine: CPU roofline + network model.
-
-    ``wall_scale`` converts measured wall seconds into virtual seconds
-    under :data:`repro.mpi.TimePolicy.MEASURED` (1.0 = take numpy's
-    wall time at face value).
-    """
+    """A named machine: CPU roofline + network model."""
 
     name: str = "generic"
     cpu: CpuModel = field(default_factory=CpuModel)
     network: NetworkModel = field(default_factory=NetworkModel)
-    wall_scale: float = 1.0
     #: Fixed per-rank cost of opening/committing one checkpoint file
     #: (parallel-filesystem metadata + fsync), virtual seconds.
     io_latency: float = 5.0e-4

@@ -168,11 +168,10 @@ def _run_cmtbone(spec: JobSpec, cache: Optional[ArtifactCache],
 
 
 def _run_sod(spec: JobSpec, result: JobResult) -> None:
-    from ..cli import _sod_setup
-    from ..solver import run_with_recovery
+    from ..solver import run_with_recovery, sod_problem
 
     p = spec.params
-    setup = _sod_setup(
+    setup = sod_problem(
         spec.nranks,
         n=int(p.get("n", 5)),
         nelx=int(p.get("nelx", 8)),

@@ -49,16 +49,14 @@ identical configs across workers and every one pays the cold setup.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
+from ..mpi.backend import fork_context, stop_process
 from .artifacts import ArtifactCache
 from .execute import run_job, spec_artifact_key
 from .jobs import STATUS_FAILED, JobResult, JobSpec
-
-_CTX = mp.get_context("fork")
 
 
 def _worker_loop(cmd_conn, res_conn, artifact_dir=None) -> None:
@@ -81,7 +79,7 @@ def _worker_loop(cmd_conn, res_conn, artifact_dir=None) -> None:
 
 @dataclass
 class _Worker:
-    proc: "mp.Process"
+    proc: object    # the forked worker (a fork-context Process)
     cmd_w: object   # parent's write end of the command pipe
     res_r: object   # parent's read end of the result pipe
     busy: bool = False
@@ -113,6 +111,7 @@ class WorkerPool:
         #: Disk-spill directory every worker's ArtifactCache shares
         #: (None = in-memory caches only).
         self.artifact_dir = artifact_dir
+        self._ctx = fork_context("service")
         self._workers: List[_Worker] = [
             self._spawn() for _ in range(nworkers)
         ]
@@ -127,9 +126,9 @@ class WorkerPool:
         self._retired_batches_served = 0
 
     def _spawn(self) -> _Worker:
-        cmd_r, cmd_w = _CTX.Pipe(duplex=False)
-        res_r, res_w = _CTX.Pipe(duplex=False)
-        proc = _CTX.Process(
+        cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
+        res_r, res_w = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
             target=_worker_loop, args=(cmd_r, res_w, self.artifact_dir),
             name="repro-job-worker", daemon=True,
         )
@@ -261,7 +260,7 @@ class WorkerPool:
         w.batch_started = None
         if timed_out:
             self.timeout_kills += 1
-            self._kill(w)
+            stop_process(w.proc, grace=0.0)
         # Unfinished jobs are exactly specs[len(results):] (serial,
         # in-order worker).  On a timeout the first of them is the
         # overrunner; the rest never started.
@@ -304,16 +303,6 @@ class WorkerPool:
             self._replace(index)
         return results
 
-    @staticmethod
-    def _kill(w: _Worker) -> None:
-        """Terminate a worker that overran its deadline."""
-        if w.proc.is_alive():
-            w.proc.terminate()
-            w.proc.join(timeout=5.0)
-            if w.proc.is_alive():  # pragma: no cover - stuck in C code
-                w.proc.kill()
-                w.proc.join(timeout=5.0)
-
     def _replace(self, index: int) -> None:
         old = self._workers[index]
         self._retired_jobs_served += old.jobs_served
@@ -331,10 +320,7 @@ class WorkerPool:
                 w.cmd_w.send(("stop",))
         except (BrokenPipeError, OSError):
             pass
-        w.proc.join(timeout=5.0)
-        if w.proc.is_alive():
-            w.proc.terminate()
-            w.proc.join(timeout=5.0)
+        stop_process(w.proc, grace=5.0)
         for conn in (w.cmd_w, w.res_r):
             try:
                 conn.close()

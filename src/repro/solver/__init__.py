@@ -19,6 +19,7 @@ from .riemann import (
     SOD_LEFT,
     SOD_RIGHT,
     exact_riemann,
+    sod_problem,
 )
 from .checkpoint import (
     CheckpointError,
@@ -71,7 +72,7 @@ from .sources import (
     make_body_force,
     make_nozzling_source,
 )
-from .rk import cfl_dt, get_stepper, step_euler, step_ssprk2, step_ssprk3
+from .rk import cfl_dt, step_euler, step_ssprk2, step_ssprk3
 from .state import (
     COMPONENT_NAMES,
     ENERGY,
@@ -152,7 +153,6 @@ __all__ = [
     "full2face_multi",
     "gaussian_bed",
     "get_scheme",
-    "get_stepper",
     "gradient_physical",
     "interpolate_at",
     "lax_friedrichs",
@@ -169,6 +169,7 @@ __all__ = [
     "seed_inertial",
     "seed_particles",
     "smoothness_sensor",
+    "sod_problem",
     "step_euler",
     "step_ssprk2",
     "step_ssprk3",

@@ -14,7 +14,7 @@ ranks barrier after their files land, and only then does rank 0 write
 the manifest — itself via temp file + atomic rename.  A crash at any
 point during :func:`save_checkpoint` therefore leaves either the
 previous complete checkpoint (old manifest, possibly some orphaned
-``.tmp`` files) or the new complete one, never a manifest pointing at
+temp files) or the new complete one, never a manifest pointing at
 missing or stale rank files.  Corrupt or inconsistent rank files at
 load time raise :class:`CheckpointError` naming the offending file.
 """
@@ -22,7 +22,6 @@ load time raise :class:`CheckpointError` naming the offending file.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import zipfile
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..mesh import Partition
 from ..mpi import Comm
+from ..store import atomic_write
 from .eos import IdealGas, StiffenedGas
 from .state import FlowState
 
@@ -149,18 +149,14 @@ def save_checkpoint(
         directory.mkdir(parents=True, exist_ok=True)
     comm.barrier(site="checkpoint:enter")
     path = _rank_file(directory, comm.rank)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    # np.savez_compressed appends ".npz" to bare paths; an open file
-    # handle keeps the temp name exact so the rename below is atomic.
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            u=state.u,
-            rank=comm.rank,
-            step=step,
-            time=time,
-        )
-    os.replace(tmp, path)
+    # np.savez_compressed appends ".npz" to bare paths; the open file
+    # handle of atomic_write keeps the temp name exact.
+    atomic_write(
+        str(path), "wb",
+        lambda fh: np.savez_compressed(
+            fh, u=state.u, rank=comm.rank, step=step, time=time
+        ),
+    )
     _charge_io(comm, state.u.nbytes, site="checkpoint:write")
     info = CheckpointInfo(
         step=step,
@@ -194,10 +190,10 @@ def save_checkpoint(
             manifest["assignment"] = info.assignment
         if info.job_id is not None:
             manifest["job_id"] = info.job_id
-        mpath = _manifest_file(directory)
-        mtmp = mpath.with_suffix(".json.tmp")
-        mtmp.write_text(json.dumps(manifest, indent=2))
-        os.replace(mtmp, mpath)
+        atomic_write(
+            str(_manifest_file(directory)), "w",
+            lambda fh: fh.write(json.dumps(manifest, indent=2)),
+        )
     comm.barrier(site="checkpoint:commit")
     return info
 

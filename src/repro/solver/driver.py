@@ -34,7 +34,10 @@ schedules over the same phases:
 The solver runs on the simulated MPI: physics arrays are computed for
 real in numpy; virtual time is charged per phase through the machine
 model so the communication/computation balance matches the modelled
-platform rather than Python's own speed.
+platform rather than Python's own speed.  Time integration is the
+three-stage SSP-RK3 of :mod:`repro.solver.rk`, and every stage array
+(fluxes, divergence, traces, RK vectors) is a pooled buffer of the
+solver's one :class:`~repro.kernels.Workspace`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .divergence import divergence_flops, flux_divergence_multi
 from .eos import IdealGas
 from .flux import euler_fluxes, flux_flops
 from .numflux import get_scheme, numflux_flops
-from .rk import STAGES, cfl_dt, get_stepper
+from .rk import cfl_dt, step_ssprk3
 from .state import ENERGY, MX, NEQ, RHO, FlowState
 from .surface import (
     FACE_NORMAL_AXIS,
@@ -79,7 +82,6 @@ class SolverConfig:
     """Tunable knobs of :class:`CMTSolver`."""
 
     flux_scheme: str = "lax_friedrichs"
-    time_stepper: str = "ssprk3"
     #: "fused"/"basic"/"einsum"/"auto" — see
     #: :data:`repro.kir.library.VARIANT_SCHEDULE`.
     kernel_variant: str = "fused"
@@ -106,7 +108,6 @@ class SolverConfig:
     #: the blocking schedule; only the modelled timeline changes (see
     #: module docstring and docs/virtual-time.md, "Overlap accounting").
     overlap: bool = False
-    charge_model_time: bool = True
     #: Optional source-term hook S(u) -> (5, nel, N, N, N); the current
     #: CMT-nek sets sources to zero (paper, Section IV).
     source: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -123,12 +124,6 @@ class SolverConfig:
     #: SFC when the policy fires, and live-migrates element state
     #: between RK steps (see docs/load-balancing.md).
     lb: Optional[object] = None
-    #: Reuse preallocated workspace buffers for the flux, divergence,
-    #: trace, and RK-stage arrays instead of allocating fresh
-    #: ``(nel, N, N, N)``-sized batches every stage.  Bitwise identical
-    #: to the allocating path (tests enforce it); off exists for A/B
-    #: measurement (the ``solver/workspace`` benchmark scenario).
-    reuse_workspace: bool = True
 
 
 @dataclass
@@ -181,7 +176,6 @@ class CMTSolver:
         self.weights = np.asarray(gll_weights(self.n))
         self.jac = mesh.jacobian
         self._numflux = get_scheme(self.config.flux_scheme)
-        self._stepper = get_stepper(self.config.time_stepper)
 
         # Gather-scatter handle over the DG face-pair numbering.
         gids = dg_face_numbering(partition, comm.rank)
@@ -227,11 +221,10 @@ class CMTSolver:
                 self.config.lb,
             )
 
-        #: Reusable scratch pool for the RHS/RK hot path (``None``
-        #: disables reuse; see ``SolverConfig.reuse_workspace``).
-        self._work: Optional[Workspace] = (
-            Workspace() if self.config.reuse_workspace else None
-        )
+        #: Reusable scratch pool of the RHS/RK hot path: the flux,
+        #: divergence, trace and RK-stage arrays are preallocated
+        #: buffers, never fresh ``(nel, N, N, N)``-sized batches.
+        self._work = Workspace()
 
         # Stage constants of the surface term, broadcast over traces:
         # the outward-normal sign per face, and the SAT scale
@@ -249,11 +242,10 @@ class CMTSolver:
 
     def _charge(self, flops: float, mem_bytes: float = 0.0,
                 efficiency: float = 0.7) -> None:
-        if self.config.charge_model_time:
-            seconds = self.comm.machine.compute_seconds(
-                flops=flops, mem_bytes=mem_bytes, efficiency=efficiency
-            )
-            self.comm.compute(seconds=seconds * self._load_factor)
+        seconds = self.comm.machine.compute_seconds(
+            flops=flops, mem_bytes=mem_bytes, efficiency=efficiency
+        )
+        self.comm.compute(seconds=seconds * self._load_factor)
 
     def _region(self, name: str):
         """Phase bracket: profiler region when attached, else no-op."""
@@ -262,10 +254,8 @@ class CMTSolver:
         return self.profiler.region(name)
 
     def _scratch(self, key: str, shape, dtype, zero: bool = False):
-        """A stage buffer: pooled under ``key`` when the workspace is on,
-        a fresh array otherwise; contents undefined unless ``zero``."""
-        if self._work is None:
-            return (np.zeros if zero else np.empty)(shape, dtype)
+        """A stage buffer pooled under ``key``; contents undefined
+        unless ``zero``."""
         pool = self._work.zeros if zero else self._work.buffer
         return pool(shape, dtype, key=key)
 
@@ -399,24 +389,17 @@ class CMTSolver:
             dvariant = self.config.kernel_variant
             m = dealias_order(n)
             work = self._work
-            if work is not None:
-                uf_fine = work.buffer(
-                    (NEQ, nel_b, m, m, m), u.dtype, key="dealias:uf"
-                )
-                fout = (
-                    work.like(uf_fine, key="dealias:ffx"),
-                    work.like(uf_fine, key="dealias:ffy"),
-                    work.like(uf_fine, key="dealias:ffz"),
-                )
-                fx = work.like(u, key="flux:x")
-                fy = work.like(u, key="flux:y")
-                fz = work.like(u, key="flux:z")
-            else:
-                uf_fine = np.empty((NEQ, nel_b, m, m, m), dtype=u.dtype)
-                fout = None
-                # Not empty_like: a fancy-indexed subset ``u`` is not in
-                # C order, and the transfers write through flat views.
-                fx, fy, fz = (np.empty(u.shape, u.dtype) for _ in range(3))
+            uf_fine = work.buffer(
+                (NEQ, nel_b, m, m, m), u.dtype, key="dealias:uf"
+            )
+            fout = (
+                work.like(uf_fine, key="dealias:ffx"),
+                work.like(uf_fine, key="dealias:ffy"),
+                work.like(uf_fine, key="dealias:ffz"),
+            )
+            fx = work.like(u, key="flux:x")
+            fy = work.like(u, key="flux:y")
+            fz = work.like(u, key="flux:z")
             # Blocks of components, sized by the (larger) fine grid.
             blocks = field_blocks(uf_fine)
             for b in blocks:
@@ -438,13 +421,11 @@ class CMTSolver:
                 flux_flops(m, nel_b) + 2 * NEQ * dealias_flops(n, nel=nel_b)
             )
         else:
-            fout = None
-            if self._work is not None:
-                fout = (
-                    self._work.like(u, key="flux:x"),
-                    self._work.like(u, key="flux:y"),
-                    self._work.like(u, key="flux:z"),
-                )
+            fout = (
+                self._work.like(u, key="flux:x"),
+                self._work.like(u, key="flux:y"),
+                self._work.like(u, key="flux:z"),
+            )
             fx, fy, fz = euler_fluxes(u, eos, out=fout)
             self._charge(flux_flops(n, nel_b))
         if self.config.viscosity is not None:
@@ -452,7 +433,7 @@ class CMTSolver:
                 u, eos, self.config.viscosity, self.dmat, self.jac,
                 variant=self.config.kernel_variant,
             )
-            # fx/fy/fz are owned (fresh or workspace), so subtracting
+            # fx/fy/fz are this stage's workspace buffers, so subtracting
             # in place performs the same elementwise op as `fx - fvx`.
             fx -= fvx
             fy -= fvy
@@ -478,13 +459,11 @@ class CMTSolver:
     def _flux_divergence(self, fx, fy, fz) -> np.ndarray:
         """Full flux divergence (the ``ax_`` derivative hot spot)."""
         n, nel = self.n, self.nel
-        out = work = None
-        if self._work is not None:
-            out = self._work.like(fx, key="div:out")
-            work = self._work.like(fx[field_blocks(fx)[0]], key="div:tmp")
         div = flux_divergence_multi(
             fx, fy, fz, self.dmat, self.jac,
-            variant=self.config.kernel_variant, out=out, work=work,
+            variant=self.config.kernel_variant,
+            out=self._work.like(fx, key="div:out"),
+            work=self._work.like(fx[field_blocks(fx)[0]], key="div:tmp"),
         )
         self._charge(
             divergence_flops(n, nel, NEQ),
@@ -652,10 +631,9 @@ class CMTSolver:
         self.face_handle.method = method
         self._bnd_elements = assignment.boundary_local_indices(rank)
         self._int_elements = assignment.interior_local_indices(rank)
-        if self._work is not None:
-            # The local element count changed: every cached buffer
-            # shape is stale, so drop the pool and let it regrow.
-            self._work.clear()
+        # The local element count changed: every cached buffer shape is
+        # stale, so drop the pool and let it regrow.
+        self._work.clear()
         if self.boundary is not None:
             from .boundary import BoundaryHandler
 
@@ -706,18 +684,12 @@ class CMTSolver:
     def step(self, state: FlowState, dt: float) -> FlowState:
         """Advance one explicit RK step (+ adaptive shock filter)."""
         with self._region("update"):
-            if self._work is not None:
-                unew = self._stepper(
-                    state.u, self._rhs_into, dt, work=self._work
-                )
-            else:
-                unew = self._stepper(state.u, self.rhs, dt)
+            unew = step_ssprk3(state.u, self._rhs_into, dt, self._work)
             # RK axpy arithmetic: ~2 flops and one read-modify-write
-            # per point per stage.
-            stages = STAGES.get(self.config.time_stepper, 3)
+            # per point per stage, three stages.
             self._charge(
-                2.0 * stages * float(unew.size),
-                mem_bytes=32.0 * stages * float(unew.size),
+                2.0 * 3 * float(unew.size),
+                mem_bytes=32.0 * 3 * float(unew.size),
             )
         filt = self.config.shock_filter
         if filt is not None:
@@ -733,7 +705,6 @@ class CMTSolver:
         nsteps: int,
         dt: Optional[float] = None,
         monitor_every: int = 0,
-        callback: Optional[Callable[[int, FlowState], None]] = None,
         checkpoint_every: int = 0,
         checkpoint_dir=None,
         step_offset: int = 0,
@@ -775,8 +746,6 @@ class CMTSolver:
                 energy = self.integrate(state.u[ENERGY])
                 self.stats.mass_history.append(mass)
                 self.stats.energy_history.append(energy)
-            if callback is not None:
-                callback(istep, state)
             if checkpoint_every and (gstep + 1) % checkpoint_every == 0:
                 from .checkpoint import save_checkpoint
 

@@ -7,6 +7,7 @@ evaluates the exact self-similar solution at any ``x/t`` — rarefaction
 fans, contacts, and shocks included.  Used to validate the DG solver's
 shock-capturing pipeline on the Sod problem (the canonical compressible
 benchmark) without trusting any discretized code as "truth".
+:func:`sod_problem` builds that problem for the DG solver.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+from ..mesh import BoxMesh, Partition
+from .boundary import BoundarySpec
+from .driver import CMTSolver, SolverConfig
+from .shock import ShockFilter
+from .state import from_primitives
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,54 @@ class PrimitiveState:
 #: The classic Sod (1978) initial states.
 SOD_LEFT = PrimitiveState(rho=1.0, u=0.0, p=1.0)
 SOD_RIGHT = PrimitiveState(rho=0.125, u=0.0, p=0.1)
+
+
+def sod_problem(nranks: int, n: int, nelx: int, gs_method: str,
+                imbalance: float = 0.0, lb_policy=None,
+                kernel_variant: str = "fused"):
+    """The ``setup(comm) -> (solver, state)`` factory of the Sod campaign.
+
+    ``nelx`` elements of order ``n`` in a row along x, one slab of them
+    per rank, Dirichlet ends at the Sod states, the adaptive shock
+    filter on, and a tanh-smoothed initial discontinuity at x = 0.5.
+    """
+    mesh = BoxMesh(shape=(nelx, 1, 1), n=n, periodic=(False, True, True),
+                   lengths=(1.0, 0.25, 0.25))
+    part = Partition(mesh, proc_shape=(nranks, 1, 1))
+
+    def _dirichlet(s):
+        e = s.p / 0.4 + 0.5 * s.rho * s.u**2
+        return BoundarySpec(
+            "dirichlet", state=(s.rho, s.rho * s.u, 0.0, 0.0, e)
+        )
+
+    def setup(comm):
+        bc = {0: _dirichlet(SOD_LEFT), 1: _dirichlet(SOD_RIGHT)}
+        solver = CMTSolver(
+            comm, part,
+            config=SolverConfig(
+                gs_method=gs_method,
+                cfl=0.3,
+                shock_filter=ShockFilter(n=n, threshold=-6.0, ramp=2.0),
+                boundaries=bc,
+                compute_imbalance=imbalance,
+                lb=lb_policy,
+                kernel_variant=kernel_variant,
+            ),
+        )
+        coords = np.stack(
+            [mesh.element_nodes(ec)
+             for ec in part.local_elements(comm.rank)],
+            axis=1,
+        )
+        x = coords[0]
+        blend = 0.5 * (1.0 + np.tanh((x - 0.5) / 0.02))
+        rho = SOD_LEFT.rho + (SOD_RIGHT.rho - SOD_LEFT.rho) * blend
+        p = SOD_LEFT.p + (SOD_RIGHT.p - SOD_LEFT.p) * blend
+        st = from_primitives(rho, np.zeros((3,) + rho.shape), p)
+        return solver, st
+
+    return setup
 
 
 def _pressure_function(

@@ -14,7 +14,7 @@ plus forward Euler as a one-stage reference for convergence tests.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,28 +22,20 @@ from ..kernels.workspace import Workspace
 
 RhsFn = Callable[[np.ndarray], np.ndarray]
 
-#: Stage counts per scheme.
-STAGES = {"euler": 1, "ssprk2": 2, "ssprk3": 3}
-
 
 def step_euler(
-    u: np.ndarray, rhs: RhsFn, dt: float, work: Optional[Workspace] = None
+    u: np.ndarray, rhs: RhsFn, dt: float, work: Workspace
 ) -> np.ndarray:
     """Forward Euler step."""
-    if work is None:
-        return u + dt * rhs(u)
     t = work.like(u, key="rk:t")
     np.multiply(rhs(u), dt, out=t)
     return np.add(u, t, out=np.empty_like(u))
 
 
 def step_ssprk2(
-    u: np.ndarray, rhs: RhsFn, dt: float, work: Optional[Workspace] = None
+    u: np.ndarray, rhs: RhsFn, dt: float, work: Workspace
 ) -> np.ndarray:
     """Two-stage, second-order SSP RK (Heun)."""
-    if work is None:
-        u1 = u + dt * rhs(u)
-        return 0.5 * u + 0.5 * (u1 + dt * rhs(u1))
     t = work.like(u, key="rk:t")
     u1 = work.like(u, key="rk:u1")
     np.multiply(rhs(u), dt, out=t)
@@ -57,20 +49,17 @@ def step_ssprk2(
 
 
 def step_ssprk3(
-    u: np.ndarray, rhs: RhsFn, dt: float, work: Optional[Workspace] = None
+    u: np.ndarray, rhs: RhsFn, dt: float, work: Workspace
 ) -> np.ndarray:
     """Three-stage, third-order SSP RK (Shu-Osher).
 
-    With a :class:`~repro.kernels.workspace.Workspace` the stage
-    vectors live in reusable scratch and only the returned state is a
-    fresh array (it outlives the step as the new solution).  The
-    in-place pipeline performs the *same* elementwise operations in the
-    same order, so both paths are bitwise identical; tests enforce it.
+    The stage vectors live in reusable scratch of ``work`` and only the
+    returned state is a fresh array (it outlives the step as the new
+    solution).  The in-place pipeline performs the elementwise
+    operations of the formulas in the module docstring in the same
+    order, so it is bitwise identical to them; tests enforce it
+    (``tests/field_oracles.py``).
     """
-    if work is None:
-        u1 = u + dt * rhs(u)
-        u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1))
-        return (u + 2.0 * (u2 + dt * rhs(u2))) / 3.0
     t = work.like(u, key="rk:t")
     u1 = work.like(u, key="rk:u1")
     u2 = work.like(u, key="rk:u2")
@@ -89,23 +78,6 @@ def step_ssprk3(
     t *= 2.0
     np.add(u, t, out=t)
     return np.divide(t, 3.0, out=np.empty_like(u))
-
-
-_STEPPERS = {
-    "euler": step_euler,
-    "ssprk2": step_ssprk2,
-    "ssprk3": step_ssprk3,
-}
-
-
-def get_stepper(name: str) -> Callable[[np.ndarray, RhsFn, float], np.ndarray]:
-    """Look up a time stepper by name."""
-    try:
-        return _STEPPERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown time stepper {name!r}; choose from {sorted(_STEPPERS)}"
-        ) from None
 
 
 def cfl_dt(

@@ -756,14 +756,13 @@ class VirtualScaleEngine:
                 f"unknown gs method {method!r}; choose from {GS_METHODS}"
             )
         if method not in self._samples:
-            from ..mpi import Runtime, TimePolicy
+            from ..mpi import Runtime
 
             cfg = self._config_for(self.sample_nranks, method)
             wall0 = time.perf_counter()
             rt = Runtime(
                 nranks=self.sample_nranks,
                 machine=self.machine,
-                time_policy=TimePolicy.MODELED,
                 backend=self.backend,
             )
             outs = rt.run(_sample_rank_main, args=(cfg,))

@@ -9,7 +9,11 @@ Also the allocating forms of the solver's RK stage from before it became
 one pass (``test_stage_pipeline.py``): the shock filter sensing and
 transforming once per component, ghost states returned as full-size
 increments, ``full2face`` of every directional flux, the
-``take_along_axis`` wavespeed and the one-line numerical fluxes.
+``take_along_axis`` wavespeed and the one-line numerical fluxes — and
+the fresh-allocation behaviour itself: ``PerFieldCMTSolver`` never pools
+a stage buffer and steps with the textbook RK formulas below, which
+``test_workspace.py`` holds the pooled steppers of ``repro.solver.rk``
+and the pooled solver to.
 """
 
 import numpy as np
@@ -38,7 +42,7 @@ from repro.solver.driver import SITE_FACE_EXCHANGE, CMTSolver
 from repro.solver.flux import euler_flux, euler_fluxes, flux_flops
 from repro.solver.numflux import numflux_flops
 from repro.solver.shock import ShockFilter
-from repro.solver.state import ENERGY, MX, NEQ, RHO
+from repro.solver.state import ENERGY, MX, NEQ, RHO, FlowState
 from repro.solver.surface import (
     FACE_NORMAL_AXIS,
     FACE_NORMAL_SIGN,
@@ -199,10 +203,42 @@ def lax_friedrichs(u_minus, u_plus, f_minus, f_plus, lam):
 NUMFLUX = {"central": central, "lax_friedrichs": lax_friedrichs}
 
 
+def step_euler(u, rhs, dt):
+    return u + dt * rhs(u)
+
+
+def step_ssprk2(u, rhs, dt):
+    u1 = u + dt * rhs(u)
+    return 0.5 * u + 0.5 * (u1 + dt * rhs(u1))
+
+
+def step_ssprk3(u, rhs, dt):
+    u1 = u + dt * rhs(u)
+    u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1))
+    return (u + 2.0 * (u2 + dt * rhs(u2))) / 3.0
+
+
 class PerFieldCMTSolver(CMTSolver):
     """``CMTSolver`` with one kernel call per component and every stage
-    quantity allocated where it is computed (the filter, when there is
-    one, must be a :class:`PerComponentShockFilter` to match)."""
+    quantity a fresh array allocated where it is computed (the filter,
+    when there is one, must be a :class:`PerComponentShockFilter` to
+    match)."""
+
+    def _scratch(self, key, shape, dtype, zero=False):
+        return (np.zeros if zero else np.empty)(shape, dtype)
+
+    def step(self, state, dt):
+        with self._region("update"):
+            unew = step_ssprk3(state.u, self.rhs, dt)
+            self._charge(
+                2.0 * 3 * float(unew.size),
+                mem_bytes=32.0 * 3 * float(unew.size),
+            )
+        filt = self.config.shock_filter
+        if filt is not None:
+            unew = filt.apply_state(unew)
+            self._charge(10.0 * float(unew.size))
+        return FlowState(u=unew, eos=state.eos)
 
     def _pointwise_fluxes(self, u):
         n, nel_b, eos = self.n, u.shape[1], self.eos

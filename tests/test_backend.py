@@ -426,10 +426,10 @@ class TestProcsRecovery:
     def test_run_with_recovery_checkpoint_restart(self, tmp_path, backend):
         """Full campaign: crash, restore from checkpoint, finish —
         bitwise identical to a fault-free run, on either backend."""
-        from repro.cli import _sod_setup
+        from repro.solver import sod_problem
         from repro.solver import run_with_recovery
 
-        setup = _sod_setup(2, n=5, nelx=8, gs_method="pairwise")
+        setup = sod_problem(2, n=5, nelx=8, gs_method="pairwise")
         common = dict(nranks=2, nsteps=8, dt=2e-4)
         plan = FaultPlan.parse("crash:rank=1,step=5")
         faulty, report = run_with_recovery(
@@ -448,10 +448,10 @@ class TestProcsRecovery:
 
     def test_recovery_report_identical_across_backends(self, tmp_path):
         """The whole virtual-time campaign accounting must agree."""
-        from repro.cli import _sod_setup
+        from repro.solver import sod_problem
         from repro.solver import run_with_recovery
 
-        setup = _sod_setup(2, n=5, nelx=8, gs_method="pairwise")
+        setup = sod_problem(2, n=5, nelx=8, gs_method="pairwise")
         reports = {}
         for backend in BACKENDS:
             _, reports[backend] = run_with_recovery(
@@ -680,10 +680,10 @@ class TestSockets:
         """A real mid-run SIGKILL of a remote rank: run_with_recovery
         restores the last checkpoint and the final fields are bitwise
         identical to a clean run."""
-        from repro.cli import _sod_setup
+        from repro.solver import sod_problem
         from repro.solver import run_with_recovery
 
-        setup = _sod_setup(2, n=5, nelx=8, gs_method="pairwise")
+        setup = sod_problem(2, n=5, nelx=8, gs_method="pairwise")
         common = dict(nranks=2, nsteps=8, dt=2e-4, backend="sockets")
         killed = _kill_wrapped_setup(
             setup, str(tmp_path / "killed.flag"), kill_call=5

@@ -11,9 +11,9 @@ import pstats
 import subprocess
 import sys
 
-from repro.cli import _sod_setup
 from repro.core import CMTBone, CMTBoneConfig
 from repro.mpi import Runtime
+from repro.solver import sod_problem
 
 #: One warm ``CMTSolver.step`` (ssprk3 + shock filter, Dirichlet ends),
 #: one rank, N=5, 8 elements.  2,183 before the stage became one pass
@@ -44,7 +44,7 @@ def profiled_calls(warm_up, step):
 
 
 def solver_step(comm):
-    solver, state = _sod_setup(1, n=5, nelx=8, gs_method="pairwise")(comm)
+    solver, state = sod_problem(1, n=5, nelx=8, gs_method="pairwise")(comm)
     return lambda: solver.step(state, 2e-4)
 
 

@@ -275,7 +275,7 @@ class TestSolverMatchesPerComponent:
         )
         got, got_trace = _run_solver(CMTSolver, part, **config)
         want, want_trace = _run_solver(
-            PerFieldCMTSolver, part, reuse_workspace=False, **config
+            PerFieldCMTSolver, part, **config
         )
         for rank, (g, w) in enumerate(zip(got, want, strict=True)):
             assert same_bits(g[0], w[0]), f"rank {rank} rhs"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.clock import ClockStats, StopwatchRegion, TimePolicy, VirtualClock
+from repro.mpi.clock import ClockStats, VirtualClock
 
 
 class TestVirtualClock:
@@ -61,22 +61,6 @@ class TestVirtualClock:
         assert c.now == 5.0
 
 
-class TestStopwatchRegion:
-    def test_measures_and_charges(self):
-        c = VirtualClock()
-        with StopwatchRegion(c) as region:
-            sum(range(10000))
-        assert region.elapsed > 0.0
-        assert c.now == pytest.approx(region.elapsed)
-        assert c.compute_time == pytest.approx(region.elapsed)
-
-    def test_wall_scale(self):
-        c = VirtualClock()
-        with StopwatchRegion(c, wall_scale=0.0):
-            sum(range(1000))
-        assert c.now == 0.0
-
-
 class TestClockStats:
     def test_comm_fraction(self):
         s = ClockStats(rank=0, total=10.0, compute=7.0, comm=3.0)
@@ -85,8 +69,3 @@ class TestClockStats:
     def test_comm_fraction_zero_total(self):
         s = ClockStats(rank=0, total=0.0, compute=0.0, comm=0.0)
         assert s.comm_fraction == 0.0
-
-
-def test_time_policy_values():
-    assert TimePolicy.MODELED.value == "modeled"
-    assert TimePolicy.MEASURED.value == "measured"

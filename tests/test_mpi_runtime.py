@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import DeadlockError, MPIError, Runtime, TimePolicy, spmd
+from repro.mpi import DeadlockError, MPIError, Runtime, spmd
 
 
 class TestLifecycle:
@@ -183,17 +183,3 @@ class TestReporting:
         assert "MPI_Allreduce" in ops
         assert "MPI_Barrier" in ops
         assert prof.mpi_time > 0
-
-    def test_time_policy_exposed(self):
-        rt = Runtime(nranks=1, time_policy=TimePolicy.MEASURED)
-        res = rt.run(lambda comm: comm.time_policy)
-        assert res == [TimePolicy.MEASURED]
-
-    def test_measured_region(self):
-        def main(comm):
-            with comm.measured_region():
-                np.linalg.norm(np.random.default_rng(0).random(1000))
-            return comm.clock.compute_time
-
-        res = Runtime(nranks=1, time_policy=TimePolicy.MEASURED).run(main)
-        assert res[0] > 0

@@ -512,7 +512,7 @@ class TestExternalAgents:
                 rt = Runtime(nranks=1)
                 fs.send_frame(JOB, pickle.dumps({
                     "main": _ext_ring, "args": (7,), "kwargs": {},
-                    "machine": rt.machine, "time_policy": rt.time_policy,
+                    "machine": rt.machine,
                     "trace_messages": False, "fault_plan": None,
                     "fault_base_step": 0,
                 }))

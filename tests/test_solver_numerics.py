@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.kernels import derivative_matrix, gll_points
+from repro.kernels import Workspace, derivative_matrix, gll_points
 from repro.solver import (
     central,
     cfl_dt,
     flux_divergence,
     get_scheme,
-    get_stepper,
     gradient_physical,
     lax_friedrichs,
     step_euler,
@@ -107,7 +106,7 @@ class TestRKSteppers:
         u = np.array([1.0])
         steps = int(round(t_end / dt))
         for _ in range(steps):
-            u = stepper(u, lambda v: -v, dt)
+            u = stepper(u, lambda v: -v, dt, Workspace())
         return u[0]
 
     @pytest.mark.parametrize(
@@ -121,16 +120,10 @@ class TestRKSteppers:
         observed = np.log2(e1 / e2)
         assert observed == pytest.approx(order, abs=0.25)
 
-    def test_get_stepper(self):
-        assert get_stepper("euler") is step_euler
-        assert get_stepper("ssprk3") is step_ssprk3
-        with pytest.raises(ValueError):
-            get_stepper("rk4")
-
     def test_linearity_preserved(self):
         """Steppers preserve array shape and dtype."""
         u = np.zeros((5, 2, 3, 3, 3))
-        out = step_ssprk3(u, lambda v: v * 0.0, 0.1)
+        out = step_ssprk3(u, lambda v: v * 0.0, 0.1, Workspace())
         assert out.shape == u.shape
 
 

@@ -11,12 +11,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.cli import _sod_setup
 from repro.core import CMTBoneConfig
 from repro.core.cmtbone import run_cmtbone
 from repro.lb import RebalancePolicy, migrate_particles
 from repro.mesh import BoxMesh, Partition
 from repro.mpi import Runtime, datatypes
+from repro.solver import sod_problem
 from repro.solver.multiphase import TwoWayCoupling, seed_inertial
 from repro.solver.particles import ParticleCloud, ParticleTracker, seed_particles
 
@@ -35,7 +35,7 @@ def cmtbone(**config):
 
 
 def sod(mode, **policy):
-    setup = _sod_setup(
+    setup = sod_problem(
         4, n=5, nelx=32, gs_method="crystal", imbalance=0.4,
         lb_policy=RebalancePolicy(mode=mode, **policy),
     )

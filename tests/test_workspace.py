@@ -4,8 +4,8 @@ The hot-path optimization (reusable buffers through the derivative
 kernels, flux assembly, and RK steppers) is only admissible because it
 changes *allocation*, never *arithmetic*: every ``out=`` variant must
 produce bit-for-bit the same floats as its allocating twin, and the
-solver with ``reuse_workspace=True`` must reproduce the
-``reuse_workspace=False`` trajectory exactly.
+solver (pooled stage buffers, in-place RK) must reproduce the trajectory
+of the fresh-allocating oracle in ``field_oracles.py`` exactly.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.kernels import Workspace, derivative_matrix, grad_workspace
 from repro.kernels import derivatives as dk
 from repro.solver.rk import step_euler, step_ssprk2, step_ssprk3
 
-from . import kernel_oracles as oracle
+from . import field_oracles, kernel_oracles as oracle
 
 VARIANTS = ("basic", "fused", "einsum")
 DIRECTIONS = ("r", "s", "t")
@@ -119,7 +119,7 @@ class TestDerivativeOut:
             dk.dudr(u, dmat, out=np.empty((1,) + u.shape[1:]))
 
 
-# -- RK steppers: work= path bitwise vs allocating ------------------------
+# -- RK steppers: in-place pipeline bitwise vs the textbook formulas ------
 
 class TestSteppersWorkspace:
     @pytest.mark.parametrize(
@@ -132,7 +132,7 @@ class TestSteppersWorkspace:
         def rhs(v):
             return np.sin(v) - 0.1 * v
 
-        plain = stepper(u, rhs, dt=1e-3)
+        plain = getattr(field_oracles, stepper.__name__)(u, rhs, dt=1e-3)
         work = Workspace()
         with_ws = stepper(u, rhs, dt=1e-3, work=work)
         assert np.array_equal(plain, with_ws)
@@ -143,20 +143,19 @@ class TestSteppersWorkspace:
             assert not np.shares_memory(with_ws, buf)
 
 
-# -- full solver: reuse_workspace on/off bitwise --------------------------
+# -- full solver: pooled vs fresh-allocating oracle, bitwise --------------
 
 class TestSolverWorkspace:
     @pytest.mark.parametrize("overlap", [False, True])
-    def test_sod_bitwise_with_and_without_workspace(self, overlap):
-        from repro.cli import _sod_setup
+    def test_sod_bitwise_with_and_without_workspace(
+        self, overlap, monkeypatch
+    ):
         from repro.mpi import Runtime
         from repro.perfmodel.machine import MachineModel
+        from repro.solver import riemann
 
-        def run(reuse):
-            setup = _sod_setup(
-                2, n=5, nelx=8, gs_method="pairwise",
-                reuse_workspace=reuse,
-            )
+        def run():
+            setup = riemann.sod_problem(2, n=5, nelx=8, gs_method="pairwise")
 
             def main(comm):
                 solver, state = setup(comm)
@@ -168,5 +167,12 @@ class TestSolverWorkspace:
             )
             return rt.run(main)
 
-        for a, b in zip(run(True), run(False)):
+        pooled = run()
+        monkeypatch.setattr(
+            riemann, "CMTSolver", field_oracles.PerFieldCMTSolver
+        )
+        monkeypatch.setattr(
+            riemann, "ShockFilter", field_oracles.PerComponentShockFilter
+        )
+        for a, b in zip(pooled, run()):
             assert np.array_equal(a, b)
