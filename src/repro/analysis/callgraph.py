@@ -12,9 +12,8 @@ nesting builds the call graph, and :func:`flat_profile` /
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..mpi.clock import VirtualClock
 
@@ -56,34 +55,48 @@ class CallGraphProfiler:
         self._stack: List[Tuple[str, float]] = []
         self._t_origin = clock.now
 
-    @contextmanager
-    def region(self, name: str) -> Iterator[None]:
+    def region(self, name: str) -> "_Region":
         """Bracket a named region; nests to build the call graph."""
-        t0 = self._clock.now
-        self._stack.append((name, t0))
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            dt = self._clock.now - t0
-            st = self.stats.get(name)
-            if st is None:
-                st = RegionStats(name=name)
-                self.stats[name] = st
-            st.calls += 1
-            st.total += dt
-            if self._stack:
-                parent = self._stack[-1][0]
-                self.stats.setdefault(
-                    parent, RegionStats(name=parent)
-                ).child += dt
-                calls, secs = self.edges.get((parent, name), (0, 0.0))
-                self.edges[(parent, name)] = (calls + 1, secs + dt)
+        return _Region(self, name)
 
     @property
     def observed_time(self) -> float:
         """Virtual seconds elapsed since the profiler was created."""
         return self._clock.now - self._t_origin
+
+
+class _Region:
+    """One :meth:`CallGraphProfiler.region` bracket: a slotted context
+    manager, so entering and leaving cost two calls and no generator."""
+
+    __slots__ = ("_prof", "_name", "_t0")
+
+    def __init__(self, prof: CallGraphProfiler, name: str):
+        self._prof = prof
+        self._name = name
+
+    def __enter__(self) -> None:
+        prof = self._prof
+        self._t0 = t0 = prof._clock.now
+        prof._stack.append((self._name, t0))
+
+    def __exit__(self, *exc) -> None:
+        prof, name = self._prof, self._name
+        prof._stack.pop()
+        dt = prof._clock.now - self._t0
+        st = prof.stats.get(name)
+        if st is None:
+            st = RegionStats(name=name)
+            prof.stats[name] = st
+        st.calls += 1
+        st.total += dt
+        if prof._stack:
+            parent = prof._stack[-1][0]
+            prof.stats.setdefault(
+                parent, RegionStats(name=parent)
+            ).child += dt
+            calls, secs = prof.edges.get((parent, name), (0, 0.0))
+            prof.edges[(parent, name)] = (calls + 1, secs + dt)
 
 
 def merge_profiles(profiles: List[CallGraphProfiler]) -> Dict[str, RegionStats]:

@@ -11,9 +11,8 @@ communication gaps, rank by rank, so wait chains can be eyeballed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..mpi.clock import VirtualClock
 
@@ -52,20 +51,9 @@ class TimelineRecorder:
         self.intervals: List[Interval] = []
         self._depth = 0
 
-    @contextmanager
-    def region(self, name: str) -> Iterator[None]:
-        t0 = self._clock.now
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            if self._depth == 0:
-                t1 = self._clock.now
-                if t1 > t0:
-                    self.intervals.append(
-                        Interval(rank=self.rank, name=name, t0=t0, t1=t1)
-                    )
+    def region(self, name: str) -> "_Region":
+        """Bracket a named region; only outermost ones are recorded."""
+        return _Region(self, name)
 
     # -- split-phase spans ---------------------------------------------------
 
@@ -107,6 +95,32 @@ class TimelineRecorder:
             self.intervals.append(
                 Interval(rank=self.rank, name=name, t0=t0, t1=t1, span=True)
             )
+
+
+class _Region:
+    """One :meth:`TimelineRecorder.region` bracket: a slotted context
+    manager, so entering and leaving cost two calls and no generator."""
+
+    __slots__ = ("_rec", "_name", "_t0")
+
+    def __init__(self, rec: TimelineRecorder, name: str):
+        self._rec = rec
+        self._name = name
+
+    def __enter__(self) -> None:
+        rec = self._rec
+        self._t0 = rec._clock.now
+        rec._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        rec = self._rec
+        rec._depth -= 1
+        if rec._depth == 0:
+            t0, t1 = self._t0, rec._clock.now
+            if t1 > t0:
+                rec.intervals.append(
+                    Interval(rank=rec.rank, name=self._name, t0=t0, t1=t1)
+                )
 
 
 def merge_timelines(

@@ -39,12 +39,13 @@ from .allreduce_method import exchange_allreduce
 from .crystal import exchange_crystal
 from .handle import GSHandle
 from .pairwise import (
+    SITE as SITE_PAIRWISE,
     TAG_PAIRWISE,
     PairwiseFlight,
-    exchange_in_place,
     exchange_pairwise,
     exchange_pairwise_begin,
     exchange_pairwise_finish,
+    plan_for,
 )
 
 #: The three exchange strategies evaluated at setup (paper, Section VI).
@@ -53,10 +54,6 @@ METHODS: Dict[str, Callable] = {
     "crystal": exchange_crystal,
     "allreduce": exchange_allreduce,
 }
-
-#: What ``gs_op`` itself calls: it owns the array it just condensed, so
-#: the pairwise exchange folds in place (the public form copies first).
-_ON_OWNED = {**METHODS, "pairwise": exchange_in_place}
 
 #: Paper-style display names (Fig. 7 rows).
 METHOD_LABELS = {
@@ -97,26 +94,34 @@ def gs_op(
     ``u`` may be a stack ``(..., *handle.shape)`` of fields: the local
     passes then run once for the stack, while every field is exchanged,
     charged, profiled and traced as by its own call, in stack order.
+    The pairwise method hands the whole stack to one
+    :meth:`~repro.gs.pairwise.PairwisePlan.exchange`, which folds it in
+    place; the other two exchange field by field.
     """
     method = method or handle.method or "pairwise"
-    try:
-        exchange = _ON_OWNED[method]
-    except KeyError:
+    if method not in METHODS:
         raise ValueError(
             f"unknown gs method {method!r}; choose from {sorted(METHODS)}"
-        ) from None
+        )
     u = np.asarray(u)
     condensed = handle.condense(u, op)
     comm = handle.comm
     local_pass = _local_pass(handle, u.dtype.itemsize)
-    where = {} if site is None else {"site": site}
     nfields = prod(u.shape[:u.ndim - len(handle.shape)])
-    for field in condensed.reshape(nfields, handle.n_unique):
-        if comm.size > 1:
-            got = exchange(handle, field, op, **where)
-            if got is not field:  # crystal and allreduce return anew
-                field[...] = got
-        comm.compute(seconds=local_pass)
+    stack = condensed.reshape(nfields, handle.n_unique)
+    if comm.size == 1:
+        for _ in stack:
+            comm.compute(seconds=local_pass)
+    elif method == "pairwise":
+        plan_for(handle).exchange(
+            stack, op, TAG_PAIRWISE, site or SITE_PAIRWISE, local_pass
+        )
+    else:
+        exchange = METHODS[method]
+        where = {} if site is None else {"site": site}
+        for field in stack:
+            field[...] = exchange(handle, field, op, **where)
+            comm.compute(seconds=local_pass)
     return handle.scatter(condensed, out=out)
 
 
@@ -232,7 +237,7 @@ def gs_op_finish(
     elif handle.comm.size > 1:
         # Synchronous fallback for methods without a nonblocking form:
         # the whole blocking exchange runs now, at finish time.
-        condensed = _ON_OWNED[exchange.method](
+        condensed = METHODS[exchange.method](
             handle, condensed, op, site=f"{exchange.site}:finish"
         )
     out = handle.scatter(condensed, out=out)

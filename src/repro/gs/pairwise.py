@@ -9,11 +9,18 @@ numbering; up to 26 for the C0 numbering, many of them tiny edge and
 corner messages).
 
 As in gslib the per-neighbour schedule is compiled once, into a
-:class:`PairwisePlan`; every exchange is its two verbs, ``post`` and
-``complete``.  Two interfaces are provided on top of it:
+:class:`PairwisePlan` — MPI's persistent requests in spirit
+(``MPI_Send_init``/``MPI_Startall``): neighbours, mailboxes, message
+costs and profile rows are resolved once per handle or per call, and a
+message starts only what is its own.  Three entry points run on it:
 
-* :func:`exchange_pairwise` — the classic blocking form used by
-  ``gs_op``;
+* :meth:`PairwisePlan.exchange` — the stacked blocking form behind
+  ``gs_op``: it posts the receives of a whole fields-first stack at
+  once and takes each neighbour's rows once, then per field sends,
+  waits, folds and charges the local pass, in stack order;
+* :func:`exchange_in_place` / :func:`exchange_pairwise` — one message
+  per neighbour for whatever array they are given (one field, or the
+  packed stack of ``gs_op_many``), folded in place or into a copy;
 * :func:`exchange_pairwise_begin` / :func:`exchange_pairwise_finish` —
   the split-phase form behind ``gs_op_begin``/``gs_op_finish``:
   ``begin`` posts all receives and sends and returns immediately so
@@ -21,8 +28,11 @@ As in gslib the per-neighbour schedule is compiled once, into a
   waits, folds, and credits hidden-vs-exposed communication time to
   the rank's :class:`~repro.mpi.clock.VirtualClock`.
 
-Both leave their input alone; ``gs_op`` and ``gs_op_many`` own the array
-they just condensed and fold into it (:func:`exchange_in_place`).
+All of them send through ``Comm._inject`` and charge arrivals through
+``Comm._arrive``, so every message is charged, faulted, sequenced,
+traced and profiled as one ``isend``, one ``irecv`` and its share of a
+``waitall``.  Only ``gs_op`` and ``gs_op_many``, which own the array
+they just condensed, fold in place.
 """
 
 from __future__ import annotations
@@ -44,6 +54,30 @@ TAG_PAIRWISE = 7001
 #: Call-site label recorded in the mpiP-style profile.
 SITE = "gs_op:pairwise"
 
+#: The profile rows an exchange books, in the order of their first use.
+_OPS = ("MPI_Irecv", "MPI_Isend", "MPI_Wait")
+
+
+class _Costs(dict):
+    """``nbytes -> (send_overhead, transit per neighbour, recv_overhead)``
+    of one plan, filled on first lookup (pure functions of the machine
+    model): a hit is a subscript, not a call."""
+
+    def __init__(self, comm, world: List[int]):
+        super().__init__()
+        self._net = comm.machine.network
+        self._me = comm.world_rank
+        self._world = world
+
+    def __missing__(self, nbytes: int) -> tuple:
+        net, me = self._net, self._me
+        cost = self[nbytes] = (
+            net.send_overhead(nbytes),
+            [net.transit(w, me, nbytes) for w in self._world],
+            net.recv_overhead(nbytes),
+        )
+        return cost
+
 
 class PairwisePlan:
     """The pairwise exchange of one handle, compiled for its communicator.
@@ -63,20 +97,36 @@ class PairwisePlan:
         self._world = [comm.group[q] for q in neighbors]
         self._boxes = [runtime.mailbox(w) for w in self._world]
         self._box = runtime.mailbox(comm.world_rank)
-        self._costs: dict = {}
+        self._costs = _Costs(comm, self._world)
 
-    def _cost(self, nbytes: int) -> tuple:
-        """``(send_overhead, transit per neighbour, recv_overhead)`` of an
-        ``nbytes`` message: pure functions of the machine model."""
-        cost = self._costs.get(nbytes)
-        if cost is None:
-            net, me = self.comm.machine.network, self.comm.world_rank
-            cost = self._costs[nbytes] = (
-                net.send_overhead(nbytes),
-                [net.transit(w, me, nbytes) for w in self._world],
-                net.recv_overhead(nbytes),
-            )
-        return cost
+    def exchange(
+        self, stack: np.ndarray, op: ReduceOp, tag: int, site: str,
+        local_pass: float,
+    ) -> None:
+        """Blocking exchange of a fields-first ``(nf, n_unique)`` stack,
+        folded in place.
+
+        Field by field, in stack order, everything ``nf`` one-field
+        exchanges would do — ``MPI_Irecv`` per neighbour, the sends, the
+        arrivals and folds, then ``local_pass`` seconds of compute — for
+        one post of all ``nf x neighbours`` receives, one ``take`` per
+        neighbour and one lookup of the profile rows.
+        """
+        comm = self.comm
+        nn = len(self._world)
+        if not nn:  # no id is shared with another rank
+            for _ in stack:
+                comm.compute(seconds=local_pass)
+            return
+        prof = comm._prof
+        irecv, isend, wait = prof.rows(site, _OPS)
+        pendings = self._box.post_recvs(comm.cid, self._world * len(stack), tag)
+        sends = zip(*[stack.take(ix, axis=1) for ix in self.index])
+        for f, (field, payloads) in enumerate(zip(stack, sends)):
+            prof.add(irecv, 0.0, 0, nn)
+            self._start(payloads, tag, isend)
+            self._finish(pendings[f * nn:(f + 1) * nn], field, op, wait)
+            comm.compute(seconds=local_pass)
 
     def post(self, values: np.ndarray, tag: int, site: str) -> List[PendingRecv]:
         """Post a receive from, then send ``values.take(index)`` to, every
@@ -88,31 +138,45 @@ class PairwisePlan:
         contribution exactly once.
         """
         comm = self.comm
-        clock, record, cid = comm.clock, comm._prof.record, comm.cid
-        pendings = []
-        for w in self._world:
-            pendings.append(self._box.post_recv(cid, w, tag))
-            record("MPI_Irecv", site, 0.0, 0)
-        for ix, w, box in zip(self.index, self._world, self._boxes):
-            payload = values.take(ix, axis=-1)
-            nbytes = payload.nbytes
-            t0 = clock.now
-            comm._inject(
-                payload, nbytes, self._cost(nbytes)[0], w, box, cid, tag
-            )
-            record("MPI_Isend", site, clock.now - t0, nbytes)
+        prof = comm._prof
+        irecv, isend, _ = prof.rows(site, _OPS)
+        pendings = self._box.post_recvs(comm.cid, self._world, tag)
+        if pendings:
+            prof.add(irecv, 0.0, 0, len(pendings))
+        self._start([values.take(ix, axis=-1) for ix in self.index], tag, isend)
         return pendings
 
     def complete(
         self, pendings: List[PendingRecv], into: np.ndarray, op: ReduceOp,
         site: str,
     ) -> float:
-        """Per neighbour, in order: charge the arrival and fold the
-        payload into ``into`` in place; return the latest virtual
-        arrival time.  Blocks at most once, at the first envelope still
-        missing, until every later one has landed too."""
+        """Charge the arrivals of ``post``'s receives and fold them into
+        ``into`` in place; return the latest virtual arrival time."""
+        _, _, wait = self.comm._prof.rows(site, _OPS)
+        return self._finish(pendings, into, op, wait)
+
+    def _start(self, payloads, tag: int, isend) -> None:
+        """Send ``payloads[i]`` to neighbour ``i`` through
+        ``Comm._inject``, booking each as one ``MPI_Isend``."""
         comm = self.comm
-        clock, record, fn = comm.clock, comm._prof.record, op.ufunc
+        clock, prof, costs, cid = comm.clock, comm._prof, self._costs, comm.cid
+        for payload, w, box in zip(payloads, self._world, self._boxes):
+            nbytes = payload.nbytes
+            t0 = clock.now
+            comm._inject(payload, nbytes, costs[nbytes][0], w, box, cid, tag)
+            prof.add(isend, clock.now - t0, nbytes)
+
+    def _finish(
+        self, pendings: List[PendingRecv], into: np.ndarray, op: ReduceOp,
+        wait,
+    ) -> float:
+        """Per neighbour, in order: charge the arrival through
+        ``Comm._arrive``, book one ``MPI_Wait`` and fold the payload into
+        ``into`` in place; return the latest virtual arrival time.
+        Blocks at most once, at the first envelope still missing, until
+        every later one has landed too."""
+        comm = self.comm
+        clock, prof, costs, fn = comm.clock, comm._prof, self._costs, op.ufunc
         lead = () if into.ndim == 1 else (Ellipsis,)
         latest = 0.0
         for i, (pending, ix) in enumerate(zip(pendings, self.index)):
@@ -127,9 +191,11 @@ class PairwisePlan:
                         raise
             env = pending.envelope
             t0 = clock.now
-            _, transit, o_recv = self._cost(env.nbytes)
-            latest = max(latest, comm._arrive(env, t0, transit[i], o_recv))
-            record("MPI_Wait", site, clock.now - t0, env.nbytes)
+            _, transit, o_recv = costs[env.nbytes]
+            arrival = comm._arrive(env, t0, transit[i], o_recv)
+            if arrival > latest:
+                latest = arrival
+            prof.add(wait, clock.now - t0, env.nbytes)
             key = (*lead, ix)
             into[key] = fn(into[key], env.payload)
         return latest
@@ -147,8 +213,9 @@ def exchange_in_place(
     handle: GSHandle, values: np.ndarray, op: ReduceOp, site: str = SITE,
     tag: int = TAG_PAIRWISE,
 ) -> np.ndarray:
-    """Blocking exchange folding into ``values`` — ``(n_unique,)`` or
-    fields-first ``(nf, n_unique)`` — which the caller must own."""
+    """Blocking exchange of one message per neighbour, folding into
+    ``values`` — ``(n_unique,)``, or a packed ``(nf, n_unique)`` stack —
+    which the caller must own."""
     plan = plan_for(handle)
     plan.complete(plan.post(values, tag, site), values, op, site)
     return values

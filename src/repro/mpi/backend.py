@@ -333,23 +333,21 @@ class _RingMailbox:
     consumed in order.
     """
 
-    __slots__ = ("_ring", "_abort", "_finished", "_dst")
+    __slots__ = ("_ring", "_abort", "_give_up", "_what")
 
     def __init__(self, ring: ShmRing, abort, finished, dst: int):
         self._ring = ring
         self._abort = abort
-        self._finished = finished
-        self._dst = dst
-
-    def deliver(self, env) -> None:
         # If the destination already finished its main it can never
         # receive; drop instead of blocking on a full ring (the threads
         # backend likewise just leaves such messages unmatched).
+        self._give_up = lambda: finished[dst] == 1
+        self._what = f"send to rank {dst}"
+
+    def deliver(self, env) -> None:
         self._ring.push(
-            dump_envelope(env),
-            abort_event=self._abort,
-            give_up=lambda: self._finished[self._dst] == 1,
-            what=f"send to rank {self._dst}",
+            dump_envelope(env), abort_event=self._abort,
+            give_up=self._give_up, what=self._what,
         )
 
 

@@ -250,7 +250,10 @@ class Comm:
         if faults is not None:
             transit *= faults.delay_factor(env.src, self.world_rank)
         arrival = env.wire_vtime + transit
-        self.clock.synchronize(max(t0, arrival) + o_recv, kind="comm")
+        # ``max(t0, arrival)``, without the call: this runs per message.
+        self.clock.synchronize(
+            (arrival if arrival > t0 else t0) + o_recv, kind="comm"
+        )
         return arrival
 
     def _complete_recv(self, env: Envelope, t0: float) -> Tuple[Any, Status]:

@@ -17,7 +17,7 @@ a :class:`JobProfile` after the job completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -30,13 +30,6 @@ class CallRecord:
     vtime: float = 0.0
     bytes_total: int = 0
     vtime_max: float = 0.0
-
-    def add(self, vtime: float, nbytes: int) -> None:
-        self.count += 1
-        self.vtime += vtime
-        self.bytes_total += nbytes
-        if vtime > self.vtime_max:
-            self.vtime_max = vtime
 
     @property
     def bytes_avg(self) -> float:
@@ -67,12 +60,39 @@ class RankProfile:
         operation's clock delta, so counting them again would inflate
         the per-rank MPI fraction.
         """
-        key = (op, site)
-        rec = self.records.get(key)
-        if rec is None:
-            rec = CallRecord(op=op, site=site)
-            self.records[key] = rec
-        rec.add(vtime, nbytes)
+        self.add(
+            self.records.get((op, site)) or CallRecord(op=op, site=site),
+            vtime, nbytes, informational=informational,
+        )
+
+    def rows(self, site: str, ops: Sequence[str]) -> List[CallRecord]:
+        """The ``(op, site)`` row of every op in ``ops``, for a caller
+        that books many calls through :meth:`add`.
+
+        A row not yet in ``records`` is returned detached and enters
+        ``records`` at its first :meth:`add`, so rows appear in the
+        order of their first call, exactly as through :meth:`record`.
+        The rows stay valid while no :meth:`record` of the same keys
+        intervenes: resolve them per operation, not once per job.
+        """
+        get = self.records.get
+        return [get((op, site)) or CallRecord(op=op, site=site) for op in ops]
+
+    def add(
+        self, rec: CallRecord, vtime: float, nbytes: int, calls: int = 1,
+        informational: bool = False,
+    ) -> None:
+        """Book ``calls`` calls on ``rec`` that took ``vtime`` and moved
+        ``nbytes`` in all (``informational`` as in :meth:`record`);
+        ``vtime_max`` sees them as one, so batch only calls that cost
+        nothing (posted receives)."""
+        if not rec.count:
+            self.records[(rec.op, rec.site)] = rec
+        rec.count += calls
+        rec.vtime += vtime
+        rec.bytes_total += nbytes
+        if vtime > rec.vtime_max:
+            rec.vtime_max = vtime
         if not informational:
             self.mpi_time += vtime
 

@@ -60,6 +60,9 @@ _HDR = 16
 _KIND_INLINE = b"I"
 _KIND_SPILL = b"S"
 
+#: Record header: body length (kind byte included), then the kind byte.
+_REC = struct.Struct("<Ic")
+
 #: Where POSIX shared memory shows up as files (spill-sweep fallback).
 _SHM_DIR = "/dev/shm"
 
@@ -171,19 +174,20 @@ class ShmRing:
         unlink responsibility to the reader.
         """
         spill_name: Optional[str] = None
-        if len(data) + 5 > self.capacity // _SPILL_FRACTION:
+        if len(data) + _REC.size > self.capacity // _SPILL_FRACTION:
             spill_name, body = self._spill(data)
-            rec = _KIND_SPILL + body
+            header = _REC.pack(1 + len(body), _KIND_SPILL)
         else:
-            rec = _KIND_INLINE + data
-        need = 4 + len(rec)
+            body = data
+            header = _REC.pack(1 + len(body), _KIND_INLINE)
+        need = _REC.size + len(body)
         while True:
             with self.writer_lock:
                 head = self._head()
                 tail = self._tail()
                 if self.capacity - (tail - head) >= need:
-                    self._write(tail, struct.pack("<I", len(rec)))
-                    self._write(tail + 4, rec)
+                    self._write(tail, header)
+                    self._write(tail + _REC.size, body)
                     self._set_tail(tail + need)
                     break
             if abort_event is not None and abort_event.is_set():

@@ -24,7 +24,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import AbortError
@@ -71,12 +71,14 @@ class RetryPolicy:
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Envelope:
     """One message in flight.
 
     ``wire_vtime`` is the sender's virtual clock when the message hit
-    the wire (i.e. after the sender-side overhead was charged).
+    the wire (i.e. after the sender-side overhead was charged).  Two
+    envelopes are equal only if they are the same message, so taking one
+    out of a queue never compares payloads.
     """
 
     src: int
@@ -188,14 +190,24 @@ class Mailbox:
 
     def post_recv(self, cid: int, source: int, tag: int) -> PendingRecv:
         """Post a receive; match immediately if a message is waiting."""
-        pr = PendingRecv(cid, source, tag)
+        return self.post_recvs(cid, (source,), tag)[0]
+
+    def post_recvs(
+        self, cid: int, sources: Sequence[int], tag: int
+    ) -> List[PendingRecv]:
+        """Post one receive per entry of ``sources``, in order, in one
+        critical section; each matches a waiting message at once, as
+        :meth:`post_recv` would have, or joins ``posted``."""
+        prs = [PendingRecv(cid, source, tag) for source in sources]
         with self.lock:
-            pr.envelope = self._unexpected_match(cid, source, tag)
-            if pr.envelope is None:
-                self.posted.append(pr)
-            else:
-                self.unexpected.remove(pr.envelope)
-        return pr
+            for pr in prs:
+                env = self._unexpected_match(cid, pr.source, tag)
+                if env is None:
+                    self.posted.append(pr)
+                else:
+                    pr.envelope = env
+                    self.unexpected.remove(env)
+        return prs
 
     def probe(self, cid: int, source: int, tag: int) -> Optional[Envelope]:
         """Non-destructively look for a matching unexpected message."""
@@ -259,7 +271,13 @@ class Mailbox:
                     pr.wanted = False
 
     def snapshot(self) -> dict:
-        """Debug snapshot used in deadlock reports."""
+        """Debug snapshot used in deadlock reports.
+
+        ``posted`` lists every receive posted and still unmatched — a
+        rank deadlocked inside a stacked pairwise exchange
+        (``PairwisePlan.exchange``) also lists the receives it posted
+        up front for the fields after the one it is blocked on.
+        """
         with self.lock:
             return {
                 "unexpected": [

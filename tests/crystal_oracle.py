@@ -171,14 +171,10 @@ def crystal_is_the_oracle():
     """Inside, ``gs_op``/``gs_op_finish``/``gs_op_many``/``choose_method``
     and everything built on them exchange ``method="crystal"`` through
     the oracle."""
-    tables = (ops.METHODS, ops._ON_OWNED)
-    saved = [t["crystal"] for t in tables], many.exchange_crystal
-    for t in tables:
-        t["crystal"] = exchange_crystal_oracle
+    saved = ops.METHODS["crystal"], many.exchange_crystal
+    ops.METHODS["crystal"] = exchange_crystal_oracle
     many.exchange_crystal = exchange_crystal_oracle
     try:
         yield
     finally:
-        for t, fn in zip(tables, saved[0]):
-            t["crystal"] = fn
-        many.exchange_crystal = saved[1]
+        ops.METHODS["crystal"], many.exchange_crystal = saved

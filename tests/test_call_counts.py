@@ -12,7 +12,8 @@ import subprocess
 import sys
 
 from repro.core import CMTBone, CMTBoneConfig
-from repro.mpi import Runtime
+from repro.gs import gs_op
+from repro.mpi import SUM, Runtime
 from repro.solver import sod_problem
 
 #: One warm ``CMTSolver.step`` (ssprk3 + shock filter, Dirichlet ends),
@@ -22,8 +23,14 @@ from repro.solver import sod_problem
 SOLVER_STEP_CEILING = 1240
 #: One warm ``CMTBone.timestep`` (3 stages x 5 fields), one rank, N=5,
 #: 8 elements: 725 with the workspace rebuilding its key on every hit,
-#: 662 measured now.
-CMTBONE_STEP_CEILING = 730
+#: 661 with ``@contextmanager`` region brackets (8 per stage), 536
+#: measured now.
+CMTBONE_STEP_CEILING = 590
+#: One warm 5-field ``gs_op`` (pairwise) on rank 0 of 8 thread ranks,
+#: N=5, 2x2x2 elements per rank, 3 neighbours: ~600 when every field
+#: posted, took, sent and looked up its profile rows on its own; 351
+#: measured now.
+GS_OP_STACK_CEILING = 385
 
 
 def profiled_calls(warm_up, step):
@@ -52,6 +59,57 @@ def cmtbone_step(comm):
     return CMTBone(
         comm, CMTBoneConfig(n=5, local_shape=(2, 2, 2), nsteps=1)
     ).timestep
+
+
+def gs_op_stack_calls():
+    """Calls cProfile sees in rank 0's warm 5-field ``gs_op``.
+
+    Two things depend on thread scheduling and are left out: the
+    blocking wait (profiling is suspended inside ``Comm._wait_for``; its
+    wrapper's own frames are not counted) and the ``release`` with which
+    a send wakes a neighbour that is already blocked.
+    """
+
+    def main(comm):
+        app = CMTBone(comm, CMTBoneConfig(
+            n=5, local_shape=(2, 2, 2), nsteps=1, gs_method="pairwise"
+        ))
+        faces = app._faces
+
+        def run():
+            gs_op(app.handle, faces, op=SUM, site="pin", out=faces)
+
+        for _ in range(3):
+            run()
+        comm.barrier()
+        if comm.rank:
+            return run()
+        profile = cProfile.Profile()
+        wait_for = comm._wait_for
+
+        def unprofiled_wait(*args, **kwargs):
+            profile.disable()
+            try:
+                return wait_for(*args, **kwargs)
+            finally:
+                profile.enable()
+
+        comm._wait_for = unprofiled_wait
+        profile.enable()
+        run()
+        profile.disable()
+        del comm._wait_for
+        skip = (
+            unprofiled_wait.__name__,
+            "<method 'disable' of '_lsprof.Profiler' objects>",
+            "<method 'release' of '_thread.lock' objects>",
+        )
+        return sum(
+            calls for (_, _, name), (_, calls, *_) in
+            pstats.Stats(profile).stats.items() if name not in skip
+        )
+
+    return Runtime(nranks=8).run(main)[0]
 
 
 def test_solver_step_stays_under_its_call_ceiling():
@@ -88,3 +146,9 @@ def test_jobs_do_not_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_stacked_gs_op_stays_under_its_call_ceiling():
+    calls = gs_op_stack_calls()
+    assert calls == gs_op_stack_calls(), "the count must repeat"
+    assert calls <= GS_OP_STACK_CEILING, calls

@@ -1,10 +1,11 @@
 """The message fast path: plan vs straight-line reference, codec, waits.
 
 ``PairwisePlan`` replaced three hand-written irecv/isend/waitall/fold
-loops.  The reference below *is* those loops, rebuilt from the public
-point-to-point API, and every observable of a run — values, virtual
-clocks, profile rows, the message trace — must match it exactly, with
-and without injected faults.  The rest covers what the fast path rests
+loops, and its stacked ``exchange`` replaced ``gs_op``'s loop over the
+fields of a stack.  The reference below *is* those loops, rebuilt from
+the public point-to-point API, and every observable of a run — values,
+virtual clocks, profile rows in insertion order, the message trace —
+must match it exactly, with and without injected faults.  The rest covers what the fast path rests
 on: the raw envelope codec, the mailbox wake primitive under
 ``waitany``, and the lock-free block trackers the watchdog reads.
 """
@@ -111,6 +112,22 @@ def ref_many(handle, u, op):
     return outs
 
 
+def _three_fields(u):
+    return [u, u[::-1].copy(), u * 2]
+
+
+def ref_stacked(handle, u, op):
+    """One field at a time, in stack order: irecv/isend/waitall/fold,
+    then the field's local charge."""
+    outs = []
+    for field in _three_fields(u):
+        cond = handle.condense(field, op)
+        reqs, fold = ref_exchange(handle, cond, op, SITE, TAG_PAIRWISE)
+        outs.append(handle.scatter(fold(waitall(reqs, site=SITE))))
+        _local_charge(handle, u.size, u.dtype.itemsize, handle.n_unique)
+    return outs
+
+
 def real_blocking(handle, u, op):
     return [gs_op(handle, u, op=op, site=SITE)]
 
@@ -125,10 +142,15 @@ def real_many(handle, u, op):
     return gs_op_many(handle, [u, u[::-1].copy()], op=op, site=SITE)
 
 
+def real_stacked(handle, u, op):
+    return list(gs_op(handle, np.stack(_three_fields(u)), op=op, site=SITE))
+
+
 MODES = {
     "blocking": (real_blocking, ref_blocking),
     "split": (real_split, ref_split),
     "many": (real_many, ref_many),
+    "stacked": (real_stacked, ref_stacked),
 }
 FAULTS = {
     "clean": {},
@@ -163,6 +185,26 @@ def _run(exchange, numbering, op, dtype, spec=None, trace=False):
     return rt.run(main), (rt.trace.events() if trace else None)
 
 
+def _first_exchange_nth(numbering, mode):
+    """1-based position, in the 0 -> 1 link's send order, of rank 0's
+    first exchange message to rank 1 (setup traffic comes before it)."""
+    real, _ = MODES[mode]
+    _, trace = _run(real, numbering, SUM, np.float64, trace=True)
+    seqs = [
+        e.seq for e in trace
+        if (e.src, e.dst) == (0, 1) and e.tag in (TAG_PAIRWISE, TAG_PAIRWISE + 1)
+    ]
+    return min(seqs) + 1
+
+
+def _assert_same(got, want):
+    for rank, (g, w) in enumerate(zip(got, want)):
+        for a, b in zip(g[0], w[0], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), rank
+        assert g[1] == w[1], f"rank {rank} clocks"
+        assert g[2] == w[2], f"rank {rank} profile rows"
+
+
 class TestPlanAgainstStraightLineReference:
     @pytest.mark.parametrize("fault", list(FAULTS))
     @pytest.mark.parametrize("mode", list(MODES))
@@ -173,14 +215,27 @@ class TestPlanAgainstStraightLineReference:
         real, ref = MODES[mode]
         got, got_trace = _run(real, numbering, op, dtype, **FAULTS[fault])
         want, want_trace = _run(ref, numbering, op, dtype, **FAULTS[fault])
-        for rank, (g, w) in enumerate(zip(got, want)):
-            for a, b in zip(g[0], w[0], strict=True):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), rank
-            assert g[1] == w[1], f"rank {rank} clocks"
-            assert g[2] == w[2], f"rank {rank} profile rows"
+        _assert_same(got, want)
         assert got_trace == want_trace
         if fault == "faults":
             assert any(g[1][2] > 0 for g in got)  # the plan did drop
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("numbering", list(NUMBERINGS))
+    def test_dropped_first_send_books_its_retry_before_the_send(
+        self, numbering, mode
+    ):
+        """The retry row of a dropped message is created inside the send,
+        before the send's own row: a first exchange whose very first
+        message drops lists ``FAULT_Retry`` ahead of ``MPI_Isend``."""
+        nth = _first_exchange_nth(numbering, mode)
+        spec = f"drop:src=0,dst=1,nth={nth}"
+        real, ref = MODES[mode]
+        got, _ = _run(real, numbering, SUM, np.float64, spec=spec)
+        want, _ = _run(ref, numbering, SUM, np.float64, spec=spec)
+        _assert_same(got, want)
+        ops = [row[0] for row in got[0][2]]
+        assert ops.index("FAULT_Retry") < ops.index("MPI_Isend")
 
     def test_public_exchange_leaves_its_input_alone(self):
         """In-place folding is for arrays the gs layer condensed itself."""

@@ -9,8 +9,10 @@ from repro.mpi.profiler import CallRecord, JobProfile, RankProfile
 class TestCallRecord:
     def test_accumulates(self):
         rec = CallRecord(op="MPI_Send", site="x")
-        rec.add(0.5, 100)
-        rec.add(1.5, 300)
+        rp = RankProfile(rank=0)
+        rp.add(rec, 0.5, 100)
+        rp.add(rec, 1.5, 300)
+        assert rp.records == {("MPI_Send", "x"): rec}
         assert rec.count == 2
         assert rec.vtime == pytest.approx(2.0)
         assert rec.bytes_total == 400
