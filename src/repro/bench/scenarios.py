@@ -316,31 +316,42 @@ def _cmtbone_run(
     return results
 
 
-def _crystal_op_main(comm, cfg) -> None:
-    """One crystal-router ``gs_op`` on the job's face numbering."""
+def _gs_op_main(comm, cfg, method) -> None:
+    """``gs_setup`` on the job's face numbering, then one ``gs_op`` by
+    ``method`` (none for ``None``)."""
     from ..gs import gs_op, gs_setup
     from ..mesh import dg_face_numbering
 
     gids = dg_face_numbering(cfg.build_partition(comm.size), comm.rank)
     handle = gs_setup(gids, comm)
-    gs_op(handle, np.zeros(handle.shape), method="crystal")
+    if method is not None:
+        gs_op(handle, np.zeros(handle.shape), method=method)
+
+
+def _gs_op_wire(method: str) -> List[int]:
+    """Sizes of the messages one ``gs_op`` by ``method`` sends across an
+    8-rank job: what a traced run sends beyond the same run without the
+    op, rank by rank in program order."""
+    from ..core.config import CMTBoneConfig
+    from ..mpi import Runtime
+
+    cfg = CMTBoneConfig(n=8, local_shape=(2, 2, 2))
+    sent = []
+    for m in (None, method):
+        rt = Runtime(nranks=8, machine=_machine(), trace_messages=True)
+        rt.run(_gs_op_main, args=(cfg, m))
+        sent.append([rt.trace.rank_events(r) for r in range(8)])
+    return [e.nbytes for setup, job in zip(*sent) for e in job[len(setup):]]
 
 
 @register("comms/gs_methods", "comms", repeats=2, nranks=8)
 def _comms_gs_methods() -> List[Metric]:
     """Fig. 7's three-way auto-tune on a small job (virtual time), and
-    what one crystal-router ``gs_op`` puts on the wire across that job:
-    messages and bytes from the trace, exact on every host because a
-    stage message's size is a closed form of its record counts."""
-    from ..core.config import CMTBoneConfig
-    from ..gs.crystal import TAG_CRYSTAL
-    from ..mpi import Runtime
-
-    rt = Runtime(nranks=8, machine=_machine(), trace_messages=True)
-    rt.run(_crystal_op_main,
-           args=(CMTBoneConfig(n=8, local_shape=(2, 2, 2)),))
-    stage = [e.nbytes for e in rt.trace.events()
-             if TAG_CRYSTAL <= e.tag <= TAG_CRYSTAL + 2]
+    what one crystal-router and one allreduce ``gs_op`` put on the wire
+    across that job: messages and bytes from the trace, exact on every
+    host because a crystal stage message's size is a closed form of its
+    record counts and the allreduce's is the dense vector's."""
+    wire = {m: _gs_op_wire(m) for m in ("crystal", "allreduce")}
     res = _cmtbone_run(8, gs_method=None, autotune_trials=2)[0]
     assert res.autotune is not None
     metrics = [
@@ -361,10 +372,11 @@ def _comms_gs_methods() -> List[Metric]:
             better="higher",
         )
     )
-    metrics.append(Metric("crystal_msgs_per_op", float(len(stage)),
-                          kind="count", unit="messages"))
-    metrics.append(Metric("crystal_bytes_per_op", float(sum(stage)),
-                          kind="count", unit="B"))
+    for method, sizes in wire.items():
+        metrics.append(Metric(f"{method}_msgs_per_op", float(len(sizes)),
+                              kind="count", unit="messages"))
+        metrics.append(Metric(f"{method}_bytes_per_op", float(sum(sizes)),
+                              kind="count", unit="B"))
     return metrics
 
 

@@ -8,7 +8,7 @@ pairwise exchange, crystal router, or allreduce-onto-a-big-vector —
 selected at setup by timing all three (paper, Section VI / Fig. 7).
 """
 
-from .allreduce_method import SparseGlobalVector, exchange_allreduce
+from .allreduce_method import exchange_allreduce
 from .autotune import MethodTiming, choose_method, time_method, timing_table
 from .crystal import exchange_crystal, route
 from .handle import GSHandle, gs_setup
@@ -36,7 +36,6 @@ __all__ = [
     "METHOD_LABELS",
     "MethodTiming",
     "PairwiseFlight",
-    "SparseGlobalVector",
     "choose_method",
     "exchange_allreduce",
     "exchange_crystal",

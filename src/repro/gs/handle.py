@@ -86,7 +86,7 @@ class GSHandle:
     owners: List[List[int]]
     max_gid: int
     #: Total shared-id instances across the whole job (allreduce'd at
-    #: setup); drives the allreduce method's memory-vs-model switch.
+    #: setup; vscale checks its schedule against it).
     global_shared: int = 0
     method: Optional[str] = None
     setup_stats: dict = field(default_factory=dict)

@@ -86,7 +86,7 @@ class LoadBalancer:
             self.last_costs = costs
             self._pending_imbalance = cost_imbalance(costs)
             return self._build(step, element_weights, costs)
-        if not self.policy.wants_check(step):
+        if not self.policy.wants_check():
             return None
         if self.monitor.window_steps == 0:
             return None

@@ -51,11 +51,9 @@ class RebalancePolicy:
     def enabled(self) -> bool:
         return self.mode != "off"
 
-    def wants_check(self, step: int) -> bool:
-        """Should costs be gathered after step ``step`` (0-based)?
-
-        Every step, whenever the policy can fire on its own.
-        """
+    def wants_check(self) -> bool:
+        """Should costs be gathered after a step?  After every step,
+        whenever the policy can fire on its own."""
         return self.enabled and self.mode != "manual"
 
     def due(self, step: int, last_rebalance: int, imbalance: float) -> bool:

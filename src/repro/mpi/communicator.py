@@ -33,7 +33,7 @@ from .errors import CommunicatorError, RankError
 from .profiler import RankProfile
 from .request import RecvRequest, Request, SendRequest
 from .status import Status
-from .transport import Envelope, PendingRecv
+from .transport import ChannelSeq, Envelope, PendingRecv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -135,17 +135,21 @@ class Comm:
         return seconds
 
     def shadow(self):
-        """Uncharged, unprofiled communication (modelling primitive).
+        """Communication that leaves no trace (modelling primitive).
 
-        Inside the context, operations move real data with real
-        blocking semantics but advance a scratch clock and record to a
-        scratch profile — both discarded on exit.  Used when a
+        Inside the context, operations move real data through the real
+        mailboxes with real blocking semantics, and every delivery still
+        counts as progress for the deadlock watchdog.  What they suspend:
+        time goes to a scratch clock and rows to a scratch profile, both
+        discarded on exit; no message is traced or takes a channel
+        sequence number; no fault hook runs (drops, degraded links,
+        time-triggered crashes).  So the job's clocks, profile, trace
+        and fault decisions are as if the region never ran.  Used when a
         component's *cost* is modelled separately from its *data path*
-        (e.g. the gather-scatter allreduce method at scales where
-        materializing the global vector would need the memory of a real
-        cluster; see ``repro.gs.allreduce_method``).  Collective
-        discipline still applies: every rank of the communicator must
-        enter and leave the shadow region together.
+        (the gather-scatter allreduce method, ``repro.gs.allreduce_method``;
+        the vscale sample fence).  Collective discipline still applies:
+        every rank of the communicator must enter and leave the shadow
+        region together.
         """
         return _ShadowRegion(self)
 
@@ -717,32 +721,43 @@ class Comm:
         )
 
 
-# Tag bases reserved for internal collective traffic.  User tags share
-# the space, but collectives always execute in lockstep on all members,
-# so a disjoint high range avoids accidental matches with user p2p.
+class _ShadowRuntime:
+    """The job's runtime as a shadow region sees it: the same mailboxes,
+    machine, tracker and abort event, but no message trace, no fault
+    injector and a sequence counter of its own."""
+
+    trace = None
+    faults = None
+
+    def __init__(self, runtime: "Runtime"):
+        self._runtime = runtime
+        self.seq = ChannelSeq()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._runtime, name)
+
+
 class _ShadowRegion:
-    """Context manager backing :meth:`Comm.shadow`."""
+    """Context manager backing :meth:`Comm.shadow`: swaps the rank's
+    clock, profile and runtime for scratch ones, and back on exit."""
 
     def __init__(self, comm: Comm):
         self._comm = comm
-        self._saved_clock: Optional[VirtualClock] = None
-        self._saved_prof: Optional[RankProfile] = None
+        self._saved: Optional[tuple] = None
 
     def __enter__(self) -> Comm:
         comm = self._comm
-        self._saved_clock = comm.clock
-        self._saved_prof = comm._prof
+        self._saved = comm.clock, comm._prof, comm._runtime
         scratch = VirtualClock()
         scratch.now = comm.clock.now  # keep message ordering plausible
         comm.clock = scratch
         comm._prof = RankProfile(comm.world_rank)
+        comm._runtime = _ShadowRuntime(comm._runtime)
         return comm
 
     def __exit__(self, *exc) -> None:
         comm = self._comm
-        assert self._saved_clock is not None
-        comm.clock = self._saved_clock
-        comm._prof = self._saved_prof
+        comm.clock, comm._prof, comm._runtime = self._saved
 
 
 #: Context-id offset for collective-internal traffic (keeps it from
@@ -752,6 +767,9 @@ class _ShadowRegion:
 #: band and can never collide with any user communicator's cid.
 _INTERNAL_CID = 1 << 60
 
+# Tag bases reserved for internal collective traffic.  User tags share
+# the space, but collectives always execute in lockstep on all members,
+# so a disjoint high range avoids accidental matches with user p2p.
 _TAG_BARRIER = 1 << 24
 _TAG_BCAST = (1 << 24) + 64
 _TAG_REDUCE = (1 << 24) + 128

@@ -24,68 +24,36 @@ class ReduceOp:
         MPI-style name, e.g. ``"MPI_SUM"``.
     fn:
         Binary function combining two payloads element-wise.
-    identity_for:
-        Given a numpy dtype, return the identity element (used by the
-        "allreduce onto a big vector" gather-scatter method, which must
-        fill slots a rank does not contribute to).
+    ufunc:
+        Matching numpy ufunc (``np.add`` for SUM, ...) used by the
+        gather-scatter library for vectorized segment reduction;
+        ``None`` for custom ops without one.
     """
 
-    __slots__ = ("name", "fn", "_identity_for", "ufunc")
+    __slots__ = ("name", "fn", "ufunc")
 
     def __init__(
-        self,
-        name: str,
-        fn: Callable[[Any, Any], Any],
-        identity_for: Callable[[np.dtype], Any],
-        ufunc: Any = None,
+        self, name: str, fn: Callable[[Any, Any], Any], ufunc: Any = None
     ):
         self.name = name
         self.fn = fn
-        self._identity_for = identity_for
-        #: Matching numpy ufunc (``np.add`` for SUM, ...) used by the
-        #: gather-scatter library for vectorized segment reduction;
-        #: ``None`` for custom ops without one.
         self.ufunc = ufunc
 
     def __call__(self, a: Any, b: Any) -> Any:
         return self.fn(a, b)
 
-    def identity(self, dtype: np.dtype) -> Any:
-        """Identity element of the operation for ``dtype``."""
-        return self._identity_for(np.dtype(dtype))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ReduceOp {self.name}>"
 
 
-def _min_identity(dt: np.dtype) -> Any:
-    if np.issubdtype(dt, np.floating):
-        return np.array(np.inf, dtype=dt)[()]
-    if np.issubdtype(dt, np.integer):
-        return np.iinfo(dt).max
-    raise TypeError(f"MIN identity undefined for dtype {dt}")
-
-
-def _max_identity(dt: np.dtype) -> Any:
-    if np.issubdtype(dt, np.floating):
-        return np.array(-np.inf, dtype=dt)[()]
-    if np.issubdtype(dt, np.integer):
-        return np.iinfo(dt).min
-    raise TypeError(f"MAX identity undefined for dtype {dt}")
-
-
-SUM = ReduceOp("MPI_SUM", lambda a, b: a + b, lambda dt: dt.type(0), np.add)
-PROD = ReduceOp(
-    "MPI_PROD", lambda a, b: a * b, lambda dt: dt.type(1), np.multiply
-)
-MIN = ReduceOp("MPI_MIN", np.minimum, _min_identity, np.minimum)
-MAX = ReduceOp("MPI_MAX", np.maximum, _max_identity, np.maximum)
-LAND = ReduceOp("MPI_LAND", np.logical_and, lambda dt: True, np.logical_and)
-LOR = ReduceOp("MPI_LOR", np.logical_or, lambda dt: False, np.logical_or)
-BAND = ReduceOp(
-    "MPI_BAND", np.bitwise_and, lambda dt: dt.type(-1), np.bitwise_and
-)
-BOR = ReduceOp("MPI_BOR", np.bitwise_or, lambda dt: dt.type(0), np.bitwise_or)
+SUM = ReduceOp("MPI_SUM", lambda a, b: a + b, np.add)
+PROD = ReduceOp("MPI_PROD", lambda a, b: a * b, np.multiply)
+MIN = ReduceOp("MPI_MIN", np.minimum, np.minimum)
+MAX = ReduceOp("MPI_MAX", np.maximum, np.maximum)
+LAND = ReduceOp("MPI_LAND", np.logical_and, np.logical_and)
+LOR = ReduceOp("MPI_LOR", np.logical_or, np.logical_or)
+BAND = ReduceOp("MPI_BAND", np.bitwise_and, np.bitwise_and)
+BOR = ReduceOp("MPI_BOR", np.bitwise_or, np.bitwise_or)
 
 #: All built-in reduction operations, keyed by MPI name.
 BUILTIN_OPS = {

@@ -182,7 +182,7 @@ def test_no_pickle_and_no_ufunc_at(monkeypatch):
     def main(comm):
         handle = gs_setup(continuous_numbering(part, comm.rank), comm)
         ufunc = _CountingUfunc()
-        op = ReduceOp("MPI_SUM", SUM.fn, SUM._identity_for, ufunc)
+        op = ReduceOp("MPI_SUM", SUM.fn, ufunc)
         cond = values_for((handle.n_unique,), np.float64, comm.rank)
         want = exchange_crystal_oracle(handle, cond, SUM)
         comm.barrier()

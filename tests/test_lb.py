@@ -139,7 +139,7 @@ class TestPolicy:
 
     def test_auto_threshold_and_hysteresis(self):
         p = RebalancePolicy(mode="auto", threshold=1.2, min_interval=4)
-        assert p.enabled and p.wants_check(0)
+        assert p.enabled and p.wants_check()
         assert not p.due(10, -10**9, imbalance=1.1)
         assert p.due(10, -10**9, imbalance=1.3)
         # Too soon after the last rebalance, even if imbalanced.
@@ -150,7 +150,7 @@ class TestPolicy:
         fired = [s for s in range(9) if p.due(s, -10**9, imbalance=1.0)]
         assert fired == [2, 5, 8]
         m = RebalancePolicy(mode="manual")
-        assert m.enabled and not m.wants_check(5)
+        assert m.enabled and not m.wants_check()
 
 
 class TestCost:

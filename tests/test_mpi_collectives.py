@@ -190,7 +190,7 @@ class TestScanExscan:
         """Prefix over string concatenation: strict rank order."""
         from repro.mpi import ReduceOp
 
-        concat = ReduceOp("CONCAT", lambda a, b: a + b, lambda dt: "")
+        concat = ReduceOp("CONCAT", lambda a, b: a + b)
 
         def main(comm):
             return comm.scan(chr(ord("a") + comm.rank), op=concat)

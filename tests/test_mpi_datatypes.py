@@ -4,7 +4,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.mpi import Runtime, datatypes
 from repro.mpi.datatypes import (
@@ -48,31 +47,6 @@ class TestReduceOps:
     def test_bitwise(self):
         assert BAND(np.int64(0b1100), np.int64(0b1010)) == 0b1000
         assert BOR(np.int64(0b1100), np.int64(0b1010)) == 0b1110
-
-    @pytest.mark.parametrize(
-        "op,dtype,expected",
-        [
-            (SUM, np.float64, 0.0),
-            (PROD, np.float64, 1.0),
-            (MIN, np.float64, np.inf),
-            (MAX, np.float64, -np.inf),
-            (MIN, np.int32, np.iinfo(np.int32).max),
-            (MAX, np.int32, np.iinfo(np.int32).min),
-        ],
-    )
-    def test_identities(self, op, dtype, expected):
-        assert op.identity(np.dtype(dtype)) == expected
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
-    def test_sum_identity_is_neutral(self, xs):
-        arr = np.array(xs)
-        ident = SUM.identity(arr.dtype)
-        np.testing.assert_array_equal(SUM(arr, ident), arr)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
-    def test_min_identity_is_neutral(self, xs):
-        arr = np.array(xs)
-        np.testing.assert_array_equal(MIN(arr, MIN.identity(arr.dtype)), arr)
 
     def test_ufunc_attached(self):
         assert SUM.ufunc is np.add
@@ -150,7 +124,8 @@ def counting_pickle(log):
 
 
 class _Sized:
-    """A payload that prices itself, as ``SparseGlobalVector`` does."""
+    """A payload that prices itself, as ``DenseVector`` in
+    ``repro.gs.allreduce_method`` does."""
 
     def __init__(self, body):
         self.body = body
