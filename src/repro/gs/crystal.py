@@ -13,6 +13,8 @@ Non-power-of-two rank counts are handled by folding the top
 ``P - 2^k`` ranks onto their lower images before routing and unfolding
 afterwards (the same trick MPICH uses for allreduce), which preserves
 the "completes in ~log2 P stages" guarantee the paper quotes.
+:func:`crystal_stages` states that schedule once, as a table that each
+rank's route walks and that ``repro.vscale`` prices.
 
 This module owns the wire format.  A stage message is one contiguous
 byte array ``[groups | (dest, count) x groups | ids | rows]`` — int64
@@ -27,11 +29,13 @@ rows alone, charged what the full message would be.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..mpi.communicator import rank_program
 from ..mpi.datatypes import ReduceOp
 from ..mpi.errors import CommunicatorError
 from .handle import GSHandle
@@ -43,34 +47,33 @@ TAG_CRYSTAL = 7101
 SITE = "gs_op:crystal"
 
 _NONE = np.empty(0, dtype=np.intp)
+_BLANK = (_NONE, 0, 0, 0)  # a step's (take, groups, lo, hi) until routed
 
 
-def _steps(size: int, rank: int) -> Iterator[tuple]:
-    """One rank's program, a ``(verb, to, frm, tag, mask, take, groups,
-    lo, hi)`` per step: send ``to`` the held records whose destination
-    differs from this rank in a bit of ``mask``, then receive from
-    ``frm`` (either may be ``None``).  The rest is blank — what a
-    :class:`CrystalPlan` fills in."""
-    blank = (_NONE, 0, 0, 0)
+@lru_cache(maxsize=None)
+def crystal_stages(size: int) -> tuple:
+    """The crystal router on ``size`` ranks, one ``(verb, tag, mask,
+    senders, receivers)`` row per stage: ``senders[i]`` sends
+    ``receivers[i]`` the records it holds whose destination differs
+    from it in a bit of ``mask``.
+
+    The top ``size - pof2`` ranks fold, parking everything on their low
+    images; the low ``pof2`` swap across one address bit per stage, a
+    destination ``>= pof2`` routing via its folded image (the same low
+    bits); the unfold hands each folded rank what is addressed to it.
+    :func:`_run` walks one rank's projection and ``repro.vscale`` moves
+    every rank's records through the table at once."""
     pof2 = 1 << (size.bit_length() - 1)
-    rem = size - pof2
-    if rank >= pof2:
-        # Fold: a high rank parks everything on its low image, which
-        # hands back what is addressed to it after the last stage.
-        yield "MPI_Send", rank - pof2, None, TAG_CRYSTAL, -1, *blank
-        yield None, None, rank - pof2, TAG_CRYSTAL + 2, 0, *blank
-        return
-    if rank < rem:
-        yield None, None, rank + pof2, TAG_CRYSTAL, 0, *blank
-    # Hypercube stages among the low pof2 ranks; a destination >= pof2
-    # routes via its folded image (the same low bits).
+    low, high = np.arange(size - pof2), np.arange(pof2, size)
+    hub = np.arange(pof2)
+    rows = [("MPI_Send", TAG_CRYSTAL, -1, high, low)] if len(high) else []
     bit = pof2 >> 1
     while bit:
-        yield "MPI_Isend", rank ^ bit, rank ^ bit, TAG_CRYSTAL + 1, bit, *blank
+        rows.append(("MPI_Isend", TAG_CRYSTAL + 1, bit, hub, hub ^ bit))
         bit >>= 1
-    if rank < rem:
-        # Unfold: what is left for the folded high rank.
-        yield "MPI_Send", rank + pof2, None, TAG_CRYSTAL + 2, pof2, *blank
+    if len(high):
+        rows.append(("MPI_Send", TAG_CRYSTAL + 2, pof2, low, high))
+    return tuple(rows)
 
 
 def _record_bytes(rows: np.ndarray) -> int:
@@ -121,13 +124,14 @@ def _unpack(msg, like: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 class CrystalPlan:
-    """What one rank's route of one set of records came to: its
-    :func:`_steps` with the blanks filled in, as flat arrays over a
-    *store* — the rank's own records first, every arrival in the next
-    free range.  Per step, ``take`` is the store slots that leave,
-    ``groups`` how many destinations they are for, ``lo:hi`` the store
-    range the receive fills; ``final`` is the slots addressed to this
-    rank, in arrival order.  None of it depends on the rows, so the same
+    """What one rank's route of one set of records came to: per step its
+    ``(to, frm, verb, tag, mask)`` and the ``(take, groups, lo, hi)``
+    the route filled in, as flat arrays over a *store* — the rank's own
+    records first, every arrival in the next free range.  Per step,
+    ``take`` is the store slots that leave, ``groups`` how many
+    destinations they are for, ``lo:hi`` the store range the receive
+    fills; ``final`` is the slots addressed to this rank, in arrival
+    order.  None of it depends on the rows, so the same
     records route again (:func:`_run` without ``dest``) for any row
     dtype and width.  A gather-scatter handle's plan also keeps
     ``index``, the condensed entries its records carry, and the
@@ -159,11 +163,13 @@ def _run(
     plan: CrystalPlan, site: str, rows: np.ndarray,
     dest: Optional[np.ndarray] = None, ids: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Fold, hypercube stages and unfold of ``plan.comm``'s rank over its
-    records' ``rows``; return the ``(ids, rows)`` store.  With ``dest``
-    and ``ids`` the records are routed and ``plan`` filled in; without,
-    ``plan`` says which rows leave and land where, and ``ids`` is
-    ``None``.  Either way a message is charged the size of the full
+    """Walk ``plan.comm``'s rank's projection of :func:`crystal_stages`
+    over its records' ``rows`` — per step, send ``to`` the held records
+    whose destination differs from this rank in a bit of ``mask``, then
+    receive from ``frm`` — and return the ``(ids, rows)`` store.  With
+    ``dest`` and ``ids`` the records are routed and ``plan`` filled in;
+    without, ``plan`` says which rows leave and land where, and ``ids``
+    is ``None``.  Either way a message is charged the size of the full
     stage message, and a stage the memory pass over the records it
     moved (gslib's crystal router packs and unpacks per stage)."""
     comm = plan.comm
@@ -176,7 +182,10 @@ def _run(
         ids = np.asarray(ids, dtype=np.int64)
         held = (dest != rank).nonzero()[0]   # in transit, oldest first
         mine = (dest == rank).nonzero()[0]   # never travels
-        steps = _steps(comm.size, rank)
+        steps = (
+            program + _BLANK
+            for program in rank_program(crystal_stages, comm.size, rank)
+        )
     else:
         store = np.empty((plan.size, *row_shape), dtype=rows.dtype)
         store[:len(rows)] = rows
@@ -188,7 +197,7 @@ def _run(
     if prices is None:
         prices = plan.prices[record_bytes] = []
     for stage, step in enumerate(steps):
-        verb, to, frm, tag, mask, take, groups, lo, hi = step
+        to, frm, verb, tag, mask, take, groups, lo, hi = step
         priced = stage < len(prices)
         nbytes, overhead, seconds = prices[stage] if priced else (0, 0.0, 0.0)
         if to is not None:

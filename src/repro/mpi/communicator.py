@@ -17,7 +17,10 @@ mpiP-style reports in Figs. 8-10 of the paper group by.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from .clock import VirtualClock
 from .datatypes import (
@@ -475,45 +478,15 @@ class Comm:
         return result
 
     def _allreduce_raw(self, payload: Any, op: ReduceOp) -> Any:
-        size, rank = self.size, self.rank
-        if size == 1:
-            return copy_payload(payload)
-        pof2 = 1
-        while pof2 * 2 <= size:
-            pof2 *= 2
-        rem = size - pof2
+        """Walk this rank's row of :func:`allreduce_stages`."""
         result = copy_payload(payload)
-        # Fold phase: the first 2*rem ranks pair up so pof2 ranks remain.
-        if rank < 2 * rem:
-            if rank % 2 == 0:
-                self._send_raw(result, rank + 1, _TAG_ALLREDUCE, internal=True)
-                newrank = -1
-            else:
-                other, _ = self._recv_raw(rank - 1, _TAG_ALLREDUCE, internal=True)
-                result = op(result, other)
-                newrank = rank // 2
-        else:
-            newrank = rank - rem
-        # Recursive doubling among the pof2 survivors.
-        if newrank != -1:
-            mask = 1
-            while mask < pof2:
-                partner_new = newrank ^ mask
-                partner = (
-                    partner_new * 2 + 1
-                    if partner_new < rem
-                    else partner_new + rem
-                )
-                self._send_raw(result, partner, _TAG_ALLREDUCE + 1, internal=True)
-                other, _ = self._recv_raw(partner, _TAG_ALLREDUCE + 1, internal=True)
-                result = op(result, other)
-                mask <<= 1
-        # Unfold phase: survivors push the result back to idle partners.
-        if rank < 2 * rem:
-            if rank % 2 == 0:
-                result, _ = self._recv_raw(rank + 1, _TAG_ALLREDUCE + 2, internal=True)
-            else:
-                self._send_raw(result, rank - 1, _TAG_ALLREDUCE + 2, internal=True)
+        program = rank_program(allreduce_stages, self.size, self.rank)
+        for to, frm, tag, combine in program:
+            if to is not None:
+                self._send_raw(result, to, tag, internal=True)
+            if frm is not None:
+                other, _ = self._recv_raw(frm, tag, internal=True)
+                result = op(result, other) if combine else other
         return result
 
     def allgather(self, payload: Any, site: Optional[str] = None) -> List[Any]:
@@ -779,3 +752,50 @@ _TAG_GATHER = (1 << 24) + 320
 _TAG_SCATTER = (1 << 24) + 384
 _TAG_ALLTOALL = (1 << 24) + 448
 _TAG_SCAN = (1 << 24) + 1024
+
+
+@lru_cache(maxsize=None)
+def rank_program(stages, size: int, rank: int) -> tuple:
+    """``rank``'s projection of the stage table ``stages(size)``, whose
+    rows end ``(..., senders, receivers)``, ``senders[i]`` sending to
+    ``receivers[i]``: ``(to, frm, *rest of the row)`` per stage it takes
+    part in, with ``to`` or ``frm`` ``None`` where it only receives or
+    only sends."""
+    program = []
+    for *row, senders, receivers in stages(size):
+        to, frm = receivers[senders == rank], senders[receivers == rank]
+        if len(to) or len(frm):
+            program.append((
+                int(to[0]) if len(to) else None,
+                int(frm[0]) if len(frm) else None,
+                *row,
+            ))
+    return tuple(program)
+
+
+@lru_cache(maxsize=None)
+def allreduce_stages(size: int) -> tuple:
+    """The recursive-doubling allreduce on ``size`` ranks, one ``(tag,
+    combine, senders, receivers)`` row per stage: ``senders[i]`` sends
+    its partial result to ``receivers[i]``, which combines it with its
+    own — or, where ``combine`` is false, takes it as the result.
+
+    MPICH's non-power-of-two fold: the first ``2*rem`` ranks pair up,
+    each even rank handing its value to the odd one above, so ``pof2``
+    survivors remain; survivor ``i`` swaps with survivor ``i ^ mask``
+    for ``mask = 1, 2, ..., pof2/2``; then each odd rank hands the
+    result back.  :meth:`Comm._allreduce_raw` walks one rank's row and
+    ``repro.vscale`` prices every rank's at once."""
+    pof2 = 1 << (size.bit_length() - 1)
+    rem = size - pof2
+    even = np.arange(0, 2 * rem, 2)
+    ids = np.arange(pof2)
+    survivor = np.where(ids < rem, 2 * ids + 1, ids + rem)  # world rank
+    rows = [(_TAG_ALLREDUCE, True, even, even + 1)] if rem else []
+    mask = 1
+    while mask < pof2:
+        rows.append((_TAG_ALLREDUCE + 1, True, survivor[ids ^ mask], survivor))
+        mask <<= 1
+    if rem:
+        rows.append((_TAG_ALLREDUCE + 2, False, even + 1, even))
+    return tuple(rows)

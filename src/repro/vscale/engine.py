@@ -16,27 +16,31 @@ splitting the job in two:
   rank-symmetric exchange plan of :mod:`repro.vscale.schedule`.
 
 The model is written to mirror the executed runtime's virtual-clock
-arithmetic *operation by operation* (same IEEE adds in the same order),
-and every message is priced from exact integer byte counts — the
-crystal router's from the closed form of its typed record wire
-(:mod:`repro.gs.crystal`) — so for all three methods the modeled
-per-rank step time agrees with an executed run at the same rank count
-to within floating-point noise (:data:`DEFAULT_TOLERANCES`).
+arithmetic *operation by operation* (same IEEE adds in the same order).
+The crystal router and the allreduce are not re-derived here: their
+waves are the rows of the stage tables the executed code walks
+(:func:`repro.gs.crystal.crystal_stages`,
+:func:`repro.mpi.communicator.allreduce_stages`).  Every message is
+priced from exact integer byte counts — the crystal router's from the
+closed form of its typed record wire — so for all three methods the
+modeled per-rank step time agrees with an executed run at the same rank
+count to within floating-point noise (:data:`DEFAULT_TOLERANCES`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.cmtbone import CMTBone
 from ..core.config import CMTBoneConfig
-from ..gs.crystal import message_nbytes
+from ..gs.crystal import crystal_stages, message_nbytes
 from ..kernels import counters
+from ..mpi.communicator import allreduce_stages
 from ..perfmodel import MachineModel
 from ..solver.surface import full2face_flops
 from .schedule import StepSchedule, build_schedule
@@ -204,23 +208,29 @@ class _Timeline:
         self.wire_bytes = 0.0
 
 
-@dataclass(frozen=True)
 class _Wave:
-    """One send/receive wave: aligned sender/receiver rank arrays.
+    """One priced stage-table row: ``senders[i]`` sends ``receivers[i]``
+    a message of ``nbytes[i]``.
 
-    Receiver ``i`` gets one message from ``senders[i]``; overheads and
-    transits are precomputed (they depend only on the static schedule,
-    never on the evolving clock).  ``compute_after`` is an optional
-    post-wave compute charge on the senders (the crystal router's
-    pack/unpack memory pass).
+    Overheads and transits are precomputed (they depend only on the
+    static schedule, never on the evolving clock).  ``compute_after`` is
+    an optional post-wave compute charge on the senders (the crystal
+    router's pack/unpack memory pass).
     """
 
-    senders: np.ndarray
-    receivers: np.ndarray
-    send_ovh: np.ndarray
-    transit: np.ndarray
-    nbytes: np.ndarray
-    compute_after: Optional[np.ndarray] = None
+    __slots__ = (
+        "senders", "receivers", "nbytes", "send_ovh", "transit",
+        "compute_after",
+    )
+
+    def __init__(
+        self, net, senders: np.ndarray, receivers: np.ndarray,
+        nbytes: np.ndarray, compute_after: Optional[np.ndarray] = None,
+    ):
+        self.senders, self.receivers, self.nbytes = senders, receivers, nbytes
+        self.send_ovh = net.send_overhead_batch(nbytes)
+        self.transit = net.transit_batch(senders, receivers, nbytes)
+        self.compute_after = compute_after
 
 
 def _replay_wave(tl: _Timeline, wave: _Wave, o_recv: float) -> None:
@@ -245,6 +255,53 @@ def _replay_wave(tl: _Timeline, wave: _Wave, o_recv: float) -> None:
     tl.wire_bytes += float(wave.nbytes.sum())
 
 
+def _post_pairwise(
+    tl: _Timeline, sched: StepSchedule, ovh: np.ndarray, nbytes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Post one field's pairwise sends on every rank at once.
+
+    Sends are charged column-by-column (per-rank neighbour order),
+    accumulating wire times with *sequential* adds — not a cumsum — so
+    the float rounding matches the executed per-message charges
+    exactly.  Returns the wire times and the clocks at which the
+    field's overlap window opens.
+    """
+    p, k = sched.nbr.shape
+    wires = np.empty((p, k))
+    for j in range(k):
+        col = ovh[:, j]
+        tl.t += col
+        tl.comm += col
+        wires[:, j] = tl.t
+    tl.messages += p * k
+    tl.wire_bytes += float(nbytes.sum())
+    return wires, tl.t.copy()
+
+
+def _finish_pairwise(
+    tl: _Timeline, sched: StepSchedule, transit: np.ndarray, o_recv: float,
+    wires: np.ndarray, opened: np.ndarray,
+) -> None:
+    """Complete one posted field, as ``gs_op_finish`` does.
+
+    Waits fold in the sorted-neighbour order; only the still-exposed
+    wait is charged, and the flight since ``opened`` that the clock
+    did not wait for is credited as hidden (none, when nothing ran
+    between the post and the finish).
+    """
+    p, k = sched.nbr.shape
+    wait_start = tl.t
+    completion = np.full(p, -np.inf)
+    for j in range(k):
+        arrival = wires[sched.nbr[:, j], sched.pos[:, j]] + transit[:, j]
+        end = np.maximum(tl.t, arrival) + o_recv
+        tl.comm += end - tl.t
+        tl.t = end
+        completion = np.maximum(completion, arrival)
+    tl.hidden += np.maximum(completion - opened, 0.0)
+    tl.hidden -= np.maximum(completion - wait_start, 0.0)
+
+
 def _coalesce(
     holder: np.ndarray, dest: np.ndarray, raw: np.ndarray, nranks: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,6 +310,31 @@ def _coalesce(
     uniq, inverse = np.unique(key, return_inverse=True)
     raw2 = np.bincount(inverse, weights=raw, minlength=len(uniq))
     return uniq // nranks, uniq % nranks, raw2
+
+
+def _crystal_route(
+    nranks: int, holder: np.ndarray, dest: np.ndarray, raw: np.ndarray
+) -> Tuple[list, np.ndarray, np.ndarray]:
+    """Move flat ``(holder, destination, raw bytes)`` records through
+    :func:`~repro.gs.crystal.crystal_stages` by the executed rule: at
+    each stage a sender passes its receiver the records whose
+    destination differs from it in a bit of the mask, and records that
+    meet on one ``(holder, destination)`` pair merge into one group.
+    Returns per stage the groups and raw bytes each rank sends, and the
+    records' final holders and destinations."""
+    sent = []
+    for _verb, _tag, mask, senders, receivers in crystal_stages(nranks):
+        to = np.full(nranks, -1, dtype=np.int64)
+        to[senders] = receivers
+        mover = (to[holder] >= 0) & ((dest ^ holder) & mask != 0)
+        src = holder[mover]
+        sent.append((
+            np.bincount(src, minlength=nranks),
+            np.bincount(src, weights=raw[mover], minlength=nranks),
+        ))
+        holder = np.where(mover, to[holder], holder)
+        holder, dest, raw = _coalesce(holder, dest, raw, nranks)
+    return sent, holder, dest
 
 
 # ---------------------------------------------------------------------------
@@ -431,34 +513,38 @@ class VirtualScaleEngine:
         # Static message plans (clock-independent, reused every stage).
         pw_bytes = sched.pairwise_bytes()
         pw_ovh = net.send_overhead_batch(pw_bytes)
-        k = sched.n_neighbors
         pw_transit = np.empty_like(pw_bytes)
-        for j in range(k):
+        for j in range(sched.n_neighbors):
             pw_transit[:, j] = net.transit_batch(
                 sched.nbr[:, j], ranks, pw_bytes[:, j]
             )
-        crystal_waves = (
-            self._crystal_waves(sched) if method == "crystal" else None
-        )
-        ar_waves_gs = (
-            self._allreduce_waves(p, sched.dense_len * 8)
-            if method == "allreduce"
-            else None
-        )
-        ar_waves_mon = self._allreduce_waves(p, 8)
+
+        def allreduce(nbytes: int) -> List[_Wave]:
+            # Every message of an allreduce carries the whole vector.
+            return [
+                _Wave(net, s, r, np.full(len(s), float(nbytes)))
+                for *_, s, r in allreduce_stages(p)
+            ]
+
+        if method == "crystal":
+            waves = self._crystal_waves(sched)
+        elif method == "allreduce":
+            waves = allreduce(sched.dense_len * 8)
+        monitor_waves = allreduce(8)
+
+        def post(tl: _Timeline) -> Tuple[np.ndarray, np.ndarray]:
+            return _post_pairwise(tl, sched, pw_ovh, pw_bytes)
+
+        def finish(tl: _Timeline, posted) -> None:
+            _finish_pairwise(tl, sched, pw_transit, o_recv, *posted)
 
         def exchange_once(tl: _Timeline) -> None:
             if p == 1:
                 return
             if method == "pairwise":
-                self._replay_pairwise(
-                    tl, sched, pw_ovh, pw_transit, pw_bytes, o_recv
-                )
-            elif method == "crystal":
-                for wave in crystal_waves:
-                    _replay_wave(tl, wave, o_recv)
+                finish(tl, post(tl))
             else:
-                for wave in ar_waves_gs:
+                for wave in waves:
                     _replay_wave(tl, wave, o_recv)
 
         tl = _Timeline(p)
@@ -471,33 +557,28 @@ class VirtualScaleEngine:
                 tl.t += deriv_lf
                 tl.t += surface_lf
                 if overlap and method == "pairwise" and p > 1:
-                    self._replay_pairwise_overlap(
-                        tl,
-                        sched,
-                        pw_ovh,
-                        pw_transit,
-                        pw_bytes,
-                        o_recv,
-                        nfields,
-                        update_lf,
-                        gs_local,
-                    )
-                elif overlap:
-                    # Synchronous fallback: begin posts nothing, the
-                    # update runs, and every field's blocking exchange
-                    # happens at finish time.
+                    # gs_op_begin/gs_op_finish: every field posts, the
+                    # update runs under the messages in flight, and each
+                    # finish charges only the wait still exposed.
+                    posted = [post(tl) for _ in range(nfields)]
                     tl.t += update_lf
-                    for _ in range(nfields):
-                        exchange_once(tl)
+                    for field_posted in posted:
+                        finish(tl, field_posted)
                         tl.t += gs_local
                 else:
+                    # Blocking, or the synchronous fallback of overlap:
+                    # begin posts nothing, the update runs, and every
+                    # field's blocking exchange happens at finish time.
+                    if overlap:
+                        tl.t += update_lf
                     for _ in range(nfields):
                         exchange_once(tl)
                         tl.t += gs_local
-                    tl.t += update_lf
+                    if not overlap:
+                        tl.t += update_lf
             me = cfg.monitor_every
             if me and (istep + 1) % me == 0:
-                for wave in ar_waves_mon:
+                for wave in monitor_waves:
                     _replay_wave(tl, wave, o_recv)
             if checkpoint_every and (istep + 1) % checkpoint_every == 0:
                 # Extrapolation-only term (never part of validation):
@@ -518,233 +599,39 @@ class VirtualScaleEngine:
             model_wall_seconds=time.perf_counter() - wall0,
         )
 
-    # -- per-method message schedules -----------------------------------
-
-    @staticmethod
-    def _replay_pairwise(
-        tl: _Timeline,
-        sched: StepSchedule,
-        ovh: np.ndarray,
-        transit: np.ndarray,
-        nbytes: np.ndarray,
-        o_recv: float,
-    ) -> None:
-        """Blocking pairwise exchange, every rank simultaneously.
-
-        Sends are charged column-by-column (per-rank neighbour order),
-        accumulating wire times with *sequential* adds — not a cumsum —
-        so the float rounding matches the executed per-message charges
-        exactly.  Waits fold in the same sorted-neighbour order.
-        """
-        p, k = sched.nbr.shape
-        wire = np.empty((p, k))
-        for j in range(k):
-            col = ovh[:, j]
-            tl.t += col
-            tl.comm += col
-            wire[:, j] = tl.t
-        for j in range(k):
-            q = sched.nbr[:, j]
-            arrival = wire[q, sched.pos[:, j]] + transit[:, j]
-            end = np.maximum(tl.t, arrival) + o_recv
-            tl.comm += end - tl.t
-            tl.t = end
-        tl.messages += p * k
-        tl.wire_bytes += float(nbytes.sum())
-
-    @staticmethod
-    def _replay_pairwise_overlap(
-        tl: _Timeline,
-        sched: StepSchedule,
-        ovh: np.ndarray,
-        transit: np.ndarray,
-        nbytes: np.ndarray,
-        o_recv: float,
-        nfields: int,
-        update_lf: np.ndarray,
-        gs_local: float,
-    ) -> None:
-        """Split-phase schedule: post all fields, update, then finish.
-
-        Mirrors ``gs_op_begin``/``gs_op_finish``: every field's sends
-        are posted back-to-back (each opening its overlap window after
-        its own posts), the update compute runs under the in-flight
-        messages, and each finish charges only the still-exposed wait
-        while crediting the hidden remainder.
-        """
-        p, k = sched.nbr.shape
-        wires = np.empty((nfields, p, k))
-        opens = np.empty((nfields, p))
-        for f in range(nfields):
-            for j in range(k):
-                col = ovh[:, j]
-                tl.t += col
-                tl.comm += col
-                wires[f, :, j] = tl.t
-            opens[f] = tl.t
-        tl.t += update_lf
-        for f in range(nfields):
-            wait_start = tl.t.copy()
-            completion = np.full(p, -np.inf)
-            for j in range(k):
-                q = sched.nbr[:, j]
-                arrival = wires[f][q, sched.pos[:, j]] + transit[:, j]
-                end = np.maximum(tl.t, arrival) + o_recv
-                tl.comm += end - tl.t
-                tl.t = end
-                completion = np.maximum(completion, arrival)
-            tl.hidden += np.maximum(completion - opens[f], 0.0)
-            tl.hidden -= np.maximum(completion - wait_start, 0.0)
-            tl.t += gs_local
-        tl.messages += nfields * p * k
-        tl.wire_bytes += nfields * float(nbytes.sum())
+    # -- the crystal router's wave plan ---------------------------------
 
     def _crystal_waves(self, sched: StepSchedule) -> List[_Wave]:
         """Static wave plan of one crystal-router exchange.
 
-        Replays gslib's fold / hypercube-stage / unfold structure over
-        flat (holder, destination, bytes) record arrays; message sizes
-        are the record wire's own closed form.  The plan depends only
-        on the schedule, so it is built once and replayed for every
-        field of every stage.
+        The schedule's ``(rank, neighbour, shared ids)`` records go
+        through the router's stage table (:func:`_crystal_route`); each
+        stage message is priced by the record wire's own closed form,
+        and a rank that both sends and receives in a stage then pays the
+        pack/unpack memory pass over what it moved, as the executed
+        router does.  The plan depends only on the schedule, so it is
+        built once and replayed for every field of every stage.
         """
         p = sched.nranks
-        net = self.machine.network
-        pof2 = 1
-        while pof2 * 2 <= p:
-            pof2 *= 2
-        rem = p - pof2
-        k = sched.n_neighbors
-        holder = np.repeat(np.arange(p, dtype=np.int64), k)
-        dest = sched.nbr.ravel().astype(np.int64)
-        raw = 16.0 * sched.msg_len.ravel().astype(np.float64)
-        # Self-addressed records never travel; DG neighbours exclude
-        # self already, so no filtering is needed here.
+        sent, _, _ = _crystal_route(
+            p,
+            np.repeat(np.arange(p, dtype=np.int64), sched.n_neighbors),
+            sched.nbr.ravel().astype(np.int64),
+            16.0 * sched.msg_len.ravel().astype(np.float64),
+        )
+        net, bw = self.machine.network, self.machine.cpu.mem_bandwidth
         waves: List[_Wave] = []
-        if rem:
-            high = holder >= pof2
-            entries = np.bincount(
-                holder[high] - pof2, minlength=rem
-            )
-            raw_out = np.bincount(
-                holder[high] - pof2, weights=raw[high], minlength=rem
-            )
-            nbytes = message_nbytes(entries, raw_out)
-            senders = np.arange(pof2, p, dtype=np.int64)
-            receivers = np.arange(rem, dtype=np.int64)
-            waves.append(
-                _Wave(
-                    senders=senders,
-                    receivers=receivers,
-                    send_ovh=net.send_overhead_batch(nbytes),
-                    transit=net.transit_batch(
-                        senders, receivers, nbytes
-                    ),
-                    nbytes=nbytes,
-                )
-            )
-            holder = np.where(high, holder - pof2, holder)
-            holder, dest, raw = _coalesce(holder, dest, raw, p)
-        idx = np.arange(pof2, dtype=np.int64)
-        bit = pof2 >> 1
-        while bit:
-            eff = np.where(dest >= pof2, dest - pof2, dest)
-            mover = ((eff ^ holder) & bit) != 0
-            entries = np.bincount(holder[mover], minlength=pof2)
-            raw_out = np.bincount(
-                holder[mover], weights=raw[mover], minlength=pof2
-            )
-            nbytes = message_nbytes(entries, raw_out)
-            partner = idx ^ bit
-            moved = raw_out + raw_out[partner]
-            waves.append(
-                _Wave(
-                    senders=partner,
-                    receivers=idx,
-                    send_ovh=net.send_overhead_batch(nbytes)[partner],
-                    transit=net.transit_batch(
-                        partner, idx, nbytes[partner]
-                    ),
-                    nbytes=nbytes,
-                    # Per-stage pack/unpack memory pass on every
-                    # participant: comm.compute(mem_bytes=2*moved).
-                    compute_after=(2.0 * moved[partner])
-                    / self.machine.cpu.mem_bandwidth,
-                )
-            )
-            holder = np.where(mover, holder ^ bit, holder)
-            holder, dest, raw = _coalesce(holder, dest, raw, p)
-            bit >>= 1
-        if rem:
-            high_dest = dest >= pof2
-            entries = np.bincount(
-                holder[high_dest], minlength=rem
-            )
-            raw_out = np.bincount(
-                holder[high_dest], weights=raw[high_dest], minlength=rem
-            )
-            nbytes = message_nbytes(entries, raw_out)
-            senders = np.arange(rem, dtype=np.int64)
-            receivers = np.arange(pof2, p, dtype=np.int64)
-            waves.append(
-                _Wave(
-                    senders=senders,
-                    receivers=receivers,
-                    send_ovh=net.send_overhead_batch(nbytes),
-                    transit=net.transit_batch(
-                        senders, receivers, nbytes
-                    ),
-                    nbytes=nbytes,
-                )
-            )
-        return waves
-
-    def _allreduce_waves(self, p: int, nbytes: int) -> List[_Wave]:
-        """Static wave plan of one recursive-doubling allreduce.
-
-        Mirrors ``Comm._allreduce_raw``: non-power-of-two fold onto
-        ``pof2`` survivors, log2 doubling rounds (each survivor sends
-        then receives from its partner), and the unfold push-back.
-        Every message advertises the same payload size.
-        """
-        if p == 1:
-            return []
-        net = self.machine.network
-        pof2 = 1
-        while pof2 * 2 <= p:
-            pof2 *= 2
-        rem = p - pof2
-        size = np.full(1, float(nbytes))
-        waves: List[_Wave] = []
-
-        def wave(senders: np.ndarray, receivers: np.ndarray) -> _Wave:
-            nb = np.broadcast_to(size, senders.shape)
-            return _Wave(
-                senders=senders,
-                receivers=receivers,
-                send_ovh=net.send_overhead_batch(nb),
-                transit=net.transit_batch(senders, receivers, nb),
-                nbytes=nb,
-            )
-
-        if rem:
-            even = np.arange(0, 2 * rem, 2, dtype=np.int64)
-            odd = even + 1
-            waves.append(wave(even, odd))
-        newrank = np.arange(pof2, dtype=np.int64)
-        world = np.where(newrank < rem, newrank * 2 + 1, newrank + rem)
-        mask = 1
-        while mask < pof2:
-            partner_new = newrank ^ mask
-            partner = np.where(
-                partner_new < rem, partner_new * 2 + 1, partner_new + rem
-            )
-            waves.append(wave(partner, world))
-            mask <<= 1
-        if rem:
-            even = np.arange(0, 2 * rem, 2, dtype=np.int64)
-            odd = even + 1
-            waves.append(wave(odd, even))
+        for (*_, senders, receivers), (groups, out) in zip(
+            crystal_stages(p), sent
+        ):
+            moved = out.copy()
+            moved[receivers] += out[senders]
+            swaps = np.isin(senders, receivers)
+            waves.append(_Wave(
+                net, senders, receivers,
+                message_nbytes(groups[senders], out[senders]),
+                np.where(swaps, 2.0 * moved[senders], 0.0) / bw,
+            ))
         return waves
 
     # -- sampled execution and validation -------------------------------

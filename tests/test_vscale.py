@@ -146,10 +146,15 @@ class TestAgreement:
         assert a.ok, a.describe()
         assert a.schedule_mismatch is None
 
-    @pytest.mark.parametrize("method", ["pairwise", "crystal"])
-    def test_non_power_of_two(self, method):
-        # Crystal's fold/unfold and pairwise's odd grids both engage.
-        engine = VirtualScaleEngine(_cfg(), nranks=12, sample=12)
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("nranks", [3, 5, 6, 7, 12])
+    @pytest.mark.parametrize("method", GS_METHODS)
+    def test_non_power_of_two(self, method, nranks, overlap):
+        # Crystal's fold/unfold, the allreduce fold (the gs method and
+        # the monitor) and pairwise's odd grids all engage.
+        engine = VirtualScaleEngine(
+            _cfg(overlap=overlap), nranks=nranks, sample=nranks
+        )
         a = engine.validate(method)
         assert a.ok, a.describe()
 
@@ -206,6 +211,59 @@ class TestAgreement:
         d_sample = sampled.execute_sample("pairwise").digests
         d_full = full.execute_sample("pairwise").digests
         assert d_sample == d_full[: len(d_sample)]
+
+
+# -- wave structure: the model sends what the executed job sends --------
+
+
+def _executed_step_traffic(config, nranks):
+    """Messages and bytes the executed step loop puts on the wire:
+    every rank's trace events after a barrier that follows setup."""
+    from repro.core.cmtbone import CMTBone
+
+    rt = Runtime(nranks=nranks, trace_messages=True)
+
+    def main(comm):
+        bone = CMTBone(comm, config)
+        comm.barrier()
+        start = len(rt.trace.rank_events(comm.rank))
+        bone.run()
+        return start
+
+    starts = rt.run(main)
+    sizes = [
+        e.nbytes
+        for r, start in enumerate(starts)
+        for e in rt.trace.rank_events(r)[start:]
+    ]
+    return len(sizes), sum(sizes)
+
+
+class TestWaveStructure:
+    @pytest.mark.parametrize("nranks", [8, 12])
+    @pytest.mark.parametrize("method", GS_METHODS)
+    def test_messages_and_bytes_equal_the_executed_trace(
+        self, method, nranks
+    ):
+        engine = VirtualScaleEngine(_cfg(), nranks=nranks, sample=nranks)
+        modeled = engine.model(method)
+        executed = _executed_step_traffic(
+            engine._config_for(nranks, method), nranks
+        )
+        assert (modeled.messages, modeled.wire_bytes) == executed
+
+    @pytest.mark.parametrize(
+        "nranks", [1, 2, 3, 1023, 12288, 65535, 65536]
+    )
+    def test_crystal_stage_table_delivers_every_record(self, nranks):
+        """The executed mask rule over ``crystal_stages`` leaves every
+        record on its destination rank: fold, stages and unfold."""
+        rng = np.random.default_rng(nranks)
+        holder = np.repeat(np.arange(nranks, dtype=np.int64), 3)
+        dest = rng.integers(0, nranks, size=holder.size)
+        raw = np.full(holder.size, 16.0)
+        _, at, to = engine_module._crystal_route(nranks, holder, dest, raw)
+        assert (at == to).all()
 
 
 # -- the modeled timelines at virtual scale -----------------------------
