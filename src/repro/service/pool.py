@@ -45,10 +45,20 @@ Affinity: the parent tracks which artifact keys each worker holds and
 :meth:`WorkerPool.pick_worker` prefers an idle worker that already
 caches the batch's key — without it, a round-robin pool spreads
 identical configs across workers and every one pays the cold setup.
+
+CPU shares: the pool reads its CPU mask once, at construction, and
+gives each worker slot a share of it (:func:`_cpu_shares`): a
+contiguous, disjoint block while there are no more workers than CPUs,
+else one CPU round-robin.  The worker restricts itself to its share
+before it serves anything, and a respawn lands in the same share.  A
+job's thread ranks (and any rank processes it forks) inherit it, so
+their GIL hand-offs stay on one core instead of waking a thread on
+another CPU.  Without ``os.sched_setaffinity`` every worker floats.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
@@ -59,8 +69,25 @@ from .execute import run_job, spec_artifact_key
 from .jobs import STATUS_FAILED, JobResult, JobSpec
 
 
-def _worker_loop(cmd_conn, res_conn, artifact_dir=None) -> None:
+def _cpu_shares(nworkers: int) -> List[Optional[Set[int]]]:
+    """Each worker slot's CPU set, split from this process's mask.
+
+    All ``None`` where the platform cannot set affinity.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return [None] * nworkers
+    mask = sorted(os.sched_getaffinity(0))
+    n = len(mask)
+    if nworkers > n:
+        return [{mask[i % n]} for i in range(nworkers)]
+    return [set(mask[i * n // nworkers:(i + 1) * n // nworkers])
+            for i in range(nworkers)]
+
+
+def _worker_loop(cmd_conn, res_conn, artifact_dir=None, cpus=None) -> None:
     """Worker child main: serve ("run", batch) commands until stopped."""
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
     cache = ArtifactCache(disk=artifact_dir)
     while True:
         try:
@@ -112,8 +139,10 @@ class WorkerPool:
         #: (None = in-memory caches only).
         self.artifact_dir = artifact_dir
         self._ctx = fork_context("service")
+        #: Each slot's CPU share (see the module docstring).
+        self._shares = _cpu_shares(nworkers)
         self._workers: List[_Worker] = [
-            self._spawn() for _ in range(nworkers)
+            self._spawn(i) for i in range(nworkers)
         ]
         self._closed = False
         #: Workers that died mid-batch and were replaced.
@@ -125,11 +154,12 @@ class WorkerPool:
         self._retired_jobs_served = 0
         self._retired_batches_served = 0
 
-    def _spawn(self) -> _Worker:
+    def _spawn(self, index: int) -> _Worker:
         cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
         res_r, res_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
-            target=_worker_loop, args=(cmd_r, res_w, self.artifact_dir),
+            target=_worker_loop,
+            args=(cmd_r, res_w, self.artifact_dir, self._shares[index]),
             name="repro-job-worker", daemon=True,
         )
         proc.start()
@@ -308,7 +338,7 @@ class WorkerPool:
         self._retired_jobs_served += old.jobs_served
         self._retired_batches_served += old.batches_served
         self._close_worker(old, force=True)
-        self._workers[index] = self._spawn()
+        self._workers[index] = self._spawn(index)
         self.respawns += 1
 
     # -- shutdown ------------------------------------------------------

@@ -9,6 +9,7 @@ same spec produces.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -614,6 +615,77 @@ class TestWorkerPool:
             pool.dispatch(0, [spec])
             (res,) = pool.collect(0, [spec])
             assert res.ok
+
+
+def served_affinity(pool, index):
+    """The CPU set of the worker that ran a job in slot ``index``.
+
+    Running a job first means the worker has entered its loop (and so
+    restricted itself) before its mask is read.
+    """
+    spec = small_spec(index)
+    pool.dispatch(index, [spec])
+    (res,) = pool.collect(index, [spec])
+    return res, os.sched_getaffinity(res.worker_pid)
+
+
+_MASK = (os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity")
+         else set())
+
+
+@pytest.mark.skipif(len(_MASK) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+class TestPlacement:
+    """Each worker slot runs on its own share of the pool's CPU mask."""
+
+    @pytest.fixture
+    def two_cpus(self):
+        """Narrow this process to two CPUs while the pool is built."""
+        own = os.sched_getaffinity(0)
+        pair = sorted(own)[:2]
+        os.sched_setaffinity(0, pair)
+        try:
+            yield pair
+        finally:
+            os.sched_setaffinity(0, own)
+
+    def test_two_workers_get_one_cpu_each(self, two_cpus):
+        with WorkerPool(nworkers=2) as pool:
+            shares = [served_affinity(pool, i)[1] for i in range(2)]
+        assert shares == [{two_cpus[0]}, {two_cpus[1]}]
+
+    def test_more_workers_than_cpus_share_round_robin(self, two_cpus):
+        with WorkerPool(nworkers=3) as pool:
+            shares = [served_affinity(pool, i)[1] for i in range(3)]
+        a, b = two_cpus
+        assert shares == [{a}, {b}, {a}]
+
+    def test_one_worker_keeps_the_whole_mask(self, two_cpus):
+        with WorkerPool(nworkers=1) as pool:
+            res, share = served_affinity(pool, 0)
+        assert res.ok
+        assert share == set(two_cpus)
+
+    def test_respawn_lands_in_the_slot_share(self, two_cpus, tmp_path):
+        flag = tmp_path / "die"
+        flag.touch()
+        doomed = small_spec(0, params={**SMALL, "exit_if_flag": str(flag)})
+        with WorkerPool(nworkers=2) as pool:
+            old_pid = pool.worker_pids()[1]
+            pool.dispatch(1, [doomed])
+            (dead,) = pool.collect(1, [doomed])
+            assert dead.worker_died and pool.respawns == 1
+            res, share = served_affinity(pool, 1)
+        assert res.ok and res.worker_pid != old_pid
+        assert share == {two_cpus[1]}
+
+    def test_parent_mask_is_unchanged(self):
+        own = os.sched_getaffinity(0)
+        with WorkerPool(nworkers=2) as pool:
+            res, share = served_affinity(pool, 0)
+            assert res.ok and share < own
+            assert os.sched_getaffinity(0) == own
+        assert os.sched_getaffinity(0) == own
 
 
 # ---------------------------------------------------------------------
