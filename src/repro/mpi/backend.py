@@ -90,8 +90,8 @@ def run_rank(
 
     Returns ``(result, error, traceback_text)``.  An injected
     :class:`RankCrashError` is a *primary* failure: the abort event is
-    set so every blocked peer wakes with :class:`AbortError` within one
-    poll tick, but the traceback wrap is skipped so the recovery loop
+    set so every blocked peer wakes with :class:`AbortError`, but the
+    traceback wrap is skipped so the recovery loop
     catches the crash itself (with rank/step/vtime intact).  A
     secondary :class:`AbortError` is recorded without re-aborting.
     """
@@ -287,6 +287,7 @@ class ThreadsBackend(Backend):
             results[rank], errors[rank], tracebacks[rank] = res, err, tb
             with runtime._finished_lock:
                 runtime._finished[rank] = True
+            runtime.abort_event.release()
 
         threads = [
             threading.Thread(
@@ -653,11 +654,6 @@ class ProcsBackend(Backend):
                     p.terminate()
                     p.join(timeout=5.0)
             for ring in job.rings:
-                ring.drain_spills()
-                # Fallback for hard worker death: unlink spill segments
-                # whose ring record never got published (or whose
-                # reader died before the unlink).
-                ring.sweep_spills()
                 ring.destroy()
         return marshal_exit_records(
             runtime, records, fired.is_set(), n,

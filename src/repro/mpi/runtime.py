@@ -40,7 +40,7 @@ from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import AbortError, DeadlockError, MPIError, RankCrashError
 from .profiler import JobProfile, RankProfile
-from .transport import BlockTracker, ChannelSeq, Mailbox
+from .transport import BlockTracker, ChannelSeq, Mailbox, WakingAbort
 
 _WORLD_CID = 1
 
@@ -86,11 +86,11 @@ class Runtime:
 
         self.tracker = BlockTracker()
         self.seq = ChannelSeq()
-        self.abort_event = threading.Event()
         self._mailboxes = [Mailbox(r) for r in range(nranks)]
         self._clocks = [VirtualClock() for _ in range(nranks)]
         self._profiles = [RankProfile(r) for r in range(nranks)]
         self._finished = [False] * nranks
+        self.abort_event = WakingAbort(self._mailboxes, self._finished)
         self._finished_lock = threading.Lock()
         self._ran = False
 

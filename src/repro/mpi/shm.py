@@ -5,9 +5,9 @@ rank as an OS process, so envelope delivery can no longer be a direct
 method call on the destination's :class:`~repro.mpi.transport.Mailbox`.
 This module provides the two pieces of cross-process state it needs:
 
-* :class:`ShmRing` — a multi-producer single-consumer ring buffer in a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment.  Each
-  rank owns one ring; every peer encodes envelopes
+* :class:`ShmRing` — a multi-producer single-consumer ring buffer in an
+  anonymous shared mapping that the parent creates before it forks the
+  ranks.  Each rank owns one ring; every peer encodes envelopes
   (:func:`dump_envelope`) into it and the
   owner's delivery thread drains it into the ordinary in-process
   mailbox, so the matching semantics (posted/unexpected queues,
@@ -16,6 +16,10 @@ This module provides the two pieces of cross-process state it needs:
   :class:`~repro.mpi.transport.BlockTracker` API over lock-free
   per-rank slots in shared memory, so the parent's deadlock watchdog
   can observe every rank.
+
+Nothing here has a name in ``/dev/shm``: the mapping is freed when the
+last process that inherited it unmaps it, so a killed rank leaves
+nothing behind and no ``multiprocessing`` resource tracker is started.
 
 Memory-ordering note: the ring's ``head``/``tail`` are aligned 64-bit
 counters.  The reader never consumes a record before the writer's
@@ -29,14 +33,11 @@ every platform CPython's ``mmap`` targets.
 from __future__ import annotations
 
 import copy
-import itertools
-import os
+import mmap
 import pickle
-import secrets
 import struct
 import time
-from multiprocessing import shared_memory
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .transport import Envelope
 #: Default per-rank ring capacity (bytes of pickled envelope payload).
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: Records larger than this fraction of the ring spill to a dedicated
-#: one-shot shared-memory segment (the ring then carries only its name).
-_SPILL_FRACTION = 4
+#: A record (header included) longer than this fraction of the ring
+#: travels as consecutive fragment records.
+_FRAGMENT_FRACTION = 4
 
 #: Writer back-off while the ring is full (wall seconds).
 _PUSH_POLL = 0.0005
@@ -56,69 +57,51 @@ _PUSH_POLL = 0.0005
 #: Ring header: two little-endian uint64 (head, tail), 8-byte aligned.
 _HDR = 16
 
-#: Record kinds (first byte of every record body).
-_KIND_INLINE = b"I"
-_KIND_SPILL = b"S"
+#: Record kinds (first byte of every record body): a whole record, the
+#: first fragment of a longer one (which carries its total length), and
+#: every later fragment.
+_KIND_WHOLE = b"W"
+_KIND_FIRST = b"F"
+_KIND_MORE = b"M"
 
 #: Record header: body length (kind byte included), then the kind byte.
 _REC = struct.Struct("<Ic")
-
-#: Where POSIX shared memory shows up as files (spill-sweep fallback).
-_SHM_DIR = "/dev/shm"
-
-
-def _unlink_segment(name: str) -> bool:
-    """Best-effort unlink of one named segment; True if it was removed."""
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return False
-    seg.close()
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - concurrent unlink
-        return False
-    return True
+#: Total length of a fragmented record, after the kind byte of its first
+#: fragment.
+_TOTAL = struct.Struct("<Q")
 
 
 class ShmRing:
-    """MPSC ring buffer over a shared-memory segment.
+    """MPSC ring buffer over an anonymous shared mapping.
 
     One reader (the owning rank's delivery thread), many writers (every
     peer rank's sending thread).  Writers serialise on ``writer_lock``;
     the reader is lock-free and paced by ``data_sem``, which counts
-    whole records.  ``head``/``tail`` are monotone byte offsets (they
-    never wrap — positions are taken modulo the capacity), so free
+    records in the ring.  ``head``/``tail`` are monotone byte offsets
+    (they never wrap — positions are taken modulo the capacity), so free
     space is simply ``capacity - (tail - head)``.
 
-    Oversized records (bigger than ``capacity // _SPILL_FRACTION``)
-    spill into a dedicated one-shot ``SharedMemory`` segment created by
-    the writer and unlinked by the reader, so the ring never deadlocks
-    on a record that cannot fit.
-
-    Spill segments are named ``<spill_prefix>_<pid>_<seq>`` — the
-    prefix is fixed before any child forks, so the parent can find and
-    unlink leftovers after a hard worker death (a writer that dies
-    between creating its spill segment and publishing the ring record
-    leaves a segment no reader will ever unlink; see
-    :meth:`sweep_spills`).
+    A record longer than ``capacity // 4`` is cut into fragments of at
+    most that size, pushed back to back under one hold of
+    ``writer_lock``, so a record of any size passes through as the
+    reader drains it and fragments of two writers never interleave.
+    :meth:`pop` joins them and returns whole records only.  A writer
+    that aborts or gives up between fragments leaves a cut record; the
+    reader drops it when the next record starts.
     """
 
     def __init__(self, ctx, capacity: int = DEFAULT_RING_CAPACITY):
         if capacity < 4096:
             raise ValueError(f"ring capacity too small: {capacity}")
         self.capacity = capacity
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=_HDR + capacity
-        )
-        self._buf = self._shm.buf
-        struct.pack_into("<QQ", self._buf, 0, 0, 0)
+        self._buf = mmap.mmap(-1, _HDR + capacity)
         self.writer_lock = ctx.Lock()
         self.data_sem = ctx.Semaphore(0)
-        #: Job-unique namespace for this ring's spill segments;
-        #: inherited by every forked writer.
-        self.spill_prefix = f"reprospill{secrets.token_hex(6)}"
-        self._spill_seq = itertools.count()
+        self._limit = capacity // _FRAGMENT_FRACTION
+        #: Reader side: fragments of the record being joined, and how
+        #: many of its bytes are still to come.
+        self._parts: Optional[list] = None
+        self._missing = 0
 
     # -- head/tail accessors ------------------------------------------
 
@@ -136,7 +119,7 @@ class ShmRing:
 
     # -- circular byte copies -----------------------------------------
 
-    def _write(self, pos: int, data: bytes) -> None:
+    def _write(self, pos: int, data) -> None:
         off = pos % self.capacity
         first = min(len(data), self.capacity - off)
         self._buf[_HDR + off:_HDR + off + first] = data[:first]
@@ -147,10 +130,10 @@ class ShmRing:
     def _read(self, pos: int, n: int) -> bytes:
         off = pos % self.capacity
         first = min(n, self.capacity - off)
-        out = bytes(self._buf[_HDR + off:_HDR + off + first])
+        out = self._buf[_HDR + off:_HDR + off + first]
         rest = n - first
         if rest:
-            out += bytes(self._buf[_HDR:_HDR + rest])
+            out += self._buf[_HDR:_HDR + rest]
         return out
 
     # -- producer side -------------------------------------------------
@@ -168,132 +151,75 @@ class ShmRing:
         waiting for space; returns ``False`` (record dropped) when
         ``give_up()`` turns true — the backend passes "the destination
         rank has finished", in which case the message can never be
-        received anyway.  Returns ``True`` on success.  A spill
-        segment created for a record that is then dropped (or whose
-        push aborts) is unlinked here — only *published* records hand
-        unlink responsibility to the reader.
+        received anyway.  Returns ``True`` on success.  Both checks run
+        between the fragments of a long record too; the fragments
+        already pushed are then dropped by the reader.
         """
-        spill_name: Optional[str] = None
-        if len(data) + _REC.size > self.capacity // _SPILL_FRACTION:
-            spill_name, body = self._spill(data)
-            header = _REC.pack(1 + len(body), _KIND_SPILL)
+        if _REC.size + len(data) <= self._limit:
+            frags = [(_KIND_WHOLE, data)]
         else:
-            body = data
-            header = _REC.pack(1 + len(body), _KIND_INLINE)
-        need = _REC.size + len(body)
-        while True:
-            with self.writer_lock:
-                head = self._head()
-                tail = self._tail()
-                if self.capacity - (tail - head) >= need:
-                    self._write(tail, header)
-                    self._write(tail + _REC.size, body)
-                    self._set_tail(tail + need)
-                    break
-            if abort_event is not None and abort_event.is_set():
-                if spill_name is not None:
-                    _unlink_segment(spill_name)
-                raise AbortError(f"job aborted while blocked in {what}")
-            if give_up is not None and give_up():
-                if spill_name is not None:
-                    _unlink_segment(spill_name)
-                return False
-            time.sleep(_PUSH_POLL)
-        self.data_sem.release()
+            view = memoryview(data)
+            step = self._limit - _REC.size - _TOTAL.size
+            frags = [(_KIND_FIRST, _TOTAL.pack(len(data)) + view[:step])]
+            frags += [(_KIND_MORE, view[i:i + step])
+                      for i in range(step, len(data), step)]
+        with self.writer_lock:
+            for kind, body in frags:
+                need = _REC.size + len(body)
+                while self.capacity - ((tail := self._tail())
+                                       - self._head()) < need:
+                    if abort_event is not None and abort_event.is_set():
+                        raise AbortError(f"job aborted while blocked in {what}")
+                    if give_up is not None and give_up():
+                        return False
+                    time.sleep(_PUSH_POLL)
+                self._write(tail, _REC.pack(1 + len(body), kind))
+                self._write(tail + _REC.size, body)
+                self._set_tail(tail + need)
+                self.data_sem.release()
         return True
-
-    def _spill(self, data: bytes) -> tuple:
-        """Write ``data`` to a fresh named segment; (name, record body)."""
-        name = f"{self.spill_prefix}_{os.getpid()}_{next(self._spill_seq)}"
-        seg = shared_memory.SharedMemory(
-            name=name, create=True, size=max(len(data), 1)
-        )
-        seg.buf[: len(data)] = data
-        seg.close()
-        return name, struct.pack("<Q", len(data)) + name.encode("ascii")
 
     # -- consumer side -------------------------------------------------
 
     def pop(self, timeout: float) -> Optional[bytes]:
-        """Take one record, or ``None`` if nothing arrives in time
-        (``timeout=0``: if none is there now)."""
+        """Take one whole record, or ``None`` if no record or fragment
+        arrives within ``timeout`` (``timeout=0``: if none is there
+        now).  The fragments of a long record are joined; a record whose
+        writer stopped between fragments is dropped, never returned."""
         # A zero timeout still goes through sem_timedwait with the GIL
         # released (79-97 us a call here); the non-blocking form is 0.2 us.
         sem = self.data_sem
-        got = sem.acquire(timeout=timeout) if timeout else sem.acquire(False)
-        if not got:
-            return None
-        head = self._head()
-        (n,) = struct.unpack("<I", self._read(head, 4))
-        rec = self._read(head + 4, n)
-        self._set_head(head + 4 + n)
-        if rec[:1] == _KIND_SPILL:
-            return self._unspill(rec[1:])
-        return rec[1:]
-
-    @staticmethod
-    def _unspill(body: bytes) -> bytes:
-        (size,) = struct.unpack("<Q", body[:8])
-        name = body[8:].decode("ascii")
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            return bytes(seg.buf[:size])
-        finally:
-            seg.close()
-            seg.unlink()
+        while True:
+            got = sem.acquire(timeout=timeout) if timeout else sem.acquire(False)
+            if not got:
+                return None
+            head = self._head()
+            (n,) = struct.unpack("<I", self._read(head, 4))
+            rec = self._read(head + 4, n)
+            self._set_head(head + 4 + n)
+            kind = rec[:1]
+            if kind == _KIND_WHOLE:
+                self._parts = None
+                return rec[1:]
+            start = 1
+            if kind == _KIND_FIRST:
+                (self._missing,) = _TOTAL.unpack_from(rec, 1)
+                self._parts = []
+                start += _TOTAL.size
+            chunk = rec[start:]
+            self._parts.append(chunk)
+            self._missing -= len(chunk)
+            if not self._missing:
+                out = b"".join(self._parts)
+                self._parts = None
+                return out
 
     # -- lifecycle ------------------------------------------------------
 
-    def drain_spills(self) -> None:
-        """Unlink spill segments referenced by unread records.
-
-        Called by the parent during cleanup so an aborted job does not
-        leak shared-memory segments (the reader normally unlinks each
-        spill as it consumes it).
-        """
-        while True:
-            try:
-                if self.pop(0) is None:
-                    return
-            except FileNotFoundError:  # pragma: no cover - defensive
-                pass
-
-    def orphaned_spills(self) -> List[str]:
-        """Names of this ring's spill segments still present on disk.
-
-        After :meth:`drain_spills` has consumed every published record,
-        any remaining segment under this ring's prefix is an orphan: a
-        writer died between creating it and publishing the record (or a
-        reader died between reading the record and unlinking).  Only
-        meaningful where POSIX shared memory is file-backed.
-        """
-        try:
-            names = os.listdir(_SHM_DIR)
-        except OSError:  # pragma: no cover - no /dev/shm
-            return []
-        return sorted(n for n in names if n.startswith(self.spill_prefix))
-
-    def sweep_spills(self) -> int:
-        """Unlink orphaned spill segments; returns how many were removed.
-
-        The parent-side fallback for hard worker death: the reader
-        normally unlinks each spill as it consumes it and
-        :meth:`drain_spills` covers unread-but-published records, but a
-        segment whose record never made it into the ring is reachable
-        only by name.  The job-unique ``spill_prefix`` makes that
-        lookup safe (no other job's segments can match).
-        """
-        return sum(1 for name in self.orphaned_spills()
-                   if _unlink_segment(name))
-
     def destroy(self) -> None:
-        """Release the segment (parent side, after every child exited)."""
-        self._buf = None
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - defensive
-            pass
+        """Unmap this process's view (parent side, after every child
+        exited); the memory goes with the last view."""
+        self._buf.close()
 
 
 #: Wire header after the kind byte: src, dst, cid, tag, nbytes,

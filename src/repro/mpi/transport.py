@@ -30,8 +30,9 @@ from .datatypes import ANY_SOURCE, ANY_TAG
 from .errors import AbortError
 
 #: Polling granularity (wall seconds) for blocked waits.  Blocked
-#: threads wake at this cadence only to check for job abort; normal
-#: completion wakes the waiter directly.
+#: threads wake at this cadence only to check for an abort raised in
+#: another process; completion and the thread backend's abort
+#: (:class:`WakingAbort`) wake the waiter directly.
 _WAIT_POLL = 0.1
 
 
@@ -139,9 +140,11 @@ class Mailbox:
     Blocking: only the owning rank's thread ever waits on a mailbox, and
     on one set of receives at a time, so one reusable wake primitive
     serves every wait.  ``_wake`` is a lock used as a binary semaphore:
-    held whenever nobody is being woken, released by ``deliver`` exactly
-    once per :meth:`wait_for` — when the countdown of still-missing
-    ``wanted`` receives reaches zero — and re-taken by the woken owner.
+    held whenever nobody is being woken, released exactly once per
+    :meth:`wait_for` — by ``deliver`` when the countdown of
+    still-missing ``wanted`` receives reaches zero, or by
+    :meth:`interrupt` while it is above zero — and re-taken by the woken
+    owner.
     """
 
     def __init__(self, rank: int):
@@ -152,6 +155,7 @@ class Mailbox:
         self._wake = threading.Lock()
         self._wake.acquire()
         self._countdown = 0
+        self._interrupted = False
 
     def deliver(self, env: Envelope) -> None:
         """Called on the *sender's* thread to deposit ``env`` here."""
@@ -226,26 +230,29 @@ class Mailbox:
         envelope — or, with ``first``, until any one of them has.
 
         Blocks at most once: the sender that lands the *last* wanted
-        envelope (the first, with ``first``) wakes the owner.  Raises
-        :class:`AbortError` if the runtime aborts while we wait: the
-        abort event is checked once *before* blocking and then every
-        :data:`_WAIT_POLL` wall seconds, so a wait posted after the job
-        aborted raises immediately and a wait in progress observes a
-        peer's death within one poll tick (``tests/test_faults.py``).
+        envelope (the first, with ``first``) wakes the owner, and so
+        does :meth:`interrupt`.  Raises :class:`AbortError` if the
+        runtime aborts while we wait: the abort event is checked once
+        *before* blocking; the thread backend's abort interrupts the
+        blocked owners directly (:class:`WakingAbort`), and an abort that
+        arrives from another process is seen within one
+        :data:`_WAIT_POLL` poll tick (``tests/test_faults.py``).
 
         Abort-vs-completion ordering: **completion wins**, before
-        blocking and while polling alike.  A matched envelope is a
+        blocking and after any wake alike.  A matched envelope is a
         committed local fact, so reporting success cannot be wrong, and
-        only waits that are genuinely still blocked observe the abort.
-        That keeps post-crash virtual clocks deterministic — a survivor
-        consumes exactly what its dead peer managed to send, a function
-        of the fault plan and never of which thread sampled the abort
-        flag first — which the recovery loop's crashed-attempt makespans
-        (and the ``solver/fault_campaign`` bench gate) depend on.
+        only waits that are genuinely still missing a receive observe
+        the abort.  That keeps post-crash virtual clocks deterministic —
+        a survivor consumes exactly what its dead peer managed to send,
+        a function of the fault plan and never of which thread sampled
+        the abort flag first — which the recovery loop's crashed-attempt
+        makespans (and the ``solver/fault_campaign`` bench gate) depend
+        on.
         """
+        need = len(pendings) if first else 1
         with self.lock:
             missing = [pr for pr in pendings if pr.envelope is None]
-            if len(missing) < (len(pendings) if first else 1):
+            if len(missing) < need:
                 return
             if abort_event.is_set():
                 raise AbortError(f"job aborted while blocked in {what}")
@@ -256,19 +263,36 @@ class Mailbox:
         try:
             while not self._wake.acquire(timeout=_WAIT_POLL):
                 if abort_event.is_set():
-                    with self.lock:
-                        if self._countdown > 0:
-                            self._countdown = 0
-                            raise AbortError(
-                                f"job aborted while blocked in {what}"
-                            )
-                    self._wake.acquire()  # completed meanwhile: it wins
-                    return
+                    self.interrupt()
         finally:
             tracker.exit_blocked()
             with self.lock:
                 for pr in missing:
                     pr.wanted = False
+                # Woken by interrupt: completion still wins.
+                cut = self._interrupted and (
+                    sum(pr.envelope is None for pr in missing) >= need
+                )
+                self._interrupted = False
+        if cut:
+            raise AbortError(f"job aborted while blocked in {what}")
+
+    @property
+    def blocked(self) -> bool:
+        """Whether the owner is blocked in :meth:`wait_for` with a
+        receive still missing."""
+        with self.lock:
+            return self._countdown > 0
+
+    def interrupt(self) -> None:
+        """Wake the owner if it is blocked in :meth:`wait_for` with a
+        receive still missing; it then re-checks and, unless the wait
+        completed meanwhile, raises :class:`AbortError`."""
+        with self.lock:
+            if self._countdown > 0:
+                self._countdown = 0
+                self._interrupted = True
+                self._wake.release()
 
     def snapshot(self) -> dict:
         """Debug snapshot used in deadlock reports.
@@ -289,6 +313,39 @@ class Mailbox:
                     if p.envelope is None
                 ],
             }
+
+
+class WakingAbort(threading.Event):
+    """The thread backend's job abort event, which also wakes the ranks
+    it leaves blocked.
+
+    Once the event is set and every rank that has not finished is
+    blocked in a wait, no send can complete any of those waits any
+    more, so :meth:`release` interrupts them all at once
+    (:meth:`Mailbox.interrupt`) instead of leaving each to its next
+    :data:`_WAIT_POLL` tick.  ``set`` and every finishing rank call it.
+    Waking a blocked rank while a peer still runs would race its abort
+    against a send that may yet complete its wait, and make post-crash
+    clocks depend on thread scheduling.
+    """
+
+    def __init__(self, mailboxes: Sequence[Mailbox], finished: Sequence[bool]):
+        super().__init__()
+        self._mailboxes = mailboxes
+        self._finished = finished
+
+    def set(self) -> None:
+        super().set()
+        self.release()
+
+    def release(self) -> None:
+        if not self.is_set():
+            return
+        live = [box for box, done in zip(self._mailboxes, self._finished)
+                if not done]
+        if all(box.blocked for box in live):
+            for box in live:
+                box.interrupt()
 
 
 class BlockTracker:

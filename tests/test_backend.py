@@ -5,7 +5,7 @@ error/deadlock/crash semantics, and *identical* virtual-time and
 profile numbers (they are pure functions of the machine model, never of
 wall-clock scheduling).  These tests run the same jobs under all
 backends and compare, and exercise the backend-specific machinery —
-shared memory rings (including oversize spills) for procs, the socket
+shared memory rings (including oversize fragments) for procs, the socket
 mesh / rendezvous / heartbeat path for sockets, exit-record
 marshalling, process-safe abort, and the recovery loop (abort,
 injected-crash recovery, checkpoint/restart, real rank kills).
@@ -111,7 +111,7 @@ class TestProcsBasics:
         assert res == [(4, 2, 2), (4, 4, 2), (4, 2, 2), (4, 4, 2)]
 
     def test_large_message_spills(self):
-        """Payloads bigger than the ring go through spill segments."""
+        """Payloads bigger than the ring cross it as fragments."""
         backend = ProcsBackend(ring_capacity=1 << 14)  # 16 KiB ring
 
         def main(comm):

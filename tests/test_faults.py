@@ -422,6 +422,69 @@ class TestAbortPropagation:
         assert pending.envelope is env
         assert tracker.blocked == 0
 
+    def test_thread_abort_wakes_blocked_ranks_once_none_runs(
+        self, monkeypatch
+    ):
+        """The thread backend's abort wakes a blocked rank itself, not at
+        the next poll tick (made an hour here), but only once no live
+        rank still runs: until then a peer's send may complete the
+        wait, and completion still wins."""
+        import threading
+
+        from repro.mpi import transport
+        from repro.mpi.errors import AbortError
+        from repro.mpi.transport import (
+            BlockTracker, Envelope, Mailbox, WakingAbort,
+        )
+
+        monkeypatch.setattr(transport, "_WAIT_POLL", 3600.0)
+
+        def blocked_wait(finished):
+            """Rank 0 of two blocked on a receive from rank 1."""
+            boxes = [Mailbox(0), Mailbox(1)]
+            abort = WakingAbort(boxes, finished)
+            pending = boxes[0].post_recv(1, 1, 5)
+            outcome = []
+
+            def wait():
+                try:
+                    boxes[0].wait_for([pending], BlockTracker(), abort)
+                    outcome.append("done")
+                except AbortError:
+                    outcome.append("aborted")
+
+            t = threading.Thread(target=wait, daemon=True)
+            t.start()
+            while not boxes[0].blocked:
+                wallclock.sleep(0.001)
+            return boxes[0], abort, t, outcome
+
+        # Rank 1 still runs: the abort leaves rank 0 blocked, and rank
+        # 1's send then completes the wait.
+        finished = [False, False]
+        box, abort, t, outcome = blocked_wait(finished)
+        abort.set()
+        t.join(timeout=0.2)
+        assert t.is_alive()
+        box.deliver(Envelope(1, 0, 1, 5, None, 0, 0.0, 0))
+        t.join(timeout=10.0)
+        assert outcome == ["done"]
+
+        # Rank 1 has finished, so nothing can complete the wait: the
+        # abort wakes rank 0 at once, whether it is set after rank 1
+        # finished or rank 1 finishes after it was set.
+        box, abort, t, outcome = blocked_wait([False, True])
+        abort.set()
+        t.join(timeout=10.0)
+        assert outcome == ["aborted"]
+        finished = [False, False]
+        box, abort, t, outcome = blocked_wait(finished)
+        abort.set()
+        finished[1] = True
+        abort.release()
+        t.join(timeout=10.0)
+        assert outcome == ["aborted"]
+
 
 # ---------------------------------------------------------------------------
 # chaos sweep

@@ -387,16 +387,25 @@ class TestEnvelopeCodec:
 
     def test_through_the_ring_and_its_spill_path(self):
         ring = ShmRing(multiprocessing.get_context("fork"), capacity=4096)
+        sizes = (4, 4000)  # whole, then far beyond the ring: fragments
+        popped = []
+        reader = threading.Thread(
+            target=lambda: popped.extend(ring.pop(timeout=10.0) for _ in sizes),
+            daemon=True,
+        )
+        reader.start()
         try:
-            for n in (4, 4000):  # inline, then far beyond capacity/4
-                arr = np.arange(n, dtype=np.float64)
-                ring.push(dump_envelope(Envelope(0, 1, 1, 0, arr, arr.nbytes, 0.5, n)))
-                data = ring.pop(timeout=1.0)
+            arrays = [np.arange(n, dtype=np.float64) for n in sizes]
+            for arr in arrays:
+                ring.push(dump_envelope(
+                    Envelope(0, 1, 1, 0, arr, arr.nbytes, 0.5, arr.size)))
+            reader.join(timeout=10.0)
+            assert len(popped) == len(sizes)
+            for arr, data in zip(arrays, popped):
                 back = load_envelope(data).payload
                 assert np.array_equal(back, arr)
                 assert back.flags.owndata and back.flags.writeable
-                back += 1  # must not be a view of the ring or the spill
-            assert ring.orphaned_spills() == []
+                back += 1  # must not be a view of the ring or its fragments
         finally:
             ring.destroy()
 

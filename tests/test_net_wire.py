@@ -2,7 +2,7 @@
 
 The framing fuzz matrix is the satellite contract: partial reads
 (byte-at-a-time senders), oversize payloads (sized off the ShmRing
-spill-threshold constants so the two transports are stressed at the
+fragment-threshold constants so the two transports are stressed at the
 same scale), interleaved frames from concurrent writer threads, and
 truncated streams must all either round-trip exactly or raise a clean
 :class:`TransportError` — never deadlock (every receive here is
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.mpi.shm import DEFAULT_RING_CAPACITY, _SPILL_FRACTION
+from repro.mpi.shm import _FRAGMENT_FRACTION, DEFAULT_RING_CAPACITY
 from repro.net import TransportError
 from repro.net.hostfile import (
     HostEntry,
@@ -46,9 +46,9 @@ from repro.net.wire import (
     parse_address,
 )
 
-#: The shm transport's spill threshold: payloads above this take the
-#: spill path over rings; over sockets they must simply pass through.
-SPILL_THRESHOLD = DEFAULT_RING_CAPACITY // _SPILL_FRACTION
+#: The shm transport's fragment threshold: payloads above this cross a
+#: ring as fragments; over sockets they must simply pass through.
+FRAGMENT_THRESHOLD = DEFAULT_RING_CAPACITY // _FRAGMENT_FRACTION
 
 
 def _pair(max_frame=1 << 30):
@@ -116,9 +116,9 @@ class TestFraming:
         a.close(), rx.close()
 
     def test_spill_sized_payload_passes(self):
-        """Payloads above the shm spill threshold are ordinary frames."""
+        """Payloads above the shm fragment threshold are ordinary frames."""
         tx, rx = _pair()
-        body = os.urandom(SPILL_THRESHOLD + 1)
+        body = os.urandom(FRAGMENT_THRESHOLD + 1)
         got = []
         t = threading.Thread(
             target=lambda: got.append(rx.recv_frame(timeout=30.0)),
