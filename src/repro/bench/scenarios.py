@@ -801,7 +801,7 @@ def _service_campaign_throughput() -> List[Metric]:
     for spec in seq_specs:
         with WorkerPool(nworkers=1) as pool:
             pool.dispatch(0, [spec])
-            results = pool.collect(0, [spec])
+            results = pool.wait()[0]
         if results[0].status != "done":
             raise RuntimeError(f"sequential job failed: {results[0].error}")
     seq_wall = time.perf_counter() - t0

@@ -896,18 +896,15 @@ def _write_json_atomic(path, doc) -> None:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
     import json
 
     from .service import JobSpec, Service
 
     queue_dir, results_dir = _spool_dirs(args.spool)
-
-    async def _serve() -> int:
-        accepted = 0
-        finished = 0
-        pending = {}
-        async with Service(
+    accepted = 0
+    finished = 0
+    try:
+        with Service(
             nworkers=args.workers, quota=args.quota,
             batch_max=args.batch_max, artifact_dir=args.artifact_dir,
         ) as svc:
@@ -925,30 +922,26 @@ def cmd_serve(args) -> int:
                         path.unlink()
                         continue
                     path.unlink()  # claimed
-                    pending[spec.job_id] = svc.submit(spec)
+                    svc.submit(spec)
                     accepted += 1
                     print(f"accepted {spec.job_id} ({spec.kind} "
                           f"{spec.name or '-'})", flush=True)
-                for job_id in [j for j, f in pending.items() if f.done()]:
-                    result = pending.pop(job_id).result()
+                for result in svc.step(args.poll):
                     _write_json_atomic(
-                        results_dir / f"{job_id}.json", result.to_json()
+                        results_dir / f"{result.job_id}.json",
+                        result.to_json(),
                     )
                     finished += 1
-                    print(f"finished {job_id}: {result.status} "
+                    print(f"finished {result.job_id}: {result.status} "
                           f"({result.exec_seconds:.3f}s on pid "
                           f"{result.worker_pid})", flush=True)
-                if (args.drain and not pending
+                if (args.drain and finished == accepted
                         and not list(queue_dir.glob("*.json"))):
                     break
-                await asyncio.sleep(args.poll)
-        print(f"drained: {finished}/{accepted} jobs", flush=True)
-        return 0
-
-    try:
-        return asyncio.run(_serve())
     except KeyboardInterrupt:
         return 130
+    print(f"drained: {finished}/{accepted} jobs", flush=True)
+    return 0
 
 
 def cmd_submit(args) -> int:

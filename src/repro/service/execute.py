@@ -21,10 +21,9 @@ crash.  Only ``Exception`` is caught — ``KeyboardInterrupt`` /
 ``SystemExit`` must propagate so a worker told to die actually dies
 (the pool's timeout-kill path depends on that).
 
-Both kinds accept ``params["backend"]`` (execution backend inside the
-worker, default ``threads``) and ``params["sleep_s"]`` (a synthetic
-wall-clock stall before the run — the hook the timeout tests and the
-``service`` bench scenarios use to simulate a hung job).
+Both kinds accept ``params["sleep_s"]`` (a synthetic wall-clock stall
+before the run — the hook the timeout tests and the ``service`` bench
+scenarios use to simulate a hung job).
 ``params["exit_if_flag"]`` names a flag file: if it exists when the
 job starts, it is deleted and the worker process dies on the spot —
 a deterministic crash-on-first-attempt hook for the worker-death and
@@ -145,7 +144,6 @@ def _run_cmtbone(spec: JobSpec, cache: Optional[ArtifactCache],
         nranks=spec.nranks,
         machine=_machine(spec.machine),
         fault_plan=plan,
-        backend=str(spec.param("backend", "threads")),
     )
     results = rt.run(
         _cmtbone_main,
@@ -187,7 +185,6 @@ def _run_sod(spec: JobSpec, result: JobResult) -> None:
         checkpoint_dir=p.get("checkpoint_dir"),
         fault_plan=_fault_plan(spec),
         machine=_machine(spec.machine),
-        backend=str(p.get("backend", "threads")),
         job_id=spec.job_id,
     )
     result.vtime_total = report.total_virtual_seconds

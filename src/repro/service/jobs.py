@@ -81,6 +81,11 @@ class JobSpec:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
+        if "backend" in self.params:
+            raise ValueError(
+                "params['backend'] is not accepted: service jobs run on "
+                "thread ranks, which share the worker's artifact cache"
+            )
 
     def param(self, key: str, default: Any = None) -> Any:
         return self.params.get(key, default)

@@ -18,8 +18,7 @@ The DSL (``repro.cli campaign --matrix grid.json``)::
       "axes": {                           # cross product, in this order
         "nranks": [2, 4],                 # special: JobSpec.nranks (P)
         "gs_method": ["pairwise", "crystal"],
-        "fault_spec": [null, "degrade:factor=4"],
-        "backend": ["threads"]
+        "fault_spec": [null, "degrade:factor=4"]
       },
       "compare": "gs_method",             # the columns of the report
       "machine": "compton",               # optional JobSpec knobs ...
@@ -30,9 +29,9 @@ The DSL (``repro.cli campaign --matrix grid.json``)::
 
 Axis names are either the special keys ``nranks`` and ``machine``
 (JobSpec metadata) or arbitrary param names (``n``, ``nel``,
-``gs_method``, ``kernel_variant``, ``backend``, ``fault_spec``, ...)
-that land in ``JobSpec.params``; ``null`` in an axis means "leave the
-param unset" (e.g. a fault-free cell).  Every cell gets a
+``gs_method``, ``kernel_variant``, ``fault_spec``, ...) that land in
+``JobSpec.params``; ``null`` in an axis means "leave the param unset"
+(e.g. a fault-free cell).  Every cell gets a
 deterministic label like ``nranks=2/gs_method=pairwise/fault=-``.
 
 Cells are *prioritized* by estimated size: smaller cells get higher

@@ -17,22 +17,30 @@ pipes):
 * worker → parent: ``("result", result_doc)`` per job, then
   ``("done", cache_stats, cached_keys)`` closing the batch.
 
-A worker that dies mid-batch (hard crash) is detected by pipe EOF +
-liveness; its in-flight jobs are failed and a fresh worker is forked
-in its slot, so one poisoned job cannot take the service down.
+One thread drives the pool: :meth:`WorkerPool.dispatch` hands a batch
+to an idle worker and :meth:`WorkerPool.wait` makes one
+``multiprocessing.connection.wait`` over the busy workers' result
+pipes, bounded by its ``timeout`` and by the earliest running job's
+deadline, and returns the batches that resolved.  A worker that dies
+mid-batch (hard crash) shows as pipe EOF; its unfinished jobs are
+failed and a fresh worker is forked into its slot before ``wait``
+returns, so one poisoned job cannot take the service down.  A worker
+holds only its own ends of its two pipes (it closes the parent-side
+ends it inherited), so a worker whose parent died reads EOF on its
+command pipe and exits.
 
 Deadline monitor: the worker runs its batch serially and sends one
 result per job in batch order, so the parent always knows which job is
 *currently* running (the one at index ``len(results)``) and when it
-started (the dispatch, or the previous result's arrival).
-:meth:`WorkerPool.collect` polls the result pipe against that job's
-own ``timeout_seconds``; on overrun it drains results that already
-arrived, kills the worker, reports the overrunning job ``timed_out``
-and the rest of the batch ``worker_died`` (collateral — they never
-ran), and respawns the slot.  The queue/service layer decides whether
-those jobs are re-admitted (``max_retries``).  A job's measured start
-is its result-pipe predecessor, so pipe latency only ever *adds*
-budget — a timeout is never charged against time the job didn't get.
+started (the dispatch, or the previous result's arrival).  When that
+job overruns its own ``timeout_seconds``, ``wait`` first drains results
+that already arrived; if none did, it kills the worker, reports the
+overrunning job ``timed_out`` and the rest of the batch
+``worker_died`` (collateral — they never ran), and respawns the slot.
+The service decides whether those jobs are re-admitted
+(``max_retries``).  A job's measured start is its result-pipe
+predecessor, so pipe latency only ever *adds* budget — a timeout is
+never charged against time the job didn't get.
 
 Accounting is per serving worker: a batch is always credited to the
 worker that actually ran (or died running) it, never to the fresh
@@ -51,9 +59,9 @@ gives each worker slot a share of it (:func:`_cpu_shares`): a
 contiguous, disjoint block while there are no more workers than CPUs,
 else one CPU round-robin.  The worker restricts itself to its share
 before it serves anything, and a respawn lands in the same share.  A
-job's thread ranks (and any rank processes it forks) inherit it, so
-their GIL hand-offs stay on one core instead of waking a thread on
-another CPU.  Without ``os.sched_setaffinity`` every worker floats.
+job's thread ranks inherit it, so their GIL hand-offs stay on one core
+instead of waking a thread on another CPU.  Without
+``os.sched_setaffinity`` every worker floats.
 """
 
 from __future__ import annotations
@@ -61,7 +69,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from multiprocessing import connection
+from typing import Dict, List, Optional, Set
 
 from ..mpi.backend import fork_context, stop_process
 from .artifacts import ArtifactCache
@@ -84,8 +93,16 @@ def _cpu_shares(nworkers: int) -> List[Optional[Set[int]]]:
             for i in range(nworkers)]
 
 
-def _worker_loop(cmd_conn, res_conn, artifact_dir=None, cpus=None) -> None:
-    """Worker child main: serve ("run", batch) commands until stopped."""
+def _worker_loop(cmd_conn, res_conn, inherited, artifact_dir=None,
+                 cpus=None) -> None:
+    """Worker child main: serve ("run", batch) commands until stopped.
+
+    ``inherited`` are the pool's parent-side pipe ends the fork copied
+    in; closing them leaves the parent the only writer of the command
+    pipe, so the worker reads EOF (and exits) once the parent is gone.
+    """
+    for conn in inherited:
+        conn.close()
     if cpus is not None:
         os.sched_setaffinity(0, cpus)
     cache = ArtifactCache(disk=artifact_dir)
@@ -109,18 +126,33 @@ class _Worker:
     proc: object    # the forked worker (a fork-context Process)
     cmd_w: object   # parent's write end of the command pipe
     res_r: object   # parent's read end of the result pipe
-    busy: bool = False
     jobs_served: int = 0
     batches_served: int = 0
-    #: Monotonic wall time the in-flight batch was dispatched (the
-    #: rolling per-job deadline monitor measures from here).
-    batch_started: Optional[float] = None
     #: Artifact keys this worker's cache held after its last batch.
     cached_keys: Set[str] = field(default_factory=set)
+    #: The in-flight batch (empty when idle) and its results so far.
+    specs: List[JobSpec] = field(default_factory=list)
+    results: List[JobResult] = field(default_factory=list)
+    #: Monotonic wall time the batch's current job started: the
+    #: dispatch, or the arrival of the previous job's result.
+    started: float = 0.0
 
     @property
     def pid(self) -> int:
         return self.proc.pid or 0
+
+    @property
+    def busy(self) -> bool:
+        return bool(self.specs)
+
+    def deadline(self) -> Optional[float]:
+        """When the current job overruns (None: no budget, or every
+        job of the batch has reported)."""
+        current = len(self.results)
+        if (current < len(self.specs)
+                and self.specs[current].timeout_seconds > 0):
+            return self.started + self.specs[current].timeout_seconds
+        return None
 
 
 class PoolError(RuntimeError):
@@ -141,9 +173,9 @@ class WorkerPool:
         self._ctx = fork_context("service")
         #: Each slot's CPU share (see the module docstring).
         self._shares = _cpu_shares(nworkers)
-        self._workers: List[_Worker] = [
-            self._spawn(i) for i in range(nworkers)
-        ]
+        self._workers: List[_Worker] = []
+        for i in range(nworkers):
+            self._workers.append(self._spawn(i))
         self._closed = False
         #: Workers that died mid-batch and were replaced.
         self.respawns = 0
@@ -157,9 +189,13 @@ class WorkerPool:
     def _spawn(self, index: int) -> _Worker:
         cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
         res_r, res_w = self._ctx.Pipe(duplex=False)
+        inherited = [cmd_w, res_r]
+        for w in self._workers:
+            inherited += [w.cmd_w, w.res_r]
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(cmd_r, res_w, self.artifact_dir, self._shares[index]),
+            args=(cmd_r, res_w, inherited, self.artifact_dir,
+                  self._shares[index]),
             name="repro-job-worker", daemon=True,
         )
         proc.start()
@@ -207,87 +243,92 @@ class WorkerPool:
         w = self._workers[index]
         if w.busy:
             raise PoolError(f"worker {index} is busy")
-        w.busy = True
-        w.batch_started = time.monotonic()
-        w.cmd_w.send(("run", [s.to_json() for s in specs]))
+        w.specs, w.results = list(specs), []
+        w.started = time.monotonic()
+        try:
+            w.cmd_w.send(("run", [s.to_json() for s in specs]))
+        except OSError:
+            pass  # a dead worker: wait() reads its EOF and fails the batch
 
-    def _drain_ready(self, w: _Worker, results: List[JobResult]) -> bool:
-        """Consume already-arrived messages without blocking.
+    def wait(self, timeout: Optional[float] = None
+             ) -> Dict[int, List[JobResult]]:
+        """Wait for busy workers; return ``{index: results}`` of the
+        batches that resolved, each in batch order.
 
-        Returns True if the batch's closing "done" message was seen —
-        the batch actually finished (possibly at the deadline's edge).
+        Returns once at least one batch resolved or ``timeout`` seconds
+        passed (``None``: until a batch resolves; at once when no
+        worker is busy).  A worker death yields ``worker_died`` failed
+        results for the unfinished jobs; a job that overruns its own
+        ``timeout_seconds`` gets its worker killed, a ``timed_out``
+        failed result, and the rest of the batch fails ``worker_died``
+        (collateral — those jobs never started).  Either way a
+        replacement worker is in the slot before ``wait`` returns, the
+        batch is credited to the worker that served it (not the
+        replacement), and the dead worker's cached-key advertisement
+        dies with it.
+        """
+        end = None if timeout is None else time.monotonic() + timeout
+        done: Dict[int, List[JobResult]] = {}
+        while not done:
+            busy = {w.res_r: i for i, w in enumerate(self._workers)
+                    if w.busy}
+            if not busy and end is None:
+                break
+            bounds = [d for d in (self._workers[i].deadline()
+                                  for i in busy.values()) if d is not None]
+            if end is not None:
+                bounds.append(end)
+            wait_s = (max(0.0, min(bounds) - time.monotonic())
+                      if bounds else None)
+            for conn in connection.wait(list(busy), wait_s):
+                index = busy[conn]
+                outcome = self._drain(self._workers[index])
+                if outcome is not None:
+                    done[index] = self._resolve(index, outcome)
+            now = time.monotonic()
+            for index in busy.values():
+                w = self._workers[index]
+                deadline = w.deadline()
+                if index in done or deadline is None or deadline > now:
+                    continue
+                # Anything already on the wire still counts: the job
+                # may have finished at the deadline's edge.
+                seen = len(w.results)
+                outcome = self._drain(w)
+                if outcome is None and len(w.results) == seen:
+                    outcome = "timed_out"
+                if outcome is not None:
+                    done[index] = self._resolve(index, outcome)
+            if end is not None and now >= end:
+                break
+        return done
+
+    @staticmethod
+    def _drain(w: _Worker) -> Optional[str]:
+        """Consume every message already on ``w``'s result pipe.
+
+        Returns ``"done"`` when the batch's closing message arrived,
+        ``"died"`` on pipe EOF, None while the batch is still running.
         """
         try:
             while w.res_r.poll(0):
                 msg = w.res_r.recv()
-                if msg[0] == "result":
-                    results.append(JobResult.from_json(msg[1]))
-                elif msg[0] == "done":
+                if msg[0] == "done":
                     w.cached_keys = set(msg[2])
-                    return True
+                    return "done"
+                w.results.append(JobResult.from_json(msg[1]))
+                w.started = time.monotonic()
         except EOFError:
-            pass
-        return False
+            return "died"
+        return None
 
-    def collect(self, index: int, specs: List[JobSpec]
-                ) -> List[JobResult]:
-        """Blocking: receive the batch's results from worker ``index``.
-
-        Call from an executor thread, never the event loop.  A worker
-        death yields ``worker_died`` failed results for the unfinished
-        jobs; a job that overruns its own ``timeout_seconds`` gets its
-        worker killed, a ``timed_out`` failed result, and the rest of
-        the batch fails ``worker_died`` (collateral — those jobs never
-        started).  Either way a replacement worker lands in the slot,
-        the batch is credited to the worker that served it (not the
-        replacement), and the dead worker's cached-key advertisement
-        dies with it.
-        """
+    def _resolve(self, index: int, outcome: str) -> List[JobResult]:
+        """End worker ``index``'s batch: fail what never reported,
+        credit the worker, and respawn the slot unless it finished."""
         w = self._workers[index]
-        results: List[JobResult] = []
-        finished = False    # saw the batch's closing "done" message
-        timed_out = False   # deadline monitor killed the current job
-        died = False        # pipe EOF: worker crashed on its own
-        started = (w.batch_started if w.batch_started is not None
-                   else time.monotonic())
-        try:
-            while True:
-                # The worker serves the batch serially and reports in
-                # order, so the job currently running is the one at
-                # index len(results), started when its predecessor's
-                # result arrived (or at dispatch).
-                current = len(results)
-                deadline = None
-                if (current < len(specs)
-                        and specs[current].timeout_seconds > 0):
-                    deadline = started + specs[current].timeout_seconds
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        # Budget exhausted: anything already on the
-                        # wire still counts (the job may have finished
-                        # at the deadline's edge).
-                        finished = self._drain_ready(w, results)
-                        if finished:
-                            break
-                        if len(results) > current:
-                            started = time.monotonic()
-                            continue  # it did finish; next job's clock
-                        timed_out = True
-                        break
-                    if not w.res_r.poll(remaining):
-                        continue  # re-check the rolling deadline
-                msg = w.res_r.recv()
-                if msg[0] == "result":
-                    results.append(JobResult.from_json(msg[1]))
-                    started = time.monotonic()
-                elif msg[0] == "done":
-                    w.cached_keys = set(msg[2])
-                    finished = True
-                    break
-        except EOFError:
-            died = True
-        w.batch_started = None
+        specs, results = w.specs, w.results
+        w.specs, w.results = [], []
+        timed_out = outcome == "timed_out"
         if timed_out:
             self.timeout_kills += 1
             stop_process(w.proc, grace=0.0)
@@ -328,8 +369,7 @@ class WorkerPool:
         # replacement, which must start cold for least-loaded routing.
         w.jobs_served += len(specs)
         w.batches_served += 1
-        w.busy = False
-        if died or timed_out:
+        if outcome != "done":
             self._replace(index)
         return results
 

@@ -1,10 +1,11 @@
 """Priority job queue with quotas, cancellation, batched admission.
 
 The queue is the policy half of the service (:mod:`repro.service.pool`
-is the mechanism half).  It is designed for a single asyncio event
-loop: ``submit`` returns an :class:`asyncio.Future` that resolves to
-the job's :class:`~repro.service.jobs.JobResult`, and the service's
-drive loop calls :meth:`next_batch` whenever a worker goes idle.
+is the mechanism half).  One thread owns it: the service's
+:meth:`~repro.service.service.Service.step` calls :meth:`next_batch`
+for every idle worker, and a job's terminal
+:class:`~repro.service.jobs.JobResult` waits in the queue's outbox
+until :meth:`pop_finished` hands it out.
 
 Policies implemented here:
 
@@ -14,9 +15,9 @@ Policies implemented here:
 * **Per-submitter quota** — at most ``quota`` jobs per submitter may
   be running at once; a submitter's excess jobs stay queued even while
   workers idle, so one noisy user cannot monopolise the pool.
-* **Cancellation** — a queued job can be cancelled (its future
-  resolves to a ``cancelled`` result immediately); a job already
-  handed to a worker cannot be preempted and reports ``False``.
+* **Cancellation** — a queued job can be cancelled (a ``cancelled``
+  result goes to the outbox at once); a job already handed to a worker
+  cannot be preempted and reports ``False``.
 * **Batched admission** — *small* jobs (``JobSpec.is_small()``) are
   admitted in groups of up to ``batch_max`` per dispatch, amortising
   the per-dispatch pipe round-trip; a large job always travels alone.
@@ -24,10 +25,9 @@ Policies implemented here:
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .jobs import STATUS_CANCELLED, JobResult, JobSpec
@@ -39,7 +39,6 @@ DEFAULT_BATCH_MAX = 4
 @dataclass
 class _QueuedJob:
     spec: JobSpec
-    future: "asyncio.Future[JobResult]"
     #: Wall time (perf_counter) at submission, for latency accounting.
     submitted_at: float = 0.0
     dispatched: bool = False
@@ -68,7 +67,7 @@ class QueueStats:
 
 
 class JobQueue:
-    """See module docstring.  Not thread-safe: one event loop only."""
+    """See module docstring.  Not thread-safe: one thread only."""
 
     def __init__(
         self,
@@ -88,42 +87,22 @@ class JobQueue:
         #: Currently-running job count per submitter (quota bookkeeping;
         #: the service calls :meth:`job_finished` to decrement).
         self._running: Dict[str, int] = {}
+        #: Terminal results not yet handed out by :meth:`pop_finished`.
+        self._finished: List[JobResult] = []
         self.stats = QueueStats()
 
     # -- submission / cancellation ------------------------------------
 
-    def submit(
-        self, spec: JobSpec, submitted_at: float = 0.0
-    ) -> "asyncio.Future[JobResult]":
-        """Queue a job; the returned future resolves to its result.
-
-        Must be called from within a running event loop: the future is
-        created on (and must be awaited from) that loop.  Using
-        ``get_running_loop`` rather than the deprecated
-        ``get_event_loop`` keeps the failure mode on Python >= 3.12 an
-        immediate, explicit error instead of a warning that becomes a
-        new (wrong) implicit loop.
-        """
+    def submit(self, spec: JobSpec, submitted_at: float = 0.0) -> None:
+        """Queue a job; its result reaches :meth:`pop_finished`."""
         if spec.job_id in self._jobs:
             raise ValueError(f"duplicate job id {spec.job_id!r}")
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError as exc:
-            raise RuntimeError(
-                "JobQueue.submit must be called from a running event "
-                "loop (use asyncio.run / Service.submit from async "
-                "code)"
-            ) from exc
-        entry = _QueuedJob(
-            spec=spec,
-            future=loop.create_future(),
-            submitted_at=submitted_at,
+        self._jobs[spec.job_id] = _QueuedJob(
+            spec=spec, submitted_at=submitted_at,
         )
-        self._jobs[spec.job_id] = entry
         heapq.heappush(self._heap, (-spec.priority, next(self._seq),
                                     spec.job_id))
         self.stats.submitted += 1
-        return entry.future
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job.  Running/finished jobs return False."""
@@ -133,13 +112,12 @@ class JobQueue:
         entry.cancelled = True
         self.stats.cancelled += 1
         del self._jobs[job_id]  # its heap entry is now stale and skipped
-        if not entry.future.done():
-            entry.future.set_result(JobResult(
-                job_id=job_id,
-                kind=entry.spec.kind,
-                name=entry.spec.name,
-                status=STATUS_CANCELLED,
-            ))
+        self._finished.append(JobResult(
+            job_id=job_id,
+            kind=entry.spec.kind,
+            name=entry.spec.name,
+            status=STATUS_CANCELLED,
+        ))
         return True
 
     # -- admission ----------------------------------------------------
@@ -195,7 +173,7 @@ class JobQueue:
         """Put a dispatched-but-unfinished job back in the queue.
 
         Used by the service when an attempt timed out or its worker
-        died.  The job keeps its id, future, and priority but goes to
+        died.  The job keeps its id and priority but goes to
         the back of its priority class (a fresh sequence number) and
         releases its quota slot until it dispatches again.  With
         ``charge=False`` (a collateral job that never started) the
@@ -221,7 +199,8 @@ class JobQueue:
     # -- completion ---------------------------------------------------
 
     def job_finished(self, job_id: str, result: JobResult) -> None:
-        """Resolve a dispatched job's future and release its quota."""
+        """Put a dispatched job's result in the outbox; release its
+        quota slot."""
         entry = self._jobs.pop(job_id, None)
         if entry is None:
             return
@@ -230,8 +209,12 @@ class JobQueue:
             self._running[submitter] -= 1
             if not self._running[submitter]:
                 del self._running[submitter]
-        if not entry.future.done():
-            entry.future.set_result(result)
+        self._finished.append(result)
+
+    def pop_finished(self) -> List[JobResult]:
+        """Hand out (and forget) the terminal results gathered so far."""
+        finished, self._finished = self._finished, []
+        return finished
 
     # -- introspection ------------------------------------------------
 
@@ -240,16 +223,6 @@ class JobQueue:
         return sum(
             1 for e in self._jobs.values()
             if not e.dispatched and not e.cancelled
-        )
-
-    def has_dispatchable(self) -> bool:
-        """True if any job is queued (it may still be quota-deferred:
-        callers must treat an empty :meth:`next_batch` as the signal to
-        wait, so deferrals get *counted* there rather than hidden
-        here)."""
-        return any(
-            not e.dispatched and not e.cancelled
-            for e in self._jobs.values()
         )
 
     def running_count(self) -> int:

@@ -1,11 +1,12 @@
-"""The job service: asyncio drive loop over queue + worker pool.
+"""The job service: one thread moving jobs from queue to worker pool.
 
 :class:`Service` owns a :class:`~repro.service.scheduler.JobQueue` and
-a :class:`~repro.service.pool.WorkerPool` and moves jobs between them:
-whenever a worker is idle and the queue has a dispatchable batch, the
-batch goes out, and the (blocking) pipe collection runs in a thread
-via ``loop.run_in_executor`` so the event loop stays free to accept
-submissions and cancellations concurrently.
+a :class:`~repro.service.pool.WorkerPool` and moves jobs between them.
+Each :meth:`Service.step` hands a batch to every idle worker, waits
+(bounded) for the pool to resolve batches, applies the retry policy to
+what came back, and returns the results that became final.  Nothing
+runs behind the caller's back: submissions, cancellations and steps
+all happen on the caller's thread.
 
 :func:`run_campaign` is the synchronous convenience wrapper: feed it a
 list of specs, it brings a service up, drains the jobs, and returns a
@@ -15,7 +16,6 @@ percentiles — the numbers the service benchmarks gate on.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -26,7 +26,8 @@ from .scheduler import DEFAULT_BATCH_MAX, JobQueue
 
 
 class Service:
-    """See module docstring.  Use as an async context manager."""
+    """See module docstring.  Use as a context manager: leaving it
+    closes the pool (call :meth:`drain` first to finish the jobs)."""
 
     def __init__(
         self,
@@ -38,51 +39,41 @@ class Service:
         self.queue = JobQueue(quota=quota, batch_max=batch_max)
         self.pool = WorkerPool(nworkers=nworkers,
                                artifact_dir=artifact_dir)
-        self._pump: Optional[asyncio.Task] = None
-        self._wake = asyncio.Event()
-        self._closing = False
-        self._inflight = 0
+        #: Worker index -> the queue entries of its in-flight batch.
+        self._batches: Dict[int, list] = {}
 
     # -- client API ----------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> "asyncio.Future[JobResult]":
-        """Queue a job; resolves to its result (latency stamped)."""
-        fut = self.queue.submit(spec, submitted_at=time.perf_counter())
-        self._wake.set()
-        return fut
+    def submit(self, spec: JobSpec) -> None:
+        """Queue a job; its result comes out of a later :meth:`step`."""
+        self.queue.submit(spec, submitted_at=time.perf_counter())
 
     def cancel(self, job_id: str) -> bool:
         return self.queue.cancel(job_id)
 
-    async def drain(self) -> None:
-        """Wait until everything submitted so far has finished."""
-        while (self.queue.pending_count() or self.queue.running_count()
-               or self._inflight):
-            self._wake.set()
-            await asyncio.sleep(0.001)
+    def step(self, timeout: Optional[float] = None) -> List[JobResult]:
+        """Dispatch to every idle worker, wait up to ``timeout`` seconds
+        for batches to resolve, and return the newly final results.
 
-    # -- drive loop ----------------------------------------------------
-
-    async def _run_batch(self, index: int, entries) -> None:
-        """Collect a batch already dispatched to worker ``index``.
-
-        Retry policy lives here: a result the pool marked ``timed_out``
-        or ``worker_died`` whose spec still has ``max_retries`` budget
-        is re-admitted to the queue (same id/future/priority) instead
-        of being finalised; everything else resolves its future with
-        the retry count stamped on the result.
+        ``None`` waits until a batch resolves (not at all when nothing
+        is in flight).  Retry policy lives here: a result the pool
+        marked ``timed_out`` or ``worker_died`` whose spec still has
+        ``max_retries`` budget is re-admitted to the queue (same id and
+        priority) instead of being finalised; everything else is final,
+        with the retry count stamped on the result.
         """
-        specs = [e.spec for e in entries]
-        self._inflight += 1
-        try:
-            loop = asyncio.get_running_loop()
-            results = await loop.run_in_executor(
-                None, self.pool.collect, index, specs
-            )
-            now = time.perf_counter()
-            by_id: Dict[str, JobResult] = {r.job_id: r for r in results}
-            for entry in entries:
-                result = by_id[entry.spec.job_id]
+        while self.pool.idle_workers():
+            batch = self.queue.next_batch()
+            if not batch:
+                break
+            specs = [e.spec for e in batch]
+            index = self.pool.pick_worker(specs)
+            self.pool.dispatch(index, specs)
+            self._batches[index] = batch
+        resolved = self.pool.wait(timeout)
+        now = time.perf_counter()
+        for index, results in resolved.items():
+            for entry, result in zip(self._batches.pop(index), results):
                 if result.timed_out:
                     self.queue.stats.timeouts += 1
                 if result.never_started:
@@ -98,58 +89,21 @@ class Service:
                 if entry.submitted_at:
                     result.latency_seconds = now - entry.submitted_at
                 self.queue.job_finished(entry.spec.job_id, result)
-        finally:
-            self._inflight -= 1
-            self._wake.set()
+        return self.queue.pop_finished()
 
-    async def _drive(self) -> None:
-        tasks: List[asyncio.Task] = []
-        while not self._closing:
-            await self._wake.wait()
-            self._wake.clear()
-            while self.queue.has_dispatchable():
-                # pick_worker needs the batch, but popping the batch
-                # marks its jobs dispatched — so check for an idle
-                # worker first, then pop, then route.  The dispatch
-                # itself happens HERE, synchronously, so the worker is
-                # marked busy before the loop can pick it again.
-                idle = self.pool.idle_workers()
-                if not idle:
-                    break
-                batch = self.queue.next_batch()
-                if not batch:
-                    break
-                specs = [e.spec for e in batch]
-                index = self.pool.pick_worker(specs)
-                if index is None:  # pragma: no cover - idle checked above
-                    index = idle[0]
-                self.pool.dispatch(index, specs)
-                tasks.append(asyncio.ensure_future(
-                    self._run_batch(index, batch)
-                ))
-            tasks = [t for t in tasks if not t.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+    def drain(self) -> List[JobResult]:
+        """Step until every job submitted so far is final; return the
+        results that became final meanwhile."""
+        final = self.step()
+        while self.queue.pending_count() or self.queue.running_count():
+            final += self.step()
+        return final
 
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> "Service":
-        self._pump = asyncio.ensure_future(self._drive())
+    def __enter__(self) -> "Service":
         return self
 
-    async def close(self) -> None:
-        await self.drain()
-        self._closing = True
-        self._wake.set()
-        if self._pump is not None:
-            await self._pump
+    def __exit__(self, *exc) -> None:
         self.pool.close()
-
-    async def __aenter__(self) -> "Service":
-        return await self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
 
 
 @dataclass
@@ -249,23 +203,20 @@ def run_campaign(
     Results come back in submission order regardless of completion
     order, so reports are stable to compare across runs.
     """
-
-    async def _campaign() -> CampaignReport:
-        t0 = time.perf_counter()
-        async with Service(
-            nworkers=nworkers, quota=quota, batch_max=batch_max,
-            artifact_dir=artifact_dir,
-        ) as svc:
-            futures = [svc.submit(spec) for spec in specs]
-            results = list(await asyncio.gather(*futures))
-            pids = svc.pool.worker_pids()
-            stats = svc.queue.stats.snapshot()
-        return CampaignReport(
-            results=results,
-            wall_seconds=time.perf_counter() - t0,
-            nworkers=nworkers,
-            queue_stats=stats,
-            worker_pids=pids,
-        )
-
-    return asyncio.run(_campaign())
+    t0 = time.perf_counter()
+    with Service(
+        nworkers=nworkers, quota=quota, batch_max=batch_max,
+        artifact_dir=artifact_dir,
+    ) as svc:
+        for spec in specs:
+            svc.submit(spec)
+        by_id = {r.job_id: r for r in svc.drain()}
+        pids = svc.pool.worker_pids()
+        stats = svc.queue.stats.snapshot()
+    return CampaignReport(
+        results=[by_id[spec.job_id] for spec in specs],
+        wall_seconds=time.perf_counter() - t0,
+        nworkers=nworkers,
+        queue_stats=stats,
+        worker_pids=pids,
+    )

@@ -8,8 +8,12 @@ same spec produces.
 
 from __future__ import annotations
 
-import asyncio
 import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.service import (
     spec_artifact_key,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL = {"n": 5, "nel": 8, "nsteps": 2}
 SOD = {"n": 5, "nelx": 8, "nsteps": 2}
 
@@ -54,6 +59,10 @@ class TestJobSpec:
     def test_rejects_bad_nranks(self):
         with pytest.raises(ValueError, match="nranks"):
             JobSpec(kind="cmtbone", nranks=0)
+
+    def test_rejects_backend_param(self):
+        with pytest.raises(ValueError, match="thread ranks"):
+            small_spec(params={**SMALL, "backend": "procs"})
 
     def test_small_classification(self):
         assert small_spec().is_small()
@@ -83,147 +92,101 @@ def drain_queue(queue):
 
 
 class TestJobQueue:
-    def run(self, coro):
-        return asyncio.run(coro)
-
     def test_priority_order_with_fifo_ties(self):
-        async def main():
-            q = JobQueue(batch_max=1)
-            lo = small_spec(0, priority=0)
-            hi = small_spec(1, priority=5)
-            lo2 = small_spec(2, priority=0)
-            for s in (lo, hi, lo2):
-                q.submit(s)
-            order = [b[0].job_id for b in drain_queue(q)]
-            assert order == [hi.job_id, lo.job_id, lo2.job_id]
-
-        self.run(main())
+        q = JobQueue(batch_max=1)
+        lo = small_spec(0, priority=0)
+        hi = small_spec(1, priority=5)
+        lo2 = small_spec(2, priority=0)
+        for s in (lo, hi, lo2):
+            q.submit(s)
+        order = [b[0].job_id for b in drain_queue(q)]
+        assert order == [hi.job_id, lo.job_id, lo2.job_id]
 
     def test_duplicate_id_rejected(self):
-        async def main():
-            q = JobQueue()
-            spec = small_spec()
+        q = JobQueue()
+        spec = small_spec()
+        q.submit(spec)
+        with pytest.raises(ValueError, match="duplicate"):
             q.submit(spec)
-            with pytest.raises(ValueError, match="duplicate"):
-                q.submit(spec)
-
-        self.run(main())
 
     def test_small_jobs_batch_up_to_max(self):
-        async def main():
-            q = JobQueue(batch_max=3)
-            for i in range(5):
-                q.submit(small_spec(i))
-            sizes = [len(b) for b in drain_queue(q)]
-            assert sizes == [3, 2]
-            assert q.stats.batched_dispatches == 2
-
-        self.run(main())
+        q = JobQueue(batch_max=3)
+        for i in range(5):
+            q.submit(small_spec(i))
+        sizes = [len(b) for b in drain_queue(q)]
+        assert sizes == [3, 2]
+        assert q.stats.batched_dispatches == 2
 
     def test_large_jobs_travel_alone(self):
-        async def main():
-            q = JobQueue(batch_max=4)
-            big_params = {"n": 25, "nel": 64, "nsteps": 100}
-            q.submit(small_spec(0))
-            q.submit(JobSpec(kind="cmtbone", name="big", nranks=8,
-                             params=big_params))
-            q.submit(small_spec(1))
-            batches = drain_queue(q)
-            # The big job neither joins a batch nor accepts companions,
-            # and later smalls never jump over it (strict FIFO order).
-            assert [len(b) for b in batches] == [1, 1, 1]
-            assert batches[1][0].name == "big"
-
-        self.run(main())
+        q = JobQueue(batch_max=4)
+        big_params = {"n": 25, "nel": 64, "nsteps": 100}
+        q.submit(small_spec(0))
+        q.submit(JobSpec(kind="cmtbone", name="big", nranks=8,
+                         params=big_params))
+        q.submit(small_spec(1))
+        batches = drain_queue(q)
+        # The big job neither joins a batch nor accepts companions,
+        # and later smalls never jump over it (strict FIFO order).
+        assert [len(b) for b in batches] == [1, 1, 1]
+        assert batches[1][0].name == "big"
 
     def test_quota_defers_excess_jobs(self):
-        async def main():
-            q = JobQueue(quota=1, batch_max=4)
-            a0 = small_spec(0, submitter="alice")
-            a1 = small_spec(1, submitter="alice")
-            b0 = small_spec(2, submitter="bob")
-            for s in (a0, a1, b0):
-                q.submit(s)
-            first = [s.job_id for b in drain_queue(q) for s in b]
-            # alice's second job waits even though nothing else queues.
-            assert first == [a0.job_id, b0.job_id]
-            assert q.stats.quota_deferrals >= 1
-            q.job_finished(a0.job_id, JobResult(a0.job_id, "cmtbone"))
-            nxt = [s.job_id for b in drain_queue(q) for s in b]
-            assert nxt == [a1.job_id]
+        q = JobQueue(quota=1, batch_max=4)
+        a0 = small_spec(0, submitter="alice")
+        a1 = small_spec(1, submitter="alice")
+        b0 = small_spec(2, submitter="bob")
+        for s in (a0, a1, b0):
+            q.submit(s)
+        first = [s.job_id for b in drain_queue(q) for s in b]
+        # alice's second job waits even though nothing else queues.
+        assert first == [a0.job_id, b0.job_id]
+        assert q.stats.quota_deferrals >= 1
+        q.job_finished(a0.job_id, JobResult(a0.job_id, "cmtbone"))
+        nxt = [s.job_id for b in drain_queue(q) for s in b]
+        assert nxt == [a1.job_id]
 
-        self.run(main())
-
-    def test_cancel_pending_resolves_future(self):
-        async def main():
-            q = JobQueue()
-            spec = small_spec()
-            fut = q.submit(spec)
-            assert q.cancel(spec.job_id)
-            result = await fut
-            assert result.status == "cancelled"
-            assert drain_queue(q) == []
-            assert q.stats.cancelled == 1
-
-        self.run(main())
+    def test_cancel_pending_reports_cancelled_result(self):
+        q = JobQueue()
+        spec = small_spec()
+        q.submit(spec)
+        assert q.cancel(spec.job_id)
+        (result,) = q.pop_finished()
+        assert result.job_id == spec.job_id
+        assert result.status == "cancelled"
+        assert q.pop_finished() == []
+        assert drain_queue(q) == []
+        assert q.stats.cancelled == 1
 
     def test_cancel_dispatched_job_refused(self):
-        async def main():
-            q = JobQueue()
-            spec = small_spec()
-            q.submit(spec)
-            q.next_batch()
-            assert not q.cancel(spec.job_id)
-            assert not q.cancel("unknown-id")
-
-        self.run(main())
-
-    def test_submit_outside_event_loop_raises(self):
-        # Regression: submit used the deprecated get_event_loop(),
-        # which silently created a loop nobody runs — the future then
-        # never resolves.  It must be an immediate, explicit error.
         q = JobQueue()
-        with pytest.raises(RuntimeError, match="running event loop"):
-            q.submit(small_spec())
-        assert q.stats.submitted == 0
-
-    def test_submit_works_from_plain_coroutine(self):
-        async def main():
-            q = JobQueue()
-            fut = q.submit(small_spec())
-            assert asyncio.isfuture(fut) and not fut.done()
-            return q.stats.submitted
-
-        assert asyncio.run(main()) == 1
+        spec = small_spec()
+        q.submit(spec)
+        q.next_batch()
+        assert not q.cancel(spec.job_id)
+        assert not q.cancel("unknown-id")
 
     def test_readmit_requeues_with_retry_accounting(self):
-        async def main():
-            q = JobQueue(quota=1, batch_max=1)
-            spec = small_spec(0, submitter="alice")
-            q.submit(spec)
-            (entry,) = q.next_batch()
-            assert q.running_count() == 1
-            q.readmit(entry)
-            # The quota slot is released until it dispatches again.
-            assert q.running_count() == 0
-            assert entry.retries == 1
-            assert q.stats.readmitted == 1
-            (again,) = q.next_batch()
-            assert again is entry
-            q.readmit(again, charge=False)  # collateral: no charge
-            assert again.retries == 1
-            assert q.stats.readmitted == 2
-
-        self.run(main())
+        q = JobQueue(quota=1, batch_max=1)
+        spec = small_spec(0, submitter="alice")
+        q.submit(spec)
+        (entry,) = q.next_batch()
+        assert q.running_count() == 1
+        q.readmit(entry)
+        # The quota slot is released until it dispatches again.
+        assert q.running_count() == 0
+        assert entry.retries == 1
+        assert q.stats.readmitted == 1
+        (again,) = q.next_batch()
+        assert again is entry
+        q.readmit(again, charge=False)  # collateral: no charge
+        assert again.retries == 1
+        assert q.stats.readmitted == 2
 
     def test_readmit_rejects_undispatched_job(self):
-        async def main():
-            q = JobQueue()
-            q.submit(small_spec())
-            with pytest.raises(ValueError, match="not dispatched"):
-                q.readmit(next(iter(q._jobs.values())))
-
-        self.run(main())
+        q = JobQueue()
+        q.submit(small_spec())
+        with pytest.raises(ValueError, match="not dispatched"):
+            q.readmit(next(iter(q._jobs.values())))
 
 
 # ---------------------------------------------------------------------
@@ -500,7 +463,7 @@ class TestWorkerPool:
             for i in range(3):
                 spec = small_spec(i)
                 pool.dispatch(0, [spec])
-                (res,) = pool.collect(0, [spec])
+                (res,) = pool.wait()[0]
                 assert res.ok, res.error
                 pids.add(res.worker_pid)
             assert pids == {pool.worker_pids()[0]}
@@ -510,9 +473,9 @@ class TestWorkerPool:
         with WorkerPool(nworkers=1) as pool:
             s0, s1 = small_spec(0), small_spec(1)
             pool.dispatch(0, [s0])
-            (r0,) = pool.collect(0, [s0])
+            (r0,) = pool.wait()[0]
             pool.dispatch(0, [s1])
-            (r1,) = pool.collect(0, [s1])
+            (r1,) = pool.wait()[0]
             assert r0.cache_misses == 1
             assert r1.cache_hits == 1  # second batch, same worker
             assert spec_artifact_key(s1) in (
@@ -523,7 +486,7 @@ class TestWorkerPool:
         with WorkerPool(nworkers=2) as pool:
             spec = small_spec(0)
             pool.dispatch(1, [spec])
-            pool.collect(1, [spec])
+            pool.wait()[1]
             assert pool.pick_worker([small_spec(1)]) == 1
 
     def test_mid_batch_death_partial_results(self, tmp_path):
@@ -541,7 +504,7 @@ class TestWorkerPool:
         with WorkerPool(nworkers=1) as pool:
             old_pid = pool.worker_pids()[0]
             pool.dispatch(0, specs)
-            r1, r2, r3 = pool.collect(0, specs)
+            r1, r2, r3 = pool.wait()[0]
             assert r1.ok and r1.cache_misses == 1
             assert r2.status == "failed" and r2.worker_died
             assert not r2.never_started and "died mid-batch" in r2.error
@@ -557,7 +520,7 @@ class TestWorkerPool:
             assert pool.jobs_served() == 3
             # The crash consumed the flag, so a rerun goes clean.
             pool.dispatch(0, specs[1:2])
-            (redo,) = pool.collect(0, specs[1:2])
+            (redo,) = pool.wait()[0]
             assert redo.ok
 
     def test_timeout_kills_worker_and_respawns(self):
@@ -566,7 +529,7 @@ class TestWorkerPool:
         with WorkerPool(nworkers=1) as pool:
             old_pid = pool.worker_pids()[0]
             pool.dispatch(0, [sleeper])
-            (res,) = pool.collect(0, [sleeper])
+            (res,) = pool.wait()[0]
             assert res.status == "failed"
             assert res.timed_out and not res.never_started
             assert "timeout" in res.error
@@ -578,7 +541,7 @@ class TestWorkerPool:
             assert pool.jobs_served() == 1
             spec = small_spec(9)
             pool.dispatch(0, [spec])
-            (ok,) = pool.collect(0, [spec])
+            (ok,) = pool.wait()[0]
             assert ok.ok
 
     def test_timeout_spares_untimed_batchmates_clock(self):
@@ -591,7 +554,7 @@ class TestWorkerPool:
                  small_spec(2)]
         with WorkerPool(nworkers=1) as pool:
             pool.dispatch(0, specs)
-            r1, r2, r3 = pool.collect(0, specs)
+            r1, r2, r3 = pool.wait()[0]
             assert r1.ok
             assert r2.timed_out and not r2.never_started
             assert r3.never_started  # collateral, retryable for free
@@ -603,8 +566,9 @@ class TestWorkerPool:
             old_pid = pool.worker_pids()[0]
             pool._workers[0].proc.terminate()
             pool._workers[0].proc.join()
-            pool._workers[0].busy = True  # dispatch() already happened
-            results = pool.collect(0, [crash])
+            # The send fails; wait() reads the dead worker's EOF.
+            pool.dispatch(0, [crash])
+            results = pool.wait()[0]
             assert results[0].status == "failed"
             assert "died" in results[0].error
             assert pool.respawns == 1
@@ -613,8 +577,39 @@ class TestWorkerPool:
             # and the replacement actually works
             spec = small_spec(9)
             pool.dispatch(0, [spec])
-            (res,) = pool.collect(0, [spec])
+            (res,) = pool.wait()[0]
             assert res.ok
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads /proc")
+    def test_workers_exit_when_parent_dies(self):
+        # A worker holding the write end of its own command pipe never
+        # reads EOF, so it slept on after its parent was gone.
+        code = ("import os\n"
+                "from repro.service import WorkerPool\n"
+                "pool = WorkerPool(nworkers=2)\n"
+                "print(*pool.worker_pids(), flush=True)\n"
+                "os._exit(0)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [p for p in pids if running(p)]
+
+
+def running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def served_affinity(pool, index):
@@ -625,7 +620,7 @@ def served_affinity(pool, index):
     """
     spec = small_spec(index)
     pool.dispatch(index, [spec])
-    (res,) = pool.collect(index, [spec])
+    (res,) = pool.wait()[index]
     return res, os.sched_getaffinity(res.worker_pid)
 
 
@@ -673,7 +668,7 @@ class TestPlacement:
         with WorkerPool(nworkers=2) as pool:
             old_pid = pool.worker_pids()[1]
             pool.dispatch(1, [doomed])
-            (dead,) = pool.collect(1, [doomed])
+            (dead,) = pool.wait()[1]
             assert dead.worker_died and pool.respawns == 1
             res, share = served_affinity(pool, 1)
         assert res.ok and res.worker_pid != old_pid
@@ -731,20 +726,83 @@ class TestCampaign:
         assert w.digest == c.digest
         assert w.vtime_total == c.vtime_total
 
+    def test_campaign_starts_no_thread(self, monkeypatch):
+        counts = []
+        wait = WorkerPool.wait
+
+        def counting_wait(pool, timeout=None):
+            counts.append(threading.active_count())
+            return wait(pool, timeout)
+
+        monkeypatch.setattr(WorkerPool, "wait", counting_wait)
+        before = threading.active_count()
+        specs = [small_spec(i) for i in range(4)]
+        report = run_campaign(specs, nworkers=2, batch_max=1)
+        assert not report.failed
+        assert counts and set(counts) == {before}
+
+    def test_respawn_never_exposes_a_dead_slot(self, tmp_path, monkeypatch):
+        # A slow respawn once left the dead worker's slot marked idle
+        # while another batch finished; the next job went to its closed
+        # pipe and the campaign hung.
+        spawn = WorkerPool._spawn
+        spawned = []
+
+        def slow_respawn(pool, index):
+            spawned.append(index)
+            if len(spawned) > pool.nworkers:
+                time.sleep(0.5)
+            return spawn(pool, index)
+
+        monkeypatch.setattr(WorkerPool, "_spawn", slow_respawn)
+        flag = tmp_path / "die-once"
+        flag.touch()
+        specs = [small_spec(0, max_retries=1,
+                            params={**SMALL, "exit_if_flag": str(flag)})]
+        specs += [small_spec(i) for i in range(1, 21)]
+        reports = []
+        runner = threading.Thread(
+            target=lambda: reports.append(
+                run_campaign(specs, nworkers=2, batch_max=1)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive(), "campaign hung"
+        (report,) = reports
+        assert [r.status for r in report.results] == ["done"] * len(specs)
+        assert len(spawned) > 2  # the crash did respawn
+
+    def test_serve_drain_runs_the_spool(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        spool = str(tmp_path / "spool")
+        ids = []
+        for kind, params in (("cmtbone", SMALL), ("sod", SOD)):
+            assert main(["submit", "--spool", spool, "--kind", kind,
+                         "--params", json.dumps(params)]) == 0
+            ids.append(capsys.readouterr().out.strip())
+        assert main(["serve", "--spool", spool, "--workers", "1",
+                     "--drain"]) == 0
+        for job_id in ids:
+            doc = json.loads((tmp_path / "spool" / "results"
+                              / f"{job_id}.json").read_text())
+            assert doc["status"] == "done", doc["error"]
+
     def test_cancel_through_service(self):
         specs = [small_spec(i) for i in range(12)]
-
-        async def main():
-            async with Service(nworkers=1, batch_max=1) as svc:
-                futures = [svc.submit(s) for s in specs]
-                # Cancel from the back of the queue: those jobs can't
-                # all have dispatched to the single worker yet.
-                cancelled = [i for i in range(11, 0, -1)
-                             if svc.cancel(specs[i].job_id)]
-                results = await asyncio.gather(*futures)
-            return cancelled, results
-
-        cancelled, results = asyncio.run(main())
+        with Service(nworkers=1, batch_max=1) as svc:
+            for s in specs:
+                svc.submit(s)
+            svc.step(0)  # the single worker takes the first job
+            # Cancel from the back of the queue: those jobs can't all
+            # have dispatched to the single worker yet.
+            cancelled = [i for i in range(11, 0, -1)
+                         if svc.cancel(specs[i].job_id)]
+            by_id = {r.job_id: r for r in svc.drain()}
+        results = [by_id[s.job_id] for s in specs]
         assert cancelled, "at least one queued job should cancel"
         for i, r in enumerate(results):
             expect = "cancelled" if i in cancelled else "done"
