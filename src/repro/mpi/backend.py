@@ -17,9 +17,15 @@ what carries each rank:
 The two multi-process backends share everything that is not transport:
 the child runs :func:`serve_rank` over a *link* (:class:`ShmLink` here,
 ``MeshLink`` in :mod:`repro.net.agent`), the abort event sits behind one
-:class:`FencedAbort`, and the parent applies one deadlock rule
-(:func:`strike_rule`) and folds the exit records with
+:class:`FencedAbort`, and the parent folds the exit records with
 :func:`marshal_exit_records`.
+
+Every backend watches for deadlock the same way and with no thread of
+its own: the parent asks one rule (:func:`strike_rule`) on every turn
+of the wait loop it already runs for its ranks, over two counts each
+rank's :class:`~repro.mpi.transport.Mailbox` keeps (``blocked`` and
+``delivered``) — read directly by the threads caller, through shared
+slots by procs, from ``HEARTBEAT`` frames by sockets.
 
 Virtual-time metrics are bitwise-identical across backends by
 construction: every clock charge is a pure function of the machine
@@ -37,19 +43,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import AbortError, MPIError, RankCrashError
-from .shm import (
-    DEFAULT_RING_CAPACITY,
-    SharedBlockTracker,
-    ShmRing,
-    dump_envelope,
-    load_envelope,
-)
+from .shm import DEFAULT_RING_CAPACITY, ShmRing, dump_envelope, load_envelope
 from .transport import ChannelSeq
 
-#: Watchdog polling period (wall seconds).
+#: Deadlock look period (wall seconds).
 _WATCHDOG_PERIOD = 0.5
-#: Number of consecutive no-progress all-blocked observations before the
-#: watchdog declares deadlock (guards against sampling races).
+#: Number of consecutive no-progress all-blocked looks before the rule
+#: declares deadlock (guards against sampling races).
 _WATCHDOG_STRIKES = 3
 
 #: Delivery-thread poll period while its ring is empty (wall seconds).
@@ -110,45 +110,30 @@ def run_rank(
 def strike_rule() -> Callable[[int, int, int], bool]:
     """The deadlock rule, one instance per job.
 
-    The returned ``look(live, blocked, progress)`` is true once every
-    live rank has been blocked with the matching-progress counter
-    unchanged for ``_WATCHDOG_STRIKES`` consecutive looks (several, to
-    guard against sampling races).  :func:`watch_loop` feeds it the
-    shared trackers, the sockets monitor the heartbeat sums.
+    The returned ``look(live, blocked, delivered)`` is true once all
+    ``live`` ranks (at least one) have been blocked, with the job's
+    count of delivered envelopes unchanged, for ``_WATCHDOG_STRIKES``
+    consecutive looks (several, to guard against sampling races).  The
+    rule owns the look period: a look sooner than ``_WATCHDOG_PERIOD``
+    after the last counted one returns false, so a parent asks it on
+    every turn of its wait loop.
     """
     strikes = 0
-    last_progress = -1
+    last_delivered = -1
+    last_look = time.monotonic()
 
-    def look(live: int, blocked: int, progress: int) -> bool:
-        nonlocal strikes, last_progress
-        stuck = blocked >= live and progress == last_progress
+    def look(live: int, blocked: int, delivered: int) -> bool:
+        nonlocal strikes, last_delivered, last_look
+        now = time.monotonic()
+        if now - last_look < _WATCHDOG_PERIOD:
+            return False
+        last_look = now
+        stuck = 0 < live <= blocked and delivered == last_delivered
         strikes = strikes + 1 if stuck else 0
-        last_progress = progress
+        last_delivered = delivered
         return strikes >= _WATCHDOG_STRIKES
 
     return look
-
-
-def watch_loop(
-    live_count: Callable[[], int],
-    tracker,
-    abort_event,
-    fire: Callable[[], None],
-) -> None:
-    """Deadlock watchdog: call ``fire`` when nothing can ever progress.
-
-    Backend-agnostic: ``tracker`` is any object with ``blocked`` and
-    ``progress_value`` (in-process or shared counters) and
-    ``abort_event`` any event with ``wait(timeout)``.
-    """
-    deadlocked = strike_rule()
-    while not abort_event.wait(_WATCHDOG_PERIOD):
-        live = live_count()
-        if live == 0:
-            return
-        if deadlocked(live, tracker.blocked, tracker.progress_value):
-            fire()
-            return
 
 
 def format_deadlock_report(snapshots: Dict[int, dict]) -> str:
@@ -186,7 +171,7 @@ def marshal_exit_records(
     ``hard_death(rank, exitcode)`` builds its error — an
     :class:`MPIError` for procs, a :class:`RankCrashError` for sockets
     (where a vanished remote process is a recoverable crash).  ``fired``
-    marks a tripped deadlock watchdog, in which case the collected
+    marks a tripped deadlock rule, in which case the collected
     mailbox snapshots become the runtime's deadlock report.
     """
     results: List[Any] = [None] * n
@@ -267,8 +252,9 @@ class ThreadsBackend(Backend):
     """One Python thread per rank (the original execution model).
 
     All ranks — including single-rank jobs — run on worker threads
-    under the deadlock watchdog, so ``deadlock_detection=True`` means
-    the same thing at every job size.
+    while the caller joins them in ``_WATCHDOG_PERIOD`` slices and asks
+    the deadlock rule in between, so deadlock is caught at every job
+    size.
     """
 
     name = "threads"
@@ -278,16 +264,15 @@ class ThreadsBackend(Backend):
         results: List[Any] = [None] * n
         errors: List[Optional[BaseException]] = [None] * n
         tracebacks: List[str] = [""] * n
+        boxes, finished = runtime._mailboxes, runtime._finished
+        abort = runtime.abort_event
 
         def worker(rank: int) -> None:
             comm = runtime.world_comm(rank)
-            res, err, tb = run_rank(
-                main, comm, args, kwargs, runtime.abort_event
-            )
+            res, err, tb = run_rank(main, comm, args, kwargs, abort)
             results[rank], errors[rank], tracebacks[rank] = res, err, tb
-            with runtime._finished_lock:
-                runtime._finished[rank] = True
-            runtime.abort_event.release()
+            finished[rank] = True
+            abort.release()
 
         threads = [
             threading.Thread(
@@ -295,31 +280,21 @@ class ThreadsBackend(Backend):
             )
             for r in range(n)
         ]
-        watchdog = None
-        if runtime.deadlock_detection:
-
-            def fire() -> None:
-                snap = {
-                    r: runtime._mailboxes[r].snapshot() for r in range(n)
-                }
-                runtime._deadlock_report = format_deadlock_report(snap)
-                runtime.abort_event.set()
-
-            watchdog = threading.Thread(
-                target=watch_loop,
-                args=(runtime._live_count, runtime.tracker,
-                      runtime.abort_event, fire),
-                name="watchdog",
-                daemon=True,
-            )
-            watchdog.start()
+        deadlocked = strike_rule()
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        runtime.abort_event.set()  # stop the watchdog
-        if watchdog is not None:
-            watchdog.join()
+            while t.is_alive():
+                t.join(_WATCHDOG_PERIOD)
+                if abort.is_set():
+                    continue
+                live = [box for box, done in zip(boxes, finished) if not done]
+                if deadlocked(len(live), sum(box.blocked for box in live),
+                              sum(box.delivered for box in boxes)):
+                    runtime._deadlock_report = format_deadlock_report(
+                        {r: box.snapshot() for r, box in enumerate(boxes)}
+                    )
+                    abort.set()
         return ExecutionOutcome(results, errors, tracebacks)
 
 
@@ -383,7 +358,7 @@ class FencedAbort:
     def __init__(self, event, flush: Callable[[], None]):
         self._event = event
         self._flush = flush
-        # Event API relied on by waits, ring pushes and the watchdog.
+        # Event API relied on by waits and ring pushes.
         self.is_set = event.is_set
         self.wait = event.wait
 
@@ -402,10 +377,14 @@ class _ShmJob:
 
     def __init__(self, ctx, nranks: int, ring_capacity: int):
         self.abort = ctx.Event()
-        self.tracker = SharedBlockTracker(ctx, nranks)
+        #: ``(blocked, delivered)`` of rank ``r``'s mailbox in slots
+        #: ``2r`` and ``2r + 1``, for the parent's deadlock rule.  One
+        #: writer per slot (the rank's delivery thread) and no lock, so
+        #: a rank killed mid-write leaves nothing held.
+        self.status = ctx.RawArray("q", 2 * nranks)
         self.finished = ctx.RawArray("b", nranks)
         #: ``(src, dst)`` flush-marker ack counters for the abort fence.
-        #: Lock-free like the tracker: slot ``src * n + dst`` has one
+        #: Lock-free like ``status``: slot ``src * n + dst`` has one
         #: writer (rank ``dst``'s delivery thread), so a rank killed
         #: mid-ack leaves nothing held for a later ``abort.set()`` to
         #: wait on.
@@ -424,7 +403,6 @@ class ShmLink:
         self._conn = conn
         self._stop = threading.Event()
         self.abort = FencedAbort(job.abort, self._flush)
-        self.tracker = job.tracker.writer(rank)
 
     def peer(self, dst: int) -> _RingMailbox:
         job = self._job
@@ -437,20 +415,22 @@ class ShmLink:
         ).start()
 
     def _drain(self, mailbox) -> None:
-        """Drain this rank's ring into its in-process mailbox."""
+        """Drain this rank's ring into its in-process mailbox, and
+        publish the mailbox's ``(blocked, delivered)`` after every pop
+        and every idle poll."""
         ring = self._job.rings[self._rank]
-        tracker = self._job.tracker.writer(self._rank, delivery=True)
+        status, slot = self._job.status, 2 * self._rank
         while True:
             data = ring.pop(timeout=_DELIVERY_POLL)
             if data is None:
                 if self._stop.is_set():
                     return
-                continue
-            if data[:1] == _FLUSH_MARK:
+            elif data[:1] == _FLUSH_MARK:
                 self._ack_flush(*struct.unpack("<I", data[1:5]))
-                continue
-            mailbox.deliver(load_envelope(data))
-            tracker.bump()
+            else:
+                mailbox.deliver(load_envelope(data))
+            status[slot] = mailbox.blocked
+            status[slot + 1] = mailbox.delivered
 
     def _ack_flush(self, src: int) -> None:
         # Ring FIFO: everything ``src`` pushed before its marker has
@@ -530,7 +510,6 @@ def serve_rank(runtime, rank: int, main, args, kwargs, link) -> None:
 
     ===================  ============================================
     ``link.abort``       the job abort event (a :class:`FencedAbort`)
-    ``link.tracker``     blocked/progress counters the watchdog reads
     ``link.peer(dst)``   ``deliver(env)`` towards a remote rank
     ``link.start(box)``  begin draining inbound envelopes into ``box``
     ``link.retire()``    this rank's ``main`` is over
@@ -550,7 +529,6 @@ def serve_rank(runtime, rank: int, main, args, kwargs, link) -> None:
     abort = link.abort
     try:
         runtime.abort_event = abort
-        runtime.tracker = link.tracker
         runtime.seq = ChannelSeq()
         link.start(local_box)
         runtime._mailboxes = [
@@ -609,10 +587,8 @@ class ProcsBackend(Backend):
         ctx = fork_context(self.name)
         n = runtime.nranks
         job = _ShmJob(ctx, n, self.ring_capacity)
-        abort = job.abort
         pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
         procs = []
-        fired = threading.Event()
         try:
             for r in range(n):
                 p = ctx.Process(
@@ -624,28 +600,8 @@ class ProcsBackend(Backend):
                 p.start()
                 pipes[r][1].close()  # child keeps the write end
                 procs.append(p)
-            watchdog = None
-            if runtime.deadlock_detection:
-
-                def live() -> int:
-                    return n - sum(job.finished)
-
-                def fire() -> None:
-                    fired.set()
-                    abort.set()
-
-                watchdog = threading.Thread(
-                    target=watch_loop,
-                    args=(live, job.tracker, abort, fire),
-                    name="watchdog",
-                    daemon=True,
-                )
-                watchdog.start()
-            records = self._collect(procs, pipes, abort)
+            records, fired = self._collect(procs, pipes, job)
             reap(procs)
-            abort.set()  # stop the watchdog
-            if watchdog is not None:
-                watchdog.join()
         finally:
             for r in range(n):
                 pipes[r][0].close()
@@ -656,15 +612,16 @@ class ProcsBackend(Backend):
             for ring in job.rings:
                 ring.destroy()
         return marshal_exit_records(
-            runtime, records, fired.is_set(), n,
+            runtime, records, fired, n,
             hard_death=lambda r, code: MPIError(
                 f"rank {r} terminated unexpectedly (exit code {code})"
             ),
         )
 
     @staticmethod
-    def _collect(procs, pipes, abort) -> Dict[int, dict]:
-        """Read one exit record per rank, detecting hard deaths.
+    def _collect(procs, pipes, job) -> Tuple[Dict[int, dict], bool]:
+        """Read one exit record per rank, detecting hard deaths and
+        deadlock; return ``(records, fired)``.
 
         A pipe EOF is not enough on its own: every forked child
         inherits the OS-level write ends of its siblings' pipes, so a
@@ -673,12 +630,18 @@ class ProcsBackend(Backend):
         its surviving peers may be blocked waiting for it.  So when a
         wait times out, dead processes whose pipes are silent are
         declared hard deaths and the job is aborted, which releases the
-        blocked peers within one poll tick.
+        blocked peers within one poll tick.  Every turn also asks the
+        deadlock rule over the ranks' ``job.status`` slots; ``fired``
+        says it aborted the job.
         """
         from multiprocessing import connection
 
-        conns = {pipes[r][0]: r for r in range(len(procs))}
+        n = len(procs)
+        abort, status, finished = job.abort, job.status, job.finished
+        conns = {pipes[r][0]: r for r in range(n)}
         records: Dict[int, dict] = {}
+        deadlocked = strike_rule()
+        fired = False
 
         def died(rank) -> None:
             abort.set()
@@ -691,6 +654,13 @@ class ProcsBackend(Backend):
                 died(rank)
 
         while conns:
+            if not abort.is_set():
+                slots = status[:]
+                live = [r for r in range(n) if not finished[r]]
+                if deadlocked(len(live), sum(slots[2 * r] for r in live),
+                              sum(slots[1::2])):
+                    fired = True
+                    abort.set()
             ready = connection.wait(list(conns), timeout=0.25)
             for conn in ready:
                 take(conn, conns.pop(conn))
@@ -710,7 +680,7 @@ class ProcsBackend(Backend):
             if rec.get("hard_exit"):
                 procs[rank].join(timeout=5.0)
                 rec["exitcode"] = procs[rank].exitcode
-        return records
+        return records, fired
 
 
 def _sockets_factory() -> Backend:

@@ -142,7 +142,7 @@ class Comm:
 
         Inside the context, operations move real data through the real
         mailboxes with real blocking semantics, and every delivery still
-        counts as progress for the deadlock watchdog.  What they suspend:
+        counts as progress for the deadlock rule.  What they suspend:
         time goes to a scratch clock and rows to a scratch profile, both
         discarded on exit; no message is traced or takes a channel
         sequence number; no fault hook runs (drops, degraded links,
@@ -225,7 +225,6 @@ class Comm:
                 wire_vtime=env.wire_vtime, seq=seq,
             )
         box.deliver(env)
-        runtime.tracker.bump()
 
     def _post_recv_raw(
         self, source: int, tag: int, internal: bool = False
@@ -245,7 +244,7 @@ class Comm:
         """Block (at most once) until ``pendings`` have their envelopes."""
         runtime = self._runtime
         runtime.mailbox(self.world_rank).wait_for(
-            pendings, runtime.tracker, runtime.abort_event, what, first
+            pendings, runtime.abort_event, what, first
         )
 
     def _arrive(
@@ -696,7 +695,7 @@ class Comm:
 
 class _ShadowRuntime:
     """The job's runtime as a shadow region sees it: the same mailboxes,
-    machine, tracker and abort event, but no message trace, no fault
+    machine and abort event, but no message trace, no fault
     injector and a sequence counter of its own."""
 
     trace = None

@@ -17,7 +17,8 @@ class MPIError(Exception):
 class DeadlockError(MPIError):
     """Every rank is blocked and no message can make progress.
 
-    Raised in *all* blocked ranks by the runtime watchdog.  The message
+    Raised by :meth:`~repro.mpi.runtime.Runtime.run` once the deadlock
+    rule (:func:`~repro.mpi.backend.strike_rule`) fires.  The message
     includes a snapshot of what each rank was blocked on, which makes
     classic mismatched send/recv bugs easy to diagnose.
     """

@@ -11,10 +11,11 @@ profiles) and delegates *execution* to a selectable
 * ``sockets`` — one OS process per rank over a socket mesh, on this
   machine or several (see :mod:`repro.net`).
 
-In every case, a watchdog detects deadlock (every live rank blocked with
-no matching progress) and aborts the job with a diagnostic snapshot
-instead of hanging the test suite, and virtual-time metrics are
-identical across backends.
+In every case the backend's parent, from the wait loop it already runs
+for its ranks, detects deadlock (every live rank's mailbox blocked with
+no delivery anywhere, :func:`~repro.mpi.backend.strike_rule`) and
+aborts the job with a diagnostic snapshot instead of hanging the test
+suite, and virtual-time metrics are identical across backends.
 
 Typical use::
 
@@ -33,14 +34,13 @@ Typical use::
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import AbortError, DeadlockError, MPIError, RankCrashError
 from .profiler import JobProfile, RankProfile
-from .transport import BlockTracker, ChannelSeq, Mailbox, WakingAbort
+from .transport import ChannelSeq, Mailbox, WakingAbort
 
 _WORLD_CID = 1
 
@@ -52,7 +52,6 @@ class Runtime:
         self,
         nranks: int,
         machine: Optional[Any] = None,
-        deadlock_detection: bool = True,
         trace_messages: bool = False,
         fault_plan: Optional[Any] = None,
         fault_base_step: int = 0,
@@ -66,7 +65,6 @@ class Runtime:
 
         self.nranks = nranks
         self.machine = machine if machine is not None else MachineModel.default()
-        self.deadlock_detection = deadlock_detection
         self.backend = resolve_backend(backend)
         #: Active fault injector, or ``None`` for a fault-free job.
         #: ``fault_base_step`` aligns the plan's global step numbers
@@ -84,14 +82,12 @@ class Runtime:
 
             self.trace = MessageTrace(nranks)
 
-        self.tracker = BlockTracker()
         self.seq = ChannelSeq()
         self._mailboxes = [Mailbox(r) for r in range(nranks)]
         self._clocks = [VirtualClock() for _ in range(nranks)]
         self._profiles = [RankProfile(r) for r in range(nranks)]
         self._finished = [False] * nranks
         self.abort_event = WakingAbort(self._mailboxes, self._finished)
-        self._finished_lock = threading.Lock()
         self._ran = False
 
     # -- wiring --------------------------------------------------------
@@ -187,13 +183,9 @@ class Runtime:
                 return e
         return crash or abort
 
-    def _live_count(self) -> int:
-        with self._finished_lock:
-            return self.nranks - sum(self._finished)
-
     @property
     def deadlock_report(self) -> Optional[str]:
-        """Diagnostic text if the watchdog fired, else ``None``."""
+        """Diagnostic text if the deadlock rule fired, else ``None``."""
         return getattr(self, "_deadlock_report", None)
 
     # -- post-run reporting --------------------------------------------

@@ -3,19 +3,13 @@
 The ``procs`` backend (:mod:`repro.mpi.backend`) runs every simulated
 rank as an OS process, so envelope delivery can no longer be a direct
 method call on the destination's :class:`~repro.mpi.transport.Mailbox`.
-This module provides the two pieces of cross-process state it needs:
-
-* :class:`ShmRing` — a multi-producer single-consumer ring buffer in an
-  anonymous shared mapping that the parent creates before it forks the
-  ranks.  Each rank owns one ring; every peer encodes envelopes
-  (:func:`dump_envelope`) into it and the
-  owner's delivery thread drains it into the ordinary in-process
-  mailbox, so the matching semantics (posted/unexpected queues,
-  non-overtaking per channel) are byte-for-byte the thread backend's.
-* :class:`SharedBlockTracker` — the
-  :class:`~repro.mpi.transport.BlockTracker` API over lock-free
-  per-rank slots in shared memory, so the parent's deadlock watchdog
-  can observe every rank.
+This module provides :class:`ShmRing`, a multi-producer
+single-consumer ring buffer in an anonymous shared mapping that the
+parent creates before it forks the ranks.  Each rank owns one ring;
+every peer encodes envelopes (:func:`dump_envelope`) into it and the
+owner's delivery thread drains it into the ordinary in-process mailbox,
+so the matching semantics (posted/unexpected queues, non-overtaking per
+channel) are byte-for-byte the thread backend's.
 
 Nothing here has a name in ``/dev/shm``: the mapping is freed when the
 last process that inherited it unmaps it, so a killed rank leaves
@@ -32,7 +26,6 @@ every platform CPython's ``mmap`` targets.
 
 from __future__ import annotations
 
-import copy
 import mmap
 import pickle
 import struct
@@ -290,46 +283,3 @@ def load_envelope(data: bytes) -> Envelope:
         elif kind == _PYSCALAR:
             payload = payload.item()
     return Envelope(*fields[:4], payload, *fields[4:])
-
-
-class SharedBlockTracker:
-    """:class:`~repro.mpi.transport.BlockTracker` API over shared slots.
-
-    Three int64 slots per rank in one lock-free ``RawArray`` created by
-    the parent: progress made on the rank's own thread, progress made
-    on its delivery thread, and a blocked flag.  Every slot has exactly
-    one writer (an aligned 8-byte store), so there is no lock for a
-    killed process or a daemon thread frozen at exit to leave held; the
-    parent watchdog sums the slots.  :meth:`writer` binds a view to the
-    slots one thread may write.
-    """
-
-    def __init__(self, ctx, nranks: int):
-        self._slots = ctx.RawArray("q", 3 * nranks)
-        self._progress = 0
-        self._flag = 2
-
-    def writer(self, rank: int, delivery: bool = False) -> "SharedBlockTracker":
-        """This tracker as written by ``rank``'s rank (or delivery) thread."""
-        view = copy.copy(self)
-        view._progress = 3 * rank + delivery
-        view._flag = 3 * rank + 2
-        return view
-
-    def bump(self) -> None:
-        self._slots[self._progress] += 1
-
-    @property
-    def progress_value(self) -> int:
-        slots = self._slots[:]
-        return sum(slots) - sum(slots[2::3])
-
-    def enter_blocked(self) -> None:
-        self._slots[self._flag] = 1
-
-    def exit_blocked(self) -> None:
-        self._slots[self._flag] = 0
-
-    @property
-    def blocked(self) -> int:
-        return sum(self._slots[2::3])

@@ -20,7 +20,6 @@ completes.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -156,11 +155,15 @@ class Mailbox:
         self._wake.acquire()
         self._countdown = 0
         self._interrupted = False
+        #: Envelopes deposited here so far: the matching progress the
+        #: deadlock rule watches (with :attr:`blocked`).
+        self.delivered = 0
 
     def deliver(self, env: Envelope) -> None:
         """Called on the *sender's* thread to deposit ``env`` here."""
         cid, src, tag = env.cid, env.src, env.tag
         with self.lock:
+            self.delivered += 1
             for pr in self.posted:
                 if (
                     pr.cid == cid
@@ -221,7 +224,6 @@ class Mailbox:
     def wait_for(
         self,
         pendings: Sequence[PendingRecv],
-        tracker: "BlockTracker",
         abort_event: threading.Event,
         what: str = "recv",
         first: bool = False,
@@ -259,13 +261,11 @@ class Mailbox:
             for pr in missing:
                 pr.wanted = True
             self._countdown = 1 if first else len(missing)
-        tracker.enter_blocked()
         try:
             while not self._wake.acquire(timeout=_WAIT_POLL):
                 if abort_event.is_set():
                     self.interrupt()
         finally:
-            tracker.exit_blocked()
             with self.lock:
                 for pr in missing:
                     pr.wanted = False
@@ -346,37 +346,6 @@ class WakingAbort(threading.Event):
         if all(box.blocked for box in live):
             for box in live:
                 box.interrupt()
-
-
-class BlockTracker:
-    """Counts blocked ranks and overall matching progress.
-
-    The runtime watchdog declares deadlock when every live rank is
-    blocked and the progress counter has not moved between two checks.
-    Lock-free: a thread only ever writes its own blocked flag, and a
-    progress tick is one ``next`` on a shared counter (atomic under the
-    GIL) whose value is then published — out-of-order publishes can
-    only make the watchdog see *more* movement, never less.
-    """
-
-    def __init__(self) -> None:
-        self._blocked: dict = {}
-        self._ticks = itertools.count(1)
-        self.progress_value = 0
-
-    def bump(self) -> None:
-        """Record that a match or delivery happened."""
-        self.progress_value = next(self._ticks)
-
-    @property
-    def blocked(self) -> int:
-        return sum(list(self._blocked.values()))
-
-    def enter_blocked(self) -> None:
-        self._blocked[threading.get_ident()] = 1
-
-    def exit_blocked(self) -> None:
-        self._blocked[threading.get_ident()] = 0
 
 
 class ChannelSeq:

@@ -14,7 +14,8 @@ on another machine over ssh:
    mesh (connect to every lower rank, accept from every higher rank;
    each connection opens with ``AUTH`` then ``PEER_HELLO``, and nothing
    is unpickled from a peer that has not presented the token), carries
-   envelopes on it, heartbeats the tracker counters to the driver, and
+   envelopes on it, heartbeats its mailbox's ``blocked`` and
+   ``delivered`` counts to the driver (the deadlock rule's input), and
    ships the exit record in an ``EXIT`` frame;
 3. wait for ``SHUTDOWN`` before closing the mesh, so late sends from
    slower peers land in the unmatched mailbox queue instead of a dead
@@ -40,7 +41,7 @@ from typing import Dict, Optional
 from ..mpi.backend import _FLUSH_TIMEOUT, FencedAbort, serve_rank
 from ..mpi.errors import AbortError
 from ..mpi.shm import dump_envelope, load_envelope
-from ..mpi.transport import BlockTracker
+from ..mpi.transport import _WAIT_POLL
 from .wire import (
     ABORT,
     AUTH,
@@ -62,7 +63,7 @@ from .wire import (
 )
 
 #: Heartbeat cadence (wall seconds).  Must be comfortably shorter than
-#: the driver's watchdog period so blocked/progress samples are fresh.
+#: the deadlock look period so blocked/delivered samples are fresh.
 HEARTBEAT_INTERVAL = 0.2
 
 #: How long a finished agent waits for the driver's SHUTDOWN before
@@ -136,7 +137,7 @@ class _PeerMailbox:
             ) from None
 
 
-def _peer_rx(fs: FrameSocket, mailbox, tracker, abort: _DriverAbort,
+def _peer_rx(fs: FrameSocket, mailbox, abort: _DriverAbort,
              closing: threading.Event, ack: threading.Event) -> None:
     """Drain one peer connection's envelopes into the local mailbox."""
     while True:
@@ -157,7 +158,6 @@ def _peer_rx(fs: FrameSocket, mailbox, tracker, abort: _DriverAbort,
         kind, body = frame
         if kind == ENVELOPE:
             mailbox.deliver(load_envelope(body))
-            tracker.bump()
         elif kind == FLUSH:
             # Every envelope that preceded this marker on the stream
             # has been delivered just above — tell the peer so.
@@ -190,13 +190,13 @@ def _ctrl_rx(ctrl: FrameSocket, abort: _DriverAbort,
             return
 
 
-def _heartbeat_loop(ctrl: FrameSocket, tracker: BlockTracker,
+def _heartbeat_loop(ctrl: FrameSocket, mailbox,
                     stop: threading.Event) -> None:
     while not stop.wait(HEARTBEAT_INTERVAL):
         try:
             ctrl.send_frame(HEARTBEAT, pickle.dumps({
-                "blocked": tracker.blocked,
-                "progress": tracker.progress_value,
+                "blocked": int(mailbox.blocked),
+                "delivered": mailbox.delivered,
             }))
         except TransportError:
             return
@@ -204,7 +204,7 @@ def _heartbeat_loop(ctrl: FrameSocket, tracker: BlockTracker,
 
 def _build_mesh(rank: int, nranks: int, listener: socket.socket,
                 peers: Dict[int, tuple], token: str,
-                max_frame: int) -> Dict[int, FrameSocket]:
+                max_frame: int, abort) -> Dict[int, FrameSocket]:
     """Open one direct connection per peer rank.
 
     Rank ``i`` dials every rank ``j < i`` and accepts from every
@@ -216,7 +216,9 @@ def _build_mesh(rank: int, nranks: int, listener: socket.socket,
     corrupt stream — is simply dropped while the acceptor keeps
     waiting for the real peers.  The listener backlog covers all
     inbound peers, so the sequential connect-then-accept order cannot
-    deadlock.
+    deadlock.  The accept waits in ``_WAIT_POLL`` slices and gives up
+    with :class:`AbortError` once ``abort`` is set: a peer that died
+    before dialing is reported by the driver, not timed out here.
     """
     socks: Dict[int, FrameSocket] = {}
     errors: list = []
@@ -245,17 +247,22 @@ def _build_mesh(rank: int, nranks: int, listener: socket.socket,
         deadline = time.monotonic() + _MESH_TIMEOUT
         got = 0
         while got < nranks - 1 - rank:
+            if abort.is_set():
+                errors.append(AbortError(
+                    "job aborted while waiting for inbound peer connections"
+                ))
+                return
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 errors.append(TransportError(
                     "timed out waiting for inbound peer connections"
                 ))
                 return
-            listener.settimeout(remaining)
+            listener.settimeout(min(remaining, _WAIT_POLL))
             try:
                 conn, _addr = listener.accept()
             except (socket.timeout, TimeoutError):
-                continue  # deadline check decides
+                continue  # abort and deadline checks decide
             except OSError as exc:  # listener broken: cannot recover
                 errors.append(exc)
                 return
@@ -277,6 +284,8 @@ def _build_mesh(rank: int, nranks: int, listener: socket.socket,
         raise TransportError(
             f"rank {rank}: timed out waiting for inbound peer connections"
         )
+    if errors and isinstance(errors[0], AbortError):
+        raise errors[0]
     if errors:
         raise TransportError(
             f"rank {rank}: peer mesh setup failed: {errors[0]}"
@@ -304,7 +313,6 @@ class MeshLink:
         self._hb_stop = threading.Event()
         self._local = _DriverAbort(ctrl)
         self.abort = FencedAbort(self._local, self._flush)
-        self.tracker = BlockTracker()
 
     def _spawn(self, name: str, target, *args) -> None:
         threading.Thread(
@@ -318,17 +326,16 @@ class MeshLink:
         # already running.
         self._spawn("ctrl", _ctrl_rx, self._ctrl, self._local,
                     self._shutdown)
-        self._spawn("hb", _heartbeat_loop, self._ctrl, self.tracker,
+        self._spawn("hb", _heartbeat_loop, self._ctrl, local_box,
                     self._hb_stop)
         self._socks = _build_mesh(
             self._rank, self.nranks, self._listener, self._peers,
-            self._token, self._ctrl.max_frame,
+            self._token, self._ctrl.max_frame, self._local,
         )
         self._acks = {r: threading.Event() for r in self._socks}
         for r, fs in self._socks.items():
             self._spawn(f"rx-from-{r}", _peer_rx, fs, local_box,
-                        self.tracker, self._local, self._closing,
-                        self._acks[r])
+                        self._local, self._closing, self._acks[r])
 
     def peer(self, dst: int) -> _PeerMailbox:
         return _PeerMailbox(self._socks[dst], self.abort, self._closing, dst)

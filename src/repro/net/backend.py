@@ -9,8 +9,9 @@ Topology: the driver binds one *rendezvous* listener.  Each rank agent
 dials it (``HELLO``), the driver answers with the full peer address
 table (``WELCOME``) once all ranks are in, and the agents then build a
 direct all-to-all mesh for envelope traffic.  The control connections
-stay up for the life of the job carrying heartbeats (blocked/progress
-counters for the distributed deadlock watchdog), abort notifications,
+stay up for the life of the job carrying heartbeats (each mailbox's
+``blocked``/``delivered`` counts, which the driver's monitor loop feeds
+to the deadlock rule), abort notifications,
 and finally each rank's ``EXIT`` record — result, error, virtual
 clock, profile, mailbox snapshot, trace, and fault logs — which the
 driver folds back into the :class:`~repro.mpi.runtime.Runtime` exactly
@@ -46,7 +47,6 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpi.backend import (
-    _WATCHDOG_PERIOD,
     Backend,
     ExecutionOutcome,
     fork_context,
@@ -353,7 +353,6 @@ class SocketBackend(Backend):
         aborted = False
         fired = False
         deadlocked = strike_rule()
-        next_watch = time.monotonic() + _WATCHDOG_PERIOD
         deadline = time.monotonic() + RENDEZVOUS_TIMEOUT
 
         def tell_all(kind: bytes) -> None:
@@ -421,7 +420,7 @@ class SocketBackend(Backend):
                 )
             if kind == HEARTBEAT:
                 beat = pickle.loads(body)
-                hb[rank] = (int(beat["blocked"]), int(beat["progress"]))
+                hb[rank] = (int(beat["blocked"]), int(beat["delivered"]))
                 last_hb[rank] = time.monotonic()
             elif kind == ABORT:
                 broadcast_abort()
@@ -530,13 +529,10 @@ class SocketBackend(Backend):
                         )
                 break
 
-            # Distributed deadlock watchdog: the shared strike rule over
-            # the heartbeat sums instead of a shared tracker.
-            if (welcomed and runtime.deadlock_detection
-                    and now >= next_watch):
-                next_watch = now + _WATCHDOG_PERIOD
+            # The deadlock rule over the heartbeat sums.
+            if welcomed and not aborted:
                 live = [r for r in range(n) if r not in records]
-                if live and deadlocked(
+                if deadlocked(
                     len(live),
                     sum(hb.get(r, (0, 0))[0] for r in live),
                     sum(hb.get(r, (0, 0))[1] for r in range(n)),

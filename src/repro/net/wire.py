@@ -33,6 +33,12 @@ the backend needs:
 
 from __future__ import annotations
 
+# ``socket.getaddrinfo`` imports this codec on a process's first call.
+# Import it with this module instead: a rank process forked while
+# another thread of its parent is inside that import inherits the
+# module's import lock held, by a thread the child does not have, and
+# hangs in its first ``connect``.
+import encodings.idna  # noqa: F401
 import os
 import socket
 import struct
@@ -78,7 +84,7 @@ FLUSH = b"F"
 #: Rank -> rank: the answer to FLUSH (sent by the receiver's rx thread
 #: *after* delivering everything that preceded the marker in-stream).
 FLUSH_ACK = b"K"
-#: Agent -> driver: liveness + blocked/progress counters.
+#: Agent -> driver: liveness + the mailbox's blocked/delivered counts.
 HEARTBEAT = b"B"
 #: Either direction: a rank failed; stop the job.
 ABORT = b"A"

@@ -13,6 +13,7 @@ injected-crash recovery, checkpoint/restart, real rank kills).
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -256,6 +257,20 @@ class TestFailures:
                 lambda comm: comm.recv(source=0)
             )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_slow_live_rank_is_not_a_deadlock(self, backend):
+        """A rank that computes longer than the deadlock rule's three
+        strikes while its peer waits on it is live, not stuck."""
+
+        def main(comm):
+            if comm.rank == 1:
+                time.sleep(2.5)
+                comm.send("late", dest=0)
+                return None
+            return comm.recv(source=1)
+
+        assert Runtime(nranks=2, backend=backend).run(main) == ["late", None]
+
     @pytest.mark.parametrize("how", ["exit", "kill"])
     @pytest.mark.parametrize(
         "backend, error",
@@ -333,6 +348,34 @@ class TestFailures:
         assert time.monotonic() - t0 < 10.0
 
 
+class TestNoWatchdogThread:
+    """The deadlock rule runs in the parent's own wait loop: a job
+    starts its rank threads (threads) or nothing (procs), no more."""
+
+    def test_threads_job_starts_one_thread_per_rank(self):
+        def main(comm):
+            comm.barrier()
+            count = threading.active_count()
+            comm.barrier()
+            return count
+
+        before = threading.active_count()
+        assert Runtime(nranks=2).run(main) == [before + 2] * 2
+
+    def test_procs_parent_starts_no_thread(self, monkeypatch):
+        seen = []
+        collect = ProcsBackend._collect
+
+        def sampled(*args):
+            seen.append(threading.active_count())
+            return collect(*args)
+
+        monkeypatch.setattr(ProcsBackend, "_collect", staticmethod(sampled))
+        before = threading.active_count()
+        Runtime(nranks=2, backend="procs").run(lambda comm: comm.barrier())
+        assert seen == [before]
+
+
 class TestProcsAbortFence:
     """White-box: the abort determinism fence (`FencedAbort` over
     `ShmLink`).
@@ -363,6 +406,8 @@ class TestProcsAbortFence:
         delivered = []
 
         class SlowBox:
+            blocked, delivered = False, 0  # what _drain publishes
+
             @staticmethod
             def deliver(env):
                 time.sleep(0.2)  # hold the race window wide open
@@ -595,6 +640,28 @@ class TestSockets:
                             "wrong_token": None}
         # ...and their pickled bodies were never loaded.
         assert _RENDEZVOUS_CANARY_HITS == []
+
+    def test_rank_dead_before_dialing_is_reported_at_once(self, monkeypatch):
+        """A rank that dies before it dials its peers is reported as its
+        own crash within seconds: the survivors' mesh accept loops give
+        up on the driver's ABORT instead of timing out."""
+        import repro.net.agent as agent
+
+        build_mesh = agent._build_mesh
+
+        def dies_before_dialing(rank, *args):
+            if rank == 2:
+                os._exit(1)
+            return build_mesh(rank, *args)
+
+        monkeypatch.setattr(agent, "_build_mesh", dies_before_dialing)
+        t0 = time.monotonic()
+        with pytest.raises(RankCrashError) as exc:
+            Runtime(nranks=3, backend="sockets").run(
+                lambda comm: comm.barrier()
+            )
+        assert exc.value.rank == 2
+        assert time.monotonic() - t0 < 5.0
 
     def test_never_heartbeating_rank_trips_hb_timeout(self):
         """A rank that wedges after rendezvous but before its *first*

@@ -385,9 +385,8 @@ class TestAbortPropagation:
         import threading
 
         from repro.mpi.errors import AbortError
-        from repro.mpi.transport import BlockTracker, Envelope, Mailbox
+        from repro.mpi.transport import Envelope, Mailbox
 
-        tracker = BlockTracker()
         box = Mailbox(0)
         env = Envelope(1, 0, 1, 5, None, 0, 0.0, 0)
 
@@ -396,14 +395,14 @@ class TestAbortPropagation:
         box.deliver(env)
         done = box.post_recv(1, 1, 5)
         abort.set()
-        box.wait_for([done], tracker, abort)  # must not raise
-        assert tracker.blocked == 0
+        box.wait_for([done], abort)  # must not raise
+        assert not box.blocked
 
         # The entry check must reject a wait that is not yet complete.
         pending = box.post_recv(1, 1, 5)
         with pytest.raises(AbortError):
-            box.wait_for([pending], tracker, abort)
-        assert tracker.blocked == 0
+            box.wait_for([pending], abort)
+        assert not box.blocked
 
         # Slow path: completion lands while we poll, with the abort
         # flag already up -> still success, same rule as the fast path.
@@ -416,11 +415,11 @@ class TestAbortPropagation:
         timer = threading.Timer(0.02, fire)
         timer.start()
         try:
-            box.wait_for([pending], tracker, abort3)  # must not raise
+            box.wait_for([pending], abort3)  # must not raise
         finally:
             timer.cancel()
         assert pending.envelope is env
-        assert tracker.blocked == 0
+        assert not box.blocked
 
     def test_thread_abort_wakes_blocked_ranks_once_none_runs(
         self, monkeypatch
@@ -433,9 +432,7 @@ class TestAbortPropagation:
 
         from repro.mpi import transport
         from repro.mpi.errors import AbortError
-        from repro.mpi.transport import (
-            BlockTracker, Envelope, Mailbox, WakingAbort,
-        )
+        from repro.mpi.transport import Envelope, Mailbox, WakingAbort
 
         monkeypatch.setattr(transport, "_WAIT_POLL", 3600.0)
 
@@ -448,7 +445,7 @@ class TestAbortPropagation:
 
             def wait():
                 try:
-                    boxes[0].wait_for([pending], BlockTracker(), abort)
+                    boxes[0].wait_for([pending], abort)
                     outcome.append("done")
                 except AbortError:
                     outcome.append("aborted")

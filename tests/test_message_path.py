@@ -7,7 +7,7 @@ the public point-to-point API, and every observable of a run — values,
 virtual clocks, profile rows in insertion order, the message trace —
 must match it exactly, with and without injected faults.  The rest covers what the fast path rests
 on: the raw envelope codec, the mailbox wake primitive under
-``waitany``, and the lock-free block trackers the watchdog reads.
+``waitany``, and the deadlock rule over the lock-free status slots.
 """
 
 import multiprocessing
@@ -37,8 +37,8 @@ from repro.mpi import backend as backend_mod
 from repro.mpi import shm
 from repro.mpi.errors import AbortError
 from repro.mpi.request import testall as all_testable, waitall, waitany
-from repro.mpi.shm import SharedBlockTracker, ShmRing, dump_envelope, load_envelope
-from repro.mpi.transport import _WAIT_POLL, BlockTracker, Envelope
+from repro.mpi.shm import ShmRing, dump_envelope, load_envelope
+from repro.mpi.transport import _WAIT_POLL, Envelope, Mailbox
 
 PART = Partition(BoxMesh(shape=(4, 2, 2), n=3), proc_shape=(2, 2, 1))
 NUMBERINGS = {"dg": dg_face_numbering, "c0": continuous_numbering}
@@ -459,7 +459,7 @@ class TestWaitany:
 
         rt = Runtime(nranks=2)
         assert rt.run(main)[0] == (0, "early")
-        assert rt.tracker.blocked == 0
+        assert sum(rt.mailbox(r).blocked for r in range(2)) == 0
 
     def test_blocks_until_the_first_of_n_and_unblocks(self):
         def main(comm):
@@ -469,9 +469,10 @@ class TestWaitany:
                 return None
             reqs = [comm.irecv(source=1, tag=1), comm.irecv(source=1, tag=2)]
             got = waitany(reqs)
-            return got, comm._runtime.tracker.blocked, reqs[0].test()
+            blocked = sum(comm._runtime.mailbox(r).blocked for r in range(2))
+            return got, blocked, reqs[0].test()
 
-        rt = Runtime(nranks=2, deadlock_detection=False)
+        rt = Runtime(nranks=2)
         assert rt.run(main)[0] == ((1, "second"), 0, False)
 
     def test_abort_is_seen_within_one_poll(self):
@@ -489,11 +490,11 @@ class TestWaitany:
                 elapsed.append(time.monotonic() - t0)
                 raise
 
-        rt = Runtime(nranks=2, deadlock_detection=False)
+        rt = Runtime(nranks=2)
         with pytest.raises(MPIError, match="boom"):
             rt.run(main)
         assert elapsed and elapsed[0] < 0.05 + _WAIT_POLL + 0.25
-        assert rt.tracker.blocked == 0
+        assert sum(rt.mailbox(r).blocked for r in range(2)) == 0
 
     def test_waitall_blocks_once_for_many(self):
         """N late receives cost one blocking wait, not N."""
@@ -515,12 +516,16 @@ class TestWaitany:
         assert len(blocks) == 1
 
 
-# -- lock-free block trackers and the watchdog --------------------------
+# -- the deadlock rule and the lock-free slots it reads ----------------
 
 
-def _spin_bumping(tracker):
+def _spin_publishing(status):
+    """Publish rank 1's ``(blocked, delivered)`` slots without pause."""
+    delivered = status[3]
     while True:
-        tracker.bump()
+        delivered += 1
+        status[2] = delivered & 1
+        status[3] = delivered
 
 
 def _spin_acking(link):
@@ -530,30 +535,34 @@ def _spin_acking(link):
 
 class TestLockFreeTrackers:
     def test_killed_writer_cannot_wedge_the_shared_tracker(self):
-        """ROADMAP item 1(a): a process SIGKILLed inside ``bump`` leaves
-        nothing held — there is no lock to hold."""
+        """ROADMAP item 1(a): a rank process SIGKILLed while publishing
+        its ``(blocked, delivered)`` status slots leaves nothing held —
+        there is no lock to hold — and the parent reads every slot."""
         ctx = multiprocessing.get_context("fork")
-        tracker = SharedBlockTracker(ctx, 2)
-        mine = tracker.writer(0)
-        for _ in range(50):
-            child = ctx.Process(
-                target=_spin_bumping, args=(tracker.writer(1),), daemon=True
-            )
-            child.start()
-            before = tracker.progress_value
-            while tracker.progress_value == before:
-                time.sleep(0.0005)  # it really is mid-loop
-            child.kill()
-            child.join(5.0)
-            assert not child.is_alive()
-            t0 = time.monotonic()
-            mine.bump()
-            mine.enter_blocked()
-            assert tracker.blocked == 1
-            mine.exit_blocked()
-            assert tracker.progress_value > before
-            assert time.monotonic() - t0 < 1.0
-        assert tracker.blocked == 0
+        job = backend_mod._ShmJob(ctx, 2, 1 << 16)
+        status = job.status
+        try:
+            for _ in range(50):
+                child = ctx.Process(
+                    target=_spin_publishing, args=(status,), daemon=True
+                )
+                child.start()
+                before = status[3]
+                while status[3] == before:
+                    time.sleep(0.0005)  # it really is mid-loop
+                child.kill()
+                child.join(5.0)
+                assert not child.is_alive()
+                t0 = time.monotonic()
+                status[0], status[1] = 1, status[1] + 1
+                slots = status[:]
+                assert slots[0] == 1 and slots[3] > before
+                status[0] = 0
+                assert time.monotonic() - t0 < 1.0
+            assert status[0] == 0 and status[1] == 50
+        finally:
+            for ring in job.rings:
+                ring.destroy()
 
     def test_killed_acker_cannot_wedge_the_abort_fence(self, monkeypatch):
         """The same for the abort fence's ack counters: a rank SIGKILLed
@@ -584,81 +593,70 @@ class TestLockFreeTrackers:
             for ring in job.rings:
                 ring.destroy()
 
-    def test_thread_tracker_survives_contended_writers(self):
-        import sys
-
-        tracker = BlockTracker()
-        stop = threading.Event()
-
-        def worker():
-            while not stop.is_set():
-                tracker.enter_blocked()
-                tracker.bump()
-                tracker.exit_blocked()
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for t in threads:
-                t.start()
-            seen = {tracker.blocked for _ in range(2000)}
-            stop.set()
-            for t in threads:
-                t.join(5.0)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(old)
-        assert seen <= set(range(9))
-        assert tracker.blocked == 0 and tracker.progress_value > 0
-
     @pytest.mark.parametrize("kind", ["threads", "procs"])
-    def test_watchdog_fires_on_all_blocked_and_no_progress(self, kind, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_WATCHDOG_PERIOD", 0.01)
-        if kind == "threads":
-            tracker = BlockTracker()
-            writers = [tracker, tracker]
-        else:
-            tracker = SharedBlockTracker(multiprocessing.get_context("fork"), 2)
-            writers = [tracker.writer(0), tracker.writer(1)]
-        fired = []
+    def test_watchdog_fires_on_all_blocked_and_no_progress(
+        self, kind, monkeypatch
+    ):
+        """``strike_rule`` over two mailboxes' ``(blocked, delivered)``,
+        read directly (threads) or through the shared status slots a
+        procs delivery thread publishes them to."""
+        monkeypatch.setattr(backend_mod, "_WATCHDOG_PERIOD", 0.05)
+        boxes = [Mailbox(0), Mailbox(1)]
+        status = multiprocessing.get_context("fork").RawArray("q", 4)
 
-        def watch(abort):
-            backend_mod.watch_loop(
-                lambda: 2, tracker, abort, lambda: fired.append(True)
-            )
+        def sample():
+            if kind == "threads":
+                return (sum(b.blocked for b in boxes),
+                        sum(b.delivered for b in boxes))
+            for r, box in enumerate(boxes):
+                status[2 * r], status[2 * r + 1] = box.blocked, box.delivered
+            slots = status[:]
+            return sum(slots[0::2]), sum(slots[1::2])
 
-        # One rank blocked, the other still making progress: no report.
-        def blocked_in_thread(writer, release):
-            writer.enter_blocked()
-            release.wait(5.0)
-            writer.exit_blocked()
-
-        release = threading.Event()
-        parked = threading.Thread(
-            target=blocked_in_thread, args=(writers[0], release)
-        )
-        parked.start()
         abort = threading.Event()
-        dog = threading.Thread(target=watch, args=(abort,))
-        dog.start()
-        for _ in range(10):
-            writers[1].bump()
-            time.sleep(0.01)
-        assert not fired
-        # Now the second rank blocks too and nothing moves: it fires.
-        second = threading.Thread(
-            target=blocked_in_thread, args=(writers[1], release)
-        )
-        second.start()
-        dog.join(5.0)
-        assert not dog.is_alive() and fired == [True]
-        release.set()
-        for t in (parked, second):
-            t.join(5.0)
-        assert tracker.blocked == 0
+        pendings = [box.post_recv(1, 1 - r, 5) for r, box in enumerate(boxes)]
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+        def block(r):
+            try:
+                boxes[r].wait_for([pendings[r]], abort)
+            except AbortError:
+                pass
+
+        ranks = [threading.Thread(target=block, args=(r,)) for r in (0, 1)]
+        look = backend_mod.strike_rule()
+
+        def looks(count, deliver=False):
+            fired = []
+            for _ in range(count):
+                if deliver:  # an envelope nobody waits for: progress
+                    boxes[1].deliver(Envelope(0, 1, 1, 7, None, 0, 0.0, 0))
+                time.sleep(0.06)  # longer than the look period
+                fired.append(look(2, *sample()))
+            return fired
+
+        try:
+            # One rank blocked, the other still running: no report.
+            ranks[0].start()
+            while not boxes[0].blocked:
+                time.sleep(0.001)
+            assert not any(looks(10))
+            # Both blocked, but envelopes still arrive: no report.
+            ranks[1].start()
+            while not boxes[1].blocked:
+                time.sleep(0.001)
+            assert not any(looks(10, deliver=True))
+            # Nothing moves any more.  Looks sooner than the period do
+            # not count; counted ones fire on the third strike.
+            assert not any(look(2, *sample()) for _ in range(20))
+            assert looks(3) == [False, False, True]
+        finally:
+            abort.set()
+            for t in ranks:
+                t.join(5.0)
+        assert not any(t.is_alive() for t in ranks)
+        assert sum(b.blocked for b in boxes) == 0
+
+    @pytest.mark.parametrize("backend", ["threads", "procs", "sockets"])
     def test_deadlock_report_text_unchanged(self, backend):
         def main(comm):
             comm.recv(source=1 - comm.rank, tag=5 + comm.rank)

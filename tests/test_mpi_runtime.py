@@ -103,12 +103,6 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError):
             Runtime(nranks=2).run(main)
 
-    def test_detection_can_be_disabled(self):
-        """With detection off, a correct program still runs normally."""
-        rt = Runtime(nranks=2, deadlock_detection=False)
-        res = rt.run(lambda comm: comm.allreduce(1))
-        assert res == [2, 2]
-
 
 class TestCommManagement:
     def test_dup_isolates_traffic(self):

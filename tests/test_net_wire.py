@@ -251,6 +251,21 @@ class TestAddresses:
             parse_address(bad)
 
 
+    def test_wire_imports_the_idna_codec_before_any_fork(self):
+        """``getaddrinfo`` imports ``encodings.idna`` on first use; a
+        rank forked while another thread was in that import would
+        inherit its import lock held.  Importing the wire module must
+        already have done it."""
+        code = ("import sys, repro.net.wire; "
+                "print('encodings.idna' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "True", out.stderr
+
+
 class TestHostfile:
     def test_parse_slots_and_comments(self):
         entries = parse_hostfile(
@@ -423,7 +438,7 @@ class TestMeshAuth:
 
         def build():  # rank 0 of 2: accepts exactly one peer (rank 1)
             out["socks"] = _build_mesh(0, 2, listener, {}, token,
-                                       1 << 20)
+                                       1 << 20, threading.Event())
 
         t = threading.Thread(target=build, daemon=True)
         t.start()

@@ -55,8 +55,8 @@ FIELDS = {
 
 PARAMETERS = {
     Runtime.__init__: (
-        "nranks", "machine", "deadlock_detection", "trace_messages",
-        "fault_plan", "fault_base_step", "backend",
+        "nranks", "machine", "trace_messages", "fault_plan",
+        "fault_base_step", "backend",
     ),
     ProcsBackend.__init__: ("ring_capacity",),
     SocketBackend.__init__: (
