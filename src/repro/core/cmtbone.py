@@ -49,6 +49,7 @@ from ..kernels import derivatives as dkernels
 from ..kernels.workspace import as_elements, field_blocks
 from ..mesh import Partition, dg_face_numbering
 from ..mpi import MAX, SUM, Comm
+from ..perfmodel import load_factor
 from ..solver.surface import full2face_flops, full2face_multi
 from .config import CMTBoneConfig
 
@@ -159,10 +160,10 @@ class CMTBone:
         #: gradient results are thrown away every stage, so recycling
         #: their buffers removes 3 x neq large allocations per stage.
         self._work = Workspace()
-        # Deterministic per-rank load factor: a hash of the rank mapped
-        # to [0, 1) scales compute charges by 1 + imbalance * h(rank).
-        h = (comm.rank * 2654435761) % (2**32) / 2**32
-        self._load_factor = 1.0 + self.config.compute_imbalance * h
+        # Deterministic per-rank load factor: scales compute charges.
+        self._load_factor = load_factor(
+            comm.rank, self.config.compute_imbalance
+        )
         #: Charged seconds by phase, until a rebalance changes ``nel``.
         self._prices: Dict[str, float] = {}
         #: Dynamic load balancer (None with ``lb_mode="off"``).

@@ -27,6 +27,13 @@ def _as_coord(v, name: str) -> Coord:
     return t  # type: ignore[return-value]
 
 
+def _check_work_mode(mode: str) -> None:
+    """Both mini-apps take ``"real"`` (numpy kernels on synthetic data)
+    or ``"proxy"`` (modelled time only)."""
+    if mode not in ("real", "proxy"):
+        raise ValueError(f"work_mode must be real|proxy, got {mode}")
+
+
 @dataclass(frozen=True)
 class BrickConfig:
     """The problem shape both mini-apps share: N, Nel and P.
@@ -138,8 +145,7 @@ class CMTBoneConfig(BrickConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.work_mode not in ("real", "proxy"):
-            raise ValueError(f"work_mode must be real|proxy, got {self.work_mode}")
+        _check_work_mode(self.work_mode)
         if self.rk_stages < 1 or self.nsteps < 0 or self.neq < 1:
             raise ValueError("rk_stages/nsteps/neq out of range")
         if self.lb_mode not in ("off", "auto", "every", "manual"):
@@ -212,8 +218,7 @@ class NekboneConfig(BrickConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.work_mode not in ("real", "proxy"):
-            raise ValueError(f"work_mode must be real|proxy, got {self.work_mode}")
+        _check_work_mode(self.work_mode)
 
     @classmethod
     def fig7(cls, **overrides) -> "NekboneConfig":

@@ -67,7 +67,7 @@ class FaultInjector:
         Raises :class:`RankCrashError` on the crashing rank; peers learn
         of it through the runtime's abort event.
         """
-        rank = comm.world_rank
+        rank = comm.rank
         for ev in self.plan.crashes:
             if ev.step is not None and ev.rank == rank and ev.step == step:
                 self._fire(comm, ev, step=step)
@@ -80,7 +80,7 @@ class FaultInjector:
         never communicates past the deadline survives, as a real
         node-loss would only be *observed* through communication).
         """
-        rank = comm.world_rank
+        rank = comm.rank
         now = comm.clock.now
         for ev in self.plan.crashes:
             if ev.time is not None and ev.rank == rank and now >= ev.time:
@@ -100,9 +100,9 @@ class FaultInjector:
             informational=True,
         )
         raise RankCrashError(
-            f"injected fault killed rank {comm.world_rank} "
+            f"injected fault killed rank {comm.rank} "
             f"({event.describe()}) at vtime {comm.clock.now:.6g}",
-            rank=comm.world_rank,
+            rank=comm.rank,
             step=step if event.step is None else event.step,
             vtime=comm.clock.now,
         )

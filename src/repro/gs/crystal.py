@@ -213,11 +213,8 @@ def _run(
             if not priced:
                 nbytes = message_nbytes(groups, len(take) * record_bytes)
                 overhead = machine.network.send_overhead(nbytes)
-            world = comm.group[to]
             t0 = clock.now
-            comm._inject(
-                payload, nbytes, overhead, world, mailbox(world), cid, tag
-            )
+            comm._inject(payload, nbytes, overhead, to, mailbox(to), cid, tag)
             record(verb, site, clock.now - t0, nbytes)
         if frm is not None:
             got = comm.recv(source=frm, tag=tag, site=site)

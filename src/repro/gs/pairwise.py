@@ -63,17 +63,17 @@ class _Costs(dict):
     of one plan, filled on first lookup (pure functions of the machine
     model): a hit is a subscript, not a call."""
 
-    def __init__(self, comm, world: List[int]):
+    def __init__(self, comm, neighbors: List[int]):
         super().__init__()
         self._net = comm.machine.network
-        self._me = comm.world_rank
-        self._world = world
+        self._me = comm.rank
+        self._neighbors = neighbors
 
     def __missing__(self, nbytes: int) -> tuple:
         net, me = self._net, self._me
         cost = self[nbytes] = (
             net.send_overhead(nbytes),
-            [net.transit(w, me, nbytes) for w in self._world],
+            [net.transit(q, me, nbytes) for q in self._neighbors],
             net.recv_overhead(nbytes),
         )
         return cost
@@ -92,12 +92,11 @@ class PairwisePlan:
         comm = handle.comm
         runtime = comm._runtime
         self.comm = comm
-        neighbors = handle.neighbors
+        self._neighbors = neighbors = handle.neighbors
         self.index = [handle.neighbor_send_index[q] for q in neighbors]
-        self._world = [comm.group[q] for q in neighbors]
-        self._boxes = [runtime.mailbox(w) for w in self._world]
-        self._box = runtime.mailbox(comm.world_rank)
-        self._costs = _Costs(comm, self._world)
+        self._boxes = [runtime.mailbox(q) for q in neighbors]
+        self._box = runtime.mailbox(comm.rank)
+        self._costs = _Costs(comm, neighbors)
 
     def exchange(
         self, stack: np.ndarray, op: ReduceOp, tag: int, site: str,
@@ -113,14 +112,16 @@ class PairwisePlan:
         neighbour and one lookup of the profile rows.
         """
         comm = self.comm
-        nn = len(self._world)
+        nn = len(self._neighbors)
         if not nn:  # no id is shared with another rank
             for _ in stack:
                 comm.compute(seconds=local_pass)
             return
         prof = comm._prof
         irecv, isend, wait = prof.rows(site, _OPS)
-        pendings = self._box.post_recvs(comm.cid, self._world * len(stack), tag)
+        pendings = self._box.post_recvs(
+            comm.cid, self._neighbors * len(stack), tag
+        )
         sends = zip(*[stack.take(ix, axis=1) for ix in self.index])
         for f, (field, payloads) in enumerate(zip(stack, sends)):
             prof.add(irecv, 0.0, 0, nn)
@@ -140,7 +141,7 @@ class PairwisePlan:
         comm = self.comm
         prof = comm._prof
         irecv, isend, _ = prof.rows(site, _OPS)
-        pendings = self._box.post_recvs(comm.cid, self._world, tag)
+        pendings = self._box.post_recvs(comm.cid, self._neighbors, tag)
         if pendings:
             prof.add(irecv, 0.0, 0, len(pendings))
         self._start([values.take(ix, axis=-1) for ix in self.index], tag, isend)
@@ -160,10 +161,10 @@ class PairwisePlan:
         ``Comm._inject``, booking each as one ``MPI_Isend``."""
         comm = self.comm
         clock, prof, costs, cid = comm.clock, comm._prof, self._costs, comm.cid
-        for payload, w, box in zip(payloads, self._world, self._boxes):
+        for payload, q, box in zip(payloads, self._neighbors, self._boxes):
             nbytes = payload.nbytes
             t0 = clock.now
-            comm._inject(payload, nbytes, costs[nbytes][0], w, box, cid, tag)
+            comm._inject(payload, nbytes, costs[nbytes][0], q, box, cid, tag)
             prof.add(isend, clock.now - t0, nbytes)
 
     def _finish(

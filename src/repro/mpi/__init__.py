@@ -12,7 +12,10 @@ cluster hardware.  See ``docs/backends.md`` for backend selection.
 Public surface:
 
 * :class:`Runtime`, :func:`spmd` — launch SPMD jobs.
-* :class:`Comm` — the per-rank communicator handle.
+* :class:`Comm` — the per-rank world communicator, with only the calls
+  CMT-bone makes: ``send``/``recv``/``isend``/``irecv`` and
+  :func:`waitall`, ``barrier``, ``allreduce``, ``allgather`` and
+  ``alltoall``.
 * Reduction ops ``SUM``/``PROD``/``MIN``/``MAX``/... and the wildcards
   ``ANY_SOURCE``/``ANY_TAG``.
 * Profiling types: :class:`JobProfile`, :class:`SiteAggregate`.
@@ -55,9 +58,7 @@ from .request import (
     RecvRequest,
     Request,
     SendRequest,
-    testall,
     waitall,
-    waitany,
 )
 from .runtime import Runtime, spmd
 from .status import Status
@@ -106,7 +107,5 @@ __all__ = [
     "resolve_backend",
     "payload_nbytes",
     "spmd",
-    "testall",
     "waitall",
-    "waitany",
 ]

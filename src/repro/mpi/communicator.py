@@ -1,14 +1,16 @@
 """The simulated communicator: point-to-point + collective operations.
 
-:class:`Comm` mirrors the slice of MPI that Nek5000-family codes use:
-``send/recv/isend/irecv/sendrecv``, ``barrier``, ``bcast``, ``reduce``,
-``allreduce``, ``gather``, ``scatter``, ``allgather``, ``alltoall`` and
-communicator ``split``/``dup``.  Collectives are implemented *on top of*
-the point-to-point layer with the textbook algorithms (dissemination
-barrier, binomial bcast/reduce, recursive-doubling allreduce, ring
-allgather, rotation alltoall), so their virtual-time cost emerges from
-the same latency/bandwidth model as everything else instead of being a
-hand-tuned constant.
+:class:`Comm` keeps only the slice of MPI that CMT-bone calls:
+``send/recv/isend/irecv`` (with :func:`~repro.mpi.request.waitall`) for
+the pairwise and crystal-router exchanges, ``allreduce`` for vector
+reductions and the dense allreduce method, ``alltoall`` for
+``gs_setup``'s discovery, and ``barrier``/``allgather``.  Every
+``Comm`` is the job's world communicator: ``rank`` is the world rank.
+Collectives are implemented *on top of* the point-to-point layer with
+the textbook algorithms (dissemination barrier, recursive-doubling
+allreduce, ring allgather, rotation alltoall), so their virtual-time
+cost emerges from the same latency/bandwidth model as everything else
+instead of being a hand-tuned constant.
 
 Every public operation accepts an optional ``site=`` label.  The
 profiler aggregates ``(operation, site)`` pairs, which is what the
@@ -18,7 +20,7 @@ mpiP-style reports in Figs. 8-10 of the paper group by.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -43,45 +45,33 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Comm:
-    """A communicator bound to one simulated rank.
+    """The world communicator, bound to one simulated rank.
 
     Unlike real MPI (where a communicator handle is shared and the rank
     is implicit in the process), each rank thread holds its *own*
-    ``Comm`` instance; ``group`` lists the world ranks that are members.
+    ``Comm`` instance.
     """
 
     def __init__(
         self,
         runtime: "Runtime",
-        cid: int,
-        group: Sequence[int],
-        world_rank: int,
+        rank: int,
         clock: VirtualClock,
         profile: RankProfile,
-        parent_path: str = "world",
     ):
         self._runtime = runtime
-        self.cid = cid
-        self.group = list(group)
-        self.world_rank = world_rank
-        self.rank = self.group.index(world_rank)
-        self.size = len(self.group)
+        self.cid = _WORLD_CID
+        self.rank = rank
+        self.size = runtime.nranks
         self.clock = clock
         self._prof = profile
-        self._world_to_local: Dict[int, int] = {
-            w: i for i, w in enumerate(self.group)
-        }
-        self._path = parent_path
-        self._derive_seq = 0
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Comm {self._path} cid={self.cid} rank={self.rank}/{self.size}>"
-        )
+        return f"<Comm rank={self.rank}/{self.size}>"
 
     def _default_site(self, op: str) -> str:
         return op
@@ -171,20 +161,19 @@ class Comm:
         """
         self._check_rank(dest, "dest")
         snapshot, nbytes = snapshot_payload(payload)
-        dst_world = self.group[dest]
         self._inject(
             snapshot,
             nbytes,
             self.machine.network.send_overhead(nbytes),
-            dst_world,
-            self._runtime.mailbox(dst_world),
+            dest,
+            self._runtime.mailbox(dest),
             self.cid + (_INTERNAL_CID if internal else 0),
             tag,
         )
         return nbytes
 
     def _inject(
-        self, payload: Any, nbytes: int, ovh: float, dst_world: int,
+        self, payload: Any, nbytes: int, ovh: float, dest: int,
         box: Any, cid: int, tag: int,
     ) -> None:
         """Charge one send and hand its envelope to ``box``: the one
@@ -197,10 +186,10 @@ class Comm:
             faults.check_time_crash(self)
         clock = self.clock
         clock.advance(ovh, kind="comm")
-        me = self.world_rank
-        seq = runtime.seq.next(me, dst_world)
+        me = self.rank
+        seq = runtime.seq.next(me, dest)
         if faults is not None:
-            drops = faults.drop_count(me, dst_world, seq)
+            drops = faults.drop_count(me, dest, seq)
             if drops:
                 # The reliable layer under the transport: each lost
                 # attempt costs its backoff timeout plus a fresh
@@ -209,19 +198,19 @@ class Comm:
                 # downstream arrival shifts deterministically.
                 penalty = drops * ovh + faults.plan.retry.backoff_seconds(drops)
                 clock.charge_retry(penalty)
-                faults.log_drop(me, dst_world, seq, drops, penalty)
+                faults.log_drop(me, dest, seq, drops, penalty)
                 self._prof.record(
                     "FAULT_Retry",
-                    f"fault:drop[{me}->{dst_world}]",
+                    f"fault:drop[{me}->{dest}]",
                     penalty,
                     nbytes * drops,
                     informational=True,
                 )
-        env = Envelope(me, dst_world, cid, tag, payload, nbytes, clock.now, seq)
+        env = Envelope(me, dest, cid, tag, payload, nbytes, clock.now, seq)
         trace = runtime.trace
         if trace is not None:
             trace.record(
-                src=me, dst=dst_world, cid=cid, tag=tag, nbytes=nbytes,
+                src=me, dst=dest, cid=cid, tag=tag, nbytes=nbytes,
                 wire_vtime=env.wire_vtime, seq=seq,
             )
         box.deliver(env)
@@ -231,20 +220,15 @@ class Comm:
     ) -> PendingRecv:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-            src_world = self.group[source]
-        else:
-            src_world = ANY_SOURCE
-        return self._runtime.mailbox(self.world_rank).post_recv(
-            self.cid + (_INTERNAL_CID if internal else 0), src_world, tag
+        return self._runtime.mailbox(self.rank).post_recv(
+            self.cid + (_INTERNAL_CID if internal else 0), source, tag
         )
 
-    def _wait_for(
-        self, pendings: Sequence[PendingRecv], what: str, first: bool = False
-    ) -> None:
+    def _wait_for(self, pendings: Sequence[PendingRecv], what: str) -> None:
         """Block (at most once) until ``pendings`` have their envelopes."""
         runtime = self._runtime
-        runtime.mailbox(self.world_rank).wait_for(
-            pendings, runtime.abort_event, what, first
+        runtime.mailbox(self.rank).wait_for(
+            pendings, runtime.abort_event, what
         )
 
     def _arrive(
@@ -254,7 +238,7 @@ class Comm:
         its fault-free network costs; return its virtual arrival time."""
         faults = self._runtime.faults
         if faults is not None:
-            transit *= faults.delay_factor(env.src, self.world_rank)
+            transit *= faults.delay_factor(env.src, self.rank)
         arrival = env.wire_vtime + transit
         # ``max(t0, arrival)``, without the call: this runs per message.
         self.clock.synchronize(
@@ -267,11 +251,11 @@ class Comm:
         net = self.machine.network
         arrival = self._arrive(
             env, t0,
-            net.transit(env.src, self.world_rank, env.nbytes),
+            net.transit(env.src, self.rank, env.nbytes),
             net.recv_overhead(env.nbytes),
         )
         status = Status(
-            source=self._world_to_local.get(env.src, env.src),
+            source=env.src,
             tag=env.tag,
             nbytes=env.nbytes,
             arrival_vtime=arrival,
@@ -349,40 +333,6 @@ class Comm:
         )
         return RecvRequest(self, pending)
 
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        sendtag: int = 0,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-        site: Optional[str] = None,
-    ) -> Any:
-        """Combined send+receive (deadlock-free with eager sends)."""
-        t0 = self.clock.now
-        nbytes = self._send_raw(payload, dest, sendtag)
-        recv_payload, status = self._recv_raw(source, recvtag)
-        self._prof.record(
-            "MPI_Sendrecv", site or self._default_site("MPI_Sendrecv"),
-            self.clock.now - t0, nbytes + status.nbytes,
-        )
-        return recv_payload
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Nonblocking probe for a matching unexpected message."""
-        if source != ANY_SOURCE:
-            # Same validation as a receive: without it, a negative
-            # source would silently index the group from the end and
-            # probe a different rank than the recv it predicts.
-            self._check_rank(source, "source")
-            src_world = self.group[source]
-        else:
-            src_world = ANY_SOURCE
-        env = self._runtime.mailbox(self.world_rank).probe(
-            self.cid, src_world, tag
-        )
-        return env is not None
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -401,68 +351,6 @@ class Comm:
             "MPI_Barrier", site or self._default_site("MPI_Barrier"),
             self.clock.now - t0, 0,
         )
-
-    def bcast(
-        self, payload: Any = None, root: int = 0, site: Optional[str] = None
-    ) -> Any:
-        """Binomial-tree broadcast (MPICH algorithm, any P)."""
-        self._check_rank(root, "root")
-        t0 = self.clock.now
-        size, rank = self.size, self.rank
-        relative = (rank - root) % size
-        buf = payload
-        mask = 1
-        while mask < size:
-            if relative & mask:
-                src = (relative - mask + root) % size
-                buf, _ = self._recv_raw(src, _TAG_BCAST, internal=True)
-                break
-            mask <<= 1
-        mask >>= 1
-        while mask > 0:
-            if relative + mask < size:
-                dst = (relative + mask + root) % size
-                self._send_raw(buf, dst, _TAG_BCAST, internal=True)
-            mask >>= 1
-        self._prof.record(
-            "MPI_Bcast", site or self._default_site("MPI_Bcast"),
-            self.clock.now - t0, payload_nbytes(buf),
-        )
-        return buf
-
-    def reduce(
-        self,
-        payload: Any,
-        op: ReduceOp = SUM,
-        root: int = 0,
-        site: Optional[str] = None,
-    ) -> Any:
-        """Binomial-tree reduction to ``root`` (returns None elsewhere)."""
-        self._check_rank(root, "root")
-        t0 = self.clock.now
-        size, rank = self.size, self.rank
-        relative = (rank - root) % size
-        result = payload
-        mask = 1
-        while mask < size:
-            if relative & mask == 0:
-                partner = relative | mask
-                if partner < size:
-                    other, _ = self._recv_raw(
-                        (partner + root) % size, _TAG_REDUCE, internal=True
-                    )
-                    result = op(result, other)
-            else:
-                dst = ((relative & ~mask) + root) % size
-                self._send_raw(result, dst, _TAG_REDUCE, internal=True)
-                result = None
-                break
-            mask <<= 1
-        self._prof.record(
-            "MPI_Reduce", site or self._default_site("MPI_Reduce"),
-            self.clock.now - t0, payload_nbytes(payload),
-        )
-        return result if rank == root else None
 
     def allreduce(
         self, payload: Any, op: ReduceOp = SUM, site: Optional[str] = None
@@ -508,57 +396,6 @@ class Comm:
         )
         return blocks
 
-    def gather(
-        self, payload: Any, root: int = 0, site: Optional[str] = None
-    ) -> Optional[List[Any]]:
-        """Linear gather to ``root``; returns list at root, None elsewhere."""
-        self._check_rank(root, "root")
-        t0 = self.clock.now
-        out: Optional[List[Any]] = None
-        if self.rank == root:
-            out = [None] * self.size
-            out[root] = copy_payload(payload)
-            for r in range(self.size):
-                if r == root:
-                    continue
-                out[r], _ = self._recv_raw(r, _TAG_GATHER, internal=True)
-        else:
-            self._send_raw(payload, root, _TAG_GATHER, internal=True)
-        self._prof.record(
-            "MPI_Gather", site or self._default_site("MPI_Gather"),
-            self.clock.now - t0, payload_nbytes(payload),
-        )
-        return out
-
-    def scatter(
-        self,
-        payloads: Optional[Sequence[Any]] = None,
-        root: int = 0,
-        site: Optional[str] = None,
-    ) -> Any:
-        """Linear scatter from ``root``; each rank gets its element."""
-        self._check_rank(root, "root")
-        t0 = self.clock.now
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise CommunicatorError(
-                    "scatter at root needs one payload per rank"
-                )
-            for r in range(self.size):
-                if r == root:
-                    continue
-                self._send_raw(payloads[r], r, _TAG_SCATTER, internal=True)
-            mine = copy_payload(payloads[root])
-            nbytes = sum(payload_nbytes(p) for p in payloads)
-        else:
-            mine, status = self._recv_raw(root, _TAG_SCATTER, internal=True)
-            nbytes = status.nbytes
-        self._prof.record(
-            "MPI_Scatter", site or self._default_site("MPI_Scatter"),
-            self.clock.now - t0, nbytes,
-        )
-        return mine
-
     def alltoall(
         self, payloads: Sequence[Any], site: Optional[str] = None
     ) -> List[Any]:
@@ -587,110 +424,6 @@ class Comm:
             self.clock.now - t0, nbytes,
         )
         return out
-
-    def scan(
-        self, payload: Any, op: ReduceOp = SUM, site: Optional[str] = None
-    ) -> Any:
-        """Inclusive prefix reduction (``MPI_Scan``), hypercube algorithm.
-
-        Rank r receives ``op(x_0, ..., x_r)``.  Used by Nek-style codes
-        for global numbering offsets.
-        """
-        t0 = self.clock.now
-        size, rank = self.size, self.rank
-        result = copy_payload(payload)      # inclusive prefix so far
-        partial = copy_payload(payload)     # combined value of my block
-        mask = 1
-        while mask < size:
-            partner = rank ^ mask
-            if partner < size:
-                self._send_raw(partial, partner, _TAG_SCAN, internal=True)
-                other, _ = self._recv_raw(partner, _TAG_SCAN, internal=True)
-                # Keep operand order: the lower-rank block goes first,
-                # so non-commutative (merely associative) ops work.
-                if partner < rank:
-                    result = op(other, result)
-                    partial = op(other, partial)
-                else:
-                    partial = op(partial, other)
-            mask <<= 1
-        self._prof.record(
-            "MPI_Scan", site or self._default_site("MPI_Scan"),
-            self.clock.now - t0, payload_nbytes(payload),
-        )
-        return result
-
-    def exscan(
-        self, payload: Any, op: ReduceOp = SUM, site: Optional[str] = None
-    ) -> Any:
-        """Exclusive prefix reduction (``MPI_Exscan``).
-
-        Rank 0 receives ``None``; rank r > 0 receives
-        ``op(x_0, ..., x_{r-1})``.
-        """
-        t0 = self.clock.now
-        size, rank = self.size, self.rank
-        result: Any = None                  # exclusive prefix so far
-        partial = copy_payload(payload)
-        mask = 1
-        while mask < size:
-            partner = rank ^ mask
-            if partner < size:
-                self._send_raw(partial, partner, _TAG_SCAN + 1,
-                               internal=True)
-                other, _ = self._recv_raw(partner, _TAG_SCAN + 1,
-                                          internal=True)
-                if partner < rank:
-                    result = other if result is None else op(other, result)
-                    partial = op(other, partial)
-                else:
-                    partial = op(partial, other)
-            mask <<= 1
-        self._prof.record(
-            "MPI_Exscan", site or self._default_site("MPI_Exscan"),
-            self.clock.now - t0, payload_nbytes(payload),
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # communicator management
-    # ------------------------------------------------------------------
-
-    def dup(self) -> "Comm":
-        """Duplicate this communicator with a fresh context id."""
-        return self._derive(self.group, tag="dup")
-
-    def split(self, color: int, key: int = 0) -> Optional["Comm"]:
-        """Split into sub-communicators by ``color``, ordered by ``key``.
-
-        Collective over this communicator.  Returns ``None`` for
-        ``color < 0`` (MPI_UNDEFINED semantics).
-        """
-        triples = self.allgather(
-            (int(color), int(key), self.rank), site="comm_split"
-        )
-        if color < 0:
-            self._derive_seq += 1  # keep derivation counters aligned
-            return None
-        members = sorted(
-            (k, r) for (c, k, r) in triples if c == color
-        )
-        group = [self.group[r] for _, r in members]
-        return self._derive(group, tag=f"split.{color}")
-
-    def _derive(self, group: Sequence[int], tag: str) -> "Comm":
-        self._derive_seq += 1
-        key = (self.cid, self._derive_seq, tag)
-        cid = self._runtime.context_id(key)
-        return Comm(
-            runtime=self._runtime,
-            cid=cid,
-            group=group,
-            world_rank=self.world_rank,
-            clock=self.clock,
-            profile=self._prof,
-            parent_path=f"{self._path}/{tag}",
-        )
 
 
 class _ShadowRuntime:
@@ -723,7 +456,7 @@ class _ShadowRegion:
         scratch = VirtualClock()
         scratch.now = comm.clock.now  # keep message ordering plausible
         comm.clock = scratch
-        comm._prof = RankProfile(comm.world_rank)
+        comm._prof = RankProfile(comm.rank)
         comm._runtime = _ShadowRuntime(comm._runtime)
         return comm
 
@@ -732,25 +465,20 @@ class _ShadowRegion:
         comm.clock, comm._prof, comm._runtime = self._saved
 
 
+#: The world communicator's context id.
+_WORLD_CID = 1
+
 #: Context-id offset for collective-internal traffic (keeps it from
 #: ever matching user point-to-point receives, even with wildcards).
-#: Derived user cids are 56-bit hashes (see ``Runtime.context_id``), so
-#: the offset sits above that range: internal cids occupy a disjoint
-#: band and can never collide with any user communicator's cid.
 _INTERNAL_CID = 1 << 60
 
 # Tag bases reserved for internal collective traffic.  User tags share
 # the space, but collectives always execute in lockstep on all members,
 # so a disjoint high range avoids accidental matches with user p2p.
 _TAG_BARRIER = 1 << 24
-_TAG_BCAST = (1 << 24) + 64
-_TAG_REDUCE = (1 << 24) + 128
 _TAG_ALLREDUCE = (1 << 24) + 192
 _TAG_ALLGATHER = (1 << 24) + 256
-_TAG_GATHER = (1 << 24) + 320
-_TAG_SCATTER = (1 << 24) + 384
 _TAG_ALLTOALL = (1 << 24) + 448
-_TAG_SCAN = (1 << 24) + 1024
 
 
 @lru_cache(maxsize=None)

@@ -108,14 +108,6 @@ class RecvRequest(Request):
         return payload
 
 
-def _unmatched(requests: Sequence[Request]) -> tuple:
-    """``(comm, pendings)`` of the receives not yet completable."""
-    recvs = [
-        r for r in requests if isinstance(r, RecvRequest) and not r.test()
-    ]
-    return (recvs[0]._comm if recvs else None), [r._pending for r in recvs]
-
-
 def waitall(requests: Sequence[Request], site: Optional[str] = None) -> list:
     """Wait for every request; return payloads in request order.
 
@@ -126,51 +118,17 @@ def waitall(requests: Sequence[Request], site: Optional[str] = None) -> list:
     the last missing envelope wakes it — and the per-request waits then
     charge the clock in request order without blocking.
     """
-    comm, pendings = _unmatched(requests)
-    if len(pendings) > 1:
+    recvs = [
+        r for r in requests if isinstance(r, RecvRequest) and not r.test()
+    ]
+    if len(recvs) > 1:
         try:
-            comm._wait_for(pendings, "MPI_Waitall")
+            recvs[0]._comm._wait_for(
+                [r._pending for r in recvs], "MPI_Waitall"
+            )
         except AbortError:
             # The waits below charge the completed prefix, as waiting
             # request by request would have, and raise at the first
             # receive that is still missing.
             pass
     return [req.wait(site=site) for req in requests]
-
-
-def testall(requests: Sequence[Request]) -> bool:
-    """True iff every request in the list could complete without blocking.
-
-    Like ``MPI_Testall`` this does not complete the operations (no
-    clock charge, no profiler record): pair with :func:`waitall` once
-    it returns True, which will then complete everything wait-free.
-    """
-    return all(req.test() for req in requests)
-
-
-def waitany(
-    requests: Sequence[Request], site: Optional[str] = None
-) -> tuple:
-    """Wait until any request completes; return (index, payload).
-
-    Like ``MPI_Waitany``: already-completable requests are preferred
-    (checked with :meth:`Request.test` in order); otherwise the call
-    blocks until the first of the receives is matched — with
-    deterministic virtual time, the *returned* completion is the one
-    observable earliest in program order among the testable set, which
-    is what the mini-app codes rely on.
-
-    Completion wins over abort, as in
-    :meth:`~repro.mpi.transport.Mailbox.wait_for`: a request that
-    already tests complete is a committed local fact, so it is reported;
-    only a call that finds nothing completable observes the job abort.
-    This keeps post-crash progress (and hence crashed-attempt virtual
-    makespans) a function of what peers actually sent.
-    """
-    if not requests:
-        raise ValueError("waitany requires at least one request")
-    comm, pendings = _unmatched(requests)
-    if len(pendings) == len(requests):
-        comm._wait_for(pendings, "waitany", first=True)
-    i = next(i for i, req in enumerate(requests) if req.test())
-    return i, requests[i].wait(site=site)

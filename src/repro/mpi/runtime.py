@@ -33,16 +33,13 @@ Typical use::
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import AbortError, DeadlockError, MPIError, RankCrashError
 from .profiler import JobProfile, RankProfile
 from .transport import ChannelSeq, Mailbox, WakingAbort
-
-_WORLD_CID = 1
 
 
 class Runtime:
@@ -92,38 +89,12 @@ class Runtime:
 
     # -- wiring --------------------------------------------------------
 
-    def mailbox(self, world_rank: int) -> Mailbox:
-        return self._mailboxes[world_rank]
-
-    def context_id(self, key: Tuple) -> int:
-        """Deterministically map a derivation key to a context id.
-
-        Every member of a ``split``/``dup`` computes the same ``key``
-        (parent cid, per-parent derivation counter, operation tag), so
-        every member maps it to the same id.  The id is a pure, stable
-        hash of the key — *not* a first-come registry allocation — so
-        ranks running in separate OS processes (the ``procs`` backend)
-        agree on it without any shared allocator, even when disjoint
-        subcommunicators derive different numbers of comms.  56-bit
-        digests keep accidental collisions negligible, and internal
-        collective contexts live in a disjoint range (see
-        ``_INTERNAL_CID`` in the communicator).
-        """
-        digest = hashlib.blake2b(
-            repr(key).encode("utf-8"), digest_size=7
-        ).digest()
-        return _WORLD_CID + 1 + int.from_bytes(digest, "big")
+    def mailbox(self, rank: int) -> Mailbox:
+        return self._mailboxes[rank]
 
     def world_comm(self, rank: int) -> Comm:
         """Build the COMM_WORLD handle for ``rank``."""
-        return Comm(
-            runtime=self,
-            cid=_WORLD_CID,
-            group=range(self.nranks),
-            world_rank=rank,
-            clock=self._clocks[rank],
-            profile=self._profiles[rank],
-        )
+        return Comm(self, rank, self._clocks[rank], self._profiles[rank])
 
     # -- execution -----------------------------------------------------
 

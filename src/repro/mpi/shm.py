@@ -44,7 +44,8 @@ DEFAULT_RING_CAPACITY = 1 << 20
 #: travels as consecutive fragment records.
 _FRAGMENT_FRACTION = 4
 
-#: Writer back-off while the ring is full (wall seconds).
+#: Writer back-off while the ring is full or its lock is held (wall
+#: seconds).
 _PUSH_POLL = 0.0005
 
 #: Ring header: two little-endian uint64 (head, tail), 8-byte aligned.
@@ -138,16 +139,25 @@ class ShmRing:
         give_up: Optional[Callable[[], bool]] = None,
         what: str = "send",
     ) -> bool:
-        """Append one record; block (politely) while the ring is full.
+        """Append one record; block (politely) for ``writer_lock`` and
+        while the ring is full.
 
         Raises :class:`AbortError` if ``abort_event`` fires while
-        waiting for space; returns ``False`` (record dropped) when
-        ``give_up()`` turns true — the backend passes "the destination
-        rank has finished", in which case the message can never be
-        received anyway.  Returns ``True`` on success.  Both checks run
-        between the fragments of a long record too; the fragments
-        already pushed are then dropped by the reader.
+        waiting; returns ``False`` (record dropped) when ``give_up()``
+        turns true — the backend passes "the destination rank has
+        finished", in which case the message can never be received
+        anyway.  Returns ``True`` on success.  Both checks run every
+        :data:`_PUSH_POLL` of the wait, so a writer that died holding
+        the lock wedges no later sender, and between the fragments of a
+        long record too; the fragments already pushed are then dropped
+        by the reader.
         """
+
+        def stop() -> bool:
+            if abort_event is not None and abort_event.is_set():
+                raise AbortError(f"job aborted while blocked in {what}")
+            return give_up is not None and give_up()
+
         if _REC.size + len(data) <= self._limit:
             frags = [(_KIND_WHOLE, data)]
         else:
@@ -156,20 +166,24 @@ class ShmRing:
             frags = [(_KIND_FIRST, _TOTAL.pack(len(data)) + view[:step])]
             frags += [(_KIND_MORE, view[i:i + step])
                       for i in range(step, len(data), step)]
-        with self.writer_lock:
+        lock = self.writer_lock
+        while not lock.acquire(timeout=_PUSH_POLL):
+            if stop():
+                return False
+        try:
             for kind, body in frags:
                 need = _REC.size + len(body)
                 while self.capacity - ((tail := self._tail())
                                        - self._head()) < need:
-                    if abort_event is not None and abort_event.is_set():
-                        raise AbortError(f"job aborted while blocked in {what}")
-                    if give_up is not None and give_up():
+                    if stop():
                         return False
                     time.sleep(_PUSH_POLL)
                 self._write(tail, _REC.pack(1 + len(body), kind))
                 self._write(tail + _REC.size, body)
                 self._set_tail(tail + need)
                 self.data_sem.release()
+        finally:
+            lock.release()
         return True
 
     # -- consumer side -------------------------------------------------

@@ -12,8 +12,7 @@ class Status:
     Attributes
     ----------
     source:
-        Rank of the sender within the communicator the receive was
-        posted on.
+        Rank of the sender.
     tag:
         Tag carried by the matched message.
     nbytes:
@@ -31,15 +30,3 @@ class Status:
     nbytes: int
     arrival_vtime: float
     wait_vtime: float
-
-    def Get_source(self) -> int:
-        """MPI-style accessor for :attr:`source`."""
-        return self.source
-
-    def Get_tag(self) -> int:
-        """MPI-style accessor for :attr:`tag`."""
-        return self.tag
-
-    def Get_count(self) -> int:
-        """MPI-style accessor: payload size in bytes."""
-        return self.nbytes

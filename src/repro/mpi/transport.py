@@ -114,7 +114,7 @@ class Mailbox:
     Concurrency invariants — all state transitions happen under
     ``lock``, which matters doubly for the process backend, whose
     dedicated delivery thread widens the window in which ``deliver``
-    runs concurrently with the owning rank's ``post_recv``/``probe``:
+    runs concurrently with the owning rank's ``post_recv``:
 
     * an envelope is matched to at most one :class:`PendingRecv`, and a
       :class:`PendingRecv` receives at most one envelope — ``deliver``
@@ -126,15 +126,11 @@ class Mailbox:
       wakeup);
     * an envelope is either handed to a posted receive or appended to
       ``unexpected`` — never both, never neither — so no message is
-      dropped or duplicated by a probe/post_recv/deliver interleaving;
+      dropped or duplicated by a post_recv/deliver interleaving;
     * per-source arrival order is preserved: ``deliver`` appends in
       call order and both scans walk their queue front-to-back, so the
       MPI non-overtaking guarantee holds per ``(source, cid, tag)``
-      channel;
-    * ``probe`` is read-only: it takes the lock, scans, and touches
-      nothing, so a concurrent ``deliver`` can at worst make it answer
-      "no message" for an envelope that arrives a moment later —
-      exactly ``MPI_Iprobe`` semantics.
+      channel.
 
     Blocking: only the owning rank's thread ever waits on a mailbox, and
     on one set of receives at a time, so one reusable wake primitive
@@ -179,22 +175,6 @@ class Mailbox:
                     return
             self.unexpected.append(env)
 
-    def _unexpected_match(
-        self, cid: int, source: int, tag: int
-    ) -> Optional[Envelope]:
-        """First unexpected envelope a ``(cid, source, tag)`` receive
-        takes (caller holds ``lock``) — shared by ``post_recv`` and
-        ``probe``, so a probe never disagrees with the receive it
-        predicts."""
-        for env in self.unexpected:
-            if (
-                env.cid == cid
-                and (source == ANY_SOURCE or env.src == source)
-                and (tag == ANY_TAG or env.tag == tag)
-            ):
-                return env
-        return None
-
     def post_recv(self, cid: int, source: int, tag: int) -> PendingRecv:
         """Post a receive; match immediately if a message is waiting."""
         return self.post_recvs(cid, (source,), tag)[0]
@@ -208,37 +188,37 @@ class Mailbox:
         prs = [PendingRecv(cid, source, tag) for source in sources]
         with self.lock:
             for pr in prs:
-                env = self._unexpected_match(cid, pr.source, tag)
-                if env is None:
-                    self.posted.append(pr)
+                source = pr.source
+                for env in self.unexpected:
+                    if (
+                        env.cid == cid
+                        and (source == ANY_SOURCE or env.src == source)
+                        and (tag == ANY_TAG or env.tag == tag)
+                    ):
+                        pr.envelope = env
+                        self.unexpected.remove(env)
+                        break
                 else:
-                    pr.envelope = env
-                    self.unexpected.remove(env)
+                    self.posted.append(pr)
         return prs
-
-    def probe(self, cid: int, source: int, tag: int) -> Optional[Envelope]:
-        """Non-destructively look for a matching unexpected message."""
-        with self.lock:
-            return self._unexpected_match(cid, source, tag)
 
     def wait_for(
         self,
         pendings: Sequence[PendingRecv],
         abort_event: threading.Event,
         what: str = "recv",
-        first: bool = False,
     ) -> None:
         """Block the owner until every receive in ``pendings`` has its
-        envelope — or, with ``first``, until any one of them has.
+        envelope.
 
         Blocks at most once: the sender that lands the *last* wanted
-        envelope (the first, with ``first``) wakes the owner, and so
-        does :meth:`interrupt`.  Raises :class:`AbortError` if the
-        runtime aborts while we wait: the abort event is checked once
-        *before* blocking; the thread backend's abort interrupts the
-        blocked owners directly (:class:`WakingAbort`), and an abort that
-        arrives from another process is seen within one
-        :data:`_WAIT_POLL` poll tick (``tests/test_faults.py``).
+        envelope wakes the owner, and so does :meth:`interrupt`.  Raises
+        :class:`AbortError` if the runtime aborts while we wait: the
+        abort event is checked once *before* blocking; the thread
+        backend's abort interrupts the blocked owners directly
+        (:class:`WakingAbort`), and an abort that arrives from another
+        process is seen within one :data:`_WAIT_POLL` poll tick
+        (``tests/test_faults.py``).
 
         Abort-vs-completion ordering: **completion wins**, before
         blocking and after any wake alike.  A matched envelope is a
@@ -251,16 +231,15 @@ class Mailbox:
         makespans (and the ``solver/fault_campaign`` bench gate) depend
         on.
         """
-        need = len(pendings) if first else 1
         with self.lock:
             missing = [pr for pr in pendings if pr.envelope is None]
-            if len(missing) < need:
+            if not missing:
                 return
             if abort_event.is_set():
                 raise AbortError(f"job aborted while blocked in {what}")
             for pr in missing:
                 pr.wanted = True
-            self._countdown = 1 if first else len(missing)
+            self._countdown = len(missing)
         try:
             while not self._wake.acquire(timeout=_WAIT_POLL):
                 if abort_event.is_set():
@@ -270,8 +249,8 @@ class Mailbox:
                 for pr in missing:
                     pr.wanted = False
                 # Woken by interrupt: completion still wins.
-                cut = self._interrupted and (
-                    sum(pr.envelope is None for pr in missing) >= need
+                cut = self._interrupted and any(
+                    pr.envelope is None for pr in missing
                 )
                 self._interrupted = False
         if cut:

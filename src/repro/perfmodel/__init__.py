@@ -5,7 +5,7 @@ runtime, replacing the physical clusters the paper measured on (see
 DESIGN.md, substitution table).
 """
 
-from .machine import CpuModel, MachineModel
+from .machine import CpuModel, MachineModel, load_factor
 from .network import NetworkModel
 from .topology import (
     FatTreeTopology,
@@ -23,5 +23,6 @@ __all__ = [
     "NetworkModel",
     "Topology",
     "TorusTopology",
+    "load_factor",
     "mean_hops",
 ]

@@ -172,6 +172,13 @@ class MachineModel:
         return sorted(_PRESETS)
 
 
+def load_factor(rank, imbalance: float):
+    """Deterministic compute heterogeneity: ``1 + imbalance * h(rank)``,
+    ``h`` a multiplicative hash of the rank into [0, 1).  ``rank`` is an
+    int or an integer array (vscale passes every rank at once)."""
+    return 1.0 + imbalance * ((rank * 2654435761) % (2**32) / 2**32)
+
+
 def _compton() -> MachineModel:
     """Sandia Compton: 2x E5-2670 / node, Mellanox QDR IB."""
     return MachineModel(

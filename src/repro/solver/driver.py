@@ -57,6 +57,7 @@ from ..kernels.dealias import dealias_flops, dealias_order, to_coarse, to_fine
 from ..kernels.workspace import as_elements, field_blocks
 from ..mesh import Partition, dg_face_numbering
 from ..mpi import MAX, SUM, Comm
+from ..perfmodel import load_factor
 from .divergence import divergence_flops, flux_divergence_multi
 from .eos import IdealGas
 from .flux import euler_fluxes, flux_flops
@@ -169,9 +170,10 @@ class CMTSolver:
         self.eos = eos or IdealGas()
         self.n = mesh.n
         self.nel = partition.nel_local
-        # Injected heterogeneity (same hash-based model as CMTBone).
-        h = (comm.rank * 2654435761) % (2**32) / 2**32
-        self._load_factor = 1.0 + self.config.compute_imbalance * h
+        # Injected heterogeneity: scales compute charges, as in CMTBone.
+        self._load_factor = load_factor(
+            comm.rank, self.config.compute_imbalance
+        )
         self.dmat = np.asarray(derivative_matrix(self.n))
         self.weights = np.asarray(gll_weights(self.n))
         self.jac = mesh.jacobian

@@ -41,7 +41,7 @@ from ..core.config import CMTBoneConfig
 from ..gs.crystal import crystal_stages, message_nbytes
 from ..kernels import counters
 from ..mpi.communicator import allreduce_stages
-from ..perfmodel import MachineModel
+from ..perfmodel import MachineModel, load_factor
 from ..solver.surface import full2face_flops
 from .schedule import StepSchedule, build_schedule
 
@@ -480,9 +480,8 @@ class VirtualScaleEngine:
         p = nranks
         ranks = np.arange(p, dtype=np.int64)
 
-        # Per-rank deterministic load factors — same hash as CMTBone.
-        h = (ranks * 2654435761) % (2**32) / 2**32
-        lf = 1.0 + cfg.compute_imbalance * h
+        # Per-rank deterministic load factors, as in CMTBone.
+        lf = load_factor(ranks, cfg.compute_imbalance)
 
         # Compute charges (seconds), identical formulas to the phases
         # in repro.core.cmtbone.

@@ -7,7 +7,7 @@ the public point-to-point API, and every observable of a run — values,
 virtual clocks, profile rows in insertion order, the message trace —
 must match it exactly, with and without injected faults.  The rest covers what the fast path rests
 on: the raw envelope codec, the mailbox wake primitive under
-``waitany``, and the deadlock rule over the lock-free status slots.
+``waitall``, and the deadlock rule over the lock-free status slots.
 """
 
 import multiprocessing
@@ -36,7 +36,7 @@ from repro.mpi import MAX, SUM, DeadlockError, MPIError, Runtime
 from repro.mpi import backend as backend_mod
 from repro.mpi import shm
 from repro.mpi.errors import AbortError
-from repro.mpi.request import testall as all_testable, waitall, waitany
+from repro.mpi.request import waitall
 from repro.mpi.shm import ShmRing, dump_envelope, load_envelope
 from repro.mpi.transport import _WAIT_POLL, Envelope, Mailbox
 
@@ -444,37 +444,7 @@ class TestEnvelopeCodec:
 # -- waits on the mailbox wake primitive --------------------------------
 
 
-class TestWaitany:
-    def test_returns_earliest_testable_index(self):
-        def main(comm):
-            if comm.rank == 1:
-                comm.send("late", dest=0, tag=2)
-                comm.send("early", dest=0, tag=1)
-                return None
-            reqs = [comm.irecv(source=1, tag=1), comm.irecv(source=1, tag=2)]
-            deadline = time.monotonic() + 5.0
-            while not all_testable(reqs) and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return waitany(reqs)
-
-        rt = Runtime(nranks=2)
-        assert rt.run(main)[0] == (0, "early")
-        assert sum(rt.mailbox(r).blocked for r in range(2)) == 0
-
-    def test_blocks_until_the_first_of_n_and_unblocks(self):
-        def main(comm):
-            if comm.rank == 1:
-                time.sleep(0.05)
-                comm.send("second", dest=0, tag=2)
-                return None
-            reqs = [comm.irecv(source=1, tag=1), comm.irecv(source=1, tag=2)]
-            got = waitany(reqs)
-            blocked = sum(comm._runtime.mailbox(r).blocked for r in range(2))
-            return got, blocked, reqs[0].test()
-
-        rt = Runtime(nranks=2)
-        assert rt.run(main)[0] == ((1, "second"), 0, False)
-
+class TestWaits:
     def test_abort_is_seen_within_one_poll(self):
         elapsed = []
 
@@ -485,7 +455,7 @@ class TestWaitany:
             reqs = [comm.irecv(source=1, tag=t) for t in (1, 2, 3)]
             t0 = time.monotonic()
             try:
-                waitany(reqs)
+                waitall(reqs)
             except AbortError:
                 elapsed.append(time.monotonic() - t0)
                 raise

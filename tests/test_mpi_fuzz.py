@@ -6,10 +6,9 @@ deterministic across repeat runs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi import Runtime, waitall, waitany
+from repro.mpi import Runtime, waitall
 
 
 def random_plan(seed, nranks, max_msgs=4):
@@ -129,44 +128,3 @@ class TestTrafficFuzz:
             assert ids == sorted(
                 k for (_s, d, _t, _l, k) in plan if d == me
             )
-
-
-class TestWaitany:
-    def test_returns_first_completable(self):
-        """Only tag-2 is in flight when waitany runs -> index 1."""
-
-        def main(comm):
-            if comm.rank == 0:
-                reqs = [
-                    comm.irecv(source=1, tag=1),
-                    comm.irecv(source=1, tag=2),
-                ]
-                idx, payload = waitany(reqs)
-                comm.send("ack", dest=1, tag=9)
-                rest = reqs[0].wait()
-                return idx, payload, rest
-            comm.send("two", dest=0, tag=2)
-            comm.recv(source=0, tag=9)       # rank 0 got "two" already
-            comm.send("one", dest=0, tag=1)
-            return None
-
-        idx, payload, rest = Runtime(nranks=2).run(main)[0]
-        assert (idx, payload) == (1, "two")
-        assert rest == "one"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            waitany([])
-
-    def test_send_requests_complete_immediately(self):
-        def main(comm):
-            if comm.rank == 0:
-                req = comm.isend(5, dest=1)
-                idx, _ = waitany([req])
-                comm.barrier()
-                return idx
-            comm.recv(source=0)
-            comm.barrier()
-            return None
-
-        assert Runtime(nranks=2).run(main)[0] == 0

@@ -104,53 +104,6 @@ class TestDeadlockDetection:
             Runtime(nranks=2).run(main)
 
 
-class TestCommManagement:
-    def test_dup_isolates_traffic(self):
-        def main(comm):
-            dup = comm.dup()
-            # Same-signature message on each comm; must not cross.
-            other = 1 - comm.rank
-            r1 = comm.irecv(source=other, tag=1)
-            r2 = dup.irecv(source=other, tag=1)
-            dup.send("dup", dest=other, tag=1)
-            comm.send("world", dest=other, tag=1)
-            return r1.wait(), r2.wait()
-
-        res = Runtime(nranks=2).run(main)
-        assert res == [("world", "dup")] * 2
-
-    def test_split_groups_and_ranks(self):
-        def main(comm):
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            return sub.rank, sub.size, sub.allreduce(comm.rank)
-
-        res = Runtime(nranks=6).run(main)
-        evens = sum(r for r in range(6) if r % 2 == 0)
-        odds = sum(r for r in range(6) if r % 2 == 1)
-        for r, (sub_rank, sub_size, total) in enumerate(res):
-            assert sub_size == 3
-            assert sub_rank == r // 2
-            assert total == (evens if r % 2 == 0 else odds)
-
-    def test_split_key_reorders(self):
-        def main(comm):
-            sub = comm.split(color=0, key=-comm.rank)
-            return sub.rank
-
-        res = Runtime(nranks=4).run(main)
-        assert res == [3, 2, 1, 0]
-
-    def test_split_negative_color_returns_none(self):
-        def main(comm):
-            sub = comm.split(color=-1 if comm.rank == 0 else 0)
-            if sub is None:
-                return None
-            return sub.size
-
-        res = Runtime(nranks=3).run(main)
-        assert res == [None, 2, 2]
-
-
 class TestReporting:
     def test_clock_stats(self):
         def main(comm):

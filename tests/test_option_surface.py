@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.core import CMTBoneConfig, NekboneConfig
 from repro.lb import RebalancePolicy
-from repro.mpi import ProcsBackend, Runtime
+from repro.mpi import Comm, ProcsBackend, Runtime
 from repro.net import SocketBackend
 from repro.perfmodel import MachineModel
 from repro.solver import CMTSolver, SolverConfig
@@ -69,11 +69,30 @@ PARAMETERS = {
     ),
 }
 
+#: Public methods and properties, in definition order.  Each is called
+#: by program code (``src/``, ``benchmarks/`` or ``examples/``); an
+#: operation only tests call is not kept.
+METHODS = {
+    Comm: (
+        "machine", "faults", "profile", "time", "compute", "shadow",
+        "send", "isend", "recv", "irecv", "barrier", "allreduce",
+        "allgather", "alltoall",
+    ),
+}
+
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_config_fields(cls):
     got = tuple(f.name for f in dataclasses.fields(cls))
     assert got == FIELDS[cls], f"{cls.__name__} fields changed. {OPTIONS_RULE}"
+
+
+@pytest.mark.parametrize("cls", METHODS, ids=lambda c: c.__name__)
+def test_public_methods(cls):
+    got = tuple(name for name in vars(cls) if not name.startswith("_"))
+    assert got == METHODS[cls], (
+        f"{cls.__name__} public methods changed. {OPTIONS_RULE}"
+    )
 
 
 @pytest.mark.parametrize("fn", PARAMETERS, ids=lambda f: f.__qualname__)

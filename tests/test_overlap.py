@@ -19,7 +19,6 @@ from repro.gs import gs_op, gs_op_begin, gs_op_finish, gs_setup
 from repro.mesh import BoxMesh, Partition
 from repro.mesh.numbering import dg_face_numbering
 from repro.mpi import MAX, SUM, Runtime
-from repro.mpi import testall as mpi_testall
 from repro.mpi import waitall as mpi_waitall
 from repro.perfmodel import MachineModel
 from repro.solver import CMTSolver, ShockFilter, SolverConfig, from_primitives
@@ -27,7 +26,7 @@ from repro.solver.boundary import BoundarySpec
 from repro.solver.riemann import SOD_LEFT, SOD_RIGHT
 
 
-class TestWaitallTestall:
+class TestWaitall:
     def test_waitall_orders_payloads(self):
         def main(comm):
             reqs = [
@@ -48,22 +47,14 @@ class TestWaitallTestall:
                 ((rank + 1) % 3) * 10 + 1, ((rank + 2) % 3) * 10 + 2
             ]
 
-    def test_testall_send_only(self):
-        def main(comm):
-            reqs = [comm.isend(1, dest=comm.rank)]
-            comm.recv(source=comm.rank)
-            return mpi_testall(reqs)
-
-        assert Runtime(nranks=1).run(main) == [True]
-
-    def test_testall_incomplete_then_waitall(self):
+    def test_incomplete_then_waitall(self):
         def main(comm):
             if comm.rank == 0:
                 req = comm.irecv(source=1)
                 before = req.test()  # may be False: nothing sent yet
                 comm.send(None, dest=1)  # unblock the sender
                 payload = mpi_waitall([req])[0]
-                return before, payload, mpi_testall([req])
+                return before, payload, req.test()
             comm.recv(source=0)
             comm.send("data", dest=0)
             return None

@@ -4,7 +4,9 @@ The ring lives in an anonymous shared mapping, so nothing a job does can
 leave a name in ``/dev/shm`` or start ``multiprocessing``'s resource
 tracker.  A record longer than a quarter of the ring travels as
 consecutive fragments that ``pop`` joins; a record its writer abandons
-between fragments is dropped whole.
+between fragments is dropped whole.  A writer that dies holding the
+writer lock wedges no later sender: they still see the abort and their
+give-up test.
 """
 
 import json
@@ -128,6 +130,41 @@ def test_record_cut_between_fragments_is_dropped(ring, stop, after_len):
     assert ring.pop(0) is None
 
 
+def _take_lock_and_die(ring):
+    ring.writer_lock.acquire()
+    os._exit(0)
+
+
+@pytest.mark.parametrize("stop", ["abort", "give_up"])
+def test_writer_dead_with_the_lock_wedges_no_sender(ring, stop):
+    child = CTX.Process(target=_take_lock_and_die, args=(ring,))
+    child.start()
+    child.join(timeout=10.0)
+    assert child.exitcode == 0
+    abort = threading.Event()
+    abort.set()
+    kwargs = (
+        {"abort_event": abort} if stop == "abort"
+        else {"give_up": lambda: True}
+    )
+    out = []
+
+    def push():
+        try:
+            out.append(ring.push(b"late", **kwargs))
+        except AbortError as exc:
+            out.append(exc)
+
+    t = threading.Thread(target=push, daemon=True)
+    t.start()
+    t.join(timeout=1.0)
+    assert not t.is_alive(), "push waited on the dead writer's lock"
+    if stop == "abort":
+        assert isinstance(out[0], AbortError)
+    else:
+        assert out == [False]
+
+
 _FRESH_JOB = textwrap.dedent("""
     import json, os, sys
     import numpy as np
@@ -138,8 +175,8 @@ _FRESH_JOB = textwrap.dedent("""
         peer = 1 - comm.rank
         out = []
         for n in (3, 100, 4000):  # the last is several rings long
-            got = comm.sendrecv(np.full(n, comm.rank, dtype=np.float64),
-                                dest=peer, source=peer)
+            comm.send(np.full(n, comm.rank, dtype=np.float64), dest=peer)
+            got = comm.recv(source=peer)
             out.append(float(got.sum()))
         return out
 
