@@ -195,6 +195,45 @@ class TestWildcardDelivery:
             assert seq == list(range(nmsg)), f"source {src} out of order"
 
 
+SIZES = [1, 2, 3, 4, 5, 7, 8, 12, 16]
+
+
+@pytest.mark.parametrize("p", SIZES)
+class TestAcrossSizes:
+    def test_ring_exchange_with_waitall(self, p):
+        """Each rank swaps with both neighbours through isend/irecv and
+        one waitall, the pairwise gather-scatter pattern."""
+
+        def main(comm):
+            right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
+            reqs = [
+                comm.irecv(source=left, tag=1),
+                comm.irecv(source=right, tag=2),
+            ]
+            comm.isend(np.full(2, comm.rank), dest=right, tag=1)
+            comm.isend(np.full(3, comm.rank), dest=left, tag=2)
+            return waitall(reqs)
+
+        for r, (from_left, from_right) in enumerate(run(p, main)):
+            np.testing.assert_array_equal(from_left, np.full(2, (r - 1) % p))
+            np.testing.assert_array_equal(from_right, np.full(3, (r + 1) % p))
+
+    def test_any_source_collects_from_every_peer(self, p):
+        def main(comm):
+            if comm.rank != 0:
+                comm.send(comm.rank * 10, dest=0, tag=comm.rank)
+                return None
+            got = {}
+            for _ in range(comm.size - 1):
+                payload, status = comm.recv(return_status=True)
+                assert status.tag == status.source
+                got[status.source] = payload
+            return got
+
+        assert run(p, main)[0] == {r: r * 10 for r in range(1, p)}
+
+
 class TestRankValidation:
     def test_bad_dest(self):
         from repro.mpi import MPIError
