@@ -5,36 +5,24 @@ paper Section VI) at the kernel tier: for a concrete ``(program, N,
 Nel)`` problem, time every applicable schedule from
 :data:`repro.kir.passes.SCHEDULES` and remember the winner.
 
-Because kernel timings depend only on the machine (not the run), the
-winner table is persisted to a small JSON file keyed by a host
-fingerprint, so the measurement cost is paid once per host::
+Because kernel timings depend only on the machine (not the run), each
+winner is persisted as one small JSON file per ``(program, N, Nel,
+lowering)`` in a per-host directory (:func:`repro.store.host_dir`), so
+the measurement cost is paid once per host::
 
-    {
-      "version": 1,
-      "hosts": {
-        "<node>/<machine>/<system>": {
-          "dudr:n10:nel64:numpy": {
-            "schedule": "gemm",
-            "timings": {"gemm": 1.2e-4, "plane": 9.8e-4, ...},
-            "checked": ["gemm", "plane", ...]
-          }
-        }
-      }
-    }
+    <cache dir>/<host>/dudr-n10-nel64-numpy-v2.json
+        {"schedule": "gemm",
+         "timings": {"gemm": 1.2e-4, "plane": 9.8e-4, ...},
+         "checked": ["gemm", "plane", ...]}
 
-The file location is ``$REPRO_CACHE_DIR/kernel-autotune.json`` when
-the environment variable is set (tests and CI point it at a temp
-directory), else ``~/.cache/repro/kernel-autotune.json``.  The file
-follows the :mod:`repro.store` protocol: writes are atomic and
-*merged* — the persist path re-reads the file under its advisory lock
-and folds the new entry into the current disk state
-(:func:`merge_entry`), so two processes tuning different programs
-concurrently cannot overwrite each other's entries (last-writer-wins
-lost updates) — and a missing, corrupt, or wrong-version file degrades
-to an empty cache with a warning rather than an error.
-:data:`CACHE_STATS` counts hits, misses, and ``races_merged`` — the
-number of persist cycles that found (and kept) a concurrent writer's
-entries — so both a warm second run and a survived write race are
+The cache directory is ``$REPRO_CACHE_DIR/kernel-autotune`` when the
+environment variable is set (tests and CI point it at a temp
+directory), else ``~/.cache/repro/kernel-autotune``.  Entries follow
+the :mod:`repro.store` protocol: each is written atomically to its own
+file, so two processes tuning different programs never touch the same
+file, and a missing, corrupt or wrong-type entry is a miss (the last
+two with a warning) that retunes rather than an error.
+:data:`CACHE_STATS` counts hits and misses, so a warm second run is
 observable.
 
 Candidates are screened for correctness before they are timed: each
@@ -47,6 +35,7 @@ bitwise-identical to the reference loops in
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -54,14 +43,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autotune import best_time, host_fingerprint
-from ..store import file_lock, load_versioned, save_versioned
+from ..autotune import best_time
+from ..store import atomic_write, host_dir, read_entry
 from .ir import Program
 from .lower import DEFAULT_LOWERING, LoweredKernel, lower
 from .passes import ORDER_PRESERVING, applicable_schedules, schedule
 
-CACHE_VERSION = 1
-CACHE_FILENAME = "kernel-autotune.json"
+#: Layout version, part of every entry's file name.  2: one file per
+#: entry (1 was one ``kernel-autotune.json`` table, now ignored).
+CACHE_VERSION = 2
+CACHE_DIRNAME = "kernel-autotune"
 
 #: Normwise relative tolerance for the candidate correctness screen
 #: (``max|got - ref| <= SCREEN_RTOL * max|ref|`` — elementwise rtol is
@@ -83,77 +74,64 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     load_errors: int = 0
-    #: Persist cycles that found (and preserved) entries written to
-    #: disk by a concurrent tuner since this process last read the
-    #: file — each count is a lost-update race that merge-under-lock
-    #: turned into a merge instead (see :func:`merge_entry`).
-    races_merged: int = 0
 
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.load_errors = 0
-        self.races_merged = 0
 
 
 CACHE_STATS = CacheStats()
 
 
 def default_cache_path() -> str:
-    """Resolve the autotune cache file path (env-overridable)."""
+    """Resolve the autotune cache directory (env-overridable)."""
     root = os.environ.get("REPRO_CACHE_DIR")
     if not root:
         root = os.path.join(os.path.expanduser("~"), ".cache", "repro")
-    return os.path.join(root, CACHE_FILENAME)
+    return os.path.join(root, CACHE_DIRNAME)
 
 
 def cache_key(
     program: str, n: int, nel: int, lowering: str = DEFAULT_LOWERING
 ) -> str:
-    return f"{program}:n{n}:nel{nel}:{lowering}"
+    return f"{program}-n{n}-nel{nel}-{lowering}"
 
 
-def load_cache(path: str) -> Dict[str, Dict[str, dict]]:
-    """Read the host table; tolerate missing/corrupt/stale files."""
-    hosts, bad = load_versioned(
-        path, CACHE_VERSION, "hosts", "kernel autotune cache",
-        "retuning from scratch",
+def entry_path(path: str, key: str) -> str:
+    """File of ``key``'s entry in cache directory ``path`` (this host)."""
+    return os.path.join(host_dir(path), f"{key}-v{CACHE_VERSION}.json")
+
+
+def _decode(fh) -> dict:
+    entry = json.load(fh)
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("schedule"), str)
+        and isinstance(entry.get("timings"), dict)
+        and isinstance(entry.get("checked"), list)
+    ):
+        raise ValueError("not a schedule entry")
+    return entry
+
+
+def load_entry(path: str, key: str) -> Optional[dict]:
+    """This host's entry for ``key``, or None; never raises."""
+    entry, bad = read_entry(
+        entry_path(path, key), _decode, "kernel autotune entry"
     )
     CACHE_STATS.load_errors += bad
-    return hosts
+    return entry
 
 
-def merge_entry(
-    path: str,
-    host: str,
-    key: str,
-    entry: dict,
-    known: Optional[Dict[str, Dict[str, dict]]] = None,
-) -> None:
-    """Fold one tuned entry into the on-disk cache without losing races.
+def save_entry(path: str, key: str, entry: dict) -> None:
+    """Atomically write this host's entry for ``key``."""
 
-    A bare load→modify→save between two processes tuning *different*
-    programs is a lost-update race: the last writer's ``os.replace``
-    discards the other's entry.  This helper re-reads the file under
-    its advisory lock (:func:`repro.store.file_lock`) and merges into
-    the *current* disk state, so concurrent tuners interleave instead
-    of clobbering.
+    def write(fh) -> None:
+        json.dump(entry, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
-    ``known`` is the caller's earlier snapshot of the file (what it
-    believed was on disk before measuring); any key present on disk now
-    but absent from ``known`` was written concurrently, and detecting
-    one bumps ``CACHE_STATS.races_merged``.
-    """
-    with file_lock(path):
-        hosts = load_cache(path)
-        if known is not None:
-            for h, entries in hosts.items():
-                seen = known.get(h, {})
-                if any(k not in seen for k in entries):
-                    CACHE_STATS.races_merged += 1
-                    break
-        hosts.setdefault(host, {})[key] = entry
-        save_versioned(path, CACHE_VERSION, "hosts", hosts)
+    atomic_write(entry_path(path, key), "w", write)
 
 
 @dataclass(frozen=True)
@@ -218,24 +196,19 @@ def tune_program(
     if not names:
         raise ValueError(f"{prog.name}: no applicable schedules")
     key = cache_key(prog.name, n, nel, lowering)
-    host = host_fingerprint()
-    hosts = load_cache(path) if use_cache else {}
-    entry = hosts.get(host, {}).get(key)
-    if use_cache and isinstance(entry, dict):
-        sched = entry.get("schedule")
-        if sched in names:
-            CACHE_STATS.hits += 1
-            timings = entry.get("timings")
-            return TuneResult(
-                program=prog.name,
-                n=n,
-                nel=nel,
-                lowering=lowering,
-                schedule=sched,
-                timings=dict(timings) if isinstance(timings, dict) else {},
-                checked=tuple(entry.get("checked", ())),
-                from_cache=True,
-            )
+    entry = load_entry(path, key) if use_cache else None
+    if entry is not None and entry["schedule"] in names:
+        CACHE_STATS.hits += 1
+        return TuneResult(
+            program=prog.name,
+            n=n,
+            nel=nel,
+            lowering=lowering,
+            schedule=entry["schedule"],
+            timings=dict(entry["timings"]),
+            checked=tuple(entry["checked"]),
+            from_cache=True,
+        )
     CACHE_STATS.misses += 1
 
     inputs = synth_inputs(prog, nel, seed)
@@ -287,16 +260,14 @@ def tune_program(
     )
     if use_cache:
         try:
-            merge_entry(
+            save_entry(
                 path,
-                host,
                 key,
                 {
                     "schedule": winner,
                     "timings": timings,
                     "checked": checked,
                 },
-                known=hosts,
             )
         except OSError as exc:
             warnings.warn(

@@ -120,7 +120,7 @@ class KernelLibrary:
         tkey = (program, n, m, nel)
         sched = self._tuned.get(tkey)
         if sched is None:
-            # Only this branch needs the tuner's json/tempfile/fcntl.
+            # Only this branch needs the tuner's json/tempfile.
             from .autotune import tune_program
 
             with self._lock:

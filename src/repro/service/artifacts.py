@@ -35,13 +35,12 @@ spill directory additionally *publishes* every complete entry to disk
 and *fetches* entries it does not hold in memory from disk, so warm
 setup artifacts survive a service restart and are shared across all
 pool workers of one host.  The on-disk protocol is the one the kir
-autotune cache uses (:mod:`repro.store`): payloads are pickled to
-per-entry blob files committed with tmp + ``os.replace``, and a small
-``index.json`` is maintained with an advisory lock around a
-read-merge-write cycle, so concurrent workers publishing different
-keys interleave instead of clobbering each other (lost-update races
-are *merged* and counted).  Only complete ``nranks`` entries are ever
-published — a partial entry cannot exist on disk — and because
+autotune cache uses (:mod:`repro.store`): each entry is one pickled
+file named by its key, rank count and layout version, committed with
+tmp + ``os.replace``, and a fetch opens exactly that file — so
+concurrent workers publishing different keys never touch the same
+file.  Only complete ``nranks`` entries are ever published — a partial
+entry cannot exist on disk — and because
 :meth:`SetupArtifact.apply` restores absolute state that pickle
 round-trips exactly, a disk hit is as bitwise-invisible as a memory
 hit (the advanced-clock refusal also survives the round trip
@@ -59,14 +58,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-from ..store import atomic_write, file_lock, load_versioned, save_versioned
+from ..store import atomic_write, host_dir, read_entry
 
-#: Schema version of the on-disk index *and* of what the blobs pickle:
+#: Layout version of what the entry files pickle, part of their name:
 #: bump it whenever a pickled class (``GSHandle``, ``SetupArtifact``)
 #: changes layout, so older spills read as cold instead of unpickling
 #: into objects that lack the new attributes.  2: compiled gs plan.
 DISK_VERSION = 2
-INDEX_FILENAME = "index.json"
 
 
 def artifact_key(
@@ -196,120 +194,66 @@ class CacheStats:
     disk_hits: int = 0
     #: Complete entries this cache published to the disk spill.
     disk_stores: int = 0
-    #: Publish cycles whose index merge found (and kept) keys written
-    #: concurrently by another worker — survived lost-update races.
-    races_merged: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return dict(vars(self))
 
 
-def _host_dirname() -> str:
-    """Filesystem-safe per-host spill subdirectory name."""
-    from ..autotune import host_fingerprint
-
-    fp = host_fingerprint()
-    safe = "".join(c if (c.isalnum() or c in "._-") else "_" for c in fp)
-    return f"{safe}-{hashlib.blake2b(fp.encode(), digest_size=4).hexdigest()}"
-
-
 class DiskArtifactStore:
     """Per-host on-disk spill of complete artifact-cache entries.
 
-    Layout under ``root`` (one subdirectory per host fingerprint, so a
-    shared filesystem never mixes machines)::
+    Layout under ``root`` (one subdirectory per host fingerprint,
+    :func:`repro.store.host_dir`, so a shared filesystem never mixes
+    machines)::
 
-        <root>/<host>/index.json        {"version": DISK_VERSION, "entries":
-                                         {key: {"nranks", "method", "blob"}}}
-        <root>/<host>/<key>-r<N>.pkl    pickled CacheEntry
+        <root>/<host>/<key>-r<N>-v<DISK_VERSION>.pkl    pickled CacheEntry
 
-    Blobs are committed first (tmp + ``os.replace``), then the index is
-    updated under an advisory ``<index>.lock`` with a read-merge-write
-    cycle (:mod:`repro.store`), so the index never references a missing
-    blob and concurrent publishers of different keys never lose each
-    other's entries.
+    Each entry is committed with tmp + ``os.replace`` and read back
+    with :func:`repro.store.read_entry`, so concurrent publishers of
+    different keys never share a file.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = os.fspath(root)
-        self.host_dir = os.path.join(self.root, _host_dirname())
-        self._index_path = os.path.join(self.host_dir, INDEX_FILENAME)
-        #: Keys this process last observed in the index; a publish that
-        #: finds keys beyond these was raced by a concurrent writer
-        #: (``None`` until the first read — nothing to compare against).
-        self._known: Optional[frozenset] = None
+        self.host_dir = host_dir(os.fspath(root))
 
-    def _load_index(self) -> Dict[str, dict]:
-        """Entry table; a missing/corrupt/stale index degrades to {}."""
-        return load_versioned(
-            self._index_path, DISK_VERSION, "entries", "artifact index",
-            "treating the disk cache as cold",
-        )[0]
+    def entry_path(self, key: str, nranks: int) -> str:
+        return os.path.join(
+            self.host_dir, f"{key}-r{nranks}-v{DISK_VERSION}.pkl"
+        )
 
-    # -- publish / fetch ----------------------------------------------
-
-    def _blob_name(self, key: str, nranks: int) -> str:
-        return f"{key}-r{nranks}.pkl"
-
-    def publish(self, key: str, entry: "CacheEntry",
-                stats: Optional[CacheStats] = None) -> None:
-        """Spill one *complete* entry (blob first, then index merge)."""
+    def publish(self, key: str, entry: "CacheEntry") -> None:
+        """Spill one *complete* entry."""
         if len(entry.ranks) != entry.nranks:
             raise ValueError(
                 f"refusing to publish a partial entry for {key!r}: "
                 f"{len(entry.ranks)}/{entry.nranks} ranks"
             )
-        blob = self._blob_name(key, entry.nranks)
         atomic_write(
-            os.path.join(self.host_dir, blob), "wb",
+            self.entry_path(key, entry.nranks), "wb",
             lambda fh: pickle.dump(
                 entry, fh, protocol=pickle.HIGHEST_PROTOCOL
             ),
         )
-        with file_lock(self._index_path):
-            entries = self._load_index()
-            if (stats is not None and self._known is not None
-                    and any(k != key and k not in self._known
-                            for k in entries)):
-                stats.races_merged += 1
-            entries[key] = {
-                "nranks": entry.nranks,
-                "method": entry.method,
-                "blob": blob,
-            }
-            save_versioned(
-                self._index_path, DISK_VERSION, "entries", entries
-            )
-            self._known = frozenset(entries)
 
     def fetch(self, key: str, nranks: int) -> Optional["CacheEntry"]:
         """Load a complete entry from disk, or None (never raises)."""
-        entries = self._load_index()
-        self._known = frozenset(entries)
-        meta = entries.get(key)
-        if not isinstance(meta, dict) or meta.get("nranks") != nranks:
-            return None
-        path = os.path.join(self.host_dir, str(meta.get("blob", "")))
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError) as exc:
-            warnings.warn(
-                f"artifact blob {path!r} unreadable ({exc}); "
-                "treating as a miss",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        if (not isinstance(entry, CacheEntry)
-                or entry.nranks != nranks
-                or len(entry.ranks) != entry.nranks):
-            return None
-        return entry
 
-    def keys(self):
-        return sorted(self._load_index())
+        def load(fh) -> CacheEntry:
+            entry = pickle.load(fh)
+            if not (
+                isinstance(entry, CacheEntry)
+                and entry.nranks == nranks
+                and set(entry.ranks) == set(range(nranks))
+                and all(
+                    isinstance(a, SetupArtifact) for a in entry.ranks.values()
+                )
+            ):
+                raise ValueError(f"not a complete {nranks}-rank entry")
+            return entry
+
+        return read_entry(
+            self.entry_path(key, nranks), load, "artifact entry"
+        )[0]
 
 
 class ArtifactCache:
@@ -380,7 +324,7 @@ class ArtifactCache:
                 self._entries[key] = entry
                 if self.disk is not None:
                     try:
-                        self.disk.publish(key, entry, stats=self.stats)
+                        self.disk.publish(key, entry)
                         self.stats.disk_stores += 1
                     except OSError as exc:
                         warnings.warn(

@@ -1,86 +1,57 @@
-"""One on-disk table protocol for the small persistent caches.
+"""One file per entry: the protocol of the small persistent caches.
 
-The kir autotune cache (:mod:`repro.kir.autotune`) and the artifact
-index (:mod:`repro.service.artifacts`) are both a versioned JSON
-document ``{"version": V, "<section>": {...}}`` that several processes
-update concurrently.  The protocol, once:
-
-* **read** (:func:`load_versioned`) — a missing file is an empty table;
-  a corrupt one, or one written by another schema version, degrades to
-  an empty table with a warning, never an error;
-* **write** (:func:`atomic_write`, :func:`save_versioned`) — a tmp file
-  in the same directory, then ``os.replace``, so readers see the old
-  bytes or the new ones, never a torn file;
-* **read-merge-write** under :func:`file_lock` — an advisory ``flock``
-  on a sibling ``<path>.lock``, so lockers never contend with the
-  ``os.replace`` of the file itself and two writers of different keys
-  interleave instead of discarding each other's entries.
+The kir autotune cache (:mod:`repro.kir.autotune`) and the service's
+disk artifact cache (:mod:`repro.service.artifacts`) keep each entry
+in its own file, named by its key and layout version, in one per-host
+directory (:func:`host_dir`).  A writer commits a tmp file with
+``os.replace`` (:func:`atomic_write`), so readers see old or new bytes,
+never a torn file, and a writer killed mid-write leaves only a tmp file
+no reader opens.  Writers of different keys never share a file; writers
+of one key write equal entries and the last replace wins.  A reader
+opens exactly the file it needs (:func:`read_entry`).
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 import tempfile
 import warnings
-from contextlib import contextmanager
-from typing import Callable, Dict, Tuple
+from typing import Callable, Optional, Tuple
 
-try:  # advisory file locking (POSIX); degrade gracefully elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
+from .autotune import host_fingerprint
 
 
-@contextmanager
-def file_lock(path: str):
-    """Hold the exclusive advisory lock that guards ``path``.
-
-    Without :mod:`fcntl` the lock degrades to a no-op and only the
-    merge-before-replace of the caller protects concurrent writers
-    (best effort).
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        yield
-        return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path + ".lock", "w") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
+def host_dir(root: str) -> str:
+    """Filesystem-safe per-host subdirectory of ``root`` (named by
+    :func:`repro.autotune.host_fingerprint`, ``REPRO_HOST_ID``-aware)."""
+    fp = host_fingerprint()
+    safe = "".join(c if (c.isalnum() or c in "._-") else "_" for c in fp)
+    tag = hashlib.blake2b(fp.encode(), digest_size=4).hexdigest()
+    return os.path.join(root, f"{safe}-{tag}")
 
 
-def load_versioned(path: str, version: int, section: str, what: str,
-                   cold: str) -> Tuple[Dict[str, dict], bool]:
-    """Read ``section`` of the document at ``path``.
+def read_entry(
+    path: str, load: Callable, what: str
+) -> Tuple[Optional[object], bool]:
+    """``(load(fh), False)`` for the binary file at ``path``.
 
-    Returns ``(table, bad)``: ``bad`` is true when the file was there
-    but unreadable or of another layout, in which case a warning
-    ``"<what> '<path>' ...; <cold>"`` was issued and the table is empty.
+    A missing file is ``(None, False)``; any failure to read it, or of
+    ``load`` to decode or accept it, warns and is ``(None, True)``.
     """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            return load(fh), False
     except FileNotFoundError:
-        return {}, False
-    except (OSError, json.JSONDecodeError) as exc:
+        return None, False
+    except Exception as exc:  # any corruption is a miss, never a crash
         warnings.warn(
-            f"{what} {path!r} unreadable ({exc}); {cold}",
+            f"{what} {path!r} unreadable ({type(exc).__name__}: {exc}); "
+            "treating it as a miss",
             RuntimeWarning,
             stacklevel=3,
         )
-        return {}, True
-    if not isinstance(data, dict) or data.get("version") != version:
-        warnings.warn(
-            f"{what} {path!r} has unsupported layout; {cold}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return {}, True
-    table = data.get(section)
-    return (table if isinstance(table, dict) else {}), False
+        return None, True
 
 
 def atomic_write(path: str, mode: str, write: Callable) -> None:
@@ -100,15 +71,3 @@ def atomic_write(path: str, mode: str, write: Callable) -> None:
         except OSError:
             pass
         raise
-
-
-def save_versioned(path: str, version: int, section: str,
-                   table: Dict[str, dict]) -> None:
-    """Atomically persist ``{"version": version, section: table}``."""
-
-    def write(fh) -> None:
-        json.dump({"version": version, section: table}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
-
-    atomic_write(path, "w", write)

@@ -26,6 +26,7 @@ from repro.kernels import derivatives as dk
 from repro.kernels.operators import interpolation_matrix
 from repro.kernels.workspace import Workspace
 from repro.kir import autotune as at
+from repro.store import host_dir
 
 from . import kernel_oracles as oracle
 
@@ -324,7 +325,7 @@ class TestBitwiseMatrix:
 
 @pytest.fixture
 def cache_path(tmp_path):
-    return str(tmp_path / "kernel-autotune.json")
+    return str(tmp_path / "kernel-autotune")
 
 
 def quick_tune(prog, nel, path, **kw):
@@ -340,7 +341,9 @@ class TestAutotune:
         cold = quick_tune(prog, 16, cache_path)
         assert not cold.from_cache
         assert at.CACHE_STATS.misses == 1 and at.CACHE_STATS.hits == 0
-        assert os.path.exists(cache_path)
+        assert os.path.exists(
+            at.entry_path(cache_path, at.cache_key("dudr", 8, 16))
+        )
         warm = quick_tune(prog, 16, cache_path)
         assert warm.from_cache
         assert warm.schedule == cold.schedule
@@ -355,45 +358,68 @@ class TestAutotune:
     def test_cache_file_schema(self, cache_path):
         prog = kir.build_program("dudt", 6)
         quick_tune(prog, 8, cache_path)
-        with open(cache_path) as fh:
-            data = json.load(fh)
-        assert data["version"] == 1
-        entry = data["hosts"][host_fingerprint()][
-            at.cache_key("dudt", 6, 8)
-        ]
+        # One file for the one entry, in this host's directory, with
+        # the key and the layout version in its name.
+        host = host_dir(cache_path)
+        assert os.listdir(cache_path) == [os.path.basename(host)]
+        assert os.listdir(host) == ["dudt-n6-nel8-numpy-v2.json"]
+        with open(os.path.join(host, os.listdir(host)[0])) as fh:
+            entry = json.load(fh)
+        assert set(entry) == {"schedule", "timings", "checked"}
         assert entry["schedule"] in kir.SCHEDULES
         assert entry["timings"][entry["schedule"]] > 0
 
     def test_corrupt_cache_degrades_gracefully(self, cache_path):
         prog = kir.build_program("dudr", 6)
-        with open(cache_path, "w") as fh:
+        path = at.entry_path(cache_path, at.cache_key("dudr", 6, 8))
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:
             fh.write("{ definitely not json")
         at.CACHE_STATS.reset()
         with pytest.warns(RuntimeWarning, match="unreadable"):
             res = quick_tune(prog, 8, cache_path)
         assert not res.from_cache
-        assert at.CACHE_STATS.load_errors >= 1
+        assert at.CACHE_STATS.load_errors == 1
         # and the retune healed the file
-        assert at.load_cache(cache_path) != {}
+        healed = at.load_entry(cache_path, at.cache_key("dudr", 6, 8))
+        assert healed["schedule"] == res.schedule
 
-    def test_stale_version_degrades_gracefully(self, cache_path):
-        with open(cache_path, "w") as fh:
-            json.dump({"version": 99, "hosts": {}}, fh)
-        with pytest.warns(RuntimeWarning, match="unsupported"):
-            assert at.load_cache(cache_path) == {}
+    def test_stale_version_degrades_gracefully(self, cache_path, tmp_path):
+        """Neither the one-table ``kernel-autotune.json`` of layout 1
+        nor an entry file of another version is read: the cache reads
+        cold, without a warning."""
+        import warnings
+
+        key = at.cache_key("dudr", 6, 8)
+        winner = {"schedule": "gemm", "timings": {"gemm": 1e-9},
+                  "checked": ["gemm"]}
+        with open(tmp_path / "kernel-autotune.json", "w") as fh:
+            json.dump({"version": 1,
+                       "hosts": {host_fingerprint(): {key: winner}}}, fh)
+        stale = at.entry_path(cache_path, key).replace(
+            f"-v{at.CACHE_VERSION}.json", "-v1.json")
+        os.makedirs(os.path.dirname(stale))
+        with open(stale, "w") as fh:
+            json.dump(winner, fh)
+        at.CACHE_STATS.reset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = quick_tune(kir.build_program("dudr", 6), 8, cache_path)
+        assert not res.from_cache
+        assert (at.CACHE_STATS.misses, at.CACHE_STATS.load_errors) == (1, 0)
 
     def test_removed_schedule_entry_is_a_miss(self, cache_path):
         """A persisted winner naming a schedule that no longer exists
         re-tunes and overwrites; it never reaches ``SCHEDULES[...]``."""
         key = at.cache_key("duds", 6, 8)
-        at.merge_entry(cache_path, host_fingerprint(), key,
-                       {"schedule": "tbatch", "timings": {"tbatch": 1e-9},
-                        "checked": ["tbatch"]})
+        at.save_entry(cache_path, key,
+                      {"schedule": "tbatch", "timings": {"tbatch": 1e-9},
+                       "checked": ["tbatch"]})
         at.CACHE_STATS.reset()
         res = quick_tune(kir.build_program("duds", 6), 8, cache_path)
         assert not res.from_cache and res.schedule in kir.SCHEDULES
         assert at.CACHE_STATS.misses == 1 and at.CACHE_STATS.hits == 0
-        entry = at.load_cache(cache_path)[host_fingerprint()][key]
+        entry = at.load_entry(cache_path, key)
         assert entry["schedule"] == res.schedule
         assert "tbatch" not in entry["timings"]
         lib = kir.KernelLibrary(cache_path=cache_path)
@@ -408,9 +434,7 @@ class TestAutotune:
 
     def test_env_var_controls_default_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert at.default_cache_path() == str(
-            tmp_path / "kernel-autotune.json"
-        )
+        assert at.default_cache_path() == str(tmp_path / "kernel-autotune")
 
     def test_candidate_screen_excludes_wrong_results(
         self, cache_path, monkeypatch
@@ -506,7 +530,10 @@ class TestLibrary:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert at.CACHE_STATS.misses == 1 and at.CACHE_STATS.hits == 0
-        assert at.CACHE_STATS.races_merged == 0
+        entry = at.entry_path(cache_path, at.cache_key("grad", 5, 8))
+        assert os.listdir(os.path.dirname(entry)) == [
+            os.path.basename(entry)
+        ]
         assert got[0] is not None and all(k is got[0] for k in got)
 
     def test_schedules_introspection(self):
@@ -616,32 +643,91 @@ class TestSharedAutotune:
         assert dt >= 0.0
 
 
-def _merge_worker(path, host, keys, barrier):
-    """Child process: merge several entries after a common barrier."""
-    from repro.kir.autotune import merge_entry
 
+
+#: Entry files the reader must turn into a warned miss.  In the old
+#: one-table layout, ``not_utf8`` as the table, ``not_a_dict`` as a
+#: host's table and ``checked_not_list`` as an entry each raised out of
+#: ``tune_program`` (and with it ``--kernel-variant auto``).
+CORRUPT_ENTRIES = {
+    "not_json": b"{ definitely not json",
+    "not_utf8": b'{"schedule": "\xff\xfe"}',
+    "not_a_dict": b"5",
+    "a_list": b'["gemm"]',
+    "schedule_not_str": b'{"schedule": 5, "timings": {}, "checked": []}',
+    "timings_not_dict": b'{"schedule": "gemm", "timings": 5, '
+                        b'"checked": ["gemm"]}',
+    "checked_not_list": b'{"schedule": "gemm", "timings": {}, '
+                        b'"checked": 5}',
+    "empty": b"",
+}
+
+
+class TestCorruptEntry:
+    @pytest.mark.parametrize("name", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_entry_is_a_warned_miss(self, cache_path, name):
+        key = at.cache_key("dudr", 6, 8)
+        path = at.entry_path(cache_path, key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(CORRUPT_ENTRIES[name])
+        at.CACHE_STATS.reset()
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert at.load_entry(cache_path, key) is None
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            res = quick_tune(kir.build_program("dudr", 6), 8, cache_path)
+        assert not res.from_cache
+        assert at.CACHE_STATS.load_errors == 2
+        assert at.load_entry(cache_path, key)["schedule"] == res.schedule
+
+    def test_auto_variant_survives_corrupt_entry(self, cache_path):
+        key = at.cache_key("dudt", 6, 8)
+        path = at.entry_path(cache_path, key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(CORRUPT_ENTRIES["not_utf8"])
+        lib = kir.KernelLibrary(cache_path=cache_path)
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            k = lib.resolve("dudt", 6, 8, variant="auto")
+        assert k.schedule == at.load_entry(cache_path, key)["schedule"]
+
+
+def _save_worker(path, keys, barrier):
+    """Child process: write several entries after a common barrier."""
     barrier.wait()
     for key in keys:
-        merge_entry(path, host, key, {"schedule": "gemm", "who": key})
+        at.save_entry(path, key, {"schedule": "gemm", "timings": {},
+                                  "checked": [key]})
+
+
+def _dying_writer(path, key):
+    """Child process: die inside the write callback, half written."""
+
+    def dump(obj, fh, **kw):
+        text = json.dumps(obj)
+        fh.write(text[: len(text) // 2])
+        fh.flush()
+        os._exit(7)
+
+    json.dump = dump  # this forked child only
+    at.save_entry(path, key, {"schedule": "plane", "timings": {},
+                              "checked": ["plane"]})
 
 
 class TestCacheConcurrency:
     def test_concurrent_writers_lose_no_entries(self, cache_path):
-        """N processes merging distinct keys into one cache file must
-        interleave, never clobber (the bare load->save race drops
-        whole batches)."""
+        """N processes writing distinct keys into one cache directory
+        keep every entry: no two of them share a file."""
         import multiprocessing as mp
-
-        from repro.kir.autotune import load_cache
 
         ctx = mp.get_context("fork")
         nprocs, per_proc = 4, 6
         barrier = ctx.Barrier(nprocs)
         procs = [
             ctx.Process(
-                target=_merge_worker,
-                args=(cache_path, f"host{p}",
-                      [f"k{p}:{i}" for i in range(per_proc)], barrier),
+                target=_save_worker,
+                args=(cache_path, [f"k{p}-{i}" for i in range(per_proc)],
+                      barrier),
             )
             for p in range(nprocs)
         ]
@@ -650,23 +736,34 @@ class TestCacheConcurrency:
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
-        hosts = load_cache(cache_path)
-        total = sum(len(v) for v in hosts.values())
-        assert total == nprocs * per_proc, hosts
         for p in range(nprocs):
-            assert set(hosts[f"host{p}"]) == {
-                f"k{p}:{i}" for i in range(per_proc)
-            }
+            for i in range(per_proc):
+                entry = at.load_entry(cache_path, f"k{p}-{i}")
+                assert entry["checked"] == [f"k{p}-{i}"]
+        assert len(os.listdir(host_dir(cache_path))) == nprocs * per_proc
 
-    def test_race_merge_counter(self, cache_path):
-        """A snapshot older than the file's current contents counts as
-        a detected (and merged) race."""
-        from repro.kir.autotune import CACHE_STATS, load_cache, merge_entry
+    def test_killed_writer_keeps_previous_entry(self, cache_path):
+        """A writer killed half-way through its write leaves the entry
+        it was replacing readable and equal; its tmp file is never read
+        as an entry, and a key it wrote first stays a plain miss."""
+        import multiprocessing as mp
+        import warnings
 
-        CACHE_STATS.reset()
-        merge_entry(cache_path, "h", "k1", {"schedule": "gemm"})
-        stale_snapshot = {}  # believes the file is empty
-        merge_entry(cache_path, "h", "k2", {"schedule": "gemm"},
-                    known=stale_snapshot)
-        assert CACHE_STATS.races_merged == 1
-        assert set(load_cache(cache_path)["h"]) == {"k1", "k2"}
+        ctx = mp.get_context("fork")
+        before = {"schedule": "gemm", "timings": {"gemm": 1e-4},
+                  "checked": ["gemm"]}
+        at.save_entry(cache_path, "kept", before)
+        for key in ("kept", "fresh"):
+            proc = ctx.Process(target=_dying_writer, args=(cache_path, key))
+            proc.start()
+            proc.join(timeout=60)
+            assert proc.exitcode == 7
+        names = os.listdir(host_dir(cache_path))
+        tmps = [n for n in names if not n.endswith(".json")]
+        assert len(tmps) == 2 and len(names) == 3, names
+        at.CACHE_STATS.reset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert at.load_entry(cache_path, "kept") == before
+            assert at.load_entry(cache_path, "fresh") is None
+        assert at.CACHE_STATS.load_errors == 0

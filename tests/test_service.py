@@ -205,7 +205,7 @@ class TestArtifactCache:
         assert entry is not None and entry.nranks == 2
         assert cache.stats.snapshot() == {
             "hits": 1, "misses": 1, "stores": 2,
-            "disk_hits": 0, "disk_stores": 0, "races_merged": 0,
+            "disk_hits": 0, "disk_stores": 0,
         }
 
     def test_nranks_mismatch_is_a_miss(self):
@@ -267,10 +267,11 @@ class TestDiskArtifactCache:
         cache = ArtifactCache(disk=d)
         cache.store("k", 0, art, nranks=2)
         # Rank 0 of 2: nothing may reach disk yet.
-        assert DiskArtifactStore(d).keys() == []
+        assert not os.path.exists(cache.disk.host_dir)
         assert cache.stats.disk_stores == 0
         cache.store("k", 1, art, nranks=2)
-        assert DiskArtifactStore(d).keys() == ["k"]
+        assert DiskArtifactStore(d).fetch("k", 2).nranks == 2
+        assert os.listdir(cache.disk.host_dir) == ["k-r2-v2.pkl"]
         assert cache.stats.disk_stores == 1
         # And the publish API itself refuses a partial entry.
         from repro.service.artifacts import CacheEntry
@@ -287,33 +288,29 @@ class TestDiskArtifactCache:
         assert fresh.lookup("k", 2) is None  # wrong nranks: a miss
         assert fresh.lookup("k", 1) is not None
 
-    def test_corrupt_index_and_blob_degrade_to_cold(self, tmp_path):
+    def test_corrupt_entry_degrades_to_cold(self, tmp_path):
         d = str(tmp_path / "spill")
         art = SetupArtifact(handle=None, method="pairwise", autotune=None)
         cache = ArtifactCache(disk=d)
         cache.store("k", 0, art, nranks=1)
-        import pathlib
-        blob = pathlib.Path(cache.disk.host_dir)
-        # Truncate the blob: fetch must warn and miss, not raise.
-        (blob / "k-r1.pkl").write_bytes(b"not a pickle")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            assert DiskArtifactStore(d).fetch("k", 1) is None
-        # Corrupt the index: load must warn and go cold, not raise.
-        (blob / "index.json").write_text("{broken")
+        path = Path(cache.disk.entry_path("k", 1))
+        # Truncate the entry: fetch must warn and miss, not raise.
+        path.write_bytes(b"not a pickle")
         with pytest.warns(RuntimeWarning, match="unreadable"):
             assert DiskArtifactStore(d).fetch("k", 1) is None
         # And publishing over the wreckage heals it.
-        cache2 = ArtifactCache(disk=d)
-        with pytest.warns(RuntimeWarning):
-            cache2.store("k2", 0, art, nranks=1)
-        assert "k2" in DiskArtifactStore(d).keys()
+        ArtifactCache(disk=d).store("k", 0, art, nranks=1)
+        assert DiskArtifactStore(d).fetch("k", 1).method == "pairwise"
 
     def test_parent_layout_spill_is_a_cold_miss(self, tmp_path):
-        """A spill whose blobs pickle the pre-plan ``GSHandle`` (index
-        version 1) must read as cold, not fail inside ``apply``."""
+        """A spill whose entry pickles the pre-plan ``GSHandle`` sits
+        under its own version's name (``-v1``), and the one-table
+        layout's ``index.json`` and ``<key>-r<N>.pkl`` beside it: none
+        is read, so the job runs cold instead of failing inside
+        ``apply``."""
         import json
-        import pathlib
         import pickle
+        import warnings
 
         d = str(tmp_path / "spill")
         cold = run_job(small_spec(0), ArtifactCache(disk=d))
@@ -324,13 +321,18 @@ class TestDiskArtifactCache:
             for name in ("rep", "dup_index", "rounds"):
                 delattr(art.handle, name)
             art.handle.local_order = art.handle.segment_starts = None
-        host = pathlib.Path(store.host_dir)
-        (host / f"{key}-r2.pkl").write_bytes(pickle.dumps(entry))
-        index = json.loads((host / "index.json").read_text())
-        index["version"] = 1
-        (host / "index.json").write_text(json.dumps(index))
+        current = Path(store.entry_path(key, 2))
+        old = pickle.dumps(entry)
+        current.with_name(f"{key}-r2-v1.pkl").write_bytes(old)
+        current.with_name(f"{key}-r2.pkl").write_bytes(old)
+        current.with_name("index.json").write_text(json.dumps(
+            {"version": 2, "entries": {key: {
+                "nranks": 2, "method": entry.method,
+                "blob": f"{key}-r2.pkl"}}}))
+        current.unlink()
 
-        with pytest.warns(RuntimeWarning, match="unsupported layout"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             again = run_job(small_spec(1), ArtifactCache(disk=d))
         assert again.ok, again.error
         assert (again.cache_misses, again.cache_disk_hits) == (1, 0)
@@ -361,20 +363,56 @@ class TestDiskArtifactCache:
         with pytest.raises(RuntimeError, match="fresh rank"):
             art.apply(object(), FakeComm())
 
-    def test_concurrent_publishers_merge_not_clobber(self, tmp_path):
+    def test_concurrent_publishers_lose_no_entries(self, tmp_path):
+        """N forked workers publishing distinct keys into one spill
+        keep every entry: no two of them share a file."""
+        import multiprocessing as mp
+
         d = str(tmp_path / "spill")
-        art = SetupArtifact(handle=None, method="pairwise", autotune=None)
-        from repro.service.artifacts import CacheEntry, CacheStats
-        entry = CacheEntry(nranks=1, ranks={0: art}, method="pairwise")
-        a, b = DiskArtifactStore(d), DiskArtifactStore(d)
-        a.publish("ka", entry)
-        b.fetch("ka", 1)          # b observes the index: known={ka}
-        a.publish("kc", entry)    # a races ahead of b's snapshot
-        stats = CacheStats()
-        b.publish("kb", entry, stats=stats)
-        # b's merge kept a's concurrent key and counted the race.
-        assert DiskArtifactStore(d).keys() == ["ka", "kb", "kc"]
-        assert stats.races_merged == 1
+        ctx = mp.get_context("fork")
+        nprocs, per_proc = 4, 6
+        barrier = ctx.Barrier(nprocs)
+        procs = [
+            ctx.Process(
+                target=_publish_worker,
+                args=(d, [f"k{p}-{i}" for i in range(per_proc)], barrier),
+            )
+            for p in range(nprocs)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert p.exitcode == 0
+        store = DiskArtifactStore(d)
+        for p in range(nprocs):
+            for i in range(per_proc):
+                assert store.fetch(f"k{p}-{i}", 1).method == f"k{p}-{i}"
+        assert len(os.listdir(store.host_dir)) == nprocs * per_proc
+
+    def test_killed_publisher_keeps_previous_entry(self, tmp_path):
+        """A publisher killed half-way through its write leaves the
+        entry it was replacing readable and equal; its tmp file is never
+        read as an entry, and a key it wrote first stays a plain miss."""
+        import multiprocessing as mp
+        import warnings
+
+        d = str(tmp_path / "spill")
+        ctx = mp.get_context("fork")
+        store = DiskArtifactStore(d)
+        store.publish("kept", _entry("before"))
+        for key in ("kept", "fresh"):
+            proc = ctx.Process(target=_dying_publisher, args=(d, key))
+            proc.start()
+            proc.join(timeout=60)
+            assert proc.exitcode == 7
+        names = os.listdir(store.host_dir)
+        tmps = [n for n in names if not n.endswith(".pkl")]
+        assert len(tmps) == 2 and len(names) == 3, names
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.fetch("kept", 1) == _entry("before")
+            assert store.fetch("fresh", 1) is None
 
     def test_hosts_do_not_share_spill_dirs(self, tmp_path, monkeypatch):
         d = str(tmp_path / "spill")
@@ -383,6 +421,98 @@ class TestDiskArtifactCache:
         monkeypatch.setenv("REPRO_HOST_ID", "some-other-host")
         other = ArtifactCache(disk=d)
         assert other.lookup("k", 1) is None  # different host dir
+
+
+def _entry(method):
+    from repro.service.artifacts import CacheEntry
+
+    art = SetupArtifact(handle=None, method=method, autotune=None)
+    return CacheEntry(nranks=1, ranks={0: art}, method=method)
+
+
+def _publish_worker(root, keys, barrier):
+    """Child process: publish several entries after a common barrier."""
+    store = DiskArtifactStore(root)
+    barrier.wait()
+    for key in keys:
+        store.publish(key, _entry(key))
+
+
+def _dying_publisher(root, key):
+    """Child process: die inside the write callback, half written."""
+    import pickle
+
+    def dump(obj, fh, protocol=None):
+        data = pickle.dumps(obj, protocol)
+        fh.write(data[: len(data) // 2])
+        fh.flush()
+        os._exit(7)
+
+    pickle.dump = dump  # this forked child only
+    DiskArtifactStore(root).publish(key, _entry("after"))
+
+
+def _corrupt_entries():
+    """Entry files the reader must turn into a warned miss.  As the
+    blob of the old index layout, ``bad_int_opcode`` and
+    ``ranks_not_a_dict`` raised out of ``ArtifactCache.lookup`` and
+    ``ranks_not_artifacts`` was served as a hit."""
+    import pickle
+
+    from repro.service.artifacts import CacheEntry
+
+    art = SetupArtifact(handle=None, method="pairwise", autotune=None)
+    return {
+        "bad_int_opcode": b"I1x\n.",
+        "not_a_pickle": b"not a pickle",
+        "empty": b"",
+        "a_dict": pickle.dumps({"nranks": 1, "ranks": {0: art}}),
+        "an_int": pickle.dumps(5),
+        "ranks_not_artifacts": pickle.dumps(
+            CacheEntry(nranks=1, ranks={0: 5}, method="pairwise")),
+        "ranks_not_a_dict": pickle.dumps(
+            CacheEntry(nranks=1, ranks=5, method="pairwise")),
+        "wrong_nranks": pickle.dumps(
+            CacheEntry(nranks=2, ranks={0: art, 1: art},
+                       method="pairwise")),
+    }
+
+
+class TestCorruptDiskEntry:
+    @pytest.mark.parametrize("name", sorted(_corrupt_entries()))
+    def test_corrupt_entry_is_a_warned_miss(self, tmp_path, name):
+        d = str(tmp_path / "spill")
+        path = Path(DiskArtifactStore(d).entry_path("k", 1))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_corrupt_entries()[name])
+        cache = ArtifactCache(disk=d)
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            assert cache.lookup("k", 1) is None
+        assert (cache.stats.misses, cache.stats.disk_hits) == (1, 0)
+
+    def test_random_byte_flips_never_raise(self, tmp_path):
+        """1-4 byte flips of a real job's entry: every lookup returns
+        (an entry or a miss); none raises."""
+        import random
+        import warnings
+
+        d = str(tmp_path / "spill")
+        assert run_job(small_spec(0), ArtifactCache(disk=d)).ok
+        key = spec_artifact_key(small_spec(0))
+        path = Path(DiskArtifactStore(d).entry_path(key, 2))
+        blob = path.read_bytes()
+        rng = random.Random(20261017)
+        warned = 0
+        for _ in range(1000):
+            data = bytearray(blob)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            path.write_bytes(bytes(data))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ArtifactCache(disk=d).lookup(key, 2)
+            warned += any(w.category is RuntimeWarning for w in caught)
+        assert warned > 0
 
 
 class TestExecuteBitwise:
