@@ -11,19 +11,19 @@ communication gaps, rank by rank, so wait chains can be eyeballed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..mpi.clock import VirtualClock
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One recorded region occurrence on one rank.
 
     ``span`` marks an overlappable split-phase interval (recorded via
     :meth:`TimelineRecorder.open_span`/``close_span``) that may coexist
-    with ordinary region intervals on the same rank.
+    with ordinary region intervals on the same rank.  A named tuple: a
+    rank-step records a dozen of them, at half a frozen dataclass's
+    construction time and size.
     """
 
     rank: int

@@ -22,12 +22,7 @@ from .ops import (
     gs_op_begin,
     gs_op_finish,
 )
-from .pairwise import (
-    PairwiseFlight,
-    exchange_pairwise,
-    exchange_pairwise_begin,
-    exchange_pairwise_finish,
-)
+from .pairwise import exchange_pairwise
 
 __all__ = [
     "GSExchange",
@@ -35,13 +30,10 @@ __all__ = [
     "METHODS",
     "METHOD_LABELS",
     "MethodTiming",
-    "PairwiseFlight",
     "choose_method",
     "exchange_allreduce",
     "exchange_crystal",
     "exchange_pairwise",
-    "exchange_pairwise_begin",
-    "exchange_pairwise_finish",
     "gs_multiplicity",
     "gs_op",
     "gs_op_begin",

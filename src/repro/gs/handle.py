@@ -40,6 +40,38 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
+def stack_axes(x: np.ndarray, shape: tuple) -> tuple:
+    """The stack axes of gs data ``x``: its shape before ``shape``."""
+    lead = x.shape[:max(x.ndim - len(shape), 0)]
+    if x.shape[len(lead):] != shape:
+        raise ValueError(
+            f"gs data shape {x.shape} lacks the handle shape {shape}"
+        )
+    return lead
+
+
+def check_out(out: np.ndarray, shape: tuple, dtype) -> None:
+    """Raise unless ``out`` can take a ``shape``/``dtype`` gs result."""
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"gs out must be C-contiguous {shape} "
+            f"{dtype}, got {out.shape} {out.dtype}"
+        )
+
+
+def identity(op: ReduceOp, dtype: np.dtype):
+    """``e`` with ``op(x, e)`` bitwise ``x`` for every ``x`` of ``dtype``
+    (``-0.0``, not ``0.0``, for a float sum), or ``None``."""
+    if dtype.kind == "f":
+        lo, hi = -np.inf, np.inf
+    elif dtype.kind in "iu":
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    else:
+        return None
+    return {np.add: -0.0, np.multiply: 1, np.maximum: lo,
+            np.minimum: hi}.get(op.ufunc)
+
+
 @dataclass
 class GSHandle:
     """Index sets and exchange plans for one global numbering.
@@ -110,6 +142,18 @@ class GSHandle:
     def n_unique(self) -> int:
         return len(self.uids)
 
+    def pair_plan(self) -> Optional["PairPlan"]:
+        """The :class:`PairPlan` of a pair numbering, built on first use;
+        ``None`` when some id has more than two copies in the job."""
+        if "pair" not in self._derived:
+            mult = np.bincount(self.inverse.reshape(-1),
+                               minlength=self.n_unique)
+            for ix in self.neighbor_send_index.values():
+                mult[ix] += 1
+            pair = mult.max(initial=0) <= 2
+            self._derived["pair"] = PairPlan(self) if pair else None
+        return self._derived["pair"]
+
     @property
     def neighbors(self) -> List[int]:
         """Ranks this rank shares at least one id with (sorted)."""
@@ -147,11 +191,7 @@ class GSHandle:
         ``x0 + (x1 + x2 + ...)`` — and pairwise from nine copies on,
         which this does not follow (a hex-mesh id has at most eight).
         """
-        lead = x.shape[:max(x.ndim - len(self.shape), 0)]
-        if x.shape[len(lead):] != self.shape:
-            raise ValueError(
-                f"gs data shape {x.shape} lacks the handle shape {self.shape}"
-            )
+        lead = stack_axes(x, self.shape)
         fn = op.ufunc
         if fn is None:
             raise ValueError(f"{op.name} has no ufunc; cannot gs over it")
@@ -186,15 +226,8 @@ class GSHandle:
                 f"condensed shape {condensed.shape} != (..., {self.n_unique})"
             )
         shape = lead + self.shape
-        if out is not None and (
-            out.shape != shape
-            or out.dtype != condensed.dtype
-            or not out.flags.c_contiguous
-        ):
-            raise ValueError(
-                f"gs out must be C-contiguous {shape} "
-                f"{condensed.dtype}, got {out.shape} {out.dtype}"
-            )
+        if out is not None:
+            check_out(out, shape, condensed.dtype)
         # One field scatters flat, a stack row-wise (as it gathers).
         nf = prod(lead)
         flat = (nf,) if nf > 1 else ()
@@ -215,6 +248,105 @@ class GSHandle:
         return sum(
             len(ix) * itemsize for ix in self.neighbor_send_index.values()
         )
+
+
+#: Most entries :meth:`PairPlan.combine` gathers at a time.
+PAIR_CHUNK = 1 << 15
+
+
+def _affine(ix: np.ndarray, block: int) -> bool:
+    """Whether ``ix`` is runs ``k * block + arange(block)``, run by run."""
+    rows = ix.reshape(-1, block)
+    steps = rows - rows[:, :1]
+    steps -= np.arange(block, dtype=steps.dtype)
+    return not (steps.any() or (rows[:, 0] % block).any())
+
+
+class PairPlan:
+    """Local passes of a *pair numbering* (no id has more than two
+    copies in the job, as in the DG face numbering), in entry space.
+
+    A gs call loads each field into a *slot buffer*: its ``n`` entries,
+    one slot per value received (neighbours in ``handle.neighbors``
+    order, each in send-index order), then identity slots.  Entry ``e``
+    ends up ``fn(buf[first[e]], buf[second[e]])``: its id's first copy,
+    then the second copy, the payload or the identity — the operand
+    order of condense -> fold -> scatter, so bit for bit their result.
+    It holds no reference back to the handle.
+
+    Both gathers move ``block`` entries per index: the largest run of
+    trailing axes whose operands are runs too (a DG face and its partner
+    face on this rank).  Payloads come in id order, not a face's entry
+    order, so a rank with neighbours gathers entry by entry.
+    """
+
+    __slots__ = (
+        "shape", "n", "nslots", "block", "first", "second", "send", "recv",
+    )
+
+    def __init__(self, handle: GSHandle):
+        inv = handle.inverse.reshape(-1)
+        neighbors = handle.neighbors
+        sizes = [len(handle.neighbor_send_index[q]) for q in neighbors]
+        self.shape, self.n = handle.shape, inv.size
+        ends = np.cumsum([self.n] + sizes).tolist()
+        self.recv = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        # Narrow while building: the entry-space arrays are full size.
+        itype = np.int32 if ends[-1] + self.n < 2**31 else np.intp
+        second = np.full(handle.n_unique, -1, dtype=itype)  # -1: none
+        if handle.rounds:  # a pair numbering has at most one round
+            dup = handle.dup_index
+            second[slice(None) if dup is None else dup] = handle.rounds[0][1]
+        self.send = []
+        for q, sl in zip(neighbors, self.recv):
+            ix = handle.neighbor_send_index[q]
+            second[ix] = np.arange(sl.start, sl.stop)
+            self.send.append(handle.rep[ix])
+        first, second = handle.rep.astype(itype)[inv], second[inv]
+        lone = np.nonzero(second < 0)[0]
+        dims = self.shape
+        for block in [prod(dims[k:]) for k in range(1, len(dims))] + [1]:
+            if all(end % block == 0 for end in ends):
+                second[lone] = ends[-1] + lone % block  # identity slots
+                if _affine(first, block) and _affine(second, block):
+                    break
+        self.block, self.nslots = block, ends[-1] + block
+        self.first = (first[::block] // block).astype(np.intp)
+        self.second = (second[::block] // block).astype(np.intp)
+
+    def load(self, u: np.ndarray, ident, buf: Optional[np.ndarray] = None
+             ) -> np.ndarray:
+        """A slot buffer ``(*lead, nslots)`` holding data ``u``
+        ``(*lead, *shape)`` and ``ident``; ``buf`` is refilled if given."""
+        lead = stack_axes(u, self.shape)
+        if buf is None:
+            buf = np.empty(lead + (self.nslots,), dtype=u.dtype)
+        buf[..., :self.n] = u.reshape(lead + (self.n,))
+        buf[..., self.nslots - self.block:] = ident
+        return buf
+
+    def combine(self, buf: np.ndarray, fn: np.ufunc,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``fn(first operands, second operands)`` of a filled slot
+        buffer, written into ``out`` when given (as ``scatter``)."""
+        lead, b = buf.shape[:-1], self.block
+        if out is None:
+            out = np.empty(lead + self.shape, dtype=buf.dtype)
+        else:
+            check_out(out, lead + self.shape, buf.dtype)
+        src = buf.reshape(lead + (self.nslots // b, b))
+        dst = out.reshape(lead + (self.n // b, b))
+        # At most PAIR_CHUNK entries of each field at a time, so that the
+        # second operands' temporary stays small.  (Field by field would
+        # triple the numpy calls of a stack, each a chance for another
+        # thread rank to take the interpreter lock.)
+        step = max(1, PAIR_CHUNK // b)
+        for a in range(0, len(self.first), step):
+            part = dst[..., a:a + step, :]
+            src.take(self.first[a:a + step], axis=-2, mode="clip", out=part)
+            second = src.take(self.second[a:a + step], axis=-2, mode="clip")
+            fn(part, second, out=part)
+        return out
 
 
 def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:

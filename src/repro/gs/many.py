@@ -19,7 +19,7 @@ from ..mpi.datatypes import ReduceOp, SUM
 from .allreduce_method import exchange_allreduce
 from .crystal import exchange_crystal
 from .handle import GSHandle
-from .ops import METHODS
+from .ops import METHODS, local_load, local_result, pairs_for
 from .pairwise import TAG_PAIRWISE, exchange_in_place
 
 #: Call-site label for packed exchanges.
@@ -50,27 +50,30 @@ def gs_op_many(
         )
     nf = len(fields)
     dtype = np.result_type(*fields)
-    # Condense every field against the shared local plan.
-    cond = np.stack(
-        [handle.condense(np.asarray(f, dtype=dtype), op) for f in fields]
-    )  # (nf, n_unique)
+    pairs, ident = pairs_for(handle, method, op, dtype)
+    # Condense (or load a slot buffer of) every field: (nf, width).
+    cond = np.stack([
+        local_load(handle, pairs, ident, np.asarray(f, dtype=dtype), op)
+        for f in fields
+    ])
 
     comm = handle.comm
     if comm.size > 1:
         if method == "pairwise":
-            exchange_in_place(handle, cond, op, site, TAG_PAIRWISE + 1)
+            exchange_in_place(handle, cond, op, site, TAG_PAIRWISE + 1, pairs)
         elif method == "crystal":
             cond = exchange_crystal(handle, cond, op, site)
         else:
             for i in range(nf):
                 cond[i] = exchange_allreduce(handle, cond[i], op, site=site)
     outs = [None] * nf if out is None else out
-    out = [handle.scatter(c, out=o) for c, o in zip(cond, outs, strict=True)]
+    out = [local_result(handle, pairs, c, op, o)
+           for c, o in zip(cond, outs, strict=True)]
     # One memory-bound local pass over all fields (see gs_op).
     size = nf * handle.inverse.size
     comm.compute(
         flops=float(size),
-        mem_bytes=2.0 * cond.dtype.itemsize * (size + cond.size),
+        mem_bytes=2.0 * cond.dtype.itemsize * (size + nf * handle.n_unique),
     )
     return out
 

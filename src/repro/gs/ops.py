@@ -37,14 +37,11 @@ import numpy as np
 from ..mpi.datatypes import ReduceOp, SUM
 from .allreduce_method import exchange_allreduce
 from .crystal import exchange_crystal
-from .handle import GSHandle
+from .handle import GSHandle, identity
 from .pairwise import (
     SITE as SITE_PAIRWISE,
     TAG_PAIRWISE,
-    PairwiseFlight,
     exchange_pairwise,
-    exchange_pairwise_begin,
-    exchange_pairwise_finish,
     plan_for,
 )
 
@@ -74,6 +71,31 @@ def _local_pass(handle: GSHandle, itemsize: int) -> float:
     )
 
 
+def pairs_for(handle: GSHandle, method: str, op: ReduceOp, dtype) -> tuple:
+    """``(PairPlan, identity)`` when a call folds in entry space — the
+    pairwise exchange (or none), a pair numbering and an op with an
+    exact identity for ``dtype`` — else ``(None, None)``."""
+    if method == "pairwise" or handle.comm.size == 1:
+        ident = identity(op, np.dtype(dtype))
+        if ident is not None:
+            return handle.pair_plan(), ident
+    return None, None
+
+
+def local_load(handle: GSHandle, pairs, ident, u: np.ndarray,
+               op: ReduceOp) -> np.ndarray:
+    """``u``'s slot buffer when ``pairs`` is given, else its condense."""
+    return handle.condense(u, op) if pairs is None else pairs.load(u, ident)
+
+
+def local_result(handle: GSHandle, pairs, data: np.ndarray, op: ReduceOp,
+                 out: Optional[np.ndarray]) -> np.ndarray:
+    """The gs result of what :func:`local_load` gave, after its exchange."""
+    if pairs is None:
+        return handle.scatter(data, out=out)
+    return pairs.combine(data, op.ufunc, out)
+
+
 def gs_op(
     handle: GSHandle,
     u: np.ndarray,
@@ -96,7 +118,9 @@ def gs_op(
     charged, profiled and traced as by its own call, in stack order.
     The pairwise method hands the whole stack to one
     :meth:`~repro.gs.pairwise.PairwisePlan.exchange`, which folds it in
-    place; the other two exchange field by field.
+    place; the other two exchange field by field.  On a pair numbering
+    the pairwise method exchanges slot buffers of the handle's
+    :class:`~repro.gs.handle.PairPlan` instead of a condense.
     """
     method = method or handle.method or "pairwise"
     if method not in METHODS:
@@ -104,17 +128,19 @@ def gs_op(
             f"unknown gs method {method!r}; choose from {sorted(METHODS)}"
         )
     u = np.asarray(u)
-    condensed = handle.condense(u, op)
+    pairs, ident = pairs_for(handle, method, op, u.dtype)
+    condensed = local_load(handle, pairs, ident, u, op)
     comm = handle.comm
     local_pass = _local_pass(handle, u.dtype.itemsize)
-    nfields = prod(u.shape[:u.ndim - len(handle.shape)])
-    stack = condensed.reshape(nfields, handle.n_unique)
+    stack = condensed.reshape(
+        prod(condensed.shape[:-1]), condensed.shape[-1]
+    )
     if comm.size == 1:
         for _ in stack:
             comm.compute(seconds=local_pass)
     elif method == "pairwise":
         plan_for(handle).exchange(
-            stack, op, TAG_PAIRWISE, site or SITE_PAIRWISE, local_pass
+            stack, op, TAG_PAIRWISE, site or SITE_PAIRWISE, local_pass, pairs
         )
     else:
         exchange = METHODS[method]
@@ -122,7 +148,7 @@ def gs_op(
         for field in stack:
             field[...] = exchange(handle, field, op, **where)
             comm.compute(seconds=local_pass)
-    return handle.scatter(condensed, out=out)
+    return local_result(handle, pairs, condensed, op, out)
 
 
 class GSExchange:
@@ -130,12 +156,16 @@ class GSExchange:
 
     Produced by :func:`gs_op_begin`; consumed exactly once by
     :func:`gs_op_finish`.  For the pairwise method the exchange is
-    genuinely in flight (``flight`` holds the posted requests); for the
+    genuinely in flight (``pendings`` holds the posted receives,
+    ``window`` the overlap window opened when they were posted); for the
     other methods it merely records the inputs for the synchronous
     fallback at finish.
     """
 
-    __slots__ = ("handle", "op", "method", "site", "flight", "condensed", "_done")
+    __slots__ = (
+        "handle", "op", "method", "site", "pendings", "window", "condensed",
+        "pairs", "_done",
+    )
 
     def __init__(
         self,
@@ -143,17 +173,20 @@ class GSExchange:
         op: ReduceOp,
         method: str,
         site: str,
-        flight: Optional[PairwiseFlight] = None,
-        condensed: Optional[np.ndarray] = None,
+        condensed: np.ndarray,
+        pairs: tuple,
     ):
         self.handle = handle
         self.op = op
         self.method = method
         self.site = site
-        self.flight = flight
-        #: Condense of the values seen at begin; superseded when finish
-        #: is handed a fully populated ``u``.
+        #: Condense (or slot buffer) of the values seen at begin;
+        #: superseded when finish is handed a fully populated ``u``.
         self.condensed = condensed
+        #: ``(PairPlan, identity)`` of an entry-space call (see pairs_for).
+        self.pairs = pairs
+        #: Set by gs_op_begin when it posts (pairwise, several ranks).
+        self.pendings = self.window = None
         self._done = False
 
 
@@ -191,15 +224,19 @@ def gs_op_begin(
     # the caller never hands back a fully populated u (and, for the
     # fallback methods, so the exchange has its send values).  A u
     # passed to finish replaces this snapshot via re-condense.
-    condensed = handle.condense(u, op)
-    flight = None
-    if method == "pairwise" and handle.comm.size > 1:
-        flight = exchange_pairwise_begin(
-            handle, condensed, op, site=f"{base_site}:begin", tag=tag
-        )
-    return GSExchange(
-        handle, op, method, base_site, flight=flight, condensed=condensed
+    pairs, ident = pairs_for(handle, method, op, u.dtype)
+    condensed = local_load(handle, pairs, ident, u, op)
+    exchange = GSExchange(
+        handle, op, method, base_site, condensed, (pairs, ident)
     )
+    if method == "pairwise" and handle.comm.size > 1:
+        # Only cross-rank shared entries are sent: callers may pass a
+        # partially populated u (boundary traces before interior ones).
+        exchange.pendings = plan_for(handle).post(
+            condensed, tag, f"{base_site}:begin", pairs
+        )
+        exchange.window = handle.comm.clock.overlap_interval()
+    return exchange
 
 
 def gs_op_finish(
@@ -217,30 +254,42 @@ def gs_op_finish(
     local contribution.  When ``u`` is omitted the condense snapshotted
     at begin is used.
 
-    The local condense+scatter compute charge is identical to
-    :func:`gs_op`'s and is applied here, at finish, where the blocking
-    path pays it too.
+    The wait charges only the communication still exposed after
+    whatever compute ran since begin; the hidden remainder is credited
+    to the clock's ``hidden_comm_time``.  The local condense+scatter
+    compute charge is identical to :func:`gs_op`'s and is applied here,
+    at finish, where the blocking path pays it too.
     """
     if exchange._done:
         raise ValueError("gs_op_finish called twice on the same exchange")
     exchange._done = True
     handle = exchange.handle
-    op = exchange.op
-    if u is not None:
+    op, (pairs, ident) = exchange.op, exchange.pairs
+    condensed = exchange.condensed
+    if u is not None and pairs is None:
         condensed = handle.condense(np.asarray(u), op)
-    else:
-        condensed = exchange.condensed
-    if exchange.flight is not None:
-        condensed = exchange_pairwise_finish(
-            exchange.flight, condensed, site=f"{exchange.site}:finish"
+    elif u is not None:
+        pairs.load(np.asarray(u), ident, condensed)
+    if exchange.pendings is not None:
+        clock = handle.comm.clock
+        wait_start = clock.now
+        completion = plan_for(handle).complete(
+            exchange.pendings, condensed, op, f"{exchange.site}:finish", pairs
         )
+        # Overlap accounting: the blocking-equivalent wait is measured
+        # from the posting time, the exposed wait from the finish time;
+        # their difference was hidden under the intervening compute.
+        if exchange.pendings:
+            clock.close_overlap(
+                exchange.window, completion, wait_start=wait_start
+            )
     elif handle.comm.size > 1:
         # Synchronous fallback for methods without a nonblocking form:
         # the whole blocking exchange runs now, at finish time.
         condensed = METHODS[exchange.method](
             handle, condensed, op, site=f"{exchange.site}:finish"
         )
-    out = handle.scatter(condensed, out=out)
+    out = local_result(handle, pairs, condensed, op, out)
     # Same local gather/scatter charge as the blocking gs_op (the
     # deferred re-condense replaces, not adds to, the one at begin).
     handle.comm.compute(seconds=_local_pass(handle, condensed.dtype.itemsize))

@@ -21,32 +21,32 @@ message starts only what is its own.  Three entry points run on it:
 * :func:`exchange_in_place` / :func:`exchange_pairwise` — one message
   per neighbour for whatever array they are given (one field, or the
   packed stack of ``gs_op_many``), folded in place or into a copy;
-* :func:`exchange_pairwise_begin` / :func:`exchange_pairwise_finish` —
-  the split-phase form behind ``gs_op_begin``/``gs_op_finish``:
-  ``begin`` posts all receives and sends and returns immediately so
-  interior compute can proceed while messages are in flight; ``finish``
-  waits, folds, and credits hidden-vs-exposed communication time to
-  the rank's :class:`~repro.mpi.clock.VirtualClock`.
+* :meth:`PairwisePlan.post` / :meth:`PairwisePlan.complete` — the
+  split-phase form behind ``gs_op_begin``/``gs_op_finish``: ``post``
+  sends and returns the posted receives, so interior compute can
+  proceed while messages are in flight; ``complete`` waits and folds.
+
+On a pair numbering every form moves slot buffers of the handle's
+:class:`~repro.gs.handle.PairPlan` instead of condensed values, and
+lands each payload in its slots instead of folding it.
 
 All of them send through ``Comm._inject`` and charge arrivals through
 ``Comm._arrive``, so every message is charged, faulted, sequenced,
 traced and profiled as one ``isend``, one ``irecv`` and its share of a
-``waitall``.  Only ``gs_op`` and ``gs_op_many``, which own the array
-they just condensed, fold in place.
+``waitall``.  Only the ``gs_op`` family, which owns the array it just
+condensed, folds in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
-from ..mpi.clock import OverlapInterval
 from ..mpi.datatypes import ReduceOp
 from ..mpi.errors import AbortError
 from ..mpi.transport import PendingRecv
-from .handle import GSHandle
+from .handle import GSHandle, PairPlan
 
 #: Tag used by pairwise exchanges (user tag space).
 TAG_PAIRWISE = 7001
@@ -98,12 +98,20 @@ class PairwisePlan:
         self._box = runtime.mailbox(comm.rank)
         self._costs = _Costs(comm, neighbors)
 
+    def route(self, op: ReduceOp, pairs: Optional[PairPlan]) -> tuple:
+        """``(send indices, landing keys, fold ufunc)`` per neighbour: on
+        condensed values, folded in; on a ``pairs`` slot buffer, copied
+        into the neighbour's slots (``None``: no fold)."""
+        if pairs is None:
+            return self.index, self.index, op.ufunc
+        return pairs.send, pairs.recv, None
+
     def exchange(
         self, stack: np.ndarray, op: ReduceOp, tag: int, site: str,
-        local_pass: float,
+        local_pass: float, pairs: Optional[PairPlan] = None,
     ) -> None:
         """Blocking exchange of a fields-first ``(nf, n_unique)`` stack,
-        folded in place.
+        or of ``(nf, nslots)`` slot buffers of ``pairs``, in place.
 
         Field by field, in stack order, everything ``nf`` one-field
         exchanges would do — ``MPI_Irecv`` per neighbour, the sends, the
@@ -122,21 +130,25 @@ class PairwisePlan:
         pendings = self._box.post_recvs(
             comm.cid, self._neighbors * len(stack), tag
         )
-        sends = zip(*[stack.take(ix, axis=1) for ix in self.index])
+        send, keys, fn = self.route(op, pairs)
+        sends = zip(*[stack.take(ix, axis=1) for ix in send])
         for f, (field, payloads) in enumerate(zip(stack, sends)):
             prof.add(irecv, 0.0, 0, nn)
             self._start(payloads, tag, isend)
-            self._finish(pendings[f * nn:(f + 1) * nn], field, op, wait)
+            self._finish(pendings[f * nn:(f + 1) * nn], field, keys, fn, wait)
             comm.compute(seconds=local_pass)
 
-    def post(self, values: np.ndarray, tag: int, site: str) -> List[PendingRecv]:
+    def post(
+        self, values: np.ndarray, tag: int, site: str,
+        pairs: Optional[PairPlan] = None,
+    ) -> List[PendingRecv]:
         """Post a receive from, then send ``values.take(index)`` to, every
         neighbour; return the posted receives.
 
-        ``values`` is ``(..., n_unique)``.  Each neighbour gets this
-        rank's *original* values, so ids shared by more than two ranks
-        (edges/corners in the continuous numbering) still fold every
-        contribution exactly once.
+        ``values`` is ``(..., n_unique)`` (or a slot buffer of ``pairs``).
+        Each neighbour gets this rank's *original* values, so ids shared
+        by more than two ranks (edges/corners in the continuous
+        numbering) still fold every contribution exactly once.
         """
         comm = self.comm
         prof = comm._prof
@@ -144,17 +156,20 @@ class PairwisePlan:
         pendings = self._box.post_recvs(comm.cid, self._neighbors, tag)
         if pendings:
             prof.add(irecv, 0.0, 0, len(pendings))
-        self._start([values.take(ix, axis=-1) for ix in self.index], tag, isend)
+        send = self.index if pairs is None else pairs.send
+        self._start([values.take(ix, axis=-1) for ix in send], tag, isend)
         return pendings
 
     def complete(
         self, pendings: List[PendingRecv], into: np.ndarray, op: ReduceOp,
-        site: str,
+        site: str, pairs: Optional[PairPlan] = None,
     ) -> float:
-        """Charge the arrivals of ``post``'s receives and fold them into
-        ``into`` in place; return the latest virtual arrival time."""
+        """Charge the arrivals of ``post``'s receives and fold (or land)
+        them into ``into`` in place; return the latest virtual arrival
+        time."""
         _, _, wait = self.comm._prof.rows(site, _OPS)
-        return self._finish(pendings, into, op, wait)
+        _, keys, fn = self.route(op, pairs)
+        return self._finish(pendings, into, keys, fn, wait)
 
     def _start(self, payloads, tag: int, isend) -> None:
         """Send ``payloads[i]`` to neighbour ``i`` through
@@ -168,19 +183,20 @@ class PairwisePlan:
             prof.add(isend, clock.now - t0, nbytes)
 
     def _finish(
-        self, pendings: List[PendingRecv], into: np.ndarray, op: ReduceOp,
+        self, pendings: List[PendingRecv], into: np.ndarray, keys, fn,
         wait,
     ) -> float:
         """Per neighbour, in order: charge the arrival through
         ``Comm._arrive``, book one ``MPI_Wait`` and fold the payload into
-        ``into`` in place; return the latest virtual arrival time.
-        Blocks at most once, at the first envelope still missing, until
-        every later one has landed too."""
+        ``into[..., key]`` in place (``fn`` ``None``: copy it there);
+        return the latest virtual arrival time.  Blocks at most once, at
+        the first envelope still missing, until every later one has
+        landed too."""
         comm = self.comm
-        clock, prof, costs, fn = comm.clock, comm._prof, self._costs, op.ufunc
+        clock, prof, costs = comm.clock, comm._prof, self._costs
         lead = () if into.ndim == 1 else (Ellipsis,)
         latest = 0.0
-        for i, (pending, ix) in enumerate(zip(pendings, self.index)):
+        for i, (pending, ix) in enumerate(zip(pendings, keys)):
             if pending.envelope is None:
                 try:
                     comm._wait_for(pendings[i:], "MPI_Waitall")
@@ -197,8 +213,8 @@ class PairwisePlan:
             if arrival > latest:
                 latest = arrival
             prof.add(wait, clock.now - t0, env.nbytes)
-            key = (*lead, ix)
-            into[key] = fn(into[key], env.payload)
+            key, payload = (*lead, ix), env.payload
+            into[key] = payload if fn is None else fn(into[key], payload)
         return latest
 
 
@@ -212,13 +228,15 @@ def plan_for(handle: GSHandle) -> PairwisePlan:
 
 def exchange_in_place(
     handle: GSHandle, values: np.ndarray, op: ReduceOp, site: str = SITE,
-    tag: int = TAG_PAIRWISE,
+    tag: int = TAG_PAIRWISE, pairs: Optional[PairPlan] = None,
 ) -> np.ndarray:
     """Blocking exchange of one message per neighbour, folding into
-    ``values`` — ``(n_unique,)``, or a packed ``(nf, n_unique)`` stack —
-    which the caller must own."""
+    ``values`` — ``(n_unique,)``, or a packed ``(nf, n_unique)`` stack,
+    or slot buffers of ``pairs`` — which the caller must own."""
     plan = plan_for(handle)
-    plan.complete(plan.post(values, tag, site), values, op, site)
+    plan.complete(
+        plan.post(values, tag, site, pairs), values, op, site, pairs
+    )
     return values
 
 
@@ -228,64 +246,3 @@ def exchange_pairwise(
     """Combine shared entries of ``condensed`` across sharing ranks;
     returns a new array."""
     return exchange_in_place(handle, condensed.copy(), op, site)
-
-
-@dataclass
-class PairwiseFlight:
-    """An in-flight split-phase pairwise exchange (between begin/finish)."""
-
-    handle: GSHandle
-    op: ReduceOp
-    site: str
-    pendings: List[PendingRecv]
-    #: Overlap window opened on the rank's clock when the messages were
-    #: posted; closed at finish to account hidden communication time.
-    window: OverlapInterval
-
-
-def exchange_pairwise_begin(
-    handle: GSHandle,
-    send_values: np.ndarray,
-    op: ReduceOp,
-    site: str = SITE,
-    tag: int = TAG_PAIRWISE,
-) -> PairwiseFlight:
-    """Post the receives and sends of a pairwise exchange; don't wait.
-
-    ``send_values`` is a condensed-size array whose entries must be
-    valid at every *cross-rank shared* id (``handle.neighbor_send_index``
-    positions); ids private to this rank are never read, so callers may
-    pass a partially populated condense (the overlapped solver posts
-    boundary-element traces before interior ones even exist).
-    """
-    pendings = plan_for(handle).post(send_values, tag, site)
-    return PairwiseFlight(
-        handle, op, site, pendings, handle.comm.clock.overlap_interval()
-    )
-
-
-def exchange_pairwise_finish(
-    flight: PairwiseFlight, condensed: np.ndarray, site: str = None
-) -> np.ndarray:
-    """Wait for an in-flight exchange, fold the payloads, return the sum
-    (a new array).
-
-    ``condensed`` is the fully populated local condense (it may have
-    been completed *after* ``begin`` posted the boundary values).  The
-    wait charges only the communication still exposed after whatever
-    compute ran since ``begin``; the hidden remainder is credited to
-    the clock's ``hidden_comm_time``.
-    """
-    handle = flight.handle
-    clock = handle.comm.clock
-    wait_start = clock.now
-    out = condensed.copy()
-    completion = plan_for(handle).complete(
-        flight.pendings, out, flight.op, site or flight.site
-    )
-    # Overlap accounting: the blocking-equivalent wait is measured from
-    # the posting time, the exposed wait from the finish time; their
-    # difference was hidden under the intervening compute.
-    if flight.pendings:
-        clock.close_overlap(flight.window, completion, wait_start=wait_start)
-    return out

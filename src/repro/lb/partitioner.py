@@ -124,7 +124,7 @@ def sfc_partition(
         ``1 / measured_per_element_seconds`` here is how measured
         imbalance is corrected.  Default: uniform.
     """
-    order = sfc_order(mesh.shape)
+    order = sfc_order(tuple(mesh.shape))
     if weights is None:
         w = np.ones(order.size, dtype=np.float64)
     else:

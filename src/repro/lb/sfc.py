@@ -23,6 +23,7 @@ curve instead of wasting interleave slots on constant axes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -72,15 +73,19 @@ def morton_keys(shape: Coord, coords: np.ndarray) -> np.ndarray:
     return keys
 
 
+@lru_cache(maxsize=16)
 def sfc_order(shape: Coord) -> np.ndarray:
     """All element lex ids of the box, ordered along the Morton curve.
 
     Returns an ``(nelgt,)`` int64 array: position ``p`` on the curve
     holds the lex id of the ``p``-th element visited.  The ordering is
-    deterministic (ties are impossible: keys are unique).
+    deterministic (ties are impossible: keys are unique).  Computed
+    once per shape and shared, hence read-only.
     """
     ex, ey, ez = shape
     nelgt = ex * ey * ez
     ids = np.arange(nelgt, dtype=np.int64)
     keys = morton_keys(shape, id_to_coords(shape, ids))
-    return ids[np.argsort(keys, kind="stable")]
+    order = ids[np.argsort(keys, kind="stable")]
+    order.flags.writeable = False
+    return order

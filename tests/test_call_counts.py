@@ -11,8 +11,11 @@ import pstats
 import subprocess
 import sys
 
+import numpy as np
+
 from repro.core import CMTBone, CMTBoneConfig
-from repro.gs import gs_op
+from repro.gs import gs_op, gs_setup
+from repro.mesh import dg_face_numbering
 from repro.mpi import SUM, Runtime
 from repro.solver import sod_problem
 
@@ -28,9 +31,13 @@ SOLVER_STEP_CEILING = 1240
 CMTBONE_STEP_CEILING = 590
 #: One warm 5-field ``gs_op`` (pairwise) on rank 0 of 8 thread ranks,
 #: N=5, 2x2x2 elements per rank, 3 neighbours: ~600 when every field
-#: posted, took, sent and looked up its profile rows on its own; 351
-#: measured now.
-GS_OP_STACK_CEILING = 385
+#: posted, took, sent and looked up its profile rows on its own; 306
+#: with condense, fold and scatter; 301 measured now (the pair plan).
+GS_OP_STACK_CEILING = 331
+#: One warm one-field ``gs_op`` on one rank, N=16, 4x4x4 elements (the
+#: DG face numbering): 38 with condense and scatter; 39 measured now
+#: (the pair plan combines its 98,304 entries in three chunks).
+GS_OP_ONE_RANK_CEILING = 43
 
 
 def profiled_calls(warm_up, step):
@@ -59,6 +66,13 @@ def cmtbone_step(comm):
     return CMTBone(
         comm, CMTBoneConfig(n=5, local_shape=(2, 2, 2), nsteps=1)
     ).timestep
+
+
+def gs_op_one_rank(comm):
+    part = CMTBoneConfig(n=16, local_shape=(4, 4, 4)).build_partition(1)
+    handle = gs_setup(dg_face_numbering(part, comm.rank), comm)
+    u = np.ones(handle.shape)
+    return lambda: gs_op(handle, u, op=SUM, out=u)
 
 
 def gs_op_stack_calls():
@@ -152,3 +166,9 @@ def test_stacked_gs_op_stays_under_its_call_ceiling():
     calls = gs_op_stack_calls()
     assert calls == gs_op_stack_calls(), "the count must repeat"
     assert calls <= GS_OP_STACK_CEILING, calls
+
+
+def test_one_rank_gs_op_stays_under_its_call_ceiling():
+    calls = profiled_calls(3, gs_op_one_rank)
+    assert calls == profiled_calls(3, gs_op_one_rank), "the count must repeat"
+    assert calls <= GS_OP_ONE_RANK_CEILING, calls

@@ -6,12 +6,17 @@ a plan at ``gs_setup``: permute the data so equal ids are contiguous,
 index.  The plan must reproduce it bit for bit.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.gs import gs_op, gs_op_many, gs_setup
+from repro.core.nekbone import Nekbone, NekboneConfig
+from repro.gs import gs_op, gs_op_begin, gs_op_finish, gs_op_many, gs_setup
+from repro.gs.handle import PairPlan
 from repro.gs.ops import METHODS
+from repro.lb import sfc_partition
 from repro.mesh import (
     BoxMesh,
     Partition,
@@ -216,3 +221,158 @@ class TestOutValidation:
             return (not np.shares_memory(r, x)) and x.tolist() == [0, 1, 2, 3]
 
         assert self.run1(main)
+
+
+# -- the pair plan against the condense path -----------------------------
+
+#: ranks -> (element box, rank grid, periodic axes).  Every layout has a
+#: one-element-thick periodic axis (an element's two faces on it are one
+#: id: a pair inside the element) or a non-periodic one (boundary faces
+#: are Dirichlet singletons), most of them both.
+PAIR_LAYOUTS = {
+    1: ((2, 1, 3), (1, 1, 1), (True, True, False)),
+    2: ((2, 2, 1), (2, 1, 1), (True, False, True)),
+    3: ((3, 2, 1), (3, 1, 1), (True, False, True)),
+    4: ((4, 2, 1), (2, 2, 1), (False, True, True)),
+    8: ((2, 2, 2), (2, 2, 2), (True, True, True)),
+    9: ((3, 3, 1), (3, 3, 1), (True, False, True)),
+}
+
+
+def pair_mesh(nranks):
+    shape, procs, periodic = PAIR_LAYOUTS[nranks]
+    return BoxMesh(shape=shape, n=3, periodic=periodic), procs
+
+
+def plain_handle(comm):
+    mesh, procs = pair_mesh(comm.size)
+    part = Partition(mesh, proc_shape=procs)
+    return gs_setup(dg_face_numbering(part, comm.rank), comm)
+
+
+def rebalanced_handle(comm):
+    """What a load-balancing step builds: the numbering of an SFC
+    assignment with uneven weights (so uneven element counts)."""
+    mesh, _ = pair_mesh(comm.size)
+    weights = 1.0 + np.arange(mesh.nelgt) % 3
+    assignment = sfc_partition(mesh, comm.size, weights=weights)
+    return gs_setup(dg_face_numbering(assignment, comm.rank), comm)
+
+
+def restored_handle(comm):
+    """What a cached setup artifact gives a job: the handle pickled
+    without its comm, then rebound."""
+    handle = plain_handle(comm)
+    handle.comm = None
+    restored = pickle.loads(pickle.dumps(handle))
+    restored.comm = comm
+    return restored
+
+
+def pair_values(shape, dtype, seed):
+    """Two fields, with signed zeros and NaNs among float entries."""
+    rng = np.random.default_rng(seed)
+    if dtype is np.int64:
+        return rng.integers(-4, 5, size=shape)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.2] = 0.0
+    x[(pick >= 0.2) & (pick < 0.4)] = -0.0
+    x[(pick >= 0.4) & (pick < 0.45)] = np.nan
+    return x
+
+
+def pair_calls(handle, u, op, method="pairwise"):
+    """Every gs entry point on a two-field stack ``u``."""
+    outs = [gs_op(handle, u[0], op=op, method=method),
+            gs_op(handle, u, op=op, method=method)]
+    inplace = u.copy()
+    gs_op(handle, inplace, op=op, method=method, out=inplace)
+    outs.append(inplace)
+    outs += gs_op_many(handle, [u[0], u[1]], op=op, method=method)
+    fields = [u[1].copy(), u[0].copy()]
+    outs += gs_op_many(handle, fields, op=op, method=method, out=fields)
+    posted = [gs_op_begin(handle, u[0], op=op, method=method, tag=7101),
+              gs_op_begin(handle, u, op=op, method=method, tag=7102)]
+    outs.append(gs_op_finish(posted[0]))
+    outs.append(gs_op_finish(posted[1], u[::-1]))
+    return outs
+
+
+def run_pair_matrix(nranks, make_handle, condense):
+    """Values, clocks, profile rows and message trace of the matrix;
+    ``condense`` hides the pair plan so the same handles run condense
+    -> fold -> scatter."""
+
+    def main(comm):
+        handle = make_handle(comm)
+        if condense:
+            handle._derived["pair"] = None
+        outs = []
+        for dtype in DTYPES:
+            u = pair_values((2,) + handle.shape, dtype, comm.rank)
+            for op in OPS:
+                outs += pair_calls(handle, u, op)
+        assert isinstance(handle._derived["pair"], PairPlan) != condense
+        rows = [(r.op, r.site, r.count, r.vtime.hex(), r.bytes_total)
+                for r in comm.profile.records.values()]
+        return outs, comm.clock.now.hex(), rows
+
+    rt = Runtime(nranks=nranks, trace_messages=True)
+    return rt.run(main), rt.trace.events()
+
+
+class TestPairPlanMatchesCondense:
+    @pytest.mark.parametrize("make_handle", [
+        plain_handle, rebalanced_handle, restored_handle,
+    ], ids=["plain", "rebalanced", "restored"])
+    @pytest.mark.parametrize("nranks", sorted(PAIR_LAYOUTS))
+    def test_every_observable_is_bitwise_the_condense_paths(
+        self, nranks, make_handle
+    ):
+        got, got_trace = run_pair_matrix(nranks, make_handle, False)
+        want, want_trace = run_pair_matrix(nranks, make_handle, True)
+        for rank, (g, w) in enumerate(zip(got, want, strict=True)):
+            for a, b in zip(g[0], w[0], strict=True):
+                assert same_bits(a, b), rank
+            assert g[1:] == w[1:], rank
+        assert got_trace == want_trace
+
+    def test_layouts_hold_self_pairs_and_singletons(self):
+        """The matrix covers what it claims: ids with both copies inside
+        one element, and ids with one copy in the whole job."""
+
+        def main(comm):
+            handle = plain_handle(comm)
+            mult = gs_op(handle, np.ones(handle.shape))
+            inside = (handle.inverse[:, ::2] == handle.inverse[:, 1::2])
+            return bool(inside.any()), bool((mult == 1).any())
+
+        seen = [r for p in PAIR_LAYOUTS for r in Runtime(nranks=p).run(main)]
+        assert any(pair for pair, _ in seen)
+        assert any(lone for _, lone in seen)
+
+    def test_the_plan_holds_no_reference_to_its_handle(self):
+        def main(comm):
+            plan = plain_handle(comm).pair_plan()
+            return [type(getattr(plan, k)).__name__ for k in plan.__slots__]
+
+        kinds = set(Runtime(nranks=2).run(main)[0])
+        assert kinds <= {"tuple", "int", "ndarray", "list"}
+
+    def test_other_numberings_and_methods_never_build_one(self):
+        """Nekbone's C0 numbering has ids with up to eight copies; the
+        crystal router and the allreduce fold condensed values."""
+
+        def main(comm):
+            cg = Nekbone(comm, NekboneConfig(
+                n=3, local_shape=(2, 2, 1), gs_method="pairwise",
+                cg_iterations=3))
+            cg.run()
+            handle = plain_handle(comm)
+            u = pair_values((2,) + handle.shape, np.float64, comm.rank)
+            for method in ("crystal", "allreduce"):
+                pair_calls(handle, u, SUM, method)
+            return cg.handle._derived.get("pair"), "pair" in handle._derived
+
+        assert Runtime(nranks=4).run(main) == [(None, False)] * 4
