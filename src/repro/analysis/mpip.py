@@ -254,15 +254,12 @@ def lb_report(profile: JobProfile) -> str:
     sites — ``LB_monitor`` (cost allgathers), ``LB_migrate`` (element
     envelopes over the crystal router), ``LB_gs_rebuild`` (handle
     re-discovery) — plus informational pseudo-ops: ``LB_Migrate``
-    (per-event migration cost/volume), ``LB_Rebuild``, and
-    ``PART_Migrate`` (particle tracker exchanges).  Informational rows
-    never inflate the MPI fraction.
+    (per-event migration cost/volume) and ``LB_Rebuild``.
+    Informational rows never inflate the MPI fraction.
     """
     rows = [
         r for r in profile.aggregates()
-        if r.site.startswith("LB_")
-        or r.op.startswith("LB_")
-        or r.op.startswith("PART_")
+        if r.site.startswith("LB_") or r.op.startswith("LB_")
     ]
     if not rows:
         return "Load balancing\n(no load-balancing activity recorded)"

@@ -398,7 +398,7 @@ class CMTBone:
             lb_rebalances=self.lb.rebalances if self.lb else 0,
             final_nel=self.nel,
             lb_window_cost=(
-                self.lb.monitor.window_cost(self.comm.rank).total_seconds
+                self.lb.monitor.window_cost(self.comm.rank).volume_seconds
                 / max(self.lb.monitor.window_steps, 1)
                 if self.lb else 0.0
             ),

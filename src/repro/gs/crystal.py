@@ -265,7 +265,7 @@ def route(
     to this rank, in arrival order: per sender as sent, what a rank held
     before what it received at every stage, its own records last.  The
     transport of the gather-scatter exchange below and of any sparse
-    all-to-all (element and particle migration).  Collective.
+    all-to-all (element migration).  Collective.
     """
     plan = CrystalPlan(comm)
     ids, rows = _run(plan, site, np.asarray(rows), dest, ids)

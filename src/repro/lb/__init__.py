@@ -6,8 +6,8 @@ better load balancing in the application"; CMT-nek's follow-up work
 Turbulence*) corrects it with periodic cost-driven repartitioning.
 This package reproduces that subsystem for the mini-app:
 
-- :mod:`repro.lb.cost` — per-rank virtual-time cost monitor (volume vs
-  particle work), fed by the :class:`repro.mpi.clock.VirtualClock`;
+- :mod:`repro.lb.cost` — per-rank virtual-time cost monitor, fed by
+  the :class:`repro.mpi.clock.VirtualClock`;
 - :mod:`repro.lb.sfc` — Morton space-filling-curve element ordering;
 - :mod:`repro.lb.assignment` — :class:`ElementAssignment`, an explicit
   element-to-rank overlay compatible with the static brick partition's
@@ -16,7 +16,7 @@ This package reproduces that subsystem for the mini-app:
   curve with greedy boundary refinement;
 - :mod:`repro.lb.policy` — :class:`RebalancePolicy` (threshold +
   hysteresis, every-K, manual);
-- :mod:`repro.lb.migrate` — live element/particle migration over the
+- :mod:`repro.lb.migrate` — live element migration over the
   crystal-router transport, charged to virtual time as ``LB_*`` sites;
 - :mod:`repro.lb.manager` — :class:`LoadBalancer`, the per-rank driver
   hosts embed between RK steps.
@@ -40,7 +40,6 @@ from .migrate import (
     SITE_LB_REBUILD,
     MigrationStats,
     migrate_elements,
-    migrate_particles,
 )
 from .partitioner import chunk_bounds, predicted_times, refine_bounds, sfc_partition
 from .policy import MODES, RebalancePolicy
@@ -65,7 +64,6 @@ __all__ = [
     "gather_costs",
     "predicted_element_seconds",
     "migrate_elements",
-    "migrate_particles",
     "chunk_bounds",
     "refine_bounds",
     "predicted_times",

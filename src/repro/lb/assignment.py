@@ -2,10 +2,10 @@
 
 :class:`repro.mesh.partition.Partition` hard-wires ownership to a 3-D
 brick decomposition.  Everything built on top of it — the rank
-topology, the DG face numbering, the boundary handler, the particle
-tracker — only ever asks four questions: *what mesh is this*, *which
-elements do I own (in a canonical local order)*, *who owns the element
-at these coords*, and *what is its local index on its owner*.
+topology, the DG face numbering, the boundary handler — only ever
+asks four questions: *what mesh is this*, *which elements do I own (in
+a canonical local order)*, *who owns the element at these coords*, and
+*what is its local index on its owner*.
 
 :class:`ElementAssignment` answers the same questions from an explicit
 ``owner[element_id] -> rank`` table, so any ownership map produced by

@@ -5,10 +5,8 @@ timestep and reads the rank's :class:`repro.mpi.clock.VirtualClock`
 ``compute_time`` counter, so everything the host charged through
 ``comm.compute`` — roofline kernel charges, injected imbalance
 factors, pack/unpack passes — lands in the measurement exactly as it
-lands in the makespan.  Particle work is attributed separately via
-:meth:`CostMonitor.charge_particles` so the partitioner can weight
-particle-laden elements; whatever is not claimed as particle time
-counts as element-volume work.
+lands in the makespan.  All of it counts as element-volume work: the
+solver carries no particles (the paper's CMT-bone sets sources to zero).
 
 The measured per-element cost is the ground truth the repartitioner
 consumes (as ``capacity = 1 / cost``); :func:`predicted_element_seconds`
@@ -36,13 +34,7 @@ class RankCost:
     rank: int
     nel: int
     volume_seconds: float
-    particle_seconds: float = 0.0
-    nparticles: int = 0
     steps: int = 1
-
-    @property
-    def total_seconds(self) -> float:
-        return self.volume_seconds + self.particle_seconds
 
     @property
     def per_element_seconds(self) -> float:
@@ -50,15 +42,10 @@ class RankCost:
         denom = self.nel * max(self.steps, 1)
         return self.volume_seconds / denom if denom else 0.0
 
-    @property
-    def per_particle_seconds(self) -> float:
-        denom = self.nparticles * max(self.steps, 1)
-        return self.particle_seconds / denom if denom else 0.0
-
 
 def cost_imbalance(costs: List[RankCost]) -> float:
-    """max/mean of per-step total cost across ranks (1.0 = balanced)."""
-    totals = np.array([c.total_seconds / max(c.steps, 1) for c in costs])
+    """max/mean of per-step cost across ranks (1.0 = balanced)."""
+    totals = np.array([c.volume_seconds / max(c.steps, 1) for c in costs])
     mean = totals.mean()
     return float(totals.max() / mean) if mean > 0 else 1.0
 
@@ -77,58 +64,41 @@ def capacities_from_costs(costs: List[RankCost]) -> Optional[np.ndarray]:
 
 
 class CostMonitor:
-    """Brackets timesteps and splits charged compute into work classes.
+    """Brackets timesteps and measures their charged compute.
 
     Usage per step::
 
         monitor.begin_step()
         ...   # host runs one RK step, charging compute as usual
-        monitor.end_step(nel=..., nparticles=...)
+        monitor.end_step(nel=...)
 
-    Any particle-work charge inside the step is claimed with
-    :meth:`charge_particles`; the step's remaining compute delta is
-    element-volume work.  :meth:`window_cost` aggregates all steps
-    since the last :meth:`reset_window` (windows are reset after every
-    rebalance, since migration changes what the numbers mean).
+    The step's compute delta is element-volume work.  :meth:`window_cost`
+    aggregates all steps since the last :meth:`reset_window` (windows
+    are reset after every rebalance, since migration changes what the
+    numbers mean).
     """
 
     def __init__(self, clock) -> None:
         self._clock = clock
         self._t0: Optional[float] = None
-        self._part0 = 0.0
-        self._particle_acc = 0.0
         self._win_volume = 0.0
-        self._win_particle = 0.0
         self._win_steps = 0
         self._win_el_steps = 0      # sum of nel over steps
-        self._win_part_steps = 0    # sum of nparticles over steps
         self.step_costs: List[RankCost] = []
 
     def begin_step(self) -> None:
         self._t0 = self._clock.compute_time
-        self._part0 = self._particle_acc
 
-    def charge_particles(self, seconds: float) -> None:
-        """Attribute ``seconds`` of the current step to particle work."""
-        self._particle_acc += float(seconds)
-
-    def end_step(self, nel: int, nparticles: int = 0) -> RankCost:
+    def end_step(self, nel: int) -> RankCost:
         if self._t0 is None:
             raise RuntimeError("end_step without begin_step")
-        total = self._clock.compute_time - self._t0
-        particle = self._particle_acc - self._part0
-        volume = max(total - particle, 0.0)
+        volume = self._clock.compute_time - self._t0
         self._t0 = None
-        cost = RankCost(
-            rank=-1, nel=int(nel), volume_seconds=volume,
-            particle_seconds=particle, nparticles=int(nparticles),
-        )
+        cost = RankCost(rank=-1, nel=int(nel), volume_seconds=volume)
         self.step_costs.append(cost)
         self._win_volume += volume
-        self._win_particle += particle
         self._win_steps += 1
         self._win_el_steps += int(nel)
-        self._win_part_steps += int(nparticles)
         return cost
 
     def window_cost(self, rank: int) -> RankCost:
@@ -138,8 +108,6 @@ class CostMonitor:
             rank=rank,
             nel=self._win_el_steps // steps,
             volume_seconds=self._win_volume,
-            particle_seconds=self._win_particle,
-            nparticles=self._win_part_steps // steps,
             steps=self._win_steps,
         )
 
@@ -149,10 +117,8 @@ class CostMonitor:
 
     def reset_window(self) -> None:
         self._win_volume = 0.0
-        self._win_particle = 0.0
         self._win_steps = 0
         self._win_el_steps = 0
-        self._win_part_steps = 0
 
 
 def gather_costs(comm, monitor: CostMonitor) -> List[RankCost]:
@@ -165,18 +131,19 @@ def gather_costs(comm, monitor: CostMonitor) -> List[RankCost]:
     fields are exact below 2**53 and cast back on arrival).
     """
     mine = monitor.window_cost(comm.rank)
-    row = np.array([
-        mine.nel, mine.volume_seconds, mine.particle_seconds,
-        mine.nparticles, mine.steps,
-    ], dtype=np.float64)
+    # Slots 2 and 3 are unused but stay: the network model charges the
+    # row's size, so a shorter row would move every --lb run's vtime.
+    row = np.array(
+        [mine.nel, mine.volume_seconds, 0.0, 0.0, mine.steps],
+        dtype=np.float64,
+    )
     gathered = comm.allgather(row, site=SITE_LB_MONITOR)
     return [
         RankCost(
             rank=r, nel=int(nel), volume_seconds=float(vol),
-            particle_seconds=float(part), nparticles=int(np_),
             steps=int(steps),
         )
-        for r, (nel, vol, part, np_, steps) in enumerate(gathered)
+        for r, (nel, vol, _, _, steps) in enumerate(gathered)
     ]
 
 

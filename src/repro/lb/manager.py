@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from .assignment import ElementAssignment
 from .cost import (
     CostMonitor,
@@ -66,12 +64,7 @@ class LoadBalancer:
 
     # -- decision ------------------------------------------------------------
 
-    def propose(
-        self,
-        step: int,
-        element_weights: Optional[np.ndarray] = None,
-        force: bool = False,
-    ) -> Optional[ElementAssignment]:
+    def propose(self, step: int) -> Optional[ElementAssignment]:
         """Check costs after ``step``; return a new assignment if due.
 
         Collective whenever the policy's check cadence fires (all ranks
@@ -79,13 +72,6 @@ class LoadBalancer:
         rebalance is warranted or the partitioner reproduces the
         current assignment.
         """
-        if force:
-            if self.monitor.window_steps == 0:
-                return self._build(step, element_weights, costs=None)
-            costs = gather_costs(self.comm, self.monitor)
-            self.last_costs = costs
-            self._pending_imbalance = cost_imbalance(costs)
-            return self._build(step, element_weights, costs)
         if not self.policy.wants_check():
             return None
         if self.monitor.window_steps == 0:
@@ -97,20 +83,10 @@ class LoadBalancer:
         if not self.policy.due(step, self.last_rebalance, imb):
             return None
         self._pending_imbalance = imb
-        return self._build(step, element_weights, costs)
-
-    def _build(
-        self,
-        step: int,
-        element_weights: Optional[np.ndarray],
-        costs: Optional[List[RankCost]],
-    ) -> Optional[ElementAssignment]:
-        caps = capacities_from_costs(costs) if costs else None
         new = sfc_partition(
             self.assignment.mesh,
             self.assignment.nranks,
-            weights=element_weights,
-            capacities=caps,
+            capacities=capacities_from_costs(costs),
         )
         if new.same_as(self.assignment):
             return None

@@ -1,4 +1,4 @@
-"""Live migration of element state (and particles) between RK steps.
+"""Live migration of element state between RK steps.
 
 Migration is an ordinary sparse all-to-all, so it rides the existing
 crystal-router transport (:func:`repro.gs.crystal.route`): a record is
@@ -158,26 +158,3 @@ def migrate_elements(
     )
     return out, stats
 
-
-def migrate_particles(
-    comm,
-    ids: np.ndarray,
-    pos: np.ndarray,
-    dest_ranks: np.ndarray,
-    site: str = SITE_LB_MIGRATE,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Route particles (id + position rows) to their new owner ranks.
-
-    A thin wrapper over the crystal transport used when a rebalance
-    moves elements out from under their resident particles.  Returns
-    the particles now resident on this rank, sorted by particle id for
-    determinism.  Collective.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    pos = np.asarray(pos, dtype=np.float64).reshape(
-        ids.size, -1 if ids.size else 3
-    )
-    comm.compute(mem_bytes=2.0 * (ids.nbytes + pos.nbytes))
-    got_ids, got_pos = route(dest_ranks, ids, pos, comm, site=site)
-    order = np.argsort(got_ids, kind="stable")
-    return got_ids[order], got_pos[order]

@@ -13,8 +13,8 @@ The recipe (following CMT-nek's dynamic load-balancing papers):
    adjacent chunk boundaries while the bottleneck (max predicted time
    of the two ranks at that boundary) strictly decreases.
 
-Element weights default to 1 (pure volume work); callers with particle
-load fold it in as ``w_e = 1 + n_particles(e) * t_part / t_elem``.
+Element weights default to 1: every element carries the same volume
+work, and the solver has no other (no particles, zero sources).
 """
 
 from __future__ import annotations

@@ -43,22 +43,9 @@ from .driver import (
     StepStats,
     run_with_recovery,
 )
-from .eos import IdealGas, StiffenedGas
+from .eos import IdealGas
 from .flux import euler_flux, euler_fluxes, flux_flops, wavespeed
-from .multiphase import (
-    InertialCloud,
-    TwoWayCoupling,
-    deposit_at,
-    deposit_uniform,
-    seed_inertial,
-)
 from .numflux import SCHEMES, central, get_scheme, lax_friedrichs
-from .particles import (
-    ParticleCloud,
-    ParticleTracker,
-    interpolate_at,
-    seed_particles,
-)
 from .shock import (
     ShockFilter,
     exponential_sigma,
@@ -66,13 +53,7 @@ from .shock import (
     nodal_to_modal,
     smoothness_sensor,
 )
-from .sources import (
-    combine_sources,
-    gaussian_bed,
-    make_body_force,
-    make_nozzling_source,
-)
-from .rk import cfl_dt, step_euler, step_ssprk2, step_ssprk3
+from .rk import cfl_dt, step_ssprk3
 from .state import (
     COMPONENT_NAMES,
     ENERGY,
@@ -114,14 +95,11 @@ __all__ = [
     "FACE_NORMAL_SIGN",
     "FlowState",
     "IdealGas",
-    "InertialCloud",
     "MX",
     "MY",
     "MZ",
     "NEQ",
-    "ParticleCloud",
     "PrimitiveState",
-    "ParticleTracker",
     "RHO",
     "RiemannSolution",
     "SOD_LEFT",
@@ -129,15 +107,10 @@ __all__ = [
     "SCHEMES",
     "ShockFilter",
     "SolverConfig",
-    "StiffenedGas",
     "ViscousModel",
     "StepStats",
-    "TwoWayCoupling",
     "central",
     "cfl_dt",
-    "deposit_at",
-    "deposit_uniform",
-    "combine_sources",
     "divergence_flops",
     "euler_flux",
     "exact_riemann",
@@ -151,27 +124,19 @@ __all__ = [
     "from_primitives",
     "full2face",
     "full2face_multi",
-    "gaussian_bed",
     "get_scheme",
     "gradient_physical",
-    "interpolate_at",
     "lax_friedrichs",
     "checkpoint_namespace",
     "load_checkpoint",
-    "make_body_force",
-    "make_nozzling_source",
     "modal_to_nodal",
     "nodal_to_modal",
     "outflow_everywhere",
     "read_manifest",
     "run_with_recovery",
     "save_checkpoint",
-    "seed_inertial",
-    "seed_particles",
     "smoothness_sensor",
     "sod_problem",
-    "step_euler",
-    "step_ssprk2",
     "step_ssprk3",
     "uniform_state",
     "velocity_and_temperature",

@@ -16,7 +16,8 @@ point during :func:`save_checkpoint` therefore leaves either the
 previous complete checkpoint (old manifest, possibly some orphaned
 temp files) or the new complete one, never a manifest pointing at
 missing or stale rank files.  Corrupt or inconsistent rank files at
-load time raise :class:`CheckpointError` naming the offending file.
+load time, and a corrupt manifest, raise :class:`CheckpointError`
+naming the offending file.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from ..mesh import Partition
 from ..mpi import Comm
 from ..store import atomic_write
-from .eos import IdealGas, StiffenedGas
+from .eos import IdealGas
 from .state import FlowState
 
 #: Manifest schema version.  (``vtime`` was added as an optional field
@@ -80,11 +81,6 @@ class CheckpointInfo:
 def _eos_to_dict(eos) -> dict:
     if isinstance(eos, IdealGas):
         return {"kind": "ideal", "gamma": eos.gamma, "r_gas": eos.r_gas}
-    if isinstance(eos, StiffenedGas):
-        return {
-            "kind": "stiffened", "gamma": eos.gamma,
-            "p_inf": eos.p_inf, "r_gas": eos.r_gas,
-        }
     raise TypeError(f"cannot serialize EOS of type {type(eos).__name__}")
 
 
@@ -92,11 +88,14 @@ def _eos_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "ideal":
         return IdealGas(gamma=d["gamma"], r_gas=d["r_gas"])
-    if kind == "stiffened":
-        return StiffenedGas(
-            gamma=d["gamma"], p_inf=d["p_inf"], r_gas=d["r_gas"]
-        )
     raise ValueError(f"unknown EOS kind {kind!r} in checkpoint")
+
+
+#: Fields every manifest carries, with the JSON types they load as.
+_MANIFEST_FIELDS = (
+    ("step", int), ("time", (int, float)), ("nranks", int),
+    ("mesh_shape", list), ("n", int), ("proc_shape", list), ("eos", dict),
+)
 
 
 def _rank_file(directory: pathlib.Path, rank: int) -> pathlib.Path:
@@ -208,17 +207,32 @@ def read_manifest(
     must never silently recover another job's state out of a shared
     directory.  Manifests with no job id (written before the field
     existed, or by anonymous runs) are accepted unconditionally.
+    A manifest that does not parse, lacks a field, holds one of the
+    wrong type or names an unknown EOS raises :class:`CheckpointError`
+    naming its path; a missing one raises ``FileNotFoundError`` (no
+    checkpoint yet).
     """
     directory = pathlib.Path(directory)
     path = _manifest_file(directory)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {path}")
-    m = json.loads(path.read_text())
-    if m.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format {m.get('format_version')} != "
-            f"{FORMAT_VERSION}"
-        )
+    try:
+        m = json.loads(path.read_text())
+        if not isinstance(m, dict):
+            raise TypeError(f"top level is a JSON {type(m).__name__}")
+        if m.get("format_version") != FORMAT_VERSION:
+            raise ValueError(
+                f"format {m.get('format_version')} != {FORMAT_VERSION}"
+            )
+        for key, kind in _MANIFEST_FIELDS:
+            if not isinstance(m[key], kind):
+                raise TypeError(f"{key!r} is a {type(m[key]).__name__}")
+        _eos_from_dict(m["eos"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(
+            f"checkpoint manifest {path} is corrupt: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     found = m.get("job_id")
     if (
         expect_job_id is not None

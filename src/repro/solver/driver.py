@@ -12,7 +12,7 @@ model describes: per Runge-Kutta stage,
 6. the RK update,
 
 with source terms "set to zero" exactly as the current CMT-nek version
-does (a hook is provided for the nozzling term that will follow).
+does (paper, Section IV).
 
 The stage is organised as an explicit phase pipeline with two
 schedules over the same phases:
@@ -109,9 +109,6 @@ class SolverConfig:
     #: the blocking schedule; only the modelled timeline changes (see
     #: module docstring and docs/virtual-time.md, "Overlap accounting").
     overlap: bool = False
-    #: Optional source-term hook S(u) -> (5, nel, N, N, N); the current
-    #: CMT-nek sets sources to zero (paper, Section IV).
-    source: Optional[Callable[[np.ndarray], np.ndarray]] = None
     #: Injected per-rank compute jitter: each rank's charged kernel
     #: time is scaled by ``1 + compute_imbalance * h(rank)`` with
     #: ``h`` a deterministic hash in [0, 1) — the same load model
@@ -274,12 +271,8 @@ class CMTSolver:
         passes a workspace buffer here so stages stop allocating).
         """
         if self.config.overlap and self.comm.size > 1:
-            rhs = self._rhs_overlapped(u, out=out)
-        else:
-            rhs = self._rhs_blocking(u, out=out)
-        if self.config.source is not None:
-            rhs += self.config.source(u)
-        return rhs
+            return self._rhs_overlapped(u, out=out)
+        return self._rhs_blocking(u, out=out)
 
     def _rhs_into(self, u: np.ndarray) -> np.ndarray:
         """:meth:`rhs` into a reusable workspace buffer.

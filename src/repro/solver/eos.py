@@ -1,16 +1,10 @@
-"""Equations of state for the compressible flow system.
+"""Equation of state for the compressible flow system.
 
-The paper's roadmap (Section III-A) ends with "real gas models will be
-added".  The solver is EOS-agnostic — any object with ``pressure``,
-``sound_speed``, ``temperature``, and ``total_energy`` works — and two
-models are provided:
-
-* :class:`IdealGas` — the calorically perfect gas of the current
-  CMT-nek release;
-* :class:`StiffenedGas` — the standard "real-gas" extension for
-  liquids/dense media under shock loading (a Noble-Abel/stiffened
-  closure: ``p = (gamma-1) rho e - gamma p_inf``), which reduces to
-  the ideal gas at ``p_inf = 0``.
+The solver reads the closure through ``pressure``, ``sound_speed``,
+``temperature`` and ``total_energy``; :class:`IdealGas` is the
+calorically perfect gas of the current CMT-nek release.  The paper's
+roadmap (Section III-A) adds real-gas models later; no workload here
+runs one.
 """
 
 from __future__ import annotations
@@ -62,49 +56,3 @@ class IdealGas:
     ) -> np.ndarray:
         """E = p/(gamma-1) + rho |v|^2 / 2 (inverse of :meth:`pressure`)."""
         return p / (self.gamma - 1.0) + 0.5 * rho * np.sum(vel * vel, axis=0)
-
-
-@dataclass(frozen=True)
-class StiffenedGas:
-    """Stiffened-gas EOS: ``p = (gamma - 1) rho e - gamma p_inf``.
-
-    Models liquids and dense materials under compression (water at
-    shock conditions is the textbook case: gamma ~ 6, p_inf ~ 3.4e8).
-    ``p_inf = 0`` recovers :class:`IdealGas` exactly.
-    """
-
-    gamma: float = 6.1
-    p_inf: float = 2.0
-    r_gas: float = 287.0
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.p_inf < 0.0:
-            raise ValueError(f"p_inf must be non-negative, got {self.p_inf}")
-        if self.r_gas <= 0.0:
-            raise ValueError(f"r_gas must be positive, got {self.r_gas}")
-
-    def pressure(
-        self, rho: np.ndarray, mom: np.ndarray, energy: np.ndarray
-    ) -> np.ndarray:
-        """p = (gamma-1)(E - |m|^2/(2 rho)) - gamma p_inf."""
-        ke = 0.5 * np.sum(mom * mom, axis=0) / rho
-        return (self.gamma - 1.0) * (energy - ke) - self.gamma * self.p_inf
-
-    def sound_speed(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """a = sqrt(gamma (p + p_inf) / rho)."""
-        return np.sqrt(self.gamma * (p + self.p_inf) / rho)
-
-    def temperature(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """T = (p + p_inf) / (rho R) (thermal closure of the model)."""
-        return (p + self.p_inf) / (rho * self.r_gas)
-
-    def total_energy(
-        self, rho: np.ndarray, vel: np.ndarray, p: np.ndarray
-    ) -> np.ndarray:
-        """Inverse of :meth:`pressure` given primitive variables."""
-        return (
-            (p + self.gamma * self.p_inf) / (self.gamma - 1.0)
-            + 0.5 * rho * np.sum(vel * vel, axis=0)
-        )

@@ -8,8 +8,6 @@ scheme of Shu & Osher::
     u1 = u  + dt L(u)
     u2 = 3/4 u + 1/4 (u1 + dt L(u1))
     u  = 1/3 u + 2/3 (u2 + dt L(u2))
-
-plus forward Euler as a one-stage reference for convergence tests.
 """
 
 from __future__ import annotations
@@ -21,31 +19,6 @@ import numpy as np
 from ..kernels.workspace import Workspace
 
 RhsFn = Callable[[np.ndarray], np.ndarray]
-
-
-def step_euler(
-    u: np.ndarray, rhs: RhsFn, dt: float, work: Workspace
-) -> np.ndarray:
-    """Forward Euler step."""
-    t = work.like(u, key="rk:t")
-    np.multiply(rhs(u), dt, out=t)
-    return np.add(u, t, out=np.empty_like(u))
-
-
-def step_ssprk2(
-    u: np.ndarray, rhs: RhsFn, dt: float, work: Workspace
-) -> np.ndarray:
-    """Two-stage, second-order SSP RK (Heun)."""
-    t = work.like(u, key="rk:t")
-    u1 = work.like(u, key="rk:u1")
-    np.multiply(rhs(u), dt, out=t)
-    np.add(u, t, out=u1)
-    np.multiply(rhs(u1), dt, out=t)
-    np.add(u1, t, out=t)
-    t *= 0.5
-    out = np.multiply(u, 0.5, out=np.empty_like(u))
-    out += t
-    return out
 
 
 def step_ssprk3(

@@ -203,15 +203,6 @@ def lax_friedrichs(u_minus, u_plus, f_minus, f_plus, lam):
 NUMFLUX = {"central": central, "lax_friedrichs": lax_friedrichs}
 
 
-def step_euler(u, rhs, dt):
-    return u + dt * rhs(u)
-
-
-def step_ssprk2(u, rhs, dt):
-    u1 = u + dt * rhs(u)
-    return 0.5 * u + 0.5 * (u1 + dt * rhs(u1))
-
-
 def step_ssprk3(u, rhs, dt):
     u1 = u + dt * rhs(u)
     u2 = 0.75 * u + 0.25 * (u1 + dt * rhs(u1))

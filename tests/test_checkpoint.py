@@ -1,5 +1,6 @@
 """Checkpoint / restart of distributed solver state."""
 
+import json
 import shutil
 
 import numpy as np
@@ -10,8 +11,8 @@ from repro.mpi import MPIError, Runtime
 from repro.solver import (
     CheckpointError,
     CMTSolver,
+    IdealGas,
     SolverConfig,
-    StiffenedGas,
     from_primitives,
     uniform_state,
 )
@@ -52,17 +53,20 @@ class TestRoundTrip:
             assert step == 7 and time == 0.35
             assert eos_name == "IdealGas"
 
-    def test_stiffened_eos_round_trips(self, tmp_path):
-        eos = StiffenedGas(gamma=4.0, p_inf=1.25)
+    @pytest.mark.parametrize("gamma,r_gas", [
+        (1.4, 287.0), (5.0 / 3.0, 1.0), (4.0, 8.314),
+    ])
+    def test_ideal_eos_round_trips(self, tmp_path, gamma, r_gas):
+        eos = IdealGas(gamma=gamma, r_gas=r_gas)
 
         def main(comm):
             st = make_state(comm.rank, eos=eos)
             save_checkpoint(tmp_path, comm, PART, st)
             back, _ = load_checkpoint(tmp_path, comm, PART)
-            return back.eos
+            return back.eos, bool(np.array_equal(back.u, st.u))
 
         res = Runtime(nranks=2).run(main)
-        assert all(e == eos for e in res)
+        assert all(e == eos and same for e, same in res)
 
     def test_manifest_contents(self, tmp_path):
         def main(comm):
@@ -185,6 +189,52 @@ class TestCrashSafety:
                     tmp_path / "state.00001.npz")
         with pytest.raises(MPIError, match="belongs to rank 0"):
             self._load(tmp_path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text, m: text[: len(text) // 2],
+        lambda text, m: json.dumps([m]),
+        lambda text, m: json.dumps({k: v for k, v in m.items()
+                                    if k != "step"}),
+        lambda text, m: json.dumps({**m, "step": "4"}),
+        lambda text, m: json.dumps({**m, "mesh_shape": 4}),
+        # What an older writer stored for a stiffened-gas EOS.
+        lambda text, m: json.dumps({**m, "eos": {
+            "kind": "stiffened", "gamma": 4.0, "p_inf": 1.25,
+            "r_gas": 287.0,
+        }}),
+        lambda text, m: "",
+        lambda text, m: "null",
+        lambda text, m: json.dumps({**m, "format_version": -1}),
+        *(
+            (lambda key: lambda text, m: json.dumps(
+                {k: v for k, v in m.items() if k != key}
+            ))(key)
+            for key in ("time", "nranks", "mesh_shape", "n", "proc_shape",
+                        "eos")
+        ),
+        lambda text, m: json.dumps({**m, "time": [0.2]}),
+        lambda text, m: json.dumps({**m, "nranks": 2.0}),
+        lambda text, m: json.dumps({**m, "n": "4"}),
+        lambda text, m: json.dumps({**m, "proc_shape": {"x": 2}}),
+        lambda text, m: json.dumps({**m, "eos": ["ideal", 1.4]}),
+        lambda text, m: json.dumps({**m, "eos": {**m["eos"], "kind": "vdw"}}),
+        lambda text, m: json.dumps({**m, "eos": {"kind": "ideal"}}),
+        lambda text, m: json.dumps({**m, "eos": {**m["eos"], "gamma": 1.0}}),
+    ], ids=["truncated", "list", "missing-step", "string-step",
+            "int-mesh-shape", "stiffened-eos", "empty", "null",
+            "wrong-format-version", "missing-time", "missing-nranks",
+            "missing-mesh-shape", "missing-n", "missing-proc-shape",
+            "missing-eos", "list-time", "float-nranks", "string-n",
+            "object-proc-shape", "list-eos", "unknown-eos-kind",
+            "eos-missing-gamma", "eos-gamma-one"])
+    def test_corrupt_manifest_named(self, tmp_path, corrupt):
+        self._write(tmp_path)
+        path = tmp_path / "manifest.json"
+        text = path.read_text()
+        path.write_text(corrupt(text, json.loads(text)))
+        with pytest.raises(CheckpointError) as err:
+            read_manifest(tmp_path)
+        assert f"checkpoint manifest {path} is corrupt" in str(err.value)
 
     def test_checkpoint_error_is_a_runtime_error(self):
         # Callers catching RuntimeError keep working.

@@ -1,7 +1,7 @@
 """Smoke tests: every example script must run clean end to end.
 
 The cheap scripts run at full size; the longer ones are executed with
-their module-level knobs (STEPS / N_PARTICLES / ...) patched down so
+their module-level knobs (STEPS / ...) patched down so
 the whole module stays under a few seconds.  Each test executes the
 example in a fresh namespace via runpy-style loading, so import-time
 breakage is caught too.
@@ -31,7 +31,6 @@ class TestExamplesSmoke:
             "acoustic_pulse",
             "architecture_dse",
             "kernel_tuning",
-            "particle_transport",
             "quickstart",
             "scaling_study",
             "shock_capturing",
@@ -63,16 +62,6 @@ class TestExamplesSmoke:
         Runtime(nranks=mod.PART.nranks).run(mod.main)
         out = capsys.readouterr().out
         assert "conservation check" in out
-
-    def test_particle_transport_short(self, capsys):
-        mod = load_module("particle_transport")
-        mod.STEPS = 15
-        mod.N_PARTICLES = 50
-        from repro.mpi import Runtime
-
-        rt = Runtime(nranks=mod.PART.nranks)
-        counts = rt.run(mod.main)
-        assert sum(counts) == 50
 
     def test_shock_capturing_short(self, capsys):
         mod = load_module("shock_capturing")

@@ -9,11 +9,13 @@ from repro.lb import (
     ElementAssignment,
     LoadBalancer,
     RankCost,
+    SITE_LB_MONITOR,
     RebalancePolicy,
     capacities_from_costs,
     chunk_bounds,
     cost_imbalance,
     element_ids,
+    gather_costs,
     id_to_coords,
     migrate_elements,
     morton_keys,
@@ -27,6 +29,7 @@ from repro.solver import (
     CMTSolver,
     SolverConfig,
     run_with_recovery,
+    sod_problem,
     uniform_state,
 )
 
@@ -169,8 +172,7 @@ class TestCost:
             for _ in range(3):
                 mon.begin_step()
                 comm.compute(seconds=1e-3)
-                mon.charge_particles(2e-4)
-                mon.end_step(nel=4, nparticles=7)
+                mon.end_step(nel=4)
             cost = mon.window_cost(comm.rank)
             mon.reset_window()
             return cost, mon.window_steps
@@ -178,8 +180,78 @@ class TestCost:
         cost, steps = Runtime(nranks=1).run(main)[0]
         assert steps == 0
         assert cost.steps == 3
-        assert cost.particle_seconds == pytest.approx(3 * 2e-4)
-        assert cost.volume_seconds == pytest.approx(3 * 8e-4)
+        assert cost.nel == 4
+        assert cost.volume_seconds == pytest.approx(3 * 1e-3)
+
+    def test_monitor_window_nel_is_the_step_average(self):
+        def main(comm):
+            mon = CostMonitor(comm.clock)
+            for nel in (4, 6, 8):
+                mon.begin_step()
+                comm.compute(seconds=1e-3)
+                step = mon.end_step(nel=nel)
+            return mon.window_cost(comm.rank), step, len(mon.step_costs)
+
+        cost, last, nsteps = Runtime(nranks=1).run(main)[0]
+        assert cost.nel == 6 and cost.steps == 3 and nsteps == 3
+        assert last.nel == 8 and last.volume_seconds == pytest.approx(1e-3)
+
+    def test_end_step_without_begin_step_raises(self):
+        def main(comm):
+            mon = CostMonitor(comm.clock)
+            mon.begin_step()
+            mon.end_step(nel=1)
+            with pytest.raises(RuntimeError, match="without begin_step"):
+                mon.end_step(nel=1)
+
+        Runtime(nranks=1).run(main)
+
+    def test_unmeasurable_costs(self):
+        empty = RankCost(rank=0, nel=0, volume_seconds=1.0)
+        idle = RankCost(rank=1, nel=4, volume_seconds=0.0)
+        assert empty.per_element_seconds == 0.0
+        assert capacities_from_costs([empty, idle]) is None
+        assert cost_imbalance([idle, idle]) == 1.0
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3])
+    def test_gather_costs_round_trips_rows(self, nranks):
+        """Every rank sees every rank's window, integers exact."""
+
+        def main(comm):
+            mon = CostMonitor(comm.clock)
+            for _ in range(comm.rank + 1):
+                mon.begin_step()
+                comm.compute(seconds=(comm.rank + 1) * 1e-3)
+                mon.end_step(nel=2 ** 40 + comm.rank)
+            return gather_costs(comm, mon), mon.window_cost(comm.rank)
+
+        res = Runtime(nranks=nranks).run(main)
+        mine = [own for _, own in res]
+        for gathered, _ in res:
+            assert gathered == mine
+
+    def test_monitor_rows_stay_40_bytes(self):
+        """Every rank's ``LB_monitor`` allgather row is five float64.
+
+        The network model charges a row its size, so the row keeps its
+        two unused slots: shrinking it would move the virtual time of
+        every load-balanced run.
+        """
+        setup = sod_problem(
+            4, n=5, nelx=32, gs_method="crystal", imbalance=0.4,
+            lb_policy=RebalancePolicy(mode="auto", threshold=1.05),
+        )
+
+        def main(comm):
+            solver, state = setup(comm)
+            solver.run(state, 8)
+
+        rt = Runtime(nranks=4)
+        rt.run(main)
+        for rp in rt.job_profile().rank_profiles:
+            rec = rp.records[("MPI_Allgather", SITE_LB_MONITOR)]
+            assert rec.count >= 1
+            assert rec.bytes_total == 40 * rec.count
 
 
 class TestMigration:

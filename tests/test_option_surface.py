@@ -13,8 +13,10 @@ import re
 import pytest
 
 import repro
+import repro.lb
+import repro.solver
 from repro.core import CMTBoneConfig, NekboneConfig
-from repro.lb import RebalancePolicy
+from repro.lb import LoadBalancer, RebalancePolicy
 from repro.mpi import Comm, ProcsBackend, Runtime
 from repro.net import SocketBackend
 from repro.perfmodel import MachineModel
@@ -32,7 +34,7 @@ FIELDS = {
     SolverConfig: (
         "flux_scheme", "kernel_variant", "gs_method", "autotune_trials",
         "cfl", "dealias", "shock_filter", "viscosity", "boundaries",
-        "overlap", "source", "compute_imbalance", "lb",
+        "overlap", "compute_imbalance", "lb",
     ),
     CMTBoneConfig: (
         "n", "local_shape", "proc_shape", "neq", "nsteps", "rk_stages",
@@ -67,6 +69,7 @@ PARAMETERS = {
         "state", "nsteps", "dt", "monitor_every", "checkpoint_every",
         "checkpoint_dir", "step_offset", "time_offset", "checkpoint_job_id",
     ),
+    LoadBalancer.propose: ("step",),
 }
 
 #: Public methods and properties, in definition order.  Each is called
@@ -77,6 +80,40 @@ METHODS = {
         "machine", "faults", "profile", "time", "compute", "shadow",
         "send", "isend", "recv", "irecv", "barrier", "allreduce",
         "allgather", "alltoall",
+    ),
+}
+
+
+#: Package exports, sorted.  A name leaves with the code it named.
+EXPORTS = {
+    repro.solver: (
+        "AttemptRecord", "BoundaryHandler", "BoundarySpec", "CMTSolver",
+        "COMPONENT_NAMES", "CheckpointError", "CheckpointInfo", "ENERGY",
+        "FACE_NORMAL_AXIS", "FACE_NORMAL_SIGN", "FaultRunReport",
+        "FlowState", "IdealGas", "MX", "MY", "MZ", "NEQ", "PrimitiveState",
+        "RHO", "RiemannSolution", "SCHEMES", "SOD_LEFT", "SOD_RIGHT",
+        "ShockFilter", "SolverConfig", "StepStats", "ViscousModel",
+        "central", "cfl_dt", "checkpoint_namespace", "divergence_flops",
+        "euler_flux", "euler_fluxes", "exact_riemann", "exponential_sigma",
+        "face2full_add", "face_bytes", "flux_divergence",
+        "flux_divergence_multi", "flux_flops", "from_primitives",
+        "full2face", "full2face_multi", "get_scheme", "gradient_physical",
+        "lax_friedrichs", "load_checkpoint", "modal_to_nodal",
+        "nodal_to_modal", "outflow_everywhere", "read_manifest",
+        "run_with_recovery", "save_checkpoint", "smoothness_sensor",
+        "sod_problem", "step_ssprk3", "uniform_state",
+        "velocity_and_temperature", "viscous_dt_limit", "viscous_fluxes",
+        "walls_everywhere", "wavespeed",
+    ),
+    repro.lb: (
+        "CostMonitor", "ElementAssignment", "LoadBalancer", "MODES",
+        "MigrationStats", "OP_LB_MIGRATE", "OP_LB_REBUILD", "RankCost",
+        "RebalanceEvent", "RebalancePolicy", "SITE_LB_MIGRATE",
+        "SITE_LB_MONITOR", "SITE_LB_REBUILD", "capacities_from_costs",
+        "chunk_bounds", "cost_imbalance", "element_ids", "gather_costs",
+        "id_to_coords", "migrate_elements", "morton_keys",
+        "predicted_element_seconds", "predicted_times", "refine_bounds",
+        "sfc_order", "sfc_partition",
     ),
 }
 
@@ -100,6 +137,14 @@ def test_keyword_parameters(fn):
     got = tuple(inspect.signature(fn).parameters)[1:]  # drop self
     assert got == PARAMETERS[fn], (
         f"{fn.__qualname__} parameters changed. {OPTIONS_RULE}"
+    )
+
+
+@pytest.mark.parametrize("mod", EXPORTS, ids=lambda m: m.__name__)
+def test_package_exports(mod):
+    got = tuple(sorted(mod.__all__))
+    assert got == EXPORTS[mod], (
+        f"{mod.__name__}.__all__ changed. {OPTIONS_RULE}"
     )
 
 

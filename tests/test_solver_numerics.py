@@ -11,8 +11,6 @@ from repro.solver import (
     get_scheme,
     gradient_physical,
     lax_friedrichs,
-    step_euler,
-    step_ssprk2,
     step_ssprk3,
 )
 
@@ -109,16 +107,22 @@ class TestRKSteppers:
             u = stepper(u, lambda v: -v, dt, Workspace())
         return u[0]
 
-    @pytest.mark.parametrize(
-        "stepper,order",
-        [(step_euler, 1), (step_ssprk2, 2), (step_ssprk3, 3)],
-    )
-    def test_convergence_order(self, stepper, order):
+    def test_convergence_order(self):
         exact = np.exp(-1.0)
-        e1 = abs(self._integrate(stepper, 0.1) - exact)
-        e2 = abs(self._integrate(stepper, 0.05) - exact)
+        e1 = abs(self._integrate(step_ssprk3, 0.1) - exact)
+        e2 = abs(self._integrate(step_ssprk3, 0.05) - exact)
         observed = np.log2(e1 / e2)
-        assert observed == pytest.approx(order, abs=0.25)
+        assert observed == pytest.approx(3, abs=0.25)
+
+    @pytest.mark.parametrize("z", [-2.5, -1.0, -0.25, 0.0, 0.5])
+    def test_one_step_is_the_stability_polynomial(self, z):
+        """On u' = lambda u one SSP-RK3 step multiplies u by
+        1 + z + z^2/2 + z^3/6, z = lambda dt."""
+        u = np.array([1.0, -2.0, 0.5])
+        out = step_ssprk3(u, lambda v: z * v, 1.0, Workspace())
+        np.testing.assert_allclose(
+            out, (1.0 + z + z * z / 2 + z ** 3 / 6) * u, rtol=1e-14
+        )
 
     def test_linearity_preserved(self):
         """Steppers preserve array shape and dtype."""
@@ -134,6 +138,15 @@ class TestCflDt:
         assert dt2 == pytest.approx(dt1 / 2)
         dt3 = cfl_dt(max_speed=1.0, dx_min=1.0, n=8)
         assert dt3 == pytest.approx(dt1 / 4)
+
+    def test_linear_in_cfl_and_dx(self):
+        base = cfl_dt(max_speed=1.5, dx_min=0.2, n=5, cfl=0.4)
+        assert cfl_dt(max_speed=1.5, dx_min=0.2, n=5, cfl=0.2) == (
+            pytest.approx(base / 2)
+        )
+        assert cfl_dt(max_speed=1.5, dx_min=0.6, n=5, cfl=0.4) == (
+            pytest.approx(3 * base)
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,9 @@ import pytest
 
 from repro.core import CMTBoneConfig
 from repro.core.cmtbone import run_cmtbone
-from repro.lb import RebalancePolicy, migrate_particles
-from repro.mesh import BoxMesh, Partition
+from repro.lb import RebalancePolicy
 from repro.mpi import Runtime, datatypes
 from repro.solver import sod_problem
-from repro.solver.multiphase import TwoWayCoupling, seed_inertial
-from repro.solver.particles import ParticleCloud, ParticleTracker, seed_particles
 
 from .test_field_batching import _observables as observables
 from .test_mpi_datatypes import counting_pickle
@@ -49,46 +46,6 @@ def sod(mode, **policy):
     return main
 
 
-MESH = BoxMesh(shape=(4, 4, 2), n=4, lengths=(1.0, 1.0, 0.5))
-PART = Partition(MESH, (2, 2, 1))
-
-
-def shuffled(cloud_pos, tracker, rank):
-    rng = np.random.default_rng(40 + rank)
-    return tracker.wrap(cloud_pos + rng.uniform(-0.4, 0.4, cloud_pos.shape))
-
-
-def tracer_migration(comm):
-    tracker = ParticleTracker(comm, PART)
-    cloud = seed_particles(tracker, 96, seed=3)
-    for _ in range(3):
-        cloud = tracker.migrate(
-            ParticleCloud(cloud.ids, shuffled(cloud.pos, tracker, comm.rank))
-        )
-    return cloud.ids.tolist(), cloud.pos.tobytes()
-
-
-def inertial_migration(comm):
-    tracker = ParticleTracker(comm, PART)
-    coupling = TwoWayCoupling(comm, tracker, tau_p=0.05, particle_mass=1e-6)
-    cloud = seed_inertial(tracker, 96, vel=(0.1, 0.2, 0.0), seed=5)
-    for _ in range(3):
-        cloud.pos[...] = shuffled(cloud.pos, tracker, comm.rank)
-        cloud = coupling.migrate(cloud)
-    return cloud.ids.tolist(), cloud.pos.tobytes(), cloud.vel.tobytes()
-
-
-def rebalance_particle_migration(comm):
-    """``repro.lb.migrate_particles``, one rank starting with none."""
-    rng = np.random.default_rng(comm.rank)
-    n = 0 if comm.rank == 1 else 20
-    ids = 100 * comm.rank + np.arange(n)
-    got = migrate_particles(
-        comm, ids, rng.random((n, 3)), rng.integers(0, comm.size, n)
-    )
-    return got[0].tolist(), got[1].tobytes()
-
-
 JOBS = {
     "cmtbone-crystal-3": (3, cmtbone(gs_method="crystal")),
     "cmtbone-crystal-8": (8, cmtbone(gs_method="crystal")),
@@ -96,9 +53,6 @@ JOBS = {
     "cmtbone-autotuned": (8, cmtbone()),
     "sod-lb-every": (4, sod("every", every=3)),
     "sod-lb-auto": (4, sod("auto", threshold=1.05)),
-    "tracer-migration": (4, tracer_migration),
-    "inertial-migration": (4, inertial_migration),
-    "rebalance-particle-migration": (4, rebalance_particle_migration),
 }
 
 
@@ -130,8 +84,7 @@ def test_no_payload_is_priced_by_pickling_it(job, monkeypatch):
     """Set-up, auto-tune, stepping, routing, migrating and monitoring:
     every ``pickle.dumps`` left in ``repro.mpi.datatypes`` snapshots a
     payload that states its own size (``gs_setup``'s tuples of arrays,
-    the allreduce method's sparse vector); the migrations pickle nothing
-    at all on a thread rank."""
+    the allreduce method's sparse vector)."""
     priced, dumps = [], []
     stub = counting_pickle(dumps)
     counted = stub.dumps
@@ -145,5 +98,3 @@ def test_no_payload_is_priced_by_pickling_it(job, monkeypatch):
     monkeypatch.setattr(datatypes, "pickle", stub)
     run(job)
     assert priced == []
-    if "migration" in job:
-        assert dumps == []

@@ -13,7 +13,7 @@ import pytest
 
 from repro.kernels import Workspace, derivative_matrix, grad_workspace
 from repro.kernels import derivatives as dk
-from repro.solver.rk import step_euler, step_ssprk2, step_ssprk3
+from repro.solver.rk import step_ssprk3
 
 from . import field_oracles, kernel_oracles as oracle
 
@@ -119,22 +119,19 @@ class TestDerivativeOut:
             dk.dudr(u, dmat, out=np.empty((1,) + u.shape[1:]))
 
 
-# -- RK steppers: in-place pipeline bitwise vs the textbook formulas ------
+# -- RK stepper: in-place pipeline bitwise vs the textbook formulas -------
 
 class TestSteppersWorkspace:
-    @pytest.mark.parametrize(
-        "stepper", [step_euler, step_ssprk2, step_ssprk3]
-    )
-    def test_work_path_bitwise(self, stepper):
+    def test_work_path_bitwise(self):
         rng = np.random.default_rng(5)
         u = rng.standard_normal((4, 5, 5, 5))
 
         def rhs(v):
             return np.sin(v) - 0.1 * v
 
-        plain = getattr(field_oracles, stepper.__name__)(u, rhs, dt=1e-3)
+        plain = field_oracles.step_ssprk3(u, rhs, dt=1e-3)
         work = Workspace()
-        with_ws = stepper(u, rhs, dt=1e-3, work=work)
+        with_ws = step_ssprk3(u, rhs, dt=1e-3, work=work)
         assert np.array_equal(plain, with_ws)
         # The result must not live inside the workspace (state outlives
         # the step; a later stage would clobber it otherwise).
