@@ -13,7 +13,6 @@ from .callgraph import (
     merge_profiles,
 )
 from .mpip import (
-    aggregates_by_op,
     fault_report,
     full_report,
     lb_report,
@@ -48,7 +47,6 @@ __all__ = [
     "Interval",
     "RegionStats",
     "TimelineRecorder",
-    "aggregates_by_op",
     "call_graph",
     "fault_report",
     "lb_report",

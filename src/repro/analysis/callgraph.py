@@ -53,16 +53,10 @@ class CallGraphProfiler:
         #: (parent, child) -> (calls, inclusive seconds)
         self.edges: Dict[Tuple[str, str], Tuple[int, float]] = {}
         self._stack: List[Tuple[str, float]] = []
-        self._t_origin = clock.now
 
     def region(self, name: str) -> "_Region":
         """Bracket a named region; nests to build the call graph."""
         return _Region(self, name)
-
-    @property
-    def observed_time(self) -> float:
-        """Virtual seconds elapsed since the profiler was created."""
-        return self._clock.now - self._t_origin
 
 
 class _Region:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..mpi.profiler import JobProfile, SiteAggregate
+from ..mpi.profiler import JobProfile
 from .tables import render_histogram, render_table
 
 
@@ -280,51 +280,3 @@ def full_report(profile: JobProfile, top_n: int = 20) -> str:
         ]
     )
 
-
-def aggregates_by_op(profile: JobProfile) -> List[SiteAggregate]:
-    """Site aggregates re-merged by op name only (coarse view)."""
-    merged = {}
-    for row in profile.aggregates():
-        cur = merged.get(row.op)
-        if cur is None:
-            merged[row.op] = SiteAggregate(
-                op=row.op,
-                site="*",
-                count=row.count,
-                vtime=row.vtime,
-                vtime_mean=0.0,
-                vtime_max=row.vtime_max,
-                bytes_total=row.bytes_total,
-                bytes_avg=0.0,
-                app_pct=row.app_pct,
-                mpi_pct=row.mpi_pct,
-            )
-        else:
-            merged[row.op] = SiteAggregate(
-                op=row.op,
-                site="*",
-                count=cur.count + row.count,
-                vtime=cur.vtime + row.vtime,
-                vtime_mean=0.0,
-                vtime_max=max(cur.vtime_max, row.vtime_max),
-                bytes_total=cur.bytes_total + row.bytes_total,
-                bytes_avg=0.0,
-                app_pct=cur.app_pct + row.app_pct,
-                mpi_pct=cur.mpi_pct + row.mpi_pct,
-            )
-    out = sorted(merged.values(), key=lambda r: r.vtime, reverse=True)
-    return [
-        SiteAggregate(
-            op=r.op,
-            site="*",
-            count=r.count,
-            vtime=r.vtime,
-            vtime_mean=r.vtime / r.count if r.count else 0.0,
-            vtime_max=r.vtime_max,
-            bytes_total=r.bytes_total,
-            bytes_avg=r.bytes_total / r.count if r.count else 0.0,
-            app_pct=r.app_pct,
-            mpi_pct=r.mpi_pct,
-        )
-        for r in out
-    ]

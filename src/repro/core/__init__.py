@@ -9,9 +9,8 @@ is the CG mini-app used as the comparison baseline in Fig. 7.
 
 from .cmtbone import CMTBone, CMTBoneResult, launch_cmtbone, run_cmtbone
 from .config import CMTBoneConfig, NekboneConfig
-from .nekbone import Nekbone, NekboneResult, launch_nekbone, run_nekbone
+from .nekbone import Nekbone, NekboneResult, run_nekbone
 from .reports import (
-    autotune_of,
     cmtbone_profile_report,
     comm_fraction,
     dominant_region,
@@ -27,14 +26,12 @@ __all__ = [
     "Nekbone",
     "NekboneConfig",
     "NekboneResult",
-    "autotune_of",
     "cmtbone_profile_report",
     "comm_fraction",
     "dominant_region",
     "fig7_rows",
     "fig7_table",
     "launch_cmtbone",
-    "launch_nekbone",
     "nekbone_profile_report",
     "run_cmtbone",
     "run_nekbone",

@@ -98,10 +98,6 @@ class CMTBoneResult:
     #: Load-balancer summary text ("" with LB off).
     lb_summary: str = ""
 
-    @property
-    def vtime_compute(self) -> float:
-        return self.vtime_total - self.vtime_comm
-
 
 class CMTBone:
     """One rank's CMT-bone instance (construct inside the SPMD main)."""

@@ -10,7 +10,7 @@ verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..mesh import BoxMesh, Partition, factor3
@@ -178,18 +178,6 @@ class CMTBoneConfig(BrickConfig):
             local_shape=(5, 5, 4),
             proc_shape=(8, 8, 4),
             nsteps=1,
-            work_mode="proxy",
-        )
-        return base.with_(**overrides) if overrides else base
-
-    @classmethod
-    def fig4(cls, **overrides) -> "CMTBoneConfig":
-        """The Fig. 4 profile host: 8 MPI processes on a desktop."""
-        base = cls(
-            n=10,
-            local_shape=(2, 2, 2),
-            proc_shape=(2, 2, 2),
-            nsteps=20,
             work_mode="proxy",
         )
         return base.with_(**overrides) if overrides else base

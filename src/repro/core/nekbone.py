@@ -225,20 +225,3 @@ def run_nekbone(comm: Comm, config: Optional[NekboneConfig] = None
     """SPMD entry point for Nekbone."""
     return Nekbone(comm, config).run()
 
-
-def launch_nekbone(
-    config: Optional[NekboneConfig] = None,
-    nranks: int = 8,
-    machine=None,
-    backend="threads",
-):
-    """Run Nekbone over a fresh Runtime on the chosen backend.
-
-    Counterpart of :func:`repro.core.cmtbone.launch_cmtbone`; returns
-    ``(per_rank_results, runtime)``.
-    """
-    from ..mpi import Runtime
-
-    cfg = config if config is not None else NekboneConfig()
-    rt = Runtime(nranks=nranks, machine=machine, backend=backend)
-    return rt.run(run_nekbone, args=(cfg,)), rt

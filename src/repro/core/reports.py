@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.callgraph import flat_profile, merge_profiles
 from ..analysis.tables import render_table
@@ -72,11 +72,3 @@ def comm_fraction(results: Sequence[CMTBoneResult]) -> List[float]:
         out.append(r.vtime_comm / r.vtime_total if r.vtime_total else 0.0)
     return out
 
-
-def autotune_of(results: Sequence, rank: int = 0
-                ) -> Optional[Dict[str, MethodTiming]]:
-    """The autotune table from a given rank's result (identical on all)."""
-    for r in results:
-        if r.rank == rank:
-            return r.autotune
-    return None

@@ -80,13 +80,7 @@ class ElementAssignment:
         mesh = partition.mesh
         ids = np.arange(mesh.nelgt, dtype=np.int64)
         coords = id_to_coords(mesh.shape, ids)
-        try:
-            owner = partition.owner_ranks(coords)
-        except AttributeError:
-            owner = np.array(
-                [partition.owner_of(tuple(c)) for c in coords],
-                dtype=np.int64,
-            )
+        owner = partition.owner_ranks(coords)
         return ElementAssignment(mesh, partition.nranks, owner)
 
     # -- ownership queries (Partition-compatible surface) --------------------

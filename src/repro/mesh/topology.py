@@ -71,10 +71,6 @@ class FaceLink:
     def is_boundary(self) -> bool:
         return self.neighbor_rank is None
 
-    @property
-    def is_remote(self) -> bool:
-        return self.neighbor_rank is not None
-
 
 class RankTopology:
     """All face links for one rank's brick of elements.

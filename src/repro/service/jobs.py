@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 #: Job kinds the execution layer understands.
 KINDS = ("cmtbone", "sod")

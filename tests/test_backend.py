@@ -21,7 +21,6 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.mpi import (
-    ANY_SOURCE,
     DeadlockError,
     MPIError,
     ProcsBackend,

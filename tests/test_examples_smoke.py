@@ -29,7 +29,6 @@ class TestExamplesSmoke:
         names = sorted(p.stem for p in EXAMPLES.glob("*.py"))
         assert names == [
             "acoustic_pulse",
-            "architecture_dse",
             "kernel_tuning",
             "quickstart",
             "scaling_study",
@@ -71,17 +70,6 @@ class TestExamplesSmoke:
         Runtime(nranks=mod.PART.nranks).run(mod.main)
         out = capsys.readouterr().out
         assert "steepening wave" in out
-
-    def test_architecture_dse_named_only(self, capsys):
-        mod = load_module("architecture_dse")
-        from repro.codesign import Explorer
-
-        explorer = Explorer(
-            config=mod.WORKLOAD.with_(nsteps=2), nranks=mod.NRANKS
-        )
-        mod.named_candidates_study(explorer)
-        out = capsys.readouterr().out
-        assert "notional exascale candidates" in out
 
     def test_scaling_study_weak_only(self, capsys):
         mod = load_module("scaling_study")

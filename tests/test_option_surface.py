@@ -13,8 +13,11 @@ import re
 import pytest
 
 import repro
+import repro.analysis
+import repro.core
 import repro.lb
 import repro.solver
+import repro.vscale
 from repro.core import CMTBoneConfig, NekboneConfig
 from repro.lb import LoadBalancer, RebalancePolicy
 from repro.mpi import Comm, ProcsBackend, Runtime
@@ -105,6 +108,24 @@ EXPORTS = {
         "velocity_and_temperature", "viscous_dt_limit", "viscous_fluxes",
         "walls_everywhere", "wavespeed",
     ),
+    repro.analysis: (
+        "CallGraphProfiler", "Interval", "RegionStats", "TimelineRecorder",
+        "call_graph", "fault_report", "flat_profile", "full_report",
+        "hop_weighted_bytes", "injection_timeline", "lb_report",
+        "merge_profiles", "merge_timelines", "message_size_report",
+        "mpi_fraction_report", "neighbor_degree", "op_share", "render_gantt",
+        "render_histogram", "render_table", "size_histogram",
+        "split_phase_report", "summarize_compute", "summarize_fractions",
+        "top_calls_report", "traffic_matrix", "traffic_report", "utilization",
+        "wait_dominance",
+    ),
+    repro.core: (
+        "CMTBone", "CMTBoneConfig", "CMTBoneResult", "Nekbone",
+        "NekboneConfig", "NekboneResult", "cmtbone_profile_report",
+        "comm_fraction", "dominant_region", "fig7_rows", "fig7_table",
+        "launch_cmtbone", "nekbone_profile_report", "run_cmtbone",
+        "run_nekbone",
+    ),
     repro.lb: (
         "CostMonitor", "ElementAssignment", "LoadBalancer", "MODES",
         "MigrationStats", "OP_LB_MIGRATE", "OP_LB_REBUILD", "RankCost",
@@ -114,6 +135,12 @@ EXPORTS = {
         "id_to_coords", "migrate_elements", "morton_keys",
         "predicted_element_seconds", "predicted_times", "refine_bounds",
         "sfc_order", "sfc_partition",
+    ),
+    repro.vscale: (
+        "Agreement", "DEFAULT_TOLERANCES", "FaultExtrapolation", "GS_METHODS",
+        "ModeledTimeline", "SampleExecution", "StepSchedule",
+        "VirtualScaleEngine", "VscaleError", "build_schedule",
+        "schedule_matches_handle",
     ),
 }
 

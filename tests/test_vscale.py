@@ -8,11 +8,12 @@ documented tolerance, and the sampled-rank physics must stay bitwise
 identical to a full execution.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codesign import Candidate, VscaleExplorer, gs_method_crossover
 from repro.core import CMTBoneConfig
 from repro.mpi import Runtime
 from repro.perfmodel import MachineModel
@@ -330,39 +331,44 @@ class TestModel:
 
 
 class TestExploration:
-    def test_explorer_reuses_executed_profile(self):
+    """Machine what-ifs are engine calls on a modified MachineModel."""
+
+    def test_sweep_rows_name_the_argmin(self):
+        engine = VirtualScaleEngine(_cfg(), nranks=1024, sample=8)
+        sweep = engine.sweep(("pairwise", "allreduce"), [64, 1024])
+        assert sorted(sweep) == [64, 1024]
+        for p, by_method in sweep.items():
+            assert set(by_method) == {"pairwise", "allreduce"}
+            assert all(t.nranks == p for t in by_method.values())
+        # The engine's winner at its own rank count is the sweep argmin.
+        times = {m: t.step_seconds for m, t in sweep[1024].items()}
+        winner, timeline = engine.best_method(("pairwise", "allreduce"))
+        assert winner == min(times, key=times.get)
+        assert timeline.step_seconds == min(times.values())
+
+    def _timeline(self, machine):
+        engine = VirtualScaleEngine(
+            _cfg(), nranks=1024, machine=machine, sample=8
+        )
+        return engine.model("pairwise")
+
+    def test_faster_network_gives_faster_steps(self):
         base = MachineModel.preset("compton")
-        from repro.codesign import scale_machine
-
-        candidates = [
-            Candidate("base", base),
-            Candidate("fastnet", scale_machine(base, net_latency=0.5)),
-            Candidate("fatpipe", scale_machine(base, net_bandwidth=4.0)),
-            Candidate("fastcpu", scale_machine(base, cpu_speed=2.0)),
-        ]
-        explorer = VscaleExplorer(
-            config=_cfg(), nranks=1024, sample=8,
-            methods=("pairwise",),
+        fastnet = base.with_network(
+            replace(base.network, latency=base.network.latency * 0.5)
         )
-        evals = explorer.sweep(candidates)
-        assert len(evals) == 4
-        # Only two distinct compute models -> only two executed jobs.
-        assert explorer.executed_jobs == 2
-        by_name = {e.name: e for e in evals}
-        assert by_name["fastnet"].step_time < by_name["base"].step_time
-        assert by_name["fastcpu"].compute_time < (
-            by_name["base"].compute_time
+        assert (
+            self._timeline(fastnet).step_seconds
+            < self._timeline(base).step_seconds
         )
 
-    def test_gs_method_crossover_rows(self):
-        rows = gs_method_crossover(
-            _cfg(), [64, 1024], sample=8,
-            methods=("pairwise", "allreduce"),
+    def test_faster_cpu_gives_less_compute(self):
+        base = MachineModel.preset("compton")
+        fastcpu = replace(base, cpu=replace(base.cpu, ghz=2 * base.cpu.ghz))
+        assert (
+            self._timeline(fastcpu).compute.max()
+            < self._timeline(base).compute.max()
         )
-        assert [p for p, _t, _w in rows] == [64, 1024]
-        for _p, times, winner in rows:
-            assert set(times) == {"pairwise", "allreduce"}
-            assert winner == min(times, key=times.get)
 
 
 # -- CLI ---------------------------------------------------------------
