@@ -19,7 +19,6 @@ from .mpip import (
     message_size_report,
     mpi_fraction_report,
     op_share,
-    split_phase_report,
     summarize_compute,
     summarize_fractions,
     top_calls_report,
@@ -31,16 +30,8 @@ from .timeline import (
     TimelineRecorder,
     merge_timelines,
     render_gantt,
-    utilization,
 )
-from .traffic import (
-    hop_weighted_bytes,
-    injection_timeline,
-    neighbor_degree,
-    size_histogram,
-    traffic_matrix,
-    traffic_report,
-)
+from .traffic import hop_weighted_bytes
 
 __all__ = [
     "CallGraphProfiler",
@@ -53,23 +44,16 @@ __all__ = [
     "flat_profile",
     "full_report",
     "hop_weighted_bytes",
-    "injection_timeline",
     "merge_profiles",
     "merge_timelines",
     "message_size_report",
     "mpi_fraction_report",
-    "neighbor_degree",
     "render_gantt",
     "render_histogram",
     "render_table",
-    "size_histogram",
-    "split_phase_report",
     "op_share",
     "summarize_compute",
     "summarize_fractions",
     "top_calls_report",
-    "traffic_matrix",
-    "traffic_report",
-    "utilization",
     "wait_dominance",
 ]

@@ -32,10 +32,6 @@ class Interval(NamedTuple):
     t1: float
     span: bool = False
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 class TimelineRecorder:
     """Collects top-level region intervals against a virtual clock.
@@ -208,14 +204,3 @@ def render_gantt(
         "('.' = blocked/idle, UPPERCASE = overlapped regions)"
     )
     return "\n".join([header] + rows + [legend])
-
-
-def utilization(
-    recorders: Sequence[TimelineRecorder], total_time: float
-) -> List[float]:
-    """Per-rank fraction of time covered by recorded regions."""
-    out = []
-    for r in sorted(recorders, key=lambda r: r.rank):
-        busy = sum(iv.duration for iv in r.intervals)
-        out.append(busy / total_time if total_time > 0 else 0.0)
-    return out

@@ -2,84 +2,14 @@
 
 The paper's network-modelling effort needs "data transfer
 characteristics for the application" (Section VI).  Given a
-:class:`repro.mpi.trace.MessageTrace`, this module computes the three
-standard views a network modeller asks for:
-
-* the rank-to-rank **traffic matrix** (bytes and message counts),
-* the **message-size histogram** (log-binned, Fig. 10's cousin), and
-* the **injection timeline** (bytes per virtual-time bin).
+:class:`repro.mpi.trace.MessageTrace` and a network topology, this
+module prices the recorded traffic as hop-weighted bytes, the
+network-load figure of merit the topology ablation compares.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
-
 from ..mpi.trace import MessageTrace
-from .tables import render_histogram, render_table
-
-
-def traffic_matrix(trace: MessageTrace) -> Tuple[np.ndarray, np.ndarray]:
-    """(bytes, message counts) as (P, P) arrays indexed [src, dst]."""
-    p = trace.nranks
-    bytes_m = np.zeros((p, p), dtype=np.int64)
-    count_m = np.zeros((p, p), dtype=np.int64)
-    for e in trace.events():
-        bytes_m[e.src, e.dst] += e.nbytes
-        count_m[e.src, e.dst] += 1
-    return bytes_m, count_m
-
-
-def neighbor_degree(trace: MessageTrace) -> np.ndarray:
-    """Distinct destinations each rank sends to."""
-    _, counts = traffic_matrix(trace)
-    return (counts > 0).sum(axis=1)
-
-
-def size_histogram(
-    trace: MessageTrace, n_bins: int = 12
-) -> List[Tuple[str, int, int]]:
-    """Log2-binned message sizes: (label, count, total bytes) rows."""
-    sizes = np.array(
-        [e.nbytes for e in trace.events() if e.nbytes > 0], dtype=np.int64
-    )
-    if len(sizes) == 0:
-        return []
-    lo = int(np.floor(np.log2(sizes.min())))
-    hi = int(np.ceil(np.log2(sizes.max()))) + 1
-    edges = 2 ** np.arange(lo, min(hi, lo + n_bins) + 1)
-    rows = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mask = (sizes >= a) & (sizes < b)
-        if mask.any():
-            rows.append(
-                (f"[{a}, {b}) B", int(mask.sum()), int(sizes[mask].sum()))
-            )
-    top = sizes >= edges[-1]
-    if top.any():
-        rows.append(
-            (f">= {edges[-1]} B", int(top.sum()), int(sizes[top].sum()))
-        )
-    return rows
-
-
-def injection_timeline(
-    trace: MessageTrace, n_bins: int = 20
-) -> List[Tuple[float, int]]:
-    """(bin start vtime, bytes injected) over the run."""
-    events = trace.events()
-    if not events:
-        return []
-    t0 = events[0].wire_vtime
-    t1 = events[-1].wire_vtime
-    span = max(t1 - t0, 1e-30)
-    width = span / n_bins
-    bins = [0] * n_bins
-    for e in events:
-        i = min(int((e.wire_vtime - t0) / width), n_bins - 1)
-        bins[i] += e.nbytes
-    return [(t0 + i * width, b) for i, b in enumerate(bins)]
 
 
 def hop_weighted_bytes(trace: MessageTrace, topology) -> float:
@@ -88,35 +18,3 @@ def hop_weighted_bytes(trace: MessageTrace, topology) -> float:
     for e in trace.events():
         total += e.nbytes * topology.hops(e.src, e.dst)
     return total
-
-
-def traffic_report(trace: MessageTrace, max_pairs: int = 10) -> str:
-    """Human-readable traffic summary."""
-    bytes_m, count_m = traffic_matrix(trace)
-    degree = (count_m > 0).sum(axis=1)
-    pairs = [
-        (int(s), int(d), int(bytes_m[s, d]), int(count_m[s, d]))
-        for s, d in zip(*np.nonzero(bytes_m))
-    ]
-    pairs.sort(key=lambda r: r[2], reverse=True)
-    sections = [
-        f"messages: {len(trace)}   total bytes: {trace.total_bytes}   "
-        f"virtual span: {trace.time_span():.3e}s",
-        f"send degree: min={degree.min()} max={degree.max()} "
-        f"mean={degree.mean():.1f}",
-        "heaviest pairs:\n"
-        + render_table(
-            ["src", "dst", "bytes", "msgs"],
-            pairs[:max_pairs],
-        ),
-    ]
-    hist = size_histogram(trace)
-    if hist:
-        sections.append(
-            "message-size spectrum:\n"
-            + render_histogram(
-                [r[0] for r in hist], [float(r[1]) for r in hist],
-                unit=" msgs",
-            )
-        )
-    return "\n\n".join(sections)

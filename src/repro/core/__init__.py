@@ -12,7 +12,6 @@ from .config import CMTBoneConfig, NekboneConfig
 from .nekbone import Nekbone, NekboneResult, run_nekbone
 from .reports import (
     cmtbone_profile_report,
-    comm_fraction,
     dominant_region,
     fig7_rows,
     fig7_table,
@@ -27,7 +26,6 @@ __all__ = [
     "NekboneConfig",
     "NekboneResult",
     "cmtbone_profile_report",
-    "comm_fraction",
     "dominant_region",
     "fig7_rows",
     "fig7_table",

@@ -63,12 +63,3 @@ def dominant_region(results: Sequence[CMTBoneResult]) -> str:
     """Name of the region with the largest merged self-time."""
     merged = merge_profiles([r.profiler for r in results])
     return max(merged.values(), key=lambda s: s.self_time).name
-
-
-def comm_fraction(results: Sequence[CMTBoneResult]) -> List[float]:
-    """Per-rank fraction of virtual time spent in communication."""
-    out = []
-    for r in sorted(results, key=lambda r: r.rank):
-        out.append(r.vtime_comm / r.vtime_total if r.vtime_total else 0.0)
-    return out
-

@@ -17,7 +17,6 @@ from .ops import (
     METHOD_LABELS,
     METHODS,
     GSExchange,
-    gs_multiplicity,
     gs_op,
     gs_op_begin,
     gs_op_finish,
@@ -34,7 +33,6 @@ __all__ = [
     "exchange_allreduce",
     "exchange_crystal",
     "exchange_pairwise",
-    "gs_multiplicity",
     "gs_op",
     "gs_op_begin",
     "gs_op_finish",

@@ -239,16 +239,6 @@ class GSHandle:
         )
         return res.reshape(shape) if out is None else out
 
-    def shared_gids_with(self, q: int) -> np.ndarray:
-        """Global ids shared with neighbour ``q`` (sorted)."""
-        return self.uids[self.neighbor_send_index[q]]
-
-    def wire_bytes_pairwise(self, itemsize: int = 8) -> int:
-        """Bytes this rank sends per pairwise exchange of one field."""
-        return sum(
-            len(ix) * itemsize for ix in self.neighbor_send_index.values()
-        )
-
 
 #: Most entries :meth:`PairPlan.combine` gathers at a time.
 PAIR_CHUNK = 1 << 15

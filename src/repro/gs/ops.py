@@ -294,13 +294,3 @@ def gs_op_finish(
     # deferred re-condense replaces, not adds to, the one at begin).
     handle.comm.compute(seconds=_local_pass(handle, condensed.dtype.itemsize))
     return out
-
-
-def gs_multiplicity(handle: GSHandle) -> np.ndarray:
-    """Global multiplicity of every data entry (gs-add of ones).
-
-    Nekbone uses the reciprocal as the assembly weight that makes
-    repeated ``gs_op(add)`` idempotent on already-continuous data.
-    """
-    ones = np.ones(handle.shape, dtype=np.float64)
-    return gs_op(handle, ones, op=SUM)

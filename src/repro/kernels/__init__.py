@@ -46,8 +46,6 @@ from .operators import (
     dealias_order,
     derivative_matrix,
     interpolation_matrix,
-    mass_matrix_diagonal,
-    stiffness_1d,
 )
 from .workspace import BLOCK_BYTES, Workspace, as_elements, field_blocks
 
@@ -78,12 +76,10 @@ __all__ = [
     "kernel_cost",
     "lagrange_basis_at",
     "legendre_and_derivative",
-    "mass_matrix_diagonal",
     "mem_bytes",
     "roofline_seconds",
     "roundtrip",
     "speedup",
-    "stiffness_1d",
     "to_coarse",
     "to_fine",
     "working_set_bytes",

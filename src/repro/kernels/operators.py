@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gll import barycentric_weights, gll_points, gll_weights, lagrange_basis_at
+from .gll import barycentric_weights, gll_points, lagrange_basis_at
 
 
 @lru_cache(maxsize=None)
@@ -49,31 +49,6 @@ def interpolation_matrix(n_from: int, n_to: int) -> np.ndarray:
     mat = np.ascontiguousarray(mat)
     mat.flags.writeable = False
     return mat
-
-
-@lru_cache(maxsize=None)
-def mass_matrix_diagonal(n: int) -> np.ndarray:
-    """Diagonal (lumped) mass matrix on the reference interval.
-
-    With GLL collocation the mass matrix is the diagonal of quadrature
-    weights — the key structural advantage of the SEM basis.
-    """
-    return gll_weights(n)
-
-
-@lru_cache(maxsize=None)
-def stiffness_1d(n: int) -> np.ndarray:
-    """1-D weak Laplacian ``K = D^T diag(w) D`` on the reference grid.
-
-    The building block of Nekbone's ``ax`` operator (conjugate-gradient
-    matvec); symmetric positive semidefinite with nullspace = constants.
-    """
-    dmat = derivative_matrix(n)
-    w = gll_weights(n)
-    k = dmat.T @ (w[:, None] * dmat)
-    k = 0.5 * (k + k.T)  # enforce exact symmetry
-    k.flags.writeable = False
-    return k
 
 
 def dealias_order(n: int) -> int:

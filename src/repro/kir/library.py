@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from .ir import build_program
 from .lower import DEFAULT_LOWERING, LoweredKernel, lower
-from .passes import SCHEDULES, applicable_schedules, schedule
+from .passes import SCHEDULES, schedule
 
 #: Schedule behind the default variant, and what ``auto`` is *priced*
 #: as by the cost model (virtual time must not depend on the host).
@@ -135,10 +135,6 @@ class KernelLibrary:
                     ).schedule
                     self._tuned[tkey] = sched
         return sched
-
-    def schedules(self, program: str, n: int, m: Optional[int] = None):
-        """Applicable schedule names for a program (introspection)."""
-        return applicable_schedules(build_program(program, n, m=m))
 
 
 _DEFAULT: Optional[KernelLibrary] = None

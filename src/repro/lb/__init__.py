@@ -30,7 +30,6 @@ from .cost import (
     capacities_from_costs,
     cost_imbalance,
     gather_costs,
-    predicted_element_seconds,
 )
 from .manager import LoadBalancer, RebalanceEvent
 from .migrate import (
@@ -41,7 +40,7 @@ from .migrate import (
     MigrationStats,
     migrate_elements,
 )
-from .partitioner import chunk_bounds, predicted_times, refine_bounds, sfc_partition
+from .partitioner import chunk_bounds, refine_bounds, sfc_partition
 from .policy import MODES, RebalancePolicy
 from .sfc import element_ids, id_to_coords, morton_keys, sfc_order
 
@@ -62,11 +61,9 @@ __all__ = [
     "capacities_from_costs",
     "cost_imbalance",
     "gather_costs",
-    "predicted_element_seconds",
     "migrate_elements",
     "chunk_bounds",
     "refine_bounds",
-    "predicted_times",
     "sfc_partition",
     "element_ids",
     "id_to_coords",

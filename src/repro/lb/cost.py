@@ -9,9 +9,7 @@ lands in the makespan.  All of it counts as element-volume work: the
 solver carries no particles (the paper's CMT-bone sets sources to zero).
 
 The measured per-element cost is the ground truth the repartitioner
-consumes (as ``capacity = 1 / cost``); :func:`predicted_element_seconds`
-offers the analytic prior from :mod:`repro.kernels.counters` for
-cold-start estimates and sanity checks against the measurement.
+consumes (as ``capacity = 1 / cost``).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..kernels.counters import roofline_seconds
 
 #: mpiP call-site label for the cost-exchange allgather.
 SITE_LB_MONITOR = "LB_monitor"
@@ -145,8 +142,3 @@ def gather_costs(comm, monitor: CostMonitor) -> List[RankCost]:
         )
         for r, (nel, vol, _, _, steps) in enumerate(gathered)
     ]
-
-
-def predicted_element_seconds(n: int, machine, variant: str = "fused") -> float:
-    """Analytic per-element-per-RHS cost prior from the kernel counters."""
-    return roofline_seconds(n, 1, machine, variant=variant)

@@ -64,7 +64,6 @@ def refine_bounds(
     cumw: np.ndarray,
     bounds: np.ndarray,
     unit_costs: np.ndarray,
-    sweeps: int = REFINE_SWEEPS,
 ) -> np.ndarray:
     """Greedy single-element moves across adjacent chunk boundaries.
 
@@ -80,7 +79,7 @@ def refine_bounds(
         lo, hi = bounds[r], bounds[r + 1]
         return float(cumw[hi - 1] - (cumw[lo - 1] if lo > 0 else 0.0))
 
-    for _ in range(max(sweeps, 0)):
+    for _ in range(REFINE_SWEEPS):
         improved = False
         for r in range(nranks - 1):
             wl, wr = chunk_w(r), chunk_w(r + 1)
@@ -110,7 +109,6 @@ def sfc_partition(
     nranks: int,
     weights: Optional[Sequence[float]] = None,
     capacities: Optional[Sequence[float]] = None,
-    refine: bool = True,
 ) -> ElementAssignment:
     """Build an :class:`ElementAssignment` by weighted SFC chunking.
 
@@ -145,29 +143,9 @@ def sfc_partition(
             raise ValueError("rank capacities must be positive")
 
     cumw = np.cumsum(w)
-    bounds = chunk_bounds(cumw, nranks, cap)
-    if refine:
-        bounds = refine_bounds(cumw, bounds, 1.0 / cap)
+    bounds = refine_bounds(cumw, chunk_bounds(cumw, nranks, cap), 1.0 / cap)
 
     owner = np.empty(mesh.nelgt, dtype=np.int64)
     for r in range(nranks):
         owner[order[bounds[r]:bounds[r + 1]]] = r
     return ElementAssignment(mesh, nranks, owner)
-
-
-def predicted_times(
-    assignment: ElementAssignment,
-    weights: Optional[Sequence[float]] = None,
-    unit_costs: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Per-rank predicted time for an assignment under the cost model."""
-    if weights is None:
-        wsum = assignment.counts().astype(np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        wsum = np.bincount(
-            assignment.owner, weights=w, minlength=assignment.nranks
-        )
-    if unit_costs is None:
-        return wsum
-    return wsum * np.asarray(unit_costs, dtype=np.float64)

@@ -11,7 +11,7 @@ a structured box admits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -57,29 +57,6 @@ class BoxMesh:
         ex, ey, ez = self.shape
         return ex * ey * ez
 
-    def element_index(self, coords: Coord) -> int:
-        """(ix, iy, iz) -> lexicographic global element id (x fastest)."""
-        ex, ey, ez = self.shape
-        ix, iy, iz = coords
-        if not (0 <= ix < ex and 0 <= iy < ey and 0 <= iz < ez):
-            raise ValueError(f"element coords {coords} outside {self.shape}")
-        return ix + ex * (iy + ey * iz)
-
-    def element_coords(self, eg: int) -> Coord:
-        """Global element id -> (ix, iy, iz)."""
-        ex, ey, ez = self.shape
-        if not (0 <= eg < self.nelgt):
-            raise ValueError(f"element id {eg} outside mesh of {self.nelgt}")
-        return eg % ex, (eg // ex) % ey, eg // (ex * ey)
-
-    def iter_elements(self) -> Iterator[Coord]:
-        """All element coordinates in lexicographic order."""
-        ex, ey, ez = self.shape
-        for iz in range(ez):
-            for iy in range(ey):
-                for ix in range(ex):
-                    yield (ix, iy, iz)
-
     # -- geometry ----------------------------------------------------------
 
     @property
@@ -117,15 +94,6 @@ class BoxMesh:
         out[2] = z[None, None, :]
         return out
 
-    @property
-    def points_per_element(self) -> int:
-        return self.n**3
-
-    @property
-    def total_points(self) -> int:
-        """Total GLL points counted with element-boundary redundancy."""
-        return self.nelgt * self.points_per_element
-
     def unique_points_shape(self) -> Coord:
         """Global unique point grid (continuous numbering) per direction."""
         out = []
@@ -135,7 +103,3 @@ class BoxMesh:
                 npts += 1
             out.append(npts)
         return tuple(out)  # type: ignore[return-value]
-
-    def unique_point_count(self) -> int:
-        nx, ny, nz = self.unique_points_shape()
-        return nx * ny * nz

@@ -38,7 +38,7 @@ def continuous_numbering(partition: Partition, rank: int) -> np.ndarray:
 
     Coincident points on element boundaries (faces, edges, corners,
     and periodic wraps) receive identical ids; ids are dense in
-    ``[0, mesh.unique_point_count())``.
+    ``[0, prod(mesh.unique_points_shape()))``.
     """
     mesh = partition.mesh
     n = mesh.n
@@ -120,14 +120,3 @@ def dg_face_numbering(partition: Partition, rank: int) -> np.ndarray:
                 fid = ofs_z + ix + ex * (iy + ey * plane)
             gids[lidx, face] = fid * (n * n) + pt
     return gids
-
-
-def multiplicity(gids: np.ndarray) -> np.ndarray:
-    """Local multiplicity of each id *within this rank's own data*.
-
-    (Cross-rank multiplicity needs a gather-scatter of ones; this is
-    the purely local piece used in setup sanity checks.)
-    """
-    flat = gids.ravel()
-    _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
-    return counts[inverse].reshape(gids.shape)

@@ -11,12 +11,12 @@ cluster hardware.  See ``docs/backends.md`` for backend selection.
 
 Public surface:
 
-* :class:`Runtime`, :func:`spmd` — launch SPMD jobs.
+* :class:`Runtime` — launch SPMD jobs.
 * :class:`Comm` — the per-rank world communicator, with only the calls
   CMT-bone makes: ``send``/``recv``/``isend``/``irecv`` and
   :func:`waitall`, ``barrier``, ``allreduce``, ``allgather`` and
   ``alltoall``.
-* Reduction ops ``SUM``/``PROD``/``MIN``/``MAX``/... and the wildcards
+* Reduction ops ``SUM``/``PROD``/``MIN``/``MAX`` and the wildcards
   ``ANY_SOURCE``/``ANY_TAG``.
 * Profiling types: :class:`JobProfile`, :class:`SiteAggregate`.
 """
@@ -33,11 +33,6 @@ from .communicator import Comm
 from .datatypes import (
     ANY_SOURCE,
     ANY_TAG,
-    BAND,
-    BOR,
-    BUILTIN_OPS,
-    LAND,
-    LOR,
     MAX,
     MIN,
     PROD,
@@ -60,7 +55,7 @@ from .request import (
     SendRequest,
     waitall,
 )
-from .runtime import Runtime, spmd
+from .runtime import Runtime
 from .status import Status
 from .trace import MessageTrace, TraceEvent
 from .transport import RetryPolicy
@@ -69,18 +64,13 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "AbortError",
-    "BAND",
     "Backend",
-    "BOR",
-    "BUILTIN_OPS",
     "CallRecord",
     "ClockStats",
     "Comm",
     "CommunicatorError",
     "DeadlockError",
     "JobProfile",
-    "LAND",
-    "LOR",
     "MAX",
     "MIN",
     "MPIError",
@@ -106,6 +96,5 @@ __all__ = [
     "available_backends",
     "resolve_backend",
     "payload_nbytes",
-    "spmd",
     "waitall",
 ]

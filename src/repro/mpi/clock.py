@@ -155,10 +155,3 @@ class ClockStats:
     #: part of ``total``; see :meth:`VirtualClock.close_overlap`).
     hidden_comm: float = 0.0
     extra: dict = field(default_factory=dict)
-
-    @property
-    def comm_fraction(self) -> float:
-        """Fraction of total virtual time spent in communication."""
-        if self.total <= 0.0:
-            return 0.0
-        return self.comm / self.total

@@ -2,9 +2,8 @@
 
 The simulated communicator transports numpy arrays and plain Python
 objects.  Reduction collectives need an associative operation; this
-module provides the standard MPI set (SUM, PROD, MIN, MAX, LAND, LOR,
-BAND, BOR) as small singleton objects that work element-wise on numpy
-arrays and on Python scalars.
+module provides SUM, PROD, MIN and MAX as small singleton objects that
+work element-wise on numpy arrays and on Python scalars.
 """
 
 from __future__ import annotations
@@ -50,16 +49,6 @@ SUM = ReduceOp("MPI_SUM", lambda a, b: a + b, np.add)
 PROD = ReduceOp("MPI_PROD", lambda a, b: a * b, np.multiply)
 MIN = ReduceOp("MPI_MIN", np.minimum, np.minimum)
 MAX = ReduceOp("MPI_MAX", np.maximum, np.maximum)
-LAND = ReduceOp("MPI_LAND", np.logical_and, np.logical_and)
-LOR = ReduceOp("MPI_LOR", np.logical_or, np.logical_or)
-BAND = ReduceOp("MPI_BAND", np.bitwise_and, np.bitwise_and)
-BOR = ReduceOp("MPI_BOR", np.bitwise_or, np.bitwise_or)
-
-#: All built-in reduction operations, keyed by MPI name.
-BUILTIN_OPS = {
-    op.name: op for op in (SUM, PROD, MIN, MAX, LAND, LOR, BAND, BOR)
-}
-
 #: Wildcard constants mirroring MPI semantics.
 ANY_SOURCE = -1
 ANY_TAG = -1

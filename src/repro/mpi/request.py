@@ -31,10 +31,6 @@ class Request:
         """True if the operation could complete without blocking."""
         raise NotImplementedError
 
-    @property
-    def completed(self) -> bool:
-        raise NotImplementedError
-
 
 class SendRequest(Request):
     """Handle for an eager nonblocking send (already complete)."""
@@ -48,10 +44,6 @@ class SendRequest(Request):
         return None
 
     def test(self) -> bool:
-        return True
-
-    @property
-    def completed(self) -> bool:
         return True
 
 
@@ -69,10 +61,6 @@ class RecvRequest(Request):
 
     def test(self) -> bool:
         return self._done or self._pending.envelope is not None
-
-    @property
-    def completed(self) -> bool:
-        return self._done
 
     @property
     def status(self) -> Optional[Status]:

@@ -70,8 +70,9 @@ class Runtime:
         if fault_plan is not None:
             from ..faults import FaultInjector
 
+            fault_plan.check_ranks(nranks)
             self.faults = FaultInjector(fault_plan, base_step=fault_base_step)
-        #: Message trace for external network-simulation export, or
+        #: Message trace the hop-weighted traffic is priced from, or
         #: ``None`` when tracing is off (see ``repro.mpi.trace``).
         self.trace = None
         if trace_messages:
@@ -185,16 +186,3 @@ class Runtime:
             prof.rank_totals[r] = (clock.now, self._profiles[r].mpi_time)
             prof.rank_profiles.append(self._profiles[r])
         return prof
-
-
-def spmd(
-    nranks: int,
-    main: Callable[..., Any],
-    *args: Any,
-    machine: Optional[Any] = None,
-    backend: Union[str, Any] = "threads",
-    **kwargs: Any,
-) -> List[Any]:
-    """One-line helper: run ``main`` over ``nranks`` and return results."""
-    rt = Runtime(nranks=nranks, machine=machine, backend=backend)
-    return rt.run(main, args=args, kwargs=kwargs)

@@ -1,24 +1,18 @@
-"""Message tracing: export the traffic an external simulator needs.
+"""Message tracing: the traffic a network model is priced against.
 
 Section VI: "To perform network simulations we also need appropriate
 latency and bandwidth models for the machines and data transfer
-characteristics for the application" — and Section II points at SST
-(the Structural Simulation Toolkit) as the consumer.  With
+characteristics for the application".  With
 ``Runtime(trace_messages=True)`` every point-to-point message is
-recorded as a :class:`TraceEvent`; :class:`MessageTrace` can export
-the stream as CSV/JSON-lines and answer the questions network
-modellers ask (traffic matrix, size spectrum, temporal profile) via
-:mod:`repro.analysis.traffic`.
+recorded as a :class:`TraceEvent`; :class:`MessageTrace` merges the
+per-rank streams for :func:`repro.analysis.traffic.hop_weighted_bytes`
+and the topology ablation.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Iterator, List
-
-#: CSV column order (stable export format).
-CSV_COLUMNS = ("seq", "src", "dst", "cid", "tag", "nbytes", "wire_vtime")
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -62,9 +56,6 @@ class MessageTrace:
             )
         )
 
-    def __len__(self) -> int:
-        return sum(len(lst) for lst in self._per_rank)
-
     def events(self) -> List[TraceEvent]:
         """All events, sorted by (virtual time, src, seq)."""
         merged = [e for lst in self._per_rank for e in lst]
@@ -75,58 +66,6 @@ class MessageTrace:
         """Events sent by one rank, in program order."""
         return list(self._per_rank[rank])
 
-    def iter_rows(self) -> Iterator[tuple]:
-        for e in self.events():
-            yield (e.seq, e.src, e.dst, e.cid, e.tag, e.nbytes,
-                   e.wire_vtime)
-
-    # -- export ----------------------------------------------------------
-
-    def to_csv(self, path) -> int:
-        """Write the trace as CSV; returns the row count."""
-        count = 0
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in self.iter_rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
-                count += 1
-        return count
-
-    def to_jsonl(self, path) -> int:
-        """Write the trace as JSON-lines; returns the row count."""
-        count = 0
-        with open(path, "w") as fh:
-            for e in self.events():
-                fh.write(json.dumps(asdict(e)) + "\n")
-                count += 1
-        return count
-
-    @staticmethod
-    def from_jsonl(path) -> "MessageTrace":
-        """Reload a trace exported with :meth:`to_jsonl`."""
-        events = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(TraceEvent(**json.loads(line)))
-        nranks = 1 + max(
-            (max(e.src, e.dst) for e in events), default=0
-        )
-        trace = MessageTrace(nranks)
-        for e in events:
-            trace._per_rank[e.src].append(e)
-        return trace
-
-    # -- quick summaries ----------------------------------------------------
-
     @property
     def total_bytes(self) -> int:
         return sum(e.nbytes for lst in self._per_rank for e in lst)
-
-    def time_span(self) -> float:
-        """Virtual-time span between first and last injection."""
-        evs = self.events()
-        if len(evs) < 2:
-            return 0.0
-        return evs[-1].wire_vtime - evs[0].wire_vtime

@@ -12,7 +12,6 @@ from .topology import (
     FlatTopology,
     Topology,
     TorusTopology,
-    mean_hops,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "Topology",
     "TorusTopology",
     "load_factor",
-    "mean_hops",
 ]

@@ -119,36 +119,6 @@ class MachineModel:
         tau = math.sqrt(2.0 * checkpoint_seconds * mtbf_seconds)
         return max(tau - checkpoint_seconds, checkpoint_seconds)
 
-    # -- overlap pricing -------------------------------------------------
-
-    @staticmethod
-    def exposed_comm_seconds(
-        comm_seconds: float, overlap_compute_seconds: float
-    ) -> float:
-        """Communication left *exposed* after overlapping with compute.
-
-        A split-phase exchange of duration ``comm_seconds`` posted
-        before ``overlap_compute_seconds`` of independent compute costs
-        only ``max(comm - compute, 0)`` of extra wall time; the rest is
-        hidden under the compute.  This is the analytic counterpart of
-        what the virtual clock measures per message (see
-        ``VirtualClock.close_overlap``).
-        """
-        return max(comm_seconds - overlap_compute_seconds, 0.0)
-
-    @staticmethod
-    def overlapped_interval_seconds(
-        compute_seconds: float, comm_seconds: float
-    ) -> float:
-        """Duration of one overlapped interval: compute + exposed comm.
-
-        Equals ``max(compute, comm)`` — the classic overlap bound —
-        rather than the blocking schedule's ``compute + comm``.
-        """
-        return compute_seconds + MachineModel.exposed_comm_seconds(
-            comm_seconds, compute_seconds
-        )
-
     # -- presets -----------------------------------------------------------
 
     @staticmethod

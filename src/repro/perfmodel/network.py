@@ -85,16 +85,6 @@ class NetworkModel:
         lat = self.latency + self.hop_latency * max(0, hops - 1)
         return lat + nbytes / self.bandwidth
 
-    # -- convenience ------------------------------------------------------
-
-    def message_time(self, src: int, dst: int, nbytes: int) -> float:
-        """End-to-end modelled cost of a single message (all pieces)."""
-        return (
-            self.send_overhead(nbytes)
-            + self.transit(src, dst, nbytes)
-            + self.recv_overhead(nbytes)
-        )
-
     # -- batched (vectorized) variants ------------------------------------
     #
     # These evaluate the scalar formulas elementwise over numpy arrays.
@@ -107,11 +97,6 @@ class NetworkModel:
         """Vectorized :meth:`send_overhead` over a byte-count array."""
         nbytes = np.asarray(nbytes, dtype=np.float64)
         return self.o_send + nbytes * self.g_inject
-
-    def recv_overhead_batch(self, nbytes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`recv_overhead` over a byte-count array."""
-        nbytes = np.asarray(nbytes, dtype=np.float64)
-        return np.full(nbytes.shape, self.o_recv)
 
     def _same_node_batch(
         self, src: np.ndarray, dst: np.ndarray
@@ -136,16 +121,6 @@ class NetworkModel:
         lat = self.latency + self.hop_latency * np.maximum(0, hops - 1)
         net = lat + nbytes / self.bandwidth
         return np.where(self._same_node_batch(src, dst), shm, net)
-
-    def message_time_batch(
-        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`message_time` over aligned arrays."""
-        return (
-            self.send_overhead_batch(nbytes)
-            + self.transit_batch(src, dst, nbytes)
-            + self.recv_overhead_batch(nbytes)
-        )
 
     def describe(self) -> str:
         """Human-readable one-line parameter summary."""

@@ -19,7 +19,7 @@ for Nek-family codes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class Topology:
         )
         return out.reshape(flat_s.shape)
 
-    def max_hops(self) -> int:
-        """Upper bound on :meth:`hops`; used in cost summaries."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FlatTopology(Topology):
@@ -66,9 +62,6 @@ class FlatTopology(Topology):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         return np.where(src == dst, 0, 1).astype(np.int64)
-
-    def max_hops(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -107,9 +100,6 @@ class FatTreeTopology(Topology):
         out = np.where(node_s == node_d, 1, out)
         out = np.where(src == dst, 0, out)
         return out.astype(np.int64)
-
-    def max_hops(self) -> int:
-        return 4
 
     def same_node(self, src: int, dst: int) -> bool:
         """True when both ranks live on the same physical node."""
@@ -181,20 +171,3 @@ class TorusTopology(Topology):
             d = np.abs(a - b)
             total = total + np.minimum(d, n - d)
         return total
-
-    def max_hops(self) -> int:
-        return sum(n // 2 for n in self.shape)
-
-
-def mean_hops(topo: Topology, ranks: Sequence[int]) -> float:
-    """Average pairwise hop count over a set of ranks (diagnostics)."""
-    ranks = list(ranks)
-    if len(ranks) < 2:
-        return 0.0
-    total = 0
-    count = 0
-    for i, a in enumerate(ranks):
-        for b in ranks[i + 1 :]:
-            total += topo.hops(a, b)
-            count += 1
-    return total / count

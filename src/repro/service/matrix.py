@@ -52,9 +52,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .jobs import KINDS, JobResult, JobSpec
 
-#: Axis names routed to JobSpec metadata instead of params.
-SPECIAL_AXES = ("nranks", "machine")
-
 
 def _fmt(value: Any) -> str:
     """Compact, label-safe rendering of one axis value."""

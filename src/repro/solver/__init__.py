@@ -10,8 +10,6 @@ face exchange, numerical flux, and explicit SSP-RK time stepping.
 from .boundary import (
     BoundaryHandler,
     BoundarySpec,
-    outflow_everywhere,
-    walls_everywhere,
 )
 from .riemann import (
     PrimitiveState,
@@ -69,14 +67,12 @@ from .state import (
 from .viscous import (
     ViscousModel,
     velocity_and_temperature,
-    viscous_dt_limit,
     viscous_fluxes,
 )
 from .surface import (
     FACE_NORMAL_AXIS,
     FACE_NORMAL_SIGN,
     face2full_add,
-    face_bytes,
     full2face,
     full2face_multi,
 )
@@ -117,7 +113,6 @@ __all__ = [
     "exponential_sigma",
     "euler_fluxes",
     "face2full_add",
-    "face_bytes",
     "flux_divergence",
     "flux_divergence_multi",
     "flux_flops",
@@ -131,7 +126,6 @@ __all__ = [
     "load_checkpoint",
     "modal_to_nodal",
     "nodal_to_modal",
-    "outflow_everywhere",
     "read_manifest",
     "run_with_recovery",
     "save_checkpoint",
@@ -140,8 +134,6 @@ __all__ = [
     "step_ssprk3",
     "uniform_state",
     "velocity_and_temperature",
-    "viscous_dt_limit",
     "viscous_fluxes",
-    "walls_everywhere",
     "wavespeed",
 ]

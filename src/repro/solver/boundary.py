@@ -66,16 +66,6 @@ class BoundarySpec:
 BoundaryTable = Dict[int, BoundarySpec]
 
 
-def walls_everywhere() -> BoundaryTable:
-    """Closed box: slip walls on every non-periodic face."""
-    return {f: BoundarySpec("wall") for f in range(NFACES)}
-
-
-def outflow_everywhere() -> BoundaryTable:
-    """Open box: transmissive on every non-periodic face."""
-    return {f: BoundarySpec("outflow") for f in range(NFACES)}
-
-
 class BoundaryHandler:
     """Applies ghost-state corrections to exchanged face traces."""
 

@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .eos import IdealGas
-from .state import ENERGY, MX, NEQ, RHO
+from .state import ENERGY, MX, RHO
 
 
 def euler_flux(
@@ -93,6 +93,3 @@ def flux_flops(n: int, nel: int) -> float:
     three velocities, and the 15 flux components.
     """
     return 60.0 * nel * n**3
-
-
-FLUX_COMPONENTS = NEQ

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..kernels.gll import gll_points, gll_weights, legendre_and_derivative
+from ..kernels.gll import gll_points, legendre_and_derivative
 from ..kir.library import default_library
 
 __all__ = [
@@ -38,6 +38,10 @@ __all__ = [
     "smoothness_sensor",
     "vandermonde",
 ]
+
+#: ``log10`` floor of :func:`smoothness_sensor` (numerically zero
+#: top-shell energy).
+SENSOR_FLOOR = -16.0
 
 
 @lru_cache(maxsize=None)
@@ -115,16 +119,16 @@ def modal_energy_fraction(u: np.ndarray) -> np.ndarray:
     return np.clip(frac, 0.0, 1.0)
 
 
-def smoothness_sensor(u: np.ndarray, floor: float = -16.0) -> np.ndarray:
+def smoothness_sensor(u: np.ndarray) -> np.ndarray:
     """Persson-Peraire sensor: ``log10`` of the top-shell energy share.
 
     Smooth (spectrally resolved) data gives strongly negative values;
-    under-resolved/shocked elements approach 0.  ``floor`` bounds the
-    result for numerically zero top shells.
+    under-resolved/shocked elements approach 0.  ``SENSOR_FLOOR``
+    bounds the result for numerically zero top shells.
     """
     frac = modal_energy_fraction(u)
     with np.errstate(divide="ignore"):
-        s = np.log10(np.maximum(frac, 10.0**floor))
+        s = np.log10(np.maximum(frac, 10.0**SENSOR_FLOOR))
     return s
 
 
@@ -232,12 +236,3 @@ class ShockFilter:
         return self._damp(stack, np.tile(theta, len(state_u))).reshape(
             state_u.shape
         )
-
-
-def element_integrals(u: np.ndarray) -> np.ndarray:
-    """GLL-quadrature integral of each element field (conservation aid)."""
-    n = u.shape[1]
-    w = np.asarray(gll_weights(n))
-    return np.einsum(
-        "eijk,i,j,k->e", u, w, w, w
-    )

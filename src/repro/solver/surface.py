@@ -105,11 +105,6 @@ def normal_flux_trace(fx, fy, fz, out, elements=slice(None)) -> None:
         out[:, elements, face] = plane[:, elements]
 
 
-def face_bytes(nel: int, n: int, ncomp: int = 1, itemsize: int = 8) -> int:
-    """Size of one rank's full face data set (all six faces)."""
-    return ncomp * nel * NFACES * n * n * itemsize
-
-
 def full2face_flops(n: int, nel: int, ncomp: int = 1) -> float:
     """Cost model: pure data movement, ~1 'flop-equivalent' per point."""
     return float(ncomp * nel * NFACES * n * n)

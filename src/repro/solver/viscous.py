@@ -123,15 +123,3 @@ def viscous_flops(n: int, nel: int) -> float:
     from ..kernels import derivatives
 
     return 4.0 * derivatives.flops(n, nel, ndirections=3) + 120.0 * nel * n**3
-
-
-def viscous_dt_limit(
-    model: ViscousModel, rho_min: float, dx_min: float, n: int,
-    safety: float = 0.25,
-) -> float:
-    """Explicit diffusive stability bound: dt <~ h^2 / (nu N^4)."""
-    if model.mu == 0:
-        return np.inf
-    nu = model.mu / rho_min
-    h_eff = dx_min / (n * n)
-    return safety * h_eff * h_eff / nu

@@ -28,7 +28,6 @@ from repro.mpi import (
     Runtime,
     ThreadsBackend,
     available_backends,
-    spmd,
 )
 from repro.mpi.backend import resolve_backend
 from repro.net import SocketBackend
@@ -58,9 +57,6 @@ class TestSelection:
     def test_runtime_exposes_backend(self):
         assert Runtime(nranks=1).backend.name == "threads"
         assert Runtime(nranks=1, backend="procs").backend.name == "procs"
-
-    def test_spmd_backend_kwarg(self):
-        assert spmd(2, lambda comm: comm.rank, backend="procs") == [0, 1]
 
 
 class TestProcsBasics:

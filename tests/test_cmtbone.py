@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     CMTBoneConfig,
     cmtbone_profile_report,
-    comm_fraction,
     dominant_region,
     run_cmtbone,
 )
@@ -134,11 +133,11 @@ class TestImbalance:
         balanced = SMALL.with_(work_mode="proxy", nsteps=6)
         skewed = balanced.with_(compute_imbalance=0.3)
         rt_b = Runtime(nranks=4)
-        res_b = rt_b.run(run_cmtbone, args=(balanced,))
+        rt_b.run(run_cmtbone, args=(balanced,))
         rt_s = Runtime(nranks=4)
-        res_s = rt_s.run(run_cmtbone, args=(skewed,))
-        spread_b = np.ptp(comm_fraction(res_b))
-        spread_s = np.ptp(comm_fraction(res_s))
+        rt_s.run(run_cmtbone, args=(skewed,))
+        spread_b = np.ptp(rt_b.job_profile().mpi_fractions())
+        spread_s = np.ptp(rt_s.job_profile().mpi_fractions())
         assert spread_s > spread_b
 
     def test_wait_time_grows_with_imbalance(self):

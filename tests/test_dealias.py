@@ -6,7 +6,6 @@ import pytest
 from repro.kernels.dealias import (
     dealias_flops,
     roundtrip,
-    shapes,
     to_coarse,
     to_fine,
 )
@@ -140,10 +139,6 @@ class TestOutWorkspace:
 
 
 class TestHelpers:
-    def test_shapes(self):
-        assert shapes(4) == (4, 6)
-        assert shapes(4, 11) == (4, 11)
-
     def test_flops_positive_and_scales(self):
         assert dealias_flops(8, nel=2) == pytest.approx(
             2 * dealias_flops(8, nel=1)

@@ -126,6 +126,22 @@ class TestFaultPlanSpec:
         # Everything else survives the pruning untouched.
         assert pruned.seed == plan.seed and pruned.drops == plan.drops
 
+    @pytest.mark.parametrize("spec", [
+        "crash:rank=5,step=1",
+        "drop:src=0,dst=2,nth=1",
+        "degrade:factor=2,src=2",
+    ])
+    def test_runtime_rejects_event_outside_the_job(self, spec):
+        """An event naming a rank the job lacks would never fire."""
+        with pytest.raises(ValueError, match=f"fault event '{spec}'"):
+            Runtime(nranks=2, fault_plan=FaultPlan.parse(spec))
+
+    def test_runtime_accepts_events_inside_the_job(self):
+        plan = FaultPlan.parse(
+            "crash:rank=1,step=1;drop:src=0,dst=1,nth=1;degrade:factor=2"
+        )
+        assert Runtime(nranks=2, fault_plan=plan).faults is not None
+
     def test_drop_unit_is_a_deterministic_uniform(self):
         a = drop_unit(3, 0, 1, 17, 0)
         assert a == drop_unit(3, 0, 1, 17, 0)
@@ -250,6 +266,11 @@ class TestCrashRecovery:
         # Fault-free runs take the same path with empty accounting.
         assert ref_rep.restarts == 0 and not ref_rep.crashes
         assert ref_rep.lost_work_seconds == 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            run_with_recovery(_setup(), nranks=2, nsteps=2, dt=dt)
 
     def test_campaign_gantt_and_profile(self, tmp_path):
         from repro.analysis import fault_report, render_gantt

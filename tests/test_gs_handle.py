@@ -122,22 +122,12 @@ class TestLocalPlans:
         with pytest.raises(Exception, match="shape"):
             Runtime(nranks=1).run(main)
 
-    def test_wire_bytes_pairwise(self):
-        gids = {0: np.array([0, 1, 2]), 1: np.array([2, 3])}
-
-        def main(comm):
-            h = gs_setup(gids[comm.rank], comm)
-            return h.wire_bytes_pairwise()
-
-        res = Runtime(nranks=2).run(main)
-        assert res == [8, 8]  # one shared id each direction
-
     def test_shared_gids_with(self):
         gids = {0: np.array([9, 4, 2]), 1: np.array([4, 9, 77])}
 
         def main(comm):
             h = gs_setup(gids[comm.rank], comm)
-            return h.shared_gids_with(1 - comm.rank).tolist()
+            return h.uids[h.neighbor_send_index[1 - comm.rank]].tolist()
 
         assert Runtime(nranks=2).run(main) == [[4, 9], [4, 9]]
 

@@ -536,10 +536,6 @@ class TestLibrary:
         ]
         assert got[0] is not None and all(k is got[0] for k in got)
 
-    def test_schedules_introspection(self):
-        lib = kir.KernelLibrary()
-        assert "gemm" in lib.schedules("interp_fine", 6)
-
 
 class TestDispatch:
     def test_auto_matches_oracle_to_roundoff(self, monkeypatch, tmp_path):

@@ -91,18 +91,6 @@ class TestAssignment:
         with pytest.raises(ValueError):
             ElementAssignment(mesh, 2, np.array([0, 1, 1, 5]))
 
-    def test_local_indices_roundtrip(self):
-        mesh = BoxMesh(shape=(2, 2, 2), n=3)
-        owner = np.array([1, 0, 0, 1, 0, 1, 1, 0])
-        asg = ElementAssignment(mesh, 2, owner)
-        for rank in range(2):
-            els = np.array(asg.local_elements(rank))
-            assert np.array_equal(
-                asg.local_indices(rank, els), np.arange(len(els))
-            )
-        with pytest.raises(ValueError):
-            asg.local_index(0, tuple(asg.local_elements(1)[0]))
-
 
 class TestPartitioner:
     def test_uniform_weights_balance(self):

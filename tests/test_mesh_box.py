@@ -10,30 +10,6 @@ class TestIndexing:
     def test_element_count(self):
         assert BoxMesh(shape=(4, 3, 2), n=4).nelgt == 24
 
-    def test_index_roundtrip(self):
-        mesh = BoxMesh(shape=(5, 4, 3), n=3)
-        for eg in range(mesh.nelgt):
-            assert mesh.element_index(mesh.element_coords(eg)) == eg
-
-    def test_lexicographic_x_fastest(self):
-        mesh = BoxMesh(shape=(3, 2, 2), n=3)
-        assert mesh.element_index((0, 0, 0)) == 0
-        assert mesh.element_index((1, 0, 0)) == 1
-        assert mesh.element_index((0, 1, 0)) == 3
-        assert mesh.element_index((0, 0, 1)) == 6
-
-    def test_iter_elements_order(self):
-        mesh = BoxMesh(shape=(2, 2, 1), n=3)
-        coords = list(mesh.iter_elements())
-        assert coords == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
-
-    def test_out_of_range(self):
-        mesh = BoxMesh(shape=(2, 2, 2), n=3)
-        with pytest.raises(ValueError):
-            mesh.element_index((2, 0, 0))
-        with pytest.raises(ValueError):
-            mesh.element_coords(8)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BoxMesh(shape=(0, 1, 1), n=3)
@@ -72,7 +48,6 @@ class TestPointCounts:
     def test_periodic_unique_points(self):
         mesh = BoxMesh(shape=(4, 4, 4), n=3, periodic=(True,) * 3)
         assert mesh.unique_points_shape() == (8, 8, 8)
-        assert mesh.unique_point_count() == 512
 
     def test_nonperiodic_unique_points(self):
         mesh = BoxMesh(shape=(4, 4, 4), n=3, periodic=(False,) * 3)
@@ -81,8 +56,3 @@ class TestPointCounts:
     def test_mixed_periodicity(self):
         mesh = BoxMesh(shape=(2, 2, 2), n=4, periodic=(True, False, True))
         assert mesh.unique_points_shape() == (6, 7, 6)
-
-    def test_total_points_redundant(self):
-        mesh = BoxMesh(shape=(2, 2, 2), n=4)
-        assert mesh.total_points == 8 * 64
-        assert mesh.points_per_element == 64

@@ -7,11 +7,6 @@ import pytest
 
 from repro.mpi import Runtime, datatypes
 from repro.mpi.datatypes import (
-    BAND,
-    BOR,
-    BUILTIN_OPS,
-    LAND,
-    LOR,
     MAX,
     MIN,
     PROD,
@@ -23,12 +18,6 @@ from repro.mpi.datatypes import (
 
 
 class TestReduceOps:
-    def test_builtin_registry(self):
-        assert set(BUILTIN_OPS) == {
-            "MPI_SUM", "MPI_PROD", "MPI_MIN", "MPI_MAX",
-            "MPI_LAND", "MPI_LOR", "MPI_BAND", "MPI_BOR",
-        }
-
     def test_sum_arrays(self):
         a, b = np.arange(4.0), np.ones(4)
         np.testing.assert_allclose(SUM(a, b), a + b)
@@ -39,14 +28,6 @@ class TestReduceOps:
 
     def test_prod(self):
         np.testing.assert_allclose(PROD(np.full(3, 2.0), np.full(3, 4.0)), 8.0)
-
-    def test_logical(self):
-        assert LAND(True, False) == False  # noqa: E712
-        assert LOR(True, False) == True  # noqa: E712
-
-    def test_bitwise(self):
-        assert BAND(np.int64(0b1100), np.int64(0b1010)) == 0b1000
-        assert BOR(np.int64(0b1100), np.int64(0b1010)) == 0b1110
 
     def test_ufunc_attached(self):
         assert SUM.ufunc is np.add

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import DeadlockError, MPIError, Runtime, spmd
+from repro.mpi import DeadlockError, MPIError, Runtime
 
 
 class TestLifecycle:
@@ -31,9 +31,6 @@ class TestLifecycle:
     def test_bad_nranks(self):
         with pytest.raises(ValueError):
             Runtime(nranks=0)
-
-    def test_spmd_helper(self):
-        assert spmd(3, lambda comm: comm.size) == [3, 3, 3]
 
 
 class TestErrorPropagation:

@@ -20,7 +20,6 @@ from repro.mesh import BoxMesh, Partition
 from repro.mesh.numbering import dg_face_numbering
 from repro.mpi import MAX, SUM, Runtime
 from repro.mpi import waitall as mpi_waitall
-from repro.perfmodel import MachineModel
 from repro.solver import CMTSolver, ShockFilter, SolverConfig, from_primitives
 from repro.solver.boundary import BoundarySpec
 from repro.solver.riemann import SOD_LEFT, SOD_RIGHT
@@ -241,26 +240,6 @@ def test_cmtbone_split_phase_profile_sites():
     sites = {row.site for row in rt.job_profile().aggregates()}
     assert "gs_op_:begin" in sites
     assert "gs_op_:finish" in sites
-    from repro.analysis import split_phase_report
-
-    text = split_phase_report(rt.job_profile())
-    assert "gs_op_" in text and "finish" in text
-
-
-# -- machine-model overlap arithmetic -------------------------------------
-
-class TestMachineOverlapModel:
-    def test_exposed_comm(self):
-        m = MachineModel.default()
-        assert m.exposed_comm_seconds(5.0, 2.0) == 3.0
-        assert m.exposed_comm_seconds(2.0, 5.0) == 0.0
-
-    def test_overlapped_interval_is_max(self):
-        m = MachineModel.default()
-        for compute, comm in ((1.0, 4.0), (4.0, 1.0), (3.0, 3.0)):
-            assert m.overlapped_interval_seconds(compute, comm) == (
-                pytest.approx(max(compute, comm))
-            )
 
 
 # -- timeline spans --------------------------------------------------------

@@ -560,6 +560,20 @@ class TestExecuteBitwise:
         assert result.status == "failed"
         assert "work_mode" in result.error
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("cmtbone", {**SMALL, "fault_spec": "crash:rank=5,step=1"},
+         "fault event 'crash:rank=5,step=1' names a rank outside [0, 2)"),
+        ("sod", {**SOD, "fault_spec": "crash:rank=5,step=1"},
+         "fault event 'crash:rank=5,step=1' names a rank outside [0, 2)"),
+        ("sod", {**SOD, "dt": -1.0}, "dt must be finite and > 0"),
+    ], ids=["cmtbone-crash-rank", "sod-crash-rank", "sod-dt"])
+    def test_out_of_range_job_fails_with_the_reason(
+        self, kind, params, message
+    ):
+        result = run_job(JobSpec(kind=kind, nranks=2, params=params))
+        assert result.status == "failed"
+        assert message in result.error
+
     def test_exit_signals_propagate_not_swallowed(self, monkeypatch):
         # Regression: run_job caught BaseException, so SystemExit /
         # KeyboardInterrupt inside a job became a "failed" result and

@@ -15,8 +15,6 @@ from repro.solver import (
 from repro.solver.boundary import (
     BoundarySpec,
     BoundaryHandler,
-    outflow_everywhere,
-    walls_everywhere,
 )
 
 # x-walled channel, periodic in y/z.
@@ -33,11 +31,6 @@ class TestBoundarySpec:
             BoundarySpec("dirichlet")
         with pytest.raises(ValueError, match="no state"):
             BoundarySpec("wall", state=(1, 0, 0, 0, 1))
-
-    def test_tables(self):
-        assert set(walls_everywhere()) == set(range(6))
-        assert all(s.kind == "outflow"
-                   for s in outflow_everywhere().values())
 
 
 class TestBoundaryHandler:

@@ -131,7 +131,7 @@ class TestFlowState:
     def test_uniform_state_fields(self):
         st_ = uniform_state(4, 3, rho=1.5, vel=(1.0, 0.0, 0.0), p=2.0)
         assert st_.u.shape == (NEQ, 4, 3, 3, 3)
-        np.testing.assert_allclose(st_.density(), 1.5)
+        np.testing.assert_allclose(st_.u[RHO], 1.5)
         np.testing.assert_allclose(st_.pressure(), 2.0, rtol=1e-13)
         np.testing.assert_allclose(st_.velocity()[0], 1.0)
         assert st_.is_physical()

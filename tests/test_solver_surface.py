@@ -8,7 +8,6 @@ from repro.solver.surface import (
     FACE_NORMAL_AXIS,
     FACE_NORMAL_SIGN,
     face2full_add,
-    face_bytes,
     full2face,
     full2face_flops,
     full2face_multi,
@@ -113,9 +112,6 @@ class TestFaceMetadata:
 
     def test_normal_signs(self):
         assert FACE_NORMAL_SIGN == (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)
-
-    def test_face_bytes(self):
-        assert face_bytes(nel=10, n=5, ncomp=5) == 5 * 10 * 6 * 25 * 8
 
     def test_flops(self):
         assert full2face_flops(5, 10, ncomp=2) == 2 * 10 * 6 * 25

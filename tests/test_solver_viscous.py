@@ -19,7 +19,6 @@ from repro.solver import (
 from repro.solver.viscous import (
     ViscousModel,
     velocity_and_temperature,
-    viscous_dt_limit,
     viscous_fluxes,
 )
 
@@ -41,13 +40,6 @@ class TestViscousModel:
         model = ViscousModel(mu=2.0, prandtl=0.7)
         cp = 1.4 * 287.0 / 0.4
         assert model.kappa(eos) == pytest.approx(2.0 * cp / 0.7)
-
-    def test_dt_limit_scaling(self):
-        m = ViscousModel(mu=1e-3)
-        dt1 = viscous_dt_limit(m, 1.0, 0.25, 8)
-        dt2 = viscous_dt_limit(m, 1.0, 0.5, 8)
-        assert dt2 == pytest.approx(4 * dt1)
-        assert viscous_dt_limit(ViscousModel(mu=0.0), 1.0, 0.25, 8) == np.inf
 
 
 class TestViscousFluxes:

@@ -124,16 +124,12 @@ class TestBatchedNetwork:
         )
         hops = topo.hops_batch(src, dst)
         send = net.send_overhead_batch(nbytes)
-        recv = net.recv_overhead_batch(nbytes)
         transit = net.transit_batch(src, dst, nbytes)
-        msg = net.message_time_batch(src, dst, nbytes)
         for i in range(n):
             s, d, b = int(src[i]), int(dst[i]), int(nbytes[i])
             assert hops[i] == topo.hops(s, d)
             assert send[i] == net.send_overhead(b)
-            assert recv[i] == net.recv_overhead(b)
             assert transit[i] == net.transit(s, d, b)
-            assert msg[i] == net.message_time(s, d, b)
 
 
 # -- modeled vs executed agreement --------------------------------------
