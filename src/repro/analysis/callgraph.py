@@ -13,7 +13,7 @@ nesting builds the call graph, and :func:`flat_profile` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..mpi.clock import VirtualClock
 
@@ -108,13 +108,10 @@ def merge_profiles(profiles: List[CallGraphProfiler]) -> Dict[str, RegionStats]:
     return merged
 
 
-def flat_profile(
-    stats: Dict[str, RegionStats], total: Optional[float] = None
-) -> str:
+def flat_profile(stats: Dict[str, RegionStats]) -> str:
     """gprof-style flat profile: % time, self seconds, calls, name."""
     rows = sorted(stats.values(), key=lambda s: s.self_time, reverse=True)
-    if total is None:
-        total = sum(s.self_time for s in rows) or 1.0
+    total = sum(s.self_time for s in rows) or 1.0
     lines = [
         f"{'% time':>7s} {'self s':>12s} {'total s':>12s} {'calls':>10s}  name"
     ]

@@ -72,7 +72,7 @@ class FaultInjector:
             if ev.step is not None and ev.rank == rank and ev.step == step:
                 self._fire(comm, ev, step=step)
 
-    def check_time_crash(self, comm, step: "int | None" = None) -> None:
+    def check_time_crash(self, comm) -> None:
         """Fire any time-triggered crash whose deadline has passed.
 
         Called from communication entry points — the first send/recv at
@@ -84,7 +84,7 @@ class FaultInjector:
         now = comm.clock.now
         for ev in self.plan.crashes:
             if ev.time is not None and ev.rank == rank and now >= ev.time:
-                self._fire(comm, ev, step=step)
+                self._fire(comm, ev, step=None)
 
     def _fire(self, comm, event: CrashEvent, step: "int | None") -> None:
         with self._lock:

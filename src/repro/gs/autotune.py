@@ -49,27 +49,27 @@ class MethodTiming:
         )
 
 
+#: Seed (plus the rank) of the random field each timed exchange combines.
+TRIAL_SEED = 1234
+
+
 def time_method(
-    handle: GSHandle,
-    method: str,
-    trials: int = 3,
-    warmup: int = 1,
-    seed: int = 1234,
+    handle: GSHandle, method: str, trials: int = 3
 ) -> MethodTiming:
-    """Time one exchange method over ``trials`` gs_op rounds.
+    """Time one exchange method over ``trials`` gs_op rounds, after one
+    untimed warm-up round.
 
     Collective.  Virtual time is deterministic, so no repetitions are
     needed for noise — ``trials`` exists to mirror the real procedure
     and to amortize any first-call setup inside a method.
     """
     comm = handle.comm
-    rng = np.random.default_rng(seed + comm.rank)
+    rng = np.random.default_rng(TRIAL_SEED + comm.rank)
     u = rng.standard_normal(handle.shape)
     dt = time_trials(
         lambda: gs_op(handle, u, op=SUM, method=method,
                       site=f"gs_autotune:{method}"),
         trials=trials,
-        warmup=warmup,
         timer=comm.time,
         sync=lambda: comm.barrier(site="gs_autotune"),
     )

@@ -200,7 +200,6 @@ def roofline_seconds(
     nel: int,
     machine: MachineModel,
     variant: str = "fused",
-    ndirections: int = 3,
 ) -> float:
     """Roofline-style single-number estimate used by the mini-app loop.
 
@@ -209,6 +208,6 @@ def roofline_seconds(
     right-hand-side evaluation.
     """
     total = 0.0
-    for d in DIRECTIONS[:ndirections]:
+    for d in DIRECTIONS:
         total += kernel_cost(d, variant, n, nel, machine=machine).seconds
     return total

@@ -111,18 +111,16 @@ class Comm:
         flops: float = 0.0,
         mem_bytes: float = 0.0,
         seconds: Optional[float] = None,
-        efficiency: float = 1.0,
     ) -> float:
         """Charge a compute interval to this rank's virtual clock.
 
         Either pass ``seconds`` directly, or pass work counts
         (``flops``, ``mem_bytes``) to be priced by the machine model's
-        roofline with an ``efficiency`` factor in (0, 1].  Returns the
-        charged interval.
+        roofline at full efficiency.  Returns the charged interval.
         """
         if seconds is None:
             seconds = self.machine.compute_seconds(
-                flops=flops, mem_bytes=mem_bytes, efficiency=efficiency
+                flops=flops, mem_bytes=mem_bytes
             )
         self.clock.advance(seconds, kind="compute")
         return seconds

@@ -26,7 +26,7 @@ from __future__ import annotations
 import shlex
 import socket
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..mpi.errors import MPIError
 from .wire import format_address
@@ -132,18 +132,18 @@ def agent_argv(address: tuple, token: str, rank: int,
     return argv
 
 
+#: The local half of :func:`ssh_command`; never prompts for a password.
+SSH = ("ssh", "-o", "BatchMode=yes")
+
+
 def ssh_command(host: str, address: tuple, token: str, rank: int,
-                python: str = "python3",
-                ssh: Tuple[str, ...] = ("ssh", "-o", "BatchMode=yes"),
-                bind_host: str = "0.0.0.0",
-                advertise_host: Optional[str] = None) -> List[str]:
+                python: str = "python3") -> List[str]:
     """Full local command that starts rank ``rank``'s agent on ``host``.
 
     The remote side must have ``repro`` importable by ``python``; the
     agent dials back to the driver's rendezvous ``address``, so only
     the driver needs a listening port.  The remote agent's peer
-    listener binds ``bind_host`` (all interfaces by default) and
-    advertises ``advertise_host`` — defaulting to the hostfile label
+    listener binds all interfaces and advertises the hostfile label
     itself, the one name the driver already knows routes to that
     machine.
     """
@@ -151,8 +151,7 @@ def ssh_command(host: str, address: tuple, token: str, rank: int,
         shlex.quote(part)
         for part in agent_argv(
             address, token, rank, python=python,
-            bind_host=bind_host,
-            advertise_host=advertise_host or host,
+            bind_host="0.0.0.0", advertise_host=host,
         )
     )
-    return list(ssh) + [host, remote]
+    return list(SSH) + [host, remote]

@@ -77,8 +77,6 @@ class ModeledTimeline:
     comm: np.ndarray
     #: Per-rank comm seconds hidden under compute (overlap schedule).
     hidden_comm: np.ndarray
-    #: Per-rank checkpoint IO seconds (0 unless checkpoint_every set).
-    io: np.ndarray
     #: Messages and advertised wire bytes across the whole job.
     messages: int
     wire_bytes: float
@@ -197,13 +195,12 @@ class FaultExtrapolation:
 class _Timeline:
     """Mutable per-rank clock arrays while a model is being evaluated."""
 
-    __slots__ = ("t", "comm", "hidden", "io", "messages", "wire_bytes")
+    __slots__ = ("t", "comm", "hidden", "messages", "wire_bytes")
 
     def __init__(self, nranks: int):
         self.t = np.zeros(nranks)
         self.comm = np.zeros(nranks)
         self.hidden = np.zeros(nranks)
-        self.io = np.zeros(nranks)
         self.messages = 0
         self.wire_bytes = 0.0
 
@@ -450,10 +447,7 @@ class VirtualScaleEngine:
     # -- the vectorized timeline model ----------------------------------
 
     def model(
-        self,
-        method: str,
-        nranks: Optional[int] = None,
-        checkpoint_every: int = 0,
+        self, method: str, nranks: Optional[int] = None
     ) -> ModeledTimeline:
         """Modeled per-rank step timelines for ``method`` at ``nranks``."""
         if method not in GS_METHODS:
@@ -461,16 +455,12 @@ class VirtualScaleEngine:
                 f"unknown gs method {method!r}; choose from {GS_METHODS}"
             )
         p = self.nranks if nranks is None else int(nranks)
-        key = (method, p, checkpoint_every)
+        key = (method, p)
         if key not in self._models:
-            self._models[key] = self._evaluate(
-                method, p, checkpoint_every
-            )
+            self._models[key] = self._evaluate(method, p)
         return self._models[key]
 
-    def _evaluate(
-        self, method: str, nranks: int, checkpoint_every: int
-    ) -> ModeledTimeline:
+    def _evaluate(self, method: str, nranks: int) -> ModeledTimeline:
         wall0 = time.perf_counter()
         cfg = self._config_for(nranks, method)
         sched = self.schedule(nranks)
@@ -547,10 +537,6 @@ class VirtualScaleEngine:
                     _replay_wave(tl, wave, o_recv)
 
         tl = _Timeline(p)
-        ck_seconds = 0.0
-        if checkpoint_every:
-            state_bytes = 8.0 * neq * nel * n**3
-            ck_seconds = machine.checkpoint_seconds(state_bytes)
         for istep in range(cfg.nsteps):
             for _stage in range(cfg.rk_stages):
                 tl.t += deriv_lf
@@ -579,12 +565,6 @@ class VirtualScaleEngine:
             if me and (istep + 1) % me == 0:
                 for wave in monitor_waves:
                     _replay_wave(tl, wave, o_recv)
-            if checkpoint_every and (istep + 1) % checkpoint_every == 0:
-                # Extrapolation-only term (never part of validation):
-                # all ranks sync at a checkpoint barrier, then write.
-                tl.t[:] = tl.t.max()
-                tl.t += ck_seconds
-                tl.io += ck_seconds
         return ModeledTimeline(
             method=method,
             nranks=p,
@@ -592,7 +572,6 @@ class VirtualScaleEngine:
             total=tl.t,
             comm=tl.comm,
             hidden_comm=tl.hidden,
-            io=tl.io,
             messages=tl.messages,
             wire_bytes=tl.wire_bytes,
             model_wall_seconds=time.perf_counter() - wall0,
