@@ -78,20 +78,6 @@ class TimelineRecorder:
                 Interval(rank=self.rank, name=name, t0=t0, t1=t1, span=True)
             )
 
-    def mark(self, name: str, t0: float, t1: float) -> None:
-        """Record an explicit ``[t0, t1]`` span at known times.
-
-        Event-style annotation for intervals whose bounds come from
-        bookkeeping rather than bracketed execution — fault retries,
-        lost-work windows, restart overhead (see
-        :class:`repro.solver.driver.FaultRunReport`).  Drawn like any
-        other span: overlapping bins render UPPERCASE.
-        """
-        if t1 > t0:
-            self.intervals.append(
-                Interval(rank=self.rank, name=name, t0=t0, t1=t1, span=True)
-            )
-
 
 class _Region:
     """One :meth:`TimelineRecorder.region` bracket: a slotted context

@@ -352,7 +352,7 @@ def _comms_gs_methods() -> List[Metric]:
     host because a crystal stage message's size is a closed form of its
     record counts and the allreduce's is the dense vector's."""
     wire = {m: _gs_op_wire(m) for m in ("crystal", "allreduce")}
-    res = _cmtbone_run(8, gs_method=None, autotune_trials=2)[0]
+    res = _cmtbone_run(8, gs_method=None)[0]
     assert res.autotune is not None
     metrics = [
         Metric(

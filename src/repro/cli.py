@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nek = sub.add_parser("nekbone", help="run the Nekbone comparator")
     _add_common(p_nek)
-    p_nek.add_argument("--iterations", type=int, default=50,
+    p_nek.add_argument("--iterations", type=_int_at_least(0), default=50,
                        help="CG iteration budget (default 50)")
 
     p_f7 = sub.add_parser("fig7", help="exchange-method comparison table")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mini-app vs parent-application validation study",
     )
     _add_common(p_val)
-    p_val.add_argument("--steps", type=int, default=4,
+    p_val.add_argument("--steps", type=_int_at_least(0), default=4,
                        help="timesteps for both apps (default 4)")
     p_val.add_argument("--calibrated", action="store_true",
                        help="use the exchange_fields=11 calibration")
@@ -241,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_k = sub.add_parser(
         "kernels", help="Fig. 5/6 derivative-kernel counter tables"
     )
-    p_k.add_argument("-N", "--points", type=int, default=5,
+    p_k.add_argument("-N", "--points", type=_int_at_least(2), default=5,
                      help="GLL points per direction (paper: 5)")
     p_k.add_argument("--elements", type=_int_at_least(1), default=1563,
                      help="element count (paper: 1563)")
-    p_k.add_argument("--steps", type=int, default=1000,
+    p_k.add_argument("--steps", type=_int_at_least(0), default=1000,
                      help="timesteps (paper: 1000)")
 
     p_sod = sub.add_parser(
@@ -256,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated MPI ranks (default 2)")
     p_sod.add_argument("-N", "--points", type=_int_at_least(2), default=6,
                        help="GLL points per direction (default 6)")
-    p_sod.add_argument("--elements", type=int, default=16,
+    p_sod.add_argument("--elements", type=_int_at_least(1), default=16,
                        help="elements along the tube (default 16; must "
                             "divide by --ranks)")
-    p_sod.add_argument("--steps", type=int, default=12,
+    p_sod.add_argument("--steps", type=_int_at_least(0), default=12,
                        help="timesteps (default 12)")
     p_sod.add_argument("--dt", type=float, default=2e-4,
                        help="fixed timestep, s (default 2e-4; fixed so "
@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "drop:p=0.01' (see docs/fault-injection.md)")
     p_sod.add_argument("--fault-seed", type=int, default=0,
                        help="seed for probabilistic fault decisions")
-    p_sod.add_argument("--checkpoint-every", type=int, default=0,
+    p_sod.add_argument("--checkpoint-every", type=_int_at_least(0),
+                       default=0,
                        help="write a checkpoint every N steps (0 = off)")
     p_sod.add_argument("--checkpoint-dir", default=None,
                        help="checkpoint base directory (default: a tempdir);"
@@ -651,9 +652,7 @@ def cmd_vscale(args) -> int:
                 "wire_bytes": int(t.wire_bytes),
                 "model_wall_seconds": t.model_wall_seconds,
             }
-        doc["fastest"] = min(
-            methods, key=lambda m: engine.model(m).step_seconds
-        )
+        doc["fastest"] = engine.best_method(methods)[0]
         if agreements:
             doc["agreement"] = {
                 a.method: {

@@ -11,8 +11,9 @@ verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
+from ..gs.autotune import SETUP_TRIALS
 from ..mesh import BoxMesh, Partition, factor3
 
 Coord = Tuple[int, int, int]
@@ -97,14 +98,14 @@ class CMTBoneConfig(BrickConfig):
     #: Timesteps for :meth:`repro.core.cmtbone.CMTBone.run`.
     nsteps: int = 10
     #: RK stages per step (CMT-nek: 3-stage SSP).
-    rk_stages: int = 3
+    rk_stages: ClassVar[int] = 3
     #: Derivative-kernel variant ("fused" is what CMT-bone inherits;
     #: see repro.kir.library.VARIANT_SCHEDULE for the other names).
     kernel_variant: str = "fused"
     #: gs exchange method; None runs the setup-time auto-tuner.
     gs_method: Optional[str] = None
-    #: Auto-tune trial count.
-    autotune_trials: int = 2
+    #: Auto-tune trials per method.
+    autotune_trials: ClassVar[int] = SETUP_TRIALS
     #: "real" executes the numpy kernels on synthetic data; "proxy"
     #: skips array math and only charges modelled time (for large P).
     work_mode: str = "real"
@@ -146,8 +147,8 @@ class CMTBoneConfig(BrickConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_work_mode(self.work_mode)
-        if self.rk_stages < 1 or self.nsteps < 0 or self.neq < 1:
-            raise ValueError("rk_stages/nsteps/neq out of range")
+        if self.nsteps < 0 or self.neq < 1:
+            raise ValueError("nsteps/neq out of range")
         if self.lb_mode not in ("off", "auto", "every", "manual"):
             raise ValueError(
                 f"lb_mode must be off|auto|every|manual, got {self.lb_mode}"
@@ -195,14 +196,8 @@ class NekboneConfig(BrickConfig):
 
     #: CG iterations per solve (nekbone default region).
     cg_iterations: int = 100
-    #: Helmholtz coefficients: h1 * stiffness + h2 * mass.
-    h1: float = 1.0
-    h2: float = 1.0
     gs_method: Optional[str] = None
-    autotune_trials: int = 2
-    kernel_variant: str = "fused"
     work_mode: str = "real"
-    seed: int = 1999
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..mpi.errors import RankCrashError
+from ..mpi.transport import MAX_RETRIES
 from .plan import CrashEvent, FaultPlan, drop_unit
 
 
@@ -120,8 +121,8 @@ class FaultInjector:
 
         The reliable layer retransmits after each drop, so the sender
         experiences ``n`` consecutive losses followed by one successful
-        injection.  ``n`` is capped at the retry policy's
-        ``max_retries`` — beyond that the message is deemed delivered
+        injection.  ``n`` is capped at the transport's
+        ``MAX_RETRIES`` — beyond that the message is deemed delivered
         (the model never livelocks on a lossy link).  Deterministic:
         probabilistic events hash (plan seed, link, per-link sequence
         number, attempt index); ``nth`` events fire on exactly one
@@ -130,9 +131,8 @@ class FaultInjector:
         events = [e for e in self.plan.drops if e.matches(src, dst)]
         if not events:
             return 0
-        max_retries = self.plan.retry.max_retries
         drops = 0
-        while drops < max_retries:
+        while drops < MAX_RETRIES:
             attempt_dropped = False
             for ev in events:
                 if ev.nth is not None:

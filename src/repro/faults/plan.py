@@ -47,10 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
-
-from ..mpi.transport import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,6 @@ class FaultPlan:
     degrades: Tuple[DegradeEvent, ...] = ()
     #: Seed for every probabilistic decision (message drops).
     seed: int = 0
-    #: Retransmission schedule for dropped envelopes.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     # -- construction ---------------------------------------------------
 

@@ -52,6 +52,10 @@ class MethodTiming:
 #: Seed (plus the rank) of the random field each timed exchange combines.
 TRIAL_SEED = 1234
 
+#: Trials per method of the setup-time auto-tune that CMT-bone, Nekbone
+#: and the solver run (``choose_method``'s own default is 3).
+SETUP_TRIALS = 2
+
 
 def time_method(
     handle: GSHandle, method: str, trials: int = 3

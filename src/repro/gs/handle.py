@@ -94,14 +94,10 @@ class GSHandle:
     inverse:
         uid-index of every data entry, shaped like the data (the
         *scatter back* plan).
-    shared_index:
-        uid-indices of ids shared with at least one other rank.
     neighbor_send_index:
         For each neighbour rank, the uid-indices (sorted by gid, hence
-        identically ordered on both sides) of ids shared with it.
-    owners:
-        For each shared uid (parallel to ``shared_index``), the sorted
-        list of *other* ranks holding it.
+        identically ordered on both sides) of ids shared with it; their
+        union is the ids shared with at least one other rank.
     max_gid:
         Global maximum id (sizes the allreduce method's big vector).
     """
@@ -113,9 +109,7 @@ class GSHandle:
     dup_index: Optional[np.ndarray]
     rounds: List[Tuple[Optional[np.ndarray], np.ndarray]]
     inverse: np.ndarray
-    shared_index: np.ndarray
     neighbor_send_index: Dict[int, np.ndarray]
-    owners: List[List[int]]
     max_gid: int
     #: Total shared-id instances across the whole job (allreduce'd at
     #: setup; vscale checks its schedule against it).
@@ -463,8 +457,7 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
     keep = r_own != me
     pair_gid = pair_gid[keep]
     pair_own = r_own[keep]
-    shared_sorted = sorted_unique(r_gid)
-    shared_index = np.searchsorted(uids, shared_sorted)
+    n_shared = len(sorted_unique(r_gid))
     # Group pairs by owner for the per-neighbour send lists.
     powner_order = np.argsort(pair_own, kind="stable")
     po = pair_own[powner_order]
@@ -478,22 +471,9 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
         for a, b in zip(q_starts, q_ends):
             q = int(po[a])
             neighbor_send_index[q] = np.searchsorted(uids, np.sort(pg[a:b]))
-    # Owner lists per shared gid (ascending gid), for introspection.
-    gorder = np.argsort(pair_gid, kind="stable")
-    gg = pair_gid[gorder]
-    go = pair_own[gorder]
-    owners: List[List[int]] = []
-    if len(gg):
-        g_starts = np.nonzero(
-            np.concatenate(([True], gg[1:] != gg[:-1]))
-        )[0]
-        g_ends = np.concatenate((g_starts[1:], [len(gg)]))
-        for a, b in zip(g_starts, g_ends):
-            owners.append(sorted(go[a:b].tolist()))
-
     local_max = int(uids[-1]) if len(uids) else -1
     max_gid = int(comm.allreduce(local_max, op=MAX, site=site))
-    global_shared = int(comm.allreduce(len(shared_sorted), op=SUM, site=site))
+    global_shared = int(comm.allreduce(n_shared, op=SUM, site=site))
 
     handle = GSHandle(
         comm=comm,
@@ -503,15 +483,13 @@ def gs_setup(gids: np.ndarray, comm: Comm, site: str = "gs_setup") -> GSHandle:
         dup_index=dup,
         rounds=rounds,
         inverse=inverse.reshape(gids.shape),
-        shared_index=shared_index,
         neighbor_send_index=neighbor_send_index,
-        owners=owners,
         max_gid=max_gid,
         global_shared=global_shared,
     )
     handle.setup_stats = {
         "n_unique": handle.n_unique,
-        "n_shared": int(len(shared_sorted)),
+        "n_shared": n_shared,
         "n_neighbors": len(neighbor_send_index),
         "max_gid": max_gid,
         "global_shared": global_shared,

@@ -1,11 +1,11 @@
 """Element-to-rank assignment overlay over the static brick partition.
 
 :class:`repro.mesh.partition.Partition` hard-wires ownership to a 3-D
-brick decomposition.  Everything built on top of it — the rank
-topology, the DG face numbering, the boundary handler — only ever
-asks four questions: *what mesh is this*, *which elements do I own (in
-a canonical local order)*, *who owns the element at these coords*, and
-*what is its local index on its owner*.
+brick decomposition.  Everything built on top of it — the DG face
+numbering, the boundary handler — only ever asks four questions:
+*what mesh is this*, *which elements do I own (in a canonical local
+order)*, *who owns the element at these coords*, and *what is its
+local index on its owner*.
 
 :class:`ElementAssignment` answers the same questions from an explicit
 ``owner[element_id] -> rank`` table, so any ownership map produced by
@@ -88,10 +88,6 @@ class ElementAssignment:
     def nel_of(self, rank: int) -> int:
         self._check_rank(rank)
         return int(self._counts[rank])
-
-    def counts(self) -> np.ndarray:
-        """Elements per rank, ``(nranks,)``."""
-        return self._counts.copy()
 
     def local_elements(self, rank: int) -> List[Coord]:
         """Global coords of this rank's elements, canonical order."""

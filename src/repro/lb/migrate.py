@@ -50,7 +50,6 @@ class MigrationStats:
 
     elements_sent: int
     elements_received: int
-    elements_kept: int
     bytes_sent: int
     seconds: float
 
@@ -147,7 +146,6 @@ def migrate_elements(
     stats = MigrationStats(
         elements_sent=nel_old - kept,
         elements_received=nel_new - kept,
-        elements_kept=kept,
         bytes_sent=(nel_old - kept)
         * (old_ids.itemsize + rows.shape[1] * rows.itemsize),
         seconds=comm.clock.now - t0,

@@ -2,7 +2,7 @@
 
 Implements the partitioned hexahedral-element domain of Fig. 3: the
 global element box, its decomposition onto a 3-D processor grid, the
-face topology between elements/ranks, and the two global GLL-point
+face indexing of an element, and the two global GLL-point
 numbering schemes (C0 continuous for Nekbone, DG face-pair for
 CMT-bone) that drive ``gs_setup``.
 """
@@ -15,25 +15,16 @@ from .numbering import (
     total_faces,
 )
 from .partition import Partition, factor3
-from .topology import (
-    FACE_AXIS_SIDE,
-    NFACES,
-    FaceLink,
-    RankTopology,
-    neighbor_coords,
-)
+from .topology import FACE_AXIS_SIDE, NFACES
 
 __all__ = [
     "BoxMesh",
     "FACE_AXIS_SIDE",
-    "FaceLink",
     "NFACES",
     "Partition",
-    "RankTopology",
     "continuous_numbering",
     "dg_face_numbering",
     "face_counts",
     "factor3",
-    "neighbor_coords",
     "total_faces",
 ]

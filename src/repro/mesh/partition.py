@@ -70,11 +70,6 @@ class Partition:
                     f"processor grid {self.proc_shape}"
                 )
 
-    @staticmethod
-    def auto(mesh: BoxMesh, nranks: int) -> "Partition":
-        """Partition with an automatically factored processor grid."""
-        return Partition(mesh=mesh, proc_shape=factor3(nranks))
-
     # -- processor grid ----------------------------------------------------
 
     @property

@@ -1,4 +1,4 @@
-"""Element-face topology: neighbours, face indexing, physical boundaries.
+"""Element-face indexing: which face of a hex element is which.
 
 Face numbering convention (used consistently by ``full2face``, the DG
 face numbering, and the solver's numerical flux):
@@ -22,11 +22,7 @@ unstructured meshes would need one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from .box import BoxMesh, Coord
-from .partition import Partition
+from typing import Tuple
 
 #: Number of faces on a hexahedral element.
 NFACES = 6
@@ -35,49 +31,3 @@ NFACES = 6
 FACE_AXIS_SIDE: Tuple[Tuple[int, int], ...] = (
     (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1),
 )
-
-
-def neighbor_coords(
-    mesh: BoxMesh, ecoords: Coord, face: int
-) -> Optional[Coord]:
-    """Element across ``face``, or ``None`` at a non-periodic boundary."""
-    axis, side = FACE_AXIS_SIDE[face]
-    delta = 1 if side == 1 else -1
-    c = list(ecoords)
-    c[axis] += delta
-    extent = mesh.shape[axis]
-    if 0 <= c[axis] < extent:
-        return tuple(c)  # type: ignore[return-value]
-    if mesh.periodic[axis]:
-        c[axis] %= extent
-        return tuple(c)  # type: ignore[return-value]
-    return None
-
-
-@dataclass(frozen=True)
-class FaceLink:
-    """One local element face; ``is_boundary`` where no element lies
-    across it (a non-periodic edge of the mesh)."""
-
-    local_element: int
-    face: int
-    is_boundary: bool
-
-
-class RankTopology:
-    """All face links for one rank's elements, in local order.
-
-    The solver's :class:`~repro.solver.boundary.BoundaryHandler` reads
-    the physical-boundary faces from here.
-    """
-
-    def __init__(self, partition: Partition, rank: int):
-        mesh = partition.mesh
-        self.links: List[FaceLink] = [
-            FaceLink(lidx, face, neighbor_coords(mesh, ecoords, face) is None)
-            for lidx, ecoords in enumerate(partition.local_elements(rank))
-            for face in range(NFACES)
-        ]
-
-    def boundary_links(self) -> List[FaceLink]:
-        return [l for l in self.links if l.is_boundary]

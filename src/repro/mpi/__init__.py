@@ -58,7 +58,6 @@ from .request import (
 from .runtime import Runtime
 from .status import Status
 from .trace import MessageTrace, TraceEvent
-from .transport import RetryPolicy
 
 __all__ = [
     "ANY_SOURCE",
@@ -84,7 +83,6 @@ __all__ = [
     "RecvRequest",
     "ReduceOp",
     "Request",
-    "RetryPolicy",
     "Runtime",
     "SUM",
     "SendRequest",

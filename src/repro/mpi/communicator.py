@@ -38,7 +38,7 @@ from .errors import CommunicatorError, RankError
 from .profiler import RankProfile
 from .request import RecvRequest, Request, SendRequest
 from .status import Status
-from .transport import ChannelSeq, Envelope, PendingRecv
+from .transport import ChannelSeq, Envelope, PendingRecv, backoff_seconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -194,7 +194,7 @@ class Comm:
                 # injection overhead, all on the sender's clock — so
                 # the surviving copy hits the wire later and every
                 # downstream arrival shifts deterministically.
-                penalty = drops * ovh + faults.plan.retry.backoff_seconds(drops)
+                penalty = drops * ovh + backoff_seconds(drops)
                 clock.charge_retry(penalty)
                 faults.log_drop(me, dest, seq, drops, penalty)
                 self._prof.record(
@@ -257,7 +257,6 @@ class Comm:
             tag=env.tag,
             nbytes=env.nbytes,
             arrival_vtime=arrival,
-            wait_vtime=max(0.0, arrival - t0),
         )
         return env.payload, status
 

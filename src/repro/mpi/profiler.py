@@ -105,7 +105,6 @@ class SiteAggregate:
     site: str
     count: int
     vtime: float
-    vtime_mean: float
     vtime_max: float
     bytes_total: int
     bytes_avg: float
@@ -166,7 +165,6 @@ class JobProfile:
                 site=rec.site,
                 count=rec.count,
                 vtime=rec.vtime,
-                vtime_mean=rec.vtime / rec.count if rec.count else 0.0,
                 vtime_max=rec.vtime_max,
                 bytes_total=rec.bytes_total,
                 bytes_avg=rec.bytes_avg,

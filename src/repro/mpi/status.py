@@ -20,13 +20,9 @@ class Status:
     arrival_vtime:
         Virtual time at which the message arrived at the receiver's NIC
         (before the receiver-side overhead was charged).
-    wait_vtime:
-        Virtual seconds the receiving rank spent blocked for this
-        message (zero when the message was already waiting).
     """
 
     source: int
     tag: int
     nbytes: int
     arrival_vtime: float
-    wait_vtime: float

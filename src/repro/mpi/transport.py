@@ -35,40 +35,28 @@ from .errors import AbortError
 _WAIT_POLL = 0.1
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retransmission schedule for dropped messages.
+# Retransmission of dropped messages.  When a
+# :class:`~repro.faults.FaultInjector` drops an envelope, the transport
+# models a reliable layer underneath: the sender detects the loss (after
+# a backoff timeout) and re-injects.  Attempt ``i`` (0-based) waits
+# ``BACKOFF_BASE * BACKOFF_FACTOR**i`` virtual seconds before
+# retransmitting; the whole penalty is charged to the sender's virtual
+# clock (see :meth:`repro.mpi.clock.VirtualClock.charge_retry`), so
+# retried messages hit the wire later and every downstream arrival time
+# shifts deterministically.  ``MAX_RETRIES`` bounds consecutive drops of
+# one envelope so a lossy link can never livelock a run.
 
-    When a :class:`~repro.faults.FaultInjector` drops an envelope, the
-    transport models a reliable layer underneath: the sender detects the
-    loss (after a backoff timeout) and re-injects.  Attempt ``i``
-    (0-based) waits ``backoff_base * backoff_factor**i`` virtual seconds
-    before retransmitting; the whole penalty is charged to the sender's
-    virtual clock (see :meth:`repro.mpi.clock.VirtualClock.charge_retry`),
-    so retried messages hit the wire later and every downstream arrival
-    time shifts deterministically.  ``max_retries`` bounds consecutive
-    drops of one envelope so a lossy link can never livelock a run.
-    """
+#: Backoff before the first retransmission (virtual seconds).
+BACKOFF_BASE = 20e-6
+#: Multiplier applied to the backoff after every failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Hard bound on consecutive drops of a single envelope.
+MAX_RETRIES = 12
 
-    #: Backoff before the first retransmission (virtual seconds).
-    backoff_base: float = 20e-6
-    #: Multiplier applied to the backoff after every failed attempt.
-    backoff_factor: float = 2.0
-    #: Hard bound on consecutive drops of a single envelope.
-    max_retries: int = 12
 
-    def __post_init__(self) -> None:
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base >= 0 and backoff_factor >= 1 required")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-
-    def backoff_seconds(self, attempts: int) -> float:
-        """Total backoff for ``attempts`` consecutive drops."""
-        return sum(
-            self.backoff_base * self.backoff_factor**i
-            for i in range(attempts)
-        )
+def backoff_seconds(attempts: int) -> float:
+    """Total backoff for ``attempts`` consecutive drops."""
+    return sum(BACKOFF_BASE * BACKOFF_FACTOR**i for i in range(attempts))
 
 
 @dataclass(slots=True, eq=False)

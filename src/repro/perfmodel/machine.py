@@ -55,6 +55,10 @@ class CpuModel:
         return self.ghz * self.flops_per_cycle
 
 
+#: Sustained per-rank checkpoint I/O bandwidth, bytes/s.
+IO_BANDWIDTH = 2.0e9
+
+
 @dataclass(frozen=True)
 class MachineModel:
     """A named machine: CPU roofline + network model."""
@@ -65,8 +69,6 @@ class MachineModel:
     #: Fixed per-rank cost of opening/committing one checkpoint file
     #: (parallel-filesystem metadata + fsync), virtual seconds.
     io_latency: float = 5.0e-4
-    #: Sustained per-rank checkpoint I/O bandwidth, bytes/s.
-    io_bandwidth: float = 2.0e9
     #: Fixed cost of relaunching the job after a crash (scheduler +
     #: startup), charged once per recovery restart, virtual seconds.
     restart_latency: float = 0.5
@@ -96,7 +98,7 @@ class MachineModel:
         """Virtual seconds for one rank to write ``nbytes`` of state."""
         if nbytes < 0:
             raise ValueError(f"negative checkpoint size: {nbytes}")
-        return self.io_latency + nbytes / self.io_bandwidth
+        return self.io_latency + nbytes / IO_BANDWIDTH
 
     @staticmethod
     def young_daly_interval(

@@ -63,8 +63,9 @@ from ..store import atomic_write, host_dir, read_entry
 #: Layout version of what the entry files pickle, part of their name:
 #: bump it whenever a pickled class (``GSHandle``, ``SetupArtifact``)
 #: changes layout, so older spills read as cold instead of unpickling
-#: into objects that lack the new attributes.  2: compiled gs plan.
-DISK_VERSION = 2
+#: into objects that lack the new attributes.  2: compiled gs plan;
+#: 3: ``GSHandle`` without ``owners`` and ``shared_index``.
+DISK_VERSION = 3
 
 
 def artifact_key(

@@ -242,9 +242,6 @@ class MatrixReport:
     def failed(self) -> List[JobResult]:
         return [r for r in self.results if r.status == "failed"]
 
-    def winners(self) -> Dict[Tuple, Optional[str]]:
-        return {key: self._winner(cols) for key, cols in self.rows()}
-
     # -- rendering -----------------------------------------------------
 
     def summary(self) -> str:

@@ -43,7 +43,7 @@ from .driver import (
 )
 from .eos import IdealGas
 from .flux import euler_flux, euler_fluxes, flux_flops, wavespeed
-from .numflux import SCHEMES, central, get_scheme, lax_friedrichs
+from .numflux import lax_friedrichs
 from .shock import (
     ShockFilter,
     exponential_sigma,
@@ -100,12 +100,10 @@ __all__ = [
     "RiemannSolution",
     "SOD_LEFT",
     "SOD_RIGHT",
-    "SCHEMES",
     "ShockFilter",
     "SolverConfig",
     "ViscousModel",
     "StepStats",
-    "central",
     "cfl_dt",
     "divergence_flops",
     "euler_flux",
@@ -119,7 +117,6 @@ __all__ = [
     "from_primitives",
     "full2face",
     "full2face_multi",
-    "get_scheme",
     "gradient_physical",
     "lax_friedrichs",
     "checkpoint_namespace",

@@ -30,7 +30,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..mesh import Partition, RankTopology
 from ..mesh.topology import FACE_AXIS_SIDE, NFACES
 from .flux import euler_flux, wavespeed
 from .state import MX, NEQ
@@ -69,21 +68,20 @@ BoundaryTable = Dict[int, BoundarySpec]
 class BoundaryHandler:
     """Applies ghost-state corrections to exchanged face traces."""
 
-    def __init__(
-        self,
-        partition: Partition,
-        rank: int,
-        table: BoundaryTable,
-    ):
+    def __init__(self, partition, rank: int, table: BoundaryTable):
+        """``partition`` is a :class:`~repro.mesh.Partition` or an
+        :class:`~repro.lb.ElementAssignment`: anything with a ``mesh``
+        and ``local_elements(rank)``."""
         mesh = partition.mesh
         self.table = dict(table)
-        topo = RankTopology(partition, rank)
-        nel = len(partition.local_elements(rank))
-        n = mesh.n
-        #: (nel, 6) — True where the face is a physical boundary.
-        self.mask = np.zeros((nel, NFACES), dtype=bool)
-        for link in topo.boundary_links():
-            self.mask[link.local_element, link.face] = True
+        coords = np.asarray(partition.local_elements(rank)).reshape(-1, 3)
+        #: (nel, 6) — True where the face is a physical boundary: its
+        #: axis is not periodic and the element sits at that end.
+        self.mask = np.zeros((len(coords), NFACES), dtype=bool)
+        for f, (axis, side) in enumerate(FACE_AXIS_SIDE):
+            if not mesh.periodic[axis]:
+                end = mesh.shape[axis] - 1 if side else 0
+                self.mask[:, f] = coords[:, axis] == end
         #: ``(face, axis, spec, local elements on it)`` of every face
         #: this rank has on the physical boundary.
         self._faces = []
@@ -98,7 +96,6 @@ class BoundaryHandler:
                     f"(axis {axis}) but no boundary condition was given"
                 )
             self._faces.append((f, axis, self.table[f], sel))
-        self.n = n
         #: ``(face, trace shape) -> (ghost, flux, wavespeed)`` of the
         #: Dirichlet faces: constants of the prescribed state, computed
         #: once and dropped with the handler (a rebalance builds a new one).

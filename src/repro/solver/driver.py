@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..gs import choose_method, gs_op, gs_op_begin, gs_op_finish, gs_setup
+from ..gs.autotune import SETUP_TRIALS
 from ..gs.pairwise import TAG_PAIRWISE
 from ..kernels import Workspace, derivative_matrix, gll_weights
 from ..kernels import derivatives as dkernels
@@ -62,7 +63,7 @@ from ..perfmodel import load_factor
 from .divergence import divergence_flops, flux_divergence_multi
 from .eos import IdealGas
 from .flux import euler_fluxes, flux_flops
-from .numflux import get_scheme, numflux_flops
+from .numflux import lax_friedrichs, numflux_flops
 from .rk import cfl_dt, step_ssprk3
 from .state import ENERGY, MX, NEQ, RHO, FlowState
 from .surface import (
@@ -83,12 +84,10 @@ SITE_FACE_EXCHANGE = "cmt:face_exchange"
 class SolverConfig:
     """Tunable knobs of :class:`CMTSolver`."""
 
-    flux_scheme: str = "lax_friedrichs"
     #: "fused"/"basic"/"einsum"/"auto" — see
     #: :data:`repro.kir.library.VARIANT_SCHEDULE`.
     kernel_variant: str = "fused"
     gs_method: Optional[str] = None     # None -> autotune at setup
-    autotune_trials: int = 2
     cfl: float = 0.4
     #: Evaluate the nonlinear fluxes on a 3/2-rule fine grid and
     #: project back (over-integration dealiasing) — the second use of
@@ -175,7 +174,6 @@ class CMTSolver:
         self.dmat = np.asarray(derivative_matrix(self.n))
         self.weights = np.asarray(gll_weights(self.n))
         self.jac = mesh.jacobian
-        self._numflux = get_scheme(self.config.flux_scheme)
 
         # Gather-scatter handle over the DG face-pair numbering.
         gids = dg_face_numbering(partition, comm.rank)
@@ -183,9 +181,7 @@ class CMTSolver:
         if self.config.gs_method is not None:
             self.face_handle.method = self.config.gs_method
         elif comm.size > 1:
-            choose_method(
-                self.face_handle, trials=self.config.autotune_trials
-            )
+            choose_method(self.face_handle, trials=SETUP_TRIALS)
         else:
             self.face_handle.method = "pairwise"
         self.stats = StepStats()
@@ -560,7 +556,7 @@ class CMTSolver:
         u_plus = np.subtract(usum, uf, out=usum)
         f_plus = np.subtract(fsum, ff, out=fsum)
         lam = np.multiply(self._face_sign, lam_max, out=lam_max)
-        sat_faces = self._numflux(
+        sat_faces = lax_friedrichs(
             uf, u_plus, ff, f_plus, lam[None], out=f_plus, work=u_plus
         )
         sat_faces -= ff

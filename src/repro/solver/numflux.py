@@ -1,38 +1,16 @@
-"""Numerical (interface) fluxes for the DG surface term.
+"""The numerical (interface) flux for the DG surface term.
 
 The variational formulation (paper Eq. 2) carries a surface integral of
 ``(f - f*) . n`` where ``f*`` is "the numerical flux which is informed
-by the physics of compressible flow".  Two standard choices are
-provided; both are *symmetric* in the two trace states, which is what
-makes the scheme conservative (the two elements sharing a face agree on
-``f*`` exactly, including floating-point).
+by the physics of compressible flow".  The solver uses local
+Lax-Friedrichs, which is *symmetric* in the two trace states: that is
+what makes the scheme conservative (the two elements sharing a face
+agree on ``f*`` exactly, including floating-point).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Available interface flux schemes.
-SCHEMES = ("lax_friedrichs", "central")
-
-
-def central(
-    u_minus: np.ndarray,
-    u_plus: np.ndarray,
-    f_minus: np.ndarray,
-    f_plus: np.ndarray,
-    lam: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Central (average) flux: f* = (f- + f+) / 2.
-
-    Energy-neutral but dispersive; used in tests as the zero-dissipation
-    reference.  ``out``/``work`` as in :func:`lax_friedrichs`.
-    """
-    out = np.add(f_minus, f_plus, out=out)
-    out *= 0.5
-    return out
 
 
 def lax_friedrichs(
@@ -72,13 +50,3 @@ def numflux_flops(n: int, nel: int, ncomp: int = 5) -> float:
     """
     return 30.0 * ncomp * nel * 6 * n * n
 
-
-def get_scheme(name: str):
-    """Look up a numerical flux by name."""
-    table = {"lax_friedrichs": lax_friedrichs, "central": central}
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown numerical flux {name!r}; choose from {SCHEMES}"
-        ) from None

@@ -132,24 +132,26 @@ def smoothness_sensor(u: np.ndarray) -> np.ndarray:
     return s
 
 
-def exponential_sigma(
-    n: int, alpha: float = 36.0, cutoff: int = 1, order: int = 8
-) -> np.ndarray:
+#: The exponential filter's strength, last undamped mode and order (the
+#: usual SEM filter controls), one setting for every filter.
+ALPHA, CUTOFF, ORDER = 36.0, 1, 8
+
+
+def exponential_sigma(n: int) -> np.ndarray:
     """Per-mode damping factors of the exponential filter.
 
-    ``sigma_k = 1`` for ``k <= cutoff``; above the cutoff it decays as
-    ``exp(-alpha ((k - kc) / (N - 1 - kc))^order)``, reaching
-    ``exp(-alpha)`` (machine-epsilon for the default 36) at the top
-    mode.  Mode 0 is always untouched — that is what makes the filter
-    conservative.
+    ``sigma_k = 1`` for ``k <= CUTOFF``; above it they decay as
+    ``exp(-ALPHA ((k - kc) / (N - 1 - kc))^ORDER)``, reaching
+    ``exp(-ALPHA)`` (machine-epsilon for 36) at the top mode.  Mode 0
+    is always untouched — that is what makes the filter conservative.
     """
-    if not (0 <= cutoff < n):
-        raise ValueError(f"cutoff must be in [0, {n - 1}), got {cutoff}")
+    if n <= CUTOFF:
+        raise ValueError(f"the filter needs N > {CUTOFF}, got {n}")
     k = np.arange(n, dtype=np.float64)
     sigma = np.ones(n)
-    span = max(n - 1 - cutoff, 1)
-    hi = k > cutoff
-    sigma[hi] = np.exp(-alpha * (((k[hi] - cutoff) / span) ** order))
+    span = max(n - 1 - CUTOFF, 1)
+    hi = k > CUTOFF
+    sigma[hi] = np.exp(-ALPHA * (((k[hi] - CUTOFF) / span) ** ORDER))
     return sigma
 
 
@@ -157,23 +159,18 @@ def exponential_sigma(
 class ShockFilter:
     """Adaptive exponential modal filter for the DG solver.
 
-    Parameters mirror the usual SEM filter controls.  ``threshold`` is
-    the sensor level above which an element is treated as troubled;
-    the filter strength ramps linearly from 0 at ``threshold`` to 1 at
-    ``threshold + ramp``.
+    ``threshold`` is the sensor level above which an element is
+    treated as troubled; the filter strength ramps linearly from 0 at
+    ``threshold`` to 1 at ``threshold + ramp``, towards the damping of
+    :func:`exponential_sigma`.
     """
 
     n: int
-    alpha: float = 36.0
-    cutoff: int = 1
-    order: int = 8
     threshold: float = -4.0
     ramp: float = 2.0
 
     def __post_init__(self) -> None:
-        self._sigma = exponential_sigma(
-            self.n, self.alpha, self.cutoff, self.order
-        )
+        self._sigma = exponential_sigma(self.n)
         s = self._sigma
         self._sigma3 = (
             s[:, None, None] * s[None, :, None] * s[None, None, :]

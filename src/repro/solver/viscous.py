@@ -6,9 +6,9 @@ equations" (Section III-A).  This module supplies the gradient-
 dependent part of the flux:
 
 * Newtonian stress ``tau = mu (grad v + grad v^T) - 2/3 mu (div v) I``
-  (Stokes hypothesis, optional bulk viscosity),
+  (Stokes hypothesis: no bulk viscosity),
 * Fourier heat flux ``q = -kappa grad T`` with
-  ``kappa = mu c_p / Pr``,
+  ``kappa = mu c_p / Pr`` (``Pr = 0.72``, air),
 
 assembled into the three directional viscous fluxes
 
@@ -36,31 +36,25 @@ from .divergence import gradient_physical
 from .state import ENERGY, MX, RHO
 
 
+#: Prandtl number (air).
+PRANDTL = 0.72
+
+
 @dataclass(frozen=True)
 class ViscousModel:
-    """Constant-coefficient Newtonian viscosity + Fourier conduction.
-
-    ``mu`` is the dynamic viscosity, ``prandtl`` the Prandtl number
-    (kappa = mu c_p / Pr), ``bulk`` an optional bulk viscosity added
-    to the Stokes -2/3 factor.
-    """
+    """Constant-coefficient Newtonian viscosity + Fourier conduction:
+    dynamic viscosity ``mu``, conductivity ``mu c_p / PRANDTL``."""
 
     mu: float
-    prandtl: float = 0.72
-    bulk: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mu < 0:
             raise ValueError(f"viscosity must be non-negative, got {self.mu}")
-        if self.prandtl <= 0:
-            raise ValueError(f"Prandtl number must be positive")
-        if self.bulk < 0:
-            raise ValueError(f"bulk viscosity must be non-negative")
 
     def kappa(self, eos) -> float:
         """Thermal conductivity for the given gas model."""
         cp = eos.gamma * eos.r_gas / (eos.gamma - 1.0)
-        return self.mu * cp / self.prandtl
+        return self.mu * cp / PRANDTL
 
 
 def velocity_and_temperature(
@@ -96,7 +90,7 @@ def viscous_fluxes(
     mu = model.mu
     kappa = model.kappa(eos)
     div_v = grad_v[0][0] + grad_v[1][1] + grad_v[2][2]
-    lam = (model.bulk - 2.0 / 3.0 * mu)
+    lam = -2.0 / 3.0 * mu  # Stokes: no bulk viscosity
 
     # Stress tensor tau[i][a].
     tau = [[None] * 3 for _ in range(3)]

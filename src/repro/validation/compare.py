@@ -55,7 +55,6 @@ class AppSignature:
 
     label: str
     phase_fractions: Dict[str, float]
-    total_time: float
     mpi_pct_mean: float
     mpi_pct_max: float
     total_message_bytes: int
@@ -131,7 +130,6 @@ def cmtbone_signature(
     return AppSignature(
         label="CMT-bone (mini-app)",
         phase_fractions=fractions,
-        total_time=max(r.vtime_total for r in results),
         mpi_pct_mean=mean_pct,
         mpi_pct_max=mx,
         total_message_bytes=tb,
@@ -174,7 +172,7 @@ def solver_signature(
         dt = solver.stable_dt(state)
         state = solver.run(state, nsteps=config.nsteps, dt=dt,
                            monitor_every=config.monitor_every)
-        return prof, comm.clock.now
+        return prof
 
     runtime = Runtime(
         nranks=nranks, machine=machine or MachineModel.preset("compton"),
@@ -186,7 +184,7 @@ def solver_signature(
         return name if name in PHASES else "other"
 
     fractions = _fractions_from(
-        [prof.stats for prof, _ in results], to_phase
+        [prof.stats for prof in results], to_phase
     )
     profile = runtime.job_profile()
     mean_pct, _mn, mx, _ = summarize_fractions(profile)
@@ -194,7 +192,6 @@ def solver_signature(
     return AppSignature(
         label="CMT-nek stand-in (DG solver)",
         phase_fractions=fractions,
-        total_time=max(t for _p, t in results),
         mpi_pct_mean=mean_pct,
         mpi_pct_max=mx,
         total_message_bytes=tb,

@@ -699,11 +699,9 @@ class VirtualScaleEngine:
     def best_method(
         self, methods: Tuple[str, ...] = GS_METHODS
     ) -> Tuple[str, ModeledTimeline]:
-        """The fastest exchange method at the full virtual rank count."""
-        ranked = sorted(
-            ((self.model(m).step_seconds, m) for m in methods),
-        )
-        method = ranked[0][1]
+        """The fastest exchange method at the full virtual rank count;
+        on a tie, the first in ``methods``."""
+        method = min(methods, key=lambda m: self.model(m).step_seconds)
         return method, self.model(method)
 
     def extrapolate_faults(
@@ -755,12 +753,9 @@ class VirtualScaleEngine:
             f"network: {self.machine.network.describe()}",
             "",
         ]
-        best: Tuple[float, str] = (float("inf"), "")
         for m in methods:
             timeline = self.model(m)
             step = timeline.step_seconds
-            if step < best[0]:
-                best = (step, m)
             frac = timeline.mpi_fraction_pct
             lines.append(
                 f"  {m:<10s} step={step * 1e3:9.4f} ms  "
@@ -768,7 +763,8 @@ class VirtualScaleEngine:
                 f"msgs/step={timeline.messages // timeline.nsteps}  "
                 f"model_wall={timeline.model_wall_seconds:.2f}s"
             )
-        lines.append(f"  fastest: {best[1]}")
+        winner, _ = self.best_method(methods)
+        lines.append(f"  fastest: {winner}")
         if validate:
             lines.append("")
             lines.append(
@@ -777,7 +773,6 @@ class VirtualScaleEngine:
             )
             for m in methods:
                 lines.append("  " + self.validate(m).describe())
-        winner = best[1] or methods[0]
         lines.append("")
         lines.append(
             modeled_fraction_report(

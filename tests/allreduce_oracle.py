@@ -81,7 +81,11 @@ def exchange_allreduce_oracle(handle, condensed, op, site=SITE):
     sparse vectors exactly."""
     comm = handle.comm
     dense_len = handle.max_gid + 1
-    ix = handle.shared_index
+    # uid-indices of the ids shared with another rank: the union of the
+    # neighbour send lists.
+    ix = sorted_unique(np.concatenate(
+        [np.empty(0, dtype=np.intp), *handle.neighbor_send_index.values()]
+    ))
     itemsize = condensed.dtype.itemsize
     mine = SparseGlobalVector(
         gids=handle.uids[ix],

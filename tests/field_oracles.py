@@ -192,15 +192,8 @@ def face_wavespeed(eos, uf):
     return np.abs(vn) + a
 
 
-def central(u_minus, u_plus, f_minus, f_plus, lam=None):
-    return 0.5 * (f_minus + f_plus)
-
-
 def lax_friedrichs(u_minus, u_plus, f_minus, f_plus, lam):
     return 0.5 * (f_minus + f_plus) - 0.5 * lam * (u_plus - u_minus)
-
-
-NUMFLUX = {"central": central, "lax_friedrichs": lax_friedrichs}
 
 
 def step_ssprk3(u, rhs, dt):
@@ -326,7 +319,7 @@ class PerFieldCMTSolver(CMTSolver):
 
     def _surface_correction(self, div, uf, ff, usum, fsum, lam_max, out=None):
         sign = np.array(FACE_NORMAL_SIGN).reshape(1, 6, 1, 1)
-        fstar = NUMFLUX[self.config.flux_scheme](
+        fstar = lax_friedrichs(
             u_minus=uf, u_plus=usum - uf, f_minus=ff, f_plus=fsum - ff,
             lam=sign[None] * lam_max[None],
         )

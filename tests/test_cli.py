@@ -37,8 +37,18 @@ class TestArgumentRanges:
         (["cmtbone", "--steps", "-3"], "--steps"),
         (["cmtbone", "--local", "0,1,1"], "--local"),
         (["sod", "-N", "1"], "-N/--points"),
+        (["sod", "--steps", "-2"], "--steps"),
+        (["sod", "--checkpoint-every", "-3"], "--checkpoint-every"),
+        (["sod", "--elements", "0"], "--elements"),
+        (["kernels", "-N", "1"], "-N/--points"),
+        (["kernels", "--steps", "-5"], "--steps"),
+        (["nekbone", "--iterations", "-1"], "--iterations"),
+        (["validate", "--steps", "-1"], "--steps"),
     ], ids=["elements-0", "ranks-0", "points-1", "steps-negative",
-            "local-0", "sod-points-1"])
+            "local-0", "sod-points-1", "sod-steps-negative",
+            "sod-checkpoint-every-negative", "sod-elements-0",
+            "kernels-points-1", "kernels-steps-negative",
+            "nekbone-iterations-negative", "validate-steps-negative"])
     def test_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

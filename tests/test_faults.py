@@ -18,6 +18,7 @@ from repro.gs import gs_op_begin, gs_op_finish, gs_setup
 from repro.mesh import BoxMesh, Partition
 from repro.mpi import RankCrashError, Runtime, SUM
 from repro.perfmodel import MachineModel
+from repro.perfmodel.machine import IO_BANDWIDTH
 from repro.solver import (
     CMTSolver,
     SolverConfig,
@@ -175,7 +176,7 @@ class TestYoungDaly:
         machine = MachineModel.default()
         t = machine.checkpoint_seconds(10**9)
         assert t == pytest.approx(
-            machine.io_latency + 10**9 / machine.io_bandwidth
+            machine.io_latency + 10**9 / IO_BANDWIDTH
         )
         with pytest.raises(ValueError):
             machine.checkpoint_seconds(-1)

@@ -13,13 +13,13 @@ def setup_on(nranks, gids_fn):
 
     def main(comm):
         h = gs_setup(gids_fn(comm.rank), comm)
+        send = {q: h.uids[ix].tolist()
+                for q, ix in h.neighbor_send_index.items()}
         return {
             "uids": h.uids.copy(),
             "neighbors": h.neighbors,
-            "shared": h.uids[h.shared_index].tolist(),
-            "send": {q: h.uids[ix].tolist()
-                     for q, ix in h.neighbor_send_index.items()},
-            "owners": h.owners,
+            "shared": sorted(set().union(*send.values())),
+            "send": send,
             "max_gid": h.max_gid,
             "stats": h.setup_stats,
         }
@@ -50,7 +50,8 @@ class TestDiscovery:
             assert res[r]["shared"] == [7]
             others = sorted(set(range(3)) - {r})
             assert res[r]["neighbors"] == others
-            assert res[r]["owners"] == [others]
+            # The other holders of id 7 are the ranks it is sent to.
+            assert res[r]["send"] == {q: [7] for q in others}
 
     def test_no_sharing(self):
         res = setup_on(2, lambda r: np.array([r * 10, r * 10 + 1]))

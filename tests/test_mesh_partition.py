@@ -48,11 +48,6 @@ class TestPartition:
         with pytest.raises(ValueError, match="not divisible"):
             Partition(mesh, proc_shape=(2, 2, 2))
 
-    def test_auto(self):
-        mesh = BoxMesh(shape=(8, 8, 4), n=3)
-        part = Partition.auto(mesh, 8)
-        assert part.nranks == 8
-
     def test_rank_coords_x_fastest(self):
         mesh = BoxMesh(shape=(6, 4, 2), n=3)
         part = Partition(mesh, proc_shape=(3, 2, 1))

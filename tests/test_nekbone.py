@@ -60,32 +60,21 @@ class TestOperator:
 
         assert Runtime(nranks=2).run(main)[0] > 0
 
-    def test_constant_in_nullspace_of_stiffness(self):
-        """Pure stiffness (h2=0) annihilates constants on a periodic box."""
-        cfg = SMALL.with_(h2=0.0)
+    def test_constant_sees_only_the_mass(self):
+        """Stiffness annihilates constants on a periodic box, so ax(1)
+        is the assembled mass matrix times 1; their total is the box's
+        volume, 1."""
 
         def main(comm):
-            nb = Nekbone(comm, cfg)
+            nb = self._build(comm)
             u = np.ones(nb.handle.shape)
             w = nb.ax(u)
-            return float(np.max(np.abs(w)))
+            mass = gs_op(nb.handle, nb._bmass * u, op=SUM)
+            return float(np.max(np.abs(w - mass))), nb.dot(u, w)
 
         res = Runtime(nranks=2).run(main)
-        assert max(res) < 1e-10
-
-    def test_mass_term_scales(self):
-        """With h1=0, ax is the (assembled) diagonal mass matrix."""
-        cfg = SMALL.with_(h1=0.0, h2=2.0)
-
-        def main(comm):
-            nb = Nekbone(comm, cfg)
-            u = np.ones(nb.handle.shape)
-            w = nb.ax(u)
-            # Total "mass" = 2 * volume of the global box = 2 * 1.
-            return nb.dot(u, w)
-
-        res = Runtime(nranks=2).run(main)
-        assert res[0] == pytest.approx(2.0, rel=1e-10)
+        assert max(err for err, _ in res) < 1e-10
+        assert res[0][1] == pytest.approx(1.0, rel=1e-10)
 
 
 class TestCGSolve:

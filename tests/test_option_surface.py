@@ -48,7 +48,9 @@ from repro.net.hostfile import ssh_command
 from repro.perfmodel import MachineModel
 from repro.solver import (
     CMTSolver,
+    ShockFilter,
     SolverConfig,
+    ViscousModel,
     exact_riemann,
     smoothness_sensor,
     uniform_state,
@@ -65,27 +67,24 @@ OPTIONS_RULE = (
 
 FIELDS = {
     SolverConfig: (
-        "flux_scheme", "kernel_variant", "gs_method", "autotune_trials",
-        "cfl", "dealias", "shock_filter", "viscosity", "boundaries",
-        "overlap", "compute_imbalance", "lb",
+        "kernel_variant", "gs_method", "cfl", "dealias", "shock_filter",
+        "viscosity", "boundaries", "overlap", "compute_imbalance", "lb",
     ),
     CMTBoneConfig: (
-        "n", "local_shape", "proc_shape", "neq", "nsteps", "rk_stages",
-        "kernel_variant", "gs_method", "autotune_trials", "work_mode",
-        "pack_fields", "overlap", "exchange_fields", "monitor_every",
-        "seed", "compute_imbalance", "lb_mode", "lb_threshold", "lb_every",
-        "lb_min_interval",
+        "n", "local_shape", "proc_shape", "neq", "nsteps", "kernel_variant",
+        "gs_method", "work_mode", "pack_fields", "overlap",
+        "exchange_fields", "monitor_every", "seed", "compute_imbalance",
+        "lb_mode", "lb_threshold", "lb_every", "lb_min_interval",
     ),
     NekboneConfig: (
-        "n", "local_shape", "proc_shape", "cg_iterations", "h1", "h2",
-        "gs_method", "autotune_trials", "kernel_variant", "work_mode",
-        "seed",
+        "n", "local_shape", "proc_shape", "cg_iterations", "gs_method",
+        "work_mode",
     ),
     RebalancePolicy: ("mode", "threshold", "every", "min_interval"),
-    MachineModel: (
-        "name", "cpu", "network", "io_latency", "io_bandwidth",
-        "restart_latency",
-    ),
+    MachineModel: ("name", "cpu", "network", "io_latency", "restart_latency"),
+    ShockFilter: ("n", "threshold", "ramp"),
+    ViscousModel: ("mu",),
+    FaultPlan: ("crashes", "drops", "degrades", "seed"),
 }
 
 PARAMETERS = {
@@ -128,8 +127,9 @@ PARAMETERS = {
 }
 
 #: Public methods and properties, in definition order.  Each is called
-#: by program code (``src/``, ``benchmarks/`` or ``examples/``); an
-#: operation only tests call is not kept.
+#: by program code (``src/``, ``benchmarks/`` or ``examples/``) or kept
+#: in ``KEPT_UNCALLED`` with its reason; an operation only tests call is
+#: not kept.
 METHODS = {
     Comm: (
         "machine", "faults", "profile", "time", "compute", "shadow",
@@ -146,12 +146,12 @@ EXPORTS = {
         "COMPONENT_NAMES", "CheckpointError", "CheckpointInfo", "ENERGY",
         "FACE_NORMAL_AXIS", "FACE_NORMAL_SIGN", "FaultRunReport", "FlowState",
         "IdealGas", "MX", "MY", "MZ", "NEQ", "PrimitiveState", "RHO",
-        "RiemannSolution", "SCHEMES", "SOD_LEFT", "SOD_RIGHT", "ShockFilter",
-        "SolverConfig", "StepStats", "ViscousModel", "central", "cfl_dt",
+        "RiemannSolution", "SOD_LEFT", "SOD_RIGHT", "ShockFilter",
+        "SolverConfig", "StepStats", "ViscousModel", "cfl_dt",
         "checkpoint_namespace", "divergence_flops", "euler_flux",
         "euler_fluxes", "exact_riemann", "exponential_sigma", "face2full_add",
         "flux_divergence", "flux_divergence_multi", "flux_flops",
-        "from_primitives", "full2face", "full2face_multi", "get_scheme",
+        "from_primitives", "full2face", "full2face_multi",
         "gradient_physical", "lax_friedrichs", "load_checkpoint",
         "modal_to_nodal", "nodal_to_modal", "read_manifest",
         "run_with_recovery", "save_checkpoint", "smoothness_sensor",
@@ -189,9 +189,9 @@ EXPORTS = {
         "schedule_matches_handle",
     ),
     repro.mesh: (
-        "BoxMesh", "FACE_AXIS_SIDE", "FaceLink", "NFACES", "Partition",
-        "RankTopology", "continuous_numbering", "dg_face_numbering",
-        "face_counts", "factor3", "neighbor_coords", "total_faces",
+        "BoxMesh", "FACE_AXIS_SIDE", "NFACES", "Partition",
+        "continuous_numbering", "dg_face_numbering", "face_counts",
+        "factor3", "total_faces",
     ),
     repro.perfmodel: (
         "CpuModel", "FatTreeTopology", "FlatTopology", "MachineModel",
@@ -219,7 +219,7 @@ EXPORTS = {
         "JobProfile", "MAX", "MIN", "MPIError", "MessageTrace",
         "OverlapInterval", "PROD", "ProcsBackend", "RankCrashError",
         "RankError", "RankProfile", "RecvRequest", "ReduceOp", "Request",
-        "RetryPolicy", "Runtime", "SUM", "SendRequest", "SiteAggregate",
+        "Runtime", "SUM", "SendRequest", "SiteAggregate",
         "Status", "ThreadsBackend", "TraceEvent", "VirtualClock",
         "available_backends", "payload_nbytes", "resolve_backend", "waitall",
     ),
@@ -285,8 +285,11 @@ KEPT_UNCALLED = {
     "repro.vscale.schedule:schedule_matches_handle",
     # The what-if API of docs/virtual-scale.md.
     "repro.vscale.engine:VirtualScaleEngine.sweep",
-    "repro.vscale.engine:VirtualScaleEngine.best_method",
-    # MPI_Waitall, half of the nonblocking surface Comm offers.
+    # The generic nonblocking path (MPI_Isend/Irecv/Waitall) that
+    # tests/test_message_path.py and tests/crystal_oracle.py hold
+    # PairwisePlan and the crystal router to.
+    "repro.mpi.communicator:Comm.isend",
+    "repro.mpi.communicator:Comm.irecv",
     "repro.mpi.request:waitall",
     # Job cancellation, documented in docs/service.md.
     "repro.service.service:Service.cancel",
@@ -324,53 +327,137 @@ def _public_defs():
                     )
 
 
+def _decorations(tree):
+    """``id`` of every node inside a decorator expression."""
+    return {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for deco in node.decorator_list
+        for sub in ast.walk(deco)
+    }
+
+
 def _named(path):
-    """``(name, line)`` of every identifier a file uses: names,
-    attributes, identifier-like strings and ``from`` imports outside
-    package ``__init__`` files.  ``__all__`` lists and re-exports do not
-    count: they name a function without calling it."""
+    """``(name, line, is_attribute)`` of every identifier a file uses:
+    names, attributes, identifier-like strings and ``from`` imports
+    outside package ``__init__`` files.  ``__all__`` lists and
+    re-exports do not count: they name a function without calling it;
+    nor does a decorator (``pytest.mark`` is not a ``mark`` method)."""
     tree = ast.parse(path.read_text())
-    exported = set()
+    skipped = _decorations(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported.update(id(sub) for sub in ast.walk(node.value))
+            skipped.update(id(sub) for sub in ast.walk(node.value))
     for node in ast.walk(tree):
-        if id(node) in exported:
+        if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value, node.lineno
+                yield node.value, node.lineno, False
         elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
+
+
+def _program_files():
+    root = pathlib.Path(repro.__file__).parents[2]
+    for tree in PROGRAM_TREES:
+        yield from sorted((root / tree).rglob("*.py"))
 
 
 def test_every_public_def_has_a_program_caller():
     """A public function or method that only tests name is deleted with
-    its tests, not kept: the mini-app keeps what an entry point runs."""
-    root = pathlib.Path(repro.__file__).parents[2]
+    its tests, not kept: the mini-app keeps what an entry point runs.
+    A method counts as called only through an attribute (``x.name``):
+    a local variable of the same name does not call it."""
     uses = {}
-    for tree in PROGRAM_TREES:
-        for path in sorted((root / tree).rglob("*.py")):
-            for name, line in _named(path):
-                uses.setdefault(name, []).append((path, line))
-    unnamed = [
-        key
-        for path, key, name, start, end in _public_defs()
-        if key not in KEPT_UNCALLED and not any(
-            p != path or not start <= line <= end
-            for p, line in uses.get(name, ())
+    for path in _program_files():
+        for name, line, attr in _named(path):
+            uses.setdefault(name, []).append((path, line, attr))
+
+    def called(path, key, name, start, end):
+        method = "." in key.partition(":")[2]
+        return any(
+            (attr or not method) and (p != path or not start <= line <= end)
+            for p, line, attr in uses.get(name, ())
         )
+
+    unnamed = [
+        d[1] for d in _public_defs()
+        if d[1] not in KEPT_UNCALLED and not called(*d)
     ]
     assert not unnamed, (
         f"public defs no program code names: {unnamed}; delete them "
         "with their tests, or add them to KEPT_UNCALLED with a reason"
+    )
+
+
+def _own_methods(cls):
+    """``(path, first line, last line)`` of each instance method of
+    ``cls``: a keyword there copies a value the instance already holds.
+    Class and static methods are constructors program code calls."""
+    path = pathlib.Path(inspect.getsourcefile(cls))
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not any(
+                    isinstance(d, ast.Name)
+                    and d.id in ("classmethod", "staticmethod")
+                    for d in sub.decorator_list
+                ):
+                    yield path, sub.lineno, sub.end_lineno
+
+
+def _callee(call):
+    """The name a call is made through: ``f`` of ``f(...)``/``x.f(...)``
+    and, for ``C.m(...)``, the class name ``C``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if func.value.id[:1].isupper():
+            return func.value.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def test_config_fields_have_a_program_setter():
+    """Every pinned field is passed by keyword somewhere in program code,
+    outside its own class's instance methods.  A keyword passed straight
+    to another pinned class (``CMTBoneConfig(seed=...)``) sets that
+    class's field, not this one's; one passed to a helper or a copy
+    (``cfg.with_(...)``, ``replace``) may set either."""
+    pinned = {cls.__name__ for cls in FIELDS}
+    calls = []
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = _callee(node)
+                calls.extend(
+                    (kw.arg, callee, path, node.lineno)
+                    for kw in node.keywords if kw.arg
+                )
+    unset = []
+    for cls in FIELDS:
+        own = list(_own_methods(cls))
+        mine = {c.__name__ for c in cls.__mro__}
+        for name in FIELDS[cls]:
+            if not any(
+                arg == name
+                and (callee in mine or callee not in pinned)
+                and not any(p == path and a <= line <= b for p, a, b in own)
+                for arg, callee, path, line in calls
+            ):
+                unset.append(f"{cls.__name__}.{name}")
+    assert not unset, (
+        f"config fields no program code sets: {unset}; make each a "
+        f"constant. {OPTIONS_RULE}"
     )
 
 

@@ -15,6 +15,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -271,7 +272,7 @@ class TestDiskArtifactCache:
         assert cache.stats.disk_stores == 0
         cache.store("k", 1, art, nranks=2)
         assert DiskArtifactStore(d).fetch("k", 2).nranks == 2
-        assert os.listdir(cache.disk.host_dir) == ["k-r2-v2.pkl"]
+        assert os.listdir(cache.disk.host_dir) == ["k-r2-v3.pkl"]
         assert cache.stats.disk_stores == 1
         # And the publish API itself refuses a partial entry.
         from repro.service.artifacts import CacheEntry
@@ -303,11 +304,11 @@ class TestDiskArtifactCache:
         assert DiskArtifactStore(d).fetch("k", 1).method == "pairwise"
 
     def test_parent_layout_spill_is_a_cold_miss(self, tmp_path):
-        """A spill whose entry pickles the pre-plan ``GSHandle`` sits
-        under its own version's name (``-v1``), and the one-table
-        layout's ``index.json`` and ``<key>-r<N>.pkl`` beside it: none
-        is read, so the job runs cold instead of failing inside
-        ``apply``."""
+        """Spills of older ``GSHandle`` layouts sit under their own
+        version's names: the pre-plan handle (``-v1``, with the one-table
+        layout's ``index.json`` and ``<key>-r<N>.pkl`` beside it) and
+        the handle with owner lists (``-v2``).  None is read, so the job
+        runs cold instead of failing inside ``apply``."""
         import json
         import pickle
         import warnings
@@ -317,11 +318,15 @@ class TestDiskArtifactCache:
         store = DiskArtifactStore(d)
         key = spec_artifact_key(small_spec(0))
         entry = store.fetch(key, 2)
+        current = Path(store.entry_path(key, 2))
+        for art in entry.ranks.values():  # the version-2 layout
+            art.handle.owners = []
+            art.handle.shared_index = np.empty(0, dtype=np.intp)
+        current.with_name(f"{key}-r2-v2.pkl").write_bytes(pickle.dumps(entry))
         for art in entry.ranks.values():  # rewrite as the old layout
             for name in ("rep", "dup_index", "rounds"):
                 delattr(art.handle, name)
             art.handle.local_order = art.handle.segment_starts = None
-        current = Path(store.entry_path(key, 2))
         old = pickle.dumps(entry)
         current.with_name(f"{key}-r2-v1.pkl").write_bytes(old)
         current.with_name(f"{key}-r2.pkl").write_bytes(old)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mesh import BoxMesh, Partition
+from repro.lb import ElementAssignment
+from repro.mesh import FACE_AXIS_SIDE, BoxMesh, Partition
 from repro.mpi import Runtime
 from repro.solver import (
     CMTSolver,
@@ -62,6 +63,64 @@ class TestBoundaryHandler:
 
         with pytest.raises(Exception, match="non-periodic"):
             Runtime(nranks=2).run(main)
+
+
+#: A wall on every face, so any mask can be built.
+ALL_WALLS = {f: BoundarySpec("wall") for f in range(6)}
+
+
+def reference_mask(mesh, coords):
+    """``(nel, 6)``: a face is physical iff the element one step across
+    it lies outside a non-periodic axis."""
+    mask = np.zeros((len(coords), 6), dtype=bool)
+    for e, c in enumerate(coords):
+        for f, (axis, side) in enumerate(FACE_AXIS_SIDE):
+            across = c[axis] + (1 if side else -1)
+            outside = not 0 <= across < mesh.shape[axis]
+            mask[e, f] = outside and not mesh.periodic[axis]
+    return mask
+
+
+class TestBoundaryMask:
+    """The handler's physical-face mask on both element layouts."""
+
+    def test_periodic_box_has_no_boundary(self):
+        part = Partition(BoxMesh(shape=(4, 4, 4), n=3), proc_shape=(2, 2, 2))
+        mask = BoundaryHandler(part, 0, {}).mask
+        assert mask.shape == (part.nel_local, 6) and not mask.any()
+
+    def test_nonperiodic_corner_rank(self):
+        mesh = BoxMesh(shape=(4, 4, 4), n=3, periodic=(False,) * 3)
+        part = Partition(mesh, proc_shape=(2, 2, 2))
+        mask = BoundaryHandler(part, 0, ALL_WALLS).mask
+        # Rank 0's 2x2x2 brick sits in the low corner: 3 exposed low
+        # faces of 4 elements each, no high face.
+        assert mask.sum(axis=0).tolist() == [4, 0, 4, 0, 4, 0]
+        assert np.array_equal(
+            mask, reference_mask(mesh, part.local_elements(0))
+        )
+
+    def test_axis_of_extent_one(self):
+        """One element across a non-periodic axis has both faces on the
+        boundary; across a periodic one it is its own neighbour."""
+        walled = BoxMesh(shape=(2, 1, 1), n=3, periodic=(True, False, True))
+        mask = BoundaryHandler(Partition(walled, (1, 1, 1)), 0, ALL_WALLS).mask
+        assert mask.tolist() == [[False, False, True, True, False, False]] * 2
+        wrapped = Partition(BoxMesh(shape=(2, 1, 1), n=3), (1, 1, 1))
+        assert not BoundaryHandler(wrapped, 0, {}).mask.any()
+
+    @pytest.mark.parametrize("periodic", [(False, True, False), (False,) * 3])
+    def test_element_assignment(self, periodic):
+        mesh = BoxMesh(shape=(3, 2, 2), n=3, periodic=periodic)
+        owner = np.random.default_rng(4).integers(0, 3, mesh.nelgt)
+        owner[:3] = [0, 1, 2]  # every rank owns an element
+        asg = ElementAssignment(mesh, 3, owner)
+        for rank in range(3):
+            coords = asg.local_elements(rank)
+            assert np.array_equal(
+                BoundaryHandler(asg, rank, ALL_WALLS).mask,
+                reference_mask(mesh, coords),
+            )
 
 
 class TestWalledBox:

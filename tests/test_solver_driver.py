@@ -38,21 +38,6 @@ class TestFreestreamPreservation:
         errs = run_solver(2, main)
         assert max(errs) < 1e-12
 
-    def test_central_flux_also_preserves(self):
-        def main(comm):
-            solver = CMTSolver(
-                comm, PART,
-                config=SolverConfig(
-                    gs_method="pairwise", flux_scheme="central"
-                ),
-            )
-            st = uniform_state(PART.nel_local, MESH.n, vel=(1.0, 1.0, 1.0))
-            u0 = st.u.copy()
-            st = solver.run(st, nsteps=3, dt=1e-3)
-            return float(np.max(np.abs(st.u - u0)))
-
-        assert max(run_solver(2, main)) < 1e-12
-
 
 class TestConservation:
     def test_all_invariants_conserved(self):

@@ -5,10 +5,8 @@ import pytest
 
 from repro.kernels import Workspace, derivative_matrix, gll_points
 from repro.solver import (
-    central,
     cfl_dt,
     flux_divergence,
-    get_scheme,
     gradient_physical,
     lax_friedrichs,
     step_ssprk3,
@@ -16,10 +14,6 @@ from repro.solver import (
 
 
 class TestNumericalFlux:
-    def test_central_average(self):
-        fm, fp = np.array([1.0]), np.array([3.0])
-        assert central(None, None, fm, fp)[0] == 2.0
-
     def test_lf_reduces_to_central_when_continuous(self):
         u = np.array([2.0])
         f = np.array([5.0])
@@ -41,12 +35,6 @@ class TestNumericalFlux:
         a = lax_friedrichs(um, up, fm, fp, lam)
         b = lax_friedrichs(up, um, fp, fm, -lam)  # other side's view
         np.testing.assert_allclose(a, b, rtol=1e-14)
-
-    def test_get_scheme(self):
-        assert get_scheme("central") is central
-        assert get_scheme("lax_friedrichs") is lax_friedrichs
-        with pytest.raises(ValueError):
-            get_scheme("roe")
 
 
 class TestFluxDivergence:

@@ -112,7 +112,7 @@ class TestExponentialSigma:
         assert sigma[1] == 1.0  # default cutoff 1
 
     def test_top_mode_strongly_damped(self):
-        sigma = exponential_sigma(8, alpha=36.0)
+        sigma = exponential_sigma(8)
         assert sigma[-1] == pytest.approx(np.exp(-36.0))
 
     def test_monotone_decay(self):
@@ -121,7 +121,7 @@ class TestExponentialSigma:
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            exponential_sigma(5, cutoff=5)
+            exponential_sigma(1)  # no mode above the cutoff
 
 
 class TestShockFilter:

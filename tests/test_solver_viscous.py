@@ -30,16 +30,12 @@ class TestViscousModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             ViscousModel(mu=-1.0)
-        with pytest.raises(ValueError):
-            ViscousModel(mu=1.0, prandtl=0.0)
-        with pytest.raises(ValueError):
-            ViscousModel(mu=1.0, bulk=-0.1)
 
     def test_kappa(self):
         eos = IdealGas(gamma=1.4, r_gas=287.0)
-        model = ViscousModel(mu=2.0, prandtl=0.7)
+        model = ViscousModel(mu=2.0)
         cp = 1.4 * 287.0 / 0.4
-        assert model.kappa(eos) == pytest.approx(2.0 * cp / 0.7)
+        assert model.kappa(eos) == pytest.approx(2.0 * cp / 0.72)
 
 
 class TestViscousFluxes:
@@ -119,7 +115,7 @@ class TestViscousFluxes:
         st = from_primitives(rho, np.zeros((3,) + rho.shape), temp,
                              eos=eos)
         dmat = np.asarray(derivative_matrix(n))
-        model = ViscousModel(mu=0.05, prandtl=0.7)
+        model = ViscousModel(mu=0.05)
         fvx, _, _ = viscous_fluxes(st.u, eos, model, dmat, mesh.jacobian)
         np.testing.assert_allclose(
             fvx[ENERGY], model.kappa(eos) * 0.1, atol=1e-7

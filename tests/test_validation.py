@@ -76,10 +76,8 @@ class TestScoring:
         assert s.overall > 0.5
 
     def test_zero_vs_nonzero_ratio(self):
-        a = AppSignature("a", dict.fromkeys(PHASES, 0.2), 1, 10,
-                         12, 100, 10)
-        b = AppSignature("b", dict.fromkeys(PHASES, 0.2), 1, 10,
-                         12, 0, 0)
+        a = AppSignature("a", dict.fromkeys(PHASES, 0.2), 10, 12, 100, 10)
+        b = AppSignature("b", dict.fromkeys(PHASES, 0.2), 10, 12, 0, 0)
         s = score(a, b)
         assert s.comm_volume_ratio == 0.0
 

@@ -9,6 +9,7 @@ identical to a full execution.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -341,6 +342,14 @@ class TestExploration:
         winner, timeline = engine.best_method(("pairwise", "allreduce"))
         assert winner == min(times, key=times.get)
         assert timeline.step_seconds == min(times.values())
+
+    def test_best_method_tie_goes_to_the_first_named(self, monkeypatch):
+        """The rule ``vscale``'s text and JSON ``fastest`` print."""
+        engine = VirtualScaleEngine(_cfg(), nranks=1024, sample=8)
+        tie = SimpleNamespace(step_seconds=1.0)
+        monkeypatch.setattr(engine, "model", lambda method: tie)
+        for methods in (("pairwise", "allreduce"), ("allreduce", "pairwise")):
+            assert engine.best_method(methods) == (methods[0], tie)
 
     def _timeline(self, machine):
         engine = VirtualScaleEngine(
