@@ -17,8 +17,6 @@ and each tuner supplies only its clock and its candidate set.
 from __future__ import annotations
 
 import os
-import platform
-import socket
 import time
 from typing import Callable, Optional, Tuple
 
@@ -35,6 +33,9 @@ def host_fingerprint() -> str:
     simulated host by the sockets backend's loopback launcher, and
     available to pin a stable identity on ephemeral containers).
     """
+    import platform
+    import socket
+
     host = os.environ.get("REPRO_HOST_ID")
     if not host:
         host = platform.node() or socket.gethostname()

@@ -39,12 +39,15 @@ Examples
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence
 
 from .analysis import full_report, mpi_fraction_report
 from .core import (
+    CMTBone,
     CMTBoneConfig,
+    Nekbone,
     NekboneConfig,
     cmtbone_profile_report,
     fig7_table,
@@ -67,6 +70,22 @@ def _int_at_least(lo: int):
 
     parse.__name__ = "int"  # argparse's "invalid int value" wording
     return parse
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a float ``>= 0`` (NaN is rejected too)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+_nonnegative_float.__name__ = "float"
+
+
+#: ``repro.bench.schema.GROUPS``, spelled out so that building the
+#: parser does not import the benchmark runner.
+_BENCH_GROUPS = ("kernels", "solver", "comms", "service", "vscale")
 
 
 def _coord(text: str):
@@ -145,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmt)
     p_cmt.add_argument("--steps", type=_int_at_least(0), default=10,
                        help="timesteps (default 10)")
-    p_cmt.add_argument("--imbalance", type=float, default=0.0,
+    p_cmt.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
                        help="compute-load jitter fraction (default 0)")
     p_cmt.add_argument("--pack", action="store_true",
                        help="use gs_op_many packed exchanges")
@@ -183,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ranks to actually execute for the "
                            "modeled-vs-executed agreement gate "
                            "(default 16)")
-    p_vs.add_argument("-N", "--points", type=int, default=8,
+    p_vs.add_argument("-N", "--points", type=_int_at_least(2), default=8,
                       help="GLL points per direction (default 8)")
     p_vs.add_argument("--local", type=_coord, default=(3, 3, 2),
                       help="elements per rank, X,Y,Z or total "
@@ -194,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--machine", default="compton",
                       choices=MachineModel.available_presets(),
                       help="machine-model preset (default compton)")
-    p_vs.add_argument("--steps", type=int, default=2,
+    p_vs.add_argument("--steps", type=_int_at_least(0), default=2,
                       help="timesteps (default 2)")
     p_vs.add_argument("--gs-method", action="append", dest="methods",
                       choices=["pairwise", "crystal", "allreduce"],
@@ -203,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--overlap", action=argparse.BooleanOptionalAction,
                       default=False,
                       help="model the split-phase overlapped schedule")
-    p_vs.add_argument("--imbalance", type=float, default=0.0,
+    p_vs.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
                       help="compute-load jitter fraction (default 0)")
     p_vs.add_argument("--proxy", action="store_true",
                       help="proxy compute in the executed sample "
@@ -289,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sod.add_argument("--verify", action="store_true",
                        help="also run fault-free and require bitwise-"
                             "identical final fields (exit 1 otherwise)")
-    p_sod.add_argument("--imbalance", type=float, default=0.0,
+    p_sod.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
                        help="compute-load jitter fraction (default 0)")
     p_sod.add_argument("--kernel-variant", dest="kernel_variant",
                        default="fused", choices=CLI_VARIANTS,
@@ -297,15 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(p_sod)
     _add_lb_flags(p_sod)
 
-    from .bench.schema import GROUPS as BENCH_GROUPS
-
     p_bench = sub.add_parser(
         "bench",
         help="performance benchmark runner with baseline comparison",
     )
     p_bench.add_argument(
         "--group", action="append", dest="groups",
-        choices=list(BENCH_GROUPS),
+        choices=list(_BENCH_GROUPS),
         help="restrict to a scenario group (repeatable; default all)",
     )
     p_bench.add_argument(
@@ -347,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--spool", required=True,
                        help="spool directory (queue/ and results/ live "
                             "under it)")
-    p_srv.add_argument("--workers", type=int, default=2,
+    p_srv.add_argument("--workers", type=_int_at_least(1), default=2,
                        help="persistent pool workers (default 2)")
     p_srv.add_argument("--quota", type=int, default=None,
                        help="max running jobs per submitter "
@@ -417,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--machine", default="compton")
     p_camp.add_argument("--params", default=None,
                         help="kind-specific params as JSON")
-    p_camp.add_argument("--workers", type=int, default=2,
+    p_camp.add_argument("--workers", type=_int_at_least(1), default=2,
                         help="persistent pool workers (default 2)")
     p_camp.add_argument("--quota", type=int, default=None)
     p_camp.add_argument("--batch-max", type=int, default=4)
@@ -489,14 +506,15 @@ def cmd_cmtbone(args) -> int:
         lb_threshold=args.lb_threshold,
         lb_every=args.lb_every,
     )
+    if args.lb != "off":
+        # The ranks' load balancer, imported before they are forked.
+        from . import lb  # noqa: F401
     runtime = Runtime(
         nranks=args.ranks, machine=MachineModel.preset(args.machine),
         backend=args.backend,
     )
 
     def app_main(comm):
-        from .core.cmtbone import CMTBone
-
         app = CMTBone(comm, config)
         return app.run(), app.timeline
 
@@ -573,9 +591,6 @@ def cmd_nekbone(args) -> int:
 
 
 def cmd_fig7(args) -> int:
-    from .core.cmtbone import CMTBone
-    from .core.nekbone import Nekbone
-
     cmt_cfg = CMTBoneConfig(
         n=args.points, local_shape=args.local, proc_shape=args.proc,
         work_mode="proxy", nsteps=0,
@@ -1113,7 +1128,7 @@ def cmd_launch(args) -> int:
         print("launch: cannot nest launch inside launch",
               file=sys.stderr)
         return 2
-    inner = build_parser().parse_args(rest)
+    inner = _parse_args(rest)
     if not hasattr(inner, "backend") or not hasattr(inner, "ranks"):
         print(f"launch: subcommand {rest[0]!r} does not take "
               "--backend/--ranks and cannot be launched across hosts",
@@ -1162,8 +1177,25 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: Optional[Sequence[str]]):
+    """Parse ``argv``; the rules that span two flags end in a usage
+    error, as a bad value of one flag does."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "lb", "off") == "every" and args.lb_every < 1:
+        parser.error(f"argument --lb-every: --lb every needs a cadence "
+                     f">= 1, got {args.lb_every}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
+    # Everything the command runs is imported by now: move that heap out
+    # of the collector's reach, once per process, so no collection and
+    # no interpreter exit walks it again (nor the ranks and workers
+    # forked from it).
+    if not gc.get_freeze_count():
+        gc.freeze()
     return _COMMANDS[args.command](args)
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..analysis.callgraph import CallGraphProfiler
 from ..analysis.timeline import TimelineRecorder
@@ -143,7 +144,7 @@ class CMTBone:
             if setup_sink is not None:
                 setup_sink(self, comm)
 
-        rng = np.random.default_rng(self.config.seed + comm.rank)
+        rng = default_rng(self.config.seed + comm.rank)
         #: Synthetic conserved fields: (neq, nel, N, N, N).
         self.u = rng.standard_normal(
             (self.neq, self.nel, self.n, self.n, self.n)
@@ -165,7 +166,7 @@ class CMTBone:
         #: Dynamic load balancer (None with ``lb_mode="off"``).
         self.lb = None
         policy = self.config.lb_policy()
-        if policy.enabled:
+        if policy is not None:
             from ..lb import ElementAssignment, LoadBalancer
 
             self.lb = LoadBalancer(

@@ -157,11 +157,12 @@ class CMTBoneConfig(BrickConfig):
             raise ValueError("lb_mode='every' needs lb_every >= 1")
 
     def lb_policy(self):
-        """The :class:`repro.lb.RebalancePolicy` these knobs describe."""
+        """The :class:`repro.lb.RebalancePolicy` these knobs describe,
+        or None for ``lb_mode="off"`` (which imports no ``repro.lb``)."""
+        if self.lb_mode == "off":
+            return None
         from ..lb import RebalancePolicy
 
-        if self.lb_mode == "off":
-            return RebalancePolicy(mode="off")
         return RebalancePolicy(
             mode=self.lb_mode,
             threshold=self.lb_threshold,

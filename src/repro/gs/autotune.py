@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
+from numpy.random import default_rng
 
 from ..autotune import rank_stats, time_trials
 from ..mpi.datatypes import SUM
@@ -68,7 +68,7 @@ def time_method(
     and to amortize any first-call setup inside a method.
     """
     comm = handle.comm
-    rng = np.random.default_rng(TRIAL_SEED + comm.rank)
+    rng = default_rng(TRIAL_SEED + comm.rank)
     u = rng.standard_normal(handle.shape)
     dt = time_trials(
         lambda: gs_op(handle, u, op=SUM, method=method,

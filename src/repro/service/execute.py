@@ -21,6 +21,9 @@ crash.  Only ``Exception`` is caught — ``KeyboardInterrupt`` /
 ``SystemExit`` must propagate so a worker told to die actually dies
 (the pool's timeout-kill path depends on that).
 
+The job kinds' code is imported with this module, so the pool's
+workers are forked with it loaded and import nothing per job.
+
 Both kinds accept ``params["sleep_s"]`` (a synthetic wall-clock stall
 before the run — the hook the timeout tests and the ``service`` bench
 scenarios use to simulate a hung job).
@@ -36,6 +39,11 @@ import time
 import traceback
 from typing import Optional
 
+from ..core.cmtbone import CMTBone
+from ..core.config import CMTBoneConfig
+from ..mpi import Runtime
+from ..perfmodel.machine import MachineModel
+from ..solver import run_with_recovery, sod_problem
 from .artifacts import ArtifactCache, SetupArtifact, artifact_key
 from .jobs import (
     STATUS_DONE,
@@ -44,12 +52,6 @@ from .jobs import (
     JobSpec,
     digest_arrays,
 )
-
-
-def _machine(preset: str):
-    from ..perfmodel.machine import MachineModel
-
-    return MachineModel.preset(preset)
 
 
 def _fault_plan(spec: JobSpec):
@@ -66,8 +68,6 @@ def _fault_plan(spec: JobSpec):
 
 def _cmtbone_main(comm, config, entry, cache, key, nranks):
     """SPMD main for a cmtbone job (threads backend, shared ``cache``)."""
-    from ..core.cmtbone import CMTBone
-
     sink = None
     if cache is not None and entry is None:
         def sink(bone, bone_comm, _cache=cache, _key=key, _n=nranks):
@@ -82,8 +82,6 @@ def _cmtbone_main(comm, config, entry, cache, key, nranks):
 
 
 def _cmtbone_config(spec: JobSpec):
-    from ..core.config import CMTBoneConfig
-
     p = spec.params
     return CMTBoneConfig(
         n=int(p.get("n", 5)),
@@ -124,8 +122,6 @@ def spec_artifact_key(spec: JobSpec) -> Optional[str]:
 
 def _run_cmtbone(spec: JobSpec, cache: Optional[ArtifactCache],
                  result: JobResult) -> None:
-    from ..mpi import Runtime
-
     config = _cmtbone_config(spec)
     key = spec_artifact_key(spec)
     plan = _fault_plan(spec)
@@ -142,7 +138,7 @@ def _run_cmtbone(spec: JobSpec, cache: Optional[ArtifactCache],
         result.cache_disk_hits = cache.stats.disk_hits - before_disk
     rt = Runtime(
         nranks=spec.nranks,
-        machine=_machine(spec.machine),
+        machine=MachineModel.preset(spec.machine),
         fault_plan=plan,
     )
     results = rt.run(
@@ -166,8 +162,6 @@ def _run_cmtbone(spec: JobSpec, cache: Optional[ArtifactCache],
 
 
 def _run_sod(spec: JobSpec, result: JobResult) -> None:
-    from ..solver import run_with_recovery, sod_problem
-
     p = spec.params
     setup = sod_problem(
         spec.nranks,
@@ -184,7 +178,7 @@ def _run_sod(spec: JobSpec, result: JobResult) -> None:
         checkpoint_every=int(p.get("checkpoint_every", 0)),
         checkpoint_dir=p.get("checkpoint_dir"),
         fault_plan=_fault_plan(spec),
-        machine=_machine(spec.machine),
+        machine=MachineModel.preset(spec.machine),
         job_id=spec.job_id,
     )
     result.vtime_total = report.total_virtual_seconds

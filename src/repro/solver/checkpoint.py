@@ -22,6 +22,10 @@ naming the offending file.
 
 from __future__ import annotations
 
+# ``zipfile`` decodes the member names of an ``.npz`` with this codec on
+# its first read.  Ranks read checkpoints after their fork; import it
+# with this module so that none of them imports it itself.
+import encodings.cp437  # noqa: F401
 import json
 import pathlib
 import zipfile

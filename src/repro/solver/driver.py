@@ -60,6 +60,13 @@ from ..kernels.workspace import as_elements, field_blocks
 from ..mesh import Partition, dg_face_numbering
 from ..mpi import MAX, SUM, Comm
 from ..perfmodel import load_factor
+from .checkpoint import (
+    assignment_from_info,
+    checkpoint_namespace,
+    load_checkpoint,
+    read_manifest,
+    save_checkpoint,
+)
 from .divergence import divergence_flops, flux_divergence_multi
 from .eos import IdealGas
 from .flux import euler_fluxes, flux_flops
@@ -739,8 +746,6 @@ class CMTSolver:
                 self.stats.mass_history.append(mass)
                 self.stats.energy_history.append(energy)
             if checkpoint_every and (gstep + 1) % checkpoint_every == 0:
-                from .checkpoint import save_checkpoint
-
                 save_checkpoint(
                     checkpoint_dir, self.comm, self.partition, state,
                     step=gstep + 1, time=sim_time,
@@ -939,11 +944,6 @@ def run_with_recovery(
     """
     from ..mpi import RankCrashError, Runtime
     from ..perfmodel.machine import MachineModel
-    from .checkpoint import (
-        checkpoint_namespace,
-        load_checkpoint,
-        read_manifest,
-    )
 
     if checkpoint_every and checkpoint_dir is None:
         raise ValueError("checkpoint_every needs checkpoint_dir")
@@ -974,8 +974,6 @@ def run_with_recovery(
         def main(comm):
             solver, state = setup(comm)
             if have_ckpt:
-                from .checkpoint import assignment_from_info
-
                 minfo = read_manifest(checkpoint_dir, expect_job_id=job_id)
                 asg = assignment_from_info(minfo, solver.partition)
                 if asg is not None:

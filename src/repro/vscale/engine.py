@@ -399,7 +399,7 @@ class VirtualScaleEngine:
                 "pack_fields uses gs_op_many, which has no vectorized "
                 "timeline model; run with pack_fields=False"
             )
-        if self.config.lb_policy().enabled:
+        if self.config.lb_policy() is not None:
             raise VscaleError(
                 "dynamic load balancing breaks the rank symmetry the "
                 "schedule model needs; run with lb_mode='off'"

@@ -7,11 +7,13 @@ the measured counts plus ~10 % for interpreter and numpy versions.
 """
 
 import cProfile
+import json
 import pstats
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from repro.core import CMTBone, CMTBoneConfig
 from repro.gs import gs_op, gs_setup
@@ -160,6 +162,103 @@ def test_jobs_do_not_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _run_code(code, *args):
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: Packages a ``cmtbone`` job on thread ranks with LB off runs nothing of.
+NOT_RUN_BY_CMTBONE = (
+    "repro.bench", "repro.lb", "repro.service", "repro.net",
+    "repro.vscale", "repro.faults", "repro.validation",
+)
+
+
+def test_cmtbone_job_imports_only_what_it_runs():
+    """Of the solver, the mini-app runs only the face traces; the parser
+    needs only the bench group names; LB off needs no load balancer."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['cmtbone', '--ranks', '8', '-N', '5', '--local',"
+        " '2,2,2', '--steps', '2']) == 0\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    loaded = _run_code(code).split()
+    assert "repro.core.cmtbone" in loaded
+    assert [m for m in loaded if any(
+        m == pkg or m.startswith(pkg + ".") for pkg in NOT_RUN_BY_CMTBONE
+    )] == []
+    solver = [m for m in loaded if m.startswith("repro.solver")]
+    assert solver == ["repro.solver", "repro.solver.surface"]
+
+
+#: Runs ``repro.cli.main`` on its arguments after the first, with a
+#: meta-path hook that appends every import made in a process other than
+#: this one to the file its first argument names.
+_AFTER_FORK_HOOK = """
+import contextlib, io, os, sys
+log, argv = sys.argv[1], sys.argv[2:]
+parent = os.getpid()
+
+class AfterFork:
+    def find_spec(self, name, path=None, target=None):
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {name}\\n")
+        return None
+
+sys.meta_path.insert(0, AfterFork())
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv) == 0
+"""
+
+_E2E_XCHG = ["cmtbone", "--ranks", "2", "-N", "5", "--local", "2,2,2",
+             "--steps", "2"]
+
+
+@pytest.mark.parametrize("backend", ["procs", "sockets", "campaign"])
+def test_forked_ranks_and_workers_import_nothing(backend, tmp_path):
+    """Ranks and pool workers are forked with everything their job runs
+    already imported (numpy.random for the auto-tune's and the fields'
+    random draws, the sod path of the service) and import nothing."""
+    if backend == "campaign":
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([
+            {"kind": "cmtbone", "name": "c", "nranks": 2,
+             "params": {"n": 5, "nel": 8, "nsteps": 2}},
+            {"kind": "sod", "name": "s", "nranks": 2,
+             "params": {"n": 5, "nelx": 8, "nsteps": 2}},
+        ]))
+        argv = ["campaign", "--jobs", str(jobs), "--workers", "2"]
+    else:
+        argv = [*_E2E_XCHG, "--backend", backend]
+    log = tmp_path / "after-fork.log"
+    _run_code(_AFTER_FORK_HOOK, str(log), *argv)
+    assert not log.exists(), log.read_text()
+
+
+def test_main_freezes_the_import_heap_once():
+    code = (
+        "import contextlib, gc, io\n"
+        "calls = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (calls.append(1), freeze())\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['machines']) == 0\n"
+        "    assert main(['machines']) == 0\n"
+        "print(len(calls), gc.get_freeze_count() > 0)\n"
+    )
+    assert _run_code(code).split() == ["1", "True"]
 
 
 def test_stacked_gs_op_stays_under_its_call_ceiling():

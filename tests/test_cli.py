@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.bench import GROUPS
+from repro.cli import _COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -25,6 +26,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cmtbone", "--machine", "cray-1"])
 
+    def test_bench_groups_are_the_runners(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "{" + ",".join(GROUPS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_subcommand_parses(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {command}")
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = {
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("    ") and line[4] != " "
+        }
+        assert listed == set(_COMMANDS) and len(listed) == 13
+
 
 class TestArgumentRanges:
     """Out-of-range values end in one line on stderr and exit 2, not
@@ -44,17 +68,40 @@ class TestArgumentRanges:
         (["kernels", "--steps", "-5"], "--steps"),
         (["nekbone", "--iterations", "-1"], "--iterations"),
         (["validate", "--steps", "-1"], "--steps"),
+        (["vscale", "--steps", "-1"], "--steps"),
+        (["vscale", "-N", "1"], "-N/--points"),
+        (["cmtbone", "--imbalance", "-3"], "--imbalance"),
+        (["sod", "--imbalance", "-2"], "--imbalance"),
+        (["vscale", "--imbalance", "nan"], "--imbalance"),
+        (["campaign", "--workers", "0"], "--workers"),
+        (["serve", "--spool", "unused", "--workers", "0"], "--workers"),
     ], ids=["elements-0", "ranks-0", "points-1", "steps-negative",
             "local-0", "sod-points-1", "sod-steps-negative",
             "sod-checkpoint-every-negative", "sod-elements-0",
             "kernels-points-1", "kernels-steps-negative",
-            "nekbone-iterations-negative", "validate-steps-negative"])
+            "nekbone-iterations-negative", "validate-steps-negative",
+            "vscale-steps-negative", "vscale-points-1",
+            "imbalance-negative", "sod-imbalance-negative",
+            "vscale-imbalance-nan", "campaign-workers-0",
+            "serve-workers-0"])
     def test_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: argument {flag}: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cmtbone", "--lb", "every", "--lb-every", "-2"],
+        ["sod", "--lb", "every", "--lb-every", "0"],
+    ], ids=["cmtbone-lb-every-negative", "sod-lb-every-0"])
+    def test_lb_every_needs_a_cadence(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: argument --lb-every: --lb every needs a " \
+            "cadence >= 1, got " in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--dt", "-1"], "--dt: dt must be finite and > 0, got -1.0"),
