@@ -31,6 +31,9 @@ Quick start::
     print(rt.job_profile().top_sites(10))
 """
 
+import sys
+from importlib import import_module
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -43,3 +46,28 @@ __all__ = [
     "perfmodel",
     "solver",
 ]
+
+
+def _lazy_exports(package, exports):
+    """``(__all__, __getattr__)`` for a package that imports each public
+    name's submodule when the name is first read (PEP 562).
+
+    ``exports`` maps a submodule to the space-separated names it defines.
+    """
+    home = {
+        name: module
+        for module, names in exports.items()
+        for name in names.split()
+    }
+
+    def __getattr__(name):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(import_module(f".{module}", package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return sorted(home), __getattr__

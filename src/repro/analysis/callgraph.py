@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 from ..mpi.clock import VirtualClock
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RegionStats:
     """Aggregate statistics for one named region."""
 

@@ -72,15 +72,21 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _nonnegative_float(text: str) -> float:
-    """argparse type: a float ``>= 0`` (NaN is rejected too)."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _float_at_least(lo: float, strict: bool = False):
+    """argparse type: a float ``>= lo`` (``> lo`` if ``strict``); NaN is
+    rejected too."""
+    bound = f"{'>' if strict else '>='} {lo:g}"
 
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (value > lo if strict else value >= lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {bound}, got {value}"
+            )
+        return value
 
-_nonnegative_float.__name__ = "float"
+    parse.__name__ = "float"  # argparse's "invalid float value" wording
+    return parse
 
 
 #: ``repro.bench.schema.GROUPS``, spelled out so that building the
@@ -134,7 +140,7 @@ def _add_lb_flags(p: argparse.ArgumentParser) -> None:
                    help="dynamic load balancing: off, auto (threshold "
                         "trigger), every (fixed cadence), or manual "
                         "(monitor only; see docs/load-balancing.md)")
-    p.add_argument("--lb-threshold", type=float, default=1.10,
+    p.add_argument("--lb-threshold", type=_float_at_least(1), default=1.10,
                    help="max/mean cost-imbalance trigger for --lb auto "
                         "(default 1.10)")
     p.add_argument("--lb-every", type=int, default=0,
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmt)
     p_cmt.add_argument("--steps", type=_int_at_least(0), default=10,
                        help="timesteps (default 10)")
-    p_cmt.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
+    p_cmt.add_argument("--imbalance", type=_float_at_least(0), default=0.0,
                        help="compute-load jitter fraction (default 0)")
     p_cmt.add_argument("--pack", action="store_true",
                        help="use gs_op_many packed exchanges")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--overlap", action=argparse.BooleanOptionalAction,
                       default=False,
                       help="model the split-phase overlapped schedule")
-    p_vs.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
+    p_vs.add_argument("--imbalance", type=_float_at_least(0), default=0.0,
                       help="compute-load jitter fraction (default 0)")
     p_vs.add_argument("--proxy", action="store_true",
                       help="proxy compute in the executed sample "
@@ -234,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the per-method agreement "
                            "tolerance (default: per-method, see "
                            "docs/virtual-scale.md)")
-    p_vs.add_argument("--mtbf", type=float, default=None,
+    p_vs.add_argument("--mtbf", type=_float_at_least(0, strict=True),
+                      default=None,
                       help="per-rank MTBF in hours: extrapolate "
                            "Young/Daly checkpoint economics at the "
                            "virtual scale")
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sod.add_argument("--verify", action="store_true",
                        help="also run fault-free and require bitwise-"
                             "identical final fields (exit 1 otherwise)")
-    p_sod.add_argument("--imbalance", type=_nonnegative_float, default=0.0,
+    p_sod.add_argument("--imbalance", type=_float_at_least(0), default=0.0,
                        help="compute-load jitter fraction (default 0)")
     p_sod.add_argument("--kernel-variant", dest="kernel_variant",
                        default="fused", choices=CLI_VARIANTS,
@@ -366,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "under it)")
     p_srv.add_argument("--workers", type=_int_at_least(1), default=2,
                        help="persistent pool workers (default 2)")
-    p_srv.add_argument("--quota", type=int, default=None,
+    p_srv.add_argument("--quota", type=_int_at_least(1), default=None,
                        help="max running jobs per submitter "
                             "(default unlimited)")
-    p_srv.add_argument("--batch-max", type=int, default=4,
+    p_srv.add_argument("--batch-max", type=_int_at_least(1), default=4,
                        help="max small jobs per worker dispatch "
                             "(default 4)")
     p_srv.add_argument("--poll", type=float, default=0.2,
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument("--jobs", default=None,
                         help="JSON file with a list of job spec objects")
-    p_camp.add_argument("--count", type=int, default=None,
+    p_camp.add_argument("--count", type=_int_at_least(1), default=None,
                         help="instead of --jobs: run COUNT copies of one "
                              "spec built from the flags below")
     p_camp.add_argument("--matrix", default=None,
@@ -436,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="kind-specific params as JSON")
     p_camp.add_argument("--workers", type=_int_at_least(1), default=2,
                         help="persistent pool workers (default 2)")
-    p_camp.add_argument("--quota", type=int, default=None)
-    p_camp.add_argument("--batch-max", type=int, default=4)
+    p_camp.add_argument("--quota", type=_int_at_least(1), default=None)
+    p_camp.add_argument("--batch-max", type=_int_at_least(1), default=4)
     p_camp.add_argument("--artifact-dir", default=None,
                         help="disk-spill directory for the setup-"
                              "artifact cache (default: in-memory only)")
@@ -515,8 +522,10 @@ def cmd_cmtbone(args) -> int:
     )
 
     def app_main(comm):
+        # A timeline is thousands of intervals per rank: ship it back
+        # (in each exit record, on procs and sockets) only to draw it.
         app = CMTBone(comm, config)
-        return app.run(), app.timeline
+        return app.run(), app.timeline if args.gantt else None
 
     pairs = runtime.run(app_main)
     results = [r for r, _t in pairs]
@@ -1157,6 +1166,8 @@ def cmd_launch(args) -> int:
         bind_host=args.bind_host,
         advertise_host=args.advertise_host,
     )
+    if inner.command in _DRAWING:
+        import numpy.random  # noqa: F401
     return _COMMANDS[inner.command](inner)
 
 
@@ -1188,8 +1199,18 @@ def _parse_args(argv: Optional[Sequence[str]]):
     return args
 
 
+#: Commands whose ranks draw random numbers (the synthetic fields, the
+#: gs auto-tune's trial data): ``numpy.random`` is imported before any
+#: rank is forked, and by no other command.
+_DRAWING = frozenset(
+    ("cmtbone", "nekbone", "fig7", "vscale", "validate", "bench")
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
+    if args.command in _DRAWING:
+        import numpy.random  # noqa: F401
     # Everything the command runs is imported by now: move that heap out
     # of the collector's reach, once per process, so no collection and
     # no interpreter exit walks it again (nor the ranks and workers

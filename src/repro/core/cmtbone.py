@@ -27,11 +27,9 @@ genuine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
-from numpy.random import default_rng
 
 from ..analysis.callgraph import CallGraphProfiler
 from ..analysis.timeline import TimelineRecorder
@@ -72,8 +70,7 @@ R_LB = "lb_rebalance"        # dynamic load balancing (migration + rebuild)
 UPDATE_BLOCK = 32768
 
 
-@dataclass
-class CMTBoneResult:
+class CMTBoneResult(NamedTuple):
     """Everything a CMT-bone run reports back."""
 
     rank: int
@@ -84,7 +81,7 @@ class CMTBoneResult:
     setup_stats: dict
     vtime_total: float
     vtime_comm: float
-    monitor_values: List[float] = field(default_factory=list)
+    monitor_values: List[float]
     #: Communication hidden under compute by the overlapped schedule
     #: (0.0 for blocking runs; never part of ``vtime_total``).
     vtime_hidden_comm: float = 0.0
@@ -144,7 +141,7 @@ class CMTBone:
             if setup_sink is not None:
                 setup_sink(self, comm)
 
-        rng = default_rng(self.config.seed + comm.rank)
+        rng = np.random.default_rng(self.config.seed + comm.rank)
         #: Synthetic conserved fields: (neq, nel, N, N, N).
         self.u = rng.standard_normal(
             (self.neq, self.nel, self.n, self.n, self.n)

@@ -20,8 +20,7 @@ exchange.  That contrast is the Fig. 7 reproduction target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ R_CG = "cg_iteration"
 SEED = 1999
 
 
-@dataclass
-class NekboneResult:
+class NekboneResult(NamedTuple):
     """Outputs of one Nekbone run."""
 
     rank: int

@@ -23,16 +23,14 @@ concurrently.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from ..mpi.errors import RankCrashError
 from ..mpi.transport import MAX_RETRIES
 from .plan import CrashEvent, FaultPlan, drop_unit
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     """One logged message-drop episode (possibly several attempts)."""
 
     src: int

@@ -48,11 +48,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
+
+from ..records import checked
 
 
-@dataclass(frozen=True)
-class CrashEvent:
+@checked
+class CrashEvent(NamedTuple):
     """Kill ``rank`` when it reaches ``step`` or virtual time ``time``.
 
     Exactly one trigger must be set.  ``step`` triggers fire at the top
@@ -67,7 +69,7 @@ class CrashEvent:
     step: Optional[int] = None
     time: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if (self.step is None) == (self.time is None):
             raise ValueError(
                 "CrashEvent needs exactly one of step= or time="
@@ -83,8 +85,8 @@ class CrashEvent:
         return f"crash:rank={self.rank},{trigger}"
 
 
-@dataclass(frozen=True)
-class DropEvent:
+@checked
+class DropEvent(NamedTuple):
     """Drop messages on the (``src`` -> ``dst``) link.
 
     ``nth`` drops exactly the nth message (1-based, counted in the
@@ -100,7 +102,7 @@ class DropEvent:
     nth: Optional[int] = None
     p: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if (self.nth is None) == (self.p == 0.0):
             raise ValueError("DropEvent needs exactly one of nth= or p=")
         if self.nth is not None and self.nth < 1:
@@ -125,15 +127,15 @@ class DropEvent:
         return "drop:" + ",".join(parts)
 
 
-@dataclass(frozen=True)
-class DegradeEvent:
+@checked
+class DegradeEvent(NamedTuple):
     """Multiply the modelled transit time of a link by ``factor``."""
 
     factor: float
     src: Optional[int] = None
     dst: Optional[int] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.factor < 1.0:
             raise ValueError("DegradeEvent factor must be >= 1")
 

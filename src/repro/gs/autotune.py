@@ -13,10 +13,9 @@ stamp the winner into the handle.  The per-method statistics are kept
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from numpy.random import default_rng
+import numpy as np
 
 from ..autotune import rank_stats, time_trials
 from ..mpi.datatypes import SUM
@@ -24,8 +23,7 @@ from .handle import GSHandle
 from .ops import METHOD_LABELS, METHODS, gs_op
 
 
-@dataclass(frozen=True)
-class MethodTiming:
+class MethodTiming(NamedTuple):
     """Cross-rank timing statistics for one exchange method.
 
     ``avg``/``mn``/``mx`` are seconds per ``gs_op`` invocation: the
@@ -68,7 +66,7 @@ def time_method(
     and to amortize any first-call setup inside a method.
     """
     comm = handle.comm
-    rng = default_rng(TRIAL_SEED + comm.rank)
+    rng = np.random.default_rng(TRIAL_SEED + comm.rank)
     u = rng.standard_normal(handle.shape)
     dt = time_trials(
         lambda: gs_op(handle, u, op=SUM, method=method,

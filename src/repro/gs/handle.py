@@ -72,7 +72,7 @@ def identity(op: ReduceOp, dtype: np.dtype):
             np.minimum: hi}.get(op.ufunc)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GSHandle:
     """Index sets and exchange plans for one global numbering.
 
@@ -120,9 +120,7 @@ class GSHandle:
     #: (``pairwise.plan_for``, ``crystal.CrystalPlan``), bound to ``comm``
     #: and its mailboxes, and the fold slots of field stacks (``_slots``).
     #: It never travels: copies and pickles of the handle start without.
-    _derived: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _derived: dict = field(default_factory=dict, init=False)
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_derived"}

@@ -41,9 +41,8 @@ consistent with its own cycle counts at 2.4 GHz, see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from ..kir.ir import (
     build_program,
@@ -85,8 +84,7 @@ _FALLBACK_CPI = 0.6
 _L1_MISS_CPI_PENALTY = 1.15
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class KernelCost(NamedTuple):
     """Modelled cost of one derivative-kernel invocation."""
 
     direction: str

@@ -29,17 +29,18 @@ list, so every schedule is priced automatically (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from ..records import checked
 
 #: The dynamic (element-batch) axis name; its extent is resolved at
 #: call time from the input array, never baked into generated source.
 BATCH_AXIS = "e"
 
 
-@dataclass(frozen=True)
-class Tensor:
+@checked
+class Tensor(NamedTuple):
     """A named tensor with named axes and (mostly) concrete sizes.
 
     ``dims[i]`` is ``None`` exactly when ``axes[i]`` is the dynamic
@@ -50,7 +51,7 @@ class Tensor:
     axes: Tuple[str, ...]
     dims: Tuple[Optional[int], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.axes) != len(self.dims):
             raise ValueError(
                 f"tensor {self.name!r}: {len(self.axes)} axes but "
@@ -113,8 +114,8 @@ def tensor(name: str, spec: str, **sizes: int) -> Tensor:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Contract:
+@checked
+class Contract(NamedTuple):
     """``out[out_axes] = sum_{sum_axes} a[a_axes] * b[b_axes]``.
 
     Einsum semantics: axes shared between ``a`` and ``b`` that appear
@@ -126,7 +127,7 @@ class Contract:
     b: Tensor
     sum_axes: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         in_axes = set(self.a.axes) | set(self.b.axes)
         for ax in self.sum_axes:
             if ax not in self.a.axes or ax not in self.b.axes:
@@ -169,8 +170,8 @@ class Contract:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Program:
+@checked
+class Program(NamedTuple):
     """A straight-line contraction program.
 
     ``inputs`` fixes the positional calling convention of every
@@ -185,9 +186,10 @@ class Program:
     body: Tuple[Contract, ...]
     #: Parameters the program was specialized with (for cache keys and
     #: reports), e.g. ``{"n": 10}`` or ``{"n": 10, "m": 15}``.
-    params: Dict[str, int] = field(default_factory=dict)
+    #: Never mutated, so one empty default serves every program.
+    params: Dict[str, int] = {}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Axis *names* are op-local einsum subscripts; storage identity
         # is (name, dims).  The same input may be read under different
         # subscript labellings (grad reads u as e,a,b,c three times

@@ -39,8 +39,7 @@ tuner skips it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .ir import BATCH_AXIS, Contract, Program, Tensor
 
@@ -54,8 +53,7 @@ class NotApplicable(ValueError):
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxisApply:
+class AxisApply(NamedTuple):
     """GEMM-normal form of one stationary-operator contraction.
 
     ``out = W applied along axis ``axis`` of ``t`` — with a schedule:
@@ -86,8 +84,7 @@ class AxisApply:
 SchedOp = Union[AxisApply, Contract]
 
 
-@dataclass(frozen=True)
-class Scheduled:
+class Scheduled(NamedTuple):
     """A program plus the schedule chosen for it."""
 
     program: Program
@@ -162,7 +159,7 @@ def to_gemm_form(s: Scheduled) -> Scheduled:
     ops: List[SchedOp] = []
     for op in s.ops:
         ops.append(_classify(op) if isinstance(op, Contract) else op)
-    return replace(s, ops=tuple(ops))
+    return s._replace(ops=tuple(ops))
 
 
 def unroll_by_plane(s: Scheduled) -> Scheduled:
@@ -185,8 +182,8 @@ def unroll_by_plane(s: Scheduled) -> Scheduled:
         else:
             lead = op.axis
             trail = op.t.ndim - op.axis - 2
-        ops.append(replace(op, lead_loops=lead, trail_loops=trail))
-    return replace(s, ops=tuple(ops))
+        ops.append(op._replace(lead_loops=lead, trail_loops=trail))
+    return s._replace(ops=tuple(ops))
 
 
 def reassociate(prog: Program, order: Sequence[int]) -> Program:

@@ -14,8 +14,7 @@ consumes (as ``capacity = 1 / cost``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,8 +23,7 @@ import numpy as np
 SITE_LB_MONITOR = "LB_monitor"
 
 
-@dataclass(frozen=True)
-class RankCost:
+class RankCost(NamedTuple):
     """One rank's accumulated cost over a measurement window."""
 
     rank: int

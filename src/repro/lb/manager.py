@@ -17,8 +17,7 @@ all ranks always agree on whether — and onto what — to rebalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .assignment import ElementAssignment
 from .cost import (
@@ -33,8 +32,7 @@ from .partitioner import sfc_partition
 from .policy import RebalancePolicy
 
 
-@dataclass(frozen=True)
-class RebalanceEvent:
+class RebalanceEvent(NamedTuple):
     """Record of one committed rebalance (host-side stats attached)."""
 
     step: int

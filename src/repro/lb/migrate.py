@@ -23,8 +23,7 @@ element, to an unrebalanced run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ OP_LB_REBUILD = "LB_Rebuild"
 FieldSpec = Tuple[str, np.ndarray, int]
 
 
-@dataclass(frozen=True)
-class MigrationStats:
+class MigrationStats(NamedTuple):
     """One rank's accounting for a single migration event."""
 
     elements_sent: int

@@ -10,18 +10,18 @@ a structured box admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ..kernels.gll import gll_points
+from ..records import checked
 
 Coord = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class BoxMesh:
+@checked
+class BoxMesh(NamedTuple):
     """A global box of hexahedral elements.
 
     Parameters
@@ -41,7 +41,7 @@ class BoxMesh:
     periodic: Tuple[bool, bool, bool] = (True, True, True)
     lengths: Tuple[float, float, float] = (1.0, 1.0, 1.0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.shape) != 3 or any(s < 1 for s in self.shape):
             raise ValueError(f"bad element shape {self.shape}")
         if self.n < 2:

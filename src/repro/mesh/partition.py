@@ -15,11 +15,11 @@ rank order matches torus coordinates in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
+from ..records import checked
 from .box import BoxMesh, Coord
 
 
@@ -53,14 +53,14 @@ def _prime_factors_desc(p: int) -> List[int]:
     return sorted(out, reverse=True)
 
 
-@dataclass(frozen=True)
-class Partition:
+@checked
+class Partition(NamedTuple):
     """Assignment of a :class:`BoxMesh` onto a 3-D processor grid."""
 
     mesh: BoxMesh
     proc_shape: Coord
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for e, p in zip(self.mesh.shape, self.proc_shape):
             if p < 1:
                 raise ValueError(f"bad processor grid {self.proc_shape}")

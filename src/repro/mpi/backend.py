@@ -39,8 +39,16 @@ import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .errors import AbortError, MPIError, RankCrashError
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, dump_envelope, load_envelope
@@ -70,13 +78,12 @@ _FLUSH_TIMEOUT = 5.0
 _JOIN_TIMEOUT = 30.0
 
 
-@dataclass
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     """Per-rank results of one job, in rank order."""
 
     results: List[Any]
     errors: List[Optional[BaseException]]
-    tracebacks: List[str] = field(default_factory=list)
+    tracebacks: List[str]
 
 
 def run_rank(

@@ -16,7 +16,8 @@ paper's evaluation are regenerated in this virtual time base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass
@@ -33,7 +34,7 @@ class OverlapInterval:
     t_open: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VirtualClock:
     """A monotonically non-decreasing virtual clock for one rank.
 
@@ -143,8 +144,7 @@ class VirtualClock:
         return hidden
 
 
-@dataclass
-class ClockStats:
+class ClockStats(NamedTuple):
     """Immutable snapshot of one rank's clock, used in reports."""
 
     rank: int
@@ -153,5 +153,5 @@ class ClockStats:
     comm: float
     #: Communication hidden under compute in overlap windows (never
     #: part of ``total``; see :meth:`VirtualClock.close_overlap`).
-    hidden_comm: float = 0.0
-    extra: dict = field(default_factory=dict)
+    hidden_comm: float
+    extra: dict

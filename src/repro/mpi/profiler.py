@@ -17,10 +17,18 @@ a :class:`JobProfile` after the job completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CallRecord:
     """Aggregate statistics for one (op, site) pair on one rank."""
 
@@ -97,8 +105,7 @@ class RankProfile:
             self.mpi_time += vtime
 
 
-@dataclass
-class SiteAggregate:
+class SiteAggregate(NamedTuple):
     """One row of the mpiP 'Aggregate Time of Callsites' report."""
 
     op: str
@@ -112,7 +119,7 @@ class SiteAggregate:
     mpi_pct: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class JobProfile:
     """Merged MPI profile for the whole job.
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+#: Built on every receive: a plain dataclass builds faster than a frozen
+#: one or a NamedTuple, and reads its fields as fast as a frozen one.
+@dataclass
 class Status:
     """Metadata about a completed receive.
 

@@ -11,12 +11,10 @@ and the topology ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One message on the wire."""
 
     seq: int

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import shlex
 import socket
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..mpi.errors import MPIError
 from .wire import format_address
@@ -39,8 +38,7 @@ class HostfileError(MPIError):
     """A hostfile line could not be parsed."""
 
 
-@dataclass(frozen=True)
-class HostEntry:
+class HostEntry(NamedTuple):
     """One hostfile line: a host name and its rank capacity."""
 
     host: str

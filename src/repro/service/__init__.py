@@ -5,59 +5,21 @@ amortises per-job fixed costs (fork/import, ``gs_setup``, auto-tune)
 across a campaign of jobs.  See ``docs/service.md``.
 """
 
-from .artifacts import (
-    ArtifactCache,
-    CacheEntry,
-    CacheStats,
-    DiskArtifactStore,
-    SetupArtifact,
-    artifact_key,
-)
-from .execute import run_job, spec_artifact_key
-from .jobs import (
-    KINDS,
-    SMALL_JOB_UNITS,
-    STATUS_CANCELLED,
-    STATUS_DONE,
-    STATUS_FAILED,
-    JobResult,
-    JobSpec,
-    digest_arrays,
-    new_job_id,
-)
-from .matrix import MatrixCell, MatrixReport, MatrixSpec, run_matrix
-from .pool import PoolError, WorkerPool
-from .scheduler import DEFAULT_BATCH_MAX, JobQueue, QueueStats
-from .service import CampaignReport, Service, run_campaign
+from .. import _lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "CacheEntry",
-    "CacheStats",
-    "CampaignReport",
-    "DEFAULT_BATCH_MAX",
-    "DiskArtifactStore",
-    "JobQueue",
-    "JobResult",
-    "JobSpec",
-    "KINDS",
-    "MatrixCell",
-    "MatrixReport",
-    "MatrixSpec",
-    "PoolError",
-    "QueueStats",
-    "SMALL_JOB_UNITS",
-    "STATUS_CANCELLED",
-    "STATUS_DONE",
-    "STATUS_FAILED",
-    "Service",
-    "SetupArtifact",
-    "WorkerPool",
-    "artifact_key",
-    "digest_arrays",
-    "new_job_id",
-    "run_campaign",
-    "run_job",
-    "run_matrix",
-    "spec_artifact_key",
-]
+#: Public names by the submodule that defines them.  A submodule is
+#: imported when one of its names is first read (PEP 562), so a spool
+#: client that needs only :class:`JobSpec` (``repro.cli submit``) does
+#: not import the worker pool or the job kinds' code it forks with.
+_EXPORTS = {
+    "artifacts": "ArtifactCache CacheEntry CacheStats DiskArtifactStore "
+                 "SetupArtifact artifact_key",
+    "execute": "run_job spec_artifact_key",
+    "jobs": "KINDS SMALL_JOB_UNITS STATUS_CANCELLED STATUS_DONE "
+            "STATUS_FAILED JobResult JobSpec digest_arrays new_job_id",
+    "matrix": "MatrixCell MatrixReport MatrixSpec run_matrix",
+    "pool": "PoolError WorkerPool",
+    "scheduler": "DEFAULT_BATCH_MAX JobQueue QueueStats",
+    "service": "CampaignReport Service run_campaign",
+}
+__all__, __getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -56,7 +56,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from ..store import atomic_write, host_dir, read_entry
 
@@ -64,8 +64,9 @@ from ..store import atomic_write, host_dir, read_entry
 #: bump it whenever a pickled class (``GSHandle``, ``SetupArtifact``)
 #: changes layout, so older spills read as cold instead of unpickling
 #: into objects that lack the new attributes.  2: compiled gs plan;
-#: 3: ``GSHandle`` without ``owners`` and ``shared_index``.
-DISK_VERSION = 3
+#: 3: ``GSHandle`` without ``owners`` and ``shared_index``; 4: the
+#: auto-tune table's ``MethodTiming`` rows are NamedTuples.
+DISK_VERSION = 4
 
 
 def artifact_key(
@@ -173,8 +174,7 @@ class SetupArtifact:
         bone.profiler.edges = dict(self.region_edges)
 
 
-@dataclass
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """A published (complete) cache entry: one artifact per rank."""
 
     nranks: int
@@ -185,7 +185,7 @@ class CacheEntry:
         return self.ranks[rank]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CacheStats:
     hits: int = 0
     misses: int = 0

@@ -21,8 +21,11 @@ crash.  Only ``Exception`` is caught — ``KeyboardInterrupt`` /
 ``SystemExit`` must propagate so a worker told to die actually dies
 (the pool's timeout-kill path depends on that).
 
-The job kinds' code is imported with this module, so the pool's
-workers are forked with it loaded and import nothing per job.
+The job kinds' code, and the ``numpy.random`` that a cmtbone job's
+fields and auto-tune draw from, are imported with this module, which
+:mod:`repro.service.pool` imports: the pool's workers are forked with
+it loaded and import nothing per job, and a spool client that imports
+only :mod:`repro.service.jobs` loads none of it.
 
 Both kinds accept ``params["sleep_s"]`` (a synthetic wall-clock stall
 before the run — the hook the timeout tests and the ``service`` bench
@@ -38,6 +41,8 @@ from __future__ import annotations
 import time
 import traceback
 from typing import Optional
+
+import numpy.random  # noqa: F401
 
 from ..core.cmtbone import CMTBone
 from ..core.config import CMTBoneConfig

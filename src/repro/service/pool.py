@@ -121,7 +121,7 @@ def _worker_loop(cmd_conn, res_conn, inherited, artifact_dir=None,
         res_conn.send(("done", cache.stats.snapshot(), cache.keys()))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _Worker:
     proc: object    # the forked worker (a fork-context Process)
     cmd_w: object   # parent's write end of the command pipe

@@ -36,7 +36,7 @@ from .jobs import STATUS_CANCELLED, JobResult, JobSpec
 DEFAULT_BATCH_MAX = 4
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _QueuedJob:
     spec: JobSpec
     #: Wall time (perf_counter) at submission, for latency accounting.
@@ -47,7 +47,7 @@ class _QueuedJob:
     retries: int = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QueueStats:
     submitted: int = 0
     dispatched: int = 0

@@ -17,8 +17,7 @@ percentiles — the numbers the service benchmarks gate on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .jobs import JobResult, JobSpec
 from .pool import WorkerPool
@@ -106,15 +105,14 @@ class Service:
         self.pool.close()
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     """Summary of one campaign run through the service."""
 
     results: List[JobResult]
     wall_seconds: float
     nworkers: int
-    queue_stats: Dict[str, int] = field(default_factory=dict)
-    worker_pids: List[int] = field(default_factory=list)
+    queue_stats: Dict[str, int]
+    worker_pids: List[int]
 
     @property
     def jobs_per_second(self) -> float:

@@ -7,7 +7,7 @@ the derivative kernels, ``full2face`` trace extraction, gather-scatter
 face exchange, numerical flux, and explicit SSP-RK time stepping.
 """
 
-from importlib import import_module
+from .. import _lazy_exports
 
 #: Public names by the submodule that defines them.  A submodule is
 #: imported when one of its names is first read (PEP 562), so code that
@@ -35,21 +35,4 @@ _EXPORTS = {
                "full2face_multi",
     "viscous": "ViscousModel velocity_and_temperature viscous_fluxes",
 }
-_HOME = {
-    name: module
-    for module, names in _EXPORTS.items()
-    for name in names.split()
-}
-
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__all__, __getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -25,12 +25,12 @@ evaluated against a synthesized *ghost state* instead:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..mesh.topology import FACE_AXIS_SIDE, NFACES
+from ..records import checked
 from .flux import euler_flux, wavespeed
 from .state import MX, NEQ
 
@@ -38,8 +38,8 @@ from .state import MX, NEQ
 KINDS = ("wall", "outflow", "dirichlet")
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+@checked
+class BoundarySpec(NamedTuple):
     """Boundary condition for one side of one axis."""
 
     kind: str
@@ -47,7 +47,7 @@ class BoundarySpec:
     #: variables (rho, mx, my, mz, E).
     state: Optional[Tuple[float, float, float, float, float]] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown boundary kind {self.kind!r}; choose from {KINDS}"

@@ -29,8 +29,7 @@ import encodings.cp437  # noqa: F401
 import json
 import pathlib
 import zipfile
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ class CheckpointError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class CheckpointInfo:
+class CheckpointInfo(NamedTuple):
     """Metadata stored in (and read back from) a checkpoint manifest."""
 
     step: int

@@ -46,7 +46,7 @@ import math
 import secrets
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class SolverConfig:
     lb: Optional[object] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StepStats:
     """Per-run diagnostics collected by :meth:`CMTSolver.run`."""
 
@@ -786,8 +786,7 @@ class CMTSolver:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AttemptRecord:
+class AttemptRecord(NamedTuple):
     """One launch of the job inside :func:`run_with_recovery`."""
 
     index: int
@@ -800,7 +799,7 @@ class AttemptRecord:
     lost_work_seconds: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FaultRunReport:
     """Lost-work / restart accounting for a fault-injected campaign.
 

@@ -12,12 +12,12 @@ benchmark) without trusting any discretized code as "truth".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ..mesh import BoxMesh, Partition
+from ..records import checked
 from .boundary import BoundarySpec
 from .driver import CMTSolver, SolverConfig
 from .eos import IdealGas
@@ -25,15 +25,15 @@ from .shock import ShockFilter
 from .state import from_primitives
 
 
-@dataclass(frozen=True)
-class PrimitiveState:
+@checked
+class PrimitiveState(NamedTuple):
     """1-D primitive state (density, velocity, pressure)."""
 
     rho: float
     u: float
     p: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.rho <= 0 or self.p <= 0:
             raise ValueError(
                 f"need positive density/pressure, got rho={self.rho}, "
@@ -124,8 +124,7 @@ def _pressure_function(
     return float(f), float(df)
 
 
-@dataclass(frozen=True)
-class RiemannSolution:
+class RiemannSolution(NamedTuple):
     """The exact solution of one Riemann problem."""
 
     left: PrimitiveState

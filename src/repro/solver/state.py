@@ -23,7 +23,7 @@ RHO, MX, MY, MZ, ENERGY = range(NEQ)
 COMPONENT_NAMES = ("rho", "rho_u", "rho_v", "rho_w", "E")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FlowState:
     """One rank's conserved variables plus the gas model.
 

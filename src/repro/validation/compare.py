@@ -20,8 +20,7 @@ message sizes, and per-rank MPI fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ CMTBONE_PHASE_MAP = {
 }
 
 
-@dataclass(frozen=True)
-class AppSignature:
+class AppSignature(NamedTuple):
     """One application's performance signature on a workload."""
 
     label: str

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..analysis.tables import render_table
 from .compare import PHASES, AppSignature
 
 
-@dataclass(frozen=True)
-class ValidationScore:
+class ValidationScore(NamedTuple):
     """Similarity of the mini-app's signature to the parent's.
 
     All components lie in [0, 1]; 1 is a perfect match.

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +63,7 @@ class VscaleError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeledTimeline:
+class ModeledTimeline(NamedTuple):
     """Per-rank modeled step timeline at one (method, P) point."""
 
     method: str
@@ -98,8 +96,7 @@ class ModeledTimeline:
         return 100.0 * self.comm / self.total
 
 
-@dataclass(frozen=True)
-class SampleExecution:
+class SampleExecution(NamedTuple):
     """Results of really executing the sampled ranks."""
 
     nranks: int
@@ -114,8 +111,7 @@ class SampleExecution:
     wall_seconds: float
 
 
-@dataclass(frozen=True)
-class Agreement:
+class Agreement(NamedTuple):
     """Modeled-vs-executed comparison at the sampled rank count."""
 
     method: str
@@ -168,8 +164,7 @@ class Agreement:
         return msg
 
 
-@dataclass(frozen=True)
-class FaultExtrapolation:
+class FaultExtrapolation(NamedTuple):
     """Young/Daly checkpoint economics at the modeled scale."""
 
     method: str

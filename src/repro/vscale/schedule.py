@@ -18,8 +18,7 @@ the handle a real ``gs_setup`` discovery produces (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from ..core.config import CMTBoneConfig
 from ..mesh.numbering import dg_face_numbering, total_faces
 
 
-@dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(NamedTuple):
     """Vectorized per-rank exchange plan for one (config, P) pair.
 
     Attributes

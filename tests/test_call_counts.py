@@ -261,6 +261,96 @@ def test_main_freezes_the_import_heap_once():
     assert _run_code(code).split() == ["1", "True"]
 
 
+def _sod_argv(tmp_path, backend):
+    """The benchmark's Sod campaign shape (LB migration, checkpoints, one
+    crash, a restart, the verification run), shortened."""
+    return [
+        "sod", "--ranks", "4", "--elements", "32", "--steps", "12",
+        "--imbalance", "0.4", "--lb", "auto", "--lb-threshold", "1.05",
+        "--checkpoint-every", "5", "--checkpoint-dir",
+        str(tmp_path / "ckpt"), "--fault-spec", "crash:rank=2,step=7",
+        "--fault-seed", "1", "--verify", "--backend", backend,
+    ]
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs", "sockets"])
+def test_sod_job_never_imports_numpy_random(backend, tmp_path):
+    """Sod draws no random numbers: neither the job's process nor its
+    ranks (which import nothing after their fork) load numpy.random."""
+    log = tmp_path / "after-fork.log"
+    out = _run_code(
+        _AFTER_FORK_HOOK + "print('numpy.random' in sys.modules)\n",
+        str(log), *_sod_argv(tmp_path, backend),
+    )
+    assert out.split() == ["False"]
+    assert not log.exists(), log.read_text()
+
+
+#: Dataclass types defined in the ``repro`` modules a Sod job imports:
+#: 27 measured (54 before immutable records became NamedTuples), +10%.
+SOD_DATACLASS_CEILING = 29
+
+
+def test_sod_job_builds_few_dataclasses(tmp_path):
+    """Every job builds the classes it imports, and a dataclass costs
+    ~1 ms to build: a record is a NamedTuple unless something mutates
+    or introspects it (repro.records)."""
+    code = (
+        "import contextlib, dataclasses, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(sum(\n"
+        "    1 for name, mod in list(sys.modules.items())\n"
+        "    if name.split('.')[0] == 'repro' and mod is not None\n"
+        "    for value in vars(mod).values()\n"
+        "    if isinstance(value, type) and value.__module__ == name\n"
+        "    and dataclasses.is_dataclass(value)\n"
+        "))\n"
+    )
+    count = int(_run_code(code, *_sod_argv(tmp_path, "threads")))
+    assert count <= SOD_DATACLASS_CEILING, count
+
+
+def test_spool_client_imports_no_job_code(tmp_path):
+    """``submit`` writes one job file: it loads none of the code the
+    pool's workers run (the solver, the mini-app, the pool itself)."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['submit', '--spool', sys.argv[1],"
+        " '--kind', 'sod']) == 0\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    loaded = _run_code(code, str(tmp_path / "spool")).split()
+    assert "repro.service.jobs" in loaded
+    assert [m for m in loaded if m.startswith((
+        "repro.solver", "repro.core", "repro.service.pool",
+        "repro.service.execute",
+    ))] == []
+
+
+def _gantt_chart(backend):
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "cmtbone", "--ranks", "2",
+         "-N", "5", "--local", "2,2,2", "--steps", "3", "--gantt",
+         "--backend", backend],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    head, mark, chart = done.stdout.partition("=== execution timeline ===")
+    assert mark and chart.strip(), done.stdout
+    return chart
+
+
+def test_gantt_chart_is_the_same_on_threads_and_procs():
+    """Ranks ship their timeline only when --gantt asks for it; the
+    chart drawn from what procs ranks ship equals the threads one."""
+    assert _gantt_chart("procs") == _gantt_chart("threads")
+
+
 def test_stacked_gs_op_stays_under_its_call_ceiling():
     calls = gs_op_stack_calls()
     assert calls == gs_op_stack_calls(), "the count must repeat"

@@ -75,6 +75,14 @@ class TestArgumentRanges:
         (["vscale", "--imbalance", "nan"], "--imbalance"),
         (["campaign", "--workers", "0"], "--workers"),
         (["serve", "--spool", "unused", "--workers", "0"], "--workers"),
+        (["sod", "--lb", "auto", "--lb-threshold", "0.5"], "--lb-threshold"),
+        (["cmtbone", "--lb", "auto", "--lb-threshold", "0.5"],
+         "--lb-threshold"),
+        (["vscale", "--mtbf", "-5"], "--mtbf"),
+        (["campaign", "--batch-max", "0"], "--batch-max"),
+        (["campaign", "--count", "-1"], "--count"),
+        (["campaign", "--quota", "0"], "--quota"),
+        (["serve", "--spool", "unused", "--batch-max", "0"], "--batch-max"),
     ], ids=["elements-0", "ranks-0", "points-1", "steps-negative",
             "local-0", "sod-points-1", "sod-steps-negative",
             "sod-checkpoint-every-negative", "sod-elements-0",
@@ -83,7 +91,10 @@ class TestArgumentRanges:
             "vscale-steps-negative", "vscale-points-1",
             "imbalance-negative", "sod-imbalance-negative",
             "vscale-imbalance-nan", "campaign-workers-0",
-            "serve-workers-0"])
+            "serve-workers-0", "sod-lb-threshold-below-1",
+            "cmtbone-lb-threshold-below-1", "vscale-mtbf-negative",
+            "campaign-batch-max-0", "campaign-count-negative",
+            "campaign-quota-0", "serve-batch-max-0"])
     def test_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -272,7 +272,7 @@ class TestDiskArtifactCache:
         assert cache.stats.disk_stores == 0
         cache.store("k", 1, art, nranks=2)
         assert DiskArtifactStore(d).fetch("k", 2).nranks == 2
-        assert os.listdir(cache.disk.host_dir) == ["k-r2-v3.pkl"]
+        assert os.listdir(cache.disk.host_dir) == ["k-r2-v4.pkl"]
         assert cache.stats.disk_stores == 1
         # And the publish API itself refuses a partial entry.
         from repro.service.artifacts import CacheEntry
