@@ -781,13 +781,10 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_sod(args) -> int:
+    import shutil
     import tempfile
 
-    import numpy as np
-
-    from .analysis import fault_report, render_gantt
     from .faults import FaultPlan
-    from .solver import run_with_recovery, sod_problem
     from .solver.driver import check_dt
 
     if args.elements % args.ranks:
@@ -815,6 +812,21 @@ def cmd_sod(args) -> int:
     if args.checkpoint_every and ckpt_dir is None:
         ckpt_dir = tempfile.mkdtemp(prefix="repro-sod-ckpt-")
         print(f"checkpoint dir: {ckpt_dir}")
+    try:
+        return _run_sod(args, plan, ckpt_dir)
+    finally:
+        if ckpt_dir is not None and args.checkpoint_dir is None:
+            shutil.rmtree(ckpt_dir, ignore_errors=True)
+
+
+def _run_sod(args, plan, ckpt_dir) -> int:
+    """The Sod campaign of :func:`cmd_sod`, checkpointing into
+    ``ckpt_dir``; returns the exit status."""
+    import numpy as np
+
+    from .analysis import fault_report, render_gantt
+    from .solver import run_with_recovery, sod_problem
+
     machine = MachineModel.preset(args.machine)
     setup = sod_problem(args.ranks, args.points, args.elements,
                         args.gs_method, imbalance=args.imbalance,

@@ -6,28 +6,33 @@ A :class:`FaultInjector` is created by the
 threads at well-defined points:
 
 * :meth:`check_step_crash` — top of the solver step loop;
-* :meth:`check_time_crash` — prologue of every send/recv;
-* :meth:`drop_count` — in ``Comm._send_raw``, before an envelope hits
-  the wire (how many retransmissions does this message suffer?);
-* :meth:`delay_factor` — in ``Comm._complete_recv``, scaling modelled
-  transit time for degraded links.
+* :meth:`check_time_crash` — prologue of every send/recv, once the
+  rank's clock has reached its entry in :attr:`deadlines`;
+* :meth:`drop_count` — in ``Comm._inject``, before an envelope hits
+  the wire (how many retransmissions does this message suffer?), on a
+  link whose entry in :attr:`links` has drop events;
+* :attr:`links` ``[src, dst].factor`` — in ``Comm._arrive``, scaling
+  modelled transit time for degraded links.
 
 All decisions are pure functions of the plan plus deterministic message
 identities, so two runs with the same plan make identical decisions
-regardless of wall-clock thread interleaving.  The injector itself only
-carries *logs* (what fired, what dropped) and the one-shot state for
-crash events; both are guarded by a lock because rank threads call in
-concurrently.
+regardless of wall-clock thread interleaving.  What the plan says about
+a rank or a link is worked out once, at its first message, so a
+message no event matches costs the message path one comparison.  The
+injector itself only carries those tables, the *logs* (what fired,
+what dropped) and the one-shot state for crash events; logs and crash
+state are guarded by a lock because rank threads call in concurrently.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..mpi.errors import RankCrashError
 from ..mpi.transport import MAX_RETRIES
-from .plan import CrashEvent, FaultPlan, drop_unit
+from .plan import CrashEvent, DropEvent, FaultPlan, drop_unit
 
 
 class DropRecord(NamedTuple):
@@ -38,6 +43,42 @@ class DropRecord(NamedTuple):
     seq: int
     attempts: int
     penalty: float
+
+
+class Link(NamedTuple):
+    """What a plan does to one ``src -> dst`` link."""
+
+    #: The drop events matching the link, in plan order.
+    drops: Tuple[DropEvent, ...]
+    #: Combined transit-time multiplier of its degrade events.
+    factor: float
+
+
+class _Deadlines(dict):
+    """``rank -> time``; a rank no time-triggered crash names maps to
+    ``inf``."""
+
+    def __missing__(self, rank: int) -> float:
+        return math.inf
+
+
+class _Links(dict):
+    """``(src, dst) -> Link`` of one plan, filled on first lookup."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__()
+        self._plan = plan
+
+    def __missing__(self, key: Tuple[int, int]) -> Link:
+        src, dst = key
+        factor = 1.0
+        for ev in self._plan.degrades:
+            if ev.matches(src, dst):
+                factor *= ev.factor
+        link = self[key] = Link(
+            tuple(e for e in self._plan.drops if e.matches(src, dst)), factor
+        )
+        return link
 
 
 class FaultInjector:
@@ -56,6 +97,14 @@ class FaultInjector:
         self._fired: set = set()
         self.crash_log: List[CrashEvent] = []
         self.drop_log: List[DropRecord] = []
+        #: Per rank, the earliest virtual time a time-triggered crash of
+        #: the plan names for it (``inf``: none).
+        self.deadlines: Dict[int, float] = _Deadlines()
+        for ev in plan.crashes:
+            if ev.time is not None:
+                self.deadlines[ev.rank] = min(self.deadlines[ev.rank], ev.time)
+        #: ``(src, dst) -> Link``: the plan's drops and degrades per link.
+        self.links = _Links(plan)
 
     # -- crashes --------------------------------------------------------
 
@@ -77,7 +126,9 @@ class FaultInjector:
         Called from communication entry points — the first send/recv at
         or after the scheduled virtual time kills the rank (a rank that
         never communicates past the deadline survives, as a real
-        node-loss would only be *observed* through communication).
+        node-loss would only be *observed* through communication).  The
+        message path calls it only once ``comm``'s clock has reached
+        ``deadlines[comm.rank]``.
         """
         rank = comm.rank
         now = comm.clock.now
@@ -126,9 +177,7 @@ class FaultInjector:
         number, attempt index); ``nth`` events fire on exactly one
         message, once.
         """
-        events = [e for e in self.plan.drops if e.matches(src, dst)]
-        if not events:
-            return 0
+        events = self.links[src, dst].drops
         drops = 0
         while drops < MAX_RETRIES:
             attempt_dropped = False
@@ -154,16 +203,6 @@ class FaultInjector:
                 DropRecord(src=src, dst=dst, seq=seq,
                            attempts=attempts, penalty=penalty)
             )
-
-    # -- link degradation ----------------------------------------------
-
-    def delay_factor(self, src: int, dst: int) -> float:
-        """Combined transit-time multiplier for the ``src -> dst`` link."""
-        factor = 1.0
-        for ev in self.plan.degrades:
-            if ev.matches(src, dst):
-                factor *= ev.factor
-        return factor
 
     # -- reporting ------------------------------------------------------
 

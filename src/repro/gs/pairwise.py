@@ -26,9 +26,10 @@ message starts only what is its own.  Three entry points run on it:
   sends and returns the posted receives, so interior compute can
   proceed while messages are in flight; ``complete`` waits and folds.
 
-On a pair numbering every form moves slot buffers of the handle's
-:class:`~repro.gs.handle.PairPlan` instead of condensed values, and
-lands each payload in its slots instead of folding it.
+On a pair numbering every form moves the entries of the handle's
+:class:`~repro.gs.handle.PairPlan` instead of condensed values: it
+sends the entries a neighbour shares from a field's other-operand
+buffer, and lands each payload over them instead of folding it.
 
 All of them send through ``Comm._inject`` and charge arrivals through
 ``Comm._arrive``, so every message is charged, faulted, sequenced,
@@ -39,6 +40,7 @@ condensed, folds in place.
 
 from __future__ import annotations
 
+from math import prod
 from typing import List, Optional
 
 import numpy as np
@@ -58,25 +60,35 @@ SITE = "gs_op:pairwise"
 _OPS = ("MPI_Irecv", "MPI_Isend", "MPI_Wait")
 
 
-class _Costs(dict):
-    """``nbytes -> (send_overhead, transit per neighbour, recv_overhead)``
-    of one plan, filled on first lookup (pure functions of the machine
-    model): a hit is a subscript, not a call."""
+class _Links(dict):
+    """``bytes per shared id -> [(neighbour, mailbox, nbytes,
+    send_overhead, transit, recv_overhead)]``, one row per neighbour, of
+    one plan, filled on first lookup (pure functions of the machine
+    model): a call resolves every neighbour's message with one
+    subscript."""
 
-    def __init__(self, comm, neighbors: List[int]):
+    def __init__(self, comm, neighbors: List[int], boxes: list,
+                 sizes: List[int]):
         super().__init__()
         self._net = comm.machine.network
         self._me = comm.rank
-        self._neighbors = neighbors
+        self._rows = list(zip(neighbors, boxes, sizes))
 
-    def __missing__(self, nbytes: int) -> tuple:
+    def __missing__(self, width: int) -> list:
         net, me = self._net, self._me
-        cost = self[nbytes] = (
-            net.send_overhead(nbytes),
-            [net.transit(q, me, nbytes) for q in self._neighbors],
-            net.recv_overhead(nbytes),
-        )
-        return cost
+        links = self[width] = []
+        for q, box, size in self._rows:
+            nbytes = width * size
+            links.append((
+                q, box, nbytes, net.send_overhead(nbytes),
+                net.transit(q, me, nbytes), net.recv_overhead(nbytes),
+            ))
+        return links
+
+
+def _width(values: np.ndarray) -> int:
+    """Bytes one shared id carries in ``values`` ``(..., n)``."""
+    return values.itemsize * prod(values.shape[:-1])
 
 
 class PairwisePlan:
@@ -94,30 +106,34 @@ class PairwisePlan:
         self.comm = comm
         self._neighbors = neighbors = handle.neighbors
         self.index = [handle.neighbor_send_index[q] for q in neighbors]
-        self._boxes = [runtime.mailbox(q) for q in neighbors]
         self._box = runtime.mailbox(comm.rank)
-        self._costs = _Costs(comm, neighbors)
+        self._links = _Links(
+            comm, neighbors, [runtime.mailbox(q) for q in neighbors],
+            [len(ix) for ix in self.index],
+        )
 
     def route(self, op: ReduceOp, pairs: Optional[PairPlan]) -> tuple:
         """``(send indices, landing keys, fold ufunc)`` per neighbour: on
-        condensed values, folded in; on a ``pairs`` slot buffer, copied
-        into the neighbour's slots (``None``: no fold)."""
+        condensed values, folded in; on the other operands of ``pairs``,
+        copied over the entries that were sent (``None``: no fold)."""
         if pairs is None:
             return self.index, self.index, op.ufunc
-        return pairs.send, pairs.recv, None
+        return pairs.send, pairs.send, None
 
     def exchange(
-        self, stack: np.ndarray, op: ReduceOp, tag: int, site: str,
+        self, stack: np.ndarray, runs: list, tag: int, site: str,
         local_pass: float, pairs: Optional[PairPlan] = None,
     ) -> None:
         """Blocking exchange of a fields-first ``(nf, n_unique)`` stack,
-        or of ``(nf, nslots)`` slot buffers of ``pairs``, in place.
+        or of ``(nf, n)`` other-operand buffers of ``pairs``, in place.
 
-        Field by field, in stack order, everything ``nf`` one-field
-        exchanges would do — ``MPI_Irecv`` per neighbour, the sends, the
-        arrivals and folds, then ``local_pass`` seconds of compute — for
-        one post of all ``nf x neighbours`` receives, one ``take`` per
-        neighbour and one lookup of the profile rows.
+        ``runs`` lists ``(fields, op)``: a slice of the stack and the
+        :class:`ReduceOp` its fields fold with, in stack order.  Field
+        by field, in stack order, everything ``nf`` one-field exchanges
+        would do — ``MPI_Irecv`` per neighbour, the sends, the arrivals
+        and folds, then ``local_pass`` seconds of compute — for one post
+        of all ``nf x neighbours`` receives, one ``take`` per neighbour
+        and one lookup of the profile rows and of the message costs.
         """
         comm = self.comm
         nn = len(self._neighbors)
@@ -130,13 +146,19 @@ class PairwisePlan:
         pendings = self._box.post_recvs(
             comm.cid, self._neighbors * len(stack), tag
         )
-        send, keys, fn = self.route(op, pairs)
-        sends = zip(*[stack.take(ix, axis=1) for ix in send])
-        for f, (field, payloads) in enumerate(zip(stack, sends)):
-            prof.add(irecv, 0.0, 0, nn)
-            self._start(payloads, tag, isend)
-            self._finish(pendings[f * nn:(f + 1) * nn], field, keys, fn, wait)
-            comm.compute(seconds=local_pass)
+        links = self._links[stack.itemsize]
+        send = self.index if pairs is None else pairs.send
+        sends = list(zip(*[stack.take(ix, axis=1) for ix in send]))
+        for fields, op in runs:
+            _, keys, fn = self.route(op, pairs)
+            for f in range(len(stack))[fields]:
+                prof.add(irecv, 0.0, 0, nn)
+                self._start(sends[f], tag, isend, links)
+                self._finish(
+                    pendings[f * nn:(f + 1) * nn], stack[f], keys, fn, wait,
+                    links,
+                )
+                comm.compute(seconds=local_pass)
 
     def post(
         self, values: np.ndarray, tag: int, site: str,
@@ -145,7 +167,8 @@ class PairwisePlan:
         """Post a receive from, then send ``values.take(index)`` to, every
         neighbour; return the posted receives.
 
-        ``values`` is ``(..., n_unique)`` (or a slot buffer of ``pairs``).
+        ``values`` is ``(..., n_unique)`` (or ``(..., n)`` entries of
+        ``pairs``).
         Each neighbour gets this rank's *original* values, so ids shared
         by more than two ranks (edges/corners in the continuous
         numbering) still fold every contribution exactly once.
@@ -157,7 +180,10 @@ class PairwisePlan:
         if pendings:
             prof.add(irecv, 0.0, 0, len(pendings))
         send = self.index if pairs is None else pairs.send
-        self._start([values.take(ix, axis=-1) for ix in send], tag, isend)
+        self._start(
+            [values.take(ix, axis=-1) for ix in send], tag, isend,
+            self._links[_width(values)],
+        )
         return pendings
 
     def complete(
@@ -169,22 +195,24 @@ class PairwisePlan:
         time."""
         _, _, wait = self.comm._prof.rows(site, _OPS)
         _, keys, fn = self.route(op, pairs)
-        return self._finish(pendings, into, keys, fn, wait)
+        return self._finish(
+            pendings, into, keys, fn, wait, self._links[_width(into)]
+        )
 
-    def _start(self, payloads, tag: int, isend) -> None:
+    def _start(self, payloads, tag: int, isend, links: list) -> None:
         """Send ``payloads[i]`` to neighbour ``i`` through
-        ``Comm._inject``, booking each as one ``MPI_Isend``."""
+        ``Comm._inject``, booking each as one ``MPI_Isend``; ``links``
+        is the call's row of :class:`_Links`."""
         comm = self.comm
-        clock, prof, costs, cid = comm.clock, comm._prof, self._costs, comm.cid
-        for payload, q, box in zip(payloads, self._neighbors, self._boxes):
-            nbytes = payload.nbytes
+        clock, prof, cid = comm.clock, comm._prof, comm.cid
+        for payload, (q, box, nbytes, ovh, _, _) in zip(payloads, links):
             t0 = clock.now
-            comm._inject(payload, nbytes, costs[nbytes][0], q, box, cid, tag)
+            comm._inject(payload, nbytes, ovh, q, box, cid, tag)
             prof.add(isend, clock.now - t0, nbytes)
 
     def _finish(
         self, pendings: List[PendingRecv], into: np.ndarray, keys, fn,
-        wait,
+        wait, links: list,
     ) -> float:
         """Per neighbour, in order: charge the arrival through
         ``Comm._arrive``, book one ``MPI_Wait`` and fold the payload into
@@ -193,10 +221,11 @@ class PairwisePlan:
         the first envelope still missing, until every later one has
         landed too."""
         comm = self.comm
-        clock, prof, costs = comm.clock, comm._prof, self._costs
+        clock, prof = comm.clock, comm._prof
         lead = () if into.ndim == 1 else (Ellipsis,)
         latest = 0.0
-        for i, (pending, ix) in enumerate(zip(pendings, keys)):
+        rows = zip(pendings, keys, links)
+        for i, (pending, ix, (_, _, _, _, transit, o_recv)) in enumerate(rows):
             if pending.envelope is None:
                 try:
                     comm._wait_for(pendings[i:], "MPI_Waitall")
@@ -208,8 +237,7 @@ class PairwisePlan:
                         raise
             env = pending.envelope
             t0 = clock.now
-            _, transit, o_recv = costs[env.nbytes]
-            arrival = comm._arrive(env, t0, transit[i], o_recv)
+            arrival = comm._arrive(env, t0, transit, o_recv)
             if arrival > latest:
                 latest = arrival
             prof.add(wait, clock.now - t0, env.nbytes)
@@ -232,7 +260,7 @@ def exchange_in_place(
 ) -> np.ndarray:
     """Blocking exchange of one message per neighbour, folding into
     ``values`` — ``(n_unique,)``, or a packed ``(nf, n_unique)`` stack,
-    or slot buffers of ``pairs`` — which the caller must own."""
+    or other-operand buffers of ``pairs`` — which the caller must own."""
     plan = plan_for(handle)
     plan.complete(
         plan.post(values, tag, site, pairs), values, op, site, pairs

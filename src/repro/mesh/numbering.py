@@ -87,11 +87,13 @@ def total_faces(mesh: BoxMesh) -> int:
 def dg_face_numbering(partition: Partition, rank: int) -> np.ndarray:
     """DG face-pair global ids for this rank: ``(nel, 6, N, N)``.
 
-    Ids are ``face_id * N^2 + a + N * b`` where ``(a, b)`` are the
-    face-local coordinates from :mod:`repro.mesh.topology`'s table.
-    The two elements sharing a geometric face produce identical blocks,
-    so ``gs_op(add)`` over these ids is exactly the two-sided face
-    trace sum.
+    Ids are ``face_id * N^2 + N * a + b`` where ``(a, b)`` are the
+    face-local coordinates from :mod:`repro.mesh.topology`'s table, so
+    a face's ids ascend in its entries' memory order.  The two elements
+    sharing a geometric face produce identical blocks, so ``gs_op(add)``
+    over these ids is exactly the two-sided face trace sum, and the ids
+    a rank shares with a neighbour come in whole faces: a multi-rank
+    :class:`~repro.gs.handle.PairPlan` moves ``N^2`` entries per index.
     """
     mesh = partition.mesh
     n = mesh.n
@@ -101,8 +103,8 @@ def dg_face_numbering(partition: Partition, rank: int) -> np.ndarray:
     ofs_z = ofs_y + ex * fy * ez      # first z-face id
 
     ab = np.arange(n)
-    # Face-local point offsets a + N*b, identical for every face.
-    pt = ab[:, None] + n * ab[None, :]
+    # Face-local point offsets N*a + b, identical for every face.
+    pt = n * ab[:, None] + ab[None, :]
 
     els = partition.local_elements(rank)
     gids = np.empty((len(els), NFACES, n, n), dtype=np.int64)

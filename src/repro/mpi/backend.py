@@ -52,7 +52,6 @@ from typing import (
 
 from .errors import AbortError, MPIError, RankCrashError
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, dump_envelope, load_envelope
-from .transport import ChannelSeq
 
 #: Deadlock look period (wall seconds).
 _WATCHDOG_PERIOD = 0.5
@@ -524,19 +523,19 @@ def serve_rank(runtime, rank: int, main, args, kwargs, link) -> None:
     ``link.close()``     release the transport
     ===================  ============================================
 
-    ``ChannelSeq`` is deliberately process-local: each counter key
-    ``(src, dst)`` is only ever incremented by the ``src`` rank, so
-    local counters produce exactly the sequence numbers the shared one
-    would — which keeps fault-injection drop decisions (keyed on seq)
-    identical to the threads backend.  An exit record always ships,
-    even when the link fails to start.
+    The channel counters ``runtime.seq`` are deliberately process-local:
+    each counter key ``(src, dst)`` is only ever incremented by the
+    ``src`` rank, so local counters produce exactly the sequence
+    numbers the shared one would — which keeps fault-injection drop
+    decisions (keyed on seq) identical to the threads backend.  An exit
+    record always ships, even when the link fails to start.
     """
     record: dict = {"rank": rank}
     local_box = runtime._mailboxes[rank]
     abort = link.abort
     try:
         runtime.abort_event = abort
-        runtime.seq = ChannelSeq()
+        runtime.seq = {}
         link.start(local_box)
         runtime._mailboxes = [
             local_box if r == rank else link.peer(r)

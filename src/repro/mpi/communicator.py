@@ -38,7 +38,7 @@ from .errors import CommunicatorError, RankError
 from .profiler import RankProfile
 from .request import RecvRequest, Request, SendRequest
 from .status import Status
-from .transport import ChannelSeq, Envelope, PendingRecv, backoff_seconds
+from .transport import Envelope, PendingRecv, backoff_seconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
@@ -177,16 +177,23 @@ class Comm:
         """Charge one send and hand its envelope to ``box``: the one
         place a message is charged, faulted, sequenced and traced, for
         :meth:`_send_raw` and the gather-scatter ``PairwisePlan`` alike.
-        ``payload`` must be a snapshot the sender will not touch again."""
+        ``payload`` must be a snapshot the sender will not touch again.
+
+        The clock and the channel counter are stepped inline (this runs
+        per message): ``clock.advance(ovh, kind="comm")`` and the next
+        number of ``runtime.seq``, which a shadow region swaps."""
         runtime = self._runtime
         faults = runtime.faults
-        if faults is not None:
-            faults.check_time_crash(self)
         clock = self.clock
-        clock.advance(ovh, kind="comm")
         me = self.rank
-        seq = runtime.seq.next(me, dest)
-        if faults is not None:
+        if faults is not None and clock.now >= faults.deadlines[me]:
+            faults.check_time_crash(self)
+        clock.now += ovh
+        clock.comm_time += ovh
+        channels, key = runtime.seq, (me, dest)
+        seq = channels.get(key, 0)
+        channels[key] = seq + 1
+        if faults is not None and faults.links[key].drops:
             drops = faults.drop_count(me, dest, seq)
             if drops:
                 # The reliable layer under the transport: each lost
@@ -233,15 +240,19 @@ class Comm:
         self, env: Envelope, t0: float, transit: float, o_recv: float
     ) -> float:
         """Charge a matched envelope's arrival/wait to the clock, given
-        its fault-free network costs; return its virtual arrival time."""
+        its fault-free network costs; return its virtual arrival time.
+
+        The wait is ``clock.synchronize(max(t0, arrival) + o_recv,
+        kind="comm")``, stepped inline: this runs per message."""
         faults = self._runtime.faults
         if faults is not None:
-            transit *= faults.delay_factor(env.src, self.rank)
+            transit *= faults.links[env.src, self.rank].factor
         arrival = env.wire_vtime + transit
-        # ``max(t0, arrival)``, without the call: this runs per message.
-        self.clock.synchronize(
-            (arrival if arrival > t0 else t0) + o_recv, kind="comm"
-        )
+        clock = self.clock
+        dt = (arrival if arrival > t0 else t0) + o_recv - clock.now
+        if dt > 0:
+            clock.now += dt
+            clock.comm_time += dt
         return arrival
 
     def _complete_recv(self, env: Envelope, t0: float) -> Tuple[Any, Status]:
@@ -264,10 +275,11 @@ class Comm:
         self, source: int, tag: int, internal: bool = False
     ) -> Tuple[Any, Status]:
         faults = self._runtime.faults
-        if faults is not None:
+        clock = self.clock
+        if faults is not None and clock.now >= faults.deadlines[self.rank]:
             faults.check_time_crash(self)
         pending = self._post_recv_raw(source, tag, internal=internal)
-        t0 = self.clock.now
+        t0 = clock.now
         if pending.envelope is None:
             self._wait_for((pending,), f"recv(src={source}, tag={tag})")
         return self._complete_recv(pending.envelope, t0)
@@ -433,7 +445,7 @@ class _ShadowRuntime:
 
     def __init__(self, runtime: "Runtime"):
         self._runtime = runtime
-        self.seq = ChannelSeq()
+        self.seq: dict = {}
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._runtime, name)

@@ -39,7 +39,7 @@ from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import AbortError, DeadlockError, MPIError, RankCrashError
 from .profiler import JobProfile, RankProfile
-from .transport import ChannelSeq, Mailbox, WakingAbort
+from .transport import Mailbox, WakingAbort
 
 
 class Runtime:
@@ -80,7 +80,10 @@ class Runtime:
 
             self.trace = MessageTrace(nranks)
 
-        self.seq = ChannelSeq()
+        #: ``(src, dst) ->`` the channel's next message number.  Lock
+        #: free: only rank ``src``'s own thread advances its channels
+        #: (``Comm._inject``).
+        self.seq: dict = {}
         self._mailboxes = [Mailbox(r) for r in range(nranks)]
         self._clocks = [VirtualClock() for _ in range(nranks)]
         self._profiles = [RankProfile(r) for r in range(nranks)]

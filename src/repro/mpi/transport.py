@@ -313,20 +313,3 @@ class WakingAbort(threading.Event):
         if all(box.blocked for box in live):
             for box in live:
                 box.interrupt()
-
-
-class ChannelSeq:
-    """Monotone per-(src, dst) sequence numbers for debugging/tracing.
-
-    Lock-free: channel ``(src, dst)`` is only ever advanced by rank
-    ``src``'s own thread.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict = {}
-
-    def next(self, src: int, dst: int) -> int:
-        key = (src, dst)
-        n = self._counters.get(key, 0)
-        self._counters[key] = n + 1
-        return n

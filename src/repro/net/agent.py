@@ -25,7 +25,8 @@ on another machine over ssh:
 Virtual-time parity with threads/procs holds by construction: the
 envelope (with its ``wire_vtime`` and ``seq``) is encoded whole, the
 destination's real :class:`~repro.mpi.transport.Mailbox` does the
-matching, and ``ChannelSeq`` stays process-local (see ``serve_rank``).
+matching, and the channel counters ``runtime.seq`` stay process-local
+(see ``serve_rank``).
 """
 
 from __future__ import annotations

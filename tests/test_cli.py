@@ -176,6 +176,39 @@ class TestCommands:
         assert "CMT-bone" in out and "Nekbone" in out
         assert "crystal router" in out
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+    def test_sod_removes_the_checkpoint_dir_it_made(
+        self, fails, tmp_path, monkeypatch, capsys
+    ):
+        """``--checkpoint-every`` without ``--checkpoint-dir`` writes into
+        a temporary directory that is gone when the command returns or
+        raises; a directory the caller named stays."""
+        import tempfile
+
+        import repro.solver
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        if fails:
+            def broken(*args, **kwargs):
+                raise RuntimeError("campaign failed")
+
+            monkeypatch.setattr(repro.solver, "run_with_recovery", broken)
+        argv = ["sod", "--ranks", "2", "--elements", "4", "-N", "4",
+                "--steps", "4", "--checkpoint-every", "2"]
+        if fails:
+            with pytest.raises(RuntimeError, match="campaign failed"):
+                main(argv)
+        else:
+            assert main(argv) == 0
+        made = capsys.readouterr().out.split("checkpoint dir: ")[1].split()[0]
+        assert made.startswith(str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+        if not fails:
+            kept = tmp_path / "kept"
+            assert main(argv + ["--checkpoint-dir", str(kept)]) == 0
+            assert any(kept.iterdir())
+
 
 class TestValidateCommand:
     def test_validate_runs(self, capsys):
