@@ -280,7 +280,7 @@ class PerFieldCMTSolver(CMTSolver):
         ff[:, :, 4:6] = fzf[:, :, 4:6]
         lam = face_wavespeed(self.eos, uf)
         self._charge(full2face_flops(self.n, self.nel, ncomp=4 * NEQ + 1))
-        return uf, ff, lam
+        return np.concatenate([uf, ff, lam[None]])
 
     def _surface_traces_into(self, u, fx, fy, fz, elements, uf, ff, lam):
         if len(elements) == 0:
@@ -298,7 +298,8 @@ class PerFieldCMTSolver(CMTSolver):
             full2face_flops(self.n, len(elements), ncomp=4 * NEQ + 1)
         )
 
-    def _exchange_traces(self, uf, ff, lam):
+    def _exchange_traces(self, traces):
+        uf, ff, lam = self._trace_views(traces)
         h = self.face_handle
         usum, fsum = np.empty_like(uf), np.empty_like(uf)
         for c in range(NEQ):
