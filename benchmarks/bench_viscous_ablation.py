@@ -38,7 +38,7 @@ def _run(viscous):
                 viscosity=ViscousModel(mu=1e-3) if viscous else None,
             ),
         )
-        prof = CallGraphProfiler(comm.clock)
+        prof = CallGraphProfiler(comm.clock, comm.rank)
         solver.profiler = prof
         st = uniform_state(PART.nel_local, MESH.n, vel=(0.2, 0.1, 0.0))
         u0 = st.u.copy()

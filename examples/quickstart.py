@@ -40,7 +40,7 @@ def main() -> None:
     def app_main(comm):
         app = CMTBone(comm, config)
         result = app.run()
-        return result, app.timeline
+        return result, app.profiler.intervals
 
     runtime = Runtime(nranks=8, machine=MachineModel.preset("compton"))
     pairs = runtime.run(app_main)

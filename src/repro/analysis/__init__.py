@@ -27,7 +27,6 @@ from .mpip import (
 from .tables import render_histogram, render_table
 from .timeline import (
     Interval,
-    TimelineRecorder,
     merge_timelines,
     render_gantt,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "CallGraphProfiler",
     "Interval",
     "RegionStats",
-    "TimelineRecorder",
     "call_graph",
     "fault_report",
     "lb_report",

@@ -8,6 +8,11 @@ observability: code brackets named regions, the profiler tracks
 *virtual* time (so reports are deterministic and platform-modelled),
 nesting builds the call graph, and :func:`flat_profile` /
 :func:`call_graph` render gprof-like reports.
+
+It is the one region recorder: a :meth:`CallGraphProfiler.phase`
+bracket also leaves the per-rank Gantt bar that
+:func:`repro.analysis.timeline.render_gantt` draws, read off the same
+clock value as its call-graph entry.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..mpi.clock import VirtualClock
+from .timeline import Interval
 
 
 @dataclass(eq=False, repr=False)
@@ -37,47 +43,94 @@ class CallGraphProfiler:
 
     Usage::
 
-        prof = CallGraphProfiler(comm.clock)
+        prof = CallGraphProfiler(comm.clock, comm.rank)
         with prof.region("compute_rhs"):
-            with prof.region("ax_"):
+            with prof.phase("ax_"):
                 ...  # derivative kernels
 
     Region entry/exit reads ``clock.now``; anything that advances the
     clock inside (modelled compute charges, communication waits) is
-    attributed to the innermost open region.
+    attributed to the innermost open region.  A :meth:`phase` is a
+    region that also leaves a Gantt bar in :attr:`intervals` when no
+    other phase is open around it: the timeline answers "what was rank
+    r doing at time t", which wants one bar per instant.
     """
 
-    def __init__(self, clock: VirtualClock):
+    def __init__(self, clock: VirtualClock, rank: int):
         self._clock = clock
+        self.rank = rank
         self.stats: Dict[str, RegionStats] = {}
         #: (parent, child) -> (calls, inclusive seconds)
         self.edges: Dict[Tuple[str, str], Tuple[int, float]] = {}
-        self._stack: List[Tuple[str, float]] = []
+        #: Outermost phase bars and closed spans, for
+        #: :func:`repro.analysis.render_gantt`.
+        self.intervals: List[Interval] = []
+        self._stack: List[str] = []
+        self._phases = 0
+
+    def __getstate__(self) -> dict:
+        # A result carries its rank's profiler back in every procs and
+        # sockets exit record and every service pipe reply; the bars
+        # (a dozen per step) would multiply that record's size, so
+        # they stay behind.  A caller that draws them ships them itself.
+        return {**self.__dict__, "intervals": []}
 
     def region(self, name: str) -> "_Region":
         """Bracket a named region; nests to build the call graph."""
-        return _Region(self, name)
+        return _Region(self, name, False)
+
+    def phase(self, name: str) -> "_Region":
+        """A :meth:`region` that is also a Gantt bar when outermost."""
+        return _Region(self, name, True)
+
+    # -- split-phase spans ---------------------------------------------------
+
+    def open_span(self) -> float:
+        """Start an *overlappable* span; returns its opening time.
+
+        Unlike :meth:`phase`, a span is not a nesting bracket: it marks
+        an in-flight split-phase interval (communication posted at
+        ``open``, finished at ``close``) that deliberately coexists with
+        whatever phases run meanwhile.  Pair with :meth:`close_span`.
+        """
+        return self._clock.now
+
+    def close_span(self, name: str, t0: float) -> None:
+        """Record ``[t0, now]`` for ``name`` regardless of nesting depth.
+
+        The resulting interval may overlap phase intervals on the same
+        rank — :func:`render_gantt` draws such doubly-covered bins in
+        uppercase so hidden communication is visible in the chart.
+        """
+        t1 = self._clock.now
+        if t1 > t0:
+            self.intervals.append(Interval(self.rank, name, t0, t1, True))
 
 
 class _Region:
-    """One :meth:`CallGraphProfiler.region` bracket: a slotted context
-    manager, so entering and leaving cost two calls and no generator."""
+    """One :meth:`CallGraphProfiler.region` or ``phase`` bracket: a
+    slotted context manager, so entering and leaving cost two calls and
+    no generator."""
 
-    __slots__ = ("_prof", "_name", "_t0")
+    __slots__ = ("_prof", "_name", "_phase", "_t0")
 
-    def __init__(self, prof: CallGraphProfiler, name: str):
+    def __init__(self, prof: CallGraphProfiler, name: str, phase: bool):
         self._prof = prof
         self._name = name
+        self._phase = phase
 
     def __enter__(self) -> None:
         prof = self._prof
-        self._t0 = t0 = prof._clock.now
-        prof._stack.append((self._name, t0))
+        self._t0 = prof._clock.now
+        prof._stack.append(self._name)
+        if self._phase:
+            prof._phases += 1
 
     def __exit__(self, *exc) -> None:
-        prof, name = self._prof, self._name
+        prof, name, t0 = self._prof, self._name, self._t0
         prof._stack.pop()
-        dt = prof._clock.now - self._t0
+        t1 = prof._clock.now
+        dt = t1 - t0
         st = prof.stats.get(name)
         if st is None:
             st = RegionStats(name=name)
@@ -85,12 +138,16 @@ class _Region:
         st.calls += 1
         st.total += dt
         if prof._stack:
-            parent = prof._stack[-1][0]
+            parent = prof._stack[-1]
             prof.stats.setdefault(
                 parent, RegionStats(name=parent)
             ).child += dt
             calls, secs = prof.edges.get((parent, name), (0, 0.0))
             prof.edges[(parent, name)] = (calls + 1, secs + dt)
+        if self._phase:
+            prof._phases -= 1
+            if prof._phases == 0 and t1 > t0:
+                prof.intervals.append(Interval(prof.rank, name, t0, t1))
 
 
 def merge_profiles(profiles: List[CallGraphProfiler]) -> Dict[str, RegionStats]:

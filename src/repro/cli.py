@@ -525,7 +525,7 @@ def cmd_cmtbone(args) -> int:
         # A timeline is thousands of intervals per rank: ship it back
         # (in each exit record, on procs and sockets) only to draw it.
         app = CMTBone(comm, config)
-        return app.run(), app.timeline if args.gantt else None
+        return app.run(), app.profiler.intervals if args.gantt else None
 
     pairs = runtime.run(app_main)
     results = [r for r, _t in pairs]

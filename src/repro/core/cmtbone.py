@@ -17,8 +17,9 @@ with periodic vector reductions (``MPI_Allreduce``) as the monitor.
 Setup performs ``gs_setup`` discovery and the three-way exchange-method
 auto-tune exactly as the paper describes.
 
-Every phase is bracketed by the gprof-style region profiler (Fig. 4)
-and all communication flows through the mpiP-style profiler
+Every phase is bracketed once, by the gprof-style region profiler
+(Fig. 4), which also records the phase's bar in the per-rank Gantt
+chart; all communication flows through the mpiP-style profiler
 (Figs. 8-10).  Compute is charged to the virtual clock via the
 machine-model roofline; in ``work_mode="real"`` the numpy kernels also
 actually execute on the synthetic fields so the data dependencies are
@@ -32,7 +33,6 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from ..analysis.callgraph import CallGraphProfiler
-from ..analysis.timeline import TimelineRecorder
 from ..gs import (
     MethodTiming,
     choose_method,
@@ -114,10 +114,9 @@ class CMTBone:
         self.nel = self.partition.nel_local
         self.neq = self.config.neq
         self.dmat = np.asarray(derivative_matrix(self.n))
-        self.profiler = CallGraphProfiler(comm.clock)
-        #: Per-phase interval recording for Gantt rendering
+        #: Call graph of every region, and a Gantt bar per phase
         #: (:func:`repro.analysis.render_gantt`).
-        self.timeline = TimelineRecorder(comm.rank, comm.clock)
+        self.profiler = CallGraphProfiler(comm.clock, comm.rank)
         self.autotune: Optional[Dict[str, MethodTiming]] = None
         self.monitor_values: List[float] = []
 
@@ -185,10 +184,7 @@ class CMTBone:
     def _derivative_phase(self) -> None:
         """The ``ax_`` hot spot: one kernel ``grad`` per block of fields."""
         cfg = self.config
-        with (
-            self.timeline.region(R_AX),
-            self.profiler.region(R_AX),
-        ):
+        with self.profiler.phase(R_AX):
             if cfg.work_mode == "real":
                 for b in field_blocks(self.u):
                     block = as_elements(self.u[b])
@@ -202,10 +198,7 @@ class CMTBone:
 
     def _surface_phase(self) -> None:
         """``full2face_cmt``: build the surface arrays."""
-        with (
-            self.timeline.region(R_FULL2FACE),
-            self.profiler.region(R_FULL2FACE),
-        ):
+        with self.profiler.phase(R_FULL2FACE):
             if self.config.work_mode == "real":
                 full2face_multi(self.u, out=self._faces)
             # In proxy mode the face buffers keep their previous (live)
@@ -218,10 +211,7 @@ class CMTBone:
     def _exchange_phase(self) -> None:
         """``gs_op_``: nearest-neighbour exchange of the face traces."""
         nfields = self.config.exchange_fields or self.neq
-        with (
-            self.timeline.region(R_GSOP),
-            self.profiler.region(R_GSOP),
-        ):
+        with self.profiler.phase(R_GSOP):
             if self.config.pack_fields:
                 fields = [
                     self._faces[c % self.neq] for c in range(nfields)
@@ -252,10 +242,7 @@ class CMTBone:
         calibration knob, whose role is traffic volume, not values.
         """
         nfields = self.config.exchange_fields or self.neq
-        with (
-            self.timeline.region(R_GSOP_BEGIN),
-            self.profiler.region(R_GSOP_BEGIN),
-        ):
+        with self.profiler.phase(R_GSOP_BEGIN):
             exchanges = [
                 gs_op_begin(
                     self.handle, self._faces[c % self.neq], op=SUM,
@@ -263,26 +250,20 @@ class CMTBone:
                 )
                 for c in range(nfields)
             ]
-        self._inflight_t0 = self.timeline.open_span(R_INFLIGHT)
+        self._inflight_t0 = self.profiler.open_span()
         return exchanges
 
     def _exchange_finish_phase(self, exchanges: list) -> None:
         """Split-phase wait: fold whatever communication is still exposed."""
-        with (
-            self.timeline.region(R_GSOP_FINISH),
-            self.profiler.region(R_GSOP_FINISH),
-        ):
+        with self.profiler.phase(R_GSOP_FINISH):
             for c, exchange in enumerate(exchanges):
                 keep = self._faces[c] if c < self.neq else None
                 gs_op_finish(exchange, out=keep)
-        self.timeline.close_span(R_INFLIGHT, self._inflight_t0)
+        self.profiler.close_span(R_INFLIGHT, self._inflight_t0)
 
     def _update_phase(self) -> None:
         """``add2s2``-style pointwise RK update."""
-        with (
-            self.timeline.region(R_UPDATE),
-            self.profiler.region(R_UPDATE),
-        ):
+        with self.profiler.phase(R_UPDATE):
             if self.config.work_mode == "real":
                 u = self.u.reshape(-1)  # a view: u is C-contiguous
                 scratch = self._work.buffer((UPDATE_BLOCK,), key="upd:block")
@@ -299,10 +280,7 @@ class CMTBone:
 
     def _monitor_phase(self) -> None:
         """Vector reduction: the residual/CFL allreduce."""
-        with (
-            self.timeline.region(R_MONITOR),
-            self.profiler.region(R_MONITOR),
-        ):
+        with self.profiler.phase(R_MONITOR):
             if self.config.work_mode == "real":
                 # max|x| without an |x| temporary (abs: never -0.0).
                 faces = self._faces
@@ -322,7 +300,7 @@ class CMTBone:
             return
         from ..lb import SITE_LB_REBUILD, migrate_elements
 
-        with self.timeline.region(R_LB), self.profiler.region(R_LB):
+        with self.profiler.phase(R_LB):
             old_ids = self.lb.assignment.element_ids_of(self.comm.rank)
             out, stats = migrate_elements(
                 self.comm, old_ids, new,

@@ -68,7 +68,7 @@ class Nekbone:
         self.n = self.config.n
         self.nel = self.partition.nel_local
         self.dmat = np.asarray(derivative_matrix(self.n))
-        self.profiler = CallGraphProfiler(comm.clock)
+        self.profiler = CallGraphProfiler(comm.clock, comm.rank)
         self.autotune: Optional[Dict[str, MethodTiming]] = None
 
         with self.profiler.region(R_SETUP):

@@ -159,7 +159,7 @@ def solver_signature(
                 overlap=config.overlap,
             ),
         )
-        prof = CallGraphProfiler(comm.clock)
+        prof = CallGraphProfiler(comm.clock, comm.rank)
         solver.profiler = prof
         rng = np.random.default_rng(7 + comm.rank)
         shape = (partition.nel_local,) + (partition.mesh.n,) * 3

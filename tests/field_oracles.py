@@ -61,7 +61,7 @@ class PerFieldCMTBone(CMTBone):
 
     def _derivative_phase(self):
         cfg = self.config
-        with self.timeline.region(R_AX), self.profiler.region(R_AX):
+        with self.profiler.phase(R_AX):
             if cfg.work_mode == "real":
                 for c in range(self.neq):
                     dkernels.grad(
@@ -76,10 +76,7 @@ class PerFieldCMTBone(CMTBone):
             )
 
     def _surface_phase(self):
-        with (
-            self.timeline.region(R_FULL2FACE),
-            self.profiler.region(R_FULL2FACE),
-        ):
+        with self.profiler.phase(R_FULL2FACE):
             if self.config.work_mode == "real":
                 for c in range(self.neq):
                     full2face(self.u[c], out=self._faces[c])
@@ -92,7 +89,7 @@ class PerFieldCMTBone(CMTBone):
 
     def _exchange_phase(self):
         nfields = self.config.exchange_fields or self.neq
-        with self.timeline.region(R_GSOP), self.profiler.region(R_GSOP):
+        with self.profiler.phase(R_GSOP):
             if self.config.pack_fields:
                 fields = [
                     self._faces[c % self.neq] for c in range(nfields)
@@ -109,7 +106,7 @@ class PerFieldCMTBone(CMTBone):
                     )
 
     def _update_phase(self):
-        with self.timeline.region(R_UPDATE), self.profiler.region(R_UPDATE):
+        with self.profiler.phase(R_UPDATE):
             if self.config.work_mode == "real":
                 u = self.u.reshape(-1)
                 scratch = self._work.buffer((UPDATE_BLOCK,), key="upd:block")

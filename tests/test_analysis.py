@@ -21,7 +21,7 @@ from repro.mpi.clock import VirtualClock
 class TestCallGraphProfiler:
     def test_nested_regions_self_time(self):
         clock = VirtualClock()
-        prof = CallGraphProfiler(clock)
+        prof = CallGraphProfiler(clock, 0)
         with prof.region("outer"):
             clock.advance(1.0)
             with prof.region("inner"):
@@ -36,7 +36,7 @@ class TestCallGraphProfiler:
 
     def test_edges_recorded(self):
         clock = VirtualClock()
-        prof = CallGraphProfiler(clock)
+        prof = CallGraphProfiler(clock, 0)
         with prof.region("a"):
             for _ in range(3):
                 with prof.region("b"):
@@ -45,7 +45,7 @@ class TestCallGraphProfiler:
 
     def test_exception_safe(self):
         clock = VirtualClock()
-        prof = CallGraphProfiler(clock)
+        prof = CallGraphProfiler(clock, 0)
         with pytest.raises(RuntimeError):
             with prof.region("x"):
                 clock.advance(1.0)
@@ -57,7 +57,7 @@ class TestCallGraphProfiler:
         profs = []
         for _ in range(2):
             clock = VirtualClock()
-            p = CallGraphProfiler(clock)
+            p = CallGraphProfiler(clock, 0)
             with p.region("k"):
                 clock.advance(2.0)
             profs.append(p)
@@ -67,7 +67,7 @@ class TestCallGraphProfiler:
 
     def test_flat_profile_sorted_and_percented(self):
         clock = VirtualClock()
-        prof = CallGraphProfiler(clock)
+        prof = CallGraphProfiler(clock, 0)
         with prof.region("big"):
             clock.advance(9.0)
         with prof.region("small"):
@@ -80,7 +80,7 @@ class TestCallGraphProfiler:
 
     def test_call_graph_render(self):
         clock = VirtualClock()
-        prof = CallGraphProfiler(clock)
+        prof = CallGraphProfiler(clock, 0)
         with prof.region("rhs"):
             with prof.region("ax_"):
                 clock.advance(1.0)

@@ -159,11 +159,11 @@ EXPORTS = {
         "velocity_and_temperature", "viscous_fluxes", "wavespeed",
     ),
     repro.analysis: (
-        "CallGraphProfiler", "Interval", "RegionStats", "TimelineRecorder",
-        "call_graph", "fault_report", "flat_profile", "full_report",
-        "hop_weighted_bytes", "lb_report", "merge_profiles",
-        "merge_timelines", "message_size_report", "mpi_fraction_report",
-        "op_share", "render_gantt", "render_histogram", "render_table",
+        "CallGraphProfiler", "Interval", "RegionStats", "call_graph",
+        "fault_report", "flat_profile", "full_report", "hop_weighted_bytes",
+        "lb_report", "merge_profiles", "merge_timelines",
+        "message_size_report", "mpi_fraction_report", "op_share",
+        "render_gantt", "render_histogram", "render_table",
         "summarize_compute", "summarize_fractions", "top_calls_report",
         "wait_dominance",
     ),

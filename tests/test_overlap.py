@@ -245,13 +245,14 @@ def test_cmtbone_split_phase_profile_sites():
 # -- timeline spans --------------------------------------------------------
 
 def test_timeline_span_renders_uppercase():
-    from repro.analysis.timeline import TimelineRecorder, render_gantt
+    from repro.analysis.callgraph import CallGraphProfiler
+    from repro.analysis.timeline import render_gantt
     from repro.mpi.clock import VirtualClock
 
     clock = VirtualClock()
-    rec = TimelineRecorder(0, clock)
-    t0 = rec.open_span("inflight")
-    with rec.region("compute"):
+    rec = CallGraphProfiler(clock, 0)
+    t0 = rec.open_span()
+    with rec.phase("compute"):
         clock.advance(1.0)
     rec.close_span("inflight", t0)
     assert [iv.span for iv in rec.intervals] == [False, True]

@@ -1,13 +1,16 @@
-"""Timeline recording and text Gantt rendering."""
+"""Gantt bars recorded by the region profiler, and their rendering."""
+
+import pickle
 
 import pytest
 
+from repro.analysis.callgraph import CallGraphProfiler
 from repro.analysis.timeline import (
     Interval,
-    TimelineRecorder,
     merge_timelines,
     render_gantt,
 )
+from repro.core import CMTBone, CMTBoneConfig
 from repro.mpi import Runtime
 from repro.mpi.clock import VirtualClock
 
@@ -15,10 +18,10 @@ from repro.mpi.clock import VirtualClock
 class TestRecorder:
     def test_records_top_level_only(self):
         clock = VirtualClock()
-        rec = TimelineRecorder(0, clock)
-        with rec.region("outer"):
+        rec = CallGraphProfiler(clock, 0)
+        with rec.phase("outer"):
             clock.advance(1.0)
-            with rec.region("inner"):
+            with rec.phase("inner"):
                 clock.advance(2.0)
         assert len(rec.intervals) == 1
         iv = rec.intervals[0]
@@ -27,16 +30,16 @@ class TestRecorder:
 
     def test_zero_length_dropped(self):
         clock = VirtualClock()
-        rec = TimelineRecorder(0, clock)
-        with rec.region("noop"):
+        rec = CallGraphProfiler(clock, 0)
+        with rec.phase("noop"):
             pass
         assert rec.intervals == []
 
     def test_sequential_intervals(self):
         clock = VirtualClock()
-        rec = TimelineRecorder(1, clock)
+        rec = CallGraphProfiler(clock, 1)
         for name in ("a", "b", "a"):
-            with rec.region(name):
+            with rec.phase(name):
                 clock.advance(0.5)
         assert [iv.name for iv in rec.intervals] == ["a", "b", "a"]
         assert rec.intervals[2].t0 == pytest.approx(1.0)
@@ -54,12 +57,12 @@ class TestMergeAndRender:
 
     def test_merge_ordering(self):
         clocks = [VirtualClock(), VirtualClock()]
-        recs = [TimelineRecorder(r, clocks[r]) for r in range(2)]
-        with recs[1].region("x"):
+        recs = [CallGraphProfiler(clocks[r], r) for r in range(2)]
+        with recs[1].phase("x"):
             clocks[1].advance(1.0)
-        with recs[0].region("y"):
+        with recs[0].phase("y"):
             clocks[0].advance(0.5)
-        merged = merge_timelines(recs)
+        merged = merge_timelines([rec.intervals for rec in recs])
         assert [iv.rank for iv in merged] == [0, 1]
 
     def test_gantt_structure(self):
@@ -87,13 +90,13 @@ class TestEndToEnd:
         """A rank blocked on a late sender shows an idle gap."""
 
         def main(comm):
-            rec = TimelineRecorder(comm.rank, comm.clock)
+            rec = CallGraphProfiler(comm.clock, comm.rank)
             if comm.rank == 0:
-                with rec.region("compute"):
+                with rec.phase("compute"):
                     comm.compute(seconds=1.0)
                 comm.send(1, dest=1)
             else:
-                with rec.region("recv"):
+                with rec.phase("recv"):
                     comm.recv(source=0)
             return rec.intervals
 
@@ -101,3 +104,20 @@ class TestEndToEnd:
         recv_iv = res[1][0]
         # The receive on rank 1 spans the sender's whole compute time.
         assert recv_iv.t1 - recv_iv.t0 > 0.9
+
+    def test_bars_stay_out_of_pickled_results(self):
+        """A result rides in every procs/sockets exit record and service
+        reply: its profiler keeps the bars on the rank, not in the
+        record (docs/backends.md)."""
+
+        def main(comm):
+            app = CMTBone(comm, CMTBoneConfig(
+                n=5, local_shape=(2, 2, 2), nsteps=4, work_mode="proxy",
+            ))
+            result = app.run()
+            return app.profiler.intervals, pickle.loads(pickle.dumps(result))
+
+        for intervals, shipped in Runtime(nranks=2).run(main):
+            assert len(intervals) >= 4 * 3 * 4
+            assert shipped.profiler.intervals == []
+            assert shipped.profiler.stats["ax_"].calls == 4 * 3
