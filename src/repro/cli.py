@@ -128,10 +128,11 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--backend", default="threads",
                    choices=available_backends(),
-                   help="execution backend: threads (default), procs "
-                        "(one OS process per rank; escapes the GIL), or "
-                        "sockets (processes over TCP/Unix sockets; see "
-                        "the launch subcommand and docs/backends.md)")
+                   help="execution backend: threads (default), sockets "
+                        "(one OS process per rank over TCP/Unix sockets; "
+                        "escapes the GIL; see the launch subcommand and "
+                        "docs/backends.md), or procs (another name for "
+                        "sockets with every rank forked on this machine)")
 
 
 def _add_lb_flags(p: argparse.ArgumentParser) -> None:
@@ -523,7 +524,7 @@ def cmd_cmtbone(args) -> int:
 
     def app_main(comm):
         # A timeline is thousands of intervals per rank: ship it back
-        # (in each exit record, on procs and sockets) only to draw it.
+        # (in each exit record of a process rank) only to draw it.
         app = CMTBone(comm, config)
         return app.run(), app.profiler.intervals if args.gantt else None
 

@@ -395,10 +395,10 @@ def launch_cmtbone(
     Convenience wrapper used by the CLI and the bench registry:
     returns ``(per_rank_results, runtime)`` so callers can reach both
     the :class:`CMTBoneResult` list and the post-run reporting
-    (``clock_stats``/``job_profile``).  With ``backend="procs"`` the ranks run
-    as forked OS processes and real kernel work executes in parallel
-    across cores; virtual-time results are identical either way (see
-    ``docs/backends.md``).
+    (``clock_stats``/``job_profile``).  With ``backend="sockets"`` (or
+    its local alias ``"procs"``) the ranks run as OS processes and real
+    kernel work executes in parallel across cores; virtual-time results
+    are identical either way (see ``docs/backends.md``).
     """
     from ..mpi import Runtime
 

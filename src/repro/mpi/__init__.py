@@ -1,13 +1,14 @@
 """``repro.mpi`` — a from-scratch simulated MPI for mini-app studies.
 
 This package provides the message-passing substrate the CMT-bone
-reproduction runs on.  Each simulated rank is a Python thread (or,
-with ``backend="procs"``, a forked OS process) with a private mailbox
-and a *virtual clock*; communication costs come from a LogGP-style
-latency/bandwidth model, so runs are deterministic and the paper's
-communication figures (gather-scatter method comparison, MPI time
-fractions, top call sites, message sizes) can be regenerated without
-cluster hardware.  See ``docs/backends.md`` for backend selection.
+reproduction runs on.  Each simulated rank is a Python thread (or, with
+``backend="sockets"`` or its local alias ``"procs"``, an OS process)
+with a private mailbox and a *virtual clock*; communication costs come
+from a LogGP-style latency/bandwidth model, so runs are deterministic
+and the paper's communication figures (gather-scatter method
+comparison, MPI time fractions, top call sites, message sizes) can be
+regenerated without cluster hardware.  See ``docs/backends.md`` for
+backend selection.
 
 Public surface:
 
@@ -23,7 +24,6 @@ Public surface:
 
 from .backend import (
     Backend,
-    ProcsBackend,
     ThreadsBackend,
     available_backends,
     resolve_backend,
@@ -76,7 +76,6 @@ __all__ = [
     "MessageTrace",
     "OverlapInterval",
     "PROD",
-    "ProcsBackend",
     "RankCrashError",
     "RankError",
     "RankProfile",

@@ -8,24 +8,25 @@ what carries each rank:
   setup cost and shared-memory payload passing, but real kernel work
   serialises on the GIL, so wall-clock numbers understate multi-core
   hardware.
-* ``procs`` — one forked OS process per rank with envelope delivery
-  over shared-memory rings (:mod:`repro.mpi.shm`).  Kernels run truly
-  in parallel; payloads and per-rank results must be picklable.
 * ``sockets`` — one OS process per rank over a socket mesh
   (:mod:`repro.net`), forked here or started on another machine.
+  Kernels run truly in parallel; payloads and per-rank results must be
+  picklable.
+* ``procs`` — a second name for ``sockets`` with no arguments: every
+  rank forked on this machine over TCP loopback.
 
-The two multi-process backends share everything that is not transport:
-the child runs :func:`serve_rank` over a *link* (:class:`ShmLink` here,
-``MeshLink`` in :mod:`repro.net.agent`), the abort event sits behind one
-:class:`FencedAbort`, and the parent folds the exit records with
+This module keeps the pieces of a process backend that are not
+transport: the child runs :func:`serve_rank` over a *link*
+(``MeshLink`` in :mod:`repro.net.agent`), the abort event sits behind
+one :class:`FencedAbort`, and the parent folds the exit records with
 :func:`marshal_exit_records`.
 
 Every backend watches for deadlock the same way and with no thread of
 its own: the parent asks one rule (:func:`strike_rule`) on every turn
 of the wait loop it already runs for its ranks, over two counts each
 rank's :class:`~repro.mpi.transport.Mailbox` keeps (``blocked`` and
-``delivered``) — read directly by the threads caller, through shared
-slots by procs, from ``HEARTBEAT`` frames by sockets.
+``delivered``) — read directly by the threads caller, from
+``HEARTBEAT`` frames by sockets.
 
 Virtual-time metrics are bitwise-identical across backends by
 construction: every clock charge is a pure function of the machine
@@ -35,7 +36,6 @@ scheduling.  Only wall-clock measurements differ.
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
 import traceback
@@ -51,26 +51,12 @@ from typing import (
 )
 
 from .errors import AbortError, MPIError, RankCrashError
-from .shm import DEFAULT_RING_CAPACITY, ShmRing, dump_envelope, load_envelope
 
 #: Deadlock look period (wall seconds).
 _WATCHDOG_PERIOD = 0.5
 #: Number of consecutive no-progress all-blocked looks before the rule
 #: declares deadlock (guards against sampling races).
 _WATCHDOG_STRIKES = 3
-
-#: Delivery-thread poll period while its ring is empty (wall seconds).
-_DELIVERY_POLL = 0.05
-
-#: Leading byte of a flush-marker ring record.  Envelope records start
-#: with one of ``dump_envelope``'s payload-kind letters, so a marker
-#: can never be mistaken for an envelope.
-_FLUSH_MARK = b"!"
-#: Upper bound on the abort determinism fence (wall seconds): how long
-#: an aborting rank waits for peers to acknowledge its flush markers.
-#: Live peers answer at once; the bound only matters when a peer is
-#: itself dead or wedged.
-_FLUSH_TIMEOUT = 5.0
 
 #: How long the parent waits for a rank process that has reported (or
 #: been declared dead) to exit before terminating it (wall seconds).
@@ -165,20 +151,18 @@ def marshal_exit_records(
     records: Dict[int, dict],
     fired: bool,
     n: int,
-    hard_death: Callable[[int, Optional[int]], BaseException],
 ) -> ExecutionOutcome:
     """Fold per-rank exit records back into the Runtime.
 
-    Shared by every multi-process backend (procs and sockets): exit
-    records carry each rank's result/error plus the state the parent
-    must absorb for backend-transparent reporting — virtual clock,
-    profile, mailbox snapshot, trace events, fault logs.  A rank with
-    no record (or a :func:`hard_exit_record`) died without reporting;
-    ``hard_death(rank, exitcode)`` builds its error — an
-    :class:`MPIError` for procs, a :class:`RankCrashError` for sockets
-    (where a vanished remote process is a recoverable crash).  ``fired``
-    marks a tripped deadlock rule, in which case the collected
-    mailbox snapshots become the runtime's deadlock report.
+    Exit records carry each rank's result/error plus the state the
+    parent must absorb for backend-transparent reporting — virtual
+    clock, profile, mailbox snapshot, trace events, fault logs.  A rank
+    with no record (or a :func:`hard_exit_record`) died without
+    reporting: its error is a :class:`RankCrashError` with the rank set,
+    the contract injected crashes have, so the recovery loop replays a
+    killed rank process.  ``fired`` marks a tripped deadlock rule, in
+    which case the collected mailbox snapshots become the runtime's
+    deadlock report.
     """
     results: List[Any] = [None] * n
     errors: List[Optional[BaseException]] = [None] * n
@@ -188,7 +172,11 @@ def marshal_exit_records(
         rec = records.get(r)
         if rec is None or rec.get("hard_exit"):
             code = rec.get("exitcode") if rec else None
-            errors[r] = hard_death(r, code)
+            errors[r] = RankCrashError(
+                f"rank {r} terminated unexpectedly "
+                f"(no exit record; exit code {code})",
+                rank=r,
+            )
             continue
         results[r] = rec.get("result")
         errors[r] = rec.get("error")
@@ -211,7 +199,8 @@ def marshal_exit_records(
 
 
 def fork_context(backend: str):
-    """The ``fork`` multiprocessing context both process backends need."""
+    """The ``fork`` multiprocessing context forked ranks and service
+    workers need."""
     import multiprocessing as mp
 
     if "fork" not in mp.get_all_start_methods():
@@ -304,35 +293,6 @@ class ThreadsBackend(Backend):
         return ExecutionOutcome(results, errors, tracebacks)
 
 
-class _RingMailbox:
-    """Sender-side stand-in for a remote rank's mailbox (procs backend).
-
-    Exposes exactly the one method senders call on a *remote* mailbox
-    (``deliver``); matching still happens in the destination process,
-    inside its real :class:`Mailbox`, preserving the thread backend's
-    semantics.  Per-source FIFO holds because each sender pushes its
-    records into the destination ring in program order and the ring is
-    consumed in order.
-    """
-
-    __slots__ = ("_ring", "_abort", "_give_up", "_what")
-
-    def __init__(self, ring: ShmRing, abort, finished, dst: int):
-        self._ring = ring
-        self._abort = abort
-        # If the destination already finished its main it can never
-        # receive; drop instead of blocking on a full ring (the threads
-        # backend likewise just leaves such messages unmatched).
-        self._give_up = lambda: finished[dst] == 1
-        self._what = f"send to rank {dst}"
-
-    def deliver(self, env) -> None:
-        self._ring.push(
-            dump_envelope(env), abort_event=self._abort,
-            give_up=self._give_up, what=self._what,
-        )
-
-
 class FencedAbort:
     """The job's abort event as one rank process sees it, behind the
     determinism fence.
@@ -340,9 +300,9 @@ class FencedAbort:
     In the threads backend every send lands in the destination mailbox
     before the sender's next statement runs, so by the time a crashing
     rank sets the abort event, everything it managed to send is already
-    delivered.  Between processes delivery is asynchronous (a shm ring
-    drained by a background thread; a peer socket that is unordered
-    against the control connection the abort travels on): without a
+    delivered.  Between processes delivery is asynchronous (a peer
+    socket is drained by a background thread and is unordered against
+    the control connection the abort travels on): without a
     fence, a survivor blocked in a wait races the crashed rank's final
     envelopes against the abort flag, and the "completion wins" contract
     (see :meth:`repro.mpi.transport.Mailbox.wait_for`) degenerates into
@@ -352,11 +312,10 @@ class FencedAbort:
     ``set`` therefore first runs the link's ``flush``: every peer
     acknowledges a marker sent *behind* this rank's envelopes on the
     same FIFO channel, so when the abort finally becomes visible
-    job-wide (``event.set()``: a shared event for procs, an ``ABORT``
-    frame to the driver for sockets), the survivors' mailboxes already
-    hold exactly what the fault plan says they should.  ``flush`` is
-    bounded by ``_FLUSH_TIMEOUT`` and is skipped when this process
-    already knows the job is aborted.
+    job-wide (``event.set()``: an ``ABORT`` frame to the driver), the
+    survivors' mailboxes already hold exactly what the fault plan says
+    they should.  ``flush`` is bounded (``MeshLink._flush``) and is
+    skipped when this process already knows the job is aborted.
     """
 
     __slots__ = ("_event", "_flush", "is_set", "wait")
@@ -364,7 +323,7 @@ class FencedAbort:
     def __init__(self, event, flush: Callable[[], None]):
         self._event = event
         self._flush = flush
-        # Event API relied on by waits and ring pushes.
+        # Event API relied on by waits.
         self.is_set = event.is_set
         self.wait = event.wait
 
@@ -375,112 +334,6 @@ class FencedAbort:
             except Exception:  # the fence must never mask the abort
                 pass
         self._event.set()
-
-
-class _ShmJob:
-    """The process-shared state of one procs job: created by the parent
-    before it forks, inherited by every rank."""
-
-    def __init__(self, ctx, nranks: int, ring_capacity: int):
-        self.abort = ctx.Event()
-        #: ``(blocked, delivered)`` of rank ``r``'s mailbox in slots
-        #: ``2r`` and ``2r + 1``, for the parent's deadlock rule.  One
-        #: writer per slot (the rank's delivery thread) and no lock, so
-        #: a rank killed mid-write leaves nothing held.
-        self.status = ctx.RawArray("q", 2 * nranks)
-        self.finished = ctx.RawArray("b", nranks)
-        #: ``(src, dst)`` flush-marker ack counters for the abort fence.
-        #: Lock-free like ``status``: slot ``src * n + dst`` has one
-        #: writer (rank ``dst``'s delivery thread), so a rank killed
-        #: mid-ack leaves nothing held for a later ``abort.set()`` to
-        #: wait on.
-        self.flush_acks = ctx.RawArray("q", nranks * nranks)
-        self.rings = [ShmRing(ctx, ring_capacity) for _ in range(nranks)]
-
-
-class ShmLink:
-    """The shm-ring transport as one rank sees it (see :func:`serve_rank`)."""
-
-    backend = "procs"
-
-    def __init__(self, job: _ShmJob, rank: int, conn):
-        self._job = job
-        self._rank = rank
-        self._conn = conn
-        self._stop = threading.Event()
-        self.abort = FencedAbort(job.abort, self._flush)
-
-    def peer(self, dst: int) -> _RingMailbox:
-        job = self._job
-        return _RingMailbox(job.rings[dst], self.abort, job.finished, dst)
-
-    def start(self, local_box) -> None:
-        threading.Thread(
-            target=self._drain, args=(local_box,),
-            name=f"deliver-{self._rank}", daemon=True,
-        ).start()
-
-    def _drain(self, mailbox) -> None:
-        """Drain this rank's ring into its in-process mailbox, and
-        publish the mailbox's ``(blocked, delivered)`` after every pop
-        and every idle poll."""
-        ring = self._job.rings[self._rank]
-        status, slot = self._job.status, 2 * self._rank
-        while True:
-            data = ring.pop(timeout=_DELIVERY_POLL)
-            if data is None:
-                if self._stop.is_set():
-                    return
-            elif data[:1] == _FLUSH_MARK:
-                self._ack_flush(*struct.unpack("<I", data[1:5]))
-            else:
-                mailbox.deliver(load_envelope(data))
-            status[slot] = mailbox.blocked
-            status[slot + 1] = mailbox.delivered
-
-    def _ack_flush(self, src: int) -> None:
-        # Ring FIFO: everything ``src`` pushed before its marker has
-        # been delivered just above.
-        self._job.flush_acks[src * len(self._job.rings) + self._rank] += 1
-
-    def _flush(self) -> None:
-        """Push a marker into every live peer's ring; wait for the acks.
-
-        Skips destinations that already finished — a finished rank
-        consumes nothing, and its delivery thread may be gone.
-        """
-        job, me = self._job, self._rank
-        n = len(job.rings)
-        deadline = time.monotonic() + _FLUSH_TIMEOUT
-        mark = _FLUSH_MARK + struct.pack("<I", me)
-        baselines: Dict[int, int] = {}
-        for dst in range(n):
-            if dst == me:
-                continue
-            base = job.flush_acks[me * n + dst]
-            if job.rings[dst].push(
-                mark,
-                give_up=lambda d=dst: (
-                    job.finished[d] == 1 or time.monotonic() > deadline
-                ),
-                what=f"flush to rank {dst}",
-            ):
-                baselines[dst] = base
-        for dst, base in baselines.items():
-            while (time.monotonic() < deadline
-                   and job.finished[dst] != 1
-                   and job.flush_acks[me * n + dst] <= base):
-                time.sleep(0.001)
-
-    def retire(self) -> None:
-        self._job.finished[self._rank] = 1
-        self._stop.set()
-
-    def ship(self, record: dict) -> None:
-        self._conn.send(record)
-
-    def close(self) -> None:
-        self._conn.close()
 
 
 def _send_record(link, record: dict, rank: int) -> None:
@@ -565,130 +418,6 @@ def serve_rank(runtime, rank: int, main, args, kwargs, link) -> None:
             link.close()
 
 
-def _rank_process(runtime, rank, main, args, kwargs, job, conn) -> None:
-    """Child-process body of the procs backend."""
-    serve_rank(runtime, rank, main, args, kwargs, ShmLink(job, rank, conn))
-
-
-class ProcsBackend(Backend):
-    """One forked OS process per rank; shared-memory envelope delivery.
-
-    Escapes the GIL: real (``work_mode="real"``) kernels execute truly
-    concurrently across cores.  Per-process :class:`VirtualClock`,
-    :class:`RankProfile`, trace events and fault logs are marshalled
-    back to the parent through an exit-record pipe, so post-run
-    reporting (``clock_stats``, ``job_profile``, recovery loops) is
-    backend-transparent.
-
-    Requirements: the ``fork`` start method (POSIX), and picklable
-    message payloads, per-rank return values, and exceptions.
-    """
-
-    name = "procs"
-
-    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY):
-        self.ring_capacity = ring_capacity
-
-    def execute(self, runtime, main, args, kwargs) -> ExecutionOutcome:
-        ctx = fork_context(self.name)
-        n = runtime.nranks
-        job = _ShmJob(ctx, n, self.ring_capacity)
-        pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
-        procs = []
-        try:
-            for r in range(n):
-                p = ctx.Process(
-                    target=_rank_process,
-                    args=(runtime, r, main, args, kwargs, job, pipes[r][1]),
-                    name=f"rank-{r}",
-                    daemon=True,
-                )
-                p.start()
-                pipes[r][1].close()  # child keeps the write end
-                procs.append(p)
-            records, fired = self._collect(procs, pipes, job)
-            reap(procs)
-        finally:
-            for r in range(n):
-                pipes[r][0].close()
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - defensive
-                    p.terminate()
-                    p.join(timeout=5.0)
-            for ring in job.rings:
-                ring.destroy()
-        return marshal_exit_records(
-            runtime, records, fired, n,
-            hard_death=lambda r, code: MPIError(
-                f"rank {r} terminated unexpectedly (exit code {code})"
-            ),
-        )
-
-    @staticmethod
-    def _collect(procs, pipes, job) -> Tuple[Dict[int, dict], bool]:
-        """Read one exit record per rank, detecting hard deaths and
-        deadlock; return ``(records, fired)``.
-
-        A pipe EOF is not enough on its own: every forked child
-        inherits the OS-level write ends of its siblings' pipes, so a
-        rank that dies without sending (``os._exit``, signal,
-        interpreter crash) only EOFs once *all* children exited — and
-        its surviving peers may be blocked waiting for it.  So when a
-        wait times out, dead processes whose pipes are silent are
-        declared hard deaths and the job is aborted, which releases the
-        blocked peers within one poll tick.  Every turn also asks the
-        deadlock rule over the ranks' ``job.status`` slots; ``fired``
-        says it aborted the job.
-        """
-        from multiprocessing import connection
-
-        n = len(procs)
-        abort, status, finished = job.abort, job.status, job.finished
-        conns = {pipes[r][0]: r for r in range(n)}
-        records: Dict[int, dict] = {}
-        deadlocked = strike_rule()
-        fired = False
-
-        def died(rank) -> None:
-            abort.set()
-            records[rank] = hard_exit_record(rank)
-
-        def take(conn, rank) -> None:
-            try:
-                records[rank] = conn.recv()
-            except EOFError:
-                died(rank)
-
-        while conns:
-            if not abort.is_set():
-                slots = status[:]
-                live = [r for r in range(n) if not finished[r]]
-                if deadlocked(len(live), sum(slots[2 * r] for r in live),
-                              sum(slots[1::2])):
-                    fired = True
-                    abort.set()
-            ready = connection.wait(list(conns), timeout=0.25)
-            for conn in ready:
-                take(conn, conns.pop(conn))
-            if ready:
-                continue
-            for conn, rank in list(conns.items()):
-                p = procs[rank]
-                if p.is_alive():
-                    continue
-                p.join()  # reap; any sent record is now in the pipe
-                del conns[conn]
-                if conn.poll(0):
-                    take(conn, rank)
-                else:
-                    died(rank)
-        for rank, rec in records.items():
-            if rec.get("hard_exit"):
-                procs[rank].join(timeout=5.0)
-                rec["exitcode"] = procs[rank].exitcode
-        return records, fired
-
-
 def _sockets_factory() -> Backend:
     # Deferred import: repro.net imports this module, so the table
     # entry must not import it back at module load.
@@ -701,7 +430,7 @@ def _sockets_factory() -> Backend:
 #: :class:`Backend` instance (``Runtime(backend=SocketBackend(...))``).
 _BACKENDS: Dict[str, Callable[[], Backend]] = {
     ThreadsBackend.name: ThreadsBackend,
-    ProcsBackend.name: ProcsBackend,
+    "procs": _sockets_factory,
     "sockets": _sockets_factory,
 }
 

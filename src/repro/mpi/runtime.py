@@ -5,11 +5,11 @@ profiles) and delegates *execution* to a selectable
 :class:`~repro.mpi.backend.Backend`:
 
 * ``threads`` (default) — one Python thread per simulated rank.
-* ``procs`` — one forked OS process per rank with shared-memory
-  envelope delivery; real kernel work escapes the GIL and runs truly
-  in parallel (see :mod:`repro.mpi.backend`).
 * ``sockets`` — one OS process per rank over a socket mesh, on this
-  machine or several (see :mod:`repro.net`).
+  machine or several (see :mod:`repro.net`); real kernel work escapes
+  the GIL and runs truly in parallel.
+* ``procs`` — another name for ``sockets`` with every rank forked on
+  this machine.
 
 In every case the backend's parent, from the wait loop it already runs
 for its ranks, detects deadlock (every live rank's mailbox blocked with

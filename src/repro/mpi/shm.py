@@ -1,18 +1,19 @@
-"""Shared-memory plumbing for the process-parallel execution backend.
+"""The envelope codec, and a shared-memory ring kept for one benchmark row.
 
-The ``procs`` backend (:mod:`repro.mpi.backend`) runs every simulated
-rank as an OS process, so envelope delivery can no longer be a direct
-method call on the destination's :class:`~repro.mpi.transport.Mailbox`.
-This module provides :class:`ShmRing`, a multi-producer
-single-consumer ring buffer in an anonymous shared mapping that the
-parent creates before it forks the ranks.  Each rank owns one ring;
-every peer encodes envelopes (:func:`dump_envelope`) into it and the
-owner's delivery thread drains it into the ordinary in-process mailbox,
-so the matching semantics (posted/unexpected queues, non-overtaking per
-channel) are byte-for-byte the thread backend's.
+:func:`dump_envelope`/:func:`load_envelope` are the codec of the socket
+``ENVELOPE`` frame (:mod:`repro.net.agent`): every envelope a process
+rank sends crosses it.
 
-Nothing here has a name in ``/dev/shm``: the mapping is freed when the
-last process that inherited it unmaps it, so a killed rank leaves
+:class:`ShmRing` is a multi-producer single-consumer ring buffer in an
+anonymous shared mapping, created before a fork and inherited by the
+children.  It carries no job: ``procs`` is a name for the socket mesh.
+Its only caller is the ``mpi.shm_push_pop_us`` row of
+``benchmarks/e2e/layers.py``.  The benchmark change of ROADMAP item 2
+deletes it together with that row and the ring tests in
+``tests/test_shm_ring.py``.
+
+The ring has no name in ``/dev/shm``: the mapping is freed when the
+last process that inherited it unmaps it, so a killed process leaves
 nothing behind and no ``multiprocessing`` resource tracker is started.
 
 Memory-ordering note: the ring's ``head``/``tail`` are aligned 64-bit
@@ -232,17 +233,17 @@ class ShmRing:
 #: Wire header after the kind byte: src, dst, cid, tag, nbytes,
 #: wire_vtime, seq.
 _ENV = struct.Struct("<iiQqqdq")
-#: Payload kinds — the first byte of an encoded envelope, none of them
-#: the procs backend's flush marker: ``None``; a numeric array, numpy
-#: scalar or Python scalar as dtype + shape + raw bytes; else a pickle.
+#: Payload kinds — the first byte of an encoded envelope: ``None``; a
+#: numeric array, numpy scalar or Python scalar as dtype + shape + raw
+#: bytes; else a pickle.
 _NONE, _ARRAY, _NPSCALAR, _PYSCALAR, _PICKLE = b"N", b"A", b"G", b"S", b"P"
 
 
 def dump_envelope(env) -> bytes:
     """Encode one :class:`~repro.mpi.transport.Envelope` for the wire.
 
-    The single codec of the shm ring and the socket ``ENVELOPE`` frame:
-    kind byte, fixed header, payload.  What a running exchange sends —
+    The codec of the socket ``ENVELOPE`` frame: kind byte, fixed
+    header, payload.  What a running exchange sends —
     numeric arrays, scalars, ``None`` — is never pickled.
     """
     head = _ENV.pack(

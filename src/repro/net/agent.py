@@ -9,22 +9,22 @@ on another machine over ssh:
    its rank and listen address, and wait for ``WELCOME`` carrying the
    full peer address table (an external agent also receives a ``JOB``
    frame with the pickled work);
-2. run :func:`repro.mpi.backend.serve_rank` — the same rank body the
-   procs backend runs — over a :class:`MeshLink`, which builds the peer
-   mesh (connect to every lower rank, accept from every higher rank;
-   each connection opens with ``AUTH`` then ``PEER_HELLO``, and nothing
-   is unpickled from a peer that has not presented the token), carries
-   envelopes on it, heartbeats its mailbox's ``blocked`` and
-   ``delivered`` counts to the driver (the deadlock rule's input), and
-   ships the exit record in an ``EXIT`` frame;
+2. run :func:`repro.mpi.backend.serve_rank` over a :class:`MeshLink`,
+   which builds the peer mesh (connect to every lower rank, accept from
+   every higher rank; each connection opens with ``AUTH`` then
+   ``PEER_HELLO``, and nothing is unpickled from a peer that has not
+   presented the token), carries envelopes on it, heartbeats its
+   mailbox's ``blocked`` and ``delivered`` counts to the driver (the
+   deadlock rule's input), and ships the exit record in an ``EXIT``
+   frame;
 3. wait for ``SHUTDOWN`` before closing the mesh, so late sends from
    slower peers land in the unmatched mailbox queue instead of a dead
    socket — the exact semantics a finished rank has under the threads
    backend.
 
-Virtual-time parity with threads/procs holds by construction: the
-envelope (with its ``wire_vtime`` and ``seq``) is encoded whole, the
-destination's real :class:`~repro.mpi.transport.Mailbox` does the
+Virtual-time parity with the threads backend holds by construction:
+the envelope (with its ``wire_vtime`` and ``seq``) is encoded whole,
+the destination's real :class:`~repro.mpi.transport.Mailbox` does the
 matching, and the channel counters ``runtime.seq`` stay process-local
 (see ``serve_rank``).
 """
@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-from ..mpi.backend import _FLUSH_TIMEOUT, FencedAbort, serve_rank
+from ..mpi.backend import FencedAbort, serve_rank
 from ..mpi.errors import AbortError
 from ..mpi.shm import dump_envelope, load_envelope
 from ..mpi.transport import _WAIT_POLL
@@ -66,6 +66,12 @@ from .wire import (
 #: Heartbeat cadence (wall seconds).  Must be comfortably shorter than
 #: the deadlock look period so blocked/delivered samples are fresh.
 HEARTBEAT_INTERVAL = 0.2
+
+#: Upper bound on the abort determinism fence (wall seconds): how long
+#: an aborting rank waits for its peers' ``FLUSH_ACK``.  Live peers
+#: answer at once; the bound only matters when a peer is itself dead or
+#: wedged.
+_FLUSH_TIMEOUT = 5.0
 
 #: How long a finished agent waits for the driver's SHUTDOWN before
 #: giving up and exiting anyway (driver died).

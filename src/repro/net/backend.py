@@ -1,9 +1,10 @@
 """SocketBackend: ranks as OS processes connected over sockets.
 
-The third execution backend (after ``threads`` and ``procs``): every
-rank is an independent OS process — forked locally, or started on
-another machine — and all communication crosses TCP or Unix-domain
-stream sockets using the framed wire protocol in :mod:`.wire`.
+The process backend (``threads`` is the other): every rank is an
+independent OS process — forked locally, or started on another machine
+— and all communication crosses TCP or Unix-domain stream sockets using
+the framed wire protocol in :mod:`.wire`.  ``--backend procs`` is this
+backend with no arguments: every rank forked here over TCP loopback.
 
 Topology: the driver binds one *rendezvous* listener.  Each rank agent
 dials it (``HELLO``), the driver answers with the full peer address
@@ -14,8 +15,8 @@ stay up for the life of the job carrying heartbeats (each mailbox's
 to the deadlock rule), abort notifications,
 and finally each rank's ``EXIT`` record — result, error, virtual
 clock, profile, mailbox snapshot, trace, and fault logs — which the
-driver folds back into the :class:`~repro.mpi.runtime.Runtime` exactly
-as the procs backend does.
+driver folds back into the :class:`~repro.mpi.runtime.Runtime`
+(:func:`~repro.mpi.backend.marshal_exit_records`).
 
 Failure semantics: a rank that raises aborts the job through the
 driver (one control round-trip; blocked peers wake within a poll
@@ -27,8 +28,7 @@ heartbeat timeout, and is marshalled as
 checkpoint and replays, the same contract injected crashes have.
 
 Virtual time, profiles, and physics are bitwise identical to the
-threads and procs backends by construction — see
-:mod:`repro.net.agent` for why.
+threads backend by construction — see :mod:`repro.net.agent` for why.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..mpi.backend import (
     reap,
     strike_rule,
 )
-from ..mpi.errors import AbortError, MPIError, RankCrashError
+from ..mpi.errors import AbortError, MPIError
 from .agent import RENDEZVOUS_TIMEOUT, join_job, run_agent
 from .hostfile import agent_argv, is_local_host, ssh_command
 from .wire import (
@@ -80,10 +80,10 @@ def _forked_agent(runtime, rank, main, args, kwargs, rendezvous, token,
                   host_label, bind_host, advertise_host) -> None:
     """Child body for a locally forked rank agent.
 
-    The fork snapshot carries the Runtime and the job closure, so —
-    like the procs backend — ``main`` needs no pickling.  A loopback
-    host label becomes ``REPRO_HOST_ID`` so per-"host" state (the
-    autotune cache fingerprint) separates even on one machine.
+    The fork snapshot carries the Runtime and the job closure, so
+    ``main`` needs no pickling.  A loopback host label becomes
+    ``REPRO_HOST_ID`` so per-"host" state (the autotune cache
+    fingerprint) separates even on one machine.
     ``bind_host``/``advertise_host`` shape the peer listener: when the
     job also spans remote hosts, even local agents must advertise an
     address those remote peers can route to.
@@ -308,14 +308,7 @@ class SocketBackend(Backend):
             reap(procs)
             if unix_dir is not None:
                 shutil.rmtree(unix_dir, ignore_errors=True)
-        return marshal_exit_records(
-            runtime, records, fired, n,
-            hard_death=lambda r, code: RankCrashError(
-                f"rank {r} terminated unexpectedly "
-                f"(no exit record; exit code {code})",
-                rank=r,
-            ),
-        )
+        return marshal_exit_records(runtime, records, fired, n)
 
     @staticmethod
     def _exitcode(proc) -> Optional[int]:

@@ -948,10 +948,13 @@ def run_with_recovery(
     round-trip the state exactly and global step numbering (and hence
     dt sequencing and checkpoint cadence) is preserved across restarts.
 
-    ``backend`` selects the execution backend (``"threads"`` or
-    ``"procs"``) for every attempt's Runtime; crash marshalling,
-    checkpoint commit protocol and fault accounting are
-    backend-transparent (see ``docs/backends.md``).
+    ``backend`` selects the execution backend (``"threads"``,
+    ``"sockets"`` or its local alias ``"procs"``) for every attempt's
+    Runtime; crash marshalling, checkpoint commit protocol and fault
+    accounting are backend-transparent (see ``docs/backends.md``).  A
+    rank process that dies without an exit record (a SIGKILL, an
+    ``os._exit``) is a :class:`RankCrashError` like an injected crash,
+    so it is replayed from the last checkpoint too.
 
     ``checkpoint_dir`` names a *base* directory: the campaign's
     checkpoints actually live in a ``job-<id>`` subdirectory of it

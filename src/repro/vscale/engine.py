@@ -376,8 +376,8 @@ class VirtualScaleEngine:
         How many ranks to *execute* for validation and physics
         fidelity (capped at ``nranks``).
     backend:
-        Execution backend for the sample run (``"threads"``/``"procs"``
-        /``"sockets"``).
+        Execution backend for the sample run (``"threads"``, or
+        ``"sockets"`` and its local alias ``"procs"``).
     """
 
     def __init__(

@@ -1,14 +1,14 @@
-"""Execution backends: procs and sockets vs the threads reference.
+"""Execution backends: sockets (and its local alias procs) vs the
+threads reference.
 
 Every backend must be a drop-in replacement: same results, same
 error/deadlock/crash semantics, and *identical* virtual-time and
 profile numbers (they are pure functions of the machine model, never of
-wall-clock scheduling).  These tests run the same jobs under all
-backends and compare, and exercise the backend-specific machinery —
-shared memory rings (including oversize fragments) for procs, the socket
-mesh / rendezvous / heartbeat path for sockets, exit-record
-marshalling, process-safe abort, and the recovery loop (abort,
-injected-crash recovery, checkpoint/restart, real rank kills).
+wall-clock scheduling).  These tests run the same jobs under both
+backends and compare, and exercise the process machinery — the socket
+mesh / rendezvous / heartbeat path, the abort determinism fence,
+exit-record marshalling, process-safe abort, and the recovery loop
+(abort, injected-crash recovery, checkpoint/restart, real rank kills).
 """
 
 import os
@@ -23,7 +23,6 @@ from repro.faults import FaultPlan
 from repro.mpi import (
     DeadlockError,
     MPIError,
-    ProcsBackend,
     RankCrashError,
     Runtime,
     ThreadsBackend,
@@ -32,6 +31,9 @@ from repro.mpi import (
 from repro.mpi.backend import resolve_backend
 from repro.net import SocketBackend
 
+#: ``procs`` is the name the CLI, CI and the benchmark pick the local
+#: socket mesh by (``SocketBackend()``); its cells check that the name
+#: keeps every contract the ``sockets`` cells check.
 BACKENDS = ("threads", "procs", "sockets")
 
 
@@ -41,9 +43,12 @@ class TestSelection:
 
     def test_resolve_name_and_instance(self):
         assert isinstance(resolve_backend("threads"), ThreadsBackend)
-        assert isinstance(resolve_backend("procs"), ProcsBackend)
         assert isinstance(resolve_backend("sockets"), SocketBackend)
-        inst = ProcsBackend(ring_capacity=1 << 16)
+        # procs is the local socket mesh: SocketBackend with no arguments.
+        procs = resolve_backend("procs")
+        assert type(procs) is SocketBackend
+        assert vars(procs) == vars(SocketBackend())
+        inst = SocketBackend(family="unix")
         assert resolve_backend(inst) is inst
 
     def test_unknown_backend_error_lists_available(self):
@@ -56,10 +61,12 @@ class TestSelection:
 
     def test_runtime_exposes_backend(self):
         assert Runtime(nranks=1).backend.name == "threads"
-        assert Runtime(nranks=1, backend="procs").backend.name == "procs"
+        assert Runtime(nranks=1, backend="procs").backend.name == "sockets"
 
 
 class TestProcsBasics:
+    """The ``procs`` name runs jobs end to end."""
+
     def test_results_in_rank_order(self):
         res = Runtime(nranks=4, backend="procs").run(
             lambda comm: comm.rank * 10
@@ -98,8 +105,8 @@ class TestProcsBasics:
         assert res == [(6, [0, 1, 2, 3])] * 4
 
     def test_large_message_spills(self):
-        """Payloads bigger than the ring cross it as fragments."""
-        backend = ProcsBackend(ring_capacity=1 << 14)  # 16 KiB ring
+        """An 800 KB payload, far more than one socket read, arrives
+        whole."""
 
         def main(comm):
             if comm.rank == 0:
@@ -107,25 +114,22 @@ class TestProcsBasics:
                 return None
             return float(comm.recv(source=0).sum())
 
-        res = Runtime(nranks=2, backend=backend).run(main)
+        res = Runtime(nranks=2, backend="procs").run(main)
         assert res[1] == float(np.arange(100_000).sum())
 
-    def test_many_messages_wrap_the_ring(self):
-        """Sustained traffic must wrap the ring buffer correctly."""
-        backend = ProcsBackend(ring_capacity=1 << 13)  # 8 KiB ring
+    def test_many_messages_keep_their_order(self):
+        """Sustained traffic on several tags matches in send order."""
 
         def main(comm):
             if comm.rank == 0:
                 for i in range(200):
                     comm.send(np.full(64, i, dtype=float), dest=1, tag=i % 7)
                 return None
-            total = 0.0
-            for i in range(200):
-                total += float(comm.recv(source=0, tag=i % 7)[0])
-            return total
+            return [float(comm.recv(source=0, tag=i % 7)[0])
+                    for i in range(200)]
 
-        res = Runtime(nranks=2, backend=backend).run(main)
-        assert res[1] == float(sum(range(200)))
+        res = Runtime(nranks=2, backend="procs").run(main)
+        assert res[1] == [float(i) for i in range(200)]
 
 
 class TestParity:
@@ -240,26 +244,21 @@ class TestFailures:
         assert Runtime(nranks=2, backend=backend).run(main) == ["late", None]
 
     @pytest.mark.parametrize("how", ["exit", "kill"])
-    @pytest.mark.parametrize(
-        "backend, error",
-        [("procs", MPIError), ("sockets", RankCrashError)],
-    )
-    def test_hard_death_reported(self, backend, error, how):
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_hard_death_reported(self, backend, how):
         """A rank that dies without an exit record must not hang the
-        job.  On procs that is fatal; over sockets a vanished remote
-        process is a crash the recovery loop can replay, so the dead
-        rank is identified."""
+        job.  Under either name a vanished process is a crash the
+        recovery loop can replay, so the dead rank is identified."""
 
         def main(comm):
             if comm.rank == 1:
                 _die(how)
             comm.recv(source=1 - comm.rank, tag=0)
 
-        with pytest.raises(error, match="terminated unexpectedly") as exc:
+        with pytest.raises(RankCrashError,
+                           match="terminated unexpectedly") as exc:
             Runtime(nranks=2, backend=backend).run(main)
-        assert type(exc.value) is error
-        if error is RankCrashError:
-            assert exc.value.rank == 1
+        assert exc.value.rank == 1
 
     @pytest.mark.parametrize("backend", ["procs", "sockets"])
     def test_unpicklable_result_reported(self, backend):
@@ -294,18 +293,16 @@ class TestFailures:
         """A child that fails *before* ``run_rank`` — its transport does
         not come up — still reports, and its peers are released within a
         poll tick instead of waiting out a timeout."""
-        from repro.mpi.backend import ShmLink
         from repro.net.agent import MeshLink
 
-        link = {"procs": ShmLink, "sockets": MeshLink}[backend]
-        real_start = link.start
+        real_start = MeshLink.start
 
         def start(self, local_box):
             real_start(self, local_box)
             if self._rank == 1:
                 raise OSError("link start-up failed")
 
-        monkeypatch.setattr(link, "start", start)  # inherited by forks
+        monkeypatch.setattr(MeshLink, "start", start)  # inherited by forks
         t0 = time.monotonic()
         with pytest.raises(
             MPIError, match=r"rank 1 failed:(.|\n)*link start-up failed"
@@ -318,7 +315,7 @@ class TestFailures:
 
 class TestNoWatchdogThread:
     """The deadlock rule runs in the parent's own wait loop: a job
-    starts its rank threads (threads) or nothing (procs), no more."""
+    starts its rank threads (threads) or nothing (sockets), no more."""
 
     def test_threads_job_starts_one_thread_per_rank(self):
         def main(comm):
@@ -330,94 +327,145 @@ class TestNoWatchdogThread:
         before = threading.active_count()
         assert Runtime(nranks=2).run(main) == [before + 2] * 2
 
-    def test_procs_parent_starts_no_thread(self, monkeypatch):
+    def test_sockets_parent_starts_no_thread(self, monkeypatch):
         seen = []
-        collect = ProcsBackend._collect
+        monitor = SocketBackend._monitor
 
         def sampled(*args):
             seen.append(threading.active_count())
-            return collect(*args)
+            return monitor(*args)
 
-        monkeypatch.setattr(ProcsBackend, "_collect", staticmethod(sampled))
+        monkeypatch.setattr(SocketBackend, "_monitor", sampled)
         before = threading.active_count()
-        Runtime(nranks=2, backend="procs").run(lambda comm: comm.barrier())
+        Runtime(nranks=2, backend="sockets").run(lambda comm: comm.barrier())
         assert seen == [before]
 
 
-class TestProcsAbortFence:
+class TestAbortFence:
     """White-box: the abort determinism fence (`FencedAbort` over
-    `ShmLink`).
+    `MeshLink._flush`).
 
     A crashing rank's ``set()`` must not become visible to survivors
-    until every envelope the rank pushed has been drained into its
+    until every envelope the rank sent has been delivered into its
     peers' mailboxes — otherwise "which of the dead rank's last
     messages arrived" is a scheduling accident and recovery reports
-    diverge from the threads backend.
+    diverge from the threads backend.  And a peer that can no longer
+    answer must not hold ``set()`` past the fence's bound.
     """
 
     @staticmethod
-    def _job(n=2):
-        import multiprocessing as mp
+    def _link(peer_sock):
+        """Rank 0's link with one peer connection (rank 1's end is
+        ``peer_sock``'s partner) and a control connection whose far
+        end, returned too, stands in for the driver."""
+        import socket
 
-        from repro.mpi.backend import _ShmJob
+        from repro.net.agent import MeshLink
+        from repro.net.wire import FrameSocket
 
-        return _ShmJob(mp.get_context("fork"), n, 1 << 16)
+        ctrl, driver = socket.socketpair()
+        link = MeshLink(0, FrameSocket(ctrl), None,
+                        {"nranks": 2, "peers": {}}, "token")
+        link._socks = {1: FrameSocket(peer_sock)}
+        link._acks = {1: threading.Event()}
+        return link, FrameSocket(driver)
+
+    @staticmethod
+    def _rx(*args):
+        """Drain one end of a peer connection, as ``MeshLink.start``
+        does: ``args`` are ``_peer_rx``'s."""
+        from repro.net.agent import _peer_rx
+
+        threading.Thread(target=_peer_rx, args=args, daemon=True).start()
 
     def test_set_waits_until_sent_envelopes_are_delivered(self):
-        import threading
+        import socket
 
-        from repro.mpi.backend import ShmLink
-        from repro.mpi.shm import dump_envelope
         from repro.mpi.transport import Envelope
+        from repro.net.agent import _DriverAbort
+        from repro.net.wire import ABORT, FrameSocket
 
-        job = self._job()
+        mine, theirs = socket.socketpair()
+        link, driver = self._link(mine)
+        peer = FrameSocket(theirs)
+        peer_ctrl = socket.socketpair()
+        peer_abort = _DriverAbort(FrameSocket(peer_ctrl[0]))
         delivered = []
 
         class SlowBox:
-            blocked, delivered = False, 0  # what _drain publishes
-
             @staticmethod
             def deliver(env):
                 time.sleep(0.2)  # hold the race window wide open
                 delivered.append(env.payload)
 
-        receiver = ShmLink(job, 1, None)
-        drain = threading.Thread(
-            target=receiver._drain, args=(SlowBox(),), daemon=True
-        )
-        drain.start()
+        class Unused:
+            @staticmethod
+            def deliver(env):
+                raise AssertionError("rank 1 sent rank 0 an envelope")
+
+        # Rank 1 drains the connection into its mailbox and answers the
+        # FLUSH; rank 0 reads the FLUSH_ACK off the same connection.
+        closing = link._closing
+        self._rx(peer, SlowBox, peer_abort, closing, threading.Event())
+        self._rx(link._socks[1], Unused, link._local, closing, link._acks[1])
         try:
-            job.rings[1].push(dump_envelope(
+            link.peer(1).deliver(
                 Envelope(0, 1, 1, 0, "last words", 10, 0.0, 0)
-            ))
-            ShmLink(job, 0, None).abort.set()
-            assert job.abort.is_set()
+            )
+            link.abort.set()
+            assert link.abort.is_set()
             # set() returning means delivery already happened — no
             # sleep/retry needed here, which is exactly the property.
             assert delivered == ["last words"]
+            assert driver.recv_frame(timeout=5.0)[0] == ABORT
         finally:
-            receiver.retire()
-            drain.join()
-            for ring in job.rings:
-                ring.destroy()
+            link._closing.set()
+            peer.close()
+            link._socks[1].close()
+            driver.close()
+            for sock in peer_ctrl:
+                sock.close()
 
-    def test_finished_peer_does_not_stall_the_fence(self):
-        from repro.mpi.backend import ShmLink
+    @pytest.mark.parametrize("peer", ["closed", "killed", "wedged"])
+    def test_gone_peer_does_not_hold_the_fence(self, peer, monkeypatch):
+        """A peer whose connection is gone (closed, or its process
+        SIGKILLed) or that never reads again cannot hold ``set()`` past
+        ``_FLUSH_TIMEOUT``."""
+        import multiprocessing as mp
+        import socket
 
-        job = self._job()
-        job.finished[1] = 1  # peer already done; its delivery thread is gone
+        import repro.net.agent as agent
+
+        monkeypatch.setattr(agent, "_FLUSH_TIMEOUT", 0.3)
+        mine, theirs = socket.socketpair()
+        link, driver = self._link(mine)
+        if peer == "killed":
+            child = mp.get_context("fork").Process(
+                target=time.sleep, args=(60,), daemon=True
+            )
+            child.start()  # holds a copy of ``theirs``
+            theirs.close()
+            child.kill()
+            child.join(5.0)
+            assert not child.is_alive()
+        elif peer == "closed":
+            theirs.close()
         try:
-            start = time.monotonic()
-            ShmLink(job, 0, None).abort.set()
-            assert job.abort.is_set()
-            assert time.monotonic() - start < 2.0
+            t0 = time.monotonic()
+            link.abort.set()
+            elapsed = time.monotonic() - t0
+            assert link.abort.is_set()
+            assert elapsed < 0.3 + 0.5
+            if peer == "wedged":
+                assert elapsed >= 0.3  # the bound, not the peer, ended it
         finally:
-            for ring in job.rings:
-                ring.destroy()
+            theirs.close()
+            link._socks[1].close()
+            driver.close()
 
 
 class TestProcsRecovery:
-    """Satellite: abort, crash recovery, checkpoint/restart on procs."""
+    """Abort, crash recovery, checkpoint/restart on process ranks."""
 
     def test_clock_stats_available_after_crash(self):
         """The recovery loop charges lost work from post-crash clocks."""
@@ -484,6 +532,30 @@ class TestProcsRecovery:
             assert a.lost_work_seconds == b.lost_work_seconds
             assert a.steps_lost == b.steps_lost
             assert a.restarts == b.restarts
+
+    def test_killed_procs_rank_is_replayed(self, tmp_path):
+        """A procs rank SIGKILLed mid-run, with no exit record, is a
+        ``RankCrashError`` the recovery loop replays from the last
+        checkpoint, as over sockets; the fields match a clean run."""
+        from repro.solver import sod_problem
+        from repro.solver import run_with_recovery
+
+        setup = sod_problem(2, n=5, nelx=8, gs_method="pairwise")
+        common = dict(nranks=2, nsteps=8, dt=2e-4, backend="procs")
+        killed = _kill_wrapped_setup(
+            setup, str(tmp_path / "killed.flag"), kill_call=5
+        )
+        faulty, report = run_with_recovery(
+            killed,
+            checkpoint_every=3,
+            checkpoint_dir=tmp_path / "ckpt",
+            **common,
+        )
+        assert report.restarts == 1
+        assert any("terminated unexpectedly" in c for c in report.crashes)
+        clean, _ = run_with_recovery(setup, **common)
+        for a, b in zip(clean, faulty):
+            np.testing.assert_array_equal(a.u, b.u)
 
 
 def _kill_wrapped_setup(setup, flag_path, kill_call):

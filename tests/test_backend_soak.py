@@ -1,16 +1,17 @@
 """Liveness soak of the execution backends (ROADMAP item 1(d)).
 
-Every fault path of procs and sockets, and every one of threads but the
-hard exit, repeated until a rare stall would show: 100 runs of each
-scenario on 4 ranks (more than a 2-core host has cores) with a 10 us
-thread switch interval, each run in its own child process under a hard
-wall deadline.  A run that misses the deadline is a stall and is
-reported with the ``faulthandler`` stacks of the driver and of every
-rank process; every other run must reproduce the first run's outcome
-exactly — error type and text, or results and virtual clock totals.
+Every fault path of sockets (``procs`` is its local name), and every
+one of threads but the hard exit, repeated until a rare stall would
+show: 100 runs of each scenario on 4 ranks (more than a 2-core host
+has cores) with a 10 us thread switch interval, each run in its own
+child process under a hard wall deadline.  A run that misses the
+deadline is a stall and is reported with the ``faulthandler`` stacks
+of the driver and of every rank process; every other run must
+reproduce the first run's outcome exactly — error type and text, or
+results and virtual clock totals.
 
 Slow tier: ``pytest tests/test_backend_soak.py -m slow -s -o
-faulthandler_timeout=0`` (~20 min; a cell outlasts the tier-1
+faulthandler_timeout=0`` (~13 min; a cell outlasts the tier-1
 per-test stack-dump timer by design).
 This file is also the child: ``python tests/test_backend_soak.py
 <backend> <scenario>`` runs one job and prints its outcome as JSON.
@@ -113,7 +114,7 @@ def _run_once(backend, scenario):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend", ["threads", "procs", "sockets"])
+@pytest.mark.parametrize("backend", ["threads", "sockets"])
 def test_soak(backend, scenario):
     if backend == "threads" and scenario == "hard_exit":
         pytest.skip("os._exit kills the whole process there")

@@ -157,6 +157,33 @@ class TestCommands:
         assert "gs auto-tune:" in out
         assert "pairwise exchange" in out
 
+    def test_cmtbone_report_is_the_same_under_every_backend_name(
+        self, capsys
+    ):
+        """``procs`` names the local socket mesh: its report equals the
+        ``sockets`` and the thread-rank one, byte for byte."""
+        outs = {}
+        for backend in ("threads", "procs", "sockets"):
+            assert main([
+                "cmtbone", "--ranks", "2", "-N", "4", "--local", "2,1,1",
+                "--steps", "3", "--backend", backend,
+            ]) == 0
+            outs[backend] = capsys.readouterr().out
+        assert outs["procs"] == outs["threads"]
+        assert outs["sockets"] == outs["threads"]
+
+    def test_sod_crash_recovery_verifies_under_the_procs_name(
+        self, tmp_path, capsys
+    ):
+        """An injected rank crash on ``procs`` is replayed from the last
+        checkpoint, and the final fields equal a fault-free run's."""
+        assert main([
+            "sod", "--ranks", "2", "--steps", "8", "--backend", "procs",
+            "--fault-spec", "crash:rank=1,step=5", "--checkpoint-every", "3",
+            "--checkpoint-dir", str(tmp_path), "--verify",
+        ]) == 0
+        assert "VERIFY OK" in capsys.readouterr().out
+
     def test_nekbone_small(self, capsys):
         rc = main([
             "nekbone", "--ranks", "2", "-N", "5", "--local", "2,1,1",

@@ -474,7 +474,6 @@ class TestEnvelopeCodec:
     def test_round_trip(self, payload, src, cid, tag, vtime, seq):
         env = Envelope(src, 3, cid, tag, payload, 17, vtime, seq)
         data = dump_envelope(env)
-        assert data[:1] != backend_mod._FLUSH_MARK
         back = load_envelope(data)
         for name in ("src", "dst", "cid", "tag", "nbytes", "wire_vtime", "seq"):
             assert getattr(back, name) == getattr(env, name)
@@ -600,102 +599,20 @@ class TestWaits:
         assert len(blocks) == 1
 
 
-# -- the deadlock rule and the lock-free slots it reads ----------------
+# -- the deadlock rule --------------------------------------------------
 
 
-def _spin_publishing(status):
-    """Publish rank 1's ``(blocked, delivered)`` slots without pause."""
-    delivered = status[3]
-    while True:
-        delivered += 1
-        status[2] = delivered & 1
-        status[3] = delivered
-
-
-def _spin_acking(link):
-    while True:
-        link._ack_flush(0)
-
-
-class TestLockFreeTrackers:
-    def test_killed_writer_cannot_wedge_the_shared_tracker(self):
-        """ROADMAP item 1(a): a rank process SIGKILLed while publishing
-        its ``(blocked, delivered)`` status slots leaves nothing held —
-        there is no lock to hold — and the parent reads every slot."""
-        ctx = multiprocessing.get_context("fork")
-        job = backend_mod._ShmJob(ctx, 2, 1 << 16)
-        status = job.status
-        try:
-            for _ in range(50):
-                child = ctx.Process(
-                    target=_spin_publishing, args=(status,), daemon=True
-                )
-                child.start()
-                before = status[3]
-                while status[3] == before:
-                    time.sleep(0.0005)  # it really is mid-loop
-                child.kill()
-                child.join(5.0)
-                assert not child.is_alive()
-                t0 = time.monotonic()
-                status[0], status[1] = 1, status[1] + 1
-                slots = status[:]
-                assert slots[0] == 1 and slots[3] > before
-                status[0] = 0
-                assert time.monotonic() - t0 < 1.0
-            assert status[0] == 0 and status[1] == 50
-        finally:
-            for ring in job.rings:
-                ring.destroy()
-
-    def test_killed_acker_cannot_wedge_the_abort_fence(self, monkeypatch):
-        """The same for the abort fence's ack counters: a rank SIGKILLed
-        inside ``_ack_flush`` holds nothing, so a survivor's fenced
-        ``set()`` still returns within its bound."""
-        monkeypatch.setattr(backend_mod, "_FLUSH_TIMEOUT", 0.02)
-        ctx = multiprocessing.get_context("fork")
-        job = backend_mod._ShmJob(ctx, 2, 1 << 16)
-        try:
-            for _ in range(50):
-                child = ctx.Process(
-                    target=_spin_acking,
-                    args=(backend_mod.ShmLink(job, 1, None),), daemon=True,
-                )
-                child.start()
-                before = job.flush_acks[1]  # slot (src 0, dst 1)
-                while job.flush_acks[1] == before:
-                    time.sleep(0.0005)  # it really is mid-loop
-                child.kill()
-                child.join(5.0)
-                assert not child.is_alive()
-                job.abort.clear()
-                t0 = time.monotonic()
-                backend_mod.ShmLink(job, 0, None).abort.set()
-                assert job.abort.is_set()
-                assert time.monotonic() - t0 < 1.0
-        finally:
-            for ring in job.rings:
-                ring.destroy()
-
-    @pytest.mark.parametrize("kind", ["threads", "procs"])
+class TestDeadlockRule:
     def test_watchdog_fires_on_all_blocked_and_no_progress(
-        self, kind, monkeypatch
+        self, monkeypatch
     ):
-        """``strike_rule`` over two mailboxes' ``(blocked, delivered)``,
-        read directly (threads) or through the shared status slots a
-        procs delivery thread publishes them to."""
+        """``strike_rule`` over two mailboxes' ``(blocked, delivered)``."""
         monkeypatch.setattr(backend_mod, "_WATCHDOG_PERIOD", 0.05)
         boxes = [Mailbox(0), Mailbox(1)]
-        status = multiprocessing.get_context("fork").RawArray("q", 4)
 
         def sample():
-            if kind == "threads":
-                return (sum(b.blocked for b in boxes),
-                        sum(b.delivered for b in boxes))
-            for r, box in enumerate(boxes):
-                status[2 * r], status[2 * r + 1] = box.blocked, box.delivered
-            slots = status[:]
-            return sum(slots[0::2]), sum(slots[1::2])
+            return (sum(b.blocked for b in boxes),
+                    sum(b.delivered for b in boxes))
 
         abort = threading.Event()
         pendings = [box.post_recv(1, 1 - r, 5) for r, box in enumerate(boxes)]

@@ -42,7 +42,7 @@ from repro.lb import (
     refine_bounds,
     sfc_partition,
 )
-from repro.mpi import Comm, ProcsBackend, Runtime
+from repro.mpi import Comm, Runtime
 from repro.net import SocketBackend
 from repro.net.hostfile import ssh_command
 from repro.perfmodel import MachineModel
@@ -92,7 +92,6 @@ PARAMETERS = {
         "nranks", "machine", "trace_messages", "fault_plan",
         "fault_base_step", "backend",
     ),
-    ProcsBackend.__init__: ("ring_capacity",),
     SocketBackend.__init__: (
         "family", "hosts", "loopback", "external", "hb_timeout", "python",
         "bind_host", "advertise_host",
@@ -217,7 +216,7 @@ EXPORTS = {
         "ANY_SOURCE", "ANY_TAG", "AbortError", "Backend", "CallRecord",
         "ClockStats", "Comm", "CommunicatorError", "DeadlockError",
         "JobProfile", "MAX", "MIN", "MPIError", "MessageTrace",
-        "OverlapInterval", "PROD", "ProcsBackend", "RankCrashError",
+        "OverlapInterval", "PROD", "RankCrashError",
         "RankError", "RankProfile", "RecvRequest", "ReduceOp", "Request",
         "Runtime", "SUM", "SendRequest", "SiteAggregate",
         "Status", "ThreadsBackend", "TraceEvent", "VirtualClock",

@@ -1,6 +1,8 @@
-"""The procs backend's shared-memory ring: fragments and hygiene.
+"""The shared-memory ring (now only the subject of the benchmark's
+``mpi.shm_push_pop_us`` row): fragments and hygiene; and a process job
+names nothing in ``/dev/shm``.
 
-The ring lives in an anonymous shared mapping, so nothing a job does can
+The ring lives in an anonymous shared mapping, so nothing it does can
 leave a name in ``/dev/shm`` or start ``multiprocessing``'s resource
 tracker.  A record longer than a quarter of the ring travels as
 consecutive fragments that ``pop`` joins; a record its writer abandons
@@ -169,12 +171,11 @@ _FRESH_JOB = textwrap.dedent("""
     import json, os, sys
     import numpy as np
     from repro.mpi import Runtime
-    from repro.mpi.backend import ProcsBackend
 
     def main(comm):
         peer = 1 - comm.rank
         out = []
-        for n in (3, 100, 4000):  # the last is several rings long
+        for n in (3, 100, 4000):
             comm.send(np.full(n, comm.rank, dtype=np.float64), dest=peer)
             got = comm.recv(source=peer)
             out.append(float(got.sum()))
@@ -195,7 +196,7 @@ _FRESH_JOB = textwrap.dedent("""
         return found
 
     before = set(os.listdir("/dev/shm"))
-    rt = Runtime(nranks=2, backend=ProcsBackend(ring_capacity=8192))
+    rt = Runtime(nranks=2, backend="procs")
     results = rt.run(main)
     print(json.dumps({
         "results": results,

@@ -106,7 +106,7 @@ class TestEndToEnd:
         assert recv_iv.t1 - recv_iv.t0 > 0.9
 
     def test_bars_stay_out_of_pickled_results(self):
-        """A result rides in every procs/sockets exit record and service
+        """A result rides in every process rank's exit record and service
         reply: its profiler keeps the bars on the rank, not in the
         record (docs/backends.md)."""
 
